@@ -26,16 +26,10 @@ import sys
 
 from . import difftest
 from .difftest import MARKER, BALANCED_WEIGHTS, census, gen_script, run_script, shrink
-from .errors import (
-    IndexOutOfBoundsError,
-    IllegalStateError,
-    NegativeArraySizeError,
-    UsageError,
-)
+from .errors import IndexOutOfBoundsError, NegativeArraySizeError, UsageError
 from .ghostspec import check_acyclic, check_invariant, check_unique_endpoints
-from .heapmodel import NULL
 from .jint import WIDTHS, max_value, min_value
-from .listcore import CheckMode, SizePolicy, new_list
+from .listcore import CheckMode, SizePolicy
 from .statespace import enumerate_lists, random_state
 
 CHECK_MODES = {"off": CheckMode.OFF, "invariant": CheckMode.INVARIANT, "full": CheckMode.FULL}
@@ -50,6 +44,13 @@ def _emit(report: dict, text: str, fmt: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -61,27 +62,11 @@ def _default_seed(args) -> int:
 # repro
 
 
-def _build_case_state(case: int, width: int, policy: SizePolicy):
-    """Cases 1-3 flip the size sign (2^(W-1) null adds); cases 4-5 wrap
-    it back to zero (2^W adds, marker last). FailFast preparation records
-    where the capacity guard fired instead."""
-    total = (1 << (width - 1)) if case <= 3 else (1 << width)
-    lst = new_list(width, policy)
-    first_refusal = None
-    for k in range(total):
-        item = MARKER if (case >= 4 and k == total - 1) else NULL
-        try:
-            lst.add(item)
-        except IllegalStateError:
-            if first_refusal is None:
-                first_refusal = k + 1  # 1-based add count
-    return lst, first_refusal
-
-
 def cmd_repro(args) -> int:
     case, width = args.case, args.width
     policy = SizePolicy.FAIL_FAST if args.fixed else SizePolicy.UNCHECKED
-    lst, first_refusal = _build_case_state(case, width, policy)
+    # cases 1-3 flip the size sign, cases 4-5 wrap it back to zero
+    lst, first_refusal = difftest.prepare_overflow(width, policy, wrap=case >= 4)
     cap = max_value(width).value
     lines = [f"test case {case} at width {width} ({policy.value})"]
     report: dict = {"case": case, "width": width, "policy": policy.value, "fixed": args.fixed}
@@ -314,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="random differential scripts")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ops", type=int, default=10000)
+    p.add_argument("--ops", type=non_negative_int, default=10000)
     p.add_argument("--check-mode", choices=tuple(CHECK_MODES), default="invariant")
     p.add_argument("--out", default=None)
     common(p)
@@ -327,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="invariant and implication property battery")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ops", type=int, default=2000, help="number of random states")
+    p.add_argument("--ops", type=non_negative_int, default=2000, help="number of random states")
     common(p)
     p.set_defaults(func=cmd_check)
 

@@ -9,28 +9,16 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
-from .errors import ContractViolation, CycleDetected, ListError, UsageError
+from .errors import ContractViolation, CycleDetected, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, run_checked
-from .heapmodel import NULL, Atom, Item, NullItem, items_equal
-from .jint import max_value
+from .heapmodel import NULL, Atom, NullItem, items_equal
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
+from .ops import ALPHABET, GROWS, INDEX, ITEM, MARKER, OP_SPECS, RESET, SHRINKS, spec_of
 from .oracle import AbstractList, Verdict, normalize, observe_equal, oracle_apply
 
 GENERATOR_VERSION = 1
-
-#: argument alphabet: small enough to enumerate, rich enough to exercise
-#: both equality branches plus a distinguished marker element
-MARKER = Atom("marker")
-ALPHABET: tuple[Item, ...] = (NULL, Atom("a"), Atom("b"), MARKER)
-
-DIVERGENCE_KINDS = (
-    "WrongValue",
-    "WrongError",
-    "MissingError",
-    "InvariantViolation",
-    "FrameViolation",
-)
 
 
 @dataclass(frozen=True)
@@ -115,36 +103,6 @@ BALANCED_WEIGHTS: dict[str, float] = {
     "is_max_size": 0.5,
 }
 
-_ITEM_ARG_OPS = frozenset(
-    {
-        "add",
-        "add_first",
-        "add_last",
-        "index_of",
-        "last_index_of",
-        "contains",
-        "remove_item",
-        "remove_first_occurrence",
-        "remove_last_occurrence",
-    }
-)
-_INDEX_ARG_OPS = frozenset({"get", "remove_at"})
-_INDEX_ITEM_ARG_OPS = frozenset({"set_at", "add_at"})
-_GROWS = frozenset({"add", "add_first", "add_last", "add_at"})
-_SHRINKS = frozenset(
-    {
-        "remove_at",
-        "remove_item",
-        "remove_first_occurrence",
-        "remove_last_occurrence",
-        "poll_first",
-        "poll_last",
-        "remove_first",
-        "remove_last",
-    }
-)
-
-
 def gen_script(
     seed: int,
     width: int,
@@ -159,25 +117,23 @@ def gen_script(
     weights = weights or BALANCED_WEIGHTS
     rng = random.Random(seed)
     ops = sorted(weights)
+    specs = {op: spec_of(op) for op in ops}
     cum = [weights[o] for o in ops]
     est = 0
     steps = []
     for _ in range(length):
         op = rng.choices(ops, weights=cum)[0]
-        if op in _ITEM_ARG_OPS:
-            args: tuple = (rng.choice(ALPHABET),)
-        elif op in _INDEX_ARG_OPS:
-            args = (rng.randint(-1, est + 1),)
-        elif op in _INDEX_ITEM_ARG_OPS:
-            args = (rng.randint(-1, est + 1), rng.choice(ALPHABET))
-        else:
-            args = ()
+        spec = specs[op]
+        args: tuple = ()
+        for kind in spec.args:
+            args += (rng.randint(-1, est + 1) if kind == INDEX else rng.choice(ALPHABET),)
         steps.append((op, args))
-        if op in _GROWS:
+        effect = spec.size_effect
+        if effect == GROWS:
             est += 1
-        elif op in _SHRINKS and est > 0:
+        elif effect == SHRINKS and est > 0:
             est -= 1
-        elif op == "clear":
+        elif effect == RESET:
             est = 0
     return OpScript(seed=seed, width=width, steps=tuple(steps))
 
@@ -224,7 +180,10 @@ def run_script(
     the unbounded one). Ghost-layer checks apply to the FailFast model
     only: under FULL every step goes through the contract harness, under
     INVARIANT the class invariant is re-checked after each step.
-    Divergences are data; execution only aborts on a corrupted chain."""
+    Divergences are data; execution only aborts on a corrupted chain.
+    An unknown operation is a UsageError, raised before anything runs."""
+    for op, _ in script.steps:
+        spec_of(op)
     divergences: dict[str, list[Divergence]] = {}
     lists: dict[str, JavaLinkedList] = {}
     oracles: dict[str, AbstractList] = {}
@@ -232,25 +191,17 @@ def run_script(
     for policy in policies:
         pname = policy.value
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
-        lst = new_list(
-            script.width,
-            policy,
-            CheckMode.FULL if (checked and check_mode is CheckMode.FULL) else CheckMode.OFF,
-            faults=faults,
-        )
+        full = checked and check_mode is CheckMode.FULL
+        call = run_checked if full else apply_op
+        lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
         abs_state = AbstractList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
         aborted[pname] = None
         for step, (op, args) in enumerate(script.steps):
-            outcome: tuple[str, object] | None
             try:
-                if checked and check_mode is CheckMode.FULL:
-                    try:
-                        outcome = ("value", normalize(run_checked(lst, op, args)))
-                    except ListError as e:
-                        outcome = ("error", e.kind)
-                else:
-                    outcome = run_op(lst, op, args)
+                outcome = ("value", normalize(call(lst, op, args)))
+            except ListError as e:
+                outcome = ("error", e.kind)
             except ContractViolation as cv:
                 # the ghost layer no longer trusts this state; stop here
                 kind = "FrameViolation" if "frame" in cv.categories() else "InvariantViolation"
@@ -266,7 +217,7 @@ def run_script(
                 aborted[pname] = step
                 break
             verdict, abs_state = oracle_apply(abs_state, op, args)
-            if outcome is not None and observe_equal(outcome, verdict) == "disagree":
+            if observe_equal(outcome, verdict) == "disagree":
                 divs.append(
                     Divergence(
                         step,
@@ -328,114 +279,60 @@ def shrink(script: OpScript, predicate) -> OpScript:
 # ---------------------------------------------------------------------------
 # census
 
-CENSUS_PROBES: dict[str, list[tuple]] = {
-    "size": [()],
-    "get": [(0,)],
-    "set_at": [(0, Atom("a"))],
-    "add_at": [(0, Atom("a"))],
-    "remove_at": [(0,)],
-    "index_of": [(NULL,), (MARKER,)],
-    "last_index_of": [(NULL,), (MARKER,)],
-    "contains": [(NULL,), (MARKER,)],
-    "to_array": [()],
-    "remove_item": [(NULL,), (MARKER,)],
-    "remove_first_occurrence": [(NULL,)],
-    "remove_last_occurrence": [(NULL,)],
-    "add": [(Atom("a"),)],
-    "clear": [()],
-    "add_first": [(Atom("a"),)],
-    "add_last": [(Atom("a"),)],
-    "get_first": [()],
-    "get_last": [()],
-    "peek_first": [()],
-    "peek_last": [()],
-    "poll_first": [()],
-    "poll_last": [()],
-    "remove_first": [()],
-    "remove_last": [()],
-}
-
-#: List-interface methods whose documented contract covers the size
-#: bookkeeping; after a successful mutation the reported size must match
-#: the documented (clamped) one.
-LIST_METHODS = frozenset(
-    {
-        "size",
-        "get",
-        "set_at",
-        "add_at",
-        "remove_at",
-        "index_of",
-        "last_index_of",
-        "contains",
-        "to_array",
-        "remove_item",
-        "remove_first_occurrence",
-        "remove_last_occurrence",
-        "add",
-        "clear",
-    }
-)
-
-#: Deque-interface methods: contracts are about chain endpoints, so the
-#: post-probe checks the endpoints, not the size field.
-DEQUE_METHODS = frozenset(
-    {
-        "add_first",
-        "add_last",
-        "get_first",
-        "get_last",
-        "peek_first",
-        "peek_last",
-        "poll_first",
-        "poll_last",
-        "remove_first",
-        "remove_last",
-    }
-)
-
-_LIST_MUTATORS = frozenset(
-    {
-        "add",
-        "set_at",
-        "add_at",
-        "remove_at",
-        "remove_item",
-        "remove_first_occurrence",
-        "remove_last_occurrence",
-        "clear",
-    }
-)
-_DEQUE_MUTATORS = frozenset(
-    {"add_first", "add_last", "poll_first", "poll_last", "remove_first", "remove_last"}
-)
-
-_SEVERITY = {"OK": 0, "Unspecified-skip": 1, "WrongValue": 2, "Crash": 3}
+#: the most add() calls one preparation may issue; the census at width 16
+#: needs 2^15 + 2^16, width 32 would need billions
+MAX_PREPARATION_ADDS = 1 << 17
 
 
-def _prepare(width: int, policy: SizePolicy, total_adds: int, marker_last: bool):
-    """Build a preparation state by repeated add(): ``total_adds`` nulls,
-    or nulls with the marker as the final element. FailFast simply stops
-    accepting at capacity (on both sides), so the overflow never forms."""
+def _require_feasible(what: str, *exponents: int) -> None:
+    adds = sum(1 << e for e in exponents)
+    if adds > MAX_PREPARATION_ADDS:
+        formula = " + ".join(f"2^{e}" for e in exponents)
+        raise UsageError(
+            f"{what} needs {formula} = {adds} add() calls; "
+            f"at most {MAX_PREPARATION_ADDS} are feasible"
+        )
+
+
+def _preparation_items(width: int, wrap: bool):
+    """2^(W-1) nulls to flip the size sign, or 2^W items with the marker
+    last to wrap it back to zero."""
+    n = 1 << (width if wrap else width - 1)
+    return chain(repeat(NULL, n - 1), (MARKER if wrap else NULL,))
+
+
+def prepare_overflow(width: int, policy: SizePolicy, wrap: bool):
+    """Build a preparation state by repeated add(). Returns the list and
+    the 1-based number of the first add it refused, or None: FailFast
+    stops accepting at capacity, so the overflow never forms."""
+    _require_feasible(f"the preparation at width {width}", width if wrap else width - 1)
     lst = new_list(width, policy)
-    abs_state = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
-    for k in range(total_adds):
-        item = MARKER if (marker_last and k == total_adds - 1) else NULL
+    first_refusal = None
+    for k, item in enumerate(_preparation_items(width, wrap), 1):
         try:
             lst.add(item)
-        except ListError:
-            pass
-        _, abs_state = oracle_apply(abs_state, "add", (item,))
-    return lst, abs_state
+        except IllegalStateError:
+            if first_refusal is None:
+                first_refusal = k
+    return lst, first_refusal
 
 
 def build_overflow_states(width: int, policy: SizePolicy = SizePolicy.UNCHECKED):
-    """The two preparation states of the reproduction procedure: enough
-    adds to flip the size sign (2^(W-1)), and enough to wrap it back to
-    zero (2^W, with a marker as last element)."""
-    state1 = _prepare(width, policy, 1 << (width - 1), marker_last=False)
-    state2 = _prepare(width, policy, 1 << width, marker_last=True)
-    return state1, state2
+    """The two preparation states of the reproduction procedure, each
+    with the oracle state the same adds lead to: the sign flip and the
+    wrap to zero."""
+    _require_feasible(f"the census at width {width}", width - 1, width)
+    states = []
+    for wrap in (False, True):
+        lst, _ = prepare_overflow(width, policy, wrap)
+        abs_state = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
+        for item in _preparation_items(width, wrap):
+            _, abs_state = oracle_apply(abs_state, "add", (item,))
+        states.append((lst, abs_state))
+    return tuple(states)
+
+
+_SEVERITY = {"OK": 0, "Unspecified-skip": 1, "WrongValue": 2, "Crash": 3}
 
 
 def _probe_classification(
@@ -460,13 +357,14 @@ def _probe_classification(
             return "WrongValue"
         return "Unspecified-skip"
 
-    if outcome[0] == "value" and verdict.kind == "value":
-        if method in _LIST_MUTATORS:
+    spec = OP_SPECS[method]
+    if outcome[0] == "value" and verdict.kind == "value" and spec.mutating:
+        if spec.interface == "List":
             post = run_op(impl, "size", ())
             size_verdict, _ = oracle_apply(abs_post, "size", ())
             if observe_equal(post, size_verdict) == "disagree":
                 return "WrongValue"
-        elif method in _DEQUE_MUTATORS:
+        elif spec.interface == "Deque":
             for end in ("peek_first", "peek_last"):
                 post = run_op(impl, end, ())
                 end_verdict, _ = oracle_apply(abs_post, end, ())
@@ -480,10 +378,10 @@ def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[Census
     preparation states; one row per method, worst outcome wins."""
     states = build_overflow_states(width, policy)
     rows = []
-    for method in sorted(CENSUS_PROBES):
+    for method in sorted(op for op, spec in OP_SPECS.items() if spec.probes):
         worst = "OK"
         for lst, abs_state in states:
-            for args in CENSUS_PROBES[method]:
+            for args in OP_SPECS[method].probes:
                 cls = _probe_classification(lst, abs_state, method, args)
                 if _SEVERITY[cls] > _SEVERITY[worst]:
                     worst = cls
@@ -533,18 +431,41 @@ def dump_script(script: OpScript) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decode_step(rec) -> tuple[str, tuple]:
+    """A step record's call, checked against its operation's arg shape."""
+    if not isinstance(rec, dict) or "op" not in rec or "args" not in rec:
+        raise UsageError("a step needs an \"op\" and an \"args\" field")
+    spec = spec_of(rec["op"])
+    raw = rec["args"]
+    if not isinstance(raw, list) or len(raw) != len(spec.args):
+        raise UsageError(f"{spec.name} takes {len(spec.args)} argument(s), got {raw!r}")
+    for kind, v in zip(spec.args, raw):
+        if kind == INDEX and type(v) is not int:
+            raise UsageError(f"{spec.name}: index must be an integer, got {v!r}")
+        if kind == ITEM and not (v is None or isinstance(v, str)):
+            raise UsageError(f"{spec.name}: item must be null or a string, got {v!r}")
+    return spec.name, tuple(_decode_arg(v) for v in raw)
+
+
 def load_script(text: str) -> OpScript:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse a JSON Lines script; a malformed line is a UsageError that
+    names its 1-based line number."""
+    header, steps = None, []
+    for n, ln in enumerate(text.splitlines(), 1):
+        if not ln.strip():
+            continue
+        try:
+            rec = json.loads(ln)
+            if header is not None:
+                steps.append(_decode_step(rec))
+            elif not (isinstance(rec, dict) and "seed" in rec and "width" in rec):
+                raise UsageError("the header needs a \"seed\" and a \"width\" field")
+            else:
+                header = rec
+        except (ValueError, UsageError) as e:
+            raise UsageError(f"line {n}: {e}") from None
+    if header is None:
         raise UsageError("empty script file")
-    header = json.loads(lines[0])
-    for key in ("seed", "width"):
-        if key not in header:
-            raise UsageError(f"script header missing {key!r}")
-    steps = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        steps.append((rec["op"], tuple(_decode_arg(a) for a in rec["args"])))
     return OpScript(
         seed=header["seed"],
         width=header["width"],

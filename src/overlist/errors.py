@@ -48,18 +48,6 @@ class NegativeArraySizeError(ListError):
     kind = "negative_array_size"
 
 
-#: kind string -> exception class, for report decoding.
-LIST_ERRORS = {
-    cls.kind: cls
-    for cls in (
-        IndexOutOfBoundsError,
-        NoSuchElementError,
-        IllegalStateError,
-        NegativeArraySizeError,
-    )
-}
-
-
 class ContractViolation(Exception):
     """A runtime contract check failed (invariant, postcondition, frame,
     or loop probe). Carries per-clause details for reporting."""

@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import heapmodel
 from .errors import ContractViolation, ListError, UsageError
-from .heapmodel import NULL, NodeId, NullItem, items_equal
+from .heapmodel import NodeId, NullItem
 from .jint import max_value
 from .oracle import AbstractList, normalize, observe_equal, oracle_apply
 
@@ -290,99 +290,6 @@ def observe(state) -> PreObservation:
     return PreObservation(items, ids, state.size.value, take_snapshot(state))
 
 
-def _fp_pure(state, pre, args) -> Footprint:
-    return EMPTY_FOOTPRINT
-
-
-def _fp_append(state, pre, args) -> Footprint:
-    nodes = {(pre.ids[-1], "next")} if pre.ids else set()
-    header = {"last", "size"} | ({"first"} if not pre.ids else set())
-    return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=True)
-
-
-def _fp_prepend(state, pre, args) -> Footprint:
-    nodes = {(pre.ids[0], "prev")} if pre.ids else set()
-    header = {"first", "size"} | ({"last"} if not pre.ids else set())
-    return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=True)
-
-
-def _fp_insert_at(state, pre, args) -> Footprint:
-    i = args[0]
-    n = len(pre.ids)
-    if not 0 <= i <= n:
-        return EMPTY_FOOTPRINT
-    if i == n:
-        return _fp_append(state, pre, args)
-    nodes = {(pre.ids[i], "prev")}
-    header = {"size"}
-    if i > 0:
-        nodes.add((pre.ids[i - 1], "next"))
-    else:
-        header.add("first")
-    return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=True)
-
-
-def _removal_footprint(pre, p: int) -> Footprint:
-    ids = pre.ids
-    n = len(ids)
-    x = ids[p]
-    nodes = {(x, "prev"), (x, "item"), (x, "next")}
-    header = {"size"}
-    if p > 0:
-        nodes.add((ids[p - 1], "next"))
-    else:
-        header.add("first")
-    if p < n - 1:
-        nodes.add((ids[p + 1], "prev"))
-    else:
-        header.add("last")
-    return Footprint(frozenset(nodes), frozenset(header), ghost=True)
-
-
-def _fp_remove_at(state, pre, args) -> Footprint:
-    i = args[0]
-    if not 0 <= i < len(pre.ids):
-        return EMPTY_FOOTPRINT
-    return _removal_footprint(pre, i)
-
-
-def _fp_set_at(state, pre, args) -> Footprint:
-    i = args[0]
-    if not 0 <= i < len(pre.ids):
-        return EMPTY_FOOTPRINT
-    return Footprint(frozenset({(pre.ids[i], "item")}))
-
-
-def _match_index(pre, target, last: bool) -> int | None:
-    rng = range(len(pre.items) - 1, -1, -1) if last else range(len(pre.items))
-    for i in rng:
-        if items_equal(target, pre.items[i]):
-            return i
-    return None
-
-
-def _fp_remove_match(last: bool):
-    def fp(state, pre, args) -> Footprint:
-        p = _match_index(pre, args[0], last)
-        return EMPTY_FOOTPRINT if p is None else _removal_footprint(pre, p)
-
-    return fp
-
-
-def _fp_remove_end(p_of_n) -> Callable:
-    def fp(state, pre, args) -> Footprint:
-        if not pre.ids:
-            return EMPTY_FOOTPRINT
-        return _removal_footprint(pre, p_of_n(len(pre.ids)))
-
-    return fp
-
-
-def _fp_clear(state, pre, args) -> Footprint:
-    nodes = {(nid, f) for nid in pre.ids for f in ("prev", "item", "next")}
-    return Footprint(frozenset(nodes), frozenset({"first", "last", "size"}), ghost=True)
-
-
 @dataclass(frozen=True)
 class ContractRecord:
     """One behavioral branch of a public operation's contract."""
@@ -393,73 +300,17 @@ class ContractRecord:
     footprint: Callable
 
 
-_FOOTPRINTS: dict[str, Callable] = {
-    "size": _fp_pure,
-    "is_max_size": _fp_pure,
-    "check_size": _fp_pure,
-    "get": _fp_pure,
-    "index_of": _fp_pure,
-    "last_index_of": _fp_pure,
-    "contains": _fp_pure,
-    "to_array": _fp_pure,
-    "get_first": _fp_pure,
-    "get_last": _fp_pure,
-    "peek_first": _fp_pure,
-    "peek_last": _fp_pure,
-    "add": _fp_append,
-    "add_last": _fp_append,
-    "add_first": _fp_prepend,
-    "add_at": _fp_insert_at,
-    "set_at": _fp_set_at,
-    "remove_at": _fp_remove_at,
-    "remove_item": _fp_remove_match(last=False),
-    "remove_first_occurrence": _fp_remove_match(last=False),
-    "remove_last_occurrence": _fp_remove_match(last=True),
-    "poll_first": _fp_remove_end(lambda n: 0),
-    "poll_last": _fp_remove_end(lambda n: n - 1),
-    "remove_first": _fp_remove_end(lambda n: 0),
-    "remove_last": _fp_remove_end(lambda n: n - 1),
-    "clear": _fp_clear,
-}
-
-#: element-search operations that carry one contract per equality branch
-#: (null argument = identity test, non-null = equals test)
-_ITEM_BRANCH_OPS = frozenset(
-    {
-        "index_of",
-        "last_index_of",
-        "contains",
-        "remove_item",
-        "remove_first_occurrence",
-        "remove_last_occurrence",
-    }
-)
-
-
-def _build_contracts() -> dict[str, tuple[ContractRecord, ...]]:
-    table: dict[str, tuple[ContractRecord, ...]] = {}
-    for op, fp in _FOOTPRINTS.items():
-        if op in _ITEM_BRANCH_OPS:
-            table[op] = (
-                ContractRecord(f"{op}[null]", op, "null", fp),
-                ContractRecord(f"{op}[non-null]", op, "non-null", fp),
-            )
-        else:
-            table[op] = (ContractRecord(op, op, None, fp),)
-    return table
-
-
-CONTRACTS: dict[str, tuple[ContractRecord, ...]] = _build_contracts()
-
-
 def contract_for(op: str, args: tuple) -> ContractRecord:
-    if op not in CONTRACTS:
-        raise UsageError(f"no contract for operation {op!r}")
-    records = CONTRACTS[op]
-    if len(records) == 1:
-        return records[0]
+    """The contract branch a call takes: element-search operations carry
+    one per equality branch (null argument = identity test, non-null =
+    equals test), every other operation a single one."""
+    from .ops import spec_of
+
+    spec = spec_of(op)
+    if not spec.equality_branches:
+        return ContractRecord(op, op, None, spec.footprint)
     branch = "null" if isinstance(args[0], NullItem) else "non-null"
-    return next(r for r in records if r.branch == branch)
+    return ContractRecord(f"{op}[{branch}]", op, branch, spec.footprint)
 
 
 def _post_vs_model(state, pre: PreObservation, op: str, args, outcome) -> list[tuple[str, str]]:

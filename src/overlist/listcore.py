@@ -134,20 +134,21 @@ class JavaLinkedList:
         self.size = inc(self.size)
         self.ghost.node_list.insert(0, node)
 
+    def _check_ghost_index(self, node: NodeId, index: int | None) -> None:
+        """A caller-supplied ghost position must hold ``node`` (checked
+        only when checks are on)."""
+        if index is None or self.check_mode is CheckMode.OFF:
+            return
+        nl = self.ghost.node_list
+        if not 0 <= index < len(nl) or nl[index] != node:
+            raise UsageError(f"ghost index {index} does not hold node {node}")
+
     def link_before(self, item: Item, succ: NodeId, succ_index: int | None = None) -> None:
         """Splice a new node in front of ``succ``. ``succ_index`` is the
         ghost position of ``succ``; it is validated when checks are on."""
         if succ not in self.store:
             raise UsageError(f"succ {succ} not allocated")
-        if (
-            succ_index is not None
-            and self.check_mode is not CheckMode.OFF
-            and (
-                not 0 <= succ_index < len(self.ghost.node_list)
-                or self.ghost.node_list[succ_index] != succ
-            )
-        ):
-            raise UsageError(f"ghost index {succ_index} does not hold node {succ}")
+        self._check_ghost_index(succ, succ_index)
         self._guard_growth()
         pred = self.store.record(succ).prev
         node = self.store.alloc(prev=pred, item=item, next=succ)
@@ -164,15 +165,7 @@ class JavaLinkedList:
         the removed item. ``x_index`` is the ghost position of ``x``."""
         if x not in self.store:
             raise UsageError(f"node {x} not allocated")
-        if (
-            x_index is not None
-            and self.check_mode is not CheckMode.OFF
-            and (
-                not 0 <= x_index < len(self.ghost.node_list)
-                or self.ghost.node_list[x_index] != x
-            )
-        ):
-            raise UsageError(f"ghost index {x_index} does not hold node {x}")
+        self._check_ghost_index(x, x_index)
         rec = self.store.record(x)
         item, pred, succ = rec.item, rec.prev, rec.next
         relink = "unlink-skip-relink" not in self.faults

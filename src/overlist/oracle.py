@@ -73,14 +73,14 @@ def normalize(v):
     return v
 
 
-def _first_index(items, target):
+def first_index(items, target):
     for i, it in enumerate(items):
         if items_equal(target, it):
             return i
     return None
 
 
-def _last_index(items, target):
+def last_index(items, target):
     for i in range(len(items) - 1, -1, -1):
         if items_equal(target, items[i]):
             return i
@@ -144,22 +144,22 @@ def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, Abstra
         return value(True if op == "add" else None), updated(new)
     if op == "index_of":
         (x,) = args
-        p = _first_index(items, x)
+        p = first_index(items, x)
         if p is None:
             return value(-1), a
         return (value(p), a) if p <= cap else (UNSPECIFIED, a)
     if op == "last_index_of":
         (x,) = args
-        p = _last_index(items, x)
+        p = last_index(items, x)
         if p is None:
             return value(-1), a
         return (value(p), a) if p <= cap else (UNSPECIFIED, a)
     if op == "contains":
         (x,) = args
-        return value(_first_index(items, x) is not None), a
+        return value(first_index(items, x) is not None), a
     if op in ("remove_item", "remove_first_occurrence", "remove_last_occurrence"):
         (x,) = args
-        find = _last_index if op == "remove_last_occurrence" else _first_index
+        find = last_index if op == "remove_last_occurrence" else first_index
         p = find(items, x)
         if p is None:
             return value(False), a
@@ -195,22 +195,6 @@ def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, Abstra
             return error("no_such_element"), a
         return value(items[-1]), updated(items[:-1])
     raise UsageError(f"unknown operation {op!r}")
-
-
-#: operations whose documented verdict never becomes Unspecified,
-#: at any size: they act on chain endpoints, not on indices.
-DEQUE_OPS = (
-    "add_first",
-    "add_last",
-    "get_first",
-    "get_last",
-    "peek_first",
-    "peek_last",
-    "poll_first",
-    "poll_last",
-    "remove_first",
-    "remove_last",
-)
 
 
 def observe_equal(impl: tuple[str, object], verdict: Verdict) -> str:

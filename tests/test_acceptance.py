@@ -36,7 +36,6 @@ from overlist.errors import (
     NegativeArraySizeError,
 )
 from overlist.ghostspec import (
-    CONTRACTS,
     check_acyclic,
     check_invariant,
     check_unique_endpoints,
@@ -44,6 +43,7 @@ from overlist.ghostspec import (
 )
 from overlist.heapmodel import NULL, Atom, walk_chain
 from overlist.listcore import CheckMode, FAULTS, SizePolicy, new_list
+from overlist.ops import OP_SPECS
 from overlist.oracle import AbstractList, observe_equal, oracle_apply
 from overlist.difftest import run_op
 from overlist.statespace import SMALL_ALPHABET, build_list, enumerate_lists, random_state
@@ -220,7 +220,7 @@ def test_criterion_09_oracle_equivalence_below_bound():
 
 @criterion(10, "method contracts hold against brute-force semantics on all small lists")
 def test_criterion_10_contract_brute_force():
-    pure = [op for op in CONTRACTS
+    pure = [op for op in OP_SPECS
             if op in ("size", "to_array", "contains", "index_of", "last_index_of",
                       "get", "get_first", "get_last", "peek_first", "peek_last",
                       "is_max_size", "check_size")]
@@ -228,7 +228,7 @@ def test_criterion_10_contract_brute_force():
         n = lst.size.value
         items = lst.items()
         indices = range(-1, n + 2)
-        for op in CONTRACTS:
+        for op in OP_SPECS:
             if op in ("get", "remove_at"):
                 probes = [(i,) for i in indices]
             elif op == "add_at":

@@ -96,3 +96,38 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+
+HEADER = '{"seed": 0, "width": 8, "version": 1}\n'
+BAD_SCRIPTS = {
+    "unknown-op": '{"step": 0, "op": "frobnicate", "args": []}\n',
+    "missing-args": '{"step": 0, "op": "get", "args": []}\n',
+    "missing-op": '{"step": 0, "args": [null]}\n',
+    "string-index": '{"step": 0, "op": "add", "args": [null]}\n'
+    '{"step": 1, "op": "get", "args": ["0"]}\n',
+    "non-item": '{"step": 0, "op": "add", "args": [5]}\n',
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("name", sorted(BAD_SCRIPTS))
+    def test_malformed_script_is_usage_error(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(HEADER + BAD_SCRIPTS[name])
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        line = 3 if name == "string-index" else 2
+        assert f"line {line}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,needs", [
+        (["fuzz", "--ops", "-5"], None),
+        (["check", "--ops", "-5"], None),
+        (["repro", "1", "--width", "32"], "2^31 = 2147483648"),
+        (["repro", "3", "--width", "32", "--fixed"], "2^31 = 2147483648"),
+        (["repro", "4", "--width", "32"], "2^32 = 4294967296"),
+        (["census", "--width", "32"], "2^31 + 2^32 = 6442450944"),
+    ])
+    def test_rejected_at_once(self, argv, needs, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (needs or "must be >= 0") in err

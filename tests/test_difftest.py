@@ -212,3 +212,19 @@ class TestFaultVisibility:
                 found = True
                 break
         assert found, f"fault {fault} never detected"
+
+
+class TestValidation:
+    def test_unknown_op_rejected_before_running(self):
+        script = OpScript(0, 8, (("add", (NULL,)), ("sort", ())))
+        with pytest.raises(UsageError, match="unknown operation 'sort'"):
+            run_script(script)
+
+    def test_load_names_the_line(self):
+        text = '{"seed": 0, "width": 8}\n\n{"op": "get", "args": [true]}\n'
+        with pytest.raises(UsageError, match="line 3: get: index must be an integer"):
+            load_script(text)
+
+    def test_infeasible_census_rejected(self):
+        with pytest.raises(UsageError, match=r"2\^31 \+ 2\^32"):
+            census(32)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from overlist.heapmodel import NULL, Atom
+from overlist.ops import OP_SPECS
 from overlist.oracle import (
-    DEQUE_OPS,
     AbstractList,
     UNSPECIFIED,
     normalize,
@@ -154,7 +154,7 @@ class TestDequeEnds:
     @given(st.lists(st.sampled_from([NULL, A, B]), max_size=300))
     def test_deque_ops_never_unspecified(self, items):
         a = AbstractList(tuple(items), 8, bounded=False)
-        for op in DEQUE_OPS:
+        for op in [name for name, spec in OP_SPECS.items() if spec.interface == "Deque"]:
             args = (A,) if op.startswith("add") else ()
             v, _ = oracle_apply(a, op, args)
             assert v.kind != "unspecified"
