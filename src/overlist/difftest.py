@@ -11,12 +11,12 @@ import random
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
-from .errors import ContractViolation, CycleDetected, IllegalStateError, ListError, UsageError
+from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, run_checked
 from .heapmodel import NULL, Atom, NullItem, items_equal
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
 from .ops import ALPHABET, GROWS, INDEX, ITEM, MARKER, OP_SPECS, RESET, SHRINKS, spec_of
-from .oracle import AbstractList, Verdict, normalize, observe_equal, oracle_apply
+from .oracle import AbstractList, Verdict, normalize, observe_equal, oracle_add_all, oracle_apply
 
 GENERATOR_VERSION = 1
 
@@ -181,7 +181,8 @@ def run_script(
     only: under FULL every step goes through the contract harness, under
     INVARIANT the class invariant is re-checked after each step.
     Divergences are data; execution only aborts on a corrupted chain.
-    An unknown operation is a UsageError, raised before anything runs."""
+    An unknown operation is a UsageError, raised before anything runs;
+    any other UsageError is a harness bug and propagates."""
     for op, _ in script.steps:
         spec_of(op)
     divergences: dict[str, list[Divergence]] = {}
@@ -208,8 +209,8 @@ def run_script(
                 divs.append(Divergence(step, op, args, pname, str(cv), None, kind))
                 aborted[pname] = step
                 break
-            except (CycleDetected, UsageError) as cd:
-                # a cycle or a dangling link deref means the chain itself is
+            except ChainCorruption as cd:
+                # a cycle or a dangling link means the chain itself is
                 # corrupted; nothing downstream of this state is trustworthy
                 divs.append(
                     Divergence(step, op, args, pname, str(cd), None, "InvariantViolation")
@@ -325,10 +326,8 @@ def build_overflow_states(width: int, policy: SizePolicy = SizePolicy.UNCHECKED)
     states = []
     for wrap in (False, True):
         lst, _ = prepare_overflow(width, policy, wrap)
-        abs_state = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
-        for item in _preparation_items(width, wrap):
-            _, abs_state = oracle_apply(abs_state, "add", (item,))
-        states.append((lst, abs_state))
+        empty = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
+        states.append((lst, oracle_add_all(empty, _preparation_items(width, wrap))))
     return tuple(states)
 
 
@@ -336,9 +335,10 @@ _SEVERITY = {"OK": 0, "Unspecified-skip": 1, "WrongValue": 2, "Crash": 3}
 
 
 def _probe_classification(
-    lst: JavaLinkedList, abs_state: AbstractList, method: str, args: tuple
+    impl: JavaLinkedList, abs_state: AbstractList, method: str, args: tuple
 ) -> str:
-    impl = lst.copy()
+    """Classify one probe call; it runs on ``impl`` itself, so callers
+    wrap it in ``impl.trial()``."""
     outcome = run_op(impl, method, args)
     verdict, abs_post = oracle_apply(abs_state, method, args)
 
@@ -382,7 +382,8 @@ def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[Census
         worst = "OK"
         for lst, abs_state in states:
             for args in OP_SPECS[method].probes:
-                cls = _probe_classification(lst, abs_state, method, args)
+                with lst.trial():
+                    cls = _probe_classification(lst, abs_state, method, args)
                 if _SEVERITY[cls] > _SEVERITY[worst]:
                     worst = cls
         rows.append(CensusRow(method, worst))

@@ -5,9 +5,11 @@ Two disjoint families:
 * ``ListError`` subclasses model the Java exceptions the list can raise;
   they are part of the behavior under test and are compared against the
   oracle's verdicts.
-* ``UsageError`` / ``ContractViolation`` / ``CycleDetected`` are harness
-  errors: caller bugs, broken checks, or corrupted states. They are never
-  expected behavior and never count as a "result".
+* ``UsageError`` / ``ContractViolation`` / ``ChainCorruption`` are
+  harness errors: caller bugs, broken checks, or corrupted chains. They
+  are never expected behavior and never count as a "result". A
+  ``ChainCorruption`` (a cycle or a dangling link) says the state itself
+  is broken, a ``UsageError`` that the harness was called wrongly.
 """
 
 from __future__ import annotations
@@ -17,13 +19,31 @@ class UsageError(Exception):
     """A precondition of the harness itself was violated (caller bug)."""
 
 
-class CycleDetected(Exception):
+class ChainCorruption(Exception):
+    """Following the links of a node store led somewhere no well-formed
+    chain leads."""
+
+
+class CycleDetected(ChainCorruption):
     """A chain walk revisited a node or exceeded the store size."""
 
     def __init__(self, node_id: int, steps: int):
         super().__init__(f"cycle detected at node {node_id} after {steps} steps")
         self.node_id = node_id
         self.steps = steps
+
+
+class DanglingLink(ChainCorruption):
+    """A link or a header field names a node the store never allocated,
+    or a walk the cached size asked for ran off the end of the chain
+    (``node_id`` is then None)."""
+
+    def __init__(self, node_id):
+        if node_id is None:
+            super().__init__("dangling link: followed a null link into the chain")
+        else:
+            super().__init__(f"dangling link to unallocated node {node_id}")
+        self.node_id = node_id
 
 
 class ListError(Exception):

@@ -5,14 +5,16 @@ directly, so aliasing is a plain id comparison, corrupted or cyclic
 shapes can be built for negative tests, and before/after snapshots can
 be diffed field by field for frame checking. Ids are never reused;
 unlinked ("cleared") nodes stay allocated with null fields, mirroring a
-heap where garbage persists until collection.
+heap where garbage persists until collection. A journal rollback is the
+one exception: it forgets the nodes allocated since the journal opened,
+together with every other change made since.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CycleDetected, UsageError
+from .errors import CycleDetected, DanglingLink, UsageError
 
 NodeId = int
 
@@ -55,11 +57,18 @@ class NodeRecord:
 
 
 class NodeStore:
-    """Owner of all node records; allocation ids are monotone and unique."""
+    """Owner of all node records; allocation ids are monotone and unique.
+
+    While a journal is open, every field write records the field's old
+    value, so ``rollback`` can put the store back as it was when the
+    journal opened, at a cost proportional to the writes made since
+    rather than to the size of the heap."""
 
     def __init__(self):
         self._records: dict[NodeId, NodeRecord] = {}
         self._next_id: NodeId = 0
+        self._journal: list[tuple[NodeId, str, object]] | None = None
+        self._journal_start: NodeId = 0  # _next_id when the journal opened
 
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self._records
@@ -83,20 +92,50 @@ class NodeStore:
         return node_id
 
     def record(self, node_id: NodeId) -> NodeRecord:
-        if node_id not in self._records:
-            raise UsageError(f"unallocated node {node_id}")
-        return self._records[node_id]
+        try:
+            return self._records[node_id]
+        except KeyError:
+            raise DanglingLink(node_id) from None
 
     def set_prev(self, node_id: NodeId, prev: NodeId | None) -> None:
         self._require(prev, "prev")
-        self.record(node_id).prev = prev
+        rec = self.record(node_id)
+        if self._journal is not None:
+            self._journal.append((node_id, "prev", rec.prev))
+        rec.prev = prev
 
     def set_next(self, node_id: NodeId, next: NodeId | None) -> None:
         self._require(next, "next")
-        self.record(node_id).next = next
+        rec = self.record(node_id)
+        if self._journal is not None:
+            self._journal.append((node_id, "next", rec.next))
+        rec.next = next
 
     def set_item(self, node_id: NodeId, item: Item) -> None:
-        self.record(node_id).item = item
+        rec = self.record(node_id)
+        if self._journal is not None:
+            self._journal.append((node_id, "item", rec.item))
+        rec.item = item
+
+    def open_journal(self) -> None:
+        if self._journal is not None:
+            raise UsageError("a journal is already open")
+        self._journal = []
+        self._journal_start = self._next_id
+
+    def rollback(self) -> None:
+        """Undo every write and allocation since ``open_journal``, then
+        close the journal."""
+        journal, start = self._journal, self._journal_start
+        if journal is None:
+            raise UsageError("no journal is open")
+        self._journal = None
+        records = self._records
+        for node_id, name, old in reversed(journal):
+            setattr(records[node_id], name, old)
+        for node_id in range(start, self._next_id):
+            del records[node_id]
+        self._next_id = start
 
     def copy(self) -> "NodeStore":
         dup = NodeStore()
@@ -151,7 +190,8 @@ def diff(before: StoreSnapshot, after: StoreSnapshot) -> StoreDiff:
 def walk_chain(store: NodeStore, first: NodeId | None) -> list[NodeId]:
     """Follow ``next`` from ``first`` until absent; the result's length is
     the actual size. Raises CycleDetected when a node repeats or the walk
-    exceeds the number of allocated records."""
+    exceeds the number of allocated records, DanglingLink when a link
+    names an unallocated node."""
     seq: list[NodeId] = []
     seen: set[NodeId] = set()
     node = first

@@ -105,11 +105,11 @@ def wrap_add(a: JInt, b: JInt) -> JInt:
 
 
 def inc(a: JInt) -> JInt:
-    return wrap_add(a, JInt(1, a.bits))
+    return JInt(wrap(a.value + 1, a.bits), a.bits)
 
 
 def dec(a: JInt) -> JInt:
-    return wrap_add(a, JInt(-1, a.bits))
+    return JInt(wrap(a.value - 1, a.bits), a.bits)
 
 
 def half(a: JInt) -> JInt:

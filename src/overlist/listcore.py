@@ -17,11 +17,13 @@ construction via ``faults`` (see FAULTS).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from enum import Enum
 
 from . import jint
 from .errors import (
     ContractViolation,
+    DanglingLink,
     IllegalStateError,
     IndexOutOfBoundsError,
     NegativeArraySizeError,
@@ -66,6 +68,7 @@ class JavaLinkedList:
         if unknown:
             raise UsageError(f"unknown faults {sorted(unknown)}")
         self.width = width
+        self.max_size = max_value(width).value
         self.policy = policy
         self.check_mode = check_mode
         self.faults = frozenset(faults)
@@ -86,6 +89,21 @@ class JavaLinkedList:
         dup.ghost = self.ghost.copy()
         return dup
 
+    @contextmanager
+    def trial(self):
+        """Run the ``with`` body on this list, then put the list back as
+        it was: node records, allocation counter, header and ghost. The
+        store's journal undoes only what the body wrote."""
+        header, ghost = (self.first, self.last, self.size), self.ghost
+        self.ghost = ghost.copy()
+        self.store.open_journal()
+        try:
+            yield
+        finally:
+            self.store.rollback()
+            self.first, self.last, self.size = header
+            self.ghost = ghost
+
     def chain(self) -> list[NodeId]:
         """Actual chain by walking next links; its length is the actual size."""
         return walk_chain(self.store, self.first)
@@ -96,7 +114,7 @@ class JavaLinkedList:
     # -- capacity -----------------------------------------------------------
 
     def is_max_size(self) -> bool:
-        return self.size == max_value(self.width)
+        return self.size.value == self.max_size
 
     def check_size(self) -> None:
         if self.is_max_size():
@@ -158,7 +176,13 @@ class JavaLinkedList:
         else:
             self.store.set_next(pred, node)
         self.size = inc(self.size)
-        self.ghost.node_list.insert(self.ghost.node_list.index(succ), node)
+        nl = self.ghost.node_list
+        try:
+            nl.insert(nl.index(succ), node)
+        except ValueError:
+            # identity miss: as in unlink, the ghost already lost track of
+            # succ, which only happens under injected faults
+            pass
 
     def unlink(self, x: NodeId, x_index: int | None = None) -> Item:
         """Remove node ``x`` from the chain, clearing its fields; returns
@@ -220,6 +244,9 @@ class JavaLinkedList:
             node = self.last
             for _ in range(self.size.value - 1 - i.value):
                 node = self.store.record(node).prev
+        if node is None:
+            # the cached size promised more nodes than the links reach
+            raise DanglingLink(None)
         return node
 
     def _check_element_index(self, index: int) -> None:

@@ -197,6 +197,17 @@ def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, Abstra
     raise UsageError(f"unknown operation {op!r}")
 
 
+def oracle_add_all(a: AbstractList, items) -> AbstractList:
+    """The state that ``add(x)`` for each ``x`` of ``items`` in turn leads
+    to, built in one step: unbounded, every add appends; bounded, the
+    adds stop at ``max_size`` and each further one is refused, changing
+    nothing."""
+    new = tuple(items)
+    if a.bounded:
+        new = new[: max(0, a.max_size - len(a.items))]
+    return replace(a, items=a.items + new)
+
+
 def observe_equal(impl: tuple[str, object], verdict: Verdict) -> str:
     """Compare an implementation outcome against an oracle verdict.
 

@@ -10,6 +10,7 @@ nonsense, and endpoint operations never look at size at all.
 
 import pytest
 
+from overlist import difftest
 from overlist.difftest import (
     ADD_HEAVY_WEIGHTS,
     ALPHABET,
@@ -24,7 +25,7 @@ from overlist.difftest import (
     run_script,
     shrink,
 )
-from overlist.errors import UsageError
+from overlist.errors import CycleDetected, DanglingLink, UsageError
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import CheckMode, FAULTS, SizePolicy
 
@@ -187,6 +188,10 @@ class TestCensus:
         rows = census(8, SizePolicy.FAIL_FAST)
         assert all(r.classification == "OK" for r in rows)
 
+    def test_failfast_census_all_ok_at_width_16(self):
+        rows = census(16, SizePolicy.FAIL_FAST)
+        assert all(r.classification == "OK" for r in rows)
+
     def test_preparation_states(self):
         (s1, _), (s2, abs2) = build_overflow_states(8)
         assert s1.size.value == -128 and len(s1.chain()) == 128
@@ -212,6 +217,47 @@ class TestFaultVisibility:
                 found = True
                 break
         assert found, f"fault {fault} never detected"
+
+
+class TestChainCorruption:
+    def test_unlink_skip_relink_ends_in_divergences(self):
+        # the fault leaves an unlinked node reachable on the Unchecked
+        # list; a later add_at splices in front of it although the ghost
+        # no longer holds it, then the walk falls off the broken chain
+        script = gen_script(2, 8, 300)
+        result = run_script(script, check_mode=CheckMode.FULL,
+                            faults=frozenset({"unlink-skip-relink"}))
+        assert result.aborted == {"unchecked": 89, "failfast": 23}
+        last = result.divergences["unchecked"][-1]
+        assert (last.step, last.op, last.kind) == (89, "to_array", "InvariantViolation")
+        assert "dangling link" in last.impl
+        assert result.divergences["failfast"][-1].kind == "InvariantViolation"
+
+    @staticmethod
+    def _script_raising(monkeypatch, error):
+        """A three-step script whose second step raises ``error``."""
+        real = difftest.apply_op
+
+        def apply_op(lst, op, args):
+            if op == "size":
+                raise error
+            return real(lst, op, args)
+
+        monkeypatch.setattr(difftest, "apply_op", apply_op)
+        return OpScript(0, 8, (("add", (A,)), ("size", ()), ("add", (A,))))
+
+    @pytest.mark.parametrize("error", [CycleDetected(3, 5), DanglingLink(99)],
+                             ids=["cycle", "dangling"])
+    def test_corrupted_chain_is_an_invariant_violation(self, monkeypatch, error):
+        result = run_script(self._script_raising(monkeypatch, error))
+        for policy in ("unchecked", "failfast"):
+            assert result.aborted[policy] == 1
+            (div,) = result.divergences[policy]
+            assert (div.op, div.kind, div.impl) == ("size", "InvariantViolation", str(error))
+
+    def test_harness_error_propagates(self, monkeypatch):
+        with pytest.raises(UsageError, match="harness bug"):
+            run_script(self._script_raising(monkeypatch, UsageError("harness bug")))
 
 
 class TestValidation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from overlist.errors import CycleDetected, UsageError
+from overlist.errors import ChainCorruption, CycleDetected, DanglingLink, UsageError
 from overlist.heapmodel import (
     NULL,
     Atom,
@@ -56,7 +56,7 @@ class TestNodeStore:
 
     def test_unallocated_access_rejected(self):
         store = NodeStore()
-        with pytest.raises(UsageError):
+        with pytest.raises(DanglingLink):
             store.record(0)
         with pytest.raises(UsageError):
             store.alloc(99, A, None)
@@ -92,6 +92,17 @@ class TestWalkChain:
         store.set_next(n0, n0)
         with pytest.raises(CycleDetected):
             walk_chain(store, n0)
+
+    def test_dangling_link_is_chain_corruption(self):
+        # a hand-built link to a node the store never allocated
+        store, [n0, n1, n2] = three_chain()
+        store.record(n2).next = 99
+        with pytest.raises(DanglingLink) as exc:
+            walk_chain(store, n0)
+        assert exc.value.node_id == 99
+        assert isinstance(exc.value, ChainCorruption)
+        assert not isinstance(exc.value, UsageError)
+        assert str(exc.value) == "dangling link to unallocated node 99"
 
     def test_two_cycle_detected(self):
         store, [n0, n1, n2] = three_chain()

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from overlist.heapmodel import NULL, Atom
-from overlist.ops import OP_SPECS
+from overlist.ops import MARKER, OP_SPECS
 from overlist.oracle import (
     AbstractList,
     UNSPECIFIED,
     normalize,
     observe_equal,
+    oracle_add_all,
     oracle_apply,
     value,
 )
@@ -133,6 +134,38 @@ class TestCapacityBound:
         assert verdict_of(a, "add", NULL) == verdict_of(b, "add", NULL)
         for op in ("size", "to_array", "get_first"):
             assert verdict_of(a, op) == verdict_of(b, op)
+
+
+def add_fold(a, items):
+    """``add`` applied one item at a time: the rule ``oracle_add_all``
+    must equal."""
+    for x in items:
+        _, a = oracle_apply(a, "add", (x,))
+    return a
+
+
+class TestBulkAdd:
+    @pytest.mark.parametrize("bounded", [True, False])
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_preparations_equal_the_fold(self, bounded, wrap):
+        # the census preparations at width 8: 128 nulls flip the sign,
+        # 255 nulls and the marker wrap it to zero
+        items = [NULL] * 255 + [MARKER] if wrap else [NULL] * 128
+        empty = state(bounded=bounded)
+        bulk = oracle_add_all(empty, items)
+        assert bulk == add_fold(empty, items)
+        assert len(bulk.items) == (127 if bounded else 256 if wrap else 128)
+
+    @given(
+        st.lists(st.sampled_from([NULL, A, B]), max_size=140),
+        st.lists(st.sampled_from([NULL, A, B]), max_size=140),
+        st.booleans(),
+    )
+    def test_random_sequences_equal_the_fold(self, start, items, bounded):
+        # width 8 puts the bound at 127, inside the drawn lengths; a
+        # bounded start may already sit past it
+        a = state(*start, bounded=bounded)
+        assert oracle_add_all(a, items) == add_fold(a, items)
 
 
 class TestDequeEnds:
