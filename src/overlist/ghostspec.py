@@ -58,8 +58,8 @@ class InvariantReport:
         }
 
 
-def _passed() -> ClauseResult:
-    return ClauseResult(True)
+#: the result of every passing clause (the class is frozen, so one serves all)
+PASSED = ClauseResult(True)
 
 
 def check_invariant(state) -> InvariantReport:
@@ -78,33 +78,33 @@ def check_invariant(state) -> InvariantReport:
     clauses: dict[str, ClauseResult] = {}
 
     clauses["C1"] = (
-        _passed()
+        PASSED
         if state.size.value == n
         else ClauseResult(False, f"size={state.size.value} vs |nodeList|={n}")
     )
     cap = max_value(state.width).value
     clauses["C2"] = (
-        _passed()
+        PASSED
         if state.size.value <= cap
         else ClauseResult(False, f"size={state.size.value} > {cap}")
     )
     bad = next((i for i, nid in enumerate(nl) if nid not in store), None)
     clauses["C3"] = (
-        _passed() if bad is None else ClauseResult(False, f"nodeList[{bad}]={nl[bad]} unallocated")
+        PASSED if bad is None else ClauseResult(False, f"nodeList[{bad}]={nl[bad]} unallocated")
     )
     allocated = bad is None
 
     if n == 0:
         clauses["C4"] = (
-            _passed()
+            PASSED
             if state.first is None and state.last is None
             else ClauseResult(False, f"empty but first={state.first} last={state.last}")
         )
-        clauses["C5"] = _passed()
-        clauses["C6"] = _passed()
+        clauses["C5"] = PASSED
+        clauses["C6"] = PASSED
         return InvariantReport(clauses)
 
-    clauses["C4"] = _passed()
+    clauses["C4"] = PASSED
     if not allocated:
         clauses["C5"] = ClauseResult(False, "unallocated ghost entry")
         clauses["C6"] = ClauseResult(False, "unallocated ghost entry")
@@ -119,7 +119,7 @@ def check_invariant(state) -> InvariantReport:
         c5_witness = f"first node {nl[0]} has prev={store.record(nl[0]).prev}"
     elif store.record(nl[-1]).next is not None:
         c5_witness = f"last node {nl[-1]} has next={store.record(nl[-1]).next}"
-    clauses["C5"] = _passed() if c5_witness is None else ClauseResult(False, c5_witness)
+    clauses["C5"] = PASSED if c5_witness is None else ClauseResult(False, c5_witness)
 
     c6_witness = None
     for i in range(1, n):
@@ -133,7 +133,7 @@ def check_invariant(state) -> InvariantReport:
                     f"i={i}: next={store.record(nl[i]).next} != nodeList[{i + 1}]={nl[i + 1]}"
                 )
                 break
-    clauses["C6"] = _passed() if c6_witness is None else ClauseResult(False, c6_witness)
+    clauses["C6"] = PASSED if c6_witness is None else ClauseResult(False, c6_witness)
     return InvariantReport(clauses)
 
 
@@ -234,40 +234,32 @@ class Footprint:
 EMPTY_FOOTPRINT = Footprint()
 
 
-@dataclass(frozen=True)
-class StateSnapshot:
-    store: heapmodel.StoreSnapshot
-    header: tuple  # (first, last, size value)
-    ghost: tuple[NodeId, ...]
-
-
-def take_snapshot(state) -> StateSnapshot:
-    return StateSnapshot(
-        store=heapmodel.snapshot(state.store),
-        header=(state.first, state.last, state.size.value),
-        ghost=tuple(state.ghost.node_list),
-    )
-
-
 _HEADER_NAMES = ("first", "last", "size")
 
 
-def frame_check(before: StateSnapshot, after: StateSnapshot, fp: Footprint) -> list[tuple[str, str]]:
-    """Every difference between the snapshots must lie inside the
-    footprint; returns (category, witness) violation entries."""
+def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> list[tuple[str, str]]:
+    """Every change since ``pre`` must lie inside the footprint; returns
+    (category, witness) violation entries. A node field changed when it
+    differs from the old value of its first write in the call's closed
+    store ``journal``; nodes allocated during the call are fresh."""
     violations = []
-    store_diff = heapmodel.diff(before.store, after.store)
-    for nid, fname in sorted(store_diff.changed):
-        if (nid, fname) not in fp.node_fields:
-            old = before.store.records[nid][heapmodel._FIELDS.index(fname)]
-            new = after.store.records[nid][heapmodel._FIELDS.index(fname)]
+    entries, fresh = journal
+    first_old = {}
+    it = iter(entries)
+    for nid, fname, old in zip(it, it, it):
+        if nid < fresh.start:
+            first_old.setdefault((nid, fname), old)
+    for (nid, fname), old in sorted(first_old.items()):
+        new = getattr(state.store.record(nid), fname)
+        if new != old and (nid, fname) not in fp.node_fields:
             violations.append(("frame", f"node {nid}.{fname}: {old!r} -> {new!r}"))
-    if store_diff.fresh and not fp.fresh:
-        violations.append(("frame", f"unexpected allocation of nodes {sorted(store_diff.fresh)}"))
-    for name, old, new in zip(_HEADER_NAMES, before.header, after.header):
+    if fresh and not fp.fresh:
+        violations.append(("frame", f"unexpected allocation of nodes {list(fresh)}"))
+    header = (state.first, state.last, state.size.value)
+    for name, old, new in zip(_HEADER_NAMES, pre.header, header):
         if old != new and name not in fp.header_fields:
             violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
-    if before.ghost != after.ghost and not fp.ghost:
+    if pre.ghost != tuple(state.ghost.node_list) and not fp.ghost:
         violations.append(("frame", "ghost nodeList changed"))
     return violations
 
@@ -280,14 +272,15 @@ def frame_check(before: StateSnapshot, after: StateSnapshot, fp: Footprint) -> l
 class PreObservation:
     items: tuple
     ids: tuple[NodeId, ...]
-    size: int
-    snapshot: StateSnapshot
+    header: tuple  # (first, last, size value)
+    ghost: tuple[NodeId, ...]
 
 
 def observe(state) -> PreObservation:
     ids = tuple(heapmodel.walk_chain(state.store, state.first))
     items = tuple(state.store.record(nid).item for nid in ids)
-    return PreObservation(items, ids, state.size.value, take_snapshot(state))
+    header = (state.first, state.last, state.size.value)
+    return PreObservation(items, ids, header, tuple(state.ghost.node_list))
 
 
 @dataclass(frozen=True)
@@ -339,10 +332,11 @@ def run_checked(state, op: str, args: tuple = ()):
     Precondition failures (broken invariant on entry, unknown operation)
     are harness errors. After the call: the branch-matching postcondition
     is evaluated against the abstract semantics, the invariant is
-    re-checked (FailFast), and the heap diff is checked against the
-    declared footprint (error outcomes must leave everything unchanged).
-    Raises ContractViolation on any failed check; otherwise the wrapped
-    operation's result (or ListError) passes through unchanged."""
+    re-checked (FailFast), and the call's writes, read from the store's
+    journal, are checked against the declared footprint (error outcomes
+    must leave everything unchanged). Raises ContractViolation on any
+    failed check; otherwise the wrapped operation's result (or
+    ListError) passes through unchanged."""
     from .listcore import CheckMode, SizePolicy, apply_op
 
     if state.check_mode is not CheckMode.FULL:
@@ -359,21 +353,23 @@ def run_checked(state, op: str, args: tuple = ()):
 
     err: ListError | None = None
     result = None
+    state.store.open_journal()
     try:
         result = apply_op(state, op, args)
         outcome = ("value", normalize(result))
     except ListError as e:
         err = e
         outcome = ("error", e.kind)
+    finally:
+        journal = state.store.close_journal()
 
     violations = _post_vs_model(state, pre, op, args, outcome)
     if failfast:
         report = check_invariant(state)
         if not report.ok:
             violations.extend(("invariant", f"{cid}: {w}") for cid, w in report.failures())
-    after = take_snapshot(state)
     effective_fp = fp if err is None else EMPTY_FOOTPRINT
-    violations.extend(frame_check(pre.snapshot, after, effective_fp))
+    violations.extend(frame_check(pre, state, journal, effective_fp))
 
     if violations:
         raise ContractViolation(record.name, violations)

@@ -1,13 +1,14 @@
 """Explicit heap model for list nodes.
 
 Nodes live in an id-indexed store instead of pointing at each other
-directly, so aliasing is a plain id comparison, corrupted or cyclic
-shapes can be built for negative tests, and before/after snapshots can
-be diffed field by field for frame checking. Ids are never reused;
-unlinked ("cleared") nodes stay allocated with null fields, mirroring a
-heap where garbage persists until collection. A journal rollback is the
-one exception: it forgets the nodes allocated since the journal opened,
-together with every other change made since.
+directly, so aliasing is a plain id comparison and corrupted or cyclic
+shapes can be built for negative tests. Ids are never reused; unlinked
+("cleared") nodes stay allocated with null fields, mirroring a heap
+where garbage persists until collection. A journal rollback is the one
+exception: it forgets the nodes allocated since the journal opened,
+together with every other change made since. The journal also tells a
+frame check what a call wrote; whole-heap ``snapshot``/``diff`` are
+only the reference that tests compare it with.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class NodeStore:
     def __init__(self):
         self._records: dict[NodeId, NodeRecord] = {}
         self._next_id: NodeId = 0
-        self._journal: list[tuple[NodeId, str, object]] | None = None
+        self._journal: list | None = None  # flat: node id, field, old value per write
         self._journal_start: NodeId = 0  # _next_id when the journal opened
 
     def __contains__(self, node_id: NodeId) -> bool:
@@ -101,20 +102,20 @@ class NodeStore:
         self._require(prev, "prev")
         rec = self.record(node_id)
         if self._journal is not None:
-            self._journal.append((node_id, "prev", rec.prev))
+            self._journal += (node_id, "prev", rec.prev)
         rec.prev = prev
 
     def set_next(self, node_id: NodeId, next: NodeId | None) -> None:
         self._require(next, "next")
         rec = self.record(node_id)
         if self._journal is not None:
-            self._journal.append((node_id, "next", rec.next))
+            self._journal += (node_id, "next", rec.next)
         rec.next = next
 
     def set_item(self, node_id: NodeId, item: Item) -> None:
         rec = self.record(node_id)
         if self._journal is not None:
-            self._journal.append((node_id, "item", rec.item))
+            self._journal += (node_id, "item", rec.item)
         rec.item = item
 
     def open_journal(self) -> None:
@@ -123,19 +124,26 @@ class NodeStore:
         self._journal = []
         self._journal_start = self._next_id
 
-    def rollback(self) -> None:
-        """Undo every write and allocation since ``open_journal``, then
-        close the journal."""
-        journal, start = self._journal, self._journal_start
+    def close_journal(self) -> tuple[list, range]:
+        """Close the journal, keeping its writes; return its entries and
+        the range of ids allocated since it opened."""
+        journal = self._journal
         if journal is None:
             raise UsageError("no journal is open")
         self._journal = None
+        return journal, range(self._journal_start, self._next_id)
+
+    def rollback(self) -> None:
+        """Close the journal, then undo every write and allocation made
+        since ``open_journal``."""
+        journal, fresh = self.close_journal()
         records = self._records
-        for node_id, name, old in reversed(journal):
+        backwards = reversed(journal)
+        for old, name, node_id in zip(backwards, backwards, backwards):
             setattr(records[node_id], name, old)
-        for node_id in range(start, self._next_id):
+        for node_id in fresh:
             del records[node_id]
-        self._next_id = start
+        self._next_id = fresh.start
 
     def copy(self) -> "NodeStore":
         dup = NodeStore()

@@ -19,8 +19,8 @@ from overlist.ghostspec import (
     contract_for,
     cycle_propagation_witness,
     frame_check,
+    observe,
     run_checked,
-    take_snapshot,
 )
 from overlist.heapmodel import NULL, Atom
 from overlist.jint import JInt
@@ -153,41 +153,62 @@ class TestCyclePropagation:
             cycle_propagation_witness(build_list([A, B]), 1, 1)
 
 
+def framed(lst, write, fp=EMPTY_FOOTPRINT):
+    """Frame violations of ``write()`` run on ``lst`` under a journal."""
+    pre = observe(lst)
+    lst.store.open_journal()
+    write()
+    return frame_check(pre, lst, lst.store.close_journal(), fp)
+
+
 class TestFrameCheck:
     def test_unchanged_state_passes_empty_footprint(self):
         lst = build_list([A, B])
-        before = take_snapshot(lst)
-        lst.get(0)
-        assert frame_check(before, take_snapshot(lst), EMPTY_FOOTPRINT) == []
+        assert framed(lst, lambda: lst.get(0)) == []
 
     def test_out_of_frame_node_write_reported(self):
         lst = build_list([A, B])
-        before = take_snapshot(lst)
-        lst.store.set_item(lst.ghost.node_list[0], B)
-        violations = frame_check(before, take_snapshot(lst), EMPTY_FOOTPRINT)
+        violations = framed(lst, lambda: lst.store.set_item(lst.ghost.node_list[0], B))
         assert len(violations) == 1
         assert violations[0][0] == "frame" and ".item" in violations[0][1]
 
     def test_header_write_reported(self):
         lst = build_list([A, B])
-        before = take_snapshot(lst)
-        lst.size = JInt(5, 8)
-        violations = frame_check(before, take_snapshot(lst), EMPTY_FOOTPRINT)
+        violations = framed(lst, lambda: setattr(lst, "size", JInt(5, 8)))
         assert any("header size" in w for _, w in violations)
 
     def test_footprint_permits_declared_writes(self):
         lst = build_list([A, B])
-        before = take_snapshot(lst)
-        lst.size = JInt(5, 8)
         fp = Footprint(header_fields=frozenset({"size"}))
-        assert frame_check(before, take_snapshot(lst), fp) == []
+        assert framed(lst, lambda: setattr(lst, "size", JInt(5, 8)), fp) == []
 
     def test_unexpected_allocation_reported(self):
         lst = build_list([A])
-        before = take_snapshot(lst)
-        lst.store.alloc(None, B, None)
-        violations = frame_check(before, take_snapshot(lst), EMPTY_FOOTPRINT)
+        violations = framed(lst, lambda: lst.store.alloc(None, B, None))
         assert any("allocation" in w for _, w in violations)
+
+    def test_restoring_write_is_not_a_change(self):
+        lst = build_list([A, B])
+        node = lst.ghost.node_list[0]
+
+        def write_and_restore():
+            lst.store.set_item(node, B)
+            lst.store.set_next(node, None)
+            lst.store.set_item(node, A)
+            lst.store.set_next(node, lst.ghost.node_list[1])
+
+        assert framed(lst, write_and_restore) == []
+
+    def test_writes_to_fresh_nodes_are_not_changes(self):
+        lst = build_list([A])
+
+        def alloc_and_write():
+            node = lst.store.alloc(None, A, None)
+            lst.store.set_item(node, B)
+            lst.store.set_prev(node, lst.first)
+            lst.store.set_next(node, node)
+
+        assert framed(lst, alloc_and_write, Footprint(fresh=True)) == []
 
 
 class TestContracts:

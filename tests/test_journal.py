@@ -1,9 +1,13 @@
-"""Undo journal: ``NodeStore`` rollback and ``JavaLinkedList.trial``.
+"""Undo journal: ``NodeStore`` rollback, ``JavaLinkedList.trial`` and
+the journal's reading of what a call changed.
 
 A trial must leave the list exactly as a pre-call ``copy()`` saw it,
 whatever the call did in between: succeed, raise, be refused at
 capacity, or clear the whole chain. States past capacity on the
 Unchecked policy are included, since the census probes exactly those.
+The node changes a frame check reads from a closed journal must equal
+the diff of whole-heap snapshots taken before and after, on the same
+states.
 """
 
 import itertools
@@ -13,14 +17,35 @@ from hypothesis import given, settings, strategies as st
 
 from overlist import difftest
 from overlist.difftest import ADD_HEAVY_WEIGHTS, gen_script, prepare_overflow, run_op
-from overlist.errors import UsageError
-from overlist.heapmodel import NULL, Atom, NodeStore
-from overlist.listcore import SizePolicy, new_list
+from overlist.errors import ChainCorruption, ContractViolation, UsageError
+from overlist.ghostspec import Footprint, frame_check, observe, run_checked
+from overlist.heapmodel import NULL, Atom, NodeStore, diff, snapshot
+from overlist.listcore import CheckMode, SizePolicy, apply_op, new_list
 from overlist.ops import ALPHABET, INDEX, OP_SPECS
 
 A, B = Atom("a"), Atom("b")
 
 MUTATING = sorted(name for name, spec in OP_SPECS.items() if spec.mutating)
+FIELD_POSITION = {"prev": 0, "item": 1, "next": 2}  # in a snapshot record
+#: permits every header and ghost change, so a frame check reports only
+#: changed node fields and allocations
+NODES_ONLY = Footprint(header_fields=frozenset({"first", "last", "size"}), ghost=True)
+
+
+def add_heavy_state(policy, prefix_seed, prefix_len):
+    lst = new_list(8, policy)
+    for name, args in gen_script(prefix_seed, 8, prefix_len, ADD_HEAVY_WEIGHTS).steps:
+        run_op(lst, name, args)
+    return lst
+
+
+def draw_args(lst, op, data):
+    """Arguments for ``op``; indices range one past each end of the chain."""
+    n = len(lst.chain())
+    return tuple(
+        data.draw(st.integers(-1, n + 1) if kind == INDEX else st.sampled_from(ALPHABET))
+        for kind in OP_SPECS[op].args
+    )
 
 
 def fingerprint(lst):
@@ -59,10 +84,23 @@ class TestNodeStoreJournal:
         store.rollback()
         assert store.record(n0).item == B
 
+    def test_close_keeps_the_writes(self):
+        store = NodeStore()
+        n0 = store.alloc(None, A, None)
+        store.open_journal()
+        n1 = store.alloc(n0, B, None)
+        store.set_next(n0, n1)
+        entries, fresh = store.close_journal()
+        assert (entries, fresh) == ([n0, "next", None], range(n1, n1 + 1))
+        assert store.record(n0).next == n1 and n1 in store
+        assert store._journal is None
+
     def test_misuse_is_a_usage_error(self):
         store = NodeStore()
         with pytest.raises(UsageError):
             store.rollback()
+        with pytest.raises(UsageError):
+            store.close_journal()
         store.open_journal()
         with pytest.raises(UsageError):
             store.open_journal()
@@ -104,14 +142,8 @@ class TestTrial:
         """Any state an add-heavy script reaches (past capacity on
         Unchecked, at capacity with refusals on FailFast), then one
         mutating call inside a trial."""
-        lst = new_list(8, policy)
-        for name, args in gen_script(prefix_seed, 8, prefix_len, ADD_HEAVY_WEIGHTS).steps:
-            run_op(lst, name, args)
-        n = len(lst.chain())
-        args = tuple(
-            data.draw(st.integers(-1, n + 1) if kind == INDEX else st.sampled_from(ALPHABET))
-            for kind in OP_SPECS[op].args
-        )
+        lst = add_heavy_state(policy, prefix_seed, prefix_len)
+        args = draw_args(lst, op, data)
         reference = lst.copy()
         with lst.trial():
             run_op(lst, op, args)  # value, ListError or refusal alike
@@ -142,3 +174,90 @@ def test_census_leaves_the_prepared_states_unchanged(monkeypatch, policy):
     monkeypatch.setattr(difftest, "build_overflow_states", lambda width, policy: states)
     difftest.census(8, policy)
     assert [fingerprint(lst) for lst, _ in states] == references
+
+
+def raw_writes(store, data, count):
+    """Setter sequences no list operation makes: arbitrary links, writes
+    that restore the old value, and writes to freshly allocated nodes.
+    Writes go to the six newest nodes, so fresh ones are hit often."""
+    for _ in range(count):
+        kind = data.draw(st.sampled_from(("alloc", "prev", "next", "item", "restore")))
+        ids = sorted(store.ids())[-6:]
+        if kind == "alloc" or not ids:
+            store.alloc(None, NULL, None)
+            continue
+        node = data.draw(st.sampled_from(ids))
+        if kind == "item":
+            store.set_item(node, data.draw(st.sampled_from(ALPHABET)))
+        elif kind == "restore":
+            old = store.record(node).item
+            store.set_item(node, B if old != B else A)
+            store.set_item(node, old)
+        else:
+            link = data.draw(st.sampled_from([None] + ids))
+            (store.set_prev if kind == "prev" else store.set_next)(node, link)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    policy=st.sampled_from(list(SizePolicy)),
+    prefix_seed=st.integers(0, 10_000),
+    prefix_len=st.integers(0, 400),
+    op=st.sampled_from(MUTATING) | st.just("raw writes"),
+    data=st.data(),
+)
+def test_journal_changes_equal_the_snapshot_diff(policy, prefix_seed, prefix_len, op, data):
+    """On the states of ``test_trial_equals_a_pre_op_copy``, one mutating
+    call (value, ListError or refusal alike) or a raw setter sequence:
+    read from the journal, the frame check names the same changed
+    fields, with the same old and new values, and the same fresh ids as
+    ``diff`` of snapshots."""
+    lst = add_heavy_state(policy, prefix_seed, prefix_len)
+    store = lst.store
+    pre, before = observe(lst), snapshot(store)
+    store.open_journal()
+    if op == "raw writes":
+        raw_writes(store, data, data.draw(st.integers(0, 12)))
+    else:
+        run_op(lst, op, draw_args(lst, op, data))
+    journal = store.close_journal()
+    after = snapshot(store)
+    reference = diff(before, after)
+    expected = [
+        ("frame", f"node {nid}.{name}: {before.records[nid][FIELD_POSITION[name]]!r} -> "
+                  f"{after.records[nid][FIELD_POSITION[name]]!r}")
+        for nid, name in sorted(reference.changed)
+    ]
+    if reference.fresh:
+        expected.append(("frame", f"unexpected allocation of nodes {sorted(reference.fresh)}"))
+    assert frame_check(pre, lst, journal, NODES_ONLY) == expected
+
+
+class TestRunCheckedClosesTheJournal:
+    """Whatever a checked call raises, the store's journal is closed and
+    the next checked call on the same list runs."""
+
+    def test_after_a_loop_probe_violation(self):
+        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL,
+                       faults=frozenset({"lastindexof-off-by-one"}))
+        for x in (A, B):
+            run_checked(lst, "add", (x,))
+        with pytest.raises(ContractViolation, match="last_index_of.loop"):
+            run_checked(lst, "last_index_of", (A,))
+        assert lst.store._journal is None
+        assert run_checked(lst, "add", (B,)) is True
+        assert lst.items() == [A, B, B]
+
+    def test_after_chain_corruption(self):
+        lst = new_list(8, SizePolicy.UNCHECKED, CheckMode.FULL,
+                       faults=frozenset({"unlink-skip-relink"}))
+        for _ in range(10):
+            lst.add(A)
+        # the fault leaves the successor's prev on the removed node, so
+        # a backward walk from the last node falls off after three steps
+        apply_op(lst, "remove_at", (7,))
+        with pytest.raises(ChainCorruption):
+            run_checked(lst, "get", (5,))
+        assert lst.store._journal is None
+        run_checked(lst, "add_first", (B,))
+        assert lst.items()[0] == B
