@@ -55,7 +55,12 @@ def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("OVERLIST_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"OVERLIST_SEED must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------

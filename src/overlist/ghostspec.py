@@ -12,12 +12,12 @@ node store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from . import heapmodel
-from .errors import ContractViolation, ListError, UsageError
+from .errors import ContractViolation, DanglingLink, ListError, UsageError
 from .heapmodel import NodeId, NullItem
-from .jint import max_value
 from .oracle import AbstractList, normalize, observe_equal, oracle_apply
 
 
@@ -82,17 +82,21 @@ def check_invariant(state) -> InvariantReport:
         if state.size.value == n
         else ClauseResult(False, f"size={state.size.value} vs |nodeList|={n}")
     )
-    cap = max_value(state.width).value
     clauses["C2"] = (
         PASSED
-        if state.size.value <= cap
-        else ClauseResult(False, f"size={state.size.value} > {cap}")
+        if state.size.value <= state.max_size
+        else ClauseResult(False, f"size={state.size.value} > {state.max_size}")
     )
-    bad = next((i for i, nid in enumerate(nl) if nid not in store), None)
-    clauses["C3"] = (
-        PASSED if bad is None else ClauseResult(False, f"nodeList[{bad}]={nl[bad]} unallocated")
-    )
-    allocated = bad is None
+    # C3 is the bulk lookup that also fetches the records C5 and C6 read;
+    # it fails on the first unallocated entry, whose first position is the
+    # witness
+    try:
+        recs = store.records(nl)
+        clauses["C3"] = PASSED
+    except DanglingLink as e:
+        recs = None
+        bad = nl.index(e.node_id)
+        clauses["C3"] = ClauseResult(False, f"nodeList[{bad}]={nl[bad]} unallocated")
 
     if n == 0:
         clauses["C4"] = (
@@ -105,34 +109,33 @@ def check_invariant(state) -> InvariantReport:
         return InvariantReport(clauses)
 
     clauses["C4"] = PASSED
-    if not allocated:
+    if recs is None:
         clauses["C5"] = ClauseResult(False, "unallocated ghost entry")
         clauses["C6"] = ClauseResult(False, "unallocated ghost entry")
         return InvariantReport(clauses)
 
+    prevs = list(map(attrgetter("prev"), recs))
+    nexts = list(map(attrgetter("next"), recs))
     c5_witness = None
     if state.first != nl[0]:
         c5_witness = f"first={state.first} != nodeList[0]={nl[0]}"
     elif state.last != nl[-1]:
         c5_witness = f"last={state.last} != nodeList[{n - 1}]={nl[-1]}"
-    elif store.record(nl[0]).prev is not None:
-        c5_witness = f"first node {nl[0]} has prev={store.record(nl[0]).prev}"
-    elif store.record(nl[-1]).next is not None:
-        c5_witness = f"last node {nl[-1]} has next={store.record(nl[-1]).next}"
+    elif prevs[0] is not None:
+        c5_witness = f"first node {nl[0]} has prev={prevs[0]}"
+    elif nexts[-1] is not None:
+        c5_witness = f"last node {nl[-1]} has next={nexts[-1]}"
     clauses["C5"] = PASSED if c5_witness is None else ClauseResult(False, c5_witness)
 
+    # whole-sequence comparisons first; the index search runs only to name
+    # the witness of a clause that already failed
     c6_witness = None
-    for i in range(1, n):
-        if store.record(nl[i]).prev != nl[i - 1]:
-            c6_witness = f"i={i}: prev={store.record(nl[i]).prev} != nodeList[{i - 1}]={nl[i - 1]}"
-            break
-    if c6_witness is None:
-        for i in range(n - 1):
-            if store.record(nl[i]).next != nl[i + 1]:
-                c6_witness = (
-                    f"i={i}: next={store.record(nl[i]).next} != nodeList[{i + 1}]={nl[i + 1]}"
-                )
-                break
+    if prevs[1:] != nl[:-1]:
+        i = next(i for i in range(1, n) if prevs[i] != nl[i - 1])
+        c6_witness = f"i={i}: prev={prevs[i]} != nodeList[{i - 1}]={nl[i - 1]}"
+    elif nexts[:-1] != nl[1:]:
+        i = next(i for i in range(n - 1) if nexts[i] != nl[i + 1])
+        c6_witness = f"i={i}: next={nexts[i]} != nodeList[{i + 1}]={nl[i + 1]}"
     clauses["C6"] = PASSED if c6_witness is None else ClauseResult(False, c6_witness)
     return InvariantReport(clauses)
 
@@ -278,7 +281,7 @@ class PreObservation:
 
 def observe(state) -> PreObservation:
     ids = tuple(heapmodel.walk_chain(state.store, state.first))
-    items = tuple(state.store.record(nid).item for nid in ids)
+    items = tuple(map(attrgetter("item"), state.store.records(ids)))
     header = (state.first, state.last, state.size.value)
     return PreObservation(items, ids, header, tuple(state.ghost.node_list))
 

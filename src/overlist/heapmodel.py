@@ -50,7 +50,7 @@ def items_equal(target: Item, item: Item) -> bool:
     return target == item
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
     prev: NodeId | None
     item: Item
@@ -97,6 +97,14 @@ class NodeStore:
             return self._records[node_id]
         except KeyError:
             raise DanglingLink(node_id) from None
+
+    def records(self, ids) -> list[NodeRecord]:
+        """The records of ``ids``, in order; DanglingLink for the first
+        unallocated one."""
+        try:
+            return list(map(self._records.__getitem__, ids))
+        except KeyError as e:
+            raise DanglingLink(e.args[0]) from None
 
     def set_prev(self, node_id: NodeId, prev: NodeId | None) -> None:
         self._require(prev, "prev")
@@ -197,19 +205,36 @@ def diff(before: StoreSnapshot, after: StoreSnapshot) -> StoreDiff:
 
 def walk_chain(store: NodeStore, first: NodeId | None) -> list[NodeId]:
     """Follow ``next`` from ``first`` until absent; the result's length is
-    the actual size. Raises CycleDetected when a node repeats or the walk
-    exceeds the number of allocated records, DanglingLink when a link
-    names an unallocated node."""
+    the actual size. Raises CycleDetected when a node repeats, naming the
+    first repeated node and the number of steps walked before it, and
+    DanglingLink when a link names an unallocated node.
+
+    A walk that ends visits only distinct allocated nodes, so it takes at
+    most ``len(store)`` steps; the loop keeps no visited set. A walk that
+    is still going after that many steps has repeated a node or reached an
+    unallocated one, and one pass over the walked prefix tells which."""
+    records = store._records
     seq: list[NodeId] = []
-    seen: set[NodeId] = set()
+    append = seq.append
     node = first
-    while node is not None:
-        if node in seen or len(seq) > len(store):
-            raise CycleDetected(node, len(seq))
-        seen.add(node)
-        seq.append(node)
-        node = store.record(node).next
-    return seq
+    try:
+        for _ in range(len(records)):
+            if node is None:
+                return seq
+            append(node)
+            node = records[node].next
+    except KeyError:
+        raise DanglingLink(node) from None
+    if node is None:
+        return seq
+    append(node)
+    seen: set[NodeId] = set()
+    for steps, nid in enumerate(seq):
+        if nid in seen:
+            raise CycleDetected(nid, steps)
+        seen.add(nid)
+    # every allocated node was walked once and the next one is none of them
+    raise DanglingLink(node)
 
 
 def is_chain(store: NodeStore, seq: list[NodeId]) -> bool:

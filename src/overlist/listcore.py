@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from enum import Enum
+from operator import attrgetter
 
 from . import jint
 from .errors import (
@@ -109,7 +110,7 @@ class JavaLinkedList:
         return walk_chain(self.store, self.first)
 
     def items(self) -> list[Item]:
-        return [self.store.record(nid).item for nid in self.chain()]
+        return list(map(attrgetter("item"), self.store.records(self.chain())))
 
     # -- capacity -----------------------------------------------------------
 

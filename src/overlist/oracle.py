@@ -19,7 +19,7 @@ Two comparison modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import UsageError
 from .heapmodel import Item, items_equal
@@ -97,7 +97,7 @@ def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, Abstra
     cap = a.max_size
 
     def updated(new_items) -> AbstractList:
-        return replace(a, items=tuple(new_items))
+        return AbstractList(tuple(new_items), a.width, a.bounded)
 
     def add_allowed() -> Verdict | None:
         if a.bounded and n >= cap:
@@ -205,7 +205,7 @@ def oracle_add_all(a: AbstractList, items) -> AbstractList:
     new = tuple(items)
     if a.bounded:
         new = new[: max(0, a.max_size - len(a.items))]
-    return replace(a, items=a.items + new)
+    return AbstractList(a.items + new, a.width, a.bounded)
 
 
 def observe_equal(impl: tuple[str, object], verdict: Verdict) -> str:

@@ -131,3 +131,10 @@ class TestBadInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert (needs or "must be >= 0") in err
+
+    @pytest.mark.parametrize("command", ["fuzz", "check"])
+    def test_non_integer_env_seed_is_usage_error(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("OVERLIST_SEED", "abc")
+        assert main([command, "--ops", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "OVERLIST_SEED" in err and "'abc'" in err and "Traceback" not in err

@@ -6,13 +6,19 @@ endpoints) must follow from the invariant, which is checked here on
 hand-built states and exhaustively elsewhere.
 """
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overlist.errors import ContractViolation, UsageError
+from overlist.errors import ContractViolation, CycleDetected, UsageError
 from overlist.ghostspec import (
     EMPTY_FOOTPRINT,
+    PASSED,
+    ClauseResult,
     Footprint,
+    InvariantReport,
     check_acyclic,
     check_invariant,
     check_unique_endpoints,
@@ -22,10 +28,10 @@ from overlist.ghostspec import (
     observe,
     run_checked,
 )
-from overlist.heapmodel import NULL, Atom
-from overlist.jint import JInt
+from overlist.heapmodel import NULL, Atom, walk_chain
+from overlist.jint import JInt, max_value
 from overlist.listcore import CheckMode, SizePolicy, new_list
-from overlist.statespace import build_list
+from overlist.statespace import build_list, random_state
 
 A, B = Atom("a"), Atom("b")
 
@@ -53,6 +59,17 @@ class TestInvariantClauses:
         lst.size = JInt(3, 8)  # keep C1 quiet to isolate C3
         failed = {cid for cid, _ in check_invariant(lst).failures()}
         assert "C3" in failed
+
+    def test_c3_witness_names_the_first_unallocated_position(self):
+        lst = build_list([A, B, A, B])
+        lst.ghost.node_list[1] = 999
+        lst.ghost.node_list[3] = 999
+        report = check_invariant(lst)
+        assert report.failures() == [
+            ("C3", "nodeList[1]=999 unallocated"),
+            ("C5", "unallocated ghost entry"),
+            ("C6", "unallocated ghost entry"),
+        ]
 
     def test_c4_empty_endpoints_absent(self):
         lst = build_list([A])
@@ -98,6 +115,121 @@ class TestInvariantClauses:
         report = check_invariant(lst)
         assert not report.clauses["C1"].ok
         assert report.clauses["C2"].ok  # the width bound itself holds
+
+
+def reference_check_invariant(state) -> dict:
+    """The six clauses evaluated node by node, one store lookup per
+    field read: the reference the bulk ``check_invariant`` must match."""
+    store = state.store
+    nl = state.ghost.node_list
+    n = len(nl)
+    clauses = {}
+    clauses["C1"] = (
+        PASSED
+        if state.size.value == n
+        else ClauseResult(False, f"size={state.size.value} vs |nodeList|={n}")
+    )
+    cap = max_value(state.width).value
+    clauses["C2"] = (
+        PASSED if state.size.value <= cap else ClauseResult(False, f"size={state.size.value} > {cap}")
+    )
+    bad = next((i for i, nid in enumerate(nl) if nid not in store), None)
+    clauses["C3"] = (
+        PASSED if bad is None else ClauseResult(False, f"nodeList[{bad}]={nl[bad]} unallocated")
+    )
+    if n == 0:
+        clauses["C4"] = (
+            PASSED
+            if state.first is None and state.last is None
+            else ClauseResult(False, f"empty but first={state.first} last={state.last}")
+        )
+        clauses["C5"] = clauses["C6"] = PASSED
+        return InvariantReport(clauses).to_json()
+    clauses["C4"] = PASSED
+    if bad is not None:
+        clauses["C5"] = clauses["C6"] = ClauseResult(False, "unallocated ghost entry")
+        return InvariantReport(clauses).to_json()
+    c5_witness = None
+    if state.first != nl[0]:
+        c5_witness = f"first={state.first} != nodeList[0]={nl[0]}"
+    elif state.last != nl[-1]:
+        c5_witness = f"last={state.last} != nodeList[{n - 1}]={nl[-1]}"
+    elif store.record(nl[0]).prev is not None:
+        c5_witness = f"first node {nl[0]} has prev={store.record(nl[0]).prev}"
+    elif store.record(nl[-1]).next is not None:
+        c5_witness = f"last node {nl[-1]} has next={store.record(nl[-1]).next}"
+    clauses["C5"] = PASSED if c5_witness is None else ClauseResult(False, c5_witness)
+    c6_witness = None
+    for i in range(1, n):
+        if store.record(nl[i]).prev != nl[i - 1]:
+            c6_witness = f"i={i}: prev={store.record(nl[i]).prev} != nodeList[{i - 1}]={nl[i - 1]}"
+            break
+    if c6_witness is None:
+        for i in range(n - 1):
+            if store.record(nl[i]).next != nl[i + 1]:
+                c6_witness = f"i={i}: next={store.record(nl[i]).next} != nodeList[{i + 1}]={nl[i + 1]}"
+                break
+    clauses["C6"] = PASSED if c6_witness is None else ClauseResult(False, c6_witness)
+    return InvariantReport(clauses).to_json()
+
+
+def reference_walk(store, first):
+    """A chain walk that keeps a visited set and looks up each node."""
+    seq, seen, node = [], set(), first
+    while node is not None:
+        if node in seen or len(seq) > len(store):
+            raise CycleDetected(node, len(seq))
+        seen.add(node)
+        seq.append(node)
+        node = store.record(node).next
+    return seq
+
+
+def walk_outcome(walk, state):
+    try:
+        return walk(state.store, state.first)
+    except Exception as e:  # the exception type and message are the outcome
+        return type(e).__name__, str(e)
+
+
+UNALLOCATED = 999
+
+
+def corrupted_states(seed: int, count: int):
+    """Random states (well-formed, one field corrupted, or scrambled), some
+    longer than the default, and some given a link, a header field or a
+    ghost entry naming an unallocated node."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        state = random_state(rng, max_nodes=rng.choice((8, 8, 40)))
+        ids = list(state.store.ids())
+        roll = rng.random()
+        if roll < 0.1 and ids:
+            state.store.record(rng.choice(ids)).next = UNALLOCATED
+        elif roll < 0.15:
+            state.first = UNALLOCATED
+        elif roll < 0.25 and state.ghost.node_list:
+            nl = state.ghost.node_list
+            for _ in range(rng.randint(1, 2)):
+                nl[rng.randrange(len(nl))] = UNALLOCATED
+        yield state
+
+
+class TestBulkChecksMatchPerNodeReference:
+    def test_check_invariant_and_walk_chain_on_corrupted_states(self):
+        seen = Counter()
+        for state in corrupted_states(seed=17, count=6000):
+            report = check_invariant(state).to_json()
+            assert report == reference_check_invariant(state)
+            outcome = walk_outcome(walk_chain, state)
+            assert outcome == walk_outcome(reference_walk, state)
+            seen.update(cid for cid, c in report.items() if not c["ok"])
+            if isinstance(outcome, tuple):
+                seen[outcome[0]] += 1
+        # every clause that a JInt size can break (C2 cannot: the cached
+        # size never exceeds its width's maximum) and both kinds of chain
+        # corruption were exercised
+        assert {"C1", "C3", "C4", "C5", "C6", "CycleDetected", "DanglingLink"} <= set(seen)
 
 
 class TestDerivedProperties:

@@ -104,6 +104,40 @@ class TestWalkChain:
         assert not isinstance(exc.value, UsageError)
         assert str(exc.value) == "dangling link to unallocated node 99"
 
+    def test_cycle_back_to_head_witness(self):
+        store, [n0, n1, n2] = three_chain()
+        store.set_next(n2, n0)
+        with pytest.raises(CycleDetected) as exc:
+            walk_chain(store, n0)
+        assert (exc.value.node_id, exc.value.steps) == (n0, 3)
+        assert str(exc.value) == f"cycle detected at node {n0} after 3 steps"
+
+    def test_cycle_into_middle_witness(self):
+        # a garbage record lets the walk run past the chain's three nodes
+        # before the store's length stops it
+        store, [n0, n1, n2] = three_chain()
+        store.alloc(None, A, None)
+        store.set_next(n2, n1)
+        with pytest.raises(CycleDetected) as exc:
+            walk_chain(store, n0)
+        assert (exc.value.node_id, exc.value.steps) == (n1, 3)
+        assert str(exc.value) == f"cycle detected at node {n1} after 3 steps"
+
+    def test_dangling_link_mid_chain_witness(self):
+        store, [n0, n1, n2] = three_chain()
+        store.record(n0).next = 99
+        with pytest.raises(DanglingLink) as exc:
+            walk_chain(store, n0)
+        assert exc.value.node_id == 99
+        assert str(exc.value) == "dangling link to unallocated node 99"
+
+    def test_records_in_order_and_dangling_rejected(self):
+        store, [n0, n1, n2] = three_chain()
+        assert store.records([n2, n0]) == [store.record(n2), store.record(n0)]
+        with pytest.raises(DanglingLink) as exc:
+            store.records([n1, 99, 98])
+        assert exc.value.node_id == 99
+
     def test_two_cycle_detected(self):
         store, [n0, n1, n2] = three_chain()
         store.set_next(n2, n1)
