@@ -14,7 +14,7 @@ import collections
 import time
 
 from overlist.difftest import ADD_HEAVY_WEIGHTS, dump_script, gen_script, run_script, shrink
-from overlist.listcore import CheckMode
+from overlist.listcore import CheckMode, SizePolicy
 
 
 def main():
@@ -40,7 +40,8 @@ def main():
                 tally.update(d.kind for d in result.divergences["unchecked"])
             if result.total("failfast"):
                 def still_fails(s):
-                    return run_script(s, check_mode=mode).total("failfast") > 0
+                    failfast = run_script(s, check_mode=mode, policies=(SizePolicy.FAIL_FAST,))
+                    return failfast.total("failfast") > 0
 
                 path = f"failfast_repro_w{width}_seed{script.seed}.jsonl"
                 with open(path, "w") as fh:

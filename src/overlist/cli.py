@@ -203,7 +203,9 @@ def cmd_fuzz(args) -> int:
         unchecked_divergences += result.total("unchecked")
         if result.total("failfast"):
             def still_fails(s):
-                return run_script(s, check_mode=check_mode).total("failfast") > 0
+                # only the FailFast count decides, so only FailFast runs
+                failfast = run_script(s, check_mode=check_mode, policies=(SizePolicy.FAIL_FAST,))
+                return failfast.total("failfast") > 0
 
             small = shrink(script, still_fails)
             path = args.out or "shrunk_script.jsonl"

@@ -356,7 +356,7 @@ def run_checked(state, op: str, args: tuple = ()):
 
     err: ListError | None = None
     result = None
-    state.store.open_journal()
+    mark = state.store.open_journal()
     try:
         result = apply_op(state, op, args)
         outcome = ("value", normalize(result))
@@ -364,7 +364,7 @@ def run_checked(state, op: str, args: tuple = ()):
         err = e
         outcome = ("error", e.kind)
     finally:
-        journal = state.store.close_journal()
+        journal = state.store.close_journal(mark)
 
     violations = _post_vs_model(state, pre, op, args, outcome)
     if failfast:

@@ -5,7 +5,7 @@ directly, so aliasing is a plain id comparison and corrupted or cyclic
 shapes can be built for negative tests. Ids are never reused; unlinked
 ("cleared") nodes stay allocated with null fields, mirroring a heap
 where garbage persists until collection. A journal rollback is the one
-exception: it forgets the nodes allocated since the journal opened,
+exception: it forgets the nodes allocated since its savepoint opened,
 together with every other change made since. The journal also tells a
 frame check what a call wrote; whole-heap ``snapshot``/``diff`` are
 only the reference that tests compare it with.
@@ -14,6 +14,7 @@ only the reference that tests compare it with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import CycleDetected, DanglingLink, UsageError
 
@@ -60,16 +61,17 @@ class NodeRecord:
 class NodeStore:
     """Owner of all node records; allocation ids are monotone and unique.
 
-    While a journal is open, every field write records the field's old
-    value, so ``rollback`` can put the store back as it was when the
-    journal opened, at a cost proportional to the writes made since
-    rather than to the size of the heap."""
+    While a savepoint is open, every field write records the field's old
+    value in the journal, so ``rollback`` can put the store back as it
+    was when the savepoint opened, at a cost proportional to the writes
+    made since rather than to the size of the heap. Savepoints nest; only
+    the innermost open one can be closed or rolled back."""
 
     def __init__(self):
         self._records: dict[NodeId, NodeRecord] = {}
         self._next_id: NodeId = 0
         self._journal: list | None = None  # flat: node id, field, old value per write
-        self._journal_start: NodeId = 0  # _next_id when the journal opened
+        self._marks: list[tuple[int, NodeId]] = []  # open savepoints, innermost last
 
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self._records
@@ -126,29 +128,41 @@ class NodeStore:
             self._journal += (node_id, "item", rec.item)
         rec.item = item
 
-    def open_journal(self) -> None:
-        if self._journal is not None:
-            raise UsageError("a journal is already open")
-        self._journal = []
-        self._journal_start = self._next_id
+    def open_journal(self) -> tuple[int, NodeId]:
+        """Open a savepoint and return its mark: the journal length and
+        the next id at this point. Marks are told apart by identity."""
+        if self._journal is None:
+            self._journal = []
+        mark = (len(self._journal), self._next_id)
+        self._marks.append(mark)
+        return mark
 
-    def close_journal(self) -> tuple[list, range]:
-        """Close the journal, keeping its writes; return its entries and
-        the range of ids allocated since it opened."""
+    def _pop(self, mark) -> tuple[list, int, range]:
+        if not self._marks or self._marks[-1] is not mark:
+            raise UsageError("the savepoint is not the innermost open one")
+        self._marks.pop()
         journal = self._journal
-        if journal is None:
-            raise UsageError("no journal is open")
-        self._journal = None
-        return journal, range(self._journal_start, self._next_id)
+        if not self._marks:
+            self._journal = None
+        return journal, mark[0], range(mark[1], self._next_id)
 
-    def rollback(self) -> None:
-        """Close the journal, then undo every write and allocation made
-        since ``open_journal``."""
-        journal, fresh = self.close_journal()
+    def close_journal(self, mark) -> tuple[list, range]:
+        """Close the savepoint ``mark``, keeping its writes; return the
+        journal entries written and the range of ids allocated since it
+        opened. An enclosing savepoint still holds those entries."""
+        journal, start, fresh = self._pop(mark)
+        return (journal if self._journal is None else journal[start:]), fresh
+
+    def rollback(self, mark) -> None:
+        """Close the savepoint ``mark``, then undo every write and
+        allocation made since it opened."""
+        journal, start, fresh = self._pop(mark)
         records = self._records
         backwards = reversed(journal)
-        for old, name, node_id in zip(backwards, backwards, backwards):
+        for old, name, node_id in islice(zip(backwards, backwards, backwards),
+                                         (len(journal) - start) // 3):
             setattr(records[node_id], name, old)
+        del journal[start:]
         for node_id in fresh:
             del records[node_id]
         self._next_id = fresh.start

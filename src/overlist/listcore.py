@@ -81,27 +81,19 @@ class JavaLinkedList:
 
     # -- harness helpers ----------------------------------------------------
 
-    def copy(self) -> "JavaLinkedList":
-        dup = JavaLinkedList(self.width, self.policy, self.check_mode, self.faults)
-        dup.store = self.store.copy()
-        dup.first = self.first
-        dup.last = self.last
-        dup.size = self.size
-        dup.ghost = self.ghost.copy()
-        return dup
-
     @contextmanager
     def trial(self):
         """Run the ``with`` body on this list, then put the list back as
         it was: node records, allocation counter, header and ghost. The
-        store's journal undoes only what the body wrote."""
+        store's journal undoes only what the body wrote, so trials nest
+        and checked calls may run inside one."""
         header, ghost = (self.first, self.last, self.size), self.ghost
         self.ghost = ghost.copy()
-        self.store.open_journal()
+        mark = self.store.open_journal()
         try:
             yield
         finally:
-            self.store.rollback()
+            self.store.rollback(mark)
             self.first, self.last, self.size = header
             self.ghost = ghost
 
@@ -153,21 +145,10 @@ class JavaLinkedList:
         self.size = inc(self.size)
         self.ghost.node_list.insert(0, node)
 
-    def _check_ghost_index(self, node: NodeId, index: int | None) -> None:
-        """A caller-supplied ghost position must hold ``node`` (checked
-        only when checks are on)."""
-        if index is None or self.check_mode is CheckMode.OFF:
-            return
-        nl = self.ghost.node_list
-        if not 0 <= index < len(nl) or nl[index] != node:
-            raise UsageError(f"ghost index {index} does not hold node {node}")
-
-    def link_before(self, item: Item, succ: NodeId, succ_index: int | None = None) -> None:
-        """Splice a new node in front of ``succ``. ``succ_index`` is the
-        ghost position of ``succ``; it is validated when checks are on."""
+    def link_before(self, item: Item, succ: NodeId) -> None:
+        """Splice a new node in front of ``succ``."""
         if succ not in self.store:
             raise UsageError(f"succ {succ} not allocated")
-        self._check_ghost_index(succ, succ_index)
         self._guard_growth()
         pred = self.store.record(succ).prev
         node = self.store.alloc(prev=pred, item=item, next=succ)
@@ -187,10 +168,14 @@ class JavaLinkedList:
 
     def unlink(self, x: NodeId, x_index: int | None = None) -> Item:
         """Remove node ``x`` from the chain, clearing its fields; returns
-        the removed item. ``x_index`` is the ghost position of ``x``."""
+        the removed item. ``x_index`` is the ghost position of ``x``; when
+        checks are on, it must hold ``x``."""
         if x not in self.store:
             raise UsageError(f"node {x} not allocated")
-        self._check_ghost_index(x, x_index)
+        nl = self.ghost.node_list
+        at_index = x_index is not None and 0 <= x_index < len(nl) and nl[x_index] == x
+        if x_index is not None and not at_index and self.check_mode is not CheckMode.OFF:
+            raise UsageError(f"ghost index {x_index} does not hold node {x}")
         rec = self.store.record(x)
         item, pred, succ = rec.item, rec.prev, rec.next
         relink = "unlink-skip-relink" not in self.faults
@@ -208,8 +193,7 @@ class JavaLinkedList:
         self.store.set_item(x, NULL)
         self.store.set_next(x, None)
         self.size = dec(self.size)
-        nl = self.ghost.node_list
-        if x_index is not None and 0 <= x_index < len(nl) and nl[x_index] == x:
+        if at_index:
             del nl[x_index]
         else:
             # identity fallback; a miss means the ghost already lost track

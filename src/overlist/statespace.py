@@ -44,7 +44,8 @@ def random_state(rng: random.Random, width: int = 8, max_nodes: int = 8) -> Java
     """A random state that may or may not satisfy the class invariant.
 
     Mix of three regimes: well-formed lists, well-formed lists with one
-    corrupted field, and fully random header/store/ghost combinations.
+    corruption (a wrong header, link or ghost entry, or one naming an
+    unallocated node), and fully random header/store/ghost combinations.
     The mix keeps the invariant-implies-derived-properties check
     non-vacuous while still exploring garbage."""
     regime = rng.random()
@@ -60,8 +61,9 @@ def random_state(rng: random.Random, width: int = 8, max_nodes: int = 8) -> Java
 
 def _corrupt_one(rng: random.Random, lst: JavaLinkedList) -> None:
     nl = lst.ghost.node_list
-    choice = rng.randint(0, 5)
+    choice = rng.randint(0, 8)
     some_id = rng.choice(nl) if nl else None
+    unallocated = len(lst.store)  # a built list holds ids 0..n-1
     if choice == 0:
         lst.size = JInt(wrap(lst.size.value + rng.choice((-2, -1, 1, 2)), lst.width), lst.width)
     elif choice == 1:
@@ -72,11 +74,19 @@ def _corrupt_one(rng: random.Random, lst: JavaLinkedList) -> None:
         lst.store.set_next(some_id, rng.choice(nl + [None]))
     elif choice == 4 and nl:
         lst.store.set_prev(some_id, rng.choice(nl + [None]))
-    elif nl:
+    elif choice == 5 and nl:
         i, j = rng.randrange(len(nl)), rng.randrange(len(nl))
         nl[i], nl[j] = nl[j], nl[i]
         if rng.random() < 0.5 and nl:
             nl[rng.randrange(len(nl))] = rng.choice(nl)
+    elif choice == 6 and nl:
+        # a dangling link: the setters refuse one, so write the field
+        lst.store.record(some_id).next = unallocated
+    elif choice == 7:
+        lst.first = unallocated
+    elif choice == 8 and nl:
+        for _ in range(rng.randint(1, 2)):
+            nl[rng.randrange(len(nl))] = unallocated
 
 
 def _scramble(rng: random.Random, width: int, n: int) -> JavaLinkedList:

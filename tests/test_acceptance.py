@@ -33,6 +33,7 @@ from overlist.errors import (
     ContractViolation,
     IllegalStateError,
     IndexOutOfBoundsError,
+    ListError,
     NegativeArraySizeError,
 )
 from overlist.ghostspec import (
@@ -132,7 +133,8 @@ def test_criterion_05_deque_survives_overflow():
     ]
     for lst, abs_state in build_overflow_states(8):
         for op, args in probes:
-            outcome = run_op(lst.copy(), op, args)
+            with lst.trial():
+                outcome = run_op(lst, op, args)
             verdict, _ = oracle_apply(abs_state, op, args)
             assert observe_equal(outcome, verdict) == "agree", (op, outcome, verdict)
 
@@ -198,13 +200,13 @@ def test_criterion_09_oracle_equivalence_below_bound():
 
     def explore(lst, abs_state, depth):
         for op, args in alphabet:
-            impl = lst.copy()
-            outcome = run_op(impl, op, args)
-            verdict, abs_next = oracle_apply(abs_state, op, args)
-            assert verdict.kind != "unspecified"
-            assert observe_equal(outcome, verdict) == "agree", (op, outcome, verdict)
-            if depth > 1:
-                explore(impl, abs_next, depth - 1)
+            with lst.trial():  # nested once per level of the tree
+                outcome = run_op(lst, op, args)
+                verdict, abs_next = oracle_apply(abs_state, op, args)
+                assert verdict.kind != "unspecified"
+                assert observe_equal(outcome, verdict) == "agree", (op, outcome, verdict)
+                if depth > 1:
+                    explore(lst, abs_next, depth - 1)
 
     explore(new_list(8, SizePolicy.FAIL_FAST), AbstractList((), 8), 5)
 
@@ -220,10 +222,6 @@ def test_criterion_09_oracle_equivalence_below_bound():
 
 @criterion(10, "method contracts hold against brute-force semantics on all small lists")
 def test_criterion_10_contract_brute_force():
-    pure = [op for op in OP_SPECS
-            if op in ("size", "to_array", "contains", "index_of", "last_index_of",
-                      "get", "get_first", "get_last", "peek_first", "peek_last",
-                      "is_max_size", "check_size")]
     for lst in enumerate_lists(max_len=6, check_mode=CheckMode.FULL):
         n = lst.size.value
         items = lst.items()
@@ -242,13 +240,13 @@ def test_criterion_10_contract_brute_force():
             else:
                 probes = [()]
             for args in probes:
-                target = lst if op in pure else lst.copy()
-                try:
-                    result = run_checked(target, op, args)
-                except ContractViolation as cv:
-                    pytest.fail(f"{op}{args} on {items}: {cv}")
-                except Exception:
-                    continue
+                with lst.trial():
+                    try:
+                        result = run_checked(lst, op, args)
+                    except ContractViolation as cv:
+                        pytest.fail(f"{op}{args} on {items}: {cv}")
+                    except ListError:
+                        continue
                 if op == "last_index_of":
                     # stated contract: -1 when absent, else the last index
                     matches = [i for i, it in enumerate(items) if it == args[0]]

@@ -1,12 +1,21 @@
 """Command-line interface: exit codes, text shape, JSON stability."""
 
+import functools
 import json
 
 import pytest
 
+from overlist import cli
 from overlist.cli import main
-from overlist.difftest import census, dump_script, gen_script
-from overlist.listcore import SizePolicy
+from overlist.difftest import (
+    BALANCED_WEIGHTS,
+    census,
+    dump_script,
+    gen_script,
+    run_script,
+    shrink,
+)
+from overlist.listcore import CheckMode, SizePolicy
 
 
 class TestRepro:
@@ -64,6 +73,23 @@ class TestFuzzCommand:
     def test_env_seed_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("OVERLIST_SEED", "9")
         assert main(["fuzz", "--ops", "100"]) == 0
+
+    def test_divergence_is_shrunk_and_written(self, monkeypatch, tmp_path, capsys):
+        """The reproducer a FailFast-only predicate finds is the one a
+        predicate running both policies finds."""
+        faults = frozenset({"lastindexof-off-by-one"})
+        monkeypatch.setattr(cli, "run_script", functools.partial(run_script, faults=faults))
+        path = tmp_path / "shrunk.jsonl"
+        argv = ["fuzz", "--ops", "100", "--seed", "3", "--out", str(path)]
+        assert main(argv) == 1
+        assert "FailFast divergence at seed 3" in capsys.readouterr().out
+
+        def both_policies_fail(s):
+            result = run_script(s, check_mode=CheckMode.INVARIANT, faults=faults)
+            return result.total("failfast") > 0
+
+        expected = shrink(gen_script(3, 8, 100, BALANCED_WEIGHTS), both_policies_fail)
+        assert path.read_text() == dump_script(expected)
 
 
 class TestReplayCommand:

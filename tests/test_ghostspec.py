@@ -192,27 +192,12 @@ def walk_outcome(walk, state):
         return type(e).__name__, str(e)
 
 
-UNALLOCATED = 999
-
-
 def corrupted_states(seed: int, count: int):
-    """Random states (well-formed, one field corrupted, or scrambled), some
-    longer than the default, and some given a link, a header field or a
-    ghost entry naming an unallocated node."""
+    """Random states (well-formed, with one corruption, or scrambled),
+    some longer than the default."""
     rng = random.Random(seed)
     for _ in range(count):
-        state = random_state(rng, max_nodes=rng.choice((8, 8, 40)))
-        ids = list(state.store.ids())
-        roll = rng.random()
-        if roll < 0.1 and ids:
-            state.store.record(rng.choice(ids)).next = UNALLOCATED
-        elif roll < 0.15:
-            state.first = UNALLOCATED
-        elif roll < 0.25 and state.ghost.node_list:
-            nl = state.ghost.node_list
-            for _ in range(rng.randint(1, 2)):
-                nl[rng.randrange(len(nl))] = UNALLOCATED
-        yield state
+        yield random_state(rng, max_nodes=rng.choice((8, 8, 40)))
 
 
 class TestBulkChecksMatchPerNodeReference:
@@ -230,6 +215,19 @@ class TestBulkChecksMatchPerNodeReference:
         # size never exceeds its width's maximum) and both kinds of chain
         # corruption were exercised
         assert {"C1", "C3", "C4", "C5", "C6", "CycleDetected", "DanglingLink"} <= set(seen)
+
+
+def test_random_states_break_c3_and_dangle():
+    """``random_state`` alone, as ``overlist check`` draws it, builds
+    unallocated ghost entries and chains that end in a dangling link."""
+    rng = random.Random(5)
+    c3 = dangling = 0
+    for _ in range(20_000):
+        state = random_state(rng)
+        c3 += not check_invariant(state).clauses["C3"].ok
+        outcome = walk_outcome(walk_chain, state)
+        dangling += isinstance(outcome, tuple) and outcome[0] == "DanglingLink"
+    assert c3 > 0 and dangling > 0
 
 
 class TestDerivedProperties:
@@ -288,9 +286,9 @@ class TestCyclePropagation:
 def framed(lst, write, fp=EMPTY_FOOTPRINT):
     """Frame violations of ``write()`` run on ``lst`` under a journal."""
     pre = observe(lst)
-    lst.store.open_journal()
+    mark = lst.store.open_journal()
     write()
-    return frame_check(pre, lst, lst.store.close_journal(), fp)
+    return frame_check(pre, lst, lst.store.close_journal(mark), fp)
 
 
 class TestFrameCheck:

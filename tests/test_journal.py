@@ -1,13 +1,15 @@
-"""Undo journal: ``NodeStore`` rollback, ``JavaLinkedList.trial`` and
-the journal's reading of what a call changed.
+"""Undo journal: ``NodeStore`` savepoints and rollback,
+``JavaLinkedList.trial`` and the journal's reading of what a call
+changed.
 
-A trial must leave the list exactly as a pre-call ``copy()`` saw it,
-whatever the call did in between: succeed, raise, be refused at
-capacity, or clear the whole chain. States past capacity on the
-Unchecked policy are included, since the census probes exactly those.
-The node changes a frame check reads from a closed journal must equal
-the diff of whole-heap snapshots taken before and after, on the same
-states.
+A trial must leave the list exactly as a ``fingerprint`` taken before
+the call saw it, whatever the call did in between: succeed, raise, be
+refused at capacity, clear the whole chain, or run nested in another
+trial or under the checks of ``run_checked``. States past capacity on
+the Unchecked policy are included, since the census probes exactly
+those. The node changes a frame check reads from a closed journal must
+equal the diff of whole-heap snapshots taken before and after, on the
+same states.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from overlist import difftest
 from overlist.difftest import ADD_HEAVY_WEIGHTS, gen_script, prepare_overflow, run_op
-from overlist.errors import ChainCorruption, ContractViolation, UsageError
+from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
 from overlist.ghostspec import Footprint, frame_check, observe, run_checked
 from overlist.heapmodel import NULL, Atom, NodeStore, diff, snapshot
 from overlist.listcore import CheckMode, SizePolicy, apply_op, new_list
@@ -32,8 +34,8 @@ FIELD_POSITION = {"prev": 0, "item": 1, "next": 2}  # in a snapshot record
 NODES_ONLY = Footprint(header_fields=frozenset({"first", "last", "size"}), ghost=True)
 
 
-def add_heavy_state(policy, prefix_seed, prefix_len):
-    lst = new_list(8, policy)
+def add_heavy_state(policy, prefix_seed, prefix_len, check_mode=CheckMode.OFF):
+    lst = new_list(8, policy, check_mode)
     for name, args in gen_script(prefix_seed, 8, prefix_len, ADD_HEAVY_WEIGHTS).steps:
         run_op(lst, name, args)
     return lst
@@ -62,13 +64,13 @@ class TestNodeStoreJournal:
         n1 = store.alloc(n0, B, None)
         store.set_next(n0, n1)
         before = store.copy()
-        store.open_journal()
+        mark = store.open_journal()
         n2 = store.alloc(n1, NULL, None)
         store.set_next(n1, n2)
         store.set_item(n0, B)
         store.set_item(n0, NULL)
         store.set_prev(n1, None)
-        store.rollback()
+        store.rollback(mark)
         assert n2 not in store and len(store) == 2
         assert store._next_id == before._next_id
         for nid in (n0, n1):
@@ -80,30 +82,65 @@ class TestNodeStoreJournal:
         store = NodeStore()
         n0 = store.alloc(None, A, None)
         store.set_item(n0, B)
-        store.open_journal()
-        store.rollback()
+        store.rollback(store.open_journal())
         assert store.record(n0).item == B
 
     def test_close_keeps_the_writes(self):
         store = NodeStore()
         n0 = store.alloc(None, A, None)
-        store.open_journal()
+        mark = store.open_journal()
         n1 = store.alloc(n0, B, None)
         store.set_next(n0, n1)
-        entries, fresh = store.close_journal()
+        entries, fresh = store.close_journal(mark)
         assert (entries, fresh) == ([n0, "next", None], range(n1, n1 + 1))
         assert store.record(n0).next == n1 and n1 in store
         assert store._journal is None
 
     def test_misuse_is_a_usage_error(self):
         store = NodeStore()
-        with pytest.raises(UsageError):
-            store.rollback()
-        with pytest.raises(UsageError):
-            store.close_journal()
-        store.open_journal()
-        with pytest.raises(UsageError):
-            store.open_journal()
+        mark = store.open_journal()
+        store.close_journal(mark)
+        # a closed savepoint, and one never opened, cannot be closed again
+        for stale in (mark, (0, 0)):
+            with pytest.raises(UsageError):
+                store.rollback(stale)
+            with pytest.raises(UsageError):
+                store.close_journal(stale)
+
+    def test_only_the_innermost_savepoint_closes(self):
+        store = NodeStore()
+        n0 = store.alloc(None, A, None)
+        outer = store.open_journal()
+        store.set_item(n0, B)
+        inner = store.open_journal()
+        store.set_item(n0, NULL)
+        for undo in (store.close_journal, store.rollback):
+            with pytest.raises(UsageError):
+                undo(outer)
+        assert store.record(n0).item == NULL  # the refused calls changed nothing
+        store.rollback(inner)
+        assert store.record(n0).item == B
+        store.rollback(outer)
+        assert store.record(n0).item == A and store._journal is None
+
+    def test_inner_savepoints_report_and_undo_only_their_own_writes(self):
+        """A closed inner savepoint's writes stay in the outer one; a
+        rolled-back one's leave no trace."""
+        store = NodeStore()
+        n0 = store.alloc(None, A, None)
+        outer = store.open_journal()
+        store.set_item(n0, B)
+        inner = store.open_journal()
+        n1 = store.alloc(n0, NULL, None)
+        store.set_next(n0, n1)
+        assert store.close_journal(inner) == ([n0, "next", None], range(n1, n1 + 1))
+        undone = store.open_journal()
+        store.set_prev(n0, n1)
+        store.alloc(n1, A, None)
+        store.rollback(undone)
+        entries, fresh = store.close_journal(outer)
+        assert entries == [n0, "item", A, n0, "next", None]
+        assert fresh == range(n1, n1 + 1)
 
 
 class TestTrial:
@@ -144,10 +181,10 @@ class TestTrial:
         mutating call inside a trial."""
         lst = add_heavy_state(policy, prefix_seed, prefix_len)
         args = draw_args(lst, op, data)
-        reference = lst.copy()
+        reference = fingerprint(lst)
         with lst.trial():
             run_op(lst, op, args)  # value, ListError or refusal alike
-        assert fingerprint(lst) == fingerprint(reference)
+        assert fingerprint(lst) == reference
         assert lst.store._journal is None
 
     @pytest.mark.parametrize("policy", list(SizePolicy))
@@ -156,7 +193,7 @@ class TestTrial:
         """The census states themselves: a wrapped or negative size on
         Unchecked, a list at capacity that refuses every add on FailFast."""
         lst, _ = prepare_overflow(8, policy, wrap)
-        reference = fingerprint(lst.copy())
+        reference = fingerprint(lst)
         n = len(lst.chain())
         for op in MUTATING:
             grid = [(-1, 0, 1, n // 2, n - 1, n, n + 1) if kind == INDEX else ALPHABET
@@ -167,10 +204,75 @@ class TestTrial:
                 assert fingerprint(lst) == reference, (op, args)
 
 
+def checked_journal(lst, op, args):
+    """The journal entries and fresh-id bounds ``run_checked`` reads for
+    one call on ``lst``."""
+    store, closed = lst.store, []
+    close = store.close_journal
+
+    def recording_close(mark):
+        closed.append(close(mark))
+        return closed[-1]
+
+    store.close_journal = recording_close
+    try:
+        run_checked(lst, op, args)
+    except ListError:
+        pass
+    finally:
+        del store.close_journal
+    (entries, fresh), = closed
+    return entries, (fresh.start, fresh.stop)
+
+
+class TestNesting:
+    """Savepoints nest: a trial inside a trial, or a checked call inside
+    a trial, undoes or reads only its own writes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        policy=st.sampled_from(list(SizePolicy)),
+        prefix_seed=st.integers(0, 10_000),
+        prefix_len=st.integers(0, 400),
+        outer=st.sampled_from(MUTATING),
+        op=st.sampled_from(MUTATING),
+        data=st.data(),
+    )
+    def test_a_call_in_a_nested_trial(self, policy, prefix_seed, prefix_len, outer, op, data):
+        lst = add_heavy_state(policy, prefix_seed, prefix_len)
+        before = fingerprint(lst)
+        with lst.trial():
+            run_op(lst, outer, draw_args(lst, outer, data))
+            inside = fingerprint(lst)
+            with lst.trial():
+                run_op(lst, op, draw_args(lst, op, data))
+            assert fingerprint(lst) == inside
+        assert fingerprint(lst) == before
+        assert lst.store._journal is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        prefix_seed=st.integers(0, 10_000),
+        prefix_len=st.integers(0, 400),
+        op=st.sampled_from(MUTATING),
+        data=st.data(),
+    )
+    def test_a_checked_call_in_a_trial(self, prefix_seed, prefix_len, op, data):
+        """FailFast at and below capacity: the trial undoes the checked
+        call, and the call's journal is the one it has with no trial open."""
+        lst = add_heavy_state(SizePolicy.FAIL_FAST, prefix_seed, prefix_len, CheckMode.FULL)
+        args = draw_args(lst, op, data)
+        before = fingerprint(lst)
+        with lst.trial():
+            in_trial = checked_journal(lst, op, args)
+        assert fingerprint(lst) == before
+        assert in_trial == checked_journal(lst, op, args)
+
+
 @pytest.mark.parametrize("policy", list(SizePolicy))
 def test_census_leaves_the_prepared_states_unchanged(monkeypatch, policy):
     states = difftest.build_overflow_states(8, policy)
-    references = [fingerprint(lst.copy()) for lst, _ in states]
+    references = [fingerprint(lst) for lst, _ in states]
     monkeypatch.setattr(difftest, "build_overflow_states", lambda width, policy: states)
     difftest.census(8, policy)
     assert [fingerprint(lst) for lst, _ in states] == references
@@ -215,12 +317,12 @@ def test_journal_changes_equal_the_snapshot_diff(policy, prefix_seed, prefix_len
     lst = add_heavy_state(policy, prefix_seed, prefix_len)
     store = lst.store
     pre, before = observe(lst), snapshot(store)
-    store.open_journal()
+    mark = store.open_journal()
     if op == "raw writes":
         raw_writes(store, data, data.draw(st.integers(0, 12)))
     else:
         run_op(lst, op, draw_args(lst, op, data))
-    journal = store.close_journal()
+    journal = store.close_journal(mark)
     after = snapshot(store)
     reference = diff(before, after)
     expected = [
