@@ -33,14 +33,14 @@ def main():
 
     (s1, _), (s2, _) = build_overflow_states(w)
     print(f"state A: {1 << (w - 1)} adds on a {w}-bit list (capacity {cap})")
-    show("size()", lambda: s1.size.value)
+    show("size()", lambda: s1.size)
     show("actual chain length", lambda: len(walk_chain(s1.store, s1.first)))
     show("get(0)", lambda: s1.get(0))
     show("to_array()", lambda: s1.to_array())
     show("get_first()  [endpoint, still fine]", lambda: s1.get_first())
 
     print(f"\nstate B: {1 << w} adds, marker last")
-    show("size()", lambda: s2.size.value)
+    show("size()", lambda: s2.size)
     show("index_of(marker)", lambda: s2.index_of(MARKER).value)
     show("contains(marker)", lambda: s2.contains(MARKER))
     show("get_last()  [the marker is right there]", lambda: s2.get_last())

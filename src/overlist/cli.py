@@ -80,11 +80,11 @@ def cmd_repro(args) -> int:
         expected_refusal = cap + 1
         inv_ok = check_invariant(lst).ok
         as_predicted = (
-            first_refusal == expected_refusal and lst.size.value == cap and inv_ok
+            first_refusal == expected_refusal and lst.size == cap and inv_ok
         )
         lines += [
             f"  IllegalState raised at add #{first_refusal} (expected #{expected_refusal})",
-            f"  size() == {lst.size.value} (bound {cap}), invariant holds: {inv_ok}",
+            f"  size() == {lst.size} (bound {cap}), invariant holds: {inv_ok}",
             "  verdict: bug not reproducible (fail-fast guard held)"
             if as_predicted
             else "  verdict: UNEXPECTED fail-fast behavior",
@@ -92,7 +92,7 @@ def cmd_repro(args) -> int:
         report.update(
             {
                 "first_refusal_at_add": first_refusal,
-                "size": lst.size.value,
+                "size": lst.size,
                 "invariant_holds": inv_ok,
                 "reproduced": False,
                 "as_predicted": as_predicted,
@@ -103,7 +103,7 @@ def cmd_repro(args) -> int:
 
     chain_len = len(lst.chain())
     if case == 1:
-        observed = lst.size.value
+        observed = lst.size
         expected = cap
         reproduced = observed == min_value(width).value
         lines += [

@@ -79,13 +79,13 @@ def check_invariant(state) -> InvariantReport:
 
     clauses["C1"] = (
         PASSED
-        if state.size.value == n
-        else ClauseResult(False, f"size={state.size.value} vs |nodeList|={n}")
+        if state.size == n
+        else ClauseResult(False, f"size={state.size} vs |nodeList|={n}")
     )
     clauses["C2"] = (
         PASSED
-        if state.size.value <= state.max_size
-        else ClauseResult(False, f"size={state.size.value} > {state.max_size}")
+        if state.size <= state.max_size
+        else ClauseResult(False, f"size={state.size} > {state.max_size}")
     )
     # C3 is the bulk lookup that also fetches the records C5 and C6 read;
     # it fails on the first unallocated entry, whose first position is the
@@ -258,7 +258,7 @@ def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> li
             violations.append(("frame", f"node {nid}.{fname}: {old!r} -> {new!r}"))
     if fresh and not fp.fresh:
         violations.append(("frame", f"unexpected allocation of nodes {list(fresh)}"))
-    header = (state.first, state.last, state.size.value)
+    header = (state.first, state.last, state.size)
     for name, old, new in zip(_HEADER_NAMES, pre.header, header):
         if old != new and name not in fp.header_fields:
             violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
@@ -275,14 +275,14 @@ def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> li
 class PreObservation:
     items: tuple
     ids: tuple[NodeId, ...]
-    header: tuple  # (first, last, size value)
+    header: tuple  # (first, last, size)
     ghost: tuple[NodeId, ...]
 
 
 def observe(state) -> PreObservation:
     ids = tuple(heapmodel.walk_chain(state.store, state.first))
     items = tuple(map(attrgetter("item"), state.store.records(ids)))
-    header = (state.first, state.last, state.size.value)
+    header = (state.first, state.last, state.size)
     return PreObservation(items, ids, header, tuple(state.ghost.node_list))
 
 

@@ -2,9 +2,11 @@
 
 The width is parametric (8, 16 or 32 bits) so that behaviors needing
 2**31 elements on a real JVM show up with at most a few hundred. Values
-are stored as plain Python integers normalized into the signed range
-after every operation, which makes the mod-2**W formula the definition
-rather than an emulation detail.
+are plain Python integers normalized into the signed range by ``wrap``,
+which makes the mod-2**W formula the definition rather than an
+emulation detail. ``JInt`` tags such a value with its width; the list
+keeps its size as a plain int and builds a ``JInt`` only for the Java
+``int`` answers it returns.
 """
 
 from __future__ import annotations
@@ -87,35 +89,3 @@ def max_value(bits: int) -> JInt:
 def min_value(bits: int) -> JInt:
     _check_width(bits)
     return JInt(-(1 << (bits - 1)), bits)
-
-
-def from_unbounded(n: int, bits: int) -> JInt:
-    """Embed an unbounded integer as a ``bits``-wide value (mod 2**bits)."""
-    return JInt(wrap(n, bits), bits)
-
-
-def to_unbounded(a: JInt) -> int:
-    return a.value
-
-
-def wrap_add(a: JInt, b: JInt) -> JInt:
-    if a.bits != b.bits:
-        raise UsageError(f"width mismatch: {a.bits} vs {b.bits}")
-    return JInt(wrap(a.value + b.value, a.bits), a.bits)
-
-
-def inc(a: JInt) -> JInt:
-    return JInt(wrap(a.value + 1, a.bits), a.bits)
-
-
-def dec(a: JInt) -> JInt:
-    return JInt(wrap(a.value - 1, a.bits), a.bits)
-
-
-def half(a: JInt) -> JInt:
-    """Arithmetic shift right by one (Java ``>> 1``).
-
-    Python's ``>>`` on negative ints is already a sign-propagating
-    (floor) shift, matching Java, so e.g. half(-128) == -64 at w=8.
-    """
-    return JInt(a.value >> 1, a.bits)

@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from enum import Enum
 from operator import attrgetter
 
-from . import jint
 from .errors import (
     ContractViolation,
     DanglingLink,
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .ghostspec import GhostState
 from .heapmodel import NULL, Item, NodeId, NodeStore, NullItem, items_equal, walk_chain
-from .jint import JInt, dec, from_unbounded, half, inc, max_value
+from .jint import JInt, max_value, min_value
 
 
 class SizePolicy(Enum):
@@ -70,13 +69,14 @@ class JavaLinkedList:
             raise UsageError(f"unknown faults {sorted(unknown)}")
         self.width = width
         self.max_size = max_value(width).value
+        self.min_size = min_value(width).value
         self.policy = policy
         self.check_mode = check_mode
         self.faults = frozenset(faults)
         self.store = NodeStore()
         self.first: NodeId | None = None
         self.last: NodeId | None = None
-        self.size = JInt(0, width)
+        self.size = 0  # a Java int: kept in [min_size, max_size]
         self.ghost = GhostState()
 
     # -- harness helpers ----------------------------------------------------
@@ -104,15 +104,25 @@ class JavaLinkedList:
     def items(self) -> list[Item]:
         return list(map(attrgetter("item"), self.store.records(self.chain())))
 
+    # -- Java int arithmetic -------------------------------------------------
+
+    def _inc(self, n: int) -> int:
+        """``n + 1`` as a W-bit Java int: MAX + 1 wraps to MIN."""
+        return self.min_size if n == self.max_size else n + 1
+
+    def _dec(self, n: int) -> int:
+        """``n - 1`` as a W-bit Java int: MIN - 1 wraps to MAX."""
+        return self.max_size if n == self.min_size else n - 1
+
     # -- capacity -----------------------------------------------------------
 
     def is_max_size(self) -> bool:
-        return self.size.value == self.max_size
+        return self.size == self.max_size
 
     def check_size(self) -> None:
         if self.is_max_size():
             raise IllegalStateError(
-                f"size {self.size.value} is at the {self.width}-bit maximum"
+                f"size {self.size} is at the {self.width}-bit maximum"
             )
 
     def _guard_growth(self) -> None:
@@ -130,7 +140,7 @@ class JavaLinkedList:
             self.first = node
         else:
             self.store.set_next(old_last, node)
-        self.size = inc(self.size)
+        self.size = self._inc(self.size)
         self.ghost.node_list.append(node)
 
     def link_first(self, item: Item) -> None:
@@ -142,7 +152,7 @@ class JavaLinkedList:
             self.last = node
         else:
             self.store.set_prev(old_first, node)
-        self.size = inc(self.size)
+        self.size = self._inc(self.size)
         self.ghost.node_list.insert(0, node)
 
     def link_before(self, item: Item, succ: NodeId) -> None:
@@ -157,7 +167,7 @@ class JavaLinkedList:
             self.first = node
         else:
             self.store.set_next(pred, node)
-        self.size = inc(self.size)
+        self.size = self._inc(self.size)
         nl = self.ghost.node_list
         try:
             nl.insert(nl.index(succ), node)
@@ -192,7 +202,7 @@ class JavaLinkedList:
         self.store.set_prev(x, None)
         self.store.set_item(x, NULL)
         self.store.set_next(x, None)
-        self.size = dec(self.size)
+        self.size = self._dec(self.size)
         if at_index:
             del nl[x_index]
         else:
@@ -217,17 +227,16 @@ class JavaLinkedList:
     # -- positional access --------------------------------------------------
 
     def node_at(self, index: int) -> NodeId:
-        """Bidirectional walk: from first when index < size/2 (arithmetic
-        halving), else backward from last. Callers must have range-checked
-        the index against the cached size."""
-        i = from_unbounded(index, self.width)
-        if i.value < half(self.size).value:
+        """Bidirectional walk: from first when index < size >> 1 (Java's
+        floor shift), else backward from last. Callers must have
+        range-checked the index against the cached size."""
+        if index < self.size >> 1:
             node = self.first
-            for _ in range(i.value):
+            for _ in range(index):
                 node = self.store.record(node).next
         else:
             node = self.last
-            for _ in range(self.size.value - 1 - i.value):
+            for _ in range(self.size - 1 - index):
                 node = self.store.record(node).prev
         if node is None:
             # the cached size promised more nodes than the links reach
@@ -237,12 +246,12 @@ class JavaLinkedList:
     def _check_element_index(self, index: int) -> None:
         # signed comparison against the cached size: a negative size makes
         # every element index invalid
-        if not 0 <= index < self.size.value:
-            raise IndexOutOfBoundsError(f"index {index}, size {self.size.value}")
+        if not 0 <= index < self.size:
+            raise IndexOutOfBoundsError(f"index {index}, size {self.size}")
 
     def _check_position_index(self, index: int) -> None:
-        if not 0 <= index <= self.size.value:
-            raise IndexOutOfBoundsError(f"index {index}, size {self.size.value}")
+        if not 0 <= index <= self.size:
+            raise IndexOutOfBoundsError(f"index {index}, size {self.size}")
 
     def get(self, index: int) -> Item:
         self._check_element_index(index)
@@ -257,7 +266,7 @@ class JavaLinkedList:
 
     def add_at(self, index: int, item: Item) -> None:
         self._check_position_index(index)
-        if index == self.size.value:
+        if index == self.size:
             self.link_last(item)
         else:
             self.link_before(item, self.node_at(index))
@@ -275,48 +284,46 @@ class JavaLinkedList:
     def size_field(self) -> JInt:
         """The raw cached size in both policies (the documented clamp
         lives in the oracle, not here)."""
-        return self.size
+        return JInt(self.size, self.width)
 
     def index_of(self, target: Item) -> JInt:
-        index = JInt(0, self.width)
+        index = 0
         node = self.first
         while node is not None:
             rec = self.store.record(node)
             if items_equal(target, rec.item):
-                return index
-            index = inc(index)
+                return JInt(index, self.width)
+            index = self._inc(index)
             node = rec.next
         return JInt(-1, self.width)
 
     def last_index_of(self, target: Item) -> JInt:
         index = self.size
         if "lastindexof-off-by-one" in self.faults:
-            index = dec(index)
+            index = self._dec(index)
         node = self.last
         while node is not None:
             if self.check_mode is CheckMode.FULL:
                 self._last_index_probe(index, node, target)
-            index = dec(index)
+            index = self._dec(index)
             if items_equal(target, self.store.record(node).item):
-                return index
+                return JInt(index, self.width)
             node = self.store.record(node).prev
         return JInt(-1, self.width)
 
-    def _last_index_probe(self, index: JInt, node: NodeId, target: Item) -> None:
+    def _last_index_probe(self, index: int, node: NodeId, target: Item) -> None:
         """Loop invariant of the backward search, checked at the head of
         each iteration: the counter stays in [1, size], the current node
         is the ghost entry at index-1, and nothing at or beyond ``index``
         matched."""
         nl = self.ghost.node_list
         violations = []
-        if not 1 <= index.value <= self.size.value:
-            violations.append(("probe", f"index {index.value} outside [1, {self.size.value}]"))
-        elif index.value - 1 >= len(nl) or nl[index.value - 1] != node:
-            violations.append(
-                ("probe", f"node {node} is not nodeList[{index.value - 1}]")
-            )
+        if not 1 <= index <= self.size:
+            violations.append(("probe", f"index {index} outside [1, {self.size}]"))
+        elif index - 1 >= len(nl) or nl[index - 1] != node:
+            violations.append(("probe", f"node {node} is not nodeList[{index - 1}]"))
         else:
-            for p in range(index.value, min(self.size.value, len(nl))):
+            for p in range(index, min(self.size, len(nl))):
                 if items_equal(target, self.store.record(nl[p]).item):
                     violations.append(("probe", f"unreported match at position {p}"))
                     break
@@ -365,7 +372,7 @@ class JavaLinkedList:
             ghost_pos += 1
         self.first = None
         self.last = None
-        self.size = JInt(0, self.width)
+        self.size = 0
         self.ghost.node_list.clear()
 
     def _clear_probe(self, node: NodeId, ghost_pos: int) -> None:
@@ -385,11 +392,11 @@ class JavaLinkedList:
             raise ContractViolation("clear.loop", violations)
 
     def to_array(self) -> list[Item]:
-        if self.size.value < 0:
-            raise NegativeArraySizeError(f"size {self.size.value}")
+        if self.size < 0:
+            raise NegativeArraySizeError(f"size {self.size}")
         out = []
         node = self.first
-        for _ in range(self.size.value):
+        for _ in range(self.size):
             rec = self.store.record(node)
             out.append(rec.item)
             node = rec.next

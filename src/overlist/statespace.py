@@ -9,7 +9,7 @@ import random
 
 from .ghostspec import GhostState
 from .heapmodel import NULL, Atom, Item
-from .jint import JInt, wrap
+from .jint import wrap
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, new_list
 
 SMALL_ALPHABET: tuple[Item, ...] = (NULL, Atom("a"), Atom("b"))
@@ -65,7 +65,7 @@ def _corrupt_one(rng: random.Random, lst: JavaLinkedList) -> None:
     some_id = rng.choice(nl) if nl else None
     unallocated = len(lst.store)  # a built list holds ids 0..n-1
     if choice == 0:
-        lst.size = JInt(wrap(lst.size.value + rng.choice((-2, -1, 1, 2)), lst.width), lst.width)
+        lst.size = wrap(lst.size + rng.choice((-2, -1, 1, 2)), lst.width)
     elif choice == 1:
         lst.first = some_id if rng.random() < 0.7 else None
     elif choice == 2:
@@ -100,7 +100,7 @@ def _scramble(rng: random.Random, width: int, n: int) -> JavaLinkedList:
         lst.store.set_next(nid, rng.choice(pool))
     lst.first = rng.choice(pool)
     lst.last = rng.choice(pool)
-    lst.size = JInt(wrap(rng.randint(-2, n + 2), width), width)
+    lst.size = wrap(rng.randint(-2, n + 2), width)
     ghost_len = rng.randint(0, n + 1)
     lst.ghost = GhostState([rng.choice(ids) for _ in range(ghost_len)] if ids else [])
     return lst

@@ -78,7 +78,7 @@ def nulls(count, policy=SizePolicy.UNCHECKED, width=8):
 @criterion(1, "size() returns -128 on a 128-element list at width 8")
 def test_criterion_01_size_flips_sign():
     lst = nulls(128)
-    assert lst.size.value == -128
+    assert lst.size == -128
     assert len(walk_chain(lst.store, lst.first)) == 128
     oracle = AbstractList((NULL,) * 128, 8, bounded=False)
     verdict, _ = oracle_apply(oracle, "size", ())
@@ -100,7 +100,7 @@ def test_criterion_02_get_breaks_and_failfast_guards():
             refused_at = k
             break
     assert refused_at == 128
-    assert guarded.size.value == 127
+    assert guarded.size == 127
     assert len(guarded.chain()) == 127  # the refused add mutated nothing
     assert check_invariant(guarded).ok
 
@@ -115,7 +115,7 @@ def test_criterion_03_to_array_breaks():
 def test_criterion_04_wrapped_to_zero_hides_element():
     lst = nulls(255)
     lst.add(MARKER)
-    assert lst.size.value == 0
+    assert lst.size == 0
     assert lst.index_of(MARKER).value == -1
     assert lst.contains(MARKER) is False
     chain = walk_chain(lst.store, lst.first)
@@ -223,7 +223,7 @@ def test_criterion_09_oracle_equivalence_below_bound():
 @criterion(10, "method contracts hold against brute-force semantics on all small lists")
 def test_criterion_10_contract_brute_force():
     for lst in enumerate_lists(max_len=6, check_mode=CheckMode.FULL):
-        n = lst.size.value
+        n = lst.size
         items = lst.items()
         indices = range(-1, n + 2)
         for op in OP_SPECS:

@@ -194,14 +194,14 @@ class TestCensus:
 
     def test_preparation_states(self):
         (s1, _), (s2, abs2) = build_overflow_states(8)
-        assert s1.size.value == -128 and len(s1.chain()) == 128
-        assert s2.size.value == 0 and len(s2.chain()) == 256
+        assert s1.size == -128 and len(s1.chain()) == 128
+        assert s2.size == 0 and len(s2.chain()) == 256
         assert s2.get_last() == MARKER
         assert len(abs2.items) == 256  # the oracle sees the true sequence
 
     def test_failfast_preparation_never_overflows(self):
         (s1, _), (s2, _) = build_overflow_states(8, SizePolicy.FAIL_FAST)
-        assert s1.size.value == 127 and s2.size.value == 127
+        assert s1.size == 127 and s2.size == 127
 
 
 class TestFaultVisibility:

@@ -29,7 +29,7 @@ from overlist.ghostspec import (
     run_checked,
 )
 from overlist.heapmodel import NULL, Atom, walk_chain
-from overlist.jint import JInt, max_value
+from overlist.jint import max_value
 from overlist.listcore import CheckMode, SizePolicy, new_list
 from overlist.statespace import build_list, random_state
 
@@ -48,7 +48,7 @@ class TestInvariantClauses:
 
     def test_c1_size_vs_ghost_length(self):
         lst = build_list([A, B])
-        lst.size = JInt(3, 8)
+        lst.size = 3
         report = check_invariant(lst)
         assert [cid for cid, _ in report.failures()] == ["C1"]
         assert "size=3" in report.clauses["C1"].witness
@@ -56,7 +56,7 @@ class TestInvariantClauses:
     def test_c3_ghost_entries_allocated(self):
         lst = build_list([A, B])
         lst.ghost.node_list.append(999)
-        lst.size = JInt(3, 8)  # keep C1 quiet to isolate C3
+        lst.size = 3  # keep C1 quiet to isolate C3
         failed = {cid for cid, _ in check_invariant(lst).failures()}
         assert "C3" in failed
 
@@ -75,7 +75,7 @@ class TestInvariantClauses:
         lst = build_list([A])
         nid = lst.ghost.node_list[0]
         lst.ghost.node_list.clear()
-        lst.size = JInt(0, 8)
+        lst.size = 0
         report = check_invariant(lst)
         assert not report.clauses["C4"].ok
         assert str(nid) in report.clauses["C4"].witness
@@ -126,12 +126,12 @@ def reference_check_invariant(state) -> dict:
     clauses = {}
     clauses["C1"] = (
         PASSED
-        if state.size.value == n
-        else ClauseResult(False, f"size={state.size.value} vs |nodeList|={n}")
+        if state.size == n
+        else ClauseResult(False, f"size={state.size} vs |nodeList|={n}")
     )
     cap = max_value(state.width).value
     clauses["C2"] = (
-        PASSED if state.size.value <= cap else ClauseResult(False, f"size={state.size.value} > {cap}")
+        PASSED if state.size <= cap else ClauseResult(False, f"size={state.size} > {cap}")
     )
     bad = next((i for i, nid in enumerate(nl) if nid not in store), None)
     clauses["C3"] = (
@@ -211,7 +211,7 @@ class TestBulkChecksMatchPerNodeReference:
             seen.update(cid for cid, c in report.items() if not c["ok"])
             if isinstance(outcome, tuple):
                 seen[outcome[0]] += 1
-        # every clause that a JInt size can break (C2 cannot: the cached
+        # every clause that a W-bit size can break (C2 cannot: the cached
         # size never exceeds its width's maximum) and both kinds of chain
         # corruption were exercised
         assert {"C1", "C3", "C4", "C5", "C6", "CycleDetected", "DanglingLink"} <= set(seen)
@@ -270,7 +270,7 @@ class TestCyclePropagation:
         lst.store.set_next(nb, na)
         lst.store.set_prev(na, nb)
         lst.first, lst.last = na, nb
-        lst.size = JInt(4, 8)
+        lst.size = 4
         lst.ghost.node_list[:] = [na, nb, na, nb]
         w = cycle_propagation_witness(lst, 0, 2)
         assert w.kind == "chain"
@@ -304,13 +304,13 @@ class TestFrameCheck:
 
     def test_header_write_reported(self):
         lst = build_list([A, B])
-        violations = framed(lst, lambda: setattr(lst, "size", JInt(5, 8)))
+        violations = framed(lst, lambda: setattr(lst, "size", 5))
         assert any("header size" in w for _, w in violations)
 
     def test_footprint_permits_declared_writes(self):
         lst = build_list([A, B])
         fp = Footprint(header_fields=frozenset({"size"}))
-        assert framed(lst, lambda: setattr(lst, "size", JInt(5, 8)), fp) == []
+        assert framed(lst, lambda: setattr(lst, "size", 5), fp) == []
 
     def test_unexpected_allocation_reported(self):
         lst = build_list([A])
@@ -374,7 +374,7 @@ class TestRunChecked:
 
     def test_broken_entry_state_is_harness_error(self):
         lst = checked_list([A, B])
-        lst.size = JInt(1, 8)
+        lst.size = 1
         with pytest.raises(UsageError):
             run_checked(lst, "size")
 

@@ -10,19 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from overlist.errors import UsageError
-from overlist.jint import (
-    WIDTHS,
-    JInt,
-    dec,
-    from_unbounded,
-    half,
-    inc,
-    max_value,
-    min_value,
-    to_unbounded,
-    wrap,
-    wrap_add,
-)
+from overlist.jint import WIDTHS, JInt, max_value, min_value, wrap
 
 
 def model_wrap(n: int, bits: int) -> int:
@@ -39,10 +27,11 @@ class TestFrozenExamples:
         assert min_value(32).value == -2147483648
 
     def test_overflow_at_max(self):
-        # MAX + 1 == MIN, the single fact everything else builds on
+        # MAX + 1 == MIN, the single fact everything else builds on (the
+        # list's own size arithmetic is tested in test_listcore)
         for w in WIDTHS:
-            assert inc(max_value(w)) == min_value(w)
-            assert dec(min_value(w)) == max_value(w)
+            assert wrap(max_value(w).value + 1, w) == min_value(w)
+            assert wrap(min_value(w).value - 1, w) == max_value(w)
 
     def test_wrap_frozen(self):
         assert wrap(128, 8) == -128
@@ -50,14 +39,6 @@ class TestFrozenExamples:
         assert wrap(256, 8) == 0
         assert wrap(-129, 8) == 127
         assert wrap(2147483648, 32) == -2147483648
-
-    def test_half_is_arithmetic_shift(self):
-        # Java's >> 1, which rounds toward negative infinity
-        assert half(JInt(5, 8)).value == 2
-        assert half(JInt(-1, 8)).value == -1
-        assert half(JInt(-5, 8)).value == -3
-        assert half(JInt(-128, 8)).value == -64
-        assert half(JInt(0, 8)).value == 0
 
 
 class TestConstruction:
@@ -75,7 +56,9 @@ class TestConstruction:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(UsageError):
-            wrap_add(JInt(1, 8), JInt(1, 16))
+            JInt(1, 8) < JInt(1, 16)
+        with pytest.raises(UsageError):
+            JInt(1, 8) >= JInt(1, 16)
 
     def test_eq_accepts_plain_int(self):
         assert JInt(42, 8) == 42
@@ -88,20 +71,15 @@ class TestExhaustiveWidth8:
     def test_add_matches_model(self):
         for a in range(-128, 128):
             for b in range(-128, 128):
-                got = wrap_add(JInt(a, 8), JInt(b, 8)).value
-                assert got == model_wrap(a + b, 8)
+                assert wrap(a + b, 8) == model_wrap(a + b, 8)
 
     def test_roundtrip_and_inverses(self):
         for a in range(-128, 128):
             j = JInt(a, 8)
-            assert to_unbounded(j) == a
-            assert from_unbounded(a, 8) == j
-            assert dec(inc(j)) == j
-            assert inc(dec(j)) == j
-
-    def test_half_matches_python_shift(self):
-        for a in range(-128, 128):
-            assert half(JInt(a, 8)).value == a >> 1
+            assert int(j) == j.value == a
+            assert JInt(wrap(a, 8), 8) == j
+            assert wrap(wrap(a + 1, 8) - 1, 8) == a
+            assert wrap(wrap(a - 1, 8) + 1, 8) == a
 
 
 @pytest.mark.parametrize("w", [16, 32])
@@ -111,7 +89,7 @@ class TestSampledWideWidths:
         lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
         a = data.draw(st.integers(lo, hi))
         b = data.draw(st.integers(lo, hi))
-        assert wrap_add(JInt(a, w), JInt(b, w)).value == model_wrap(a + b, w)
+        assert wrap(a + b, w) == model_wrap(a + b, w)
 
     @given(data=st.data())
     def test_wrap_is_identity_in_range(self, w, data):
@@ -122,8 +100,3 @@ class TestSampledWideWidths:
     def test_wrap_is_periodic(self, w, data):
         n = data.draw(st.integers(-(1 << (w + 2)), 1 << (w + 2)))
         assert wrap(n, w) == wrap(n + (1 << w), w)
-
-    @given(data=st.data())
-    def test_half_matches_floor_shift(self, w, data):
-        a = data.draw(st.integers(-(1 << (w - 1)), (1 << (w - 1)) - 1))
-        assert half(JInt(a, w)).value == a >> 1

@@ -152,7 +152,7 @@ class TestTrial:
         with lst.trial():
             lst.clear()
             lst.add_first(B)
-            assert lst.items() == [B] and lst.size.value == 1
+            assert lst.items() == [B] and lst.size == 1
         assert fingerprint(lst) == before
         assert lst.items() == [A, B, NULL]
 

@@ -9,14 +9,16 @@ stays intact; the fail-fast policy must refuse to get there at all.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overlist.difftest import prepare_overflow
 from overlist.errors import (
     IllegalStateError,
     IndexOutOfBoundsError,
+    ListError,
     NegativeArraySizeError,
     NoSuchElementError,
 )
 from overlist.heapmodel import NULL, Atom, walk_chain
-from overlist.jint import from_unbounded
+from overlist.jint import WIDTHS, JInt, max_value, min_value, wrap
 from overlist.listcore import CheckMode, SizePolicy, new_list
 from overlist.statespace import build_list
 
@@ -35,7 +37,7 @@ class TestBasicsBelowBound:
     def test_grows_in_order(self):
         lst = build_list([A, B, C])
         assert lst.items() == [A, B, C]
-        assert lst.size.value == 3
+        assert lst.size == 3
 
     def test_get_set(self):
         lst = build_list([A, B, C])
@@ -76,7 +78,7 @@ class TestBasicsBelowBound:
         lst = build_list([A, B])
         lst.clear()
         assert lst.items() == []
-        assert lst.size.value == 0
+        assert lst.size == 0
         assert lst.first is None and lst.last is None
 
     def test_to_array(self):
@@ -124,11 +126,11 @@ class TestErrorsAndAtomicity:
 
     def test_failed_ops_leave_state_unchanged(self):
         lst = build_list([A, B], check_mode=CheckMode.FULL)
-        before = (lst.items(), lst.size.value, list(lst.ghost.node_list))
+        before = (lst.items(), lst.size, list(lst.ghost.node_list))
         for call in (lambda: lst.get(5), lambda: lst.remove_at(-1)):
             with pytest.raises(IndexOutOfBoundsError):
                 call()
-            assert (lst.items(), lst.size.value, list(lst.ghost.node_list)) == before
+            assert (lst.items(), lst.size, list(lst.ghost.node_list)) == before
 
 
 class TestModelBased:
@@ -189,7 +191,7 @@ class TestModelBased:
             elif op == "to_array":
                 assert lst.to_array() == model
             else:
-                assert lst.size.value == len(model)
+                assert lst.size == len(model)
         assert lst.items() == model
 
     @settings(max_examples=50, deadline=None)
@@ -209,21 +211,78 @@ class TestCachedSizeVsChain:
         lst = fill_nulls(0)
         for n in range(1, 301):
             lst.add(NULL)
-            assert lst.size == from_unbounded(n, 8)
+            assert lst.size == wrap(n, 8)
             assert len(lst.chain()) == n
 
     def test_chain_survives_size_wrap(self):
         lst = fill_nulls(130)
-        assert lst.size.value == -126
+        assert lst.size == -126
         chain = walk_chain(lst.store, lst.first)
         assert len(chain) == 130
         assert chain == lst.ghost.node_list
 
 
+#: the operations of the int-size property's scripts
+SIZE_SCRIPT_OPS = (
+    "add", "add_first", "add_at", "remove_first", "remove_last", "remove_at",
+    "poll_first", "poll_last", "clear",
+)
+
+#: runs of one operation (op, repeat, index), so that width-8 scripts
+#: cross capacity; expanded and cut to at most 600 steps
+SIZE_SCRIPTS = st.lists(
+    st.tuples(st.sampled_from(SIZE_SCRIPT_OPS), st.integers(1, 300), st.integers(0, 300)),
+    max_size=12,
+).map(lambda runs: [(op, index) for op, k, index in runs for _ in range(k)][:600])
+
+
+class TestJavaIntSize:
+    """The cached size is a plain int kept in the signed W-bit range."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_max_plus_one_is_min(self, width):
+        # MAX + 1 == MIN and MIN - 1 == MAX, on the list's own arithmetic
+        lst = new_list(width, SizePolicy.UNCHECKED)
+        hi, lo = max_value(width).value, min_value(width).value
+        assert (lst.max_size, lst.min_size) == (hi, lo)
+        assert lst._inc(hi) == lo and lst._dec(lo) == hi
+        assert lst._inc(-1) == 0 and lst._dec(0) == -1
+
+    @pytest.mark.parametrize("width", (8, 16))
+    def test_remove_first_on_the_sign_flip_state_gives_max(self, width):
+        lst, _ = prepare_overflow(width, SizePolicy.UNCHECKED, wrap=False)
+        assert lst.size == min_value(width).value
+        lst.remove_first()
+        assert type(lst.size) is int and lst.size == max_value(width).value
+        assert lst.size_field() == JInt(lst.size, width)
+
+    @pytest.mark.parametrize("width", (8, 16))
+    def test_marker_unfindable_on_the_wrap_state(self, width):
+        lst, _ = prepare_overflow(width, SizePolicy.UNCHECKED, wrap=True)
+        assert lst.size == 0 and len(lst.chain()) == 1 << width
+        assert lst.index_of(MARKER) == JInt(-1, width)
+        assert lst.get_last() == MARKER
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SizePolicy), SIZE_SCRIPTS)
+    def test_size_stays_a_wrapped_int(self, policy, script):
+        lst = new_list(8, policy)
+        for op, index in script:
+            args = {"add": (B,), "add_first": (B,), "add_at": (index, A), "remove_at": (index,)}
+            try:
+                getattr(lst, op)(*args.get(op, ()))
+            except ListError:
+                pass
+            assert type(lst.size) is int
+            assert lst.size_field() == JInt(lst.size, 8)
+            if policy is SizePolicy.UNCHECKED:
+                assert lst.size == wrap(len(lst.chain()), 8)
+
+
 class TestOverflowedStates:
     def test_negative_size_state(self):
         lst = fill_nulls(128)
-        assert lst.size.value == -128
+        assert lst.size == -128
         with pytest.raises(IndexOutOfBoundsError):
             lst.get(0)
         with pytest.raises(NegativeArraySizeError):
@@ -234,7 +293,7 @@ class TestOverflowedStates:
     def test_zero_size_state_hides_marker(self):
         lst = fill_nulls(255)
         lst.add(MARKER)
-        assert lst.size.value == 0
+        assert lst.size == 0
         assert lst.index_of(MARKER).value == -1
         assert lst.contains(MARKER) is False
         assert lst.last_index_of(NULL).value == -2  # start index wrapped past 0
@@ -259,7 +318,7 @@ class TestFailFastGuard:
                      lambda: lst.add_last(A), lambda: lst.add_at(0, A)):
             with pytest.raises(IllegalStateError):
                 call()
-        assert lst.size.value == 127
+        assert lst.size == 127
         assert len(lst.chain()) == 127
 
     def test_check_size_below_capacity(self):
@@ -271,14 +330,14 @@ class TestFailFastGuard:
         lst = fill_nulls(127, SizePolicy.FAIL_FAST)
         lst.remove_first()
         lst.add(A)
-        assert lst.size.value == 127
+        assert lst.size == 127
         with pytest.raises(IllegalStateError):
             lst.add(B)
 
     def test_unchecked_never_raises_illegal_state(self):
         lst = fill_nulls(127)
         lst.add(A)
-        assert lst.size.value == -128
+        assert lst.size == -128
 
 
 class TestNodeWalk:
@@ -293,6 +352,16 @@ class TestNodeWalk:
         # but node_at itself (called with checks bypassed) walks relative
         # to the bogus size. This mirrors the upstream arithmetic.
         lst = fill_nulls(129)
-        assert lst.size.value == -127
+        assert lst.size == -127
         with pytest.raises(IndexOutOfBoundsError):
             lst.get(5)
+
+    def test_walk_direction_uses_floor_shift(self):
+        # with a cached size of 5 on a 7-node chain the two directions
+        # reach different nodes: indices below 5 >> 1 == 2 walk forward
+        # from first, the rest walk backward from last
+        items = [Atom(str(k)) for k in range(7)]
+        lst = build_list(items)
+        lst.size = 5
+        got = [lst.store.record(lst.node_at(i)).item for i in range(5)]
+        assert got == items[:2] + items[4:]
