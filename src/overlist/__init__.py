@@ -12,7 +12,7 @@ from .errors import (
     UsageError,
 )
 from .jint import WIDTHS, JInt, max_value, min_value, wrap
-from .heapmodel import NULL, Atom, Item, NodeRecord, NodeStore, is_chain, walk_chain
+from .heapmodel import NULL, Atom, Item, NodeRecord, NodeStore, walk_chain
 from .listcore import CheckMode, FAULTS, JavaLinkedList, SizePolicy, new_list
 from .ghostspec import (
     GhostState,
@@ -55,7 +55,6 @@ __all__ = [
     "Item",
     "NodeRecord",
     "NodeStore",
-    "is_chain",
     "walk_chain",
     "CheckMode",
     "FAULTS",

@@ -140,6 +140,63 @@ def check_invariant(state) -> InvariantReport:
     return InvariantReport(clauses)
 
 
+def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool:
+    """Whether the invariant holds after a call, checked only where the
+    call could have broken it. ``pre`` is the ghost on entry, where the
+    invariant held; ``journal`` is the call's closed store journal, which
+    holds every node write the call made.
+
+    The ghost must be unchanged, or have gained exactly the call's one
+    fresh node, or have lost one node the call wrote. Then a link pair
+    that was adjacent on entry and whose fields nobody wrote still agrees,
+    so C6 needs checking only at the edit site, at the written nodes and
+    at both ends (which also covers C5); ghost entries from entry are
+    still allocated (C3). True means the whole invariant holds; False
+    only means this argument does not apply, and ``check_invariant``
+    decides."""
+    n = len(state.ghost.node_list)
+    if state.size != n or state.size > state.max_size:  # C1, C2
+        return False
+    if n == 0:  # C4; C3, C5 and C6 hold vacuously
+        return state.first is None and state.last is None
+    post = tuple(state.ghost.node_list)
+    entries, fresh = journal
+    written = set(entries[::3])
+    if n == len(pre):
+        if fresh or post != pre:
+            return False
+        edit = ()
+    elif n == len(pre) + 1:
+        if len(fresh) != 1 or fresh.start not in post:
+            return False
+        p = post.index(fresh.start)
+        if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
+            return False
+        edit = (p - 1, p, p + 1)
+    elif n == len(pre) - 1 and not fresh:
+        for p in map(pre.index, written.intersection(pre)):
+            if post[:p] == pre[:p] and post[p:] == pre[p + 1 :]:
+                edit = (p - 1, p)
+                break
+        else:
+            return False
+    else:
+        return False
+    at = {0, n - 1, *edit}
+    at.update(map(post.index, written.intersection(post)))
+    at = sorted(i for i in at if 0 <= i < n)
+    try:
+        recs = state.store.records([post[i] for i in at])
+    except DanglingLink:
+        return False
+    for i, rec in zip(at, recs):
+        if rec.prev != (post[i - 1] if i else None):
+            return False
+        if rec.next != (post[i + 1] if i < n - 1 else None):
+            return False
+    return state.first == post[0] and state.last == post[-1]
+
+
 # ---------------------------------------------------------------------------
 # derived properties
 
@@ -279,11 +336,15 @@ class PreObservation:
     ghost: tuple[NodeId, ...]
 
 
-def observe(state) -> PreObservation:
-    ids = tuple(heapmodel.walk_chain(state.store, state.first))
+def observe(state, ghost_is_chain: bool = False) -> PreObservation:
+    """The pre-state a contract is judged against. The chain's ids come
+    from a walk, or from the ghost when ``ghost_is_chain``: a passing
+    invariant check has shown that the ghost is the chain."""
+    ghost = tuple(state.ghost.node_list)
+    ids = ghost if ghost_is_chain else tuple(heapmodel.walk_chain(state.store, state.first))
     items = tuple(map(attrgetter("item"), state.store.records(ids)))
     header = (state.first, state.last, state.size)
-    return PreObservation(items, ids, header, tuple(state.ghost.node_list))
+    return PreObservation(items, ids, header, ghost)
 
 
 @dataclass(frozen=True)
@@ -309,9 +370,13 @@ def contract_for(op: str, args: tuple) -> ContractRecord:
     return ContractRecord(f"{op}[{branch}]", op, branch, spec.footprint)
 
 
-def _post_vs_model(state, pre: PreObservation, op: str, args, outcome) -> list[tuple[str, str]]:
+def _post_vs_model(
+    state, pre: PreObservation, op: str, args, outcome, chain: tuple | None = None
+) -> list[tuple[str, str]]:
     """Check result and resulting chain contents against the documented
-    sequence semantics computed from the pre-state items."""
+    sequence semantics computed from the pre-state items. ``chain`` holds
+    the post-state's node ids when they are known; otherwise the chain is
+    walked."""
     from .listcore import SizePolicy
 
     abs_pre = AbstractList(pre.items, state.width, bounded=state.policy is SizePolicy.FAIL_FAST)
@@ -321,7 +386,10 @@ def _post_vs_model(state, pre: PreObservation, op: str, args, outcome) -> list[t
     violations = []
     if observe_equal(outcome, verdict) != "agree":
         violations.append(("post", f"result {outcome!r} != documented {verdict!r}"))
-    post_items = tuple(state.items())
+    if chain is None:
+        post_items = tuple(state.items())
+    else:
+        post_items = tuple(map(attrgetter("item"), state.store.records(chain)))
     if post_items != abs_post.items:
         violations.append(
             ("post", f"chain items {post_items!r} != documented {abs_post.items!r}")
@@ -339,7 +407,14 @@ def run_checked(state, op: str, args: tuple = ()):
     journal, are checked against the declared footprint (error outcomes
     must leave everything unchanged). Raises ContractViolation on any
     failed check; otherwise the wrapped operation's result (or
-    ListError) passes through unchanged."""
+    ListError) passes through unchanged.
+
+    Under FailFast the passing entry check vouches for the ghost, so the
+    pre-state is read from it rather than walked. The exit check is first
+    scoped to what the call's journal touched; when that vouches for the
+    ghost too, the post-state is read from it. Otherwise the chain is
+    walked and the full invariant is checked, so witnesses, chain
+    corruption errors and their order are those of the full check."""
     from .listcore import CheckMode, SizePolicy, apply_op
 
     if state.check_mode is not CheckMode.FULL:
@@ -351,7 +426,7 @@ def run_checked(state, op: str, args: tuple = ()):
         if not entry.ok:
             raise UsageError(f"invariant broken before {op}: {entry.failures()}")
 
-    pre = observe(state)
+    pre = observe(state, ghost_is_chain=failfast)
     fp = record.footprint(state, pre, args)
 
     err: ListError | None = None
@@ -366,11 +441,15 @@ def run_checked(state, op: str, args: tuple = ()):
     finally:
         journal = state.store.close_journal(mark)
 
-    violations = _post_vs_model(state, pre, op, args, outcome)
-    if failfast:
-        report = check_invariant(state)
-        if not report.ok:
-            violations.extend(("invariant", f"{cid}: {w}") for cid, w in report.failures())
+    if failfast and exit_invariant_holds(state, pre.ghost, journal):
+        chain = tuple(state.ghost.node_list)
+        violations = _post_vs_model(state, pre, op, args, outcome, chain)
+    else:
+        violations = _post_vs_model(state, pre, op, args, outcome)
+        if failfast:
+            report = check_invariant(state)
+            if not report.ok:
+                violations.extend(("invariant", f"{cid}: {w}") for cid, w in report.failures())
     effective_fp = fp if err is None else EMPTY_FOOTPRINT
     violations.extend(frame_check(pre, state, journal, effective_fp))
 

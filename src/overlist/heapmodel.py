@@ -249,24 +249,3 @@ def walk_chain(store: NodeStore, first: NodeId | None) -> list[NodeId]:
         seen.add(nid)
     # every allocated node was walked once and the next one is none of them
     raise DanglingLink(node)
-
-
-def is_chain(store: NodeStore, seq: list[NodeId]) -> bool:
-    """The four-clause chain definition; requires a non-empty sequence."""
-    n = len(seq)
-    if n == 0:
-        return False
-    for nid in seq:
-        if nid not in store:
-            raise UsageError(f"unallocated node {nid} in sequence")
-    if store.record(seq[0]).prev is not None:
-        return False
-    if store.record(seq[-1]).next is not None:
-        return False
-    for i in range(1, n):
-        if store.record(seq[i]).prev != seq[i - 1]:
-            return False
-    for i in range(n - 1):
-        if store.record(seq[i]).next != seq[i + 1]:
-            return False
-    return True

@@ -3,16 +3,17 @@
 import pytest
 
 from overlist.errors import ChainCorruption, CycleDetected, DanglingLink, UsageError
+from overlist.ghostspec import check_invariant
 from overlist.heapmodel import (
     NULL,
     Atom,
     NodeStore,
     diff,
-    is_chain,
     items_equal,
     snapshot,
     walk_chain,
 )
+from overlist.listcore import new_list
 
 A, B = Atom("a"), Atom("b")
 
@@ -144,6 +145,21 @@ class TestWalkChain:
         with pytest.raises(CycleDetected) as exc:
             walk_chain(store, n0)
         assert exc.value.node_id == n1
+
+
+def is_chain(store, seq):
+    """The four-clause chain definition over a non-empty sequence (first
+    prev absent, last next absent, prev and next links agree with the
+    sequence), read off invariant clauses C5 and C6 of a list whose ghost
+    is ``seq`` and whose header names its ends."""
+    if not seq:
+        return False
+    lst = new_list()
+    lst.store = store
+    lst.first, lst.last, lst.size = seq[0], seq[-1], len(seq)
+    lst.ghost.node_list[:] = seq
+    clauses = check_invariant(lst).clauses
+    return clauses["C5"].ok and clauses["C6"].ok
 
 
 class TestIsChain:
