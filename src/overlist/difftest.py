@@ -13,10 +13,18 @@ from itertools import chain, repeat
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, run_checked
-from .heapmodel import NULL, Atom, NullItem, items_equal
+from .heapmodel import NULL, Atom, NullItem
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
 from .ops import ALPHABET, GROWS, INDEX, ITEM, MARKER, OP_SPECS, RESET, SHRINKS, spec_of
-from .oracle import AbstractList, Verdict, normalize, observe_equal, oracle_add_all, oracle_apply
+from .oracle import (
+    AbstractList,
+    Verdict,
+    first_index,
+    normalize,
+    observe_equal,
+    oracle_add_all,
+    oracle_apply,
+)
 
 GENERATOR_VERSION = 1
 
@@ -352,7 +360,7 @@ def _probe_classification(
         if (
             method in ("index_of", "last_index_of")
             and outcome == ("value", -1)
-            and any(items_equal(args[0], it) for it in abs_state.items)
+            and first_index(abs_state.items, args[0]) is not None
         ):
             return "WrongValue"
         return "Unspecified-skip"

@@ -361,9 +361,7 @@ def contract_for(op: str, args: tuple) -> ContractRecord:
     """The contract branch a call takes: element-search operations carry
     one per equality branch (null argument = identity test, non-null =
     equals test), every other operation a single one."""
-    from .ops import spec_of
-
-    spec = spec_of(op)
+    spec = ops.spec_of(op)
     if not spec.equality_branches:
         return ContractRecord(op, op, None, spec.footprint)
     branch = "null" if isinstance(args[0], NullItem) else "non-null"
@@ -377,9 +375,8 @@ def _post_vs_model(
     sequence semantics computed from the pre-state items. ``chain`` holds
     the post-state's node ids when they are known; otherwise the chain is
     walked."""
-    from .listcore import SizePolicy
-
-    abs_pre = AbstractList(pre.items, state.width, bounded=state.policy is SizePolicy.FAIL_FAST)
+    failfast = state.policy is listcore.SizePolicy.FAIL_FAST
+    abs_pre = AbstractList(pre.items, state.width, bounded=failfast)
     verdict, abs_post = oracle_apply(abs_pre, op, args)
     if verdict.kind == "unspecified":
         return []
@@ -415,12 +412,10 @@ def run_checked(state, op: str, args: tuple = ()):
     ghost too, the post-state is read from it. Otherwise the chain is
     walked and the full invariant is checked, so witnesses, chain
     corruption errors and their order are those of the full check."""
-    from .listcore import CheckMode, SizePolicy, apply_op
-
-    if state.check_mode is not CheckMode.FULL:
+    if state.check_mode is not listcore.CheckMode.FULL:
         raise UsageError("run_checked requires check_mode=FULL")
     record = contract_for(op, args)
-    failfast = state.policy is SizePolicy.FAIL_FAST
+    failfast = state.policy is listcore.SizePolicy.FAIL_FAST
     if failfast:
         entry = check_invariant(state)
         if not entry.ok:
@@ -433,7 +428,7 @@ def run_checked(state, op: str, args: tuple = ()):
     result = None
     mark = state.store.open_journal()
     try:
-        result = apply_op(state, op, args)
+        result = listcore.apply_op(state, op, args)
         outcome = ("value", normalize(result))
     except ListError as e:
         err = e
@@ -458,3 +453,9 @@ def run_checked(state, op: str, args: tuple = ()):
     if err is not None:
         raise err
     return result
+
+
+# listcore and ops import this module, so they are bound only now, once the
+# names they take from it exist; calls look their functions up through the
+# modules, so a wrapper installed on a module attribute is seen
+from . import listcore, ops  # noqa: E402

@@ -14,7 +14,10 @@ only the reference that tests compare it with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
+from operator import eq
+from typing import Callable
 
 from .errors import CycleDetected, DanglingLink, UsageError
 
@@ -28,6 +31,16 @@ class NullItem:
     def __repr__(self) -> str:
         return "null"
 
+    # answers for Atom too, so a null compared with an atom (either way
+    # round) costs one call instead of two NotImplemented round trips
+    def __eq__(self, other):
+        cls = other.__class__
+        if cls is NullItem:
+            return True
+        if cls is Atom:
+            return False
+        return NotImplemented
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -37,6 +50,14 @@ class Atom:
 
     def __repr__(self) -> str:
         return self.token
+
+    def __eq__(self, other):
+        cls = other.__class__
+        if cls is Atom:
+            return self.token == other.token
+        if cls is NullItem:
+            return False
+        return NotImplemented
 
 
 NULL = NullItem()
@@ -49,6 +70,14 @@ def items_equal(target: Item, item: Item) -> bool:
     if isinstance(target, NullItem):
         return isinstance(item, NullItem)
     return target == item
+
+
+def item_test(target: Item) -> Callable[[Item], bool]:
+    """``items_equal(target, ·)`` as a one-argument test: a search makes
+    the null split once, not once per element it compares."""
+    if isinstance(target, NullItem):
+        return NullItem.__instancecheck__  # isinstance(item, NullItem)
+    return partial(eq, target)  # target == item
 
 
 @dataclass(slots=True)
@@ -82,16 +111,18 @@ class NodeStore:
     def ids(self):
         return self._records.keys()
 
-    def _require(self, node_id: NodeId, role: str) -> None:
-        if node_id is not None and node_id not in self._records:
-            raise UsageError(f"{role} refers to unallocated node {node_id}")
+    # alloc and the setters test their links inline rather than through a
+    # helper: an add makes an alloc and a set_next, so every call counts
 
     def alloc(self, prev: NodeId | None, item: Item, next: NodeId | None) -> NodeId:
-        self._require(prev, "prev")
-        self._require(next, "next")
+        records = self._records
+        if prev is not None and prev not in records:
+            raise UsageError(f"prev refers to unallocated node {prev}")
+        if next is not None and next not in records:
+            raise UsageError(f"next refers to unallocated node {next}")
         node_id = self._next_id
-        self._next_id += 1
-        self._records[node_id] = NodeRecord(prev, item, next)
+        self._next_id = node_id + 1
+        records[node_id] = NodeRecord(prev, item, next)
         return node_id
 
     def record(self, node_id: NodeId) -> NodeRecord:
@@ -109,17 +140,29 @@ class NodeStore:
             raise DanglingLink(e.args[0]) from None
 
     def set_prev(self, node_id: NodeId, prev: NodeId | None) -> None:
-        self._require(prev, "prev")
-        rec = self.record(node_id)
-        if self._journal is not None:
-            self._journal += (node_id, "prev", rec.prev)
+        records = self._records
+        if prev is not None and prev not in records:
+            raise UsageError(f"prev refers to unallocated node {prev}")
+        try:
+            rec = records[node_id]
+        except KeyError:
+            raise DanglingLink(node_id) from None
+        journal = self._journal
+        if journal is not None:
+            journal += (node_id, "prev", rec.prev)
         rec.prev = prev
 
     def set_next(self, node_id: NodeId, next: NodeId | None) -> None:
-        self._require(next, "next")
-        rec = self.record(node_id)
-        if self._journal is not None:
-            self._journal += (node_id, "next", rec.next)
+        records = self._records
+        if next is not None and next not in records:
+            raise UsageError(f"next refers to unallocated node {next}")
+        try:
+            rec = records[node_id]
+        except KeyError:
+            raise DanglingLink(node_id) from None
+        journal = self._journal
+        if journal is not None:
+            journal += (node_id, "next", rec.next)
         rec.next = next
 
     def set_item(self, node_id: NodeId, item: Item) -> None:
@@ -127,6 +170,21 @@ class NodeStore:
         if self._journal is not None:
             self._journal += (node_id, "item", rec.item)
         rec.item = item
+
+    def clear_node(self, node_id: NodeId) -> NodeId | None:
+        """Null all three fields of ``node_id``, journaled as ``set_prev``,
+        ``set_item`` and ``set_next`` in that order would journal them;
+        return the old ``next``, so a caller walking the chain can go on."""
+        rec = self.record(node_id)
+        old_next = rec.next
+        journal = self._journal
+        if journal is not None:
+            journal += (node_id, "prev", rec.prev, node_id, "item", rec.item,
+                        node_id, "next", old_next)
+        rec.prev = None
+        rec.item = NULL
+        rec.next = None
+        return old_next
 
     def open_journal(self) -> tuple[int, NodeId]:
         """Open a savepoint and return its mark: the journal length and

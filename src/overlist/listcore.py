@@ -31,7 +31,7 @@ from .errors import (
     UsageError,
 )
 from .ghostspec import GhostState
-from .heapmodel import NULL, Item, NodeId, NodeStore, NullItem, items_equal, walk_chain
+from .heapmodel import Item, NodeId, NodeStore, NullItem, item_test, items_equal, walk_chain
 from .jint import JInt, max_value, min_value
 
 
@@ -120,21 +120,20 @@ class JavaLinkedList:
         return self.size == self.max_size
 
     def check_size(self) -> None:
-        if self.is_max_size():
+        if self.size == self.max_size:
             raise IllegalStateError(
                 f"size {self.size} is at the {self.width}-bit maximum"
             )
 
-    def _guard_growth(self) -> None:
-        if self.policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in self.faults:
-            self.check_size()
-
     # -- linking ------------------------------------------------------------
+    # Each size-increasing entry point guards growth inline, so an add makes
+    # no call beyond check_size (FailFast), alloc, set_next and _inc.
 
     def link_last(self, item: Item) -> None:
-        self._guard_growth()
+        if self.policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in self.faults:
+            self.check_size()
         old_last = self.last
-        node = self.store.alloc(prev=old_last, item=item, next=None)
+        node = self.store.alloc(old_last, item, None)
         self.last = node
         if old_last is None:
             self.first = node
@@ -144,9 +143,10 @@ class JavaLinkedList:
         self.ghost.node_list.append(node)
 
     def link_first(self, item: Item) -> None:
-        self._guard_growth()
+        if self.policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in self.faults:
+            self.check_size()
         old_first = self.first
-        node = self.store.alloc(prev=None, item=item, next=old_first)
+        node = self.store.alloc(None, item, old_first)
         self.first = node
         if old_first is None:
             self.last = node
@@ -159,9 +159,10 @@ class JavaLinkedList:
         """Splice a new node in front of ``succ``."""
         if succ not in self.store:
             raise UsageError(f"succ {succ} not allocated")
-        self._guard_growth()
+        if self.policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in self.faults:
+            self.check_size()
         pred = self.store.record(succ).prev
-        node = self.store.alloc(prev=pred, item=item, next=succ)
+        node = self.store.alloc(pred, item, succ)
         self.store.set_prev(succ, node)
         if pred is None:
             self.first = node
@@ -199,9 +200,7 @@ class JavaLinkedList:
         elif relink:
             self.store.set_prev(succ, pred)
 
-        self.store.set_prev(x, None)
-        self.store.set_item(x, NULL)
-        self.store.set_next(x, None)
+        self.store.clear_node(x)
         self.size = self._dec(self.size)
         if at_index:
             del nl[x_index]
@@ -230,14 +229,15 @@ class JavaLinkedList:
         """Bidirectional walk: from first when index < size >> 1 (Java's
         floor shift), else backward from last. Callers must have
         range-checked the index against the cached size."""
+        record = self.store.record
         if index < self.size >> 1:
             node = self.first
             for _ in range(index):
-                node = self.store.record(node).next
+                node = record(node).next
         else:
             node = self.last
             for _ in range(self.size - 1 - index):
-                node = self.store.record(node).prev
+                node = record(node).prev
         if node is None:
             # the cached size promised more nodes than the links reach
             raise DanglingLink(None)
@@ -286,14 +286,20 @@ class JavaLinkedList:
         lives in the oracle, not here)."""
         return JInt(self.size, self.width)
 
+    # The element searches bind the store's record lookup and the element
+    # test (items_equal with its null split made once) before their loops.
+
     def index_of(self, target: Item) -> JInt:
+        matches = item_test(target)
+        record = self.store.record
+        inc = self._inc
         index = 0
         node = self.first
         while node is not None:
-            rec = self.store.record(node)
-            if items_equal(target, rec.item):
+            rec = record(node)
+            if matches(rec.item):
                 return JInt(index, self.width)
-            index = self._inc(index)
+            index = inc(index)
             node = rec.next
         return JInt(-1, self.width)
 
@@ -301,14 +307,19 @@ class JavaLinkedList:
         index = self.size
         if "lastindexof-off-by-one" in self.faults:
             index = self._dec(index)
+        matches = item_test(target)
+        record = self.store.record
+        dec = self._dec
+        probed = self.check_mode is CheckMode.FULL
         node = self.last
         while node is not None:
-            if self.check_mode is CheckMode.FULL:
+            if probed:
                 self._last_index_probe(index, node, target)
-            index = self._dec(index)
-            if items_equal(target, self.store.record(node).item):
+            index = dec(index)
+            rec = record(node)
+            if matches(rec.item):
                 return JInt(index, self.width)
-            node = self.store.record(node).prev
+            node = rec.prev
         return JInt(-1, self.width)
 
     def _last_index_probe(self, index: int, node: NodeId, target: Item) -> None:
@@ -337,20 +348,24 @@ class JavaLinkedList:
         return self.remove_first_occurrence(target)
 
     def remove_first_occurrence(self, target: Item) -> bool:
+        matches = item_test(target)
+        record = self.store.record
         node = self.first
         while node is not None:
-            rec = self.store.record(node)
-            if items_equal(target, rec.item):
+            rec = record(node)
+            if matches(rec.item):
                 self.unlink(node)
                 return True
             node = rec.next
         return False
 
     def remove_last_occurrence(self, target: Item) -> bool:
+        matches = item_test(target)
+        record = self.store.record
         node = self.last
         while node is not None:
-            rec = self.store.record(node)
-            if items_equal(target, rec.item):
+            rec = record(node)
+            if matches(rec.item):
                 self.unlink(node)
                 return True
             node = rec.prev
@@ -358,17 +373,14 @@ class JavaLinkedList:
 
     def clear(self) -> None:
         """Unlink every node, clearing its fields; records stay allocated."""
+        clear_node = self.store.clear_node
+        probed = self.check_mode is CheckMode.FULL
         node = self.first
         ghost_pos = 0
         while node is not None:
-            if self.check_mode is CheckMode.FULL:
+            if probed:
                 self._clear_probe(node, ghost_pos)
-            rec = self.store.record(node)
-            nxt = rec.next
-            self.store.set_prev(node, None)
-            self.store.set_item(node, NULL)
-            self.store.set_next(node, None)
-            node = nxt
+            node = clear_node(node)
             ghost_pos += 1
         self.first = None
         self.last = None
@@ -394,10 +406,11 @@ class JavaLinkedList:
     def to_array(self) -> list[Item]:
         if self.size < 0:
             raise NegativeArraySizeError(f"size {self.size}")
+        record = self.store.record
         out = []
         node = self.first
         for _ in range(self.size):
-            rec = self.store.record(node)
+            rec = record(node)
             out.append(rec.item)
             node = rec.next
         return out

@@ -20,9 +20,10 @@ Two comparison modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .errors import UsageError
-from .heapmodel import Item, items_equal
+from .heapmodel import Item, item_test
 from .jint import JInt
 
 
@@ -73,18 +74,18 @@ def normalize(v):
     return v
 
 
+# The searches run ``item_test(target)`` over the items at C level; the
+# last one reads the sequence backwards in place, copying nothing.
+
 def first_index(items, target):
-    for i, it in enumerate(items):
-        if items_equal(target, it):
-            return i
-    return None
+    """Position of the first element ``items_equal`` to ``target``, or None."""
+    return next(compress(count(), map(item_test(target), items)), None)
 
 
 def last_index(items, target):
-    for i in range(len(items) - 1, -1, -1):
-        if items_equal(target, items[i]):
-            return i
-    return None
+    """Position of the last element ``items_equal`` to ``target``, or None."""
+    hits = compress(count(len(items) - 1, -1), map(item_test(target), reversed(items)))
+    return next(hits, None)
 
 
 def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, AbstractList]:

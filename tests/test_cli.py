@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text shape, JSON stability."""
 
 import functools
+import hashlib
 import json
 
 import pytest
@@ -49,6 +50,33 @@ class TestRepro:
 
     def test_bad_case_is_usage_error(self):
         assert main(["repro", "9"]) == 2
+
+
+#: SHA-256 over the standard output of ``repro 1`` ... ``repro 5`` in turn,
+#: or of ``census``, at width 8; keyed by (command, --fixed, --format)
+GOLDEN_OUTPUTS = {
+    ("repro", False, "text"): "ad46787df987bfc8f81f5a3f4480ad16329961078e71e579017743bea0891fb2",
+    ("repro", False, "json"): "9311d386116f2bbd2109c3061e527c88668044151ee8d987fe8ead41f3c69d79",
+    ("repro", True, "text"): "d28c84f5826c82691784c3a6269f9aff3197e4238003ee8de3afaa33271f9981",
+    ("repro", True, "json"): "d3b279758dfeaa1ceccf44f1a630dba2b20cb929e836d2eeccabffd7111463b0",
+    ("census", False, "text"): "aa78079b6990d616735889276e0bd1da70c7016fc5261a4075ae818b92824462",
+    ("census", False, "json"): "4acbbd1412dd22dd977c8992929d9f12b2a760999f36b3043ff1115ee6fd212f",
+    ("census", True, "text"): "397212786221ef5b9e37780c6c637bb631ae4c0662f64d7aa3f27c40be49857e",
+    ("census", True, "json"): "91b26218909f7fb1b343ceabc0f0409303ef8678a4432300346833e7c29529da",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_OUTPUTS),
+                         ids=lambda k: f"{k[0]}{'-fixed' if k[1] else ''}-{k[2]}")
+def test_outputs_are_byte_identical(key, capsys):
+    """The reproduction's reports stay byte-for-byte what they were."""
+    command, fixed, fmt = key
+    h = hashlib.sha256()
+    for case in (["1", "2", "3", "4", "5"] if command == "repro" else [None]):
+        argv = [command, *([case] if case else []), "--width", "8", "--format", fmt]
+        assert main(argv + (["--fixed"] if fixed else [])) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == GOLDEN_OUTPUTS[key]
 
 
 class TestCensusCommand:

@@ -6,8 +6,12 @@ endpoints) must follow from the invariant, which is checked here on
 hand-built states and exhaustively elsewhere.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +32,7 @@ from overlist.ghostspec import (
     observe,
     run_checked,
 )
+from overlist import listcore, ops
 from overlist.heapmodel import NULL, Atom, walk_chain
 from overlist.jint import max_value
 from overlist.listcore import CheckMode, SizePolicy, new_list
@@ -351,6 +356,34 @@ class TestContracts:
     def test_unknown_operation_rejected(self):
         with pytest.raises(UsageError):
             contract_for("sort", ())
+
+
+class TestModuleBindings:
+    """ghostspec binds listcore and ops once, at the end of its own import,
+    and looks their functions up through the modules at call time."""
+
+    @pytest.mark.parametrize("first", ["overlist.ghostspec", "overlist.ops", "overlist.listcore"])
+    def test_each_module_can_be_imported_first(self, first):
+        code = (
+            f"import {first}\n"
+            "from overlist import ghostspec, heapmodel, listcore, ops\n"
+            "assert ghostspec.listcore is listcore and ghostspec.ops is ops\n"
+            "lst = listcore.new_list(8, listcore.SizePolicy.FAIL_FAST, listcore.CheckMode.FULL)\n"
+            "assert ghostspec.run_checked(lst, 'add', (heapmodel.NULL,)) is True\n"
+            "assert ghostspec.run_checked(lst, 'index_of', (heapmodel.NULL,)).value == 0\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_calls_see_functions_replaced_on_the_modules(self, monkeypatch):
+        seen = []
+        apply_op, spec_of = listcore.apply_op, ops.spec_of
+        monkeypatch.setattr(listcore, "apply_op", lambda *a: seen.append("apply") or apply_op(*a))
+        monkeypatch.setattr(ops, "spec_of", lambda op: seen.append("spec") or spec_of(op))
+        assert run_checked(checked_list([A]), "get", (0,)) == A
+        assert seen == ["spec", "apply"]
 
 
 class TestRunChecked:

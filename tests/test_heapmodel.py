@@ -1,5 +1,7 @@
 """Explicit heap model: node store, chain walking, snapshot diffs."""
 
+from unittest import mock
+
 import pytest
 
 from overlist.errors import ChainCorruption, CycleDetected, DanglingLink, UsageError
@@ -8,6 +10,7 @@ from overlist.heapmodel import (
     NULL,
     Atom,
     NodeStore,
+    NullItem,
     diff,
     items_equal,
     snapshot,
@@ -42,6 +45,29 @@ class TestItems:
     def test_repr(self):
         assert repr(NULL) == "null"
 
+    def test_equality_both_ways(self):
+        assert Atom("a") == Atom("a") and not Atom("a") != Atom("a")
+        assert Atom("a") != Atom("b") and Atom("b") != Atom("a")
+        assert NullItem() == NullItem() and NullItem() == NULL and NULL == NullItem()
+        for x, y in ((Atom("a"), NullItem()), (NullItem(), Atom("a"))):
+            assert not x == y and x != y
+
+    def test_atom_and_null_answer_each_other_in_one_call(self):
+        assert Atom("a").__eq__(NULL) is False
+        assert NULL.__eq__(Atom("a")) is False
+        assert Atom("a").__eq__(Atom("a")) is True
+
+    def test_foreign_types_are_left_to_the_other_operand(self):
+        for item in (Atom("a"), NULL):
+            assert item.__eq__("a") is NotImplemented
+            assert item != "a" and "a" != item and item != "null"
+            assert item == mock.ANY and mock.ANY == item
+
+    def test_equal_items_hash_equal(self):
+        assert hash(Atom("a")) == hash(Atom("a")) == hash(("a",))
+        assert hash(NullItem()) == hash(NULL) == hash(())
+        assert len({Atom("a"), Atom("a"), NullItem(), NULL}) == 2
+
 
 class TestNodeStore:
     def test_ids_monotone_never_reused(self):
@@ -61,6 +87,31 @@ class TestNodeStore:
             store.record(0)
         with pytest.raises(UsageError):
             store.alloc(99, A, None)
+
+    def test_link_checks_name_the_role(self):
+        store, [n0, n1, n2] = three_chain()
+        for call, message in (
+            (lambda: store.alloc(99, A, None), "prev refers to unallocated node 99"),
+            (lambda: store.alloc(None, A, 98), "next refers to unallocated node 98"),
+            (lambda: store.set_prev(n1, 97), "prev refers to unallocated node 97"),
+            (lambda: store.set_next(n1, 96), "next refers to unallocated node 96"),
+        ):
+            with pytest.raises(UsageError) as info:
+                call()
+            assert str(info.value) == message
+        assert len(store) == 3 and store.record(n1).prev == n0 and store.record(n1).next == n2
+        for call in (lambda: store.set_prev(95, None), lambda: store.set_next(95, None),
+                     lambda: store.clear_node(95)):
+            with pytest.raises(DanglingLink) as info:
+                call()
+            assert info.value.node_id == 95
+
+    def test_clear_node_nulls_all_three_fields(self):
+        store, [n0, n1, n2] = three_chain()
+        assert store.clear_node(n1) == n2
+        rec = store.record(n1)
+        assert (rec.prev, rec.item, rec.next) == (None, NULL, None)
+        assert store.clear_node(n1) is None
 
     def test_cleared_nodes_persist(self):
         # unlinked nodes stay in the store; the model never frees

@@ -363,3 +363,68 @@ class TestRunCheckedClosesTheJournal:
         assert lst.store._journal is None
         run_checked(lst, "add_first", (B,))
         assert lst.items()[0] == B
+
+
+def setter_unlink(lst, x, relink=True):
+    """The store writes of unlinking ``x`` with one setter per field: the
+    relinks, then prev, item and next of ``x``."""
+    store = lst.store
+    rec = store.record(x)
+    pred, succ = rec.prev, rec.next
+    if pred is not None and relink:
+        store.set_next(pred, succ)
+    if succ is not None and relink:
+        store.set_prev(succ, pred)
+    store.set_prev(x, None)
+    store.set_item(x, NULL)
+    store.set_next(x, None)
+
+
+class TestClearingJournalsLikeTheSetters:
+    """``unlink`` and ``clear`` null a node's fields in one store call; the
+    journal reads as if the three setters had run in prev, item, next
+    order, and a rollback restores the list."""
+
+    ITEMS = (A, B, NULL, A, B)
+
+    def journaled(self, lst, body):
+        mark = lst.store.open_journal()
+        body()
+        entries, fresh = lst.store.close_journal(mark)
+        return entries, fresh
+
+    @pytest.mark.parametrize("faults", [frozenset(), frozenset({"unlink-skip-relink"})])
+    @pytest.mark.parametrize("position", range(len(ITEMS)))
+    def test_unlink(self, faults, position):
+        lst, twin = (new_list(8, SizePolicy.UNCHECKED, faults=faults) for _ in range(2))
+        for x in self.ITEMS:
+            lst.add(x)
+            twin.add(x)
+        reference = fingerprint(lst)
+        x = lst.chain()[position]
+        with lst.trial():
+            entries = self.journaled(lst, lambda: lst.unlink(x))
+        assert fingerprint(lst) == reference
+
+        relink = "unlink-skip-relink" not in faults
+        assert entries == self.journaled(twin, lambda: setter_unlink(twin, x, relink))
+
+    @pytest.mark.parametrize("check_mode", [CheckMode.OFF, CheckMode.FULL])
+    def test_clear(self, check_mode):
+        lst, twin = (new_list(8, SizePolicy.FAIL_FAST, check_mode) for _ in range(2))
+        for x in self.ITEMS:
+            lst.add(x)
+            twin.add(x)
+        reference = fingerprint(lst)
+        with lst.trial():
+            entries = self.journaled(lst, lst.clear)
+            assert lst.items() == [] and lst.size == 0
+        assert fingerprint(lst) == reference
+
+        def setters():
+            for node in twin.chain():
+                twin.store.set_prev(node, None)
+                twin.store.set_item(node, NULL)
+                twin.store.set_next(node, None)
+
+        assert entries == self.journaled(twin, setters)
