@@ -179,8 +179,12 @@ class NodeStore:
         old_next = rec.next
         journal = self._journal
         if journal is not None:
-            journal += (node_id, "prev", rec.prev, node_id, "item", rec.item,
-                        node_id, "next", old_next)
+            # three extends, as the setters make them: one 9-slot extend
+            # grows the list differently and raised the census's peak RSS
+            # on the width-16 wrap state by about 0.3 MB
+            journal += (node_id, "prev", rec.prev)
+            journal += (node_id, "item", rec.item)
+            journal += (node_id, "next", old_next)
         rec.prev = None
         rec.item = NULL
         rec.next = None
