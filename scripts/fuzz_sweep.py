@@ -23,10 +23,10 @@ def main():
     parser.add_argument("--length", type=int, default=400)
     parser.add_argument("--widths", type=int, nargs="+", default=[8])
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--check-mode", choices=("off", "invariant", "full"),
+    parser.add_argument("--check-mode", choices=[m.value for m in CheckMode],
                         default="invariant")
     args = parser.parse_args()
-    mode = CheckMode[args.check_mode.upper()]
+    mode = CheckMode(args.check_mode)
 
     for width in args.widths:
         tally = collections.Counter()

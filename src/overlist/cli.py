@@ -32,8 +32,6 @@ from .jint import WIDTHS, max_value, min_value
 from .listcore import CheckMode, SizePolicy
 from .statespace import enumerate_lists, random_state
 
-CHECK_MODES = {"off": CheckMode.OFF, "invariant": CheckMode.INVARIANT, "full": CheckMode.FULL}
-
 
 def _emit(report: dict, text: str, fmt: str, out: str | None) -> None:
     payload = json.dumps(report, indent=2) + "\n" if fmt == "json" else text
@@ -191,7 +189,7 @@ def cmd_census(args) -> int:
 
 def cmd_fuzz(args) -> int:
     seed = _default_seed(args)
-    check_mode = CHECK_MODES[args.check_mode]
+    check_mode = CheckMode(args.check_mode)
     script_len = 100
     remaining = args.ops
     unchecked_divergences = 0
@@ -229,7 +227,7 @@ def cmd_replay(args) -> int:
     except (OSError, ValueError, UsageError) as e:
         print(f"cannot load script: {e}", file=sys.stderr)
         return 2
-    result = run_script(script, check_mode=CHECK_MODES[args.check_mode])
+    result = run_script(script, check_mode=CheckMode(args.check_mode))
     for policy in ("unchecked", "failfast"):
         divs = result.divergences[policy]
         print(f"{policy}: {len(divs)} divergences")
@@ -307,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="random differential scripts")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ops", type=non_negative_int, default=10000)
-    p.add_argument("--check-mode", choices=tuple(CHECK_MODES), default="invariant")
+    p.add_argument("--check-mode", choices=[m.value for m in CheckMode], default="invariant")
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("replay", help="re-run a saved JSON Lines script")
     p.add_argument("path")
-    p.add_argument("--check-mode", choices=tuple(CHECK_MODES), default="off")
+    p.add_argument("--check-mode", choices=[m.value for m in CheckMode], default="off")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("check", help="invariant and implication property battery")

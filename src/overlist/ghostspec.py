@@ -1,34 +1,24 @@
-"""Executable specification layer: ghost state, the six-clause class
-invariant, derived acyclicity / unique-endpoint properties, heap frame
-checking, and a contract harness that wraps list operations with
-pre/post/invariant/frame checks.
+"""Executable specification layer: the six-clause class invariant over
+the list's ghost state, derived acyclicity / unique-endpoint properties,
+heap frame checking, and a contract harness that wraps list operations
+with pre/post/invariant/frame checks.
 
-The ghost ``node_list`` mirrors the chain as a sequence of node ids. It
-is bookkeeping only: production logic never reads it to make decisions,
-and every check here evaluates it directly against the header and the
-node store.
+The ghost ``node_list`` (``listcore.GhostState``) mirrors the chain as a
+sequence of node ids. It is bookkeeping only: production logic never
+reads it to make decisions, and every check here evaluates it directly
+against the header and the node store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable
 
-from . import heapmodel
+from . import heapmodel, listcore, ops
 from .errors import ContractViolation, DanglingLink, ListError, UsageError
 from .heapmodel import NodeId, NullItem
+from .ops import EMPTY_FOOTPRINT, Footprint
 from .oracle import AbstractList, normalize, observe_equal, oracle_apply
-
-
-@dataclass
-class GhostState:
-    """Specification-only sequence of the chain's node ids."""
-
-    node_list: list[NodeId] = field(default_factory=list)
-
-    def copy(self) -> "GhostState":
-        return GhostState(list(self.node_list))
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +271,6 @@ def cycle_propagation_witness(state, i: int, j: int) -> CyclePropagation:
 # frames
 
 
-@dataclass(frozen=True)
-class Footprint:
-    """Locations an operation is allowed to modify."""
-
-    node_fields: frozenset[tuple[NodeId, str]] = frozenset()
-    header_fields: frozenset[str] = frozenset()
-    ghost: bool = False
-    fresh: bool = False
-
-
-EMPTY_FOOTPRINT = Footprint()
-
-
 _HEADER_NAMES = ("first", "last", "size")
 
 
@@ -347,25 +324,13 @@ def observe(state, ghost_is_chain: bool = False) -> PreObservation:
     return PreObservation(items, ids, header, ghost)
 
 
-@dataclass(frozen=True)
-class ContractRecord:
-    """One behavioral branch of a public operation's contract."""
-
-    name: str
-    op: str
-    branch: str | None  # "null" / "non-null" for element-search ops
-    footprint: Callable
-
-
-def contract_for(op: str, args: tuple) -> ContractRecord:
-    """The contract branch a call takes: element-search operations carry
-    one per equality branch (null argument = identity test, non-null =
-    equals test), every other operation a single one."""
-    spec = ops.spec_of(op)
-    if not spec.equality_branches:
-        return ContractRecord(op, op, None, spec.footprint)
-    branch = "null" if isinstance(args[0], NullItem) else "non-null"
-    return ContractRecord(f"{op}[{branch}]", op, branch, spec.footprint)
+def contract_for(op: str, args: tuple) -> str:
+    """The name of the contract branch a call takes: element-search
+    operations carry one per equality branch (null argument = identity
+    test, non-null = equals test), every other operation a single one."""
+    if not ops.spec_of(op).equality_branches:
+        return op
+    return f"{op}[null]" if isinstance(args[0], NullItem) else f"{op}[non-null]"
 
 
 def _post_vs_model(
@@ -414,7 +379,7 @@ def run_checked(state, op: str, args: tuple = ()):
     corruption errors and their order are those of the full check."""
     if state.check_mode is not listcore.CheckMode.FULL:
         raise UsageError("run_checked requires check_mode=FULL")
-    record = contract_for(op, args)
+    contract = contract_for(op, args)
     failfast = state.policy is listcore.SizePolicy.FAIL_FAST
     if failfast:
         entry = check_invariant(state)
@@ -422,7 +387,7 @@ def run_checked(state, op: str, args: tuple = ()):
             raise UsageError(f"invariant broken before {op}: {entry.failures()}")
 
     pre = observe(state, ghost_is_chain=failfast)
-    fp = record.footprint(state, pre, args)
+    fp = ops.OP_SPECS[op].footprint(state, pre, args)
 
     err: ListError | None = None
     result = None
@@ -449,13 +414,7 @@ def run_checked(state, op: str, args: tuple = ()):
     violations.extend(frame_check(pre, state, journal, effective_fp))
 
     if violations:
-        raise ContractViolation(record.name, violations)
+        raise ContractViolation(contract, violations)
     if err is not None:
         raise err
     return result
-
-
-# listcore and ops import this module, so they are bound only now, once the
-# names they take from it exist; calls look their functions up through the
-# modules, so a wrapper installed on a module attribute is seen
-from . import listcore, ops  # noqa: E402

@@ -6,10 +6,13 @@ any size-increasing operation at capacity with an IllegalState error,
 before touching the list. One code path serves both: the fix only adds a
 capacity check on the size-increasing entry points.
 
-A ghost sequence of node ids shadows the chain for the specification
-layer. Ghost bookkeeping locates nodes by identity, so it stays equal to
-the actual chain even when the cached size has wrapped. Production logic
-never reads it.
+A ghost sequence of node ids (``GhostState``) shadows the chain for the
+specification layer. Ghost bookkeeping locates nodes by identity, so it
+stays equal to the actual chain even when the cached size has wrapped.
+Production logic never reads it.
+
+``OPS`` maps each operation name to its method; it is derived from the
+rows of ``ops.OP_SPECS``, so an operation is named in one place.
 
 For mutation-sensitivity experiments, known faults can be injected at
 construction via ``faults`` (see FAULTS).
@@ -18,8 +21,10 @@ construction via ``faults`` (see FAULTS).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
+from typing import Callable
 
 from .errors import (
     ContractViolation,
@@ -30,9 +35,9 @@ from .errors import (
     NoSuchElementError,
     UsageError,
 )
-from .ghostspec import GhostState
-from .heapmodel import Item, NodeId, NodeStore, NullItem, item_test, items_equal, walk_chain
+from .heapmodel import Item, NodeId, NodeStore, NullItem, item_test, walk_chain
 from .jint import JInt, max_value, min_value
+from .ops import OP_SPECS
 
 
 class SizePolicy(Enum):
@@ -52,6 +57,16 @@ FAULTS = (
     "add-skip-checksize",  # FailFast adds skip the capacity check
     "lastindexof-off-by-one",  # backward search starts one position low
 )
+
+
+@dataclass
+class GhostState:
+    """Specification-only sequence of the chain's node ids."""
+
+    node_list: list[NodeId] = field(default_factory=list)
+
+    def copy(self) -> "GhostState":
+        return GhostState(list(self.node_list))
 
 
 class JavaLinkedList:
@@ -314,7 +329,7 @@ class JavaLinkedList:
         node = self.last
         while node is not None:
             if probed:
-                self._last_index_probe(index, node, target)
+                self._last_index_probe(index, node, matches)
             index = dec(index)
             rec = record(node)
             if matches(rec.item):
@@ -322,22 +337,22 @@ class JavaLinkedList:
             node = rec.prev
         return JInt(-1, self.width)
 
-    def _last_index_probe(self, index: int, node: NodeId, target: Item) -> None:
+    def _last_index_probe(self, index: int, node: NodeId, matches: Callable[[Item], bool]) -> None:
         """Loop invariant of the backward search, checked at the head of
         each iteration: the counter stays in [1, size], the current node
         is the ghost entry at index-1, and nothing at or beyond ``index``
-        matched."""
+        matched. Only position ``index`` needs testing: at the first head
+        index >= size - 1, so nothing lies above it, and each later head
+        follows a passing head one position higher whose node did not
+        match; the search writes nothing, so size, ghost and items stay."""
         nl = self.ghost.node_list
         violations = []
         if not 1 <= index <= self.size:
             violations.append(("probe", f"index {index} outside [1, {self.size}]"))
         elif index - 1 >= len(nl) or nl[index - 1] != node:
             violations.append(("probe", f"node {node} is not nodeList[{index - 1}]"))
-        else:
-            for p in range(index, min(self.size, len(nl))):
-                if items_equal(target, self.store.record(nl[p]).item):
-                    violations.append(("probe", f"unreported match at position {p}"))
-                    break
+        elif index < min(self.size, len(nl)) and matches(self.store.record(nl[index]).item):
+            violations.append(("probe", f"unreported match at position {index}"))
         if violations:
             raise ContractViolation("last_index_of.loop", violations)
 
@@ -390,16 +405,19 @@ class JavaLinkedList:
     def _clear_probe(self, node: NodeId, ghost_pos: int) -> None:
         """Loop invariant of clear(): everything before the ghost index is
         already cleared and the current node is the ghost entry there
-        (i.e. the successor of the previous iteration's node)."""
+        (i.e. the successor of the previous iteration's node). Only
+        position ghost_pos-1 needs testing: each head follows a passing
+        head that vouched for the positions before it, and the loop
+        writes only nulls, into the node it clears; size and ghost stay."""
         nl = self.ghost.node_list
         violations = []
         if ghost_pos >= len(nl) or nl[ghost_pos] != node:
             violations.append(("probe", f"node {node} is not nodeList[{ghost_pos}]"))
-        for p in range(min(ghost_pos, len(nl))):
+        p = ghost_pos - 1
+        if 0 <= p < len(nl):
             rec = self.store.record(nl[p])
             if rec.prev is not None or rec.next is not None or not isinstance(rec.item, NullItem):
                 violations.append(("probe", f"nodeList[{p}] not cleared"))
-                break
         if violations:
             raise ContractViolation("clear.loop", violations)
 
@@ -462,34 +480,7 @@ def new_list(
 
 
 #: public operations addressable by name in scripts, contracts and reports
-OPS = {
-    "add": JavaLinkedList.add,
-    "add_first": JavaLinkedList.add_first,
-    "add_last": JavaLinkedList.add_last,
-    "get": JavaLinkedList.get,
-    "set_at": JavaLinkedList.set_at,
-    "add_at": JavaLinkedList.add_at,
-    "remove_at": JavaLinkedList.remove_at,
-    "index_of": JavaLinkedList.index_of,
-    "last_index_of": JavaLinkedList.last_index_of,
-    "contains": JavaLinkedList.contains,
-    "remove_item": JavaLinkedList.remove_item,
-    "remove_first_occurrence": JavaLinkedList.remove_first_occurrence,
-    "remove_last_occurrence": JavaLinkedList.remove_last_occurrence,
-    "clear": JavaLinkedList.clear,
-    "to_array": JavaLinkedList.to_array,
-    "size": JavaLinkedList.size_field,
-    "is_max_size": JavaLinkedList.is_max_size,
-    "check_size": JavaLinkedList.check_size,
-    "get_first": JavaLinkedList.get_first,
-    "get_last": JavaLinkedList.get_last,
-    "peek_first": JavaLinkedList.peek_first,
-    "peek_last": JavaLinkedList.peek_last,
-    "poll_first": JavaLinkedList.poll_first,
-    "poll_last": JavaLinkedList.poll_last,
-    "remove_first": JavaLinkedList.remove_first,
-    "remove_last": JavaLinkedList.remove_last,
-}
+OPS = {name: getattr(JavaLinkedList, spec.method or name) for name, spec in OP_SPECS.items()}
 
 
 def apply_op(lst: JavaLinkedList, op: str, args: tuple = ()):

@@ -1,12 +1,14 @@
 """The operation table: one ``OpSpec`` row per public list operation.
 
 A row holds what the harness layers know about an operation besides its
-implementation (``listcore.OPS``) and its documented semantics
-(``oracle.oracle_apply``): the argument shape, the Java interface it
-belongs to, its effect on the list length, its frame footprint builder
-(the executable form of the operation's ``assignable`` clause) and the
-arguments the census probes it with. Whether an operation mutates and
-whether its contract splits into equality branches follow from the row.
+documented semantics (``oracle.oracle_apply``): the argument shape, the
+Java interface it belongs to, its effect on the list length, its frame
+footprint builder (the executable form of the operation's ``assignable``
+clause), the arguments the census probes it with and, when it differs
+from the operation's name, the ``JavaLinkedList`` method that implements
+it. ``listcore.OPS`` is derived from the rows. Whether an operation
+mutates and whether its contract splits into equality branches follow
+from the row.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UsageError
-from .ghostspec import EMPTY_FOOTPRINT, Footprint
-from .heapmodel import NULL, Atom, Item
+from .heapmodel import NULL, Atom, Item, NodeId
 from .oracle import first_index, last_index
 
 #: argument kinds; a shape is the tuple of kinds in call order
@@ -30,6 +31,19 @@ GROWS, SHRINKS, NONE, RESET = "grows", "shrinks", "none", "reset"
 #: both equality branches plus a distinguished marker element
 MARKER = Atom("marker")
 ALPHABET: tuple[Item, ...] = (NULL, Atom("a"), Atom("b"), MARKER)
+
+
+@dataclass(frozen=True)
+class Footprint:
+    """Locations an operation is allowed to modify."""
+
+    node_fields: frozenset[tuple[NodeId, str]] = frozenset()
+    header_fields: frozenset[str] = frozenset()
+    ghost: bool = False
+    fresh: bool = False
+
+
+EMPTY_FOOTPRINT = Footprint()
 
 
 # Footprint builders map (state, pre-state observation, args) to the
@@ -129,8 +143,9 @@ class OpSpec:
     args: tuple[str, ...]  # argument kinds: INDEX / ITEM
     interface: str | None  # "List", "Deque", or None for the capacity helpers
     size_effect: str  # GROWS | SHRINKS | NONE | RESET
-    footprint: Callable  # (state, pre, args) -> ghostspec.Footprint
+    footprint: Callable  # (state, pre, args) -> Footprint
     probes: tuple[tuple, ...] = ()  # census argument tuples; empty = not censused
+    method: str | None = None  # the JavaLinkedList method, when not ``name``
 
     @property
     def mutating(self) -> bool:
@@ -169,7 +184,7 @@ OP_SPECS: dict[str, OpSpec] = {
                _fp_remove_match(last=True), ((NULL,),)),
         OpSpec("clear", (), "List", RESET, _fp_clear, _CALL),
         OpSpec("to_array", (), "List", NONE, _fp_pure, _CALL),
-        OpSpec("size", (), "List", NONE, _fp_pure, _CALL),
+        OpSpec("size", (), "List", NONE, _fp_pure, _CALL, method="size_field"),
         OpSpec("is_max_size", (), None, NONE, _fp_pure),
         OpSpec("check_size", (), None, NONE, _fp_pure),
         OpSpec("get_first", (), "Deque", NONE, _fp_pure, _CALL),

@@ -7,10 +7,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .ghostspec import GhostState
 from .heapmodel import NULL, Atom, Item
 from .jint import wrap
-from .listcore import CheckMode, JavaLinkedList, SizePolicy, new_list
+from .listcore import CheckMode, GhostState, JavaLinkedList, SizePolicy, new_list
 
 SMALL_ALPHABET: tuple[Item, ...] = (NULL, Atom("a"), Atom("b"))
 

@@ -1,0 +1,83 @@
+"""The package's shape: its modules import each other without a cycle,
+and the public names survive moves between modules."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+import overlist
+from overlist import ghostspec, listcore, ops
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "overlist"
+
+
+class _ModuleLevel(ast.NodeVisitor):
+    """Collects the package modules a module imports at import time:
+    relative imports anywhere outside function bodies."""
+
+    def __init__(self):
+        self.found = set()
+
+    def visit_ImportFrom(self, node):
+        if node.level == 1:
+            if node.module:
+                self.found.add(node.module.split(".")[0])
+            else:
+                self.found.update(alias.name for alias in node.names)
+
+    def visit_FunctionDef(self, node):
+        pass
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+def relative_imports(source: str) -> set[str]:
+    visitor = _ModuleLevel()
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def import_graph() -> dict[str, set[str]]:
+    return {path.stem: relative_imports(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def test_relative_imports_reads_module_level_imports_only():
+    source = (
+        "from . import heapmodel\n"
+        "from .ops import OP_SPECS\n"
+        "def f():\n"
+        "    from . import cli\n"
+        "from . import listcore, oracle  # noqa: E402\n"
+    )
+    assert relative_imports(source) == {"heapmodel", "ops", "listcore", "oracle"}
+
+
+def test_package_imports_form_no_cycle():
+    graph = import_graph()
+    modules = set(graph)
+    for name, deps in graph.items():
+        assert deps <= modules, f"{name} imports unknown modules {deps - modules}"
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as e:
+        pytest.fail(f"import cycle: {' -> '.join(e.args[1])}")
+    # the layering the cycle used to break
+    assert graph["ops"] == {"errors", "heapmodel", "oracle"}
+    assert {"listcore", "ops"} <= graph["ghostspec"]
+    assert "ops" in graph["listcore"] and "ghostspec" not in graph["listcore"]
+
+
+def test_every_public_name_resolves():
+    for name in overlist.__all__:
+        assert hasattr(overlist, name), name
+    assert overlist.GhostState is listcore.GhostState
+
+
+def test_moved_names_still_import_from_ghostspec():
+    from overlist.ghostspec import EMPTY_FOOTPRINT, Footprint
+
+    assert Footprint is ops.Footprint and EMPTY_FOOTPRINT is ops.EMPTY_FOOTPRINT
+    assert EMPTY_FOOTPRINT == Footprint()
+    assert ghostspec.listcore is listcore and ghostspec.ops is ops
