@@ -8,6 +8,9 @@ every signed range check of the form 0 <= i < size rejects all indices
 nonsense, and endpoint operations never look at size at all.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from overlist import difftest
@@ -115,6 +118,31 @@ class TestRunScript:
         )
         kinds = [d.kind for d in result.divergences["failfast"]]
         assert "MissingError" in kinds
+
+
+#: SHA-256 over ``run_script``'s divergences, aborted steps and final
+#: oracle items for seeds 0-9 of both mixes, with no fault and with each
+#: fault, under every check mode. At 250 steps the add-heavy scripts cross
+#: capacity at width 8. Saved reproducers and fuzz reports depend on these.
+RUN_SCRIPT_GOLDEN = "06c4765b12b82ce1b35e27f35767e7a59199205b3534b471d6cf3164e2b002d9"
+
+
+def test_run_script_outputs_unchanged():
+    h = hashlib.sha256()
+    for mode in CheckMode:
+        for weights in (BALANCED_WEIGHTS, ADD_HEAVY_WEIGHTS):
+            for fault in (None, *FAULTS):
+                faults = frozenset() if fault is None else frozenset({fault})
+                for seed in range(10):
+                    result = run_script(gen_script(seed, 8, 250, weights), mode, faults=faults)
+                    record = {
+                        "divergences": {p: [d.to_json() for d in ds]
+                                        for p, ds in result.divergences.items()},
+                        "aborted": result.aborted,
+                        "oracles": {p: repr(a.items) for p, a in result.oracles.items()},
+                    }
+                    h.update(json.dumps(record, sort_keys=True).encode())
+    assert h.hexdigest() == RUN_SCRIPT_GOLDEN
 
 
 class TestShrink:
