@@ -15,7 +15,7 @@ from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListE
 from .ghostspec import check_invariant, run_checked
 from .heapmodel import NULL, Atom, NullItem
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
-from .ops import ALPHABET, GROWS, INDEX, ITEM, MARKER, OP_SPECS, RESET, SHRINKS, spec_of
+from .ops import ALPHABET, GROWS, INDEX, ITEM, MARKER, OP_SPECS, RESET, SHRINKS, check_call, spec_of
 from .oracle import (
     AbstractList,
     Verdict,
@@ -189,10 +189,19 @@ def run_script(
     only: under FULL every step goes through the contract harness, under
     INVARIANT the class invariant is re-checked after each step.
     Divergences are data; execution only aborts on a corrupted chain.
-    An unknown operation is a UsageError, raised before anything runs;
-    any other UsageError is a harness bug and propagates."""
-    for op, _ in script.steps:
-        spec_of(op)
+    An unknown operation or a wrong argument count is a UsageError,
+    raised before anything runs; any other UsageError is a harness bug
+    and propagates.
+
+    Under FULL the run owns the FailFast list, so each step assumes what
+    the previous step's exit checks established (JML's visible-state
+    semantics): the invariant holds, and the chain's items are the
+    oracle's. The step's oracle verdict is computed once, before the
+    call, and ``run_checked`` is judged against it without an entry
+    check. After an Unspecified verdict the items were not compared, so
+    from there on every step runs the full entry check."""
+    for op, args in script.steps:
+        check_call(op, args)
     divergences: dict[str, list[Divergence]] = {}
     lists: dict[str, JavaLinkedList] = {}
     oracles: dict[str, AbstractList] = {}
@@ -201,14 +210,20 @@ def run_script(
         pname = policy.value
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
         full = checked and check_mode is CheckMode.FULL
-        call = run_checked if full else apply_op
         lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
         abs_state = AbstractList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
         aborted[pname] = None
+        # the new list is empty: the invariant holds and its items are the oracle's
+        carry = full
         for step, (op, args) in enumerate(script.steps):
+            carried = (abs_state, *oracle_apply(abs_state, op, args)) if carry else None
             try:
-                outcome = ("value", normalize(call(lst, op, args)))
+                if full:
+                    result = run_checked(lst, op, args, carried=carried)
+                else:
+                    result = apply_op(lst, op, args)
+                outcome = ("value", normalize(result))
             except ListError as e:
                 outcome = ("error", e.kind)
             except ContractViolation as cv:
@@ -225,7 +240,8 @@ def run_script(
                 )
                 aborted[pname] = step
                 break
-            verdict, abs_state = oracle_apply(abs_state, op, args)
+            verdict, abs_state = carried[1:] if carried else oracle_apply(abs_state, op, args)
+            carry = carry and verdict.kind != "unspecified"
             if observe_equal(outcome, verdict) == "disagree":
                 divs.append(
                     Divergence(

@@ -313,13 +313,15 @@ class PreObservation:
     ghost: tuple[NodeId, ...]
 
 
-def observe(state, ghost_is_chain: bool = False) -> PreObservation:
+def observe(state, ghost_is_chain: bool = False, items: tuple | None = None) -> PreObservation:
     """The pre-state a contract is judged against. The chain's ids come
     from a walk, or from the ghost when ``ghost_is_chain``: a passing
-    invariant check has shown that the ghost is the chain."""
+    invariant check has shown that the ghost is the chain. The items are
+    read from the store unless the caller already holds them."""
     ghost = tuple(state.ghost.node_list)
     ids = ghost if ghost_is_chain else tuple(heapmodel.walk_chain(state.store, state.first))
-    items = tuple(map(attrgetter("item"), state.store.records(ids)))
+    if items is None:
+        items = tuple(map(attrgetter("item"), state.store.records(ids)))
     header = (state.first, state.last, state.size)
     return PreObservation(items, ids, header, ghost)
 
@@ -327,22 +329,19 @@ def observe(state, ghost_is_chain: bool = False) -> PreObservation:
 def contract_for(op: str, args: tuple) -> str:
     """The name of the contract branch a call takes: element-search
     operations carry one per equality branch (null argument = identity
-    test, non-null = equals test), every other operation a single one."""
-    if not ops.spec_of(op).equality_branches:
+    test, non-null = equals test), every other operation a single one.
+    An unknown operation or a wrong argument count is a UsageError."""
+    if not ops.check_call(op, args).equality_branches:
         return op
     return f"{op}[null]" if isinstance(args[0], NullItem) else f"{op}[non-null]"
 
 
 def _post_vs_model(
-    state, pre: PreObservation, op: str, args, outcome, chain: tuple | None = None
+    state, verdict, abs_post: AbstractList, outcome, chain: tuple | None = None
 ) -> list[tuple[str, str]]:
     """Check result and resulting chain contents against the documented
-    sequence semantics computed from the pre-state items. ``chain`` holds
-    the post-state's node ids when they are known; otherwise the chain is
-    walked."""
-    failfast = state.policy is listcore.SizePolicy.FAIL_FAST
-    abs_pre = AbstractList(pre.items, state.width, bounded=failfast)
-    verdict, abs_post = oracle_apply(abs_pre, op, args)
+    verdict and post-state of the call. ``chain`` holds the post-state's
+    node ids when they are known; otherwise the chain is walked."""
     if verdict.kind == "unspecified":
         return []
     violations = []
@@ -359,34 +358,55 @@ def _post_vs_model(
     return violations
 
 
-def run_checked(state, op: str, args: tuple = ()):
+def run_checked(state, op: str, args: tuple = (), *, carried: tuple | None = None):
     """Invoke a public operation with the full check battery.
 
-    Precondition failures (broken invariant on entry, unknown operation)
-    are harness errors. After the call: the branch-matching postcondition
-    is evaluated against the abstract semantics, the invariant is
-    re-checked (FailFast), and the call's writes, read from the store's
-    journal, are checked against the declared footprint (error outcomes
-    must leave everything unchanged). Raises ContractViolation on any
-    failed check; otherwise the wrapped operation's result (or
-    ListError) passes through unchanged.
+    Precondition failures (broken invariant on entry, unknown operation,
+    wrong argument count) are harness errors. After the call: the
+    branch-matching postcondition is evaluated against the abstract
+    semantics, the invariant is re-checked (FailFast), and the call's
+    writes, read from the store's journal, are checked against the
+    declared footprint (error outcomes must leave everything unchanged).
+    Raises ContractViolation on any failed check; otherwise the wrapped
+    operation's result (or ListError) passes through unchanged.
 
-    Under FailFast the passing entry check vouches for the ghost, so the
-    pre-state is read from it rather than walked. The exit check is first
+    Under FailFast the passing entry check (for a carried call, the
+    previous call's exit check) vouches for the ghost, so the pre-state
+    is read from it rather than walked. The exit check is first
     scoped to what the call's journal touched; when that vouches for the
     ghost too, the post-state is read from it. Otherwise the chain is
     walked and the full invariant is checked, so witnesses, chain
-    corruption errors and their order are those of the full check."""
+    corruption errors and their order are those of the full check.
+
+    ``carried`` is ``(abs_pre, verdict, abs_post)``: the caller's oracle
+    state and ``oracle_apply(abs_pre, op, args)``. It hands over what a
+    previous checked call on this FailFast list has just verified, so the
+    entry check is skipped, the pre-state items are ``abs_pre.items`` and
+    the call is judged against the given verdict. This is sound only when
+    the invariant holds and the chain's items equal ``abs_pre.items``: the
+    list is empty and new, or the previous ``run_checked`` call on it
+    returned a result or raised a ListError (so its exit checks passed),
+    was judged against a specified verdict whose oracle post-state is
+    ``abs_pre``, and nothing has touched the list since.
+    A caller that may have changed the list outside a journal passes no
+    ``carried``, and the full entry check runs."""
     if state.check_mode is not listcore.CheckMode.FULL:
         raise UsageError("run_checked requires check_mode=FULL")
     contract = contract_for(op, args)
     failfast = state.policy is listcore.SizePolicy.FAIL_FAST
-    if failfast:
-        entry = check_invariant(state)
-        if not entry.ok:
-            raise UsageError(f"invariant broken before {op}: {entry.failures()}")
-
-    pre = observe(state, ghost_is_chain=failfast)
+    if carried is None:
+        if failfast:
+            entry = check_invariant(state)
+            if not entry.ok:
+                raise UsageError(f"invariant broken before {op}: {entry.failures()}")
+        pre = observe(state, ghost_is_chain=failfast)
+        abs_pre = AbstractList(pre.items, state.width, bounded=failfast)
+        verdict, abs_post = oracle_apply(abs_pre, op, args)
+    elif failfast:
+        abs_pre, verdict, abs_post = carried
+        pre = observe(state, ghost_is_chain=True, items=abs_pre.items)
+    else:
+        raise UsageError("a carried oracle state requires a FailFast list")
     fp = ops.OP_SPECS[op].footprint(state, pre, args)
 
     err: ListError | None = None
@@ -403,9 +423,9 @@ def run_checked(state, op: str, args: tuple = ()):
 
     if failfast and exit_invariant_holds(state, pre.ghost, journal):
         chain = tuple(state.ghost.node_list)
-        violations = _post_vs_model(state, pre, op, args, outcome, chain)
+        violations = _post_vs_model(state, verdict, abs_post, outcome, chain)
     else:
-        violations = _post_vs_model(state, pre, op, args, outcome)
+        violations = _post_vs_model(state, verdict, abs_post, outcome)
         if failfast:
             report = check_invariant(state)
             if not report.ok:

@@ -204,3 +204,12 @@ def spec_of(op: str) -> OpSpec:
         return OP_SPECS[op]
     except (KeyError, TypeError):
         raise UsageError(f"unknown operation {op!r}") from None
+
+
+def check_call(op: str, args: tuple) -> OpSpec:
+    """The row of a call's operation; a call with the wrong number of
+    arguments is a UsageError, as an unknown operation is."""
+    spec = spec_of(op)
+    if len(args) != len(spec.args):
+        raise UsageError(f"{op} takes {len(spec.args)} argument(s), got {args!r}")
+    return spec

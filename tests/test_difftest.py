@@ -294,6 +294,15 @@ class TestValidation:
         with pytest.raises(UsageError, match="unknown operation 'sort'"):
             run_script(script)
 
+    @pytest.mark.parametrize("bad", [("get", ()), ("add", (A, A)), ("index_of", ())])
+    @pytest.mark.parametrize("mode", list(CheckMode))
+    def test_wrong_argument_count_rejected_before_running(self, monkeypatch, bad, mode):
+        monkeypatch.setattr(difftest, "apply_op", lambda *a: pytest.fail("a step ran"))
+        monkeypatch.setattr(difftest, "run_checked", lambda *a, **k: pytest.fail("a step ran"))
+        script = OpScript(0, 8, (("add", (NULL,)), bad))
+        with pytest.raises(UsageError, match=rf"{bad[0]} takes 1 argument\(s\)"):
+            run_script(script, mode)
+
     def test_load_names_the_line(self):
         text = '{"seed": 0, "width": 8}\n\n{"op": "get", "args": [true]}\n'
         with pytest.raises(UsageError, match="line 3: get: index must be an integer"):

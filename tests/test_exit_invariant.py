@@ -1,4 +1,5 @@
-"""The journal-scoped exit check of ``run_checked``.
+"""The journal-scoped exit check of ``run_checked``, and the entry
+state ``run_script`` carries from one checked step to the next.
 
 ``exit_invariant_holds`` re-checks the class invariant only where a
 call's journal says the call could have broken it. Its proof obligation:
@@ -7,16 +8,21 @@ equals the full ``check_invariant`` verdict. Hand-built calls outside
 the three ghost changes it understands must make it fall back (answer
 False), and a passing scoped check must spare ``run_checked`` every walk
 and the second full check.
+
+A carried step skips the entry check and reads its pre-state items from
+the run's oracle. Its proof obligation: at every carried entry the full
+invariant holds and the chain's items are the carried oracle items.
 """
 
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from overlist import ghostspec, heapmodel, listcore
-from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, gen_script
-from overlist.errors import ChainCorruption, ContractViolation, ListError
+from overlist import difftest, ghostspec, heapmodel, listcore, oracle
+from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, OpScript, gen_script, run_script
+from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
 from overlist.ghostspec import check_invariant, exit_invariant_holds, run_checked
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, CheckMode, SizePolicy, apply_op, new_list
@@ -263,3 +269,99 @@ class TestRunCheckedCost:
             run_checked(lst, "remove_at", (1,))
         assert calls == {"check_invariant": 2, "walk_chain": 1}
         assert exc.value.violations[-1][0] == "invariant"
+
+    def test_carried_steps_check_no_entry_and_step_the_oracle_once(self, calls, monkeypatch):
+        steps = gen_script(3, 8, 400, ADD_HEAVY_WEIGHTS).steps
+        monkeypatch.setattr(ghostspec, "oracle_apply", lambda *a: pytest.fail("second oracle step"))
+        result = full_failfast(steps, frozenset())
+        assert result.aborted["failfast"] is None and len(result.oracles["failfast"].items) == 127
+        assert calls == {}
+
+
+@contextmanager
+def carried_entries(plain: bool = False):
+    """Route ``run_script``'s checked calls through a wrapper that runs
+    the full ``check_invariant`` and reads the chain beside every carried
+    entry, asserting the carried state; yields the ops entered carried.
+    With ``plain``, the carried state is dropped, so every step runs the
+    full entry check and computes its own verdict."""
+    entered = []
+    real = difftest.run_checked
+
+    def beside(lst, op, args=(), *, carried=None):
+        if carried is not None:
+            report = check_invariant(lst)
+            assert report.ok, (op, report.failures())
+            assert tuple(lst.items()) == carried[0].items, op
+            entered.append(op)
+        return real(lst, op, args, carried=None if plain else carried)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(difftest, "run_checked", beside)
+        yield entered
+
+
+def full_failfast(steps, faults):
+    return run_script(OpScript(0, 8, tuple(steps)), CheckMode.FULL,
+                      policies=(SizePolicy.FAIL_FAST,), faults=faults)
+
+
+def outputs(result):
+    return ([d.to_json() for d in result.divergences["failfast"]],
+            result.aborted, result.oracles["failfast"].items)
+
+
+class TestCarriedEntry:
+    def test_generated_scripts_all_faults_both_mixes(self):
+        aborted = 0
+        for fault in (None, *FAULTS):
+            faults = frozenset() if fault is None else frozenset({fault})
+            for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
+                for seed in range(6):
+                    with carried_entries() as entered:
+                        result = full_failfast(gen_script(seed, 8, 400, weights).steps, faults)
+                    # every step entered carried, up to the one that aborted
+                    stop = result.aborted["failfast"]
+                    assert len(entered) == (400 if stop is None else stop + 1), (fault, seed)
+                    aborted += stop is not None
+                    assert fault is not None or stop is None
+        assert aborted
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((0, 1, 126, 127)) | st.integers(0, 127),
+        st.sampled_from((None, *FAULTS)),
+        st.lists(st.sampled_from(sorted(OP_SPECS)), min_size=1, max_size=30),
+        st.data(),
+    )
+    def test_drawn_scripts_match_the_plain_path(self, prefix, fault, ops, data):
+        faults = frozenset() if fault is None else frozenset({fault})
+        steps = [("add", (ALPHABET[i % len(ALPHABET)],)) for i in range(prefix)]
+        steps += [
+            (op, tuple(
+                data.draw(st.integers(-1, prefix + 2) if kind == INDEX else st.sampled_from(ALPHABET))
+                for kind in OP_SPECS[op].args
+            ))
+            for op in ops
+        ]
+        with carried_entries() as entered:
+            carried = full_failfast(steps, faults)
+        with carried_entries(plain=True):
+            plain = full_failfast(steps, faults)
+        assert entered
+        assert outputs(carried) == outputs(plain)
+
+    def test_plain_call_still_checks_the_entry_state(self):
+        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL)
+        for x in (A, B, A):
+            run_checked(lst, "add", (x,))
+        # a link changed outside any journal, as statespace and tests do
+        lst.store.record(lst.ghost.node_list[1]).next = None
+        with pytest.raises(UsageError, match=r"invariant broken before get: \[\('C6'"):
+            run_checked(lst, "get", (0,))
+
+    def test_carried_state_requires_failfast(self):
+        lst = new_list(8, SizePolicy.UNCHECKED, CheckMode.FULL)
+        empty = oracle.AbstractList((), 8, bounded=False)
+        with pytest.raises(UsageError, match="requires a FailFast list"):
+            run_checked(lst, "size", (), carried=(empty, *oracle.oracle_apply(empty, "size", ())))

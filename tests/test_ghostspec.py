@@ -6,7 +6,7 @@ endpoints) must follow from the invariant, which is checked here on
 hand-built states and exhaustively elsewhere.
 """
 
-import os
+import json
 import random
 import subprocess
 import sys
@@ -41,6 +41,47 @@ from overlist.statespace import build_list, random_state
 A, B = Atom("a"), Atom("b")
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE_MODULES = sorted(p.stem for p in (SRC / "overlist").glob("*.py") if p.stem != "__init__")
+
+
+#: run as ``python -c IMPORT_FIRST <package dir> <module>...``: for each
+#: module, forget the package, execute that module's file first inside a
+#: fresh package object whose ``__init__.py`` never runs, then drive the
+#: checked harness through the modules it pulled in. Prints a JSON object
+#: mapping each module to None or the traceback of its failure.
+IMPORT_FIRST = """
+import importlib.util, json, sys, traceback, types
+pkg_dir, *modules = sys.argv[1:]
+failures = {}
+for first in modules:
+    for name in [n for n in sys.modules if n == "overlist" or n.startswith("overlist.")]:
+        del sys.modules[name]
+    pkg = types.ModuleType("overlist")
+    pkg.__path__ = [pkg_dir]
+    sys.modules["overlist"] = pkg
+    failures[first] = None
+    try:
+        spec = importlib.util.spec_from_file_location(f"overlist.{first}", f"{pkg_dir}/{first}.py")
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+        from overlist import ghostspec, heapmodel, listcore, ops
+        assert sys.modules["overlist"] is pkg and not hasattr(pkg, "__file__")
+        assert ghostspec.listcore is listcore and ghostspec.ops is ops
+        lst = listcore.new_list(8, listcore.SizePolicy.FAIL_FAST, listcore.CheckMode.FULL)
+        assert ghostspec.run_checked(lst, "add", (heapmodel.NULL,)) is True
+        assert ghostspec.run_checked(lst, "index_of", (heapmodel.NULL,)).value == 0
+    except Exception:
+        failures[first] = traceback.format_exc()
+print(json.dumps(failures))
+"""
+
+
+@pytest.fixture(scope="module")
+def import_first_failures():
+    """Each module's failure when loaded first, all from one interpreter."""
+    done = subprocess.run([sys.executable, "-c", IMPORT_FIRST, str(SRC / "overlist"),
+                           *PACKAGE_MODULES], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def checked_list(items):
@@ -364,18 +405,9 @@ class TestModuleBindings:
     and looks their functions up through the modules at call time."""
 
     @pytest.mark.parametrize("first", [f"overlist.{m}" for m in PACKAGE_MODULES])
-    def test_each_module_can_be_imported_first(self, first):
-        code = (
-            f"import {first}\n"
-            "from overlist import ghostspec, heapmodel, listcore, ops\n"
-            "assert ghostspec.listcore is listcore and ghostspec.ops is ops\n"
-            "lst = listcore.new_list(8, listcore.SizePolicy.FAIL_FAST, listcore.CheckMode.FULL)\n"
-            "assert ghostspec.run_checked(lst, 'add', (heapmodel.NULL,)) is True\n"
-            "assert ghostspec.run_checked(lst, 'index_of', (heapmodel.NULL,)).value == 0\n"
-        )
-        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+    def test_each_module_can_be_imported_first(self, first, import_first_failures):
+        failure = import_first_failures[first.removeprefix("overlist.")]
+        assert failure is None, failure
 
     def test_calls_see_functions_replaced_on_the_modules(self, monkeypatch):
         seen = []
@@ -403,6 +435,14 @@ class TestRunChecked:
         lst = checked_list([A])
         with pytest.raises(IndexOutOfBoundsError):
             run_checked(lst, "get", (7,))
+        assert lst.items() == [A]
+
+    @pytest.mark.parametrize("op,args", [("index_of", ()), ("get", ()), ("add", (A, B))],
+                             ids=["index_of", "get", "add"])
+    def test_wrong_argument_count_is_harness_error(self, op, args):
+        lst = checked_list([A])
+        with pytest.raises(UsageError, match=rf"{op} takes 1 argument\(s\)"):
+            run_checked(lst, op, args)
         assert lst.items() == [A]
 
     def test_broken_entry_state_is_harness_error(self):
