@@ -145,6 +145,33 @@ def test_run_script_outputs_unchanged():
     assert h.hexdigest() == RUN_SCRIPT_GOLDEN
 
 
+#: SHA-256 over each fault's shrunk reproducer and the number of predicate
+#: calls its shrinking made: the first of seeds 0-3 whose 200-step
+#: add-heavy script diverges under invariant checking, shrunk with the
+#: predicate ``overlist fuzz`` uses, "FailFast still diverges".
+SHRINK_GOLDEN = "45ebb29339019fb277a1cd9940f538f5d2f5b576da2bf69fe9491c26db5b2f8d"
+
+
+def test_shrunk_reproducers_unchanged():
+    h = hashlib.sha256()
+    for fault in FAULTS:
+        calls = 0
+
+        def still_fails(s):
+            nonlocal calls
+            calls += 1
+            result = run_script(s, CheckMode.INVARIANT, policies=(SizePolicy.FAIL_FAST,),
+                                faults=frozenset({fault}))
+            return result.total("failfast") > 0
+
+        scripts = (gen_script(seed, 8, 200, ADD_HEAVY_WEIGHTS) for seed in range(4))
+        found = next(s for s in scripts if still_fails(s))
+        calls = 0
+        small = shrink(found, still_fails)
+        h.update(json.dumps([fault, found.seed, dump_script(small), calls]).encode())
+    assert h.hexdigest() == SHRINK_GOLDEN
+
+
 class TestShrink:
     def test_predicate_must_hold_initially(self):
         with pytest.raises(UsageError):
