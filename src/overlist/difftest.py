@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
-from .ghostspec import check_invariant, run_checked
+from .ghostspec import check_invariant, exit_invariant_holds, run_checked
 from .heapmodel import NULL, Atom, NullItem
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
 from .ops import ALPHABET, GROWS, INDEX, ITEM, MARKER, OP_SPECS, RESET, SHRINKS, check_call, spec_of
@@ -199,7 +199,15 @@ def run_script(
     oracle's. The step's oracle verdict is computed once, before the
     call, and ``run_checked`` is judged against it without an entry
     check. After an Unspecified verdict the items were not compared, so
-    from there on every step runs the full entry check."""
+    from there on every step runs the full entry check.
+
+    Under INVARIANT the run carries the invariant the same way. While it
+    holds, a step keeps the ghost from before the call, runs inside a
+    store savepoint, and is judged by ``exit_invariant_holds`` on that
+    savepoint's journal. When that does not vouch for the state, the full
+    ``check_invariant`` decides, with the same divergence and witnesses;
+    after a failed full check every step runs the full check until one
+    passes, and from there the run carries again."""
     for op, args in script.steps:
         check_call(op, args)
     divergences: dict[str, list[Divergence]] = {}
@@ -210,14 +218,19 @@ def run_script(
         pname = policy.value
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
         full = checked and check_mode is CheckMode.FULL
+        scoped = checked and not full
         lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
         abs_state = AbstractList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
         aborted[pname] = None
         # the new list is empty: the invariant holds and its items are the oracle's
         carry = full
+        holds = scoped
         for step, (op, args) in enumerate(script.steps):
             carried = (abs_state, *oracle_apply(abs_state, op, args)) if carry else None
+            if holds:
+                pre = tuple(lst.ghost.node_list)
+                mark = lst.store.open_journal()
             try:
                 if full:
                     result = run_checked(lst, op, args, carried=carried)
@@ -240,6 +253,9 @@ def run_script(
                 )
                 aborted[pname] = step
                 break
+            finally:
+                if holds:
+                    journal = lst.store.close_journal(mark)
             verdict, abs_state = carried[1:] if carried else oracle_apply(abs_state, op, args)
             carry = carry and verdict.kind != "unspecified"
             if observe_equal(outcome, verdict) == "disagree":
@@ -254,9 +270,10 @@ def run_script(
                         classify(outcome, verdict),
                     )
                 )
-            if checked and check_mode is CheckMode.INVARIANT:
+            if scoped and not (holds and exit_invariant_holds(lst, pre, journal)):
                 report = check_invariant(lst)
-                if not report.ok:
+                holds = report.ok
+                if not holds:
                     divs.append(
                         Divergence(
                             step,

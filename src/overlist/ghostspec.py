@@ -137,52 +137,86 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
     holds every node write the call made.
 
     The ghost must be unchanged, or have gained exactly the call's one
-    fresh node, or have lost one node the call wrote. Then a link pair
-    that was adjacent on entry and whose fields nobody wrote still agrees,
-    so C6 needs checking only at the edit site, at the written nodes and
-    at both ends (which also covers C5); ghost entries from entry are
-    still allocated (C3). True means the whole invariant holds; False
-    only means this argument does not apply, and ``check_invariant``
-    decides."""
-    n = len(state.ghost.node_list)
+    fresh node, or have lost one node. Then a link pair that was adjacent
+    on entry and whose links nobody wrote still agrees, so C6 needs
+    checking only at the edit site, at the nodes whose links were written
+    and at both ends (which also covers C5); ghost entries from entry are
+    still allocated (C3). True means the whole invariant holds; False only
+    means this argument does not apply, and ``check_invariant`` decides.
+
+    The edit is located with as few scans of the ghost as possible. A
+    fresh node is looked for at the ghost's two ends before anywhere
+    else. A removal at an end shows as a changed end; only a removal in
+    the middle is searched for, among the written nodes. The entry ghost
+    is duplicate-free (the invariant held), so after a matching edit the
+    exit ghost is too, and each written node sits at one position at
+    most. The edit's neighbours and the ends give the positions of the
+    nodes an ordinary call writes; only a written node found among none
+    of them is scanned for, and a removed node has left the ghost. Item
+    writes touch no link, so they are not looked up."""
+    nl = state.ghost.node_list
+    n = len(nl)
     if state.size != n or state.size > state.max_size:  # C1, C2
         return False
     if n == 0:  # C4; C3, C5 and C6 hold vacuously
         return state.first is None and state.last is None
-    post = tuple(state.ghost.node_list)
+    post = tuple(nl)
     entries, fresh = journal
-    written = set(entries[::3])
+    gone = None
     if n == len(pre):
         if fresh or post != pre:
             return False
         edit = ()
     elif n == len(pre) + 1:
-        if len(fresh) != 1 or fresh.start not in post:
+        if len(fresh) != 1:
             return False
-        p = post.index(fresh.start)
+        f = fresh.start
+        if post[-1] == f:
+            p = n - 1
+        elif post[0] == f:
+            p = 0
+        elif f in post:
+            p = post.index(f)
+        else:
+            return False
         if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
             return False
         edit = (p - 1, p, p + 1)
     elif n == len(pre) - 1 and not fresh:
-        for p in map(pre.index, written.intersection(pre)):
+        if post[0] != pre[0]:
+            candidates = (0,)
+        elif post[-1] != pre[-1]:
+            candidates = (n,)
+        else:
+            candidates = map(pre.index, set(entries[::3]).intersection(pre))
+        for p in candidates:
             if post[:p] == pre[:p] and post[p:] == pre[p + 1 :]:
-                edit = (p - 1, p)
                 break
         else:
             return False
+        gone = pre[p]
+        edit = (p - 1, p)
     else:
         return False
-    at = {0, n - 1, *edit}
-    at.update(map(post.index, written.intersection(post)))
-    at = sorted(i for i in at if 0 <= i < n)
+    last = n - 1
+    at = [i for i in (0, last, *edit) if 0 <= i < n] if edit else [0, last]
+    if entries:
+        known = set(map(post.__getitem__, at))
+        known.add(gone)
+        it = iter(entries)
+        for nid, name, _ in zip(it, it, it):
+            if name != "item" and nid not in known:
+                known.add(nid)
+                if nid in post:
+                    at.append(post.index(nid))
     try:
-        recs = state.store.records([post[i] for i in at])
+        recs = state.store.records(map(post.__getitem__, at))
     except DanglingLink:
         return False
     for i, rec in zip(at, recs):
         if rec.prev != (post[i - 1] if i else None):
             return False
-        if rec.next != (post[i + 1] if i < n - 1 else None):
+        if rec.next != (post[i + 1] if i < last else None):
             return False
     return state.first == post[0] and state.last == post[-1]
 
