@@ -200,16 +200,15 @@ def cmd_fuzz(args) -> int:
         result = run_script(script, check_mode=check_mode)
         unchecked_divergences += result.total("unchecked")
         if result.total("failfast"):
-            def still_fails(s):
-                # only the FailFast count decides, so only FailFast runs
-                failfast = run_script(s, check_mode=check_mode, policies=(SizePolicy.FAIL_FAST,))
-                return failfast.total("failfast") > 0
+            def run_failfast(s):
+                # only the FailFast divergences are read, so only FailFast runs
+                return run_script(s, check_mode=check_mode, policies=(SizePolicy.FAIL_FAST,))
 
-            small = shrink(script, still_fails)
+            small = shrink(script, lambda s: run_failfast(s).total("failfast") > 0)
             path = args.out or "shrunk_script.jsonl"
             with open(path, "w") as fh:
                 fh.write(difftest.dump_script(small))
-            first = run_script(small, check_mode=check_mode).divergences["failfast"][0]
+            first = run_failfast(small).divergences["failfast"][0]
             print(f"FailFast divergence at seed {script.seed}: {first.kind} on {first.op}")
             print(f"shrunk script ({len(small.steps)} steps) written to {path}")
             return 1

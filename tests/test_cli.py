@@ -13,6 +13,7 @@ from overlist.difftest import (
     census,
     dump_script,
     gen_script,
+    load_script,
     run_script,
     shrink,
 )
@@ -118,6 +119,31 @@ class TestFuzzCommand:
 
         expected = shrink(gen_script(3, 8, 100, BALANCED_WEIGHTS), both_policies_fail)
         assert path.read_text() == dump_script(expected)
+
+    def test_only_the_first_run_uses_both_policies(self, monkeypatch, tmp_path, capsys):
+        """After the generated script diverged, the shrinker's runs and the
+        re-run that names the divergence run FailFast alone; the report is
+        the one a re-run on both policies gives."""
+        faults = frozenset({"lastindexof-off-by-one"})
+        both = (SizePolicy.UNCHECKED, SizePolicy.FAIL_FAST)
+        runs = []
+
+        def recording(script, check_mode, policies=both):
+            runs.append(policies)
+            return run_script(script, check_mode, policies, faults)
+
+        monkeypatch.setattr(cli, "run_script", recording)
+        path = tmp_path / "shrunk.jsonl"
+        assert main(["fuzz", "--ops", "100", "--seed", "3", "--out", str(path)]) == 1
+        assert runs[0] == both and len(runs) > 2
+        assert set(runs[1:]) == {(SizePolicy.FAIL_FAST,)}
+
+        small = load_script(path.read_text())
+        first = run_script(small, CheckMode.INVARIANT, faults=faults).divergences["failfast"][0]
+        assert capsys.readouterr().out == (
+            f"FailFast divergence at seed 3: {first.kind} on {first.op}\n"
+            f"shrunk script ({len(small.steps)} steps) written to {path}\n"
+        )
 
 
 class TestReplayCommand:
