@@ -12,6 +12,11 @@ and the second full check.
 A carried step skips the entry check and reads its pre-state items from
 the run's oracle. Its proof obligation: at every carried entry the full
 invariant holds and the chain's items are the carried oracle items.
+
+An ``invariant``-mode run carries the invariant too: while it holds, each
+step is judged by the scoped exit check, and the full check runs only
+when that does not vouch for the state. Its proof obligation: beside
+every step whose scoped check passed, the full invariant holds.
 """
 
 from collections import Counter
@@ -223,6 +228,106 @@ class TestFallback:
         assert verdicts(lst, lambda: lst.clear()) == (True, True)
 
 
+class TestEditLocation:
+    """Hand-built calls aimed at how the scoped check locates the edit:
+    the fresh node at an end, the edit's neighbours, the written nodes."""
+
+    def test_fresh_last_node_whose_predecessor_was_not_linked(self):
+        lst = build_list([A, B] * 6)
+
+        def append_unlinked():
+            node = lst.store.alloc(lst.last, A, None)
+            lst.ghost.node_list.append(node)
+            lst.last = node
+            lst.size += 1
+
+        assert verdicts(lst, append_unlinked) == (False, False)
+        lst = build_list([A, B] * 6)
+        assert verdicts(lst, lambda: lst.add(A)) == (True, True)
+
+    def test_fresh_first_node(self):
+        lst = build_list([A, B] * 6)
+        assert verdicts(lst, lambda: lst.add_first(B)) == (True, True)
+
+        def prepend_unlinked():
+            node = lst.store.alloc(None, B, lst.first)
+            lst.ghost.node_list.insert(0, node)
+            lst.first = node
+            lst.size += 1
+
+        assert verdicts(lst, prepend_unlinked) == (False, False)
+
+    def test_middle_removal_with_one_neighbour_relinked(self):
+        for relinked in ("prev", "next"):
+            lst = build_list([A, B] * 6)
+            nl = lst.ghost.node_list
+
+            def remove_fifth():
+                pred, x, succ = nl[4], nl[5], nl[6]
+                if relinked == "prev":
+                    lst.store.set_prev(succ, pred)
+                else:
+                    lst.store.set_next(pred, succ)
+                lst.store.clear_node(x)
+                del nl[5]
+                lst.size -= 1
+
+            assert verdicts(lst, remove_fifth) == (False, False), relinked
+
+    def test_written_node_far_from_the_edit(self):
+        for edit in ("add", "add_first", "poll_first", "poll_last", "peek_first"):
+            lst = build_list([A, B] * 30)
+            nl = lst.ghost.node_list
+
+            def edit_and_relink_far():
+                getattr(lst, edit)(*((A,) if edit.startswith("add") else ()))
+                lst.store.set_next(nl[30], nl[32])
+
+            assert verdicts(lst, edit_and_relink_far) == (False, False), edit
+
+    def test_written_node_outside_the_ghost(self):
+        lst = build_list([A, B] * 6)
+        garbage = lst.first
+        lst.poll_first()
+
+        def edit_and_write_garbage():
+            lst.add(A)
+            lst.store.set_next(garbage, lst.first)
+            lst.store.set_item(garbage, B)
+
+        assert verdicts(lst, edit_and_write_garbage) == (True, True)
+
+    def test_fresh_id_in_the_ghost_twice(self):
+        for at_end in (True, False):
+            lst = build_list([A, B] * 6)
+            nl = lst.ghost.node_list
+
+            def add_and_alias():
+                if at_end:
+                    lst.add(A)
+                    nl[3] = nl[-1]
+                else:
+                    lst.add_first(A)
+                    nl[-3] = nl[0]
+
+            assert verdicts(lst, add_and_alias) == (False, False), at_end
+
+    def test_unjournaled_break_at_the_far_end(self):
+        # a link changed behind the journal, at the end away from the edit
+        for edit, end in (("add", "first"), ("add_first", "last")):
+            lst = build_list([A, B] * 6)
+
+            def edit_and_break_end():
+                getattr(lst, edit)(A)
+                rec = lst.store.record(getattr(lst, end))
+                if end == "first":
+                    rec.prev = lst.last
+                else:
+                    rec.next = lst.first
+
+            assert verdicts(lst, edit_and_break_end) == (False, False), edit
+
+
 class TestRunCheckedCost:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -238,9 +343,9 @@ class TestRunCheckedCost:
         walk = counting("walk_chain", heapmodel.walk_chain)
         monkeypatch.setattr(heapmodel, "walk_chain", walk)
         monkeypatch.setattr(listcore, "walk_chain", walk)
-        monkeypatch.setattr(
-            ghostspec, "check_invariant", counting("check_invariant", check_invariant)
-        )
+        check = counting("check_invariant", check_invariant)
+        monkeypatch.setattr(ghostspec, "check_invariant", check)
+        monkeypatch.setattr(difftest, "check_invariant", check)
         return counts
 
     def test_passing_scoped_check_walks_nothing(self, calls):
@@ -275,6 +380,12 @@ class TestRunCheckedCost:
         monkeypatch.setattr(ghostspec, "oracle_apply", lambda *a: pytest.fail("second oracle step"))
         result = full_failfast(steps, frozenset())
         assert result.aborted["failfast"] is None and len(result.oracles["failfast"].items) == 127
+        assert calls == {}
+
+    def test_carried_invariant_steps_check_nothing_in_full(self, calls):
+        result = run_script(gen_script(3, 8, 400, ADD_HEAVY_WEIGHTS), CheckMode.INVARIANT,
+                            policies=(SizePolicy.FAIL_FAST,))
+        assert result.total("failfast") == 0 and len(result.oracles["failfast"].items) == 127
         assert calls == {}
 
 
@@ -365,3 +476,97 @@ class TestCarriedEntry:
         empty = oracle.AbstractList((), 8, bounded=False)
         with pytest.raises(UsageError, match="requires a FailFast list"):
             run_checked(lst, "size", (), carried=(empty, *oracle.oracle_apply(empty, "size", ())))
+
+
+@contextmanager
+def scoped_steps(plain: bool = False):
+    """Route ``run_script``'s scoped exit checks through a wrapper that
+    runs the full ``check_invariant`` beside every one that passed;
+    yields one (op, scoped verdict) entry per scoped check. With
+    ``plain``, every scoped check answers False, so the full check runs
+    after every step, as it does without the carry."""
+    seen = []
+    real = difftest.exit_invariant_holds
+
+    def beside(lst, pre, journal):
+        holds = real(lst, pre, journal)
+        if holds:
+            report = check_invariant(lst)
+            assert report.ok, report.failures()
+        seen.append(holds)
+        return holds and not plain
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(difftest, "exit_invariant_holds", beside)
+        yield seen
+
+
+def invariant_failfast(steps, faults):
+    return run_script(OpScript(0, 8, tuple(steps)), CheckMode.INVARIANT,
+                      policies=(SizePolicy.FAIL_FAST,), faults=faults)
+
+
+class TestCarriedInvariantMode:
+    def test_generated_scripts_all_faults_both_mixes(self):
+        fell_back = 0
+        for fault in (None, *FAULTS):
+            faults = frozenset() if fault is None else frozenset({fault})
+            for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
+                for seed in range(6):
+                    with scoped_steps() as seen:
+                        result = invariant_failfast(gen_script(seed, 8, 400, weights).steps, faults)
+                    assert seen, (fault, seed)
+                    fell_back += not all(seen)
+                    if fault is None:
+                        assert all(seen) and result.total("failfast") == 0, seed
+        assert fell_back
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((0, 1, 126, 127)) | st.integers(0, 127),
+        st.sampled_from((None, *FAULTS)),
+        st.lists(st.sampled_from(sorted(OP_SPECS)), min_size=1, max_size=30),
+        st.data(),
+    )
+    def test_drawn_scripts_match_the_plain_path(self, prefix, fault, ops, data):
+        faults = frozenset() if fault is None else frozenset({fault})
+        steps = [("add", (ALPHABET[i % len(ALPHABET)],)) for i in range(prefix)]
+        steps += [
+            (op, tuple(
+                data.draw(st.integers(-1, prefix + 2) if kind == INDEX else st.sampled_from(ALPHABET))
+                for kind in OP_SPECS[op].args
+            ))
+            for op in ops
+        ]
+        with scoped_steps() as seen:
+            carried = invariant_failfast(steps, faults)
+        with scoped_steps(plain=True):
+            plain = invariant_failfast(steps, faults)
+        event(f"scoped checks passed: {all(seen)}")
+        assert outputs(carried) == outputs(plain)
+
+    def test_fallback_then_carry_resumes_after_a_passing_full_check(self, monkeypatch):
+        """``unlink-skip-relink`` breaks the chain; the full check reports
+        it after each step until ``clear`` leaves an empty, valid list,
+        and from the next step on the scoped check judges again."""
+        log = []
+        real_scoped, real_full = difftest.exit_invariant_holds, difftest.check_invariant
+
+        def scoped(lst, pre, journal):
+            log.append("scoped")
+            return real_scoped(lst, pre, journal)
+
+        def full(lst):
+            report = real_full(lst)
+            log.append("full" if report.ok else "full-failed")
+            return report
+
+        monkeypatch.setattr(difftest, "exit_invariant_holds", scoped)
+        monkeypatch.setattr(difftest, "check_invariant", full)
+        steps = [("add", (A,)), ("add", (B,)), ("add", (A,)), ("remove_at", (1,)),
+                 ("size", ()), ("clear", ()), ("add", (B,)), ("get", (0,))]
+        result = invariant_failfast(steps, frozenset({"unlink-skip-relink"}))
+        assert log == ["scoped"] * 4 + ["full-failed", "full-failed", "full"] + ["scoped"] * 2
+        divs = result.divergences["failfast"]
+        assert [(d.step, d.kind) for d in divs] == [(3, "InvariantViolation"), (4, "InvariantViolation")]
+        assert result.aborted["failfast"] is None
