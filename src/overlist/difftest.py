@@ -177,6 +177,13 @@ class ScriptResult:
         return len(self.divergences[policy])
 
 
+#: the ghost length from which an INVARIANT step is judged by the scoped
+#: exit check: the full check costs O(n) in C-level sequence operations,
+#: the scoped one a constant number of Python-level lookups plus the
+#: savepoint, and they cost the same at about 16 nodes (Python 3.11)
+SCOPED_CHECK_MIN_LENGTH = 16
+
+
 def run_script(
     script: OpScript,
     check_mode: CheckMode = CheckMode.OFF,
@@ -202,12 +209,14 @@ def run_script(
     from there on every step runs the full entry check.
 
     Under INVARIANT the run carries the invariant the same way. While it
-    holds, a step keeps the ghost from before the call, runs inside a
-    store savepoint, and is judged by ``exit_invariant_holds`` on that
-    savepoint's journal. When that does not vouch for the state, the full
-    ``check_invariant`` decides, with the same divergence and witnesses;
-    after a failed full check every step runs the full check until one
-    passes, and from there the run carries again."""
+    holds, a step that starts with at least ``SCOPED_CHECK_MIN_LENGTH``
+    ghost nodes keeps the ghost from before the call, runs inside a store
+    savepoint, and is judged by ``exit_invariant_holds`` on that
+    savepoint's journal. A step on a shorter list, or one the scoped
+    check does not vouch for, is judged by the full ``check_invariant``,
+    with the same divergence and witnesses. After a failed full check
+    every step runs the full check until one passes; from there the run
+    carries again."""
     for op, args in script.steps:
         check_call(op, args)
     divergences: dict[str, list[Divergence]] = {}
@@ -218,17 +227,18 @@ def run_script(
         pname = policy.value
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
         full = checked and check_mode is CheckMode.FULL
-        scoped = checked and not full
+        invariant_mode = checked and not full
         lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
         abs_state = AbstractList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
         aborted[pname] = None
         # the new list is empty: the invariant holds and its items are the oracle's
         carry = full
-        holds = scoped
+        holds = invariant_mode
         for step, (op, args) in enumerate(script.steps):
             carried = (abs_state, *oracle_apply(abs_state, op, args)) if carry else None
-            if holds:
+            scoped = holds and len(lst.ghost.node_list) >= SCOPED_CHECK_MIN_LENGTH
+            if scoped:
                 pre = tuple(lst.ghost.node_list)
                 mark = lst.store.open_journal()
             try:
@@ -254,7 +264,7 @@ def run_script(
                 aborted[pname] = step
                 break
             finally:
-                if holds:
+                if scoped:
                     journal = lst.store.close_journal(mark)
             verdict, abs_state = carried[1:] if carried else oracle_apply(abs_state, op, args)
             carry = carry and verdict.kind != "unspecified"
@@ -270,7 +280,7 @@ def run_script(
                         classify(outcome, verdict),
                     )
                 )
-            if scoped and not (holds and exit_invariant_holds(lst, pre, journal)):
+            if invariant_mode and not (scoped and exit_invariant_holds(lst, pre, journal)):
                 report = check_invariant(lst)
                 holds = report.ok
                 if not holds:

@@ -150,10 +150,10 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
     the middle is searched for, among the written nodes. The entry ghost
     is duplicate-free (the invariant held), so after a matching edit the
     exit ghost is too, and each written node sits at one position at
-    most. The edit's neighbours and the ends give the positions of the
-    nodes an ordinary call writes; only a written node found among none
-    of them is scanned for, and a removed node has left the ghost. Item
-    writes touch no link, so they are not looked up."""
+    most. The nodes an ordinary call links lie at the edit site, whose
+    positions are known; only a node written elsewhere is scanned for,
+    and the removed node has left the ghost. Item writes touch no link,
+    so they are not looked up."""
     nl = state.ghost.node_list
     n = len(nl)
     if state.size != n or state.size > state.max_size:  # C1, C2
@@ -166,7 +166,7 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
     if n == len(pre):
         if fresh or post != pre:
             return False
-        edit = ()
+        lo = hi = 0
     elif n == len(pre) + 1:
         if len(fresh) != 1:
             return False
@@ -181,7 +181,7 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
             return False
         if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
             return False
-        edit = (p - 1, p, p + 1)
+        lo, hi = p - 1, p + 2
     elif n == len(pre) - 1 and not fresh:
         if post[0] != pre[0]:
             candidates = (0,)
@@ -195,24 +195,25 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
         else:
             return False
         gone = pre[p]
-        edit = (p - 1, p)
+        lo, hi = p - 1, p + 1
     else:
         return False
-    last = n - 1
-    at = [i for i in (0, last, *edit) if 0 <= i < n] if edit else [0, last]
+    # both ends, then the edit site clipped to the ghost
+    if lo < 0:
+        lo = 0
+    if hi > n:
+        hi = n
+    at = [0, n - 1, *range(lo, hi)]
     if entries:
-        known = set(map(post.__getitem__, at))
-        known.add(gone)
-        it = iter(entries)
-        for nid, name, _ in zip(it, it, it):
-            if name != "item" and nid not in known:
-                known.add(nid)
-                if nid in post:
-                    at.append(post.index(nid))
+        near = post[lo:hi]
+        for nid, name in zip(entries[::3], entries[1::3]):
+            if name != "item" and nid not in near and nid != gone and nid in post:
+                at.append(post.index(nid))
     try:
-        recs = state.store.records(map(post.__getitem__, at))
+        recs = state.store.records([post[i] for i in at])
     except DanglingLink:
         return False
+    last = n - 1
     for i, rec in zip(at, recs):
         if rec.prev != (post[i - 1] if i else None):
             return False

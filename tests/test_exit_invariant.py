@@ -73,6 +73,29 @@ def replay_verdicts(lst, steps):
             return
 
 
+#: a prefix length, a fault or none, the operations that follow the prefix,
+#: and the draws for their arguments
+given_drawn_script = given(
+    st.sampled_from((0, 1, 126, 127)) | st.integers(0, 127),
+    st.sampled_from((None, *FAULTS)),
+    st.lists(st.sampled_from(sorted(OP_SPECS)), min_size=1, max_size=30),
+    st.data(),
+)
+
+
+def drawn_steps(prefix, ops, data):
+    """``prefix`` adds, then ``ops`` with arguments drawn around the length."""
+    steps = [("add", (ALPHABET[i % len(ALPHABET)],)) for i in range(prefix)]
+    steps += [
+        (op, tuple(
+            data.draw(st.integers(-1, prefix + 2) if kind == INDEX else st.sampled_from(ALPHABET))
+            for kind in OP_SPECS[op].args
+        ))
+        for op in ops
+    ]
+    return steps
+
+
 class TestProofObligation:
     def test_generated_scripts_all_faults_both_mixes(self):
         seen = Counter()
@@ -95,25 +118,14 @@ class TestProofObligation:
         assert seen["unlink-skip-relink", False] and seen["add-skip-checksize", False]
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.sampled_from((0, 1, 126, 127)) | st.integers(0, 127),
-        st.sampled_from((None, *FAULTS)),
-        st.lists(st.sampled_from(sorted(OP_SPECS)), min_size=1, max_size=30),
-        st.data(),
-    )
+    @given_drawn_script
     def test_drawn_calls_from_any_length(self, prefix, fault, ops, data):
         faults = frozenset() if fault is None else frozenset({fault})
         lst = new_list(8, SizePolicy.FAIL_FAST, faults=faults)
-        for i in range(prefix):
-            lst.add(ALPHABET[i % len(ALPHABET)])
-        steps = [
-            (op, tuple(
-                data.draw(st.integers(-1, prefix + 2) if kind == INDEX else st.sampled_from(ALPHABET))
-                for kind in OP_SPECS[op].args
-            ))
-            for op in ops
-        ]
-        for op, outcome, scoped, full in replay_verdicts(lst, steps):
+        steps = drawn_steps(prefix, ops, data)
+        for op, args in steps[:prefix]:
+            apply_op(lst, op, args)
+        for op, outcome, scoped, full in replay_verdicts(lst, steps[prefix:]):
             event(f"{op}: {outcome}")
             assert scoped == full, (fault, op)
 
@@ -383,10 +395,16 @@ class TestRunCheckedCost:
         assert calls == {}
 
     def test_carried_invariant_steps_check_nothing_in_full(self, calls):
-        result = run_script(gen_script(3, 8, 400, ADD_HEAVY_WEIGHTS), CheckMode.INVARIANT,
-                            policies=(SizePolicy.FAIL_FAST,))
+        script = gen_script(3, 8, 400, ADD_HEAVY_WEIGHTS)
+        lst, short = new_list(8, SizePolicy.FAIL_FAST), 0
+        for op, args in script.steps:
+            short += len(lst.ghost.node_list) < difftest.SCOPED_CHECK_MIN_LENGTH
+            outcome_of(lst, op, args)
+        result = run_script(script, CheckMode.INVARIANT, policies=(SizePolicy.FAIL_FAST,))
         assert result.total("failfast") == 0 and len(result.oracles["failfast"].items) == 127
-        assert calls == {}
+        # only the steps that start on a short list are checked in full
+        assert 0 < short < 40
+        assert calls == {"check_invariant": short}
 
 
 @contextmanager
@@ -439,22 +457,10 @@ class TestCarriedEntry:
         assert aborted
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from((0, 1, 126, 127)) | st.integers(0, 127),
-        st.sampled_from((None, *FAULTS)),
-        st.lists(st.sampled_from(sorted(OP_SPECS)), min_size=1, max_size=30),
-        st.data(),
-    )
+    @given_drawn_script
     def test_drawn_scripts_match_the_plain_path(self, prefix, fault, ops, data):
         faults = frozenset() if fault is None else frozenset({fault})
-        steps = [("add", (ALPHABET[i % len(ALPHABET)],)) for i in range(prefix)]
-        steps += [
-            (op, tuple(
-                data.draw(st.integers(-1, prefix + 2) if kind == INDEX else st.sampled_from(ALPHABET))
-                for kind in OP_SPECS[op].args
-            ))
-            for op in ops
-        ]
+        steps = drawn_steps(prefix, ops, data)
         with carried_entries() as entered:
             carried = full_failfast(steps, faults)
         with carried_entries(plain=True):
@@ -482,7 +488,7 @@ class TestCarriedEntry:
 def scoped_steps(plain: bool = False):
     """Route ``run_script``'s scoped exit checks through a wrapper that
     runs the full ``check_invariant`` beside every one that passed;
-    yields one (op, scoped verdict) entry per scoped check. With
+    yields the verdicts of the scoped checks, in order. With
     ``plain``, every scoped check answers False, so the full check runs
     after every step, as it does without the carry."""
     seen = []
@@ -508,36 +514,25 @@ def invariant_failfast(steps, faults):
 
 class TestCarriedInvariantMode:
     def test_generated_scripts_all_faults_both_mixes(self):
-        fell_back = 0
+        verdicts = Counter()
         for fault in (None, *FAULTS):
             faults = frozenset() if fault is None else frozenset({fault})
             for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
                 for seed in range(6):
                     with scoped_steps() as seen:
                         result = invariant_failfast(gen_script(seed, 8, 400, weights).steps, faults)
-                    assert seen, (fault, seed)
-                    fell_back += not all(seen)
-                    if fault is None:
-                        assert all(seen) and result.total("failfast") == 0, seed
-        assert fell_back
+                    verdicts.update((fault, holds) for holds in seen)
+                    assert fault is not None or result.total("failfast") == 0, seed
+        # every fault-free scoped check passed; under faults some fell back
+        assert verdicts[None, True] > 1000 and verdicts[None, False] == 0
+        assert all(verdicts[fault, True] for fault in FAULTS)
+        assert verdicts["unlink-skip-relink", False] and verdicts["add-skip-checksize", False]
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from((0, 1, 126, 127)) | st.integers(0, 127),
-        st.sampled_from((None, *FAULTS)),
-        st.lists(st.sampled_from(sorted(OP_SPECS)), min_size=1, max_size=30),
-        st.data(),
-    )
+    @given_drawn_script
     def test_drawn_scripts_match_the_plain_path(self, prefix, fault, ops, data):
         faults = frozenset() if fault is None else frozenset({fault})
-        steps = [("add", (ALPHABET[i % len(ALPHABET)],)) for i in range(prefix)]
-        steps += [
-            (op, tuple(
-                data.draw(st.integers(-1, prefix + 2) if kind == INDEX else st.sampled_from(ALPHABET))
-                for kind in OP_SPECS[op].args
-            ))
-            for op in ops
-        ]
+        steps = drawn_steps(prefix, ops, data)
         with scoped_steps() as seen:
             carried = invariant_failfast(steps, faults)
         with scoped_steps(plain=True):
@@ -547,8 +542,9 @@ class TestCarriedInvariantMode:
 
     def test_fallback_then_carry_resumes_after_a_passing_full_check(self, monkeypatch):
         """``unlink-skip-relink`` breaks the chain; the full check reports
-        it after each step until ``clear`` leaves an empty, valid list,
-        and from the next step on the scoped check judges again."""
+        it after each step until ``clear`` leaves an empty, valid list.
+        Steps on the short list that follows are checked in full, and once
+        it is long enough the scoped check judges again."""
         log = []
         real_scoped, real_full = difftest.exit_invariant_holds, difftest.check_invariant
 
@@ -563,10 +559,13 @@ class TestCarriedInvariantMode:
 
         monkeypatch.setattr(difftest, "exit_invariant_holds", scoped)
         monkeypatch.setattr(difftest, "check_invariant", full)
-        steps = [("add", (A,)), ("add", (B,)), ("add", (A,)), ("remove_at", (1,)),
-                 ("size", ()), ("clear", ()), ("add", (B,)), ("get", (0,))]
+        k = difftest.SCOPED_CHECK_MIN_LENGTH
+        grow = [("add", (ALPHABET[i % len(ALPHABET)],)) for i in range(k)]
+        steps = [*grow, ("remove_at", (1,)), ("size", ()), ("clear", ()), *grow, ("get", (0,))]
         result = invariant_failfast(steps, frozenset({"unlink-skip-relink"}))
-        assert log == ["scoped"] * 4 + ["full-failed", "full-failed", "full"] + ["scoped"] * 2
+        assert log == (["full"] * k + ["scoped", "full-failed", "full-failed", "full"]
+                       + ["full"] * k + ["scoped"])
         divs = result.divergences["failfast"]
-        assert [(d.step, d.kind) for d in divs] == [(3, "InvariantViolation"), (4, "InvariantViolation")]
+        assert [(d.step, d.kind) for d in divs] == [(k, "InvariantViolation"),
+                                                   (k + 1, "InvariantViolation")]
         assert result.aborted["failfast"] is None
