@@ -180,7 +180,8 @@ class ScriptResult:
 #: the ghost length from which an INVARIANT step is judged by the scoped
 #: exit check: the full check costs O(n) in C-level sequence operations,
 #: the scoped one a constant number of Python-level lookups plus the
-#: savepoint, and they cost the same at about 16 nodes (Python 3.11)
+#: savepoint, and they cost the same at about 16 nodes (Python 3.11 on a
+#: 2-vCPU host)
 SCOPED_CHECK_MIN_LENGTH = 16
 
 
