@@ -394,7 +394,7 @@ class TestRunCheckedCost:
         assert result.aborted["failfast"] is None and len(result.oracles["failfast"].items) == 127
         assert calls == {}
 
-    def test_carried_invariant_steps_check_nothing_in_full(self, calls):
+    def test_invariant_steps_check_in_full_only_on_short_lists(self, calls):
         script = gen_script(3, 8, 400, ADD_HEAVY_WEIGHTS)
         lst, short = new_list(8, SizePolicy.FAIL_FAST), 0
         for op, args in script.steps:
