@@ -177,14 +177,6 @@ class ScriptResult:
         return len(self.divergences[policy])
 
 
-#: the ghost length from which an INVARIANT step is judged by the scoped
-#: exit check: the full check costs O(n) in C-level sequence operations,
-#: the scoped one a constant number of Python-level lookups plus the
-#: savepoint, and they cost the same at about 16 nodes (Python 3.11 on a
-#: 2-vCPU host)
-SCOPED_CHECK_MIN_LENGTH = 16
-
-
 def run_script(
     script: OpScript,
     check_mode: CheckMode = CheckMode.OFF,
@@ -210,14 +202,12 @@ def run_script(
     from there on every step runs the full entry check.
 
     Under INVARIANT the run carries the invariant the same way. While it
-    holds, a step that starts with at least ``SCOPED_CHECK_MIN_LENGTH``
-    ghost nodes keeps the ghost from before the call, runs inside a store
-    savepoint, and is judged by ``exit_invariant_holds`` on that
-    savepoint's journal. A step on a shorter list, or one the scoped
-    check does not vouch for, is judged by the full ``check_invariant``,
-    with the same divergence and witnesses. After a failed full check
-    every step runs the full check until one passes; from there the run
-    carries again."""
+    holds, each step keeps the ghost from before the call, runs inside a
+    store savepoint, and is judged by ``exit_invariant_holds`` on that
+    savepoint's journal. A step the scoped check does not vouch for is
+    judged by the full ``check_invariant``, with the same divergence and
+    witnesses. After a failed full check every step runs the full check
+    until one passes; from there the run carries again."""
     for op, args in script.steps:
         check_call(op, args)
     divergences: dict[str, list[Divergence]] = {}
@@ -238,8 +228,7 @@ def run_script(
         holds = invariant_mode
         for step, (op, args) in enumerate(script.steps):
             carried = (abs_state, *oracle_apply(abs_state, op, args)) if carry else None
-            scoped = holds and len(lst.ghost.node_list) >= SCOPED_CHECK_MIN_LENGTH
-            if scoped:
+            if holds:
                 pre = tuple(lst.ghost.node_list)
                 mark = lst.store.open_journal()
             try:
@@ -265,7 +254,7 @@ def run_script(
                 aborted[pname] = step
                 break
             finally:
-                if scoped:
+                if holds:
                     journal = lst.store.close_journal(mark)
             verdict, abs_state = carried[1:] if carried else oracle_apply(abs_state, op, args)
             carry = carry and verdict.kind != "unspecified"
@@ -281,7 +270,7 @@ def run_script(
                         classify(outcome, verdict),
                     )
                 )
-            if invariant_mode and not (scoped and exit_invariant_holds(lst, pre, journal)):
+            if invariant_mode and not (holds and exit_invariant_holds(lst, pre, journal)):
                 report = check_invariant(lst)
                 holds = report.ok
                 if not holds:

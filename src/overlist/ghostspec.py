@@ -198,11 +198,8 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
         lo, hi = p - 1, p + 1
     else:
         return False
-    # both ends, then the edit site clipped to the ghost
-    if lo < 0:
-        lo = 0
-    if hi > n:
-        hi = n
+    lo = max(lo, 0)
+    hi = min(hi, n)
     at = [0, n - 1, *range(lo, hi)]
     if entries:
         near = post[lo:hi]

@@ -394,17 +394,11 @@ class TestRunCheckedCost:
         assert result.aborted["failfast"] is None and len(result.oracles["failfast"].items) == 127
         assert calls == {}
 
-    def test_invariant_steps_check_in_full_only_on_short_lists(self, calls):
-        script = gen_script(3, 8, 400, ADD_HEAVY_WEIGHTS)
-        lst, short = new_list(8, SizePolicy.FAIL_FAST), 0
-        for op, args in script.steps:
-            short += len(lst.ghost.node_list) < difftest.SCOPED_CHECK_MIN_LENGTH
-            outcome_of(lst, op, args)
-        result = run_script(script, CheckMode.INVARIANT, policies=(SizePolicy.FAIL_FAST,))
+    def test_carried_invariant_steps_check_nothing_in_full(self, calls):
+        result = run_script(gen_script(3, 8, 400, ADD_HEAVY_WEIGHTS), CheckMode.INVARIANT,
+                            policies=(SizePolicy.FAIL_FAST,))
         assert result.total("failfast") == 0 and len(result.oracles["failfast"].items) == 127
-        # only the steps that start on a short list are checked in full
-        assert 0 < short < 40
-        assert calls == {"check_invariant": short}
+        assert calls == {}
 
 
 @contextmanager
@@ -542,9 +536,8 @@ class TestCarriedInvariantMode:
 
     def test_fallback_then_carry_resumes_after_a_passing_full_check(self, monkeypatch):
         """``unlink-skip-relink`` breaks the chain; the full check reports
-        it after each step until ``clear`` leaves an empty, valid list.
-        Steps on the short list that follows are checked in full, and once
-        it is long enough the scoped check judges again."""
+        it after each step until ``clear`` leaves an empty, valid list,
+        and from the next step on the scoped check judges again."""
         log = []
         real_scoped, real_full = difftest.exit_invariant_holds, difftest.check_invariant
 
@@ -559,13 +552,10 @@ class TestCarriedInvariantMode:
 
         monkeypatch.setattr(difftest, "exit_invariant_holds", scoped)
         monkeypatch.setattr(difftest, "check_invariant", full)
-        k = difftest.SCOPED_CHECK_MIN_LENGTH
-        grow = [("add", (ALPHABET[i % len(ALPHABET)],)) for i in range(k)]
-        steps = [*grow, ("remove_at", (1,)), ("size", ()), ("clear", ()), *grow, ("get", (0,))]
+        steps = [("add", (A,)), ("add", (B,)), ("add", (A,)), ("remove_at", (1,)),
+                 ("size", ()), ("clear", ()), ("add", (B,)), ("get", (0,))]
         result = invariant_failfast(steps, frozenset({"unlink-skip-relink"}))
-        assert log == (["full"] * k + ["scoped", "full-failed", "full-failed", "full"]
-                       + ["full"] * k + ["scoped"])
+        assert log == ["scoped"] * 4 + ["full-failed", "full-failed", "full"] + ["scoped"] * 2
         divs = result.divergences["failfast"]
-        assert [(d.step, d.kind) for d in divs] == [(k, "InvariantViolation"),
-                                                   (k + 1, "InvariantViolation")]
+        assert [(d.step, d.kind) for d in divs] == [(3, "InvariantViolation"), (4, "InvariantViolation")]
         assert result.aborted["failfast"] is None
