@@ -164,10 +164,23 @@ class TestReplayCommand:
         assert main(["replay", str(path)]) == 2
 
 
+#: SHA-256 over the standard output of ``check --ops 500`` at widths 8 and
+#: 16, seeds 0 and 1 in turn; it pins the counts ``check`` reports
+GOLDEN_CHECK = "1d4f5df4019a8041753fe17c5e4a98a29a0b61b35c5f020c6bddb7eb5a2248e2"
+
+
 class TestCheckCommand:
     def test_small_battery_passes(self, capsys):
         assert main(["check", "--ops", "200", "--seed", "0"]) == 0
         assert "properties hold" in capsys.readouterr().out
+
+    def test_output_is_byte_identical(self, capsys):
+        h = hashlib.sha256()
+        for width in ("8", "16"):
+            for seed in ("0", "1"):
+                assert main(["check", "--ops", "500", "--width", width, "--seed", seed]) == 0
+                h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == GOLDEN_CHECK
 
 
 class TestUsage:
