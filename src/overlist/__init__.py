@@ -13,9 +13,8 @@ from .errors import (
 )
 from .jint import WIDTHS, JInt, max_value, min_value, wrap
 from .heapmodel import NULL, Atom, Item, NodeRecord, NodeStore, walk_chain
-from .listcore import CheckMode, FAULTS, GhostState, JavaLinkedList, SizePolicy, new_list
+from .listcore import CheckMode, FAULTS, JavaLinkedList, SizePolicy, new_list
 from .ghostspec import (
-    InvariantReport,
     check_acyclic,
     check_invariant,
     check_unique_endpoints,
@@ -60,8 +59,6 @@ __all__ = [
     "JavaLinkedList",
     "SizePolicy",
     "new_list",
-    "GhostState",
-    "InvariantReport",
     "check_acyclic",
     "check_invariant",
     "check_unique_endpoints",

@@ -76,7 +76,7 @@ def cmd_repro(args) -> int:
 
     if args.fixed:
         expected_refusal = cap + 1
-        inv_ok = check_invariant(lst).ok
+        inv_ok = not check_invariant(lst)
         as_predicted = (
             first_refusal == expected_refusal and lst.size == cap and inv_ok
         )
@@ -244,9 +244,9 @@ def cmd_check(args) -> int:
     enumerated = 0
     for lst in enumerate_lists(max_len=5, width=args.width):
         enumerated += 1
-        report = check_invariant(lst)
-        if not report.ok:
-            failures.append(f"enumerated list violates invariant: {report.failures()}")
+        violated = check_invariant(lst)
+        if violated:
+            failures.append(f"enumerated list violates invariant: {violated}")
             continue
         ok, witness = check_acyclic(lst)
         if not ok:
@@ -259,10 +259,10 @@ def cmd_check(args) -> int:
     non_vacuous = 0
     for _ in range(args.ops):
         state = random_state(rng, width=args.width)
-        report = check_invariant(state)
-        if report.clauses["C1"].ok and not report.clauses["C2"].ok:
+        failed = dict(check_invariant(state))
+        if "C1" not in failed and "C2" in failed:
             failures.append("C1 held but C2 failed (redundancy broken)")
-        if report.ok:
+        if not failed:
             non_vacuous += 1
             if not check_acyclic(state)[0] or not check_unique_endpoints(state)[0]:
                 failures.append("invariant held but a derived property failed")

@@ -14,6 +14,7 @@ from itertools import chain, repeat
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, exit_invariant_holds, run_checked
 from .heapmodel import NULL, Atom, NullItem
+from .jint import check_width
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
 from .ops import ALPHABET, GROWS, INDEX, ITEM, MARKER, OP_SPECS, RESET, SHRINKS, check_call, spec_of
 from .oracle import (
@@ -198,8 +199,9 @@ def run_script(
     semantics): the invariant holds, and the chain's items are the
     oracle's. The step's oracle verdict is computed once, before the
     call, and ``run_checked`` is judged against it without an entry
-    check. After an Unspecified verdict the items were not compared, so
-    from there on every step runs the full entry check.
+    check. The FailFast oracle starts empty and is bounded, so its length
+    never passes the width's maximum and no verdict is Unspecified: every
+    step's items are compared.
 
     Under INVARIANT the run carries the invariant the same way. While it
     holds, each step keeps the ghost from before the call, runs inside a
@@ -224,16 +226,15 @@ def run_script(
         divs: list[Divergence] = []
         aborted[pname] = None
         # the new list is empty: the invariant holds and its items are the oracle's
-        carry = full
         holds = invariant_mode
         for step, (op, args) in enumerate(script.steps):
-            carried = (abs_state, *oracle_apply(abs_state, op, args)) if carry else None
+            verdict, abs_post = oracle_apply(abs_state, op, args)
             if holds:
-                pre = tuple(lst.ghost.node_list)
+                pre = tuple(lst.ghost)
                 mark = lst.store.open_journal()
             try:
                 if full:
-                    result = run_checked(lst, op, args, carried=carried)
+                    result = run_checked(lst, op, args, carried=(abs_state, verdict, abs_post))
                 else:
                     result = apply_op(lst, op, args)
                 outcome = ("value", normalize(result))
@@ -256,8 +257,7 @@ def run_script(
             finally:
                 if holds:
                     journal = lst.store.close_journal(mark)
-            verdict, abs_state = carried[1:] if carried else oracle_apply(abs_state, op, args)
-            carry = carry and verdict.kind != "unspecified"
+            abs_state = abs_post
             if observe_equal(outcome, verdict) == "disagree":
                 divs.append(
                     Divergence(
@@ -271,19 +271,11 @@ def run_script(
                     )
                 )
             if invariant_mode and not (holds and exit_invariant_holds(lst, pre, journal)):
-                report = check_invariant(lst)
-                holds = report.ok
-                if not holds:
+                failures = check_invariant(lst)
+                holds = not failures
+                if failures:
                     divs.append(
-                        Divergence(
-                            step,
-                            op,
-                            args,
-                            pname,
-                            str(report.failures()),
-                            None,
-                            "InvariantViolation",
-                        )
+                        Divergence(step, op, args, pname, str(failures), None, "InvariantViolation")
                     )
         divergences[pname] = divs
         lists[pname] = lst
@@ -503,6 +495,7 @@ def load_script(text: str) -> OpScript:
             elif not (isinstance(rec, dict) and "seed" in rec and "width" in rec):
                 raise UsageError("the header needs a \"seed\" and a \"width\" field")
             else:
+                check_width(rec["width"])
                 header = rec
         except (ValueError, UsageError) as e:
             raise UsageError(f"line {n}: {e}") from None

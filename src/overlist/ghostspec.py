@@ -3,10 +3,10 @@ the list's ghost state, derived acyclicity / unique-endpoint properties,
 heap frame checking, and a contract harness that wraps list operations
 with pre/post/invariant/frame checks.
 
-The ghost ``node_list`` (``listcore.GhostState``) mirrors the chain as a
-sequence of node ids. It is bookkeeping only: production logic never
-reads it to make decisions, and every check here evaluates it directly
-against the header and the node store.
+The list's ghost (``JavaLinkedList.ghost``, JML's ``nodeList``) mirrors
+the chain as a sequence of node ids. It is bookkeeping only: production
+logic never reads it to make decisions, and every check here evaluates
+it directly against the header and the node store.
 """
 
 from __future__ import annotations
@@ -25,35 +25,10 @@ from .oracle import AbstractList, normalize, observe_equal, oracle_apply
 # class invariant
 
 
-@dataclass(frozen=True)
-class ClauseResult:
-    ok: bool
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    clauses: dict[str, ClauseResult]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.clauses.values())
-
-    def failures(self) -> list[tuple[str, str]]:
-        return [(cid, c.witness or "") for cid, c in self.clauses.items() if not c.ok]
-
-    def to_json(self) -> dict:
-        return {
-            cid: {"ok": c.ok, "witness": c.witness} for cid, c in self.clauses.items()
-        }
-
-
-#: the result of every passing clause (the class is frozen, so one serves all)
-PASSED = ClauseResult(True)
-
-
-def check_invariant(state) -> InvariantReport:
-    """Evaluate all six invariant clauses against header, store and ghost.
+def check_invariant(state) -> list[tuple[str, str]]:
+    """Evaluate all six invariant clauses against header, store and ghost,
+    and return the failing ones as (clause, witness) pairs in clause
+    order; the list is empty when the invariant holds.
 
     C1 cached size equals ghost length; C2 size bounded by the width's
     maximum; C3 every ghost entry is an allocated node; C4 empty list has
@@ -62,72 +37,52 @@ def check_invariant(state) -> InvariantReport:
     sequence."""
     if state.ghost is None:
         raise UsageError("invariant check requires ghost state")
-    store = state.store
-    nl = state.ghost.node_list
+    nl = state.ghost
     n = len(nl)
-    clauses: dict[str, ClauseResult] = {}
-
-    clauses["C1"] = (
-        PASSED
-        if state.size == n
-        else ClauseResult(False, f"size={state.size} vs |nodeList|={n}")
-    )
-    clauses["C2"] = (
-        PASSED
-        if state.size <= state.max_size
-        else ClauseResult(False, f"size={state.size} > {state.max_size}")
-    )
+    failures = []
+    if state.size != n:
+        failures.append(("C1", f"size={state.size} vs |nodeList|={n}"))
+    if state.size > state.max_size:
+        failures.append(("C2", f"size={state.size} > {state.max_size}"))
     # C3 is the bulk lookup that also fetches the records C5 and C6 read;
     # it fails on the first unallocated entry, whose first position is the
     # witness
     try:
-        recs = store.records(nl)
-        clauses["C3"] = PASSED
+        recs = state.store.records(nl)
     except DanglingLink as e:
         recs = None
         bad = nl.index(e.node_id)
-        clauses["C3"] = ClauseResult(False, f"nodeList[{bad}]={nl[bad]} unallocated")
+        failures.append(("C3", f"nodeList[{bad}]={nl[bad]} unallocated"))
 
     if n == 0:
-        clauses["C4"] = (
-            PASSED
-            if state.first is None and state.last is None
-            else ClauseResult(False, f"empty but first={state.first} last={state.last}")
-        )
-        clauses["C5"] = PASSED
-        clauses["C6"] = PASSED
-        return InvariantReport(clauses)
-
-    clauses["C4"] = PASSED
+        if state.first is not None or state.last is not None:
+            failures.append(("C4", f"empty but first={state.first} last={state.last}"))
+        return failures
     if recs is None:
-        clauses["C5"] = ClauseResult(False, "unallocated ghost entry")
-        clauses["C6"] = ClauseResult(False, "unallocated ghost entry")
-        return InvariantReport(clauses)
+        failures.append(("C5", "unallocated ghost entry"))
+        failures.append(("C6", "unallocated ghost entry"))
+        return failures
 
     prevs = list(map(attrgetter("prev"), recs))
     nexts = list(map(attrgetter("next"), recs))
-    c5_witness = None
     if state.first != nl[0]:
-        c5_witness = f"first={state.first} != nodeList[0]={nl[0]}"
+        failures.append(("C5", f"first={state.first} != nodeList[0]={nl[0]}"))
     elif state.last != nl[-1]:
-        c5_witness = f"last={state.last} != nodeList[{n - 1}]={nl[-1]}"
+        failures.append(("C5", f"last={state.last} != nodeList[{n - 1}]={nl[-1]}"))
     elif prevs[0] is not None:
-        c5_witness = f"first node {nl[0]} has prev={prevs[0]}"
+        failures.append(("C5", f"first node {nl[0]} has prev={prevs[0]}"))
     elif nexts[-1] is not None:
-        c5_witness = f"last node {nl[-1]} has next={nexts[-1]}"
-    clauses["C5"] = PASSED if c5_witness is None else ClauseResult(False, c5_witness)
+        failures.append(("C5", f"last node {nl[-1]} has next={nexts[-1]}"))
 
     # whole-sequence comparisons first; the index search runs only to name
     # the witness of a clause that already failed
-    c6_witness = None
     if prevs[1:] != nl[:-1]:
         i = next(i for i in range(1, n) if prevs[i] != nl[i - 1])
-        c6_witness = f"i={i}: prev={prevs[i]} != nodeList[{i - 1}]={nl[i - 1]}"
+        failures.append(("C6", f"i={i}: prev={prevs[i]} != nodeList[{i - 1}]={nl[i - 1]}"))
     elif nexts[:-1] != nl[1:]:
         i = next(i for i in range(n - 1) if nexts[i] != nl[i + 1])
-        c6_witness = f"i={i}: next={nexts[i]} != nodeList[{i + 1}]={nl[i + 1]}"
-    clauses["C6"] = PASSED if c6_witness is None else ClauseResult(False, c6_witness)
-    return InvariantReport(clauses)
+        failures.append(("C6", f"i={i}: next={nexts[i]} != nodeList[{i + 1}]={nl[i + 1]}"))
+    return failures
 
 
 def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool:
@@ -146,15 +101,17 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
 
     The edit is located with as few scans of the ghost as possible. A
     fresh node is looked for at the ghost's two ends before anywhere
-    else. A removal at an end shows as a changed end; only a removal in
-    the middle is searched for, among the written nodes. The entry ghost
+    else. A removal at an end shows as a changed end. A removal in the
+    middle is read from the journal: unlinking a node clears it, and
+    clearing is the call's last write, so the last entry names the node
+    and one search of the entry ghost finds its position. The entry ghost
     is duplicate-free (the invariant held), so after a matching edit the
     exit ghost is too, and each written node sits at one position at
     most. The nodes an ordinary call links lie at the edit site, whose
     positions are known; only a node written elsewhere is scanned for,
     and the removed node has left the ghost. Item writes touch no link,
     so they are not looked up."""
-    nl = state.ghost.node_list
+    nl = state.ghost
     n = len(nl)
     if state.size != n or state.size > state.max_size:  # C1, C2
         return False
@@ -182,17 +139,17 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
         if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
             return False
         lo, hi = p - 1, p + 2
-    elif n == len(pre) - 1 and not fresh:
+    elif n == len(pre) - 1 and entries and not fresh:
         if post[0] != pre[0]:
-            candidates = (0,)
+            p = 0
         elif post[-1] != pre[-1]:
-            candidates = (n,)
+            p = n
         else:
-            candidates = map(pre.index, set(entries[::3]).intersection(pre))
-        for p in candidates:
-            if post[:p] == pre[:p] and post[p:] == pre[p + 1 :]:
-                break
-        else:
+            try:
+                p = pre.index(entries[-3])
+            except ValueError:
+                return False
+        if post[:p] != pre[:p] or post[p:] != pre[p + 1 :]:
             return False
         gone = pre[p]
         lo, hi = p - 1, p + 1
@@ -227,7 +184,7 @@ def check_acyclic(state) -> tuple[bool, tuple[int, int] | None]:
     """All ghost entries pairwise distinct; witness is the first (i, j)
     pair of equal nodes on failure."""
     seen: dict[NodeId, int] = {}
-    for j, nid in enumerate(state.ghost.node_list):
+    for j, nid in enumerate(state.ghost):
         if nid in seen:
             return False, (seen[nid], j)
         seen[nid] = j
@@ -236,7 +193,7 @@ def check_acyclic(state) -> tuple[bool, tuple[int, int] | None]:
 
 def check_unique_endpoints(state) -> tuple[bool, int | None]:
     """next absent iff last position; prev absent iff position 0."""
-    nl = state.ghost.node_list
+    nl = state.ghost
     n = len(nl)
     for i, nid in enumerate(nl):
         rec = state.store.record(nid)
@@ -265,7 +222,7 @@ class CyclePropagation:
 
 
 def cycle_propagation_witness(state, i: int, j: int) -> CyclePropagation:
-    nl = state.ghost.node_list
+    nl = state.ghost
     n = len(nl)
     if not 0 <= i < j < n:
         raise UsageError(f"need 0 <= i < j < {n}, got i={i} j={j}")
@@ -328,7 +285,7 @@ def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> li
     for name, old, new in zip(_HEADER_NAMES, pre.header, header):
         if old != new and name not in fp.header_fields:
             violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
-    if pre.ghost != tuple(state.ghost.node_list) and not fp.ghost:
+    if pre.ghost != tuple(state.ghost) and not fp.ghost:
         violations.append(("frame", "ghost nodeList changed"))
     return violations
 
@@ -350,7 +307,7 @@ def observe(state, ghost_is_chain: bool = False, items: tuple | None = None) -> 
     from a walk, or from the ghost when ``ghost_is_chain``: a passing
     invariant check has shown that the ghost is the chain. The items are
     read from the store unless the caller already holds them."""
-    ghost = tuple(state.ghost.node_list)
+    ghost = tuple(state.ghost)
     ids = ghost if ghost_is_chain else tuple(heapmodel.walk_chain(state.store, state.first))
     if items is None:
         items = tuple(map(attrgetter("item"), state.store.records(ids)))
@@ -428,9 +385,9 @@ def run_checked(state, op: str, args: tuple = (), *, carried: tuple | None = Non
     failfast = state.policy is listcore.SizePolicy.FAIL_FAST
     if carried is None:
         if failfast:
-            entry = check_invariant(state)
-            if not entry.ok:
-                raise UsageError(f"invariant broken before {op}: {entry.failures()}")
+            failures = check_invariant(state)
+            if failures:
+                raise UsageError(f"invariant broken before {op}: {failures}")
         pre = observe(state, ghost_is_chain=failfast)
         abs_pre = AbstractList(pre.items, state.width, bounded=failfast)
         verdict, abs_post = oracle_apply(abs_pre, op, args)
@@ -454,14 +411,12 @@ def run_checked(state, op: str, args: tuple = (), *, carried: tuple | None = Non
         journal = state.store.close_journal(mark)
 
     if failfast and exit_invariant_holds(state, pre.ghost, journal):
-        chain = tuple(state.ghost.node_list)
+        chain = tuple(state.ghost)
         violations = _post_vs_model(state, verdict, abs_post, outcome, chain)
     else:
         violations = _post_vs_model(state, verdict, abs_post, outcome)
         if failfast:
-            report = check_invariant(state)
-            if not report.ok:
-                violations.extend(("invariant", f"{cid}: {w}") for cid, w in report.failures())
+            violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
     effective_fp = fp if err is None else EMPTY_FOOTPRINT
     violations.extend(frame_check(pre, state, journal, effective_fp))
 

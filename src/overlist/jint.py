@@ -18,14 +18,15 @@ from .errors import UsageError
 WIDTHS = (8, 16, 32)
 
 
-def _check_width(bits: int) -> None:
-    if bits not in WIDTHS:
+def check_width(bits: int) -> None:
+    # 8.0 == 8, so a float width would pass the membership test alone
+    if type(bits) is not int or bits not in WIDTHS:
         raise UsageError(f"width must be one of {WIDTHS}, got {bits!r}")
 
 
 def wrap(n: int, bits: int) -> int:
     """Normalize an unbounded integer into the signed ``bits``-wide range."""
-    _check_width(bits)
+    check_width(bits)
     half = 1 << (bits - 1)
     return ((n + half) % (1 << bits)) - half
 
@@ -38,7 +39,7 @@ class JInt:
     bits: int
 
     def __post_init__(self):
-        _check_width(self.bits)
+        check_width(self.bits)
         half = 1 << (self.bits - 1)
         if not -half <= self.value <= half - 1:
             raise UsageError(f"{self.value} out of range for {self.bits}-bit int")
@@ -82,10 +83,10 @@ class JInt:
 
 
 def max_value(bits: int) -> JInt:
-    _check_width(bits)
+    check_width(bits)
     return JInt((1 << (bits - 1)) - 1, bits)
 
 
 def min_value(bits: int) -> JInt:
-    _check_width(bits)
+    check_width(bits)
     return JInt(-(1 << (bits - 1)), bits)

@@ -6,8 +6,8 @@ any size-increasing operation at capacity with an IllegalState error,
 before touching the list. One code path serves both: the fix only adds a
 capacity check on the size-increasing entry points.
 
-A ghost sequence of node ids (``GhostState``) shadows the chain for the
-specification layer. Ghost bookkeeping locates nodes by identity, so it
+A ghost sequence of node ids (the list ``ghost``) shadows the chain for
+the specification layer. Ghost bookkeeping locates nodes by identity, so it
 stays equal to the actual chain even when the cached size has wrapped.
 Production logic never reads it.
 
@@ -21,7 +21,6 @@ construction via ``faults`` (see FAULTS).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import Callable
@@ -59,16 +58,6 @@ FAULTS = (
 )
 
 
-@dataclass
-class GhostState:
-    """Specification-only sequence of the chain's node ids."""
-
-    node_list: list[NodeId] = field(default_factory=list)
-
-    def copy(self) -> "GhostState":
-        return GhostState(list(self.node_list))
-
-
 class JavaLinkedList:
     """Doubly linked list with a W-bit cached size field."""
 
@@ -92,7 +81,7 @@ class JavaLinkedList:
         self.first: NodeId | None = None
         self.last: NodeId | None = None
         self.size = 0  # a Java int: kept in [min_size, max_size]
-        self.ghost = GhostState()
+        self.ghost: list[NodeId] = []  # specification-only: the chain's node ids
 
     # -- harness helpers ----------------------------------------------------
 
@@ -103,7 +92,7 @@ class JavaLinkedList:
         store's journal undoes only what the body wrote, so trials nest
         and checked calls may run inside one."""
         header, ghost = (self.first, self.last, self.size), self.ghost
-        self.ghost = ghost.copy()
+        self.ghost = list(ghost)
         mark = self.store.open_journal()
         try:
             yield
@@ -155,7 +144,7 @@ class JavaLinkedList:
         else:
             self.store.set_next(old_last, node)
         self.size = self._inc(self.size)
-        self.ghost.node_list.append(node)
+        self.ghost.append(node)
 
     def link_first(self, item: Item) -> None:
         if self.policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in self.faults:
@@ -168,7 +157,7 @@ class JavaLinkedList:
         else:
             self.store.set_prev(old_first, node)
         self.size = self._inc(self.size)
-        self.ghost.node_list.insert(0, node)
+        self.ghost.insert(0, node)
 
     def link_before(self, item: Item, succ: NodeId) -> None:
         """Splice a new node in front of ``succ``."""
@@ -184,7 +173,7 @@ class JavaLinkedList:
         else:
             self.store.set_next(pred, node)
         self.size = self._inc(self.size)
-        nl = self.ghost.node_list
+        nl = self.ghost
         try:
             nl.insert(nl.index(succ), node)
         except ValueError:
@@ -198,7 +187,7 @@ class JavaLinkedList:
         checks are on, it must hold ``x``."""
         if x not in self.store:
             raise UsageError(f"node {x} not allocated")
-        nl = self.ghost.node_list
+        nl = self.ghost
         at_index = x_index is not None and 0 <= x_index < len(nl) and nl[x_index] == x
         if x_index is not None and not at_index and self.check_mode is not CheckMode.OFF:
             raise UsageError(f"ghost index {x_index} does not hold node {x}")
@@ -236,7 +225,7 @@ class JavaLinkedList:
     def unlink_last(self) -> Item:
         if self.last is None:
             raise NoSuchElementError("list is empty")
-        return self.unlink(self.last, len(self.ghost.node_list) - 1)
+        return self.unlink(self.last, len(self.ghost) - 1)
 
     # -- positional access --------------------------------------------------
 
@@ -345,7 +334,7 @@ class JavaLinkedList:
         index >= size - 1, so nothing lies above it, and each later head
         follows a passing head one position higher whose node did not
         match; the search writes nothing, so size, ghost and items stay."""
-        nl = self.ghost.node_list
+        nl = self.ghost
         violations = []
         if not 1 <= index <= self.size:
             violations.append(("probe", f"index {index} outside [1, {self.size}]"))
@@ -400,7 +389,7 @@ class JavaLinkedList:
         self.first = None
         self.last = None
         self.size = 0
-        self.ghost.node_list.clear()
+        self.ghost.clear()
 
     def _clear_probe(self, node: NodeId, ghost_pos: int) -> None:
         """Loop invariant of clear(): everything before the ghost index is
@@ -409,7 +398,7 @@ class JavaLinkedList:
         position ghost_pos-1 needs testing: each head follows a passing
         head that vouched for the positions before it, and the loop
         writes only nulls, into the node it clears; size and ghost stay."""
-        nl = self.ghost.node_list
+        nl = self.ghost
         violations = []
         if ghost_pos >= len(nl) or nl[ghost_pos] != node:
             violations.append(("probe", f"node {node} is not nodeList[{ghost_pos}]"))

@@ -9,7 +9,7 @@ import random
 
 from .heapmodel import NULL, Atom, Item
 from .jint import wrap
-from .listcore import CheckMode, GhostState, JavaLinkedList, SizePolicy, new_list
+from .listcore import CheckMode, JavaLinkedList, SizePolicy, new_list
 
 SMALL_ALPHABET: tuple[Item, ...] = (NULL, Atom("a"), Atom("b"))
 
@@ -59,7 +59,7 @@ def random_state(rng: random.Random, width: int = 8, max_nodes: int = 8) -> Java
 
 
 def _corrupt_one(rng: random.Random, lst: JavaLinkedList) -> None:
-    nl = lst.ghost.node_list
+    nl = lst.ghost
     choice = rng.randint(0, 8)
     some_id = rng.choice(nl) if nl else None
     unallocated = len(lst.store)  # a built list holds ids 0..n-1
@@ -101,5 +101,5 @@ def _scramble(rng: random.Random, width: int, n: int) -> JavaLinkedList:
     lst.last = rng.choice(pool)
     lst.size = wrap(rng.randint(-2, n + 2), width)
     ghost_len = rng.randint(0, n + 1)
-    lst.ghost = GhostState([rng.choice(ids) for _ in range(ghost_len)] if ids else [])
+    lst.ghost = [rng.choice(ids) for _ in range(ghost_len)] if ids else []
     return lst

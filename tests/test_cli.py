@@ -200,6 +200,12 @@ BAD_SCRIPTS = {
     '{"step": 1, "op": "get", "args": ["0"]}\n',
     "non-item": '{"step": 0, "op": "add", "args": [5]}\n',
 }
+#: headers whose width is not one of WIDTHS as an integer
+BAD_HEADERS = {
+    "float-width": '{"seed": 0, "width": 8.0, "version": 1}\n',
+    "odd-width": '{"seed": 0, "width": 12, "version": 1}\n',
+    "string-width": '{"seed": 0, "width": "8", "version": 1}\n',
+}
 
 
 class TestBadInput:
@@ -211,6 +217,14 @@ class TestBadInput:
         err = capsys.readouterr().err
         line = 3 if name == "string-index" else 2
         assert f"line {line}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_HEADERS))
+    def test_malformed_header_is_usage_error(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(BAD_HEADERS[name] + '{"step": 0, "op": "add", "args": [null]}\n')
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv,needs", [
         (["fuzz", "--ops", "-5"], None),

@@ -19,10 +19,7 @@ from hypothesis import given, settings, strategies as st
 from overlist.errors import ContractViolation, CycleDetected, UsageError
 from overlist.ghostspec import (
     EMPTY_FOOTPRINT,
-    PASSED,
-    ClauseResult,
     Footprint,
-    InvariantReport,
     check_acyclic,
     check_invariant,
     check_unique_endpoints,
@@ -91,29 +88,27 @@ def checked_list(items):
 class TestInvariantClauses:
     def test_well_formed_passes_all(self):
         for items in ([], [A], [A, NULL, B]):
-            report = check_invariant(build_list(items))
-            assert report.ok, report.failures()
+            assert check_invariant(build_list(items)) == []
 
     def test_c1_size_vs_ghost_length(self):
         lst = build_list([A, B])
         lst.size = 3
-        report = check_invariant(lst)
-        assert [cid for cid, _ in report.failures()] == ["C1"]
-        assert "size=3" in report.clauses["C1"].witness
+        failures = check_invariant(lst)
+        assert [cid for cid, _ in failures] == ["C1"]
+        assert "size=3" in dict(failures)["C1"]
 
     def test_c3_ghost_entries_allocated(self):
         lst = build_list([A, B])
-        lst.ghost.node_list.append(999)
+        lst.ghost.append(999)
         lst.size = 3  # keep C1 quiet to isolate C3
-        failed = {cid for cid, _ in check_invariant(lst).failures()}
+        failed = {cid for cid, _ in check_invariant(lst)}
         assert "C3" in failed
 
     def test_c3_witness_names_the_first_unallocated_position(self):
         lst = build_list([A, B, A, B])
-        lst.ghost.node_list[1] = 999
-        lst.ghost.node_list[3] = 999
-        report = check_invariant(lst)
-        assert report.failures() == [
+        lst.ghost[1] = 999
+        lst.ghost[3] = 999
+        assert check_invariant(lst) == [
             ("C3", "nodeList[1]=999 unallocated"),
             ("C5", "unallocated ghost entry"),
             ("C6", "unallocated ghost entry"),
@@ -121,82 +116,72 @@ class TestInvariantClauses:
 
     def test_c4_empty_endpoints_absent(self):
         lst = build_list([A])
-        nid = lst.ghost.node_list[0]
-        lst.ghost.node_list.clear()
+        nid = lst.ghost[0]
+        lst.ghost.clear()
         lst.size = 0
-        report = check_invariant(lst)
-        assert not report.clauses["C4"].ok
-        assert str(nid) in report.clauses["C4"].witness
+        failed = dict(check_invariant(lst))
+        assert "C4" in failed
+        assert str(nid) in failed["C4"]
 
     def test_c5_first_matches_ghost_head(self):
         lst = build_list([A, B])
-        lst.first = lst.ghost.node_list[1]
-        report = check_invariant(lst)
-        assert not report.clauses["C5"].ok
-        assert "first" in report.clauses["C5"].witness
+        lst.first = lst.ghost[1]
+        failed = dict(check_invariant(lst))
+        assert "C5" in failed
+        assert "first" in failed["C5"]
 
     def test_c5_outer_links_absent(self):
         lst = build_list([A, B])
         lst.store.set_prev(lst.first, lst.last)
-        report = check_invariant(lst)
-        assert not report.clauses["C5"].ok
-        assert "has prev" in report.clauses["C5"].witness
+        failed = dict(check_invariant(lst))
+        assert "C5" in failed
+        assert "has prev" in failed["C5"]
 
     def test_c6_internal_links_agree(self):
         lst = build_list([A, B, A])
-        n0, n1, n2 = lst.ghost.node_list
+        n0, n1, n2 = lst.ghost
         lst.store.set_next(n0, n2)
-        report = check_invariant(lst)
-        assert not report.clauses["C6"].ok
-        assert "next" in report.clauses["C6"].witness
+        failed = dict(check_invariant(lst))
+        assert "C6" in failed
+        assert "next" in failed["C6"]
 
     def test_c6_prev_direction_checked_separately(self):
         lst = build_list([A, B, A])
-        n0, n1, n2 = lst.ghost.node_list
+        n0, n1, n2 = lst.ghost
         lst.store.set_prev(n2, n0)
-        assert not check_invariant(lst).clauses["C6"].ok
+        assert "C6" in dict(check_invariant(lst))
 
     def test_overflowed_unchecked_state_fails_c1(self):
         lst = new_list(8, SizePolicy.UNCHECKED)
         for _ in range(128):
             lst.add(NULL)
-        report = check_invariant(lst)
-        assert not report.clauses["C1"].ok
-        assert report.clauses["C2"].ok  # the width bound itself holds
+        failed = dict(check_invariant(lst))
+        assert "C1" in failed
+        assert "C2" not in failed  # the width bound itself holds
 
 
-def reference_check_invariant(state) -> dict:
+def reference_check_invariant(state) -> list:
     """The six clauses evaluated node by node, one store lookup per
     field read: the reference the bulk ``check_invariant`` must match."""
     store = state.store
-    nl = state.ghost.node_list
+    nl = state.ghost
     n = len(nl)
-    clauses = {}
-    clauses["C1"] = (
-        PASSED
-        if state.size == n
-        else ClauseResult(False, f"size={state.size} vs |nodeList|={n}")
-    )
+    failures = []
+    if state.size != n:
+        failures.append(("C1", f"size={state.size} vs |nodeList|={n}"))
     cap = max_value(state.width).value
-    clauses["C2"] = (
-        PASSED if state.size <= cap else ClauseResult(False, f"size={state.size} > {cap}")
-    )
+    if state.size > cap:
+        failures.append(("C2", f"size={state.size} > {cap}"))
     bad = next((i for i, nid in enumerate(nl) if nid not in store), None)
-    clauses["C3"] = (
-        PASSED if bad is None else ClauseResult(False, f"nodeList[{bad}]={nl[bad]} unallocated")
-    )
-    if n == 0:
-        clauses["C4"] = (
-            PASSED
-            if state.first is None and state.last is None
-            else ClauseResult(False, f"empty but first={state.first} last={state.last}")
-        )
-        clauses["C5"] = clauses["C6"] = PASSED
-        return InvariantReport(clauses).to_json()
-    clauses["C4"] = PASSED
     if bad is not None:
-        clauses["C5"] = clauses["C6"] = ClauseResult(False, "unallocated ghost entry")
-        return InvariantReport(clauses).to_json()
+        failures.append(("C3", f"nodeList[{bad}]={nl[bad]} unallocated"))
+    if n == 0:
+        if state.first is not None or state.last is not None:
+            failures.append(("C4", f"empty but first={state.first} last={state.last}"))
+        return failures
+    if bad is not None:
+        failures += [("C5", "unallocated ghost entry"), ("C6", "unallocated ghost entry")]
+        return failures
     c5_witness = None
     if state.first != nl[0]:
         c5_witness = f"first={state.first} != nodeList[0]={nl[0]}"
@@ -206,7 +191,8 @@ def reference_check_invariant(state) -> dict:
         c5_witness = f"first node {nl[0]} has prev={store.record(nl[0]).prev}"
     elif store.record(nl[-1]).next is not None:
         c5_witness = f"last node {nl[-1]} has next={store.record(nl[-1]).next}"
-    clauses["C5"] = PASSED if c5_witness is None else ClauseResult(False, c5_witness)
+    if c5_witness is not None:
+        failures.append(("C5", c5_witness))
     c6_witness = None
     for i in range(1, n):
         if store.record(nl[i]).prev != nl[i - 1]:
@@ -217,8 +203,9 @@ def reference_check_invariant(state) -> dict:
             if store.record(nl[i]).next != nl[i + 1]:
                 c6_witness = f"i={i}: next={store.record(nl[i]).next} != nodeList[{i + 1}]={nl[i + 1]}"
                 break
-    clauses["C6"] = PASSED if c6_witness is None else ClauseResult(False, c6_witness)
-    return InvariantReport(clauses).to_json()
+    if c6_witness is not None:
+        failures.append(("C6", c6_witness))
+    return failures
 
 
 def reference_walk(store, first):
@@ -252,11 +239,11 @@ class TestBulkChecksMatchPerNodeReference:
     def test_check_invariant_and_walk_chain_on_corrupted_states(self):
         seen = Counter()
         for state in corrupted_states(seed=17, count=6000):
-            report = check_invariant(state).to_json()
-            assert report == reference_check_invariant(state)
+            failures = check_invariant(state)
+            assert failures == reference_check_invariant(state)
             outcome = walk_outcome(walk_chain, state)
             assert outcome == walk_outcome(reference_walk, state)
-            seen.update(cid for cid, c in report.items() if not c["ok"])
+            seen.update(cid for cid, _ in failures)
             if isinstance(outcome, tuple):
                 seen[outcome[0]] += 1
         # every clause that a W-bit size can break (C2 cannot: the cached
@@ -272,7 +259,7 @@ def test_random_states_break_c3_and_dangle():
     c3 = dangling = 0
     for _ in range(20_000):
         state = random_state(rng)
-        c3 += not check_invariant(state).clauses["C3"].ok
+        c3 += "C3" in dict(check_invariant(state))
         outcome = walk_outcome(walk_chain, state)
         dangling += isinstance(outcome, tuple) and outcome[0] == "DanglingLink"
     assert c3 > 0 and dangling > 0
@@ -285,7 +272,7 @@ class TestDerivedProperties:
 
     def test_acyclic_witness_positions(self):
         lst = build_list([A, B])
-        lst.ghost.node_list.append(lst.ghost.node_list[0])
+        lst.ghost.append(lst.ghost[0])
         ok, witness = check_acyclic(lst)
         assert not ok and witness == (0, 2)
 
@@ -295,7 +282,7 @@ class TestDerivedProperties:
 
     def test_unique_endpoints_witness(self):
         lst = build_list([A, B, A])
-        lst.store.set_next(lst.ghost.node_list[1], None)
+        lst.store.set_next(lst.ghost[1], None)
         ok, witness = check_unique_endpoints(lst)
         assert not ok and witness == 1
 
@@ -319,7 +306,7 @@ class TestCyclePropagation:
         lst.store.set_prev(na, nb)
         lst.first, lst.last = na, nb
         lst.size = 4
-        lst.ghost.node_list[:] = [na, nb, na, nb]
+        lst.ghost[:] = [na, nb, na, nb]
         w = cycle_propagation_witness(lst, 0, 2)
         assert w.kind == "chain"
         assert w.steps_hold
@@ -346,7 +333,7 @@ class TestFrameCheck:
 
     def test_out_of_frame_node_write_reported(self):
         lst = build_list([A, B])
-        violations = framed(lst, lambda: lst.store.set_item(lst.ghost.node_list[0], B))
+        violations = framed(lst, lambda: lst.store.set_item(lst.ghost[0], B))
         assert len(violations) == 1
         assert violations[0][0] == "frame" and ".item" in violations[0][1]
 
@@ -367,13 +354,13 @@ class TestFrameCheck:
 
     def test_restoring_write_is_not_a_change(self):
         lst = build_list([A, B])
-        node = lst.ghost.node_list[0]
+        node = lst.ghost[0]
 
         def write_and_restore():
             lst.store.set_item(node, B)
             lst.store.set_next(node, None)
             lst.store.set_item(node, A)
-            lst.store.set_next(node, lst.ghost.node_list[1])
+            lst.store.set_next(node, lst.ghost[1])
 
         assert framed(lst, write_and_restore) == []
 

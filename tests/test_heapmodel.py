@@ -208,9 +208,9 @@ def is_chain(store, seq):
     lst = new_list()
     lst.store = store
     lst.first, lst.last, lst.size = seq[0], seq[-1], len(seq)
-    lst.ghost.node_list[:] = seq
-    clauses = check_invariant(lst).clauses
-    return clauses["C5"].ok and clauses["C6"].ok
+    lst.ghost[:] = seq
+    failed = dict(check_invariant(lst))
+    return "C5" not in failed and "C6" not in failed
 
 
 class TestIsChain:

@@ -54,7 +54,7 @@ def fingerprint(lst):
     """Everything a rollback must restore."""
     store = lst.store
     records = {nid: (r.prev, r.item, r.next) for nid, r in store._records.items()}
-    return records, store._next_id, (lst.first, lst.last, lst.size), list(lst.ghost.node_list)
+    return records, store._next_id, (lst.first, lst.last, lst.size), list(lst.ghost)
 
 
 class TestNodeStoreJournal:

@@ -126,11 +126,11 @@ class TestErrorsAndAtomicity:
 
     def test_failed_ops_leave_state_unchanged(self):
         lst = build_list([A, B], check_mode=CheckMode.FULL)
-        before = (lst.items(), lst.size, list(lst.ghost.node_list))
+        before = (lst.items(), lst.size, list(lst.ghost))
         for call in (lambda: lst.get(5), lambda: lst.remove_at(-1)):
             with pytest.raises(IndexOutOfBoundsError):
                 call()
-            assert (lst.items(), lst.size, list(lst.ghost.node_list)) == before
+            assert (lst.items(), lst.size, list(lst.ghost)) == before
 
 
 class TestModelBased:
@@ -219,7 +219,7 @@ class TestCachedSizeVsChain:
         assert lst.size == -126
         chain = walk_chain(lst.store, lst.first)
         assert len(chain) == 130
-        assert chain == lst.ghost.node_list
+        assert chain == lst.ghost
 
 
 #: the operations of the int-size property's scripts

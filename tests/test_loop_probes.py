@@ -27,7 +27,7 @@ ITEMS = (NULL, A, B, Z)
 
 
 def reference_last_index_probe(lst, index, node, target):
-    nl = lst.ghost.node_list
+    nl = lst.ghost
     violations = []
     if not 1 <= index <= lst.size:
         violations.append(("probe", f"index {index} outside [1, {lst.size}]"))
@@ -59,7 +59,7 @@ def reference_last_index_of(lst, target):
 
 
 def reference_clear_probe(lst, node, ghost_pos):
-    nl = lst.ghost.node_list
+    nl = lst.ghost
     violations = []
     if ghost_pos >= len(nl) or nl[ghost_pos] != node:
         violations.append(("probe", f"node {node} is not nodeList[{ghost_pos}]"))
@@ -173,7 +173,7 @@ def test_unreported_match_witness(use_reference):
                        frozenset({"lastindexof-off-by-one"}))
         lst.add(B)
         lst.add(A)
-        lst.ghost.node_list[0] = lst.last
+        lst.ghost[0] = lst.last
         return lst
 
     new = outcome(lambda: make().last_index_of(A))
@@ -186,7 +186,7 @@ def test_not_cleared_witness():
     """The loop never reaches an uncleared earlier position, but the
     clause stays live: called on one, the probe names it."""
     lst = filled(3, SizePolicy.FAIL_FAST, frozenset())
-    nl = lst.ghost.node_list
+    nl = lst.ghost
     with pytest.raises(ContractViolation) as new:
         lst._clear_probe(nl[1], 1)
     with pytest.raises(ContractViolation) as ref:

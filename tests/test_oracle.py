@@ -6,10 +6,10 @@ inline in each test. Expected values are written out literally.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from overlist.heapmodel import NULL, Atom
-from overlist.ops import MARKER, OP_SPECS
+from overlist.ops import ALPHABET, INDEX, MARKER, OP_SPECS
 from overlist.oracle import (
     AbstractList,
     UNSPECIFIED,
@@ -128,6 +128,24 @@ class TestCapacityBound:
         assert verdict_of(full, "add", B).value is True
         assert verdict_of(full, "check_size").error == "illegal_state"
         assert verdict_of(full, "is_max_size").value is True
+
+    @settings(deadline=None)
+    @given(st.integers(127, 140),
+           st.lists(st.sampled_from(sorted(OP_SPECS)), min_size=1, max_size=40), st.data())
+    def test_bounded_run_from_empty_is_never_unspecified(self, adds, ops, data):
+        # a FailFast run's oracle starts empty and is bounded, so its length
+        # stays at most 127 and its searches and to_array stay specified;
+        # at least one add is refused at capacity
+        steps = [("add", (NULL,))] * adds + [
+            (op, tuple(data.draw(st.integers(-1, 130) if kind == INDEX else st.sampled_from(ALPHABET))
+                       for kind in OP_SPECS[op].args))
+            for op in ops
+        ]
+        a = state()
+        for op, args in steps:
+            v, a = oracle_apply(a, op, args)
+            assert v.kind != "unspecified", (op, args, len(a.items))
+            assert len(a.items) <= 127
 
     def test_below_bound_equivalent(self):
         a, b = state(A, B), state(A, B, bounded=False)
