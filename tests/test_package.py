@@ -72,7 +72,7 @@ def test_package_imports_form_no_cycle():
 def test_every_public_name_resolves():
     for name in overlist.__all__:
         assert hasattr(overlist, name), name
-    # the ghost is a plain list and the invariant check returns its failures
+    # the ghost is a plain list; its wrapper and the report class are gone
     for gone in ("GhostState", "InvariantReport"):
         assert not hasattr(overlist, gone), gone
     assert type(listcore.JavaLinkedList().ghost) is list
