@@ -19,16 +19,15 @@ Two comparison modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
+from typing import NamedTuple
 
 from .errors import UsageError
 from .heapmodel import Item, item_test
 from .jint import JInt
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # "value" | "error" | "unspecified"
     value: object = None
     error: str | None = None
@@ -42,18 +41,26 @@ class Verdict:
 
 
 def value(v) -> Verdict:
-    return Verdict("value", value=v)
+    return Verdict("value", v)
 
 
 def error(kind: str) -> Verdict:
-    return Verdict("error", error=kind)
+    return Verdict("error", None, kind)
 
 
 UNSPECIFIED = Verdict("unspecified")
 
+# The fixed answers, built once and shared by every call that gives them.
+_TRUE = value(True)
+_FALSE = value(False)
+_NONE = value(None)
+_MINUS_ONE = value(-1)
+_ILLEGAL_STATE = error("illegal_state")
+_OUT_OF_BOUNDS = error("index_out_of_bounds")
+_NO_SUCH_ELEMENT = error("no_such_element")
 
-@dataclass(frozen=True)
-class AbstractList:
+
+class AbstractList(NamedTuple):
     """Documented-semantics list state: the true item sequence."""
 
     items: tuple[Item, ...]
@@ -88,114 +95,192 @@ def last_index(items, target):
     return next(hits, None)
 
 
+# ---------------------------------------------------------------------------
+# The rules, one per operation: ``rule(a, args)`` returns the verdict and
+# the resulting state. A query or an error outcome returns ``a`` itself,
+# so a caller can tell that nothing was copied.
+
+
+def _at_capacity(a: AbstractList) -> bool:
+    """Whether the bounded contract refuses a size-increasing call."""
+    return a.bounded and len(a.items) >= a.max_size
+
+
+def _size(a, args):
+    return value(min(len(a.items), a.max_size)), a
+
+
+def _is_max_size(a, args):
+    return (_TRUE if len(a.items) >= a.max_size else _FALSE), a
+
+
+def _check_size(a, args):
+    return (_ILLEGAL_STATE if len(a.items) >= a.max_size else _NONE), a
+
+
+def _get(a, args):
+    (i,) = args
+    items = a.items
+    if not 0 <= i < len(items):
+        return _OUT_OF_BOUNDS, a
+    return value(items[i]), a
+
+
+def _set_at(a, args):
+    i, x = args
+    items = a.items
+    if not 0 <= i < len(items):
+        return _OUT_OF_BOUNDS, a
+    return value(items[i]), AbstractList(items[:i] + (x,) + items[i + 1 :], a.width, a.bounded)
+
+
+def _add_at(a, args):
+    i, x = args
+    items = a.items
+    if not 0 <= i <= len(items):
+        return _OUT_OF_BOUNDS, a
+    if _at_capacity(a):
+        return _ILLEGAL_STATE, a
+    return _NONE, AbstractList(items[:i] + (x,) + items[i:], a.width, a.bounded)
+
+
+def _remove_at(a, args):
+    (i,) = args
+    items = a.items
+    if not 0 <= i < len(items):
+        return _OUT_OF_BOUNDS, a
+    return value(items[i]), AbstractList(items[:i] + items[i + 1 :], a.width, a.bounded)
+
+
+def _add(a, args):
+    (x,) = args
+    if _at_capacity(a):
+        return _ILLEGAL_STATE, a
+    return _TRUE, AbstractList(a.items + (x,), a.width, a.bounded)
+
+
+def _add_last(a, args):
+    (x,) = args
+    if _at_capacity(a):
+        return _ILLEGAL_STATE, a
+    return _NONE, AbstractList(a.items + (x,), a.width, a.bounded)
+
+
+def _add_first(a, args):
+    (x,) = args
+    if _at_capacity(a):
+        return _ILLEGAL_STATE, a
+    return _NONE, AbstractList((x,) + a.items, a.width, a.bounded)
+
+
+def _search(find):
+    """The rule of a search answering ``find``'s position, -1 for none;
+    a position past the maximum size is Unspecified."""
+
+    def rule(a, args):
+        (x,) = args
+        p = find(a.items, x)
+        if p is None:
+            return _MINUS_ONE, a
+        return (value(p) if p <= a.max_size else UNSPECIFIED), a
+
+    return rule
+
+
+def _contains(a, args):
+    (x,) = args
+    return (_FALSE if first_index(a.items, x) is None else _TRUE), a
+
+
+def _remove_occurrence(find):
+    """The rule that removes the element at ``find``'s position."""
+
+    def rule(a, args):
+        (x,) = args
+        items = a.items
+        p = find(items, x)
+        if p is None:
+            return _FALSE, a
+        return _TRUE, AbstractList(items[:p] + items[p + 1 :], a.width, a.bounded)
+
+    return rule
+
+
+def _clear(a, args):
+    return _NONE, AbstractList((), a.width, a.bounded)
+
+
+def _to_array(a, args):
+    if len(a.items) > a.max_size:
+        return UNSPECIFIED, a
+    return value(a.items), a
+
+
+def _read_end(end: int, empty: Verdict):
+    """The rule answering the item at ``end``, or ``empty`` on an empty list."""
+
+    def rule(a, args):
+        items = a.items
+        return (value(items[end]) if items else empty), a
+
+    return rule
+
+
+def _take_end(end: int, rest: slice, empty: Verdict):
+    """The rule that removes and answers the item at ``end``, leaving
+    ``items[rest]``; ``empty`` on an empty list."""
+
+    def rule(a, args):
+        items = a.items
+        if not items:
+            return empty, a
+        return value(items[end]), AbstractList(items[rest], a.width, a.bounded)
+
+    return rule
+
+
+_BUT_FIRST, _BUT_LAST = slice(1, None), slice(None, -1)
+
+_RULES = {
+    "size": _size,
+    "is_max_size": _is_max_size,
+    "check_size": _check_size,
+    "get": _get,
+    "set_at": _set_at,
+    "add_at": _add_at,
+    "remove_at": _remove_at,
+    "add": _add,
+    "add_last": _add_last,
+    "add_first": _add_first,
+    "index_of": _search(first_index),
+    "last_index_of": _search(last_index),
+    "contains": _contains,
+    "remove_item": _remove_occurrence(first_index),
+    "remove_first_occurrence": _remove_occurrence(first_index),
+    "remove_last_occurrence": _remove_occurrence(last_index),
+    "clear": _clear,
+    "to_array": _to_array,
+    "get_first": _read_end(0, _NO_SUCH_ELEMENT),
+    "get_last": _read_end(-1, _NO_SUCH_ELEMENT),
+    "peek_first": _read_end(0, _NONE),
+    "peek_last": _read_end(-1, _NONE),
+    "poll_first": _take_end(0, _BUT_FIRST, _NONE),
+    "poll_last": _take_end(-1, _BUT_LAST, _NONE),
+    "remove_first": _take_end(0, _BUT_FIRST, _NO_SUCH_ELEMENT),
+    "remove_last": _take_end(-1, _BUT_LAST, _NO_SUCH_ELEMENT),
+}
+
+
 def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, AbstractList]:
     """Documented behavior of ``op`` on the abstract state.
 
-    Returns the verdict and the resulting abstract state (unchanged for
-    queries and for error outcomes)."""
-    items = a.items
-    n = len(items)
-    cap = a.max_size
-
-    def updated(new_items) -> AbstractList:
-        return AbstractList(tuple(new_items), a.width, a.bounded)
-
-    def add_allowed() -> Verdict | None:
-        if a.bounded and n >= cap:
-            return error("illegal_state")
-        return None
-
-    if op == "size":
-        return value(min(n, cap)), a
-    if op == "is_max_size":
-        return value(n >= cap), a
-    if op == "check_size":
-        if n >= cap:
-            return error("illegal_state"), a
-        return value(None), a
-    if op == "get":
-        (i,) = args
-        if not 0 <= i < n:
-            return error("index_out_of_bounds"), a
-        return value(items[i]), a
-    if op == "set_at":
-        i, x = args
-        if not 0 <= i < n:
-            return error("index_out_of_bounds"), a
-        return value(items[i]), updated(items[:i] + (x,) + items[i + 1 :])
-    if op == "add_at":
-        i, x = args
-        if not 0 <= i <= n:
-            return error("index_out_of_bounds"), a
-        blocked = add_allowed()
-        if blocked:
-            return blocked, a
-        return value(None), updated(items[:i] + (x,) + items[i:])
-    if op == "remove_at":
-        (i,) = args
-        if not 0 <= i < n:
-            return error("index_out_of_bounds"), a
-        return value(items[i]), updated(items[:i] + items[i + 1 :])
-    if op in ("add", "add_last", "add_first"):
-        (x,) = args
-        blocked = add_allowed()
-        if blocked:
-            return blocked, a
-        new = (x,) + items if op == "add_first" else items + (x,)
-        return value(True if op == "add" else None), updated(new)
-    if op == "index_of":
-        (x,) = args
-        p = first_index(items, x)
-        if p is None:
-            return value(-1), a
-        return (value(p), a) if p <= cap else (UNSPECIFIED, a)
-    if op == "last_index_of":
-        (x,) = args
-        p = last_index(items, x)
-        if p is None:
-            return value(-1), a
-        return (value(p), a) if p <= cap else (UNSPECIFIED, a)
-    if op == "contains":
-        (x,) = args
-        return value(first_index(items, x) is not None), a
-    if op in ("remove_item", "remove_first_occurrence", "remove_last_occurrence"):
-        (x,) = args
-        find = last_index if op == "remove_last_occurrence" else first_index
-        p = find(items, x)
-        if p is None:
-            return value(False), a
-        return value(True), updated(items[:p] + items[p + 1 :])
-    if op == "clear":
-        return value(None), updated(())
-    if op == "to_array":
-        if n > cap:
-            return UNSPECIFIED, a
-        return value(items), a
-    if op == "get_first":
-        return (value(items[0]), a) if n else (error("no_such_element"), a)
-    if op == "get_last":
-        return (value(items[-1]), a) if n else (error("no_such_element"), a)
-    if op == "peek_first":
-        return value(items[0] if n else None), a
-    if op == "peek_last":
-        return value(items[-1] if n else None), a
-    if op == "poll_first":
-        if not n:
-            return value(None), a
-        return value(items[0]), updated(items[1:])
-    if op == "poll_last":
-        if not n:
-            return value(None), a
-        return value(items[-1]), updated(items[:-1])
-    if op == "remove_first":
-        if not n:
-            return error("no_such_element"), a
-        return value(items[0]), updated(items[1:])
-    if op == "remove_last":
-        if not n:
-            return error("no_such_element"), a
-        return value(items[-1]), updated(items[:-1])
-    raise UsageError(f"unknown operation {op!r}")
+    Returns the verdict and the resulting abstract state (``a`` itself
+    for queries and for error outcomes)."""
+    try:
+        rule = _RULES[op]
+    except (KeyError, TypeError):
+        raise UsageError(f"unknown operation {op!r}") from None
+    return rule(a, args)
 
 
 def oracle_add_all(a: AbstractList, items) -> AbstractList:
