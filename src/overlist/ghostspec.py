@@ -132,10 +132,11 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
             p = n - 1
         elif post[0] == f:
             p = 0
-        elif f in post:
-            p = post.index(f)
         else:
-            return False
+            try:
+                p = post.index(f)
+            except ValueError:
+                return False
         if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
             return False
         lo, hi = p - 1, p + 2
