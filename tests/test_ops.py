@@ -14,6 +14,7 @@ from overlist.ghostspec import contract_for
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import OPS, JavaLinkedList
 from overlist.ops import INDEX, OP_SPECS, spec_of
+from overlist import oracle
 from overlist.oracle import AbstractList, oracle_apply
 
 EQUALITY_BRANCH_OPS = {
@@ -42,6 +43,8 @@ class TestConsistency:
                 oracle_apply(empty, name, args)
             except UsageError:
                 pytest.fail(f"oracle has no rule for {name}")
+        # and no rule without a row
+        assert oracle._RULES.keys() == OP_SPECS.keys()
 
     def test_census_covers_exactly_the_probed_rows(self):
         probed = sorted(name for name, spec in OP_SPECS.items() if spec.probes)

@@ -5,14 +5,21 @@ check against a third, dumber model: plain Python lists manipulated
 inline in each test. Expected values are written out literally.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overlist.errors import UsageError
 from overlist.heapmodel import NULL, Atom
 from overlist.ops import ALPHABET, INDEX, MARKER, OP_SPECS
 from overlist.oracle import (
     AbstractList,
     UNSPECIFIED,
+    Verdict,
+    error,
+    first_index,
+    last_index,
     normalize,
     observe_equal,
     oracle_add_all,
@@ -232,3 +239,177 @@ class TestObserveEqual:
 
         assert observe_equal(("value", JInt(5, 8)), value(5)) == "agree"
         assert normalize([A, B]) == (A, B)
+
+
+def reference_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, AbstractList]:
+    """The oracle as one ``if`` chain with a fresh verdict per answer:
+    the reference the rule table must equal."""
+    items = a.items
+    n = len(items)
+    cap = a.max_size
+
+    def updated(new_items) -> AbstractList:
+        return AbstractList(tuple(new_items), a.width, a.bounded)
+
+    def add_allowed() -> Verdict | None:
+        if a.bounded and n >= cap:
+            return error("illegal_state")
+        return None
+
+    if op == "size":
+        return value(min(n, cap)), a
+    if op == "is_max_size":
+        return value(n >= cap), a
+    if op == "check_size":
+        if n >= cap:
+            return error("illegal_state"), a
+        return value(None), a
+    if op == "get":
+        (i,) = args
+        if not 0 <= i < n:
+            return error("index_out_of_bounds"), a
+        return value(items[i]), a
+    if op == "set_at":
+        i, x = args
+        if not 0 <= i < n:
+            return error("index_out_of_bounds"), a
+        return value(items[i]), updated(items[:i] + (x,) + items[i + 1 :])
+    if op == "add_at":
+        i, x = args
+        if not 0 <= i <= n:
+            return error("index_out_of_bounds"), a
+        blocked = add_allowed()
+        if blocked:
+            return blocked, a
+        return value(None), updated(items[:i] + (x,) + items[i:])
+    if op == "remove_at":
+        (i,) = args
+        if not 0 <= i < n:
+            return error("index_out_of_bounds"), a
+        return value(items[i]), updated(items[:i] + items[i + 1 :])
+    if op in ("add", "add_last", "add_first"):
+        (x,) = args
+        blocked = add_allowed()
+        if blocked:
+            return blocked, a
+        new = (x,) + items if op == "add_first" else items + (x,)
+        return value(True if op == "add" else None), updated(new)
+    if op == "index_of":
+        (x,) = args
+        p = first_index(items, x)
+        if p is None:
+            return value(-1), a
+        return (value(p), a) if p <= cap else (UNSPECIFIED, a)
+    if op == "last_index_of":
+        (x,) = args
+        p = last_index(items, x)
+        if p is None:
+            return value(-1), a
+        return (value(p), a) if p <= cap else (UNSPECIFIED, a)
+    if op == "contains":
+        (x,) = args
+        return value(first_index(items, x) is not None), a
+    if op in ("remove_item", "remove_first_occurrence", "remove_last_occurrence"):
+        (x,) = args
+        find = last_index if op == "remove_last_occurrence" else first_index
+        p = find(items, x)
+        if p is None:
+            return value(False), a
+        return value(True), updated(items[:p] + items[p + 1 :])
+    if op == "clear":
+        return value(None), updated(())
+    if op == "to_array":
+        if n > cap:
+            return UNSPECIFIED, a
+        return value(items), a
+    if op == "get_first":
+        return (value(items[0]), a) if n else (error("no_such_element"), a)
+    if op == "get_last":
+        return (value(items[-1]), a) if n else (error("no_such_element"), a)
+    if op == "peek_first":
+        return value(items[0] if n else None), a
+    if op == "peek_last":
+        return value(items[-1] if n else None), a
+    if op == "poll_first":
+        if not n:
+            return value(None), a
+        return value(items[0]), updated(items[1:])
+    if op == "poll_last":
+        if not n:
+            return value(None), a
+        return value(items[-1]), updated(items[:-1])
+    if op == "remove_first":
+        if not n:
+            return error("no_such_element"), a
+        return value(items[0]), updated(items[1:])
+    if op == "remove_last":
+        if not n:
+            return error("no_such_element"), a
+        return value(items[-1]), updated(items[:-1])
+    raise UsageError(f"unknown operation {op!r}")
+
+
+def assert_matches_reference(a, op, args):
+    """Same verdict fields and repr, same post-state, and the state
+    itself returned exactly where the reference returns it."""
+    want, want_post = reference_apply(a, op, args)
+    got, post = oracle_apply(a, op, args)
+    assert (got.kind, got.value, got.error) == (want.kind, want.value, want.error), (op, args)
+    assert repr(got) == repr(want), (op, args)
+    assert repr(post.items) == repr(want_post.items), (op, args)
+    assert (post.width, post.bounded) == (want_post.width, want_post.bounded)
+    assert (post is a) is (want_post is a), (op, args)
+    return post
+
+
+def all_calls(n):
+    """Every call of every operation on a list of ``n`` items: every
+    alphabet item, and every index from -1 to n + 1."""
+    for op, spec in OP_SPECS.items():
+        choices = [range(-1, n + 2) if kind == INDEX else ALPHABET for kind in spec.args]
+        for args in product(*choices):
+            yield op, args
+
+
+def reference_states():
+    """Width-8 states around the empty list and around the maximum size
+    127, bounded and unbounded: the alphabet cycled, and a run of nulls
+    ending in one ``b`` and one marker, whose positions pass 127 at the
+    longest lengths (so searches and ``to_array`` turn Unspecified)."""
+    for n, bounded in product([0, 1, 2, 3, 125, 126, 127, 128, 129], [True, False]):
+        yield AbstractList(tuple(ALPHABET[i % len(ALPHABET)] for i in range(n)), 8, bounded)
+        tail = (B, MARKER)[: min(n, 2)]
+        yield AbstractList((NULL,) * (n - len(tail)) + tail, 8, bounded)
+
+
+class TestRuleTableMatchesReference:
+    def test_every_call_on_the_reference_states(self):
+        kinds = set()
+        for a in reference_states():
+            for op, args in all_calls(len(a.items)):
+                assert_matches_reference(a, op, args)
+                kinds.add(reference_apply(a, op, args)[0].kind)
+        assert kinds == {"value", "error", "unspecified"}
+
+    def test_unknown_operation(self):
+        for op in ("sort", "", ["add"]):
+            with pytest.raises(UsageError, match="unknown operation"):
+                oracle_apply(state(), op, ())
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from(ALPHABET), max_size=140),
+        st.booleans(),
+        st.lists(st.sampled_from(sorted(OP_SPECS)), min_size=1, max_size=30),
+        st.data(),
+    )
+    def test_drawn_states_and_calls(self, items, bounded, ops, data):
+        # each call runs on the state the previous one left
+        a = AbstractList(tuple(items), 8, bounded)
+        for op in ops:
+            n = len(a.items)
+            args = tuple(
+                data.draw(st.integers(-1, n + 1) if kind == INDEX else st.sampled_from(ALPHABET))
+                for kind in OP_SPECS[op].args
+            )
+            a = assert_matches_reference(a, op, args)
