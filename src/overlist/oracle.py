@@ -239,8 +239,6 @@ def _take_end(end: int, rest: slice, empty: Verdict):
     return rule
 
 
-_BUT_FIRST, _BUT_LAST = slice(1, None), slice(None, -1)
-
 _RULES = {
     "size": _size,
     "is_max_size": _is_max_size,
@@ -264,10 +262,10 @@ _RULES = {
     "get_last": _read_end(-1, _NO_SUCH_ELEMENT),
     "peek_first": _read_end(0, _NONE),
     "peek_last": _read_end(-1, _NONE),
-    "poll_first": _take_end(0, _BUT_FIRST, _NONE),
-    "poll_last": _take_end(-1, _BUT_LAST, _NONE),
-    "remove_first": _take_end(0, _BUT_FIRST, _NO_SUCH_ELEMENT),
-    "remove_last": _take_end(-1, _BUT_LAST, _NO_SUCH_ELEMENT),
+    "poll_first": _take_end(0, slice(1, None), _NONE),
+    "poll_last": _take_end(-1, slice(None, -1), _NONE),
+    "remove_first": _take_end(0, slice(1, None), _NO_SUCH_ELEMENT),
+    "remove_last": _take_end(-1, slice(None, -1), _NO_SUCH_ELEMENT),
 }
 
 

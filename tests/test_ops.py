@@ -8,13 +8,13 @@ from collections import Counter
 
 import pytest
 
+from overlist import oracle
 from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, census, dump_script, gen_script
 from overlist.errors import UsageError
 from overlist.ghostspec import contract_for
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import OPS, JavaLinkedList
 from overlist.ops import INDEX, OP_SPECS, spec_of
-from overlist import oracle
 from overlist.oracle import AbstractList, oracle_apply
 
 EQUALITY_BRANCH_OPS = {
