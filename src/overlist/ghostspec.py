@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from . import heapmodel, listcore, ops
+from . import listcore, ops
 from .errors import ContractViolation, DanglingLink, ListError, UsageError
 from .heapmodel import NodeId, NullItem
 from .ops import EMPTY_FOOTPRINT, Footprint
@@ -298,22 +298,20 @@ def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> li
 @dataclass(frozen=True)
 class PreObservation:
     items: tuple
-    ids: tuple[NodeId, ...]
     header: tuple  # (first, last, size)
     ghost: tuple[NodeId, ...]
 
 
-def observe(state, ghost_is_chain: bool = False, items: tuple | None = None) -> PreObservation:
-    """The pre-state a contract is judged against. The chain's ids come
-    from a walk, or from the ghost when ``ghost_is_chain``: a passing
-    invariant check has shown that the ghost is the chain. The items are
-    read from the store unless the caller already holds them."""
+def observe(state, items: tuple | None = None) -> PreObservation:
+    """The pre-state a contract is judged against. The chain's ids are
+    read from the ghost, which a passing invariant check has shown to be
+    the chain. The items are read from the store unless the caller
+    already holds them."""
     ghost = tuple(state.ghost)
-    ids = ghost if ghost_is_chain else tuple(heapmodel.walk_chain(state.store, state.first))
     if items is None:
-        items = tuple(map(attrgetter("item"), state.store.records(ids)))
+        items = tuple(map(attrgetter("item"), state.store.records(ghost)))
     header = (state.first, state.last, state.size)
-    return PreObservation(items, ids, header, ghost)
+    return PreObservation(items, header, ghost)
 
 
 def contract_for(op: str, args: tuple) -> str:
@@ -327,20 +325,17 @@ def contract_for(op: str, args: tuple) -> str:
 
 
 def _post_vs_model(
-    state, verdict, abs_post: AbstractList, outcome, chain: tuple | None = None
+    state, verdict, abs_post: AbstractList, outcome, chain: tuple
 ) -> list[tuple[str, str]]:
     """Check result and resulting chain contents against the documented
-    verdict and post-state of the call. ``chain`` holds the post-state's
-    node ids when they are known; otherwise the chain is walked."""
+    verdict and post-state of the call; ``chain`` holds the post-state's
+    node ids."""
     if verdict.kind == "unspecified":
         return []
     violations = []
     if observe_equal(outcome, verdict) != "agree":
         violations.append(("post", f"result {outcome!r} != documented {verdict!r}"))
-    if chain is None:
-        post_items = tuple(state.items())
-    else:
-        post_items = tuple(map(attrgetter("item"), state.store.records(chain)))
+    post_items = tuple(map(attrgetter("item"), state.store.records(chain)))
     if post_items != abs_post.items:
         violations.append(
             ("post", f"chain items {post_items!r} != documented {abs_post.items!r}")
@@ -351,26 +346,28 @@ def _post_vs_model(
 def run_checked(state, op: str, args: tuple = (), *, carried: tuple | None = None):
     """Invoke a public operation with the full check battery.
 
-    Precondition failures (broken invariant on entry, unknown operation,
-    wrong argument count) are harness errors. After the call: the
-    branch-matching postcondition is evaluated against the abstract
-    semantics, the invariant is re-checked (FailFast), and the call's
-    writes, read from the store's journal, are checked against the
-    declared footprint (error outcomes must leave everything unchanged).
+    The list is FailFast: ``JavaLinkedList`` refuses to check an
+    Unchecked one. Precondition failures (broken invariant on entry,
+    unknown operation, wrong argument count) are harness errors. After
+    the call: the branch-matching postcondition is evaluated against the
+    bounded abstract semantics, the invariant is re-checked, and the
+    call's writes, read from the store's journal, are checked against
+    the declared footprint (error outcomes must leave everything
+    unchanged).
     Raises ContractViolation on any failed check; otherwise the wrapped
     operation's result (or ListError) passes through unchanged.
 
-    Under FailFast the passing entry check (for a carried call, the
-    previous call's exit check) vouches for the ghost, so the pre-state
-    is read from it rather than walked. The exit check is first
-    scoped to what the call's journal touched; when that vouches for the
-    ghost too, the post-state is read from it. Otherwise the chain is
-    walked and the full invariant is checked, so witnesses, chain
-    corruption errors and their order are those of the full check.
+    The passing entry check (for a carried call, the previous call's
+    exit check) vouches for the ghost, so the pre-state is read from it
+    rather than walked. The exit check is first scoped to what the
+    call's journal touched; when that vouches for the ghost too, the
+    post-state is read from it. Otherwise the chain is walked and the
+    full invariant is checked, so witnesses, chain corruption errors and
+    their order are those of the full check.
 
     ``carried`` is ``(abs_pre, verdict, abs_post)``: the caller's oracle
     state and ``oracle_apply(abs_pre, op, args)``. It hands over what a
-    previous checked call on this FailFast list has just verified, so the
+    previous checked call on this list has just verified, so the
     entry check is skipped, the pre-state items are ``abs_pre.items`` and
     the call is judged against the given verdict. This is sound only when
     the invariant holds and the chain's items equal ``abs_pre.items``: the
@@ -383,21 +380,16 @@ def run_checked(state, op: str, args: tuple = (), *, carried: tuple | None = Non
     if state.check_mode is not listcore.CheckMode.FULL:
         raise UsageError("run_checked requires check_mode=FULL")
     contract = contract_for(op, args)
-    failfast = state.policy is listcore.SizePolicy.FAIL_FAST
     if carried is None:
-        if failfast:
-            failures = check_invariant(state)
-            if failures:
-                raise UsageError(f"invariant broken before {op}: {failures}")
-        pre = observe(state, ghost_is_chain=failfast)
-        abs_pre = AbstractList(pre.items, state.width, bounded=failfast)
-        verdict, abs_post = oracle_apply(abs_pre, op, args)
-    elif failfast:
-        abs_pre, verdict, abs_post = carried
-        pre = observe(state, ghost_is_chain=True, items=abs_pre.items)
+        failures = check_invariant(state)
+        if failures:
+            raise UsageError(f"invariant broken before {op}: {failures}")
+        pre = observe(state)
+        verdict, abs_post = oracle_apply(AbstractList(pre.items, state.width), op, args)
     else:
-        raise UsageError("a carried oracle state requires a FailFast list")
-    fp = ops.OP_SPECS[op].footprint(state, pre, args)
+        abs_pre, verdict, abs_post = carried
+        pre = observe(state, items=abs_pre.items)
+    fp = ops.OP_SPECS[op].footprint(pre, args)
 
     err: ListError | None = None
     result = None
@@ -411,13 +403,11 @@ def run_checked(state, op: str, args: tuple = (), *, carried: tuple | None = Non
     finally:
         journal = state.store.close_journal(mark)
 
-    if failfast and exit_invariant_holds(state, pre.ghost, journal):
-        chain = tuple(state.ghost)
-        violations = _post_vs_model(state, verdict, abs_post, outcome, chain)
+    if exit_invariant_holds(state, pre.ghost, journal):
+        violations = _post_vs_model(state, verdict, abs_post, outcome, tuple(state.ghost))
     else:
-        violations = _post_vs_model(state, verdict, abs_post, outcome)
-        if failfast:
-            violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
+        violations = _post_vs_model(state, verdict, abs_post, outcome, tuple(state.chain()))
+        violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
     effective_fp = fp if err is None else EMPTY_FOOTPRINT
     violations.extend(frame_check(pre, state, journal, effective_fp))
 

@@ -71,12 +71,19 @@ class JavaLinkedList:
         unknown = set(faults) - set(FAULTS)
         if unknown:
             raise UsageError(f"unknown faults {sorted(unknown)}")
+        if policy is SizePolicy.UNCHECKED and check_mode is not CheckMode.OFF:
+            raise UsageError(
+                "an Unchecked list cannot be checked: its size wraps at capacity, "
+                "which breaks the class invariant"
+            )
         self.width = width
         self.max_size = max_value(width).value
         self.min_size = min_value(width).value
         self.policy = policy
         self.check_mode = check_mode
         self.faults = frozenset(faults)
+        # whether the size-increasing entry points refuse growth at capacity
+        self.guards_growth = policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in faults
         self.store = NodeStore()
         self.first: NodeId | None = None
         self.last: NodeId | None = None
@@ -134,7 +141,7 @@ class JavaLinkedList:
     # no call beyond check_size (FailFast), alloc, set_next and _inc.
 
     def link_last(self, item: Item) -> None:
-        if self.policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in self.faults:
+        if self.guards_growth:
             self.check_size()
         old_last = self.last
         node = self.store.alloc(old_last, item, None)
@@ -147,7 +154,7 @@ class JavaLinkedList:
         self.ghost.append(node)
 
     def link_first(self, item: Item) -> None:
-        if self.policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in self.faults:
+        if self.guards_growth:
             self.check_size()
         old_first = self.first
         node = self.store.alloc(None, item, old_first)
@@ -163,7 +170,7 @@ class JavaLinkedList:
         """Splice a new node in front of ``succ``."""
         if succ not in self.store:
             raise UsageError(f"succ {succ} not allocated")
-        if self.policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in self.faults:
+        if self.guards_growth:
             self.check_size()
         pred = self.store.record(succ).prev
         node = self.store.alloc(pred, item, succ)

@@ -46,44 +46,44 @@ class Footprint:
 EMPTY_FOOTPRINT = Footprint()
 
 
-# Footprint builders map (state, pre-state observation, args) to the
-# locations the call may modify.
+# Footprint builders map (pre-state observation, args) to the locations
+# the call may modify.
 
 
-def _fp_pure(state, pre, args) -> Footprint:
+def _fp_pure(pre, args) -> Footprint:
     return EMPTY_FOOTPRINT
 
 
-def _fp_append(state, pre, args) -> Footprint:
-    nodes = {(pre.ids[-1], "next")} if pre.ids else set()
-    header = {"last", "size"} | ({"first"} if not pre.ids else set())
+def _fp_append(pre, args) -> Footprint:
+    nodes = {(pre.ghost[-1], "next")} if pre.ghost else set()
+    header = {"last", "size"} | ({"first"} if not pre.ghost else set())
     return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=True)
 
 
-def _fp_prepend(state, pre, args) -> Footprint:
-    nodes = {(pre.ids[0], "prev")} if pre.ids else set()
-    header = {"first", "size"} | ({"last"} if not pre.ids else set())
+def _fp_prepend(pre, args) -> Footprint:
+    nodes = {(pre.ghost[0], "prev")} if pre.ghost else set()
+    header = {"first", "size"} | ({"last"} if not pre.ghost else set())
     return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=True)
 
 
-def _fp_insert_at(state, pre, args) -> Footprint:
+def _fp_insert_at(pre, args) -> Footprint:
     i = args[0]
-    n = len(pre.ids)
+    n = len(pre.ghost)
     if not 0 <= i <= n:
         return EMPTY_FOOTPRINT
     if i == n:
-        return _fp_append(state, pre, args)
-    nodes = {(pre.ids[i], "prev")}
+        return _fp_append(pre, args)
+    nodes = {(pre.ghost[i], "prev")}
     header = {"size"}
     if i > 0:
-        nodes.add((pre.ids[i - 1], "next"))
+        nodes.add((pre.ghost[i - 1], "next"))
     else:
         header.add("first")
     return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=True)
 
 
 def _removal_footprint(pre, p: int) -> Footprint:
-    ids = pre.ids
+    ids = pre.ghost
     n = len(ids)
     x = ids[p]
     nodes = {(x, "prev"), (x, "item"), (x, "next")}
@@ -99,24 +99,24 @@ def _removal_footprint(pre, p: int) -> Footprint:
     return Footprint(frozenset(nodes), frozenset(header), ghost=True)
 
 
-def _fp_remove_at(state, pre, args) -> Footprint:
+def _fp_remove_at(pre, args) -> Footprint:
     i = args[0]
-    if not 0 <= i < len(pre.ids):
+    if not 0 <= i < len(pre.ghost):
         return EMPTY_FOOTPRINT
     return _removal_footprint(pre, i)
 
 
-def _fp_set_at(state, pre, args) -> Footprint:
+def _fp_set_at(pre, args) -> Footprint:
     i = args[0]
-    if not 0 <= i < len(pre.ids):
+    if not 0 <= i < len(pre.ghost):
         return EMPTY_FOOTPRINT
-    return Footprint(frozenset({(pre.ids[i], "item")}))
+    return Footprint(frozenset({(pre.ghost[i], "item")}))
 
 
 def _fp_remove_match(last: bool):
     find = last_index if last else first_index
 
-    def fp(state, pre, args) -> Footprint:
+    def fp(pre, args) -> Footprint:
         p = find(pre.items, args[0])
         return EMPTY_FOOTPRINT if p is None else _removal_footprint(pre, p)
 
@@ -124,16 +124,16 @@ def _fp_remove_match(last: bool):
 
 
 def _fp_remove_end(p_of_n) -> Callable:
-    def fp(state, pre, args) -> Footprint:
-        if not pre.ids:
+    def fp(pre, args) -> Footprint:
+        if not pre.ghost:
             return EMPTY_FOOTPRINT
-        return _removal_footprint(pre, p_of_n(len(pre.ids)))
+        return _removal_footprint(pre, p_of_n(len(pre.ghost)))
 
     return fp
 
 
-def _fp_clear(state, pre, args) -> Footprint:
-    nodes = {(nid, f) for nid in pre.ids for f in ("prev", "item", "next")}
+def _fp_clear(pre, args) -> Footprint:
+    nodes = {(nid, f) for nid in pre.ghost for f in ("prev", "item", "next")}
     return Footprint(frozenset(nodes), frozenset({"first", "last", "size"}), ghost=True)
 
 
@@ -143,7 +143,7 @@ class OpSpec:
     args: tuple[str, ...]  # argument kinds: INDEX / ITEM
     interface: str | None  # "List", "Deque", or None for the capacity helpers
     size_effect: str  # GROWS | SHRINKS | NONE | RESET
-    footprint: Callable  # (state, pre, args) -> Footprint
+    footprint: Callable  # (pre, args) -> Footprint
     probes: tuple[tuple, ...] = ()  # census argument tuples; empty = not censused
     method: str | None = None  # the JavaLinkedList method, when not ``name``
 

@@ -295,14 +295,16 @@ def oracle_add_all(a: AbstractList, items) -> AbstractList:
 def observe_equal(impl: tuple[str, object], verdict: Verdict) -> str:
     """Compare an implementation outcome against an oracle verdict.
 
-    ``impl`` is ("value", v) or ("error", kind). Returns "agree",
+    ``impl`` is ("value", v) or ("error", kind), with ``v`` already in
+    the answer domain (passed through ``normalize``), as oracle values
+    are; the values are compared as they are. Returns "agree",
     "disagree" or "skipped" (the latter exactly when the verdict is
     Unspecified)."""
     if verdict.kind == "unspecified":
         return "skipped"
     tag, payload = impl
     if tag == "value" and verdict.kind == "value":
-        return "agree" if normalize(payload) == normalize(verdict.value) else "disagree"
+        return "agree" if payload == verdict.value else "disagree"
     if tag == "error" and verdict.kind == "error":
         return "agree" if payload == verdict.error else "disagree"
     return "disagree"

@@ -26,17 +26,12 @@ def build_list(
     return lst
 
 
-def enumerate_lists(
-    max_len: int = 6,
-    alphabet: tuple[Item, ...] = SMALL_ALPHABET,
-    width: int = 8,
-    policy: SizePolicy = SizePolicy.FAIL_FAST,
-    check_mode: CheckMode = CheckMode.OFF,
-):
-    """All well-formed lists up to ``max_len`` over the alphabet."""
+def enumerate_lists(max_len: int = 6, width: int = 8, check_mode: CheckMode = CheckMode.OFF):
+    """All well-formed FailFast lists up to ``max_len`` over
+    ``SMALL_ALPHABET``."""
     for n in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=n):
-            yield build_list(combo, width, policy, check_mode)
+        for combo in itertools.product(SMALL_ALPHABET, repeat=n):
+            yield build_list(combo, width, check_mode=check_mode)
 
 
 def random_state(rng: random.Random, width: int = 8, max_nodes: int = 8) -> JavaLinkedList:

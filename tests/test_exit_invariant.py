@@ -25,7 +25,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from overlist import difftest, ghostspec, heapmodel, listcore, oracle
+from overlist import difftest, ghostspec, heapmodel, listcore
 from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, OpScript, gen_script, run_script
 from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
 from overlist.ghostspec import check_invariant, exit_invariant_holds, run_checked
@@ -481,11 +481,15 @@ class TestCarriedEntry:
         with pytest.raises(UsageError, match=r"invariant broken before get: \[\('C6'"):
             run_checked(lst, "get", (0,))
 
-    def test_carried_state_requires_failfast(self):
-        lst = new_list(8, SizePolicy.UNCHECKED, CheckMode.FULL)
-        empty = oracle.AbstractList((), 8, bounded=False)
-        with pytest.raises(UsageError, match="requires a FailFast list"):
-            run_checked(lst, "size", (), carried=(empty, *oracle.oracle_apply(empty, "size", ())))
+    @pytest.mark.parametrize("mode", list(CheckMode))
+    def test_checks_require_failfast(self, mode):
+        # an Unchecked list breaks the invariant once its size wraps, so
+        # it is refused any check mode but OFF when it is built
+        if mode is CheckMode.OFF:
+            assert new_list(8, SizePolicy.UNCHECKED, mode).check_mode is CheckMode.OFF
+        else:
+            with pytest.raises(UsageError, match="Unchecked list cannot be checked"):
+                new_list(8, SizePolicy.UNCHECKED, mode)
 
 
 @contextmanager

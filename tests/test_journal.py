@@ -24,6 +24,7 @@ from overlist.ghostspec import Footprint, frame_check, observe, run_checked
 from overlist.heapmodel import NULL, Atom, NodeStore, diff, snapshot
 from overlist.listcore import CheckMode, SizePolicy, apply_op, new_list
 from overlist.ops import ALPHABET, INDEX, OP_SPECS
+from overlist.oracle import AbstractList, oracle_apply
 
 A, B = Atom("a"), Atom("b")
 
@@ -351,18 +352,26 @@ class TestRunCheckedClosesTheJournal:
         assert lst.items() == [A, B, B]
 
     def test_after_chain_corruption(self):
-        lst = new_list(8, SizePolicy.UNCHECKED, CheckMode.FULL,
+        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL,
                        faults=frozenset({"unlink-skip-relink"}))
         for _ in range(10):
             lst.add(A)
         # the fault leaves the successor's prev on the removed node, so
         # a backward walk from the last node falls off after three steps
         apply_op(lst, "remove_at", (7,))
+        # a carried call skips the entry check that would refuse this state
         with pytest.raises(ChainCorruption):
-            run_checked(lst, "get", (5,))
+            run_checked(lst, "get", (5,), carried=carried((A,) * 9, "get", (5,)))
         assert lst.store._journal is None
-        run_checked(lst, "add_first", (B,))
+        run_checked(lst, "add_first", (B,), carried=carried((A,) * 9, "add_first", (B,)))
         assert lst.items()[0] == B
+
+
+def carried(items, op, args):
+    """The ``carried`` argument of a checked call on a width-8 list whose
+    chain holds ``items``."""
+    abs_pre = AbstractList(items, 8)
+    return (abs_pre, *oracle_apply(abs_pre, op, args))
 
 
 def setter_unlink(lst, x, relink=True):

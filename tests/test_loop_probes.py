@@ -98,7 +98,10 @@ def outcomes(make_state, run):
 
 
 def filled(n, policy, faults):
-    lst = new_list(8, policy, CheckMode.FULL, faults)
+    # an Unchecked list cannot be checked: on it the searches run unprobed,
+    # and their answers must still equal the reference's
+    mode = CheckMode.FULL if policy is SizePolicy.FAIL_FAST else CheckMode.OFF
+    lst = new_list(8, policy, mode, faults)
     for i in range(n):
         lst.add((A, NULL, B)[i % 3])
     return lst

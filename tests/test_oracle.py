@@ -237,7 +237,10 @@ class TestObserveEqual:
     def test_normalize_bridges_jint_and_list(self):
         from overlist.jint import JInt
 
-        assert observe_equal(("value", JInt(5, 8)), value(5)) == "agree"
+        # observe_equal takes outcomes whose values went through normalize
+        assert observe_equal(("value", normalize(JInt(5, 8))), value(5)) == "agree"
+        assert observe_equal(("value", normalize([A, B])), value((A, B))) == "agree"
+        assert normalize(JInt(5, 8)) == 5 and type(normalize(JInt(5, 8))) is int
         assert normalize([A, B]) == (A, B)
 
 
