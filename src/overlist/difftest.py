@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
-from .ghostspec import check_invariant, exit_invariant_holds, run_checked
+from .ghostspec import check_invariant, checked_step
 from .heapmodel import NULL, Atom, NullItem
 from .jint import check_width
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
@@ -194,22 +194,19 @@ def run_script(
     raised before anything runs; any other UsageError is a harness bug
     and propagates.
 
-    Under FULL the run owns the FailFast list, so each step assumes what
-    the previous step's exit checks established (JML's visible-state
-    semantics): the invariant holds, and the chain's items are the
-    oracle's. The step's oracle verdict is computed once, before the
-    call, and ``run_checked`` is judged against it without an entry
-    check. The FailFast oracle starts empty and is bounded, so its length
-    never passes the width's maximum and no verdict is Unspecified: every
-    step's items are compared.
-
-    Under INVARIANT the run carries the invariant the same way. While it
-    holds, each step keeps the ghost from before the call, runs inside a
-    store savepoint, and is judged by ``exit_invariant_holds`` on that
-    savepoint's journal. A step the scoped check does not vouch for is
-    judged by the full ``check_invariant``, with the same divergence and
-    witnesses. After a failed full check every step runs the full check
-    until one passes; from there the run carries again."""
+    The run owns the FailFast list, so under both checked modes each
+    step assumes what the previous step's exit checks established (JML's
+    visible-state semantics): the invariant holds, and the chain's items
+    are the oracle's. While the invariant holds, a step runs through
+    ``ghostspec.checked_step``, inside one store savepoint, and is judged
+    by the exit check scoped to that savepoint's journal, falling back to
+    the full ``check_invariant`` with the same divergence and witnesses.
+    Under FULL the step's oracle verdict, computed once before the call,
+    also judges its result, its items and its frame; the FailFast oracle
+    starts empty and is bounded, so no verdict is Unspecified and every
+    step's items are compared. Under INVARIANT, after a failed full check
+    every step runs the full check until one passes; from there the run
+    carries again."""
     for op, args in script.steps:
         check_call(op, args)
     divergences: dict[str, list[Divergence]] = {}
@@ -220,43 +217,30 @@ def run_script(
         pname = policy.value
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
         full = checked and check_mode is CheckMode.FULL
-        invariant_mode = checked and not full
         lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
         abs_state = AbstractList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
         aborted[pname] = None
         # the new list is empty: the invariant holds and its items are the oracle's
-        holds = invariant_mode
+        holds = checked
         for step, (op, args) in enumerate(script.steps):
             verdict, abs_post = oracle_apply(abs_state, op, args)
-            if holds:
-                pre = tuple(lst.ghost)
-                mark = lst.store.open_journal()
             try:
-                if full:
-                    result = run_checked(lst, op, args, carried=(abs_state, verdict, abs_post))
+                if holds:
+                    model = (abs_state.items, verdict, abs_post) if full else None
+                    outcome, _, failures = checked_step(lst, op, args, model)
                 else:
-                    result = apply_op(lst, op, args)
-                outcome = ("value", normalize(result))
+                    outcome = ("value", normalize(apply_op(lst, op, args)))
             except ListError as e:
                 outcome = ("error", e.kind)
-            except ContractViolation as cv:
-                # the ghost layer no longer trusts this state; stop here
-                kind = "FrameViolation" if "frame" in cv.categories() else "InvariantViolation"
-                divs.append(Divergence(step, op, args, pname, str(cv), None, kind))
+            except (ContractViolation, ChainCorruption) as e:
+                # the ghost layer no longer trusts this state, or the chain
+                # itself is corrupted (a cycle or a dangling link); stop here
+                frame = isinstance(e, ContractViolation) and "frame" in e.categories()
+                kind = "FrameViolation" if frame else "InvariantViolation"
+                divs.append(Divergence(step, op, args, pname, str(e), None, kind))
                 aborted[pname] = step
                 break
-            except ChainCorruption as cd:
-                # a cycle or a dangling link means the chain itself is
-                # corrupted; nothing downstream of this state is trustworthy
-                divs.append(
-                    Divergence(step, op, args, pname, str(cd), None, "InvariantViolation")
-                )
-                aborted[pname] = step
-                break
-            finally:
-                if holds:
-                    journal = lst.store.close_journal(mark)
             abs_state = abs_post
             if observe_equal(outcome, verdict) == "disagree":
                 divs.append(
@@ -270,8 +254,9 @@ def run_script(
                         classify(outcome, verdict),
                     )
                 )
-            if invariant_mode and not (holds and exit_invariant_holds(lst, pre, journal)):
-                failures = check_invariant(lst)
+            if checked:
+                if not holds:
+                    failures = check_invariant(lst)
                 holds = not failures
                 if failures:
                     divs.append(

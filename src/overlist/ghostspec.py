@@ -343,76 +343,75 @@ def _post_vs_model(
     return violations
 
 
-def run_checked(state, op: str, args: tuple = (), *, carried: tuple | None = None):
+def run_checked(state, op: str, args: tuple = ()):
     """Invoke a public operation with the full check battery.
 
     The list is FailFast: ``JavaLinkedList`` refuses to check an
     Unchecked one. Precondition failures (broken invariant on entry,
-    unknown operation, wrong argument count) are harness errors. After
-    the call: the branch-matching postcondition is evaluated against the
-    bounded abstract semantics, the invariant is re-checked, and the
-    call's writes, read from the store's journal, are checked against
-    the declared footprint (error outcomes must leave everything
-    unchanged).
+    unknown operation, wrong argument count) are harness errors. Once the
+    full entry check passes, ``checked_step`` judges the call against the
+    oracle's verdict on the chain's items.
     Raises ContractViolation on any failed check; otherwise the wrapped
-    operation's result (or ListError) passes through unchanged.
-
-    The passing entry check (for a carried call, the previous call's
-    exit check) vouches for the ghost, so the pre-state is read from it
-    rather than walked. The exit check is first scoped to what the
-    call's journal touched; when that vouches for the ghost too, the
-    post-state is read from it. Otherwise the chain is walked and the
-    full invariant is checked, so witnesses, chain corruption errors and
-    their order are those of the full check.
-
-    ``carried`` is ``(abs_pre, verdict, abs_post)``: the caller's oracle
-    state and ``oracle_apply(abs_pre, op, args)``. It hands over what a
-    previous checked call on this list has just verified, so the
-    entry check is skipped, the pre-state items are ``abs_pre.items`` and
-    the call is judged against the given verdict. This is sound only when
-    the invariant holds and the chain's items equal ``abs_pre.items``: the
-    list is empty and new, or the previous ``run_checked`` call on it
-    returned a result or raised a ListError (so its exit checks passed),
-    was judged against a specified verdict whose oracle post-state is
-    ``abs_pre``, and nothing has touched the list since.
-    A caller that may have changed the list outside a journal passes no
-    ``carried``, and the full entry check runs."""
+    operation's result (or ListError) passes through unchanged."""
     if state.check_mode is not listcore.CheckMode.FULL:
         raise UsageError("run_checked requires check_mode=FULL")
-    contract = contract_for(op, args)
-    if carried is None:
-        failures = check_invariant(state)
-        if failures:
-            raise UsageError(f"invariant broken before {op}: {failures}")
-        pre = observe(state)
-        verdict, abs_post = oracle_apply(AbstractList(pre.items, state.width), op, args)
-    else:
-        abs_pre, verdict, abs_post = carried
-        pre = observe(state, items=abs_pre.items)
-    fp = ops.OP_SPECS[op].footprint(pre, args)
+    ops.check_call(op, args)
+    failures = check_invariant(state)
+    if failures:
+        raise UsageError(f"invariant broken before {op}: {failures}")
+    items = observe(state).items
+    verdict, abs_post = oracle_apply(AbstractList(items, state.width), op, args)
+    outcome, result, _ = checked_step(state, op, args, (items, verdict, abs_post))
+    if outcome[0] == "value":
+        return result
+    try:
+        raise result
+    finally:
+        del result  # the raised error's traceback holds this frame
 
-    err: ListError | None = None
-    result = None
+
+def checked_step(state, op: str, args: tuple, model: tuple | None = None):
+    """Run one call inside one store savepoint and judge its exit.
+
+    Precondition: the invariant holds on entry and, when ``model`` is
+    given, the chain's items are ``model[0]``. A caller that owns the list
+    may carry both over from the previous step's exit checks (JML's
+    visible-state semantics); ``run_checked`` establishes them with its
+    entry check. The pre-state ids are read from the ghost.
+
+    The exit check is scoped to what the call's journal touched. When that
+    does not vouch for the state, the full invariant is checked (under
+    ``model``, after walking the chain), so witnesses, chain corruption
+    errors and their order are those of the full check.
+
+    ``model`` is ``(items, verdict, abs_post)``: the chain's items and the
+    oracle's judgement of the call. With it the postcondition, the
+    invariant and the frame (an error outcome must change nothing) are
+    checked, and any failure raises ContractViolation. Returns
+    ``(outcome, result, failures)``: the outcome as ``run_op`` gives it,
+    the result or the ListError raised (its traceback cleared, so keeping
+    it makes no reference cycle), and the failing invariant clauses."""
+    pre = tuple(state.ghost) if model is None else observe(state, model[0])
     mark = state.store.open_journal()
     try:
         result = listcore.apply_op(state, op, args)
         outcome = ("value", normalize(result))
     except ListError as e:
-        err = e
+        result = e.with_traceback(None)
         outcome = ("error", e.kind)
     finally:
         journal = state.store.close_journal(mark)
 
-    if exit_invariant_holds(state, pre.ghost, journal):
-        violations = _post_vs_model(state, verdict, abs_post, outcome, tuple(state.ghost))
-    else:
-        violations = _post_vs_model(state, verdict, abs_post, outcome, tuple(state.chain()))
+    holds = exit_invariant_holds(state, pre if model is None else pre.ghost, journal)
+    if model is None:
+        return outcome, result, () if holds else check_invariant(state)
+    _, verdict, abs_post = model
+    chain = tuple(state.ghost) if holds else tuple(state.chain())
+    violations = _post_vs_model(state, verdict, abs_post, outcome, chain)
+    if not holds:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
-    effective_fp = fp if err is None else EMPTY_FOOTPRINT
-    violations.extend(frame_check(pre, state, journal, effective_fp))
-
+    fp = EMPTY_FOOTPRINT if outcome[0] == "error" else ops.OP_SPECS[op].footprint(pre, args)
+    violations.extend(frame_check(pre, state, journal, fp))
     if violations:
-        raise ContractViolation(contract, violations)
-    if err is not None:
-        raise err
-    return result
+        raise ContractViolation(contract_for(op, args), violations)
+    return outcome, result, ()

@@ -325,7 +325,7 @@ class TestValidation:
     @pytest.mark.parametrize("mode", list(CheckMode))
     def test_wrong_argument_count_rejected_before_running(self, monkeypatch, bad, mode):
         monkeypatch.setattr(difftest, "apply_op", lambda *a: pytest.fail("a step ran"))
-        monkeypatch.setattr(difftest, "run_checked", lambda *a, **k: pytest.fail("a step ran"))
+        monkeypatch.setattr(difftest, "checked_step", lambda *a, **k: pytest.fail("a step ran"))
         script = OpScript(0, 8, (("add", (NULL,)), bad))
         with pytest.raises(UsageError, match=rf"{bad[0]} takes 1 argument\(s\)"):
             run_script(script, mode)

@@ -1,4 +1,4 @@
-"""The journal-scoped exit check of ``run_checked``, and the entry
+"""The journal-scoped exit check of ``checked_step``, and the entry
 state ``run_script`` carries from one checked step to the next.
 
 ``exit_invariant_holds`` re-checks the class invariant only where a
@@ -9,14 +9,16 @@ the three ghost changes it understands must make it fall back (answer
 False), and a passing scoped check must spare ``run_checked`` every walk
 and the second full check.
 
-A carried step skips the entry check and reads its pre-state items from
-the run's oracle. Its proof obligation: at every carried entry the full
-invariant holds and the chain's items are the carried oracle items.
+Under ``full``, ``run_script`` sends each step to ``checked_step`` with
+no entry check, judged against the oracle verdict and items it carries.
+Its proof obligation: at every step's entry the full invariant holds and
+the chain's items are the carried oracle items, and the outputs equal
+those of sending every step through the public ``run_checked``.
 
-An ``invariant``-mode run carries the invariant too: while it holds, each
-step is judged by the scoped exit check, and the full check runs only
-when that does not vouch for the state. Its proof obligation: beside
-every step whose scoped check passed, the full invariant holds.
+Under ``invariant``, ``checked_step`` judges each step by the scoped
+exit check while the invariant holds, and runs the full check only when
+that does not vouch for the state. Its proof obligation: beside every
+step whose scoped check passed, the full invariant holds.
 """
 
 from collections import Counter
@@ -31,6 +33,7 @@ from overlist.errors import ChainCorruption, ContractViolation, ListError, Usage
 from overlist.ghostspec import check_invariant, exit_invariant_holds, run_checked
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, CheckMode, SizePolicy, apply_op, new_list
+from overlist.oracle import normalize
 from overlist.ops import ALPHABET, INDEX, OP_SPECS
 from overlist.statespace import build_list
 
@@ -413,24 +416,30 @@ class TestRunCheckedCost:
 
 @contextmanager
 def carried_entries(plain: bool = False):
-    """Route ``run_script``'s checked calls through a wrapper that runs
-    the full ``check_invariant`` and reads the chain beside every carried
-    entry, asserting the carried state; yields the ops entered carried.
-    With ``plain``, the carried state is dropped, so every step runs the
-    full entry check and computes its own verdict."""
+    """Route ``run_script``'s checked steps through a wrapper that runs
+    the full ``check_invariant`` and reads the chain beside every entry,
+    asserting the state the run carries into it; yields the ops entered.
+    With ``plain``, each step goes through the public ``run_checked``
+    instead, which runs the full entry check and computes its own
+    verdict."""
     entered = []
-    real = difftest.run_checked
+    real = ghostspec.checked_step
 
-    def beside(lst, op, args=(), *, carried=None):
-        if carried is not None:
-            failures = check_invariant(lst)
-            assert not failures, (op, failures)
-            assert tuple(lst.items()) == carried[0].items, op
-            entered.append(op)
-        return real(lst, op, args, carried=None if plain else carried)
+    def beside(lst, op, args, model=None):
+        failures = check_invariant(lst)
+        assert not failures, (op, failures)
+        assert tuple(lst.items()) == model[0], op
+        entered.append(op)
+        if not plain:
+            return real(lst, op, args, model)
+        try:
+            result = run_checked(lst, op, args)
+        except ListError as e:
+            return ("error", e.kind), e, ()
+        return ("value", normalize(result)), result, ()
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(difftest, "run_checked", beside)
+        mp.setattr(difftest, "checked_step", beside)
         yield entered
 
 
@@ -500,7 +509,7 @@ def scoped_steps(plain: bool = False):
     ``plain``, every scoped check answers False, so the full check runs
     after every step, as it does without the carry."""
     seen = []
-    real = difftest.exit_invariant_holds
+    real = ghostspec.exit_invariant_holds
 
     def beside(lst, pre, journal):
         holds = real(lst, pre, journal)
@@ -511,7 +520,7 @@ def scoped_steps(plain: bool = False):
         return holds and not plain
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(difftest, "exit_invariant_holds", beside)
+        mp.setattr(ghostspec, "exit_invariant_holds", beside)
         yield seen
 
 
@@ -553,7 +562,7 @@ class TestCarriedInvariantMode:
         it after each step until ``clear`` leaves an empty, valid list,
         and from the next step on the scoped check judges again."""
         log = []
-        real_scoped, real_full = difftest.exit_invariant_holds, difftest.check_invariant
+        real_scoped, real_full = ghostspec.exit_invariant_holds, ghostspec.check_invariant
 
         def scoped(lst, pre, journal):
             log.append("scoped")
@@ -564,7 +573,10 @@ class TestCarriedInvariantMode:
             log.append("full-failed" if failures else "full")
             return failures
 
-        monkeypatch.setattr(difftest, "exit_invariant_holds", scoped)
+        # the full check runs in the step after a failed scoped check, and
+        # in the run itself while the invariant is broken
+        monkeypatch.setattr(ghostspec, "exit_invariant_holds", scoped)
+        monkeypatch.setattr(ghostspec, "check_invariant", full)
         monkeypatch.setattr(difftest, "check_invariant", full)
         steps = [("add", (A,)), ("add", (B,)), ("add", (A,)), ("remove_at", (1,)),
                  ("size", ()), ("clear", ()), ("add", (B,)), ("get", (0,))]

@@ -6,6 +6,7 @@ endpoints) must follow from the invariant, which is checked here on
 hand-built states and exhaustively elsewhere.
 """
 
+import gc
 import json
 import random
 import subprocess
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overlist.errors import ContractViolation, CycleDetected, UsageError
+from overlist.difftest import OpScript, run_script
+from overlist.errors import ContractViolation, CycleDetected, ListError, UsageError
 from overlist.ghostspec import (
     EMPTY_FOOTPRINT,
     Footprint,
@@ -473,3 +475,42 @@ class TestRunChecked:
             pytest.fail(f"spurious contract violation: {cv}")
         except Exception:
             pass  # documented list errors are fine
+
+
+class TestRefusalsLeaveNoCycles:
+    """A refused checked call leaves no garbage that only the cyclic
+    collector frees, and the error that passes through keeps its type
+    and message."""
+
+    @pytest.fixture
+    def collector_off(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_refused_run_checked_calls(self, collector_off):
+        calls = [("add", (B,)), ("get", (500,))] * 10
+        plain = build_list([A] * 127)
+        lst = checked_list([A] * 127)
+        expected, raised = [], []
+        for op, args in calls:
+            with pytest.raises(ListError) as exc:
+                listcore.apply_op(plain, op, args)
+            expected.append((type(exc.value), str(exc.value)))
+        del exc
+        gc.collect()
+        for op, args in calls:
+            try:
+                run_checked(lst, op, args)
+            except ListError as e:
+                raised.append((type(e), str(e)))
+        assert gc.collect() == 0
+        assert raised == expected
+
+    @pytest.mark.parametrize("mode", list(CheckMode))
+    def test_refused_run_script_steps(self, collector_off, mode):
+        script = OpScript(0, 8, (("add", (A,)),) * 137 + (("get", (500,)),) * 10)
+        gc.collect()
+        result = run_script(script, mode)
+        assert gc.collect() == 0
+        assert result.total("failfast") == 0

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from overlist import difftest
 from overlist.difftest import ADD_HEAVY_WEIGHTS, gen_script, prepare_overflow, run_op
 from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
-from overlist.ghostspec import Footprint, frame_check, observe, run_checked
+from overlist.ghostspec import Footprint, checked_step, frame_check, observe, run_checked
 from overlist.heapmodel import NULL, Atom, NodeStore, diff, snapshot
 from overlist.listcore import CheckMode, SizePolicy, apply_op, new_list
 from overlist.ops import ALPHABET, INDEX, OP_SPECS
@@ -359,19 +359,15 @@ class TestRunCheckedClosesTheJournal:
         # the fault leaves the successor's prev on the removed node, so
         # a backward walk from the last node falls off after three steps
         apply_op(lst, "remove_at", (7,))
-        # a carried call skips the entry check that would refuse this state
+        # a checked step assumes the invariant whose entry check would
+        # refuse this state
+        abs_pre = AbstractList((A,) * 9, 8)
         with pytest.raises(ChainCorruption):
-            run_checked(lst, "get", (5,), carried=carried((A,) * 9, "get", (5,)))
+            checked_step(lst, "get", (5,), (abs_pre.items, *oracle_apply(abs_pre, "get", (5,))))
         assert lst.store._journal is None
-        run_checked(lst, "add_first", (B,), carried=carried((A,) * 9, "add_first", (B,)))
+        model = (abs_pre.items, *oracle_apply(abs_pre, "add_first", (B,)))
+        assert checked_step(lst, "add_first", (B,), model)[0] == ("value", None)
         assert lst.items()[0] == B
-
-
-def carried(items, op, args):
-    """The ``carried`` argument of a checked call on a width-8 list whose
-    chain holds ``items``."""
-    abs_pre = AbstractList(items, 8)
-    return (abs_pre, *oracle_apply(abs_pre, op, args))
 
 
 def setter_unlink(lst, x, relink=True):
