@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import listcore, ops
 from .errors import ContractViolation, DanglingLink, ListError, UsageError
@@ -85,19 +86,25 @@ def check_invariant(state) -> list[tuple[str, str]]:
     return failures
 
 
-def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool:
-    """Whether the invariant holds after a call, checked only where the
-    call could have broken it. ``pre`` is the ghost on entry, where the
-    invariant held; ``journal`` is the call's closed store journal, which
-    holds every node write the call made.
+def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> tuple | None:
+    """Check the invariant after a call only where the call could have
+    broken it, and locate the call's ghost edit. ``pre`` is the ghost on
+    entry, where the invariant held; ``journal`` is the call's closed
+    store journal, which holds every node write the call made.
 
     The ghost must be unchanged, or have gained exactly the call's one
     fresh node, or have lost one node. Then a link pair that was adjacent
     on entry and whose links nobody wrote still agrees, so C6 needs
     checking only at the edit site, at the nodes whose links were written
     and at both ends (which also covers C5); ghost entries from entry are
-    still allocated (C3). True means the whole invariant holds; False only
-    means this argument does not apply, and ``check_invariant`` decides.
+    still allocated (C3).
+
+    When the whole invariant holds, returns the edit it located as
+    ``(post, p)``: the exit ghost as a tuple and the edit's position, where
+    the fresh node now sits or where the removed node sat in ``pre`` (0
+    when the ghost is unchanged or empty). How the ghost changed follows
+    from ``len(post) - len(pre)``. None only means this argument does not
+    apply, and ``check_invariant`` decides.
 
     The edit is located with as few scans of the ghost as possible. A
     fresh node is looked for at the ghost's two ends before anywhere
@@ -114,19 +121,19 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
     nl = state.ghost
     n = len(nl)
     if state.size != n or state.size > state.max_size:  # C1, C2
-        return False
+        return None
     if n == 0:  # C4; C3, C5 and C6 hold vacuously
-        return state.first is None and state.last is None
+        return ((), 0) if state.first is None and state.last is None else None
     post = tuple(nl)
     entries, fresh = journal
     gone = None
     if n == len(pre):
         if fresh or post != pre:
-            return False
-        lo = hi = 0
+            return None
+        p = lo = hi = 0
     elif n == len(pre) + 1:
         if len(fresh) != 1:
-            return False
+            return None
         f = fresh.start
         if post[-1] == f:
             p = n - 1
@@ -136,9 +143,9 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
             try:
                 p = post.index(f)
             except ValueError:
-                return False
+                return None
         if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
-            return False
+            return None
         lo, hi = p - 1, p + 2
     elif n == len(pre) - 1 and entries and not fresh:
         if post[0] != pre[0]:
@@ -149,13 +156,13 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
             try:
                 p = pre.index(entries[-3])
             except ValueError:
-                return False
+                return None
         if post[:p] != pre[:p] or post[p:] != pre[p + 1 :]:
-            return False
+            return None
         gone = pre[p]
         lo, hi = p - 1, p + 1
     else:
-        return False
+        return None
     lo = max(lo, 0)
     hi = min(hi, n)
     at = [0, n - 1, *range(lo, hi)]
@@ -167,14 +174,14 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> bool
     try:
         recs = state.store.records([post[i] for i in at])
     except DanglingLink:
-        return False
+        return None
     last = n - 1
     for i, rec in zip(at, recs):
         if rec.prev != (post[i - 1] if i else None):
-            return False
+            return None
         if rec.next != (post[i + 1] if i < last else None):
-            return False
-    return state.first == post[0] and state.last == post[-1]
+            return None
+    return (post, p) if state.first == post[0] and state.last == post[-1] else None
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +293,7 @@ def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> li
     for name, old, new in zip(_HEADER_NAMES, pre.header, header):
         if old != new and name not in fp.header_fields:
             violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
-    if pre.ghost != tuple(state.ghost) and not fp.ghost:
+    if not fp.ghost and pre.ghost != tuple(state.ghost):
         violations.append(("frame", "ghost nodeList changed"))
     return violations
 
@@ -295,8 +302,7 @@ def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> li
 # contracts
 
 
-@dataclass(frozen=True)
-class PreObservation:
+class PreObservation(NamedTuple):
     items: tuple
     header: tuple  # (first, last, size)
     ghost: tuple[NodeId, ...]
@@ -324,17 +330,54 @@ def contract_for(op: str, args: tuple) -> str:
     return f"{op}[null]" if isinstance(args[0], NullItem) else f"{op}[non-null]"
 
 
+def _post_items(state, pre: PreObservation, edit: tuple, journal: tuple) -> tuple:
+    """The chain's items after a call whose scoped exit check vouched for
+    the state and located its ghost ``edit``; ``pre`` holds the chain's
+    items and ids on entry.
+
+    A node that stayed in the ghost keeps its item unless the call wrote
+    it, and every node write goes through the store's journaled setters.
+    So the entry items, with the edit applied (the fresh node's item read
+    from its record, or the removed positions cut out) and each item
+    written at a node still in the ghost read from its record, are the
+    whole read's items. An unchanged ghost and no item write give
+    ``pre.items`` itself."""
+    items, _, ghost = pre
+    post, p = edit
+    d = len(post) - len(ghost)
+    if d > 0:
+        items = items[:p] + (state.store.record(post[p]).item,) + items[p:]
+    elif d < 0:
+        items = items[:p] + items[p - d :]
+    if post:
+        gone = ghost[p] if d < 0 else None
+        entries = journal[0]
+        for nid, name in zip(entries[::3], entries[1::3]):
+            if name == "item" and nid != gone:
+                try:
+                    i = post.index(nid)
+                except ValueError:  # a node outside the chain
+                    continue
+                items = items[:i] + (state.store.record(nid).item,) + items[i + 1 :]
+    return items
+
+
 def _post_vs_model(
-    state, verdict, abs_post: AbstractList, outcome, chain: tuple
+    state, verdict, abs_post: AbstractList, outcome, chain: tuple, items: tuple | None
 ) -> list[tuple[str, str]]:
     """Check result and resulting chain contents against the documented
     verdict and post-state of the call; ``chain`` holds the post-state's
-    node ids."""
+    node ids, and ``items`` their items as ``_post_items`` derived them,
+    or None. Only when derived items are missing or differ from the
+    documented ones are the chain's items read from the store, so a
+    violation names what that whole read finds."""
     if verdict.kind == "unspecified":
         return []
     violations = []
     if observe_equal(outcome, verdict) != "agree":
         violations.append(("post", f"result {outcome!r} != documented {verdict!r}"))
+    if items is abs_post.items or items == abs_post.items:
+        return violations
     post_items = tuple(map(attrgetter("item"), state.store.records(chain)))
     if post_items != abs_post.items:
         violations.append(
@@ -387,7 +430,13 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     ``model`` is ``(items, verdict, abs_post)``: the chain's items and the
     oracle's judgement of the call. With it the postcondition, the
     invariant and the frame (an error outcome must change nothing) are
-    checked, and any failure raises ContractViolation. Returns
+    checked, and any failure raises ContractViolation. When the scoped
+    check vouched, the post-state's items are derived from the entry
+    items and the ghost edit it located (``_post_items``), reading only
+    the records the call created or whose item it wrote; its obligation
+    is that they equal a whole read of the chain's items. The chain's
+    items are read whole only when the scoped check did not vouch, or to
+    name the items of a failed comparison. Returns
     ``(outcome, result, failures)``: the outcome as ``run_op`` gives it,
     the result or the ListError raised (its traceback cleared, so keeping
     it makes no reference cycle), and the failing invariant clauses."""
@@ -402,13 +451,18 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     finally:
         journal = state.store.close_journal(mark)
 
-    holds = exit_invariant_holds(state, pre if model is None else pre.ghost, journal)
+    edit = exit_invariant_holds(state, pre if model is None else pre.ghost, journal)
     if model is None:
-        return outcome, result, () if holds else check_invariant(state)
+        return outcome, result, () if edit else check_invariant(state)
     _, verdict, abs_post = model
-    chain = tuple(state.ghost) if holds else tuple(state.chain())
-    violations = _post_vs_model(state, verdict, abs_post, outcome, chain)
-    if not holds:
+    if edit:
+        chain = edit[0]
+        items = _post_items(state, pre, edit, journal)
+    else:
+        chain = tuple(state.chain())
+        items = None
+    violations = _post_vs_model(state, verdict, abs_post, outcome, chain, items)
+    if not edit:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
     fp = EMPTY_FOOTPRINT if outcome[0] == "error" else ops.OP_SPECS[op].footprint(pre, args)
     violations.extend(frame_check(pre, state, journal, fp))

@@ -6,7 +6,7 @@ call's journal says the call could have broken it. Its proof obligation:
 on every state reached from one where the invariant held, its verdict
 equals the full ``check_invariant`` verdict. Hand-built calls outside
 the three ghost changes it understands must make it fall back (answer
-False), and a passing scoped check must spare ``run_checked`` every walk
+None), and a passing scoped check must spare ``run_checked`` every walk
 and the second full check.
 
 Under ``full``, ``run_script`` sends each step to ``checked_step`` with
@@ -14,6 +14,15 @@ no entry check, judged against the oracle verdict and items it carries.
 Its proof obligation: at every step's entry the full invariant holds and
 the chain's items are the carried oracle items, and the outputs equal
 those of sending every step through the public ``run_checked``.
+
+Under ``full``, a step whose scoped check vouched derives its post-state
+items from the carried entry items, the ghost edit the scoped check
+located and the journal's item writes, instead of reading the chain.
+Its proof obligation: beside every such step, a whole read of the
+chain's items equals the derived ones, and a violation found through
+the derived items has the text a whole read gives. A passing step then
+looks up as many node records at 120 nodes as at 8, beyond the list's
+own work.
 
 Under ``invariant``, ``checked_step`` judges each step by the scoped
 exit check while the invariant holds, and runs the full check only when
@@ -33,7 +42,7 @@ from overlist.errors import ChainCorruption, ContractViolation, ListError, Usage
 from overlist.ghostspec import check_invariant, exit_invariant_holds, run_checked
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, CheckMode, SizePolicy, apply_op, new_list
-from overlist.oracle import normalize
+from overlist.oracle import AbstractList, normalize, oracle_apply
 from overlist.ops import ALPHABET, INDEX, OP_SPECS
 from overlist.statespace import build_list
 
@@ -42,7 +51,8 @@ A, B = Atom("a"), Atom("b")
 
 def verdicts(lst, change):
     """Run ``change()`` on ``lst`` under a journal; return the scoped and
-    the full exit verdicts. The invariant must hold on entry."""
+    the full exit verdicts, the scoped one as whether it located an edit.
+    The invariant must hold on entry."""
     assert check_invariant(lst) == []
     pre = tuple(lst.ghost)
     mark = lst.store.open_journal()
@@ -50,7 +60,7 @@ def verdicts(lst, change):
         change()
     finally:
         journal = lst.store.close_journal(mark)
-    return exit_invariant_holds(lst, pre, journal), not check_invariant(lst)
+    return bool(exit_invariant_holds(lst, pre, journal)), not check_invariant(lst)
 
 
 def outcome_of(lst, op, args):
@@ -134,7 +144,7 @@ class TestProofObligation:
 
 
 class TestFallback:
-    """Calls the scoped argument does not cover answer False."""
+    """Calls the scoped argument does not cover answer None."""
 
     def test_two_ghost_edits(self):
         lst = build_list([A, B])
@@ -502,22 +512,185 @@ class TestCarriedEntry:
 
 
 @contextmanager
+def derived_items():
+    """Run a whole read of the chain's items beside every ``full`` step
+    whose post-state items ``checked_step`` derived from the located ghost
+    edit, asserting the two are equal; yields each such step's edit kind."""
+    kinds = []
+    real = ghostspec._post_items
+
+    def beside(lst, pre, edit, journal):
+        derived = real(lst, pre, edit, journal)
+        assert derived == tuple(lst.items())
+        entries, _ = journal
+        d = len(edit[0]) - len(pre.ghost)
+        kinds.append("insert" if d > 0 else "remove" if d < 0
+                     else "item write" if "item" in entries[1::3] else "unchanged")
+        return derived
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghostspec, "_post_items", beside)
+        yield kinds
+
+
+Z = Atom("z")  # in no generated script
+
+
+class TestDerivedItems:
+    """Under ``full``, a step the scoped exit check vouched for derives
+    its post-state items from the entry items, the ghost edit and the
+    journal's item writes. Its proof obligation: beside every such step,
+    a whole read of the chain's items equals the derived ones."""
+
+    def test_generated_scripts_all_faults_both_mixes(self):
+        kinds = Counter()
+        for fault in (None, *FAULTS):
+            faults = frozenset() if fault is None else frozenset({fault})
+            for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
+                for seed in range(6):
+                    with derived_items() as seen:
+                        full_failfast(gen_script(seed, 8, 400, weights).steps, faults)
+                    kinds.update(seen)
+        assert all(kinds[k] > 100 for k in ("insert", "remove", "item write", "unchanged")), kinds
+
+    @settings(max_examples=60, deadline=None)
+    @given_drawn_script
+    def test_drawn_scripts(self, prefix, fault, ops, data):
+        faults = frozenset() if fault is None else frozenset({fault})
+        with derived_items() as seen:
+            full_failfast(drawn_steps(prefix, ops, data), faults)
+        # the first step runs on an empty list, where every call vouches
+        assert seen
+
+    @staticmethod
+    def step_and_write(op, args, node_at, derive=True):
+        """Run ``op`` through ``checked_step`` on a checked list of 12
+        items, as a call that first writes ``Z`` into the item of the node
+        ``node_at(lst)`` picks, through the journaled setter (a removal's
+        clearing stays the call's last write). Without ``derive``, the
+        scoped exit check never vouches, so the chain's items are read
+        whole. Returns the kinds of the derived steps and the
+        ContractViolation raised, or None."""
+        lst = build_list([A, B] * 6, check_mode=CheckMode.FULL)
+        node = node_at(lst)
+        real = listcore.apply_op
+
+        def write_and_call(state, op, args):
+            state.store.set_item(node, Z)
+            return real(state, op, args)
+
+        items = tuple(lst.items())
+        model = (items, *oracle_apply(AbstractList(items, 8), op, args))
+        with pytest.MonkeyPatch.context() as mp, derived_items() as seen:
+            mp.setattr(listcore, "apply_op", write_and_call)
+            if not derive:
+                mp.setattr(ghostspec, "exit_invariant_holds", lambda *a: None)
+            try:
+                ghostspec.checked_step(lst, op, args, model)
+            except ContractViolation as e:
+                return seen, e
+        return seen, None
+
+    @pytest.mark.parametrize("op, args", [
+        ("add", (A,)), ("add_first", (B,)), ("add_at", (6, A)), ("remove_at", (5,)),
+        ("set_at", (3, B)), ("get", (1,)), ("remove_at", (12,)),
+    ])
+    def test_item_write_away_from_the_edit(self, op, args):
+        seen, derived = self.step_and_write(op, args, lambda lst: lst.ghost[9])
+        assert seen and "post" in derived.categories()
+        unseen, whole = self.step_and_write(op, args, lambda lst: lst.ghost[9], derive=False)
+        assert not unseen
+        assert str(derived) == str(whole)
+
+    def test_item_write_outside_the_chain(self):
+        def garbage(lst):
+            node = lst.first
+            lst.poll_first()
+            return node
+
+        # the frame check names the write; the derived items are the chain's
+        seen, violation = self.step_and_write("add", (A,), garbage)
+        assert seen == ["insert"] and violation.categories() == {"frame"}
+
+
+def filled(n, width=8, check_mode=CheckMode.OFF):
+    return build_list([ALPHABET[i % len(ALPHABET)] for i in range(n)], width, check_mode=check_mode)
+
+
+class TestFlatRecordReads:
+    """A passing ``full`` step reads node records only where the call
+    acted. Beyond the list's own work, counted by the same call on an
+    ``OFF`` list, the number of records looked up does not grow with the
+    list's length. This counts lookups, not time, so it is exact."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """``reads(fn, *args)``: the node ids ``fn(*args)`` looks up
+        through ``NodeStore.record`` and ``NodeStore.records``."""
+        count = [0]
+        real_record, real_records = heapmodel.NodeStore.record, heapmodel.NodeStore.records
+
+        def record(store, node_id):
+            count[0] += 1
+            return real_record(store, node_id)
+
+        def records(store, ids):
+            ids = list(ids)
+            count[0] += len(ids)
+            return real_records(store, ids)
+
+        monkeypatch.setattr(heapmodel.NodeStore, "record", record)
+        monkeypatch.setattr(heapmodel.NodeStore, "records", records)
+
+        def reads(fn, *args):
+            count[0] = 0
+            try:
+                fn(*args)
+            except ListError:
+                pass
+            return count[0]
+
+        return reads
+
+    def harness_reads(self, reads, n, width, op, args):
+        checked, plain = filled(n, width, CheckMode.FULL), filled(n, width)
+        items = tuple(checked.items())
+        model = (items, *oracle_apply(AbstractList(items, width), op, args))
+        return (reads(ghostspec.checked_step, checked, op, args, model)
+                - reads(apply_op, plain, op, args))
+
+    @pytest.mark.parametrize("op, args_at", [
+        ("add", lambda n: (A,)), ("add_first", lambda n: (B,)),
+        ("add_at", lambda n: (n // 2, A)), ("remove_at", lambda n: (n // 2,)),
+        ("set_at", lambda n: (n // 2, Z)), ("poll_last", lambda n: ()),
+    ])
+    def test_passing_step_at_8_and_120_nodes(self, reads, op, args_at):
+        assert (self.harness_reads(reads, 8, 8, op, args_at(8))
+                == self.harness_reads(reads, 120, 8, op, args_at(120)))
+
+    def test_refused_add_at_capacity(self, reads):
+        # capacity is 127 nodes at width 8 and 32,767 at width 16
+        assert (self.harness_reads(reads, 127, 8, "add", (A,))
+                == self.harness_reads(reads, 32767, 16, "add", (A,)))
+
+
+@contextmanager
 def scoped_steps(plain: bool = False):
     """Route ``run_script``'s scoped exit checks through a wrapper that
     runs the full ``check_invariant`` beside every one that passed;
-    yields the verdicts of the scoped checks, in order. With
-    ``plain``, every scoped check answers False, so the full check runs
-    after every step, as it does without the carry."""
+    yields the verdicts of the scoped checks, in order, as whether each
+    located an edit. With ``plain``, every scoped check answers None, so
+    the full check runs after every step, as it does without the carry."""
     seen = []
     real = ghostspec.exit_invariant_holds
 
     def beside(lst, pre, journal):
-        holds = real(lst, pre, journal)
-        if holds:
+        edit = real(lst, pre, journal)
+        if edit:
             failures = check_invariant(lst)
             assert not failures, failures
-        seen.append(holds)
-        return holds and not plain
+        seen.append(bool(edit))
+        return None if plain else edit
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ghostspec, "exit_invariant_holds", beside)

@@ -84,3 +84,51 @@ def test_moved_names_still_import_from_ghostspec():
     assert Footprint is ops.Footprint and EMPTY_FOOTPRINT is ops.EMPTY_FOOTPRINT
     assert EMPTY_FOOTPRINT == Footprint()
     assert ghostspec.listcore is listcore and ghostspec.ops is ops
+
+
+NODE_FIELDS = {"prev", "item", "next"}
+
+
+def node_field_writes(source: str) -> list[tuple[int, str]]:
+    """(line, field) of every assignment to or deletion of a ``.prev``,
+    ``.item`` or ``.next`` attribute, and of every ``setattr`` that names
+    one of them or computes the name."""
+    writes = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in NODE_FIELDS:
+            if not isinstance(node.ctx, ast.Load):
+                writes.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) > 1):
+            name = node.args[1]
+            if not isinstance(name, ast.Constant) or name.value in NODE_FIELDS:
+                writes.append((node.lineno, ast.unparse(name)))
+    return sorted(writes)
+
+
+def test_node_field_writes_finds_every_form():
+    source = (
+        "rec.prev = 1\n"
+        "a.item, b = x\n"
+        "store.record(n).next += 1\n"
+        "del rec.item\n"
+        "setattr(rec, 'next', None)\n"
+        "setattr(rec, name, old)\n"
+        "self.first = rec.next\n"
+        "setattr(lst, 'size', 3)\n"
+        "for r.prev in xs: pass\n"
+    )
+    assert node_field_writes(source) == [
+        (1, "prev"), (2, "item"), (3, "next"), (4, "item"), (5, "'next'"), (6, "name"), (9, "prev"),
+    ]
+
+
+@pytest.mark.parametrize("module", ["listcore", "ghostspec"])
+def test_node_fields_change_only_through_the_store(module):
+    """The derived post-state items, the scoped exit check and the frame
+    check all read a call's node writes from the store's journal, so the
+    list and the checks write node fields only through ``NodeStore``'s
+    journaled setters, ``alloc`` and ``clear_node``. ``statespace`` is
+    exempt: it corrupts states on purpose, outside checked calls."""
+    assert node_field_writes((PACKAGE / f"{module}.py").read_text()) == []
+    assert node_field_writes((PACKAGE / "statespace.py").read_text())
