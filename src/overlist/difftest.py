@@ -15,16 +15,10 @@ from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListE
 from .ghostspec import check_invariant, checked_step
 from .heapmodel import NULL, Atom, NullItem
 from .jint import check_width
-from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
-from .ops import ALPHABET, GROWS, INDEX, ITEM, MARKER, OP_SPECS, RESET, SHRINKS, check_call, spec_of
+from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list, require_member
 from .oracle import (
-    AbstractList,
-    Verdict,
-    first_index,
-    normalize,
-    observe_equal,
-    oracle_add_all,
-    oracle_apply,
+    ALPHABET, CLEAR, INDEX, INSERT, ITEM, MARKER, OP_SPECS, REMOVE, AbstractList, Verdict,
+    check_call, first_index, normalize, observe_equal, oracle_add_all, oracle_apply, spec_of,
 )
 
 GENERATOR_VERSION = 1
@@ -137,12 +131,12 @@ def gen_script(
         for kind in spec.args:
             args += (rng.randint(-1, est + 1) if kind == INDEX else rng.choice(ALPHABET),)
         steps.append((op, args))
-        effect = spec.size_effect
-        if effect == GROWS:
+        edit = spec.edit
+        if edit == INSERT:
             est += 1
-        elif effect == SHRINKS and est > 0:
+        elif edit == REMOVE and est > 0:
             est -= 1
-        elif effect == RESET:
+        elif edit == CLEAR:
             est = 0
     return OpScript(seed=seed, width=width, steps=tuple(steps))
 
@@ -190,9 +184,10 @@ def run_script(
     only: under FULL every step goes through the contract harness, under
     INVARIANT the class invariant is re-checked after each step.
     Divergences are data; execution only aborts on a corrupted chain.
-    An unknown operation or a wrong argument count is a UsageError,
-    raised before anything runs; any other UsageError is a harness bug
-    and propagates.
+    An unknown operation, a wrong argument count, or a check mode or
+    policy that is not a member of its enum is a UsageError, raised
+    before anything runs; any other UsageError is a harness bug and
+    propagates.
 
     The run owns the FailFast list, so under both checked modes each
     step assumes what the previous step's exit checks established (JML's
@@ -207,6 +202,9 @@ def run_script(
     step's items are compared. Under INVARIANT, after a failed full check
     every step runs the full check until one passes; from there the run
     carries again."""
+    require_member(CheckMode, check_mode, "check_mode")
+    for policy in policies:
+        require_member(SizePolicy, policy, "policies entry")
     for op, args in script.steps:
         check_call(op, args)
     divergences: dict[str, list[Divergence]] = {}

@@ -1,7 +1,9 @@
 """Executable specification layer: the six-clause class invariant over
 the list's ghost state, derived acyclicity / unique-endpoint properties,
 heap frame checking, and a contract harness that wraps list operations
-with pre/post/invariant/frame checks.
+with pre/post/invariant/frame checks. The contracts come from the rows
+of ``oracle.OP_SPECS``: a row's rule gives the documented verdict and
+post-state, and its edit the frame (``OpSpec.footprint``).
 
 The list's ghost (``JavaLinkedList.ghost``, JML's ``nodeList``) mirrors
 the chain as a sequence of node ids. It is bookkeeping only: production
@@ -15,11 +17,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
-from . import listcore, ops
+from . import listcore, oracle
 from .errors import ContractViolation, DanglingLink, ListError, UsageError
 from .heapmodel import NodeId, NullItem
-from .ops import EMPTY_FOOTPRINT, Footprint
-from .oracle import AbstractList, normalize, observe_equal, oracle_apply
+from .oracle import EMPTY_FOOTPRINT, AbstractList, Footprint, normalize, observe_equal, oracle_apply
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def contract_for(op: str, args: tuple) -> str:
     operations carry one per equality branch (null argument = identity
     test, non-null = equals test), every other operation a single one.
     An unknown operation or a wrong argument count is a UsageError."""
-    if not ops.check_call(op, args).equality_branches:
+    if not oracle.check_call(op, args).equality_branches:
         return op
     return f"{op}[null]" if isinstance(args[0], NullItem) else f"{op}[non-null]"
 
@@ -398,7 +399,7 @@ def run_checked(state, op: str, args: tuple = ()):
     operation's result (or ListError) passes through unchanged."""
     if state.check_mode is not listcore.CheckMode.FULL:
         raise UsageError("run_checked requires check_mode=FULL")
-    ops.check_call(op, args)
+    oracle.check_call(op, args)
     failures = check_invariant(state)
     if failures:
         raise UsageError(f"invariant broken before {op}: {failures}")
@@ -464,7 +465,7 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     violations = _post_vs_model(state, verdict, abs_post, outcome, chain, items)
     if not edit:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
-    fp = EMPTY_FOOTPRINT if outcome[0] == "error" else ops.OP_SPECS[op].footprint(pre, args)
+    fp = EMPTY_FOOTPRINT if outcome[0] == "error" else oracle.OP_SPECS[op].footprint(pre, args)
     violations.extend(frame_check(pre, state, journal, fp))
     if violations:
         raise ContractViolation(contract_for(op, args), violations)

@@ -12,7 +12,7 @@ stays equal to the actual chain even when the cached size has wrapped.
 Production logic never reads it.
 
 ``OPS`` maps each operation name to its method; it is derived from the
-rows of ``ops.OP_SPECS``, so an operation is named in one place.
+rows of ``oracle.OP_SPECS``, so an operation is named in one place.
 
 For mutation-sensitivity experiments, known faults can be injected at
 construction via ``faults`` (see FAULTS).
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .heapmodel import Item, NodeId, NodeStore, NullItem, item_test, walk_chain
 from .jint import JInt, max_value, min_value
-from .ops import OP_SPECS
+from .oracle import OP_SPECS
 
 
 class SizePolicy(Enum):
@@ -48,6 +48,14 @@ class CheckMode(Enum):
     OFF = "off"
     INVARIANT = "invariant"
     FULL = "full"
+
+
+def require_member(enum: type[Enum], value, name: str) -> None:
+    """Policies and check modes are compared by identity, so any value
+    that is not a member of its enum (its string value, say) is a
+    UsageError rather than silently read as some other member."""
+    if not isinstance(value, enum):
+        raise UsageError(f"{name} must be a {enum.__name__}, got {value!r}")
 
 
 #: injectable faults for mutation-sensitivity experiments
@@ -68,6 +76,8 @@ class JavaLinkedList:
         check_mode: CheckMode = CheckMode.OFF,
         faults: frozenset[str] = frozenset(),
     ):
+        require_member(SizePolicy, policy, "policy")
+        require_member(CheckMode, check_mode, "check_mode")
         unknown = set(faults) - set(FAULTS)
         if unknown:
             raise UsageError(f"unknown faults {sorted(unknown)}")

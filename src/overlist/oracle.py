@@ -1,4 +1,12 @@
-"""Unbounded reference model of the documented list semantics.
+"""The operation table and the unbounded reference model of the
+documented list semantics.
+
+``OP_SPECS`` holds one ``OpSpec`` row per public list operation, which
+states its contract once: the documented rule that ``oracle_apply`` runs
+and the edit its ``assignable`` clause permits, from which
+``OpSpec.footprint`` derives the frame, beside its argument shape, Java
+interface, census probes and implementing method. ``listcore.OPS`` is
+derived from the rows.
 
 The abstract state is a plain item sequence of true (unbounded) length,
 standing in for the actual chain contents; a width is carried only to
@@ -19,11 +27,12 @@ Two comparison modes:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import compress, count
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import UsageError
-from .heapmodel import Item, item_test
+from .heapmodel import NULL, Atom, Item, NodeId, item_test
 from .jint import JInt
 
 
@@ -239,34 +248,214 @@ def _take_end(end: int, rest: slice, empty: Verdict):
     return rule
 
 
-_RULES = {
-    "size": _size,
-    "is_max_size": _is_max_size,
-    "check_size": _check_size,
-    "get": _get,
-    "set_at": _set_at,
-    "add_at": _add_at,
-    "remove_at": _remove_at,
-    "add": _add,
-    "add_last": _add_last,
-    "add_first": _add_first,
-    "index_of": _search(first_index),
-    "last_index_of": _search(last_index),
-    "contains": _contains,
-    "remove_item": _remove_occurrence(first_index),
-    "remove_first_occurrence": _remove_occurrence(first_index),
-    "remove_last_occurrence": _remove_occurrence(last_index),
-    "clear": _clear,
-    "to_array": _to_array,
-    "get_first": _read_end(0, _NO_SUCH_ELEMENT),
-    "get_last": _read_end(-1, _NO_SUCH_ELEMENT),
-    "peek_first": _read_end(0, _NONE),
-    "peek_last": _read_end(-1, _NONE),
-    "poll_first": _take_end(0, slice(1, None), _NONE),
-    "poll_last": _take_end(-1, slice(None, -1), _NONE),
-    "remove_first": _take_end(0, slice(1, None), _NO_SUCH_ELEMENT),
-    "remove_last": _take_end(-1, slice(None, -1), _NO_SUCH_ELEMENT),
+# ---------------------------------------------------------------------------
+# frames: the locations a call may modify, the executable form of its
+# ``assignable`` clause
+
+
+@dataclass(frozen=True)
+class Footprint:
+    """Locations an operation is allowed to modify."""
+
+    node_fields: frozenset[tuple[NodeId, str]] = frozenset()
+    header_fields: frozenset[str] = frozenset()
+    ghost: bool = False
+    fresh: bool = False
+
+
+EMPTY_FOOTPRINT = Footprint()
+
+
+def _insertion_footprint(ids, p: int) -> Footprint:
+    """A fresh node linked in at position ``p`` of the chain ``ids``."""
+    nodes = set()
+    header = {"size"}
+    if p > 0:
+        nodes.add((ids[p - 1], "next"))
+    else:
+        header.add("first")
+    if p < len(ids):
+        nodes.add((ids[p], "prev"))
+    else:
+        header.add("last")
+    return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=True)
+
+
+def _removal_footprint(ids, p: int) -> Footprint:
+    """The node at position ``p`` of the chain ``ids`` unlinked and cleared."""
+    x = ids[p]
+    nodes = {(x, "prev"), (x, "item"), (x, "next")}
+    header = {"size"}
+    if p > 0:
+        nodes.add((ids[p - 1], "next"))
+    else:
+        header.add("first")
+    if p < len(ids) - 1:
+        nodes.add((ids[p + 1], "prev"))
+    else:
+        header.add("last")
+    return Footprint(frozenset(nodes), frozenset(header), ghost=True)
+
+
+# ---------------------------------------------------------------------------
+# the operation table: one ``OpSpec`` row per public list operation
+
+#: argument kinds; a shape is the tuple of kinds in call order
+INDEX = "index"
+ITEM = "item"
+
+#: edit kinds: what a mutating call does to the chain, at the position
+#: its row's ``at(pre, args)`` names (None: the call edits nothing)
+INSERT, REMOVE, REPLACE, CLEAR = "insert", "remove", "replace", "clear"
+
+#: argument alphabet: small enough to enumerate, rich enough to exercise
+#: both equality branches plus a distinguished marker element
+MARKER = Atom("marker")
+ALPHABET: tuple[Item, ...] = (NULL, Atom("a"), Atom("b"), MARKER)
+
+
+# Positions ``at(pre, args)``: where in the chain the call edits, or None
+# where it edits nothing (an index out of range, no match, an empty list).
+
+
+def _front(pre, args):
+    return 0
+
+
+def _back(pre, args):
+    return len(pre.ghost)
+
+
+def _slot(pre, args):
+    i = args[0]
+    return i if 0 <= i <= len(pre.ghost) else None
+
+
+def _index(pre, args):
+    i = args[0]
+    return i if 0 <= i < len(pre.ghost) else None
+
+
+def _first_node(pre, args):
+    return 0 if pre.ghost else None
+
+
+def _last_node(pre, args):
+    return len(pre.ghost) - 1 if pre.ghost else None
+
+
+def _first_match(pre, args):
+    return first_index(pre.items, args[0])
+
+
+def _last_match(pre, args):
+    return last_index(pre.items, args[0])
+
+
+@dataclass(frozen=True, slots=True)
+class OpSpec:
+    """An operation's contract: its documented ``rule(a, args)``, and the
+    edit its ``assignable`` clause permits, as a kind and a position
+    function ``at(pre, args)`` (None where the call edits nothing)."""
+
+    name: str
+    args: tuple[str, ...]  # argument kinds: INDEX / ITEM
+    interface: str | None  # "List", "Deque", or None for the capacity helpers
+    probes: tuple[tuple, ...]  # census argument tuples; empty = not censused
+    rule: Callable  # (a, args) -> (verdict, state)
+    edit: str | None = None  # INSERT | REMOVE | REPLACE | CLEAR; None for a query
+    at: Callable | None = None  # (pre, args) -> position or None
+    method: str | None = None  # the JavaLinkedList method, when not ``name``
+
+    @property
+    def mutating(self) -> bool:
+        return self.edit is not None
+
+    @property
+    def equality_branches(self) -> bool:
+        """Element searches: the contract has one branch for a null
+        argument (identity test) and one for a non-null one (equals)."""
+        return self.args == (ITEM,) and self.edit != INSERT
+
+    def footprint(self, pre, args) -> Footprint:
+        """The locations the call may modify."""
+        edit = self.edit
+        if edit is None:
+            return EMPTY_FOOTPRINT
+        ids = pre.ghost
+        if edit == CLEAR:
+            nodes = {(nid, f) for nid in ids for f in ("prev", "item", "next")}
+            return Footprint(frozenset(nodes), frozenset({"first", "last", "size"}), ghost=True)
+        p = self.at(pre, args)
+        if p is None:
+            return EMPTY_FOOTPRINT
+        if edit == INSERT:
+            return _insertion_footprint(ids, p)
+        if edit == REMOVE:
+            return _removal_footprint(ids, p)
+        return Footprint(frozenset({(ids[p], "item")}))
+
+
+_A = (Atom("a"),)
+_AT_0 = ((0, Atom("a")),)
+_SEARCH = ((NULL,), (MARKER,))
+_CALL = ((),)
+
+OP_SPECS: dict[str, OpSpec] = {
+    row.name: row
+    for row in (
+        OpSpec("add", (ITEM,), "List", (_A,), _add, INSERT, _back),
+        OpSpec("add_first", (ITEM,), "Deque", (_A,), _add_first, INSERT, _front),
+        OpSpec("add_last", (ITEM,), "Deque", (_A,), _add_last, INSERT, _back),
+        OpSpec("get", (INDEX,), "List", ((0,),), _get),
+        OpSpec("set_at", (INDEX, ITEM), "List", _AT_0, _set_at, REPLACE, _index),
+        OpSpec("add_at", (INDEX, ITEM), "List", _AT_0, _add_at, INSERT, _slot),
+        OpSpec("remove_at", (INDEX,), "List", ((0,),), _remove_at, REMOVE, _index),
+        OpSpec("index_of", (ITEM,), "List", _SEARCH, _search(first_index)),
+        OpSpec("last_index_of", (ITEM,), "List", _SEARCH, _search(last_index)),
+        OpSpec("contains", (ITEM,), "List", _SEARCH, _contains),
+        # Java's List.remove(Object)
+        OpSpec("remove_item", (ITEM,), "List", _SEARCH,
+               _remove_occurrence(first_index), REMOVE, _first_match),
+        OpSpec("remove_first_occurrence", (ITEM,), "List", ((NULL,),),
+               _remove_occurrence(first_index), REMOVE, _first_match),
+        OpSpec("remove_last_occurrence", (ITEM,), "List", ((NULL,),),
+               _remove_occurrence(last_index), REMOVE, _last_match),
+        OpSpec("clear", (), "List", _CALL, _clear, CLEAR),
+        OpSpec("to_array", (), "List", _CALL, _to_array),
+        OpSpec("size", (), "List", _CALL, _size, method="size_field"),
+        OpSpec("is_max_size", (), None, (), _is_max_size),
+        OpSpec("check_size", (), None, (), _check_size),
+        OpSpec("get_first", (), "Deque", _CALL, _read_end(0, _NO_SUCH_ELEMENT)),
+        OpSpec("get_last", (), "Deque", _CALL, _read_end(-1, _NO_SUCH_ELEMENT)),
+        OpSpec("peek_first", (), "Deque", _CALL, _read_end(0, _NONE)),
+        OpSpec("peek_last", (), "Deque", _CALL, _read_end(-1, _NONE)),
+        OpSpec("poll_first", (), "Deque", _CALL,
+               _take_end(0, slice(1, None), _NONE), REMOVE, _first_node),
+        OpSpec("poll_last", (), "Deque", _CALL,
+               _take_end(-1, slice(None, -1), _NONE), REMOVE, _last_node),
+        OpSpec("remove_first", (), "Deque", _CALL,
+               _take_end(0, slice(1, None), _NO_SUCH_ELEMENT), REMOVE, _first_node),
+        OpSpec("remove_last", (), "Deque", _CALL,
+               _take_end(-1, slice(None, -1), _NO_SUCH_ELEMENT), REMOVE, _last_node),
+    )
 }
+
+
+def spec_of(op: str) -> OpSpec:
+    try:
+        return OP_SPECS[op]
+    except (KeyError, TypeError):
+        raise UsageError(f"unknown operation {op!r}") from None
+
+
+def check_call(op: str, args: tuple) -> OpSpec:
+    """The row of a call's operation; a call with the wrong number of
+    arguments is a UsageError, as an unknown operation is."""
+    spec = spec_of(op)
+    if len(args) != len(spec.args):
+        raise UsageError(f"{op} takes {len(spec.args)} argument(s), got {args!r}")
+    return spec
 
 
 def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, AbstractList]:
@@ -275,7 +464,7 @@ def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, Abstra
     Returns the verdict and the resulting abstract state (``a`` itself
     for queries and for error outcomes)."""
     try:
-        rule = _RULES[op]
+        rule = OP_SPECS[op].rule
     except (KeyError, TypeError):
         raise UsageError(f"unknown operation {op!r}") from None
     return rule(a, args)

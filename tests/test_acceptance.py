@@ -44,8 +44,7 @@ from overlist.ghostspec import (
 )
 from overlist.heapmodel import NULL, Atom, walk_chain
 from overlist.listcore import CheckMode, FAULTS, SizePolicy, new_list
-from overlist.ops import OP_SPECS
-from overlist.oracle import AbstractList, observe_equal, oracle_apply
+from overlist.oracle import OP_SPECS, AbstractList, observe_equal, oracle_apply
 from overlist.difftest import run_op
 from overlist.statespace import SMALL_ALPHABET, build_list, enumerate_lists, random_state
 

@@ -330,6 +330,21 @@ class TestValidation:
         with pytest.raises(UsageError, match=rf"{bad[0]} takes 1 argument\(s\)"):
             run_script(script, mode)
 
+    @pytest.mark.parametrize("mode", [m.value for m in CheckMode])
+    def test_check_mode_string_rejected_before_running(self, monkeypatch, mode):
+        monkeypatch.setattr(difftest, "apply_op", lambda *a: pytest.fail("a step ran"))
+        monkeypatch.setattr(difftest, "checked_step", lambda *a, **k: pytest.fail("a step ran"))
+        script = OpScript(0, 8, (("add", (NULL,)),))
+        with pytest.raises(UsageError, match="check_mode must be a CheckMode"):
+            run_script(script, check_mode=mode)
+
+    @pytest.mark.parametrize("policy", [p.value for p in SizePolicy])
+    def test_policy_string_rejected_before_running(self, monkeypatch, policy):
+        monkeypatch.setattr(difftest, "apply_op", lambda *a: pytest.fail("a step ran"))
+        script = OpScript(0, 8, (("add", (NULL,)),))
+        with pytest.raises(UsageError, match="policies entry must be a SizePolicy"):
+            run_script(script, policies=(SizePolicy.UNCHECKED, policy))
+
     def test_load_names_the_line(self):
         text = '{"seed": 0, "width": 8}\n\n{"op": "get", "args": [true]}\n'
         with pytest.raises(UsageError, match="line 3: get: index must be an integer"):

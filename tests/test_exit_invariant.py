@@ -42,8 +42,7 @@ from overlist.errors import ChainCorruption, ContractViolation, ListError, Usage
 from overlist.ghostspec import check_invariant, exit_invariant_holds, run_checked
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, CheckMode, SizePolicy, apply_op, new_list
-from overlist.oracle import AbstractList, normalize, oracle_apply
-from overlist.ops import ALPHABET, INDEX, OP_SPECS
+from overlist.oracle import ALPHABET, INDEX, OP_SPECS, AbstractList, normalize, oracle_apply
 from overlist.statespace import build_list
 
 A, B = Atom("a"), Atom("b")

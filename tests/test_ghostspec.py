@@ -31,7 +31,7 @@ from overlist.ghostspec import (
     observe,
     run_checked,
 )
-from overlist import listcore, ops
+from overlist import listcore, oracle
 from overlist.heapmodel import NULL, Atom, walk_chain
 from overlist.jint import max_value
 from overlist.listcore import CheckMode, SizePolicy, new_list
@@ -62,9 +62,9 @@ for first in modules:
         spec = importlib.util.spec_from_file_location(f"overlist.{first}", f"{pkg_dir}/{first}.py")
         sys.modules[spec.name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[spec.name])
-        from overlist import ghostspec, heapmodel, listcore, ops
+        from overlist import ghostspec, heapmodel, listcore, oracle
         assert sys.modules["overlist"] is pkg and not hasattr(pkg, "__file__")
-        assert ghostspec.listcore is listcore and ghostspec.ops is ops
+        assert ghostspec.listcore is listcore and ghostspec.oracle is oracle
         lst = listcore.new_list(8, listcore.SizePolicy.FAIL_FAST, listcore.CheckMode.FULL)
         assert ghostspec.run_checked(lst, "add", (heapmodel.NULL,)) is True
         assert ghostspec.run_checked(lst, "index_of", (heapmodel.NULL,)).value == 0
@@ -389,7 +389,7 @@ class TestContracts:
 
 
 class TestModuleBindings:
-    """ghostspec imports listcore and ops at the top, like any other
+    """ghostspec imports listcore and oracle at the top, like any other
     module (the package's imports form no cycle, see test_package.py),
     and looks their functions up through the modules at call time."""
 
@@ -400,9 +400,9 @@ class TestModuleBindings:
 
     def test_calls_see_functions_replaced_on_the_modules(self, monkeypatch):
         seen = []
-        apply_op, spec_of = listcore.apply_op, ops.spec_of
+        apply_op, spec_of = listcore.apply_op, oracle.spec_of
         monkeypatch.setattr(listcore, "apply_op", lambda *a: seen.append("apply") or apply_op(*a))
-        monkeypatch.setattr(ops, "spec_of", lambda op: seen.append("spec") or spec_of(op))
+        monkeypatch.setattr(oracle, "spec_of", lambda op: seen.append("spec") or spec_of(op))
         assert run_checked(checked_list([A]), "get", (0,)) == A
         assert seen == ["spec", "apply"]
 

@@ -23,8 +23,7 @@ from overlist.errors import ChainCorruption, ContractViolation, ListError, Usage
 from overlist.ghostspec import Footprint, checked_step, frame_check, observe, run_checked
 from overlist.heapmodel import NULL, Atom, NodeStore, diff, snapshot
 from overlist.listcore import CheckMode, SizePolicy, apply_op, new_list
-from overlist.ops import ALPHABET, INDEX, OP_SPECS
-from overlist.oracle import AbstractList, oracle_apply
+from overlist.oracle import ALPHABET, INDEX, OP_SPECS, AbstractList, oracle_apply
 
 A, B = Atom("a"), Atom("b")
 

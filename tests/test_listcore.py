@@ -16,6 +16,7 @@ from overlist.errors import (
     ListError,
     NegativeArraySizeError,
     NoSuchElementError,
+    UsageError,
 )
 from overlist.heapmodel import NULL, Atom, walk_chain
 from overlist.jint import WIDTHS, JInt, max_value, min_value, wrap
@@ -338,6 +339,22 @@ class TestFailFastGuard:
         lst = fill_nulls(127)
         lst.add(A)
         assert lst.size == -128
+
+
+class TestEnumArguments:
+    """A policy or check mode given as its string value is refused, not
+    read as some other member: "failfast" used to build a list that
+    guards nothing, whose size wraps after 127 adds."""
+
+    @pytest.mark.parametrize("policy", [p.value for p in SizePolicy] + [None])
+    def test_policy_must_be_a_member(self, policy):
+        with pytest.raises(UsageError, match="policy must be a SizePolicy"):
+            new_list(8, policy)
+
+    @pytest.mark.parametrize("mode", [m.value for m in CheckMode] + [None])
+    def test_check_mode_must_be_a_member(self, mode):
+        with pytest.raises(UsageError, match="check_mode must be a CheckMode"):
+            new_list(8, SizePolicy.FAIL_FAST, mode)
 
 
 class TestNodeWalk:

@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from overlist.errors import UsageError
 from overlist.heapmodel import NULL, Atom
-from overlist.ops import ALPHABET, INDEX, MARKER, OP_SPECS
 from overlist.oracle import (
+    ALPHABET,
+    INDEX,
+    MARKER,
+    OP_SPECS,
     AbstractList,
     UNSPECIFIED,
     Verdict,

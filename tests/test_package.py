@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import overlist
-from overlist import ghostspec, listcore, ops
+from overlist import ghostspec, listcore, oracle
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "overlist"
 
@@ -64,9 +64,9 @@ def test_package_imports_form_no_cycle():
     except CycleError as e:
         pytest.fail(f"import cycle: {' -> '.join(e.args[1])}")
     # the layering the cycle used to break
-    assert graph["ops"] == {"errors", "heapmodel", "oracle"}
-    assert {"listcore", "ops"} <= graph["ghostspec"]
-    assert "ops" in graph["listcore"] and "ghostspec" not in graph["listcore"]
+    assert graph["oracle"] == {"errors", "heapmodel", "jint"}
+    assert {"listcore", "oracle"} <= graph["ghostspec"]
+    assert "oracle" in graph["listcore"] and "ghostspec" not in graph["listcore"]
 
 
 def test_every_public_name_resolves():
@@ -81,9 +81,58 @@ def test_every_public_name_resolves():
 def test_moved_names_still_import_from_ghostspec():
     from overlist.ghostspec import EMPTY_FOOTPRINT, Footprint
 
-    assert Footprint is ops.Footprint and EMPTY_FOOTPRINT is ops.EMPTY_FOOTPRINT
+    assert Footprint is oracle.Footprint and EMPTY_FOOTPRINT is oracle.EMPTY_FOOTPRINT
     assert EMPTY_FOOTPRINT == Footprint()
-    assert ghostspec.listcore is listcore and ghostspec.ops is ops
+    assert ghostspec.listcore is listcore and ghostspec.oracle is oracle
+
+
+#: the operation mixes: weights keyed by name, not a second table of facts
+WEIGHT_TABLES = {"ADD_HEAVY_WEIGHTS", "BALANCED_WEIGHTS"}
+
+
+def name_keyed_tables(source: str) -> list[int]:
+    """Lines of the dict and set displays with three or more string
+    keys that all name operations, outside the weight tables."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id in WEIGHT_TABLES for t in targets):
+                exempt.add(id(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Set):
+            keys = node.elts
+        else:
+            continue
+        names = [k.value for k in keys if isinstance(k, ast.Constant) and isinstance(k.value, str)]
+        if len(names) >= 3 and set(names) <= oracle.OP_SPECS.keys():
+            found.append(node.lineno)
+    return found
+
+
+def test_name_keyed_tables_finds_dicts_and_sets():
+    source = (
+        "RULES = {'add': f, 'get': g, 'size': h}\n"
+        "HEAD = {'first', 'last', 'size'}\n"
+        "BIG = {'add', 'get', 'clear'}\n"
+        "TWO = {'add': 1, 'get': 2}\n"
+        "BALANCED_WEIGHTS = {'add': 1, 'get': 2, 'size': 3}\n"
+    )
+    assert name_keyed_tables(source) == [1, 3]
+
+
+def test_operations_are_keyed_by_name_in_one_table():
+    """An operation's facts sit on its ``OpSpec`` row; a second
+    hand-written table keyed by operation name would have to be kept in
+    step with ``OP_SPECS`` by hand."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert name_keyed_tables(path.read_text()) == [], path.name
 
 
 NODE_FIELDS = {"prev", "item", "next"}
