@@ -272,11 +272,15 @@ def cycle_propagation_witness(state, i: int, j: int) -> CyclePropagation:
 _HEADER_NAMES = ("first", "last", "size")
 
 
-def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> list[tuple[str, str]]:
+def frame_check(
+    pre: PreObservation, state, journal: tuple, fp: Footprint, ghost: tuple[NodeId, ...]
+) -> list[tuple[str, str]]:
     """Every change since ``pre`` must lie inside the footprint; returns
     (category, witness) violation entries. A node field changed when it
     differs from the old value of its first write in the call's closed
-    store ``journal``; nodes allocated during the call are fresh."""
+    store ``journal``; nodes allocated during the call are fresh.
+    ``ghost`` is the exit ghost as a tuple, so a caller that already holds
+    one spares the copy."""
     violations = []
     entries, fresh = journal
     first_old = {}
@@ -294,7 +298,7 @@ def frame_check(pre: PreObservation, state, journal: tuple, fp: Footprint) -> li
     for name, old, new in zip(_HEADER_NAMES, pre.header, header):
         if old != new and name not in fp.header_fields:
             violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
-    if not fp.ghost and pre.ghost != tuple(state.ghost):
+    if not fp.ghost and pre.ghost != ghost:
         violations.append(("frame", "ghost nodeList changed"))
     return violations
 
@@ -457,16 +461,17 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
         return outcome, result, () if edit else check_invariant(state)
     _, verdict, abs_post = model
     if edit:
-        chain = edit[0]
+        chain = ghost = edit[0]
         items = _post_items(state, pre, edit, journal)
     else:
         chain = tuple(state.chain())
+        ghost = tuple(state.ghost)
         items = None
     violations = _post_vs_model(state, verdict, abs_post, outcome, chain, items)
     if not edit:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
     fp = EMPTY_FOOTPRINT if outcome[0] == "error" else oracle.OP_SPECS[op].footprint(pre, args)
-    violations.extend(frame_check(pre, state, journal, fp))
+    violations.extend(frame_check(pre, state, journal, fp, ghost))
     if violations:
         raise ContractViolation(contract_for(op, args), violations)
     return outcome, result, ()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from operator import eq
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import CycleDetected, DanglingLink, UsageError
 
@@ -111,8 +111,8 @@ class NodeStore:
     def ids(self):
         return self._records.keys()
 
-    # alloc and the setters test their links inline rather than through a
-    # helper: an add makes an alloc and a set_next, so every call counts
+    # alloc, link and the setters test their links inline rather than
+    # through a helper: an add makes one link call, so every call counts
 
     def alloc(self, prev: NodeId | None, item: Item, next: NodeId | None) -> NodeId:
         records = self._records
@@ -125,11 +125,73 @@ class NodeStore:
         records[node_id] = NodeRecord(prev, item, next)
         return node_id
 
+    def link(self, prev: NodeId | None, item: Item, next: NodeId | None) -> NodeId:
+        """Allocate a node between ``prev`` and ``next`` and point both
+        neighbours at it: ``alloc(prev, item, next)``, then
+        ``set_prev(next, ·)`` and ``set_next(prev, ·)`` for each neighbour
+        that is not None, in that order, with their journal entries and
+        errors, in one call."""
+        records = self._records
+        if prev is not None:
+            try:
+                before = records[prev]
+            except KeyError:
+                raise UsageError(f"prev refers to unallocated node {prev}") from None
+        if next is not None:
+            try:
+                after = records[next]
+            except KeyError:
+                raise UsageError(f"next refers to unallocated node {next}") from None
+        node_id = self._next_id
+        self._next_id = node_id + 1
+        records[node_id] = NodeRecord(prev, item, next)
+        journal = self._journal
+        if next is not None:
+            if journal is not None:
+                journal += (next, "prev", after.prev)
+            after.prev = node_id
+        if prev is not None:
+            if journal is not None:
+                journal += (prev, "next", before.next)
+            before.next = node_id
+        return node_id
+
     def record(self, node_id: NodeId) -> NodeRecord:
         try:
             return self._records[node_id]
         except KeyError:
             raise DanglingLink(node_id) from None
+
+    def walk(self, node: NodeId | None, link: str = "next") -> Iterator[NodeRecord]:
+        """Yield the records of the chain from ``node`` along its ``next``
+        (or ``prev``) links until a None link, looking each one up only
+        when the caller asks for it; DanglingLink for an unallocated id, as
+        ``record`` raises. A caller that needs a node's id follows the same
+        link: the id after a record is its ``next`` (or ``prev``). The walk
+        keeps no visited set: on a cyclic chain it goes on, so a caller
+        bounds it or stops at a match."""
+        # Records, not (id, record) pairs: a tuple per node made the walk
+        # slower than a record call per node. The yield sits outside the
+        # try, so closing a walk left at a match costs less.
+        records = self._records
+        if link == "next":
+            while node is not None:
+                try:
+                    rec = records[node]
+                except KeyError:
+                    raise DanglingLink(node) from None
+                yield rec
+                node = rec.next
+        elif link == "prev":
+            while node is not None:
+                try:
+                    rec = records[node]
+                except KeyError:
+                    raise DanglingLink(node) from None
+                yield rec
+                node = rec.prev
+        else:
+            raise UsageError(f"walk follows next or prev links, not {link!r}")
 
     def records(self, ids) -> list[NodeRecord]:
         """The records of ``ids``, in order; DanglingLink for the first
@@ -175,7 +237,10 @@ class NodeStore:
         """Null all three fields of ``node_id``, journaled as ``set_prev``,
         ``set_item`` and ``set_next`` in that order would journal them;
         return the old ``next``, so a caller walking the chain can go on."""
-        rec = self.record(node_id)
+        try:
+            rec = self._records[node_id]
+        except KeyError:
+            raise DanglingLink(node_id) from None
         old_next = rec.next
         journal = self._journal
         if journal is not None:

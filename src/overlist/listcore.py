@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from enum import Enum
+from itertools import islice
 from operator import attrgetter
 from typing import Callable
 
@@ -147,49 +148,49 @@ class JavaLinkedList:
             )
 
     # -- linking ------------------------------------------------------------
-    # Each size-increasing entry point guards growth inline, so an add makes
-    # no call beyond check_size (FailFast), alloc, set_next and _inc.
+    # Each size-increasing entry point guards growth and steps the size
+    # inline, and links its node with one store call (link_before first
+    # reads its successor's prev), so an accepted add makes no call beyond
+    # link_last and NodeStore.link. check_size runs only at capacity, where
+    # it raises the refusal (FailFast).
 
     def link_last(self, item: Item) -> None:
-        if self.guards_growth:
+        size = self.size
+        if size == self.max_size and self.guards_growth:
             self.check_size()
         old_last = self.last
-        node = self.store.alloc(old_last, item, None)
+        node = self.store.link(old_last, item, None)
         self.last = node
         if old_last is None:
             self.first = node
-        else:
-            self.store.set_next(old_last, node)
-        self.size = self._inc(self.size)
+        self.size = self.min_size if size == self.max_size else size + 1
         self.ghost.append(node)
 
     def link_first(self, item: Item) -> None:
-        if self.guards_growth:
+        size = self.size
+        if size == self.max_size and self.guards_growth:
             self.check_size()
         old_first = self.first
-        node = self.store.alloc(None, item, old_first)
+        node = self.store.link(None, item, old_first)
         self.first = node
         if old_first is None:
             self.last = node
-        else:
-            self.store.set_prev(old_first, node)
-        self.size = self._inc(self.size)
+        self.size = self.min_size if size == self.max_size else size + 1
         self.ghost.insert(0, node)
 
     def link_before(self, item: Item, succ: NodeId) -> None:
         """Splice a new node in front of ``succ``."""
-        if succ not in self.store:
-            raise UsageError(f"succ {succ} not allocated")
-        if self.guards_growth:
+        try:
+            pred = self.store.record(succ).prev
+        except DanglingLink:
+            raise UsageError(f"succ {succ} not allocated") from None
+        size = self.size
+        if size == self.max_size and self.guards_growth:
             self.check_size()
-        pred = self.store.record(succ).prev
-        node = self.store.alloc(pred, item, succ)
-        self.store.set_prev(succ, node)
+        node = self.store.link(pred, item, succ)
         if pred is None:
             self.first = node
-        else:
-            self.store.set_next(pred, node)
-        self.size = self._inc(self.size)
+        self.size = self.min_size if size == self.max_size else size + 1
         nl = self.ghost
         try:
             nl.insert(nl.index(succ), node)
@@ -307,21 +308,19 @@ class JavaLinkedList:
         lives in the oracle, not here)."""
         return JInt(self.size, self.width)
 
-    # The element searches bind the store's record lookup and the element
-    # test (items_equal with its null split made once) before their loops.
+    # The element searches walk the chain with the store's lazy walk, bind
+    # the element test (items_equal with its null split made once) and
+    # step the index inline, so a visited node costs one walk step and
+    # one element test.
 
     def index_of(self, target: Item) -> JInt:
         matches = item_test(target)
-        record = self.store.record
-        inc = self._inc
+        max_size, min_size = self.max_size, self.min_size
         index = 0
-        node = self.first
-        while node is not None:
-            rec = record(node)
+        for rec in self.store.walk(self.first):
             if matches(rec.item):
                 return JInt(index, self.width)
-            index = inc(index)
-            node = rec.next
+            index = min_size if index == max_size else index + 1
         return JInt(-1, self.width)
 
     def last_index_of(self, target: Item) -> JInt:
@@ -329,18 +328,19 @@ class JavaLinkedList:
         if "lastindexof-off-by-one" in self.faults:
             index = self._dec(index)
         matches = item_test(target)
-        record = self.store.record
-        dec = self._dec
+        max_size, min_size = self.max_size, self.min_size
         probed = self.check_mode is CheckMode.FULL
         node = self.last
-        while node is not None:
-            if probed:
-                self._last_index_probe(index, node, matches)
-            index = dec(index)
-            rec = record(node)
+        # the probe runs at each iteration's head, before the walk looks up
+        # that node's record: a probe of a dangling node still reports
+        if probed and node is not None:
+            self._last_index_probe(index, node, matches)
+        for rec in self.store.walk(node, "prev"):
+            index = max_size if index == min_size else index - 1
             if matches(rec.item):
                 return JInt(index, self.width)
-            node = rec.prev
+            if probed and rec.prev is not None:
+                self._last_index_probe(index, rec.prev, matches)
         return JInt(-1, self.width)
 
     def _last_index_probe(self, index: int, node: NodeId, matches: Callable[[Item], bool]) -> None:
@@ -370,10 +370,8 @@ class JavaLinkedList:
 
     def remove_first_occurrence(self, target: Item) -> bool:
         matches = item_test(target)
-        record = self.store.record
         node = self.first
-        while node is not None:
-            rec = record(node)
+        for rec in self.store.walk(node):
             if matches(rec.item):
                 self.unlink(node)
                 return True
@@ -382,10 +380,8 @@ class JavaLinkedList:
 
     def remove_last_occurrence(self, target: Item) -> bool:
         matches = item_test(target)
-        record = self.store.record
         node = self.last
-        while node is not None:
-            rec = record(node)
+        for rec in self.store.walk(node, "prev"):
             if matches(rec.item):
                 self.unlink(node)
                 return True
@@ -428,15 +424,13 @@ class JavaLinkedList:
             raise ContractViolation("clear.loop", violations)
 
     def to_array(self) -> list[Item]:
-        if self.size < 0:
-            raise NegativeArraySizeError(f"size {self.size}")
-        record = self.store.record
-        out = []
-        node = self.first
-        for _ in range(self.size):
-            rec = record(node)
-            out.append(rec.item)
-            node = rec.next
+        size = self.size
+        if size < 0:
+            raise NegativeArraySizeError(f"size {size}")
+        out = [rec.item for rec in islice(self.store.walk(self.first), size)]
+        if len(out) < size:
+            # the cached size promised more nodes than the links reach
+            raise DanglingLink(None)
         return out
 
     # -- deque surface (chain-based, no index arithmetic) ---------------------

@@ -325,7 +325,7 @@ def framed(lst, write, fp=EMPTY_FOOTPRINT):
     pre = observe(lst)
     mark = lst.store.open_journal()
     write()
-    return frame_check(pre, lst, lst.store.close_journal(mark), fp)
+    return frame_check(pre, lst, lst.store.close_journal(mark), fp, tuple(lst.ghost))
 
 
 class TestFrameCheck:

@@ -332,7 +332,7 @@ def test_journal_changes_equal_the_snapshot_diff(policy, prefix_seed, prefix_len
     ]
     if reference.fresh:
         expected.append(("frame", f"unexpected allocation of nodes {sorted(reference.fresh)}"))
-    assert frame_check(pre, lst, journal, NODES_ONLY) == expected
+    assert frame_check(pre, lst, journal, NODES_ONLY, tuple(lst.ghost)) == expected
 
 
 class TestRunCheckedClosesTheJournal:

@@ -118,15 +118,25 @@ def direct(lst, op, args):
 def test_checked_loop_reads_each_record_at_most_twice(monkeypatch, op, args):
     """A checked miss and a checked clear at 127 nodes read each record
     once in the loop and at most once in the probe: linear, where
-    re-testing the prefix read n(n+1)/2 records."""
+    re-testing the prefix read n(n+1)/2 records. A read is a ``record``
+    call, a record a ``walk`` yields or a ``clear_node`` call."""
     n = 127
     lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL)
     for _ in range(n):
         lst.add(NULL)
     reads = []
-    record = NodeStore.record
+    record, walk, clear_node = NodeStore.record, NodeStore.walk, NodeStore.clear_node
+
+    def counted_walk(self, node, link="next"):
+        for rec in walk(self, node, link):
+            reads.append(rec)
+            yield rec
+
     monkeypatch.setattr(NodeStore, "record",
                         lambda self, nid: reads.append(nid) or record(self, nid))
+    monkeypatch.setattr(NodeStore, "walk", counted_walk)
+    monkeypatch.setattr(NodeStore, "clear_node",
+                        lambda self, nid: reads.append(nid) or clear_node(self, nid))
     getattr(lst, op)(*args)
     assert n < len(reads) <= 2 * n  # the probe did run, once per iteration
 
