@@ -311,11 +311,33 @@ def _require_feasible(what: str, *exponents: int) -> None:
         )
 
 
+def _stage_items(width: int):
+    """The adds of the two preparation stages: 2^(W-1) nulls flip the size
+    sign of an empty list, then 2^(W-1) - 1 more nulls and the marker wrap
+    it back to zero."""
+    half = 1 << (width - 1)
+    return repeat(NULL, half), chain(repeat(NULL, half - 1), (MARKER,))
+
+
 def _preparation_items(width: int, wrap: bool):
     """2^(W-1) nulls to flip the size sign, or 2^W items with the marker
     last to wrap it back to zero."""
-    n = 1 << (width if wrap else width - 1)
-    return chain(repeat(NULL, n - 1), (MARKER if wrap else NULL,))
+    flip, rest = _stage_items(width)
+    return chain(flip, rest) if wrap else flip
+
+
+def _add_each(lst: JavaLinkedList, items) -> int | None:
+    """add() each item in turn; return the 1-based number of the first
+    add that was refused, or None."""
+    add = lst.add
+    first_refusal = None
+    for k, item in enumerate(items, 1):
+        try:
+            add(item)
+        except IllegalStateError:
+            if first_refusal is None:
+                first_refusal = k
+    return first_refusal
 
 
 def prepare_overflow(width: int, policy: SizePolicy, wrap: bool):
@@ -324,14 +346,7 @@ def prepare_overflow(width: int, policy: SizePolicy, wrap: bool):
     stops accepting at capacity, so the overflow never forms."""
     _require_feasible(f"the preparation at width {width}", width if wrap else width - 1)
     lst = new_list(width, policy)
-    first_refusal = None
-    for k, item in enumerate(_preparation_items(width, wrap), 1):
-        try:
-            lst.add(item)
-        except IllegalStateError:
-            if first_refusal is None:
-                first_refusal = k
-    return lst, first_refusal
+    return lst, _add_each(lst, _preparation_items(width, wrap))
 
 
 def build_overflow_states(width: int, policy: SizePolicy = SizePolicy.UNCHECKED):
@@ -391,19 +406,27 @@ def _probe_classification(
 
 def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[CensusRow]:
     """Probe every implemented public List/Deque method in both overflow
-    preparation states; one row per method, worst outcome wins."""
-    states = build_overflow_states(width, policy)
-    rows = []
-    for method in sorted(op for op, spec in OP_SPECS.items() if spec.probes):
-        worst = "OK"
-        for lst, abs_state in states:
+    preparation states; one row per method, worst outcome wins.
+
+    One list serves both states, since the wrap state's first 2^(W-1)
+    adds are the sign flip's: the census prepares the flip state and
+    probes it, then adds the rest of the wrap items to the same list and
+    its oracle state and probes again. Each probe runs in a trial, so the
+    adds go on from the state the flip's preparation left."""
+    _require_feasible(f"the census at width {width}", width - 1, width)
+    lst = new_list(width, policy)
+    abs_state = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
+    worst = {op: "OK" for op, spec in sorted(OP_SPECS.items()) if spec.probes}
+    for list_items, oracle_items in zip(_stage_items(width), _stage_items(width)):
+        _add_each(lst, list_items)
+        abs_state = oracle_add_all(abs_state, oracle_items)
+        for method, cls in worst.items():
             for args in OP_SPECS[method].probes:
                 with lst.trial():
-                    cls = _probe_classification(lst, abs_state, method, args)
-                if _SEVERITY[cls] > _SEVERITY[worst]:
-                    worst = cls
-        rows.append(CensusRow(method, worst))
-    return rows
+                    probed = _probe_classification(lst, abs_state, method, args)
+                if _SEVERITY[probed] > _SEVERITY[cls]:
+                    cls = worst[method] = probed
+    return [CensusRow(method, cls) for method, cls in worst.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +434,7 @@ def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[Census
 
 
 def _encode_value(v):
+    # items are tuples too, so they are told apart before the sequences
     if isinstance(v, NullItem):
         return None
     if isinstance(v, Atom):

@@ -24,40 +24,47 @@ from .errors import CycleDetected, DanglingLink, UsageError
 NodeId = int
 
 
-@dataclass(frozen=True)
-class NullItem:
-    """The Java ``null`` element."""
+# Items are immutable tuples, so ``==`` and ``hash`` run in C: a search
+# makes no Python call per element it compares. Equality stays by value:
+# two fresh ``Atom("a")`` are equal, and so are ``Atom("a")`` and ``("a",)``.
+
+
+class NullItem(tuple):
+    """The Java ``null`` element: the empty tuple, still truthy."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls)
+
+    def __getnewargs__(self):
+        return ()
+
+    def __bool__(self) -> bool:
+        return True
 
     def __repr__(self) -> str:
         return "null"
 
-    # answers for Atom too, so a null compared with an atom (either way
-    # round) costs one call instead of two NotImplemented round trips
-    def __eq__(self, other):
-        cls = other.__class__
-        if cls is NullItem:
-            return True
-        if cls is Atom:
-            return False
-        return NotImplemented
 
+class Atom(tuple):
+    """An opaque element with deterministic, side-effect free equality:
+    the one-tuple ``(token,)``."""
 
-@dataclass(frozen=True)
-class Atom:
-    """An opaque element with deterministic, side-effect free equality."""
+    __slots__ = ()
 
-    token: str
+    def __new__(cls, token: str):
+        return tuple.__new__(cls, (token,))
+
+    @property
+    def token(self) -> str:
+        return self[0]
+
+    def __getnewargs__(self):
+        return (self[0],)
 
     def __repr__(self) -> str:
-        return self.token
-
-    def __eq__(self, other):
-        cls = other.__class__
-        if cls is Atom:
-            return self.token == other.token
-        if cls is NullItem:
-            return False
-        return NotImplemented
+        return self[0]
 
 
 NULL = NullItem()

@@ -90,6 +90,8 @@ class JavaLinkedList:
         self.width = width
         self.max_size = max_value(width).value
         self.min_size = min_value(width).value
+        # the refusal's text: the size always equals the maximum when it is raised
+        self._at_capacity = f"size {self.max_size} is at the {width}-bit maximum"
         self.policy = policy
         self.check_mode = check_mode
         self.faults = frozenset(faults)
@@ -143,9 +145,7 @@ class JavaLinkedList:
 
     def check_size(self) -> None:
         if self.size == self.max_size:
-            raise IllegalStateError(
-                f"size {self.size} is at the {self.width}-bit maximum"
-            )
+            raise IllegalStateError(self._at_capacity)
 
     # -- linking ------------------------------------------------------------
     # Each size-increasing entry point guards growth and steps the size

@@ -70,6 +70,34 @@ class TestRoundTrip:
         script = OpScript(0, 8, ((("add"), (NULL,)), ("index_of", (NULL,))))
         assert load_script(dump_script(script)).steps[0][1] == (NULL,)
 
+    def test_items_encode_as_a_token_or_null(self):
+        """Items are tuples, yet they are written as a token or null,
+        never as a JSON list, and read back as items of their class."""
+        script = OpScript(0, 8, (("add", (NULL,)), ("add", (A,)), ("set_at", (0, Atom("b")))))
+        steps = [json.loads(line) for line in dump_script(script).splitlines()[1:]]
+        assert [s["args"] for s in steps] == [[None], ["a"], [0, "b"]]
+        decoded = [arg for _, args in load_script(dump_script(script)).steps for arg in args]
+        assert [type(arg) for arg in decoded] == [type(NULL), Atom, int, Atom]
+
+    def test_divergences_encode_items_as_a_token_or_null(self):
+        """Past the sign flip, Unchecked ``set_at`` fails where the oracle
+        answers the old element; with the relink skipped, FailFast's
+        ``to_array`` reads a cleared node where the marker should be."""
+        flip = (("add", (A,)),) * 128 + (("set_at", (0, MARKER)),)
+        skip = (("add", (A,)), ("add", (NULL,)), ("add", (MARKER,)), ("remove_at", (1,)),
+                ("to_array", ()))
+        records = [
+            d.to_json()
+            for steps, policy, faults in ((flip, SizePolicy.UNCHECKED, ()),
+                                          (skip, SizePolicy.FAIL_FAST, ("unlink-skip-relink",)))
+            for d in run_script(OpScript(0, 8, steps), policies=(policy,),
+                                faults=frozenset(faults)).divergences[policy.value]
+        ]
+        assert [(r["op"], r["args"], r["impl"], r["oracle"]) for r in records] == [
+            ("set_at", [0, "marker"], {"error": "index_out_of_bounds"}, {"value": "a"}),
+            ("to_array", [], {"value": ["a", None]}, {"value": ["a", "marker"]}),
+        ]
+
     def test_empty_or_malformed_rejected(self):
         with pytest.raises(UsageError):
             load_script("")

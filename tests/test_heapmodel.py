@@ -1,9 +1,14 @@
-"""Explicit heap model: node store, chain walking, snapshot diffs."""
+"""Explicit heap model: items, node store, chain walking, snapshot diffs."""
 
+import copy
+import pickle
+import sys
+from functools import partial
 from unittest import mock
 
 import pytest
 
+from overlist import heapmodel
 from overlist.errors import ChainCorruption, CycleDetected, DanglingLink, UsageError
 from overlist.ghostspec import check_invariant
 from overlist.heapmodel import (
@@ -12,11 +17,13 @@ from overlist.heapmodel import (
     NodeStore,
     NullItem,
     diff,
+    item_test,
     items_equal,
     snapshot,
     walk_chain,
 )
 from overlist.listcore import new_list
+from overlist.oracle import first_index, last_index, observe_equal, value
 
 A, B = Atom("a"), Atom("b")
 
@@ -67,6 +74,75 @@ class TestItems:
         assert hash(Atom("a")) == hash(Atom("a")) == hash(("a",))
         assert hash(NullItem()) == hash(NULL) == hash(())
         assert len({Atom("a"), Atom("a"), NullItem(), NULL}) == 2
+
+
+def python_calls_in_heapmodel(fn) -> list[str]:
+    """The names of the Python functions of ``heapmodel`` that ``fn()``
+    calls, one per call. The store's lazy ``walk`` (resumed once per
+    visited node) and ``item_test`` (called once per search) are left
+    out: neither compares an element."""
+    exempt = {NodeStore.walk.__code__, item_test.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == heapmodel.__file__ and code not in exempt:
+            calls.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestItemsAreTuples:
+    """``Atom(token)`` is the tuple ``(token,)`` and ``NullItem()`` the
+    empty tuple, so items compare and hash in C."""
+
+    def test_tuple_relations(self):
+        assert Atom("a") == ("a",) and NULL == () and NullItem() == ()
+        assert all(isinstance(item, tuple) for item in (A, NULL, NullItem()))
+        assert Atom("a").token == "a" and repr(Atom("a")) == "a" and str(NULL) == "null"
+
+    def test_null_stays_truthy(self):
+        assert bool(NULL) is True and bool(NullItem()) is True and bool(A) is True
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy,
+        copy.deepcopy,
+        *(partial(lambda p, x: pickle.loads(pickle.dumps(x, p)), p)
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ])
+    @pytest.mark.parametrize("item", [Atom("a"), NULL, NullItem()])
+    def test_copies_are_equal_items_of_the_same_class(self, round_trip, item):
+        dup = round_trip(item)
+        assert type(dup) is type(item) and dup == item and repr(dup) == repr(item)
+
+    def test_searches_make_no_python_call_per_compared_item(self):
+        """An absent atom and null against 1,000 atoms: the list's
+        searches, the oracle's, and a comparison of two equal item
+        tuples built from distinct instances."""
+        lst = new_list(16)
+        for i in range(1000):
+            lst.add(Atom(f"t{i % 10}"))
+        items = tuple(lst.items())
+        copies = tuple(Atom(item.token) for item in items)
+        targets = (Atom("absent"), NullItem())
+
+        def search():
+            for target in targets:
+                assert lst.index_of(target).value == -1
+                assert lst.last_index_of(target).value == -1
+                assert not lst.contains(target)
+                assert not lst.remove_first_occurrence(target)
+                assert not lst.remove_last_occurrence(target)
+                assert first_index(items, target) is None
+                assert last_index(items, target) is None
+            assert observe_equal(("value", copies), value(items)) == "agree"
+
+        assert python_calls_in_heapmodel(search) == []
 
 
 class TestNodeStore:

@@ -271,11 +271,31 @@ class TestNesting:
 
 @pytest.mark.parametrize("policy", list(SizePolicy))
 def test_census_leaves_the_prepared_states_unchanged(monkeypatch, policy):
-    states = difftest.build_overflow_states(8, policy)
-    references = [fingerprint(lst) for lst, _ in states]
-    monkeypatch.setattr(difftest, "build_overflow_states", lambda width, policy: states)
-    difftest.census(8, policy)
-    assert [fingerprint(lst) for lst, _ in states] == references
+    """The census prepares one list: it probes the sign flip, adds the
+    rest of the wrap items to the same list, and probes again. At each
+    stage's first probe, and after the last one, the list must be the
+    state a fresh preparation builds (node ids, records, header and
+    ghost), and the oracle state must hold that list's items, so a write
+    that any probe leaked shows at the next stage or at the end."""
+    probe = difftest._probe_classification
+    for width in (8, 16):
+        stages = []  # (oracle state, list, fingerprint) at each stage's first probe
+
+        def recording_probe(impl, abs_state, method, args):
+            if not stages or stages[-1][0] is not abs_state:
+                stages.append((abs_state, impl, fingerprint(impl)))
+            return probe(impl, abs_state, method, args)
+
+        monkeypatch.setattr(difftest, "_probe_classification", recording_probe)
+        difftest.census(width, policy)
+        (flip_state, lst, flip_print), (wrap_state, wrap_lst, wrap_print) = stages
+        assert wrap_lst is lst
+        flip, _ = prepare_overflow(width, policy, wrap=False)
+        assert flip_print == fingerprint(flip), width
+        assert flip_state.items == tuple(flip.items()), width
+        wrap, _ = prepare_overflow(width, policy, wrap=True)
+        assert wrap_print == fingerprint(wrap) == fingerprint(lst), width
+        assert wrap_state.items == tuple(wrap.items()), width
 
 
 def raw_writes(store, data, count):

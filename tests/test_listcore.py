@@ -322,6 +322,16 @@ class TestFailFastGuard:
         assert lst.size == 127
         assert len(lst.chain()) == 127
 
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_every_refusal_names_the_size_and_the_width(self, width):
+        lst = fill_nulls(max_value(width).value, SizePolicy.FAIL_FAST, width)
+        text = f"size {lst.max_size} is at the {width}-bit maximum"
+        for call in (lambda: lst.add(A), lambda: lst.add_first(A), lambda: lst.add_at(0, A),
+                     lst.check_size, lambda: lst.add(B)):
+            with pytest.raises(IllegalStateError) as info:
+                call()
+            assert str(info.value) == text
+
     def test_check_size_below_capacity(self):
         lst = fill_nulls(10, SizePolicy.FAIL_FAST)
         lst.check_size()  # no exception
