@@ -417,6 +417,7 @@ def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[Census
     lst = new_list(width, policy)
     abs_state = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
     worst = {op: "OK" for op, spec in sorted(OP_SPECS.items()) if spec.probes}
+    # each stage's adds, once for the list and once for its oracle state
     for list_items, oracle_items in zip(_stage_items(width), _stage_items(width)):
         _add_each(lst, list_items)
         abs_state = oracle_add_all(abs_state, oracle_items)

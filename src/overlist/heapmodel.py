@@ -37,6 +37,8 @@ class NullItem(tuple):
     def __new__(cls):
         return tuple.__new__(cls)
 
+    # copy and pickle rebuild an item from these; tuple's own would pass
+    # the contents as one argument
     def __getnewargs__(self):
         return ()
 
