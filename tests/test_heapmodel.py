@@ -274,6 +274,92 @@ class TestWalkChain:
         assert exc.value.node_id == n1
 
 
+class TestOutOfRangeIds:
+    """Ids below 0 and at or past ``len(store)`` name no node. A store
+    kept in id-indexed lists must not read a negative id from the end of
+    a list, so each of these is pinned to the error a missing id gets."""
+
+    @pytest.fixture(params=["negative", "past-the-end"])
+    def bad(self, request):
+        store, ids = three_chain()
+        return store, ids, -1 if request.param == "negative" else len(store)
+
+    def test_not_in_store(self, bad):
+        store, _, bad_id = bad
+        assert bad_id not in store
+
+    def test_reads_raise_dangling_link(self, bad):
+        store, _, bad_id = bad
+        for read in (store.record, lambda i: next(store.walk(i)),
+                     lambda i: next(store.walk(i, "prev"))):
+            with pytest.raises(DanglingLink) as info:
+                read(bad_id)
+            assert info.value.node_id == bad_id
+
+    def test_links_to_it_are_refused_with_their_text(self, bad):
+        store, [n0, n1, n2], bad_id = bad
+        for call, role in (
+            (lambda: store.link(bad_id, A, None), "prev"),
+            (lambda: store.link(None, A, bad_id), "next"),
+            (lambda: store.link(n0, A, bad_id), "next"),
+            (lambda: store.alloc(bad_id, A, None), "prev"),
+            (lambda: store.set_prev(n1, bad_id), "prev"),
+            (lambda: store.set_next(n1, bad_id), "next"),
+        ):
+            with pytest.raises(UsageError) as info:
+                call()
+            assert str(info.value) == f"{role} refers to unallocated node {bad_id}"
+        assert len(store) == 3 and walk_chain(store, n0) == [n0, n1, n2]
+
+    def test_writes_to_it_raise_dangling_link(self, bad):
+        store, _, bad_id = bad
+        for write in (lambda: store.set_prev(bad_id, None), lambda: store.set_next(bad_id, None),
+                      lambda: store.set_item(bad_id, A), lambda: store.clear_node(bad_id)):
+            with pytest.raises(DanglingLink) as info:
+                write()
+            assert info.value.node_id == bad_id
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_walk_chain_names_the_link(self, bad, at):
+        store, ids, bad_id = bad
+        store.record(ids[at]).next = bad_id
+        with pytest.raises(DanglingLink) as info:
+            walk_chain(store, ids[0])
+        assert info.value.node_id == bad_id
+        with pytest.raises(DanglingLink) as info:
+            walk_chain(store, bad_id)
+        assert info.value.node_id == bad_id
+
+    def test_prev_walk_names_the_link(self, bad):
+        store, ids, bad_id = bad
+        store.record(ids[1]).prev = bad_id
+        with pytest.raises(DanglingLink) as info:
+            list(store.walk(ids[2], "prev"))
+        assert info.value.node_id == bad_id
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_ghost_entry_fails_c3_at_its_position(self, bad, at):
+        store, ids, bad_id = bad
+        lst = new_list()
+        lst.store = store
+        lst.first, lst.last, lst.size = ids[0], ids[-1], 3
+        lst.ghost[:] = ids
+        lst.ghost[at] = bad_id
+        failed = dict(check_invariant(lst))
+        assert failed["C3"] == f"nodeList[{at}]={bad_id} unallocated"
+
+    def test_list_refuses_it(self, bad):
+        store, ids, bad_id = bad
+        lst = new_list()
+        for item in (NULL, A, B):
+            lst.add(item)
+        with pytest.raises(UsageError, match=f"^node {bad_id} not allocated$"):
+            lst.unlink(bad_id)
+        with pytest.raises(UsageError, match=f"^succ {bad_id} not allocated$"):
+            lst.link_before(A, bad_id)
+        assert lst.items() == [NULL, A, B] and lst.chain() == ids
+
+
 def is_chain(store, seq):
     """The four-clause chain definition over a non-empty sequence (first
     prev absent, last next absent, prev and next links agree with the
