@@ -14,7 +14,6 @@ it directly against the header and the node store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import listcore, oracle
@@ -46,13 +45,13 @@ def check_invariant(state) -> list[tuple[str, str]]:
         failures.append(("C1", f"size={state.size} vs |nodeList|={n}"))
     if state.size > state.max_size:
         failures.append(("C2", f"size={state.size} > {state.max_size}"))
-    # C3 is the bulk lookup that also fetches the records C5 and C6 read;
+    # C3 is the bulk read that also fetches the links C5 and C6 compare;
     # it fails on the first unallocated entry, whose first position is the
     # witness
     try:
-        recs = state.store.records(nl)
+        prevs = state.store.prevs(nl)
     except DanglingLink as e:
-        recs = None
+        prevs = None
         bad = nl.index(e.node_id)
         failures.append(("C3", f"nodeList[{bad}]={nl[bad]} unallocated"))
 
@@ -60,13 +59,12 @@ def check_invariant(state) -> list[tuple[str, str]]:
         if state.first is not None or state.last is not None:
             failures.append(("C4", f"empty but first={state.first} last={state.last}"))
         return failures
-    if recs is None:
+    if prevs is None:
         failures.append(("C5", "unallocated ghost entry"))
         failures.append(("C6", "unallocated ghost entry"))
         return failures
 
-    prevs = list(map(attrgetter("prev"), recs))
-    nexts = list(map(attrgetter("next"), recs))
+    nexts = state.store.nexts(nl)
     if state.first != nl[0]:
         failures.append(("C5", f"first={state.first} != nodeList[0]={nl[0]}"))
     elif state.last != nl[-1]:
@@ -172,16 +170,8 @@ def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> tupl
         for nid, name in zip(entries[::3], entries[1::3]):
             if name != "item" and nid not in near and nid != gone and nid in post:
                 at.append(post.index(nid))
-    try:
-        recs = state.store.records([post[i] for i in at])
-    except DanglingLink:
+    if not state.store.links_agree(post, at):
         return None
-    last = n - 1
-    for i, rec in zip(at, recs):
-        if rec.prev != (post[i - 1] if i else None):
-            return None
-        if rec.next != (post[i + 1] if i < last else None):
-            return None
     return (post, p) if state.first == post[0] and state.last == post[-1] else None
 
 
@@ -204,11 +194,11 @@ def check_unique_endpoints(state) -> tuple[bool, int | None]:
     """next absent iff last position; prev absent iff position 0."""
     nl = state.ghost
     n = len(nl)
+    store = state.store
     for i, nid in enumerate(nl):
-        rec = state.store.record(nid)
-        if (rec.next is None) != (i == n - 1):
+        if (store.next(nid) is None) != (i == n - 1):
             return False, i
-        if (rec.prev is None) != (i == 0):
+        if (store.prev(nid) is None) != (i == 0):
             return False, i
     return True, None
 
@@ -247,14 +237,14 @@ def cycle_propagation_witness(state, i: int, j: int) -> CyclePropagation:
         if k > j:
             same_source = nl[k - 1] == nl[k - 1 - d]
             propagated = (
-                store.record(nl[k - 1]).next == nl[k]
-                and store.record(nl[k - 1 - d]).next == nl[k - d]
+                store.next(nl[k - 1]) == nl[k]
+                and store.next(nl[k - 1 - d]) == nl[k - d]
             )
             if not (same_source and propagated and nl[k] == nl[k - d]):
                 steps_hold = False
                 break
         equalities.append((k, k - d))
-    contradiction = store.record(nl[n - 1]).next is not None if steps_hold else None
+    contradiction = store.next(nl[n - 1]) is not None if steps_hold else None
     return CyclePropagation(
         "chain",
         i,
@@ -289,7 +279,7 @@ def frame_check(
         if nid < fresh.start:
             first_old.setdefault((nid, fname), old)
     for (nid, fname), old in sorted(first_old.items()):
-        new = getattr(state.store.record(nid), fname)
+        new = getattr(state.store, fname)(nid)  # the store's read of that field
         if new != old and (nid, fname) not in fp.node_fields:
             violations.append(("frame", f"node {nid}.{fname}: {old!r} -> {new!r}"))
     if fresh and not fp.fresh:
@@ -320,7 +310,7 @@ def observe(state, items: tuple | None = None) -> PreObservation:
     already holds them."""
     ghost = tuple(state.ghost)
     if items is None:
-        items = tuple(map(attrgetter("item"), state.store.records(ghost)))
+        items = tuple(state.store.items(ghost))
     header = (state.first, state.last, state.size)
     return PreObservation(items, header, ghost)
 
@@ -351,7 +341,7 @@ def _post_items(state, pre: PreObservation, edit: tuple, journal: tuple) -> tupl
     post, p = edit
     d = len(post) - len(ghost)
     if d > 0:
-        items = items[:p] + (state.store.record(post[p]).item,) + items[p:]
+        items = items[:p] + (state.store.item(post[p]),) + items[p:]
     elif d < 0:
         items = items[:p] + items[p - d :]
     if post:
@@ -363,7 +353,7 @@ def _post_items(state, pre: PreObservation, edit: tuple, journal: tuple) -> tupl
                     i = post.index(nid)
                 except ValueError:  # a node outside the chain
                     continue
-                items = items[:i] + (state.store.record(nid).item,) + items[i + 1 :]
+                items = items[:i] + (state.store.item(nid),) + items[i + 1 :]
     return items
 
 
@@ -383,7 +373,7 @@ def _post_vs_model(
         violations.append(("post", f"result {outcome!r} != documented {verdict!r}"))
     if items is abs_post.items or items == abs_post.items:
         return violations
-    post_items = tuple(map(attrgetter("item"), state.store.records(chain)))
+    post_items = tuple(state.store.items(chain))
     if post_items != abs_post.items:
         violations.append(
             ("post", f"chain items {post_items!r} != documented {abs_post.items!r}")

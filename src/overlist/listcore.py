@@ -23,7 +23,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from enum import Enum
 from itertools import islice
-from operator import attrgetter
 from typing import Callable
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     UsageError,
 )
 from .heapmodel import Item, NodeId, NodeStore, NullItem, item_test, walk_chain
-from .jint import JInt, max_value, min_value
+from .jint import JInt, max_value, min_value, wrap
 from .oracle import OP_SPECS
 
 
@@ -126,7 +125,7 @@ class JavaLinkedList:
         return walk_chain(self.store, self.first)
 
     def items(self) -> list[Item]:
-        return list(map(attrgetter("item"), self.store.records(self.chain())))
+        return self.store.items(self.chain())
 
     # -- Java int arithmetic -------------------------------------------------
 
@@ -181,7 +180,7 @@ class JavaLinkedList:
     def link_before(self, item: Item, succ: NodeId) -> None:
         """Splice a new node in front of ``succ``."""
         try:
-            pred = self.store.record(succ).prev
+            pred = self.store.prev(succ)
         except DanglingLink:
             raise UsageError(f"succ {succ} not allocated") from None
         size = self.size
@@ -209,20 +208,20 @@ class JavaLinkedList:
         at_index = x_index is not None and 0 <= x_index < len(nl) and nl[x_index] == x
         if x_index is not None and not at_index and self.check_mode is not CheckMode.OFF:
             raise UsageError(f"ghost index {x_index} does not hold node {x}")
-        rec = self.store.record(x)
-        item, pred, succ = rec.item, rec.prev, rec.next
+        store = self.store
+        pred, item, succ = store.prev(x), store.item(x), store.next(x)
         relink = "unlink-skip-relink" not in self.faults
 
         if pred is None:
             self.first = succ
         elif relink:
-            self.store.set_next(pred, succ)
+            store.set_next(pred, succ)
         if succ is None:
             self.last = pred
         elif relink:
-            self.store.set_prev(succ, pred)
+            store.set_prev(succ, pred)
 
-        self.store.clear_node(x)
+        store.clear_node(x)
         self.size = self._dec(self.size)
         if at_index:
             del nl[x_index]
@@ -251,15 +250,10 @@ class JavaLinkedList:
         """Bidirectional walk: from first when index < size >> 1 (Java's
         floor shift), else backward from last. Callers must have
         range-checked the index against the cached size."""
-        record = self.store.record
         if index < self.size >> 1:
-            node = self.first
-            for _ in range(index):
-                node = record(node).next
+            node = self.store.follow(self.first, index)
         else:
-            node = self.last
-            for _ in range(self.size - 1 - index):
-                node = record(node).prev
+            node = self.store.follow(self.last, self.size - 1 - index, "prev")
         if node is None:
             # the cached size promised more nodes than the links reach
             raise DanglingLink(None)
@@ -277,12 +271,12 @@ class JavaLinkedList:
 
     def get(self, index: int) -> Item:
         self._check_element_index(index)
-        return self.store.record(self.node_at(index)).item
+        return self.store.item(self.node_at(index))
 
     def set_at(self, index: int, item: Item) -> Item:
         self._check_element_index(index)
         node = self.node_at(index)
-        old = self.store.record(node).item
+        old = self.store.item(node)
         self.store.set_item(node, item)
         return old
 
@@ -308,39 +302,35 @@ class JavaLinkedList:
         lives in the oracle, not here)."""
         return JInt(self.size, self.width)
 
-    # The element searches walk the chain with the store's lazy walk, bind
-    # the element test (items_equal with its null split made once) and
-    # step the index inline, so a visited node costs one walk step and
-    # one element test.
+    # The element searches follow the chain with the store's ``find``, which
+    # makes no Python call per node: the element test (items_equal with its
+    # null split made once) runs in C. Java steps an int counter once per
+    # node, wrapping at the ends of the int range, so the counter is
+    # computed from the number of nodes passed: ``wrap(k)`` after k nodes
+    # forward, ``wrap(start - k - 1)`` at the (k+1)-th node backward.
 
     def index_of(self, target: Item) -> JInt:
-        matches = item_test(target)
-        max_size, min_size = self.max_size, self.min_size
-        index = 0
-        for rec in self.store.walk(self.first):
-            if matches(rec.item):
-                return JInt(index, self.width)
-            index = min_size if index == max_size else index + 1
-        return JInt(-1, self.width)
+        steps, node = self.store.find(self.first, item_test(target))
+        return JInt(-1 if node is None else wrap(steps, self.width), self.width)
 
     def last_index_of(self, target: Item) -> JInt:
         index = self.size
         if "lastindexof-off-by-one" in self.faults:
             index = self._dec(index)
         matches = item_test(target)
-        max_size, min_size = self.max_size, self.min_size
-        probed = self.check_mode is CheckMode.FULL
+        if self.check_mode is not CheckMode.FULL:
+            steps, node = self.store.find(self.last, matches, "prev")
+            return JInt(-1 if node is None else wrap(index - steps - 1, self.width), self.width)
+        # checked: Java's loop, with its invariant probed at each head,
+        # before the node is read, so a probe of a dangling node reports
         node = self.last
-        # the probe runs at each iteration's head, before the walk looks up
-        # that node's record: a probe of a dangling node still reports
-        if probed and node is not None:
+        while node is not None:
             self._last_index_probe(index, node, matches)
-        for rec in self.store.walk(node, "prev"):
-            index = max_size if index == min_size else index - 1
+            index = self._dec(index)
+            rec = self.store.record(node)
             if matches(rec.item):
                 return JInt(index, self.width)
-            if probed and rec.prev is not None:
-                self._last_index_probe(index, rec.prev, matches)
+            node = rec.prev
         return JInt(-1, self.width)
 
     def _last_index_probe(self, index: int, node: NodeId, matches: Callable[[Item], bool]) -> None:
@@ -357,7 +347,7 @@ class JavaLinkedList:
             violations.append(("probe", f"index {index} outside [1, {self.size}]"))
         elif index - 1 >= len(nl) or nl[index - 1] != node:
             violations.append(("probe", f"node {node} is not nodeList[{index - 1}]"))
-        elif index < min(self.size, len(nl)) and matches(self.store.record(nl[index]).item):
+        elif index < min(self.size, len(nl)) and matches(self.store.item(nl[index])):
             violations.append(("probe", f"unreported match at position {index}"))
         if violations:
             raise ContractViolation("last_index_of.loop", violations)
@@ -369,24 +359,18 @@ class JavaLinkedList:
         return self.remove_first_occurrence(target)
 
     def remove_first_occurrence(self, target: Item) -> bool:
-        matches = item_test(target)
-        node = self.first
-        for rec in self.store.walk(node):
-            if matches(rec.item):
-                self.unlink(node)
-                return True
-            node = rec.next
-        return False
+        _, node = self.store.find(self.first, item_test(target))
+        if node is None:
+            return False
+        self.unlink(node)
+        return True
 
     def remove_last_occurrence(self, target: Item) -> bool:
-        matches = item_test(target)
-        node = self.last
-        for rec in self.store.walk(node, "prev"):
-            if matches(rec.item):
-                self.unlink(node)
-                return True
-            node = rec.prev
-        return False
+        _, node = self.store.find(self.last, item_test(target), "prev")
+        if node is None:
+            return False
+        self.unlink(node)
+        return True
 
     def clear(self) -> None:
         """Unlink every node, clearing its fields; records stay allocated."""
@@ -427,7 +411,7 @@ class JavaLinkedList:
         size = self.size
         if size < 0:
             raise NegativeArraySizeError(f"size {size}")
-        out = [rec.item for rec in islice(self.store.walk(self.first), size)]
+        out = list(islice(self.store.walk(self.first), size))
         if len(out) < size:
             # the cached size promised more nodes than the links reach
             raise DanglingLink(None)
@@ -444,18 +428,18 @@ class JavaLinkedList:
     def get_first(self) -> Item:
         if self.first is None:
             raise NoSuchElementError("list is empty")
-        return self.store.record(self.first).item
+        return self.store.item(self.first)
 
     def get_last(self) -> Item:
         if self.last is None:
             raise NoSuchElementError("list is empty")
-        return self.store.record(self.last).item
+        return self.store.item(self.last)
 
     def peek_first(self) -> Item | None:
-        return None if self.first is None else self.store.record(self.first).item
+        return None if self.first is None else self.store.item(self.first)
 
     def peek_last(self) -> Item | None:
-        return None if self.last is None else self.store.record(self.last).item
+        return None if self.last is None else self.store.item(self.last)
 
     def poll_first(self) -> Item | None:
         return None if self.first is None else self.unlink_first()

@@ -74,8 +74,8 @@ def _corrupt_one(rng: random.Random, lst: JavaLinkedList) -> None:
         if rng.random() < 0.5 and nl:
             nl[rng.randrange(len(nl))] = rng.choice(nl)
     elif choice == 6 and nl:
-        # a dangling link: the setters refuse one, so write the field
-        lst.store.record(some_id).next = unallocated
+        # a dangling link: the setters refuse one
+        lst.store.raw_write(some_id, "next", unallocated)
     elif choice == 7:
         lst.first = unallocated
     elif choice == 8 and nl:

@@ -218,8 +218,17 @@ class TestFallback:
         assert verdicts(lst, link_then_forget) == (False, False)
 
     def test_record_freed_behind_the_stores_back(self):
-        lst = build_list([A, B, A])
-        assert verdicts(lst, lambda: lst.store._records.pop(lst.last)) == (False, False)
+        # the store forgets the last node, through a rollback the list
+        # never sees, and no call journaled it
+        lst = build_list([A, B])
+        mark = lst.store.open_journal()
+        lst.add(A)
+        assert check_invariant(lst) == []
+        pre = tuple(lst.ghost)
+        lst.store.rollback(mark)
+        nothing = ([], range(len(lst.store), len(lst.store)))
+        assert exit_invariant_holds(lst, pre, nothing) is None
+        assert check_invariant(lst) != []
 
     def test_tampered_header(self):
         lst = build_list([A, B, A])
@@ -617,37 +626,23 @@ def filled(n, width=8, check_mode=CheckMode.OFF):
 
 
 class TestFlatRecordReads:
-    """A passing ``full`` step reads node records only where the call
-    acted. Beyond the list's own work, counted by the same call on an
-    ``OFF`` list, the number of records looked up does not grow with the
-    list's length. This counts lookups, not time, so it is exact."""
+    """A passing ``full`` step reads nodes only where the call acted.
+    Beyond the list's own work, counted by the same call on an ``OFF``
+    list, the number of nodes read does not grow with the list's length.
+    This counts node reads, not time, so it is exact."""
 
     @pytest.fixture
-    def reads(self, monkeypatch):
-        """``reads(fn, *args)``: the node ids ``fn(*args)`` looks up
-        through ``NodeStore.record`` and ``NodeStore.records``."""
-        count = [0]
-        real_record, real_records = heapmodel.NodeStore.record, heapmodel.NodeStore.records
-
-        def record(store, node_id):
-            count[0] += 1
-            return real_record(store, node_id)
-
-        def records(store, ids):
-            ids = list(ids)
-            count[0] += len(ids)
-            return real_records(store, ids)
-
-        monkeypatch.setattr(heapmodel.NodeStore, "record", record)
-        monkeypatch.setattr(heapmodel.NodeStore, "records", records)
+    def reads(self, node_reads):
+        """``reads(fn, *args)``: the nodes ``fn(*args)`` reads through the
+        store's public reads (``node_reads``)."""
 
         def reads(fn, *args):
-            count[0] = 0
+            node_reads.clear()
             try:
                 fn(*args)
             except ListError:
                 pass
-            return count[0]
+            return len(node_reads)
 
         return reads
 

@@ -52,9 +52,7 @@ def draw_args(lst, op, data):
 
 def fingerprint(lst):
     """Everything a rollback must restore."""
-    store = lst.store
-    records = {nid: (r.prev, r.item, r.next) for nid, r in store._records.items()}
-    return records, store._next_id, (lst.first, lst.last, lst.size), list(lst.ghost)
+    return snapshot(lst.store), (lst.first, lst.last, lst.size), list(lst.ghost)
 
 
 class TestNodeStoreJournal:
@@ -72,7 +70,7 @@ class TestNodeStoreJournal:
         store.set_prev(n1, None)
         store.rollback(mark)
         assert n2 not in store and len(store) == 2
-        assert store._next_id == before._next_id
+        assert snapshot(store).next_id == snapshot(before).next_id
         for nid in (n0, n1):
             r, b = store.record(nid), before.record(nid)
             assert (r.prev, r.item, r.next) == (b.prev, b.item, b.next)

@@ -14,7 +14,7 @@ import pytest
 
 from overlist.errors import ContractViolation
 from overlist.ghostspec import run_checked
-from overlist.heapmodel import NULL, Atom, NodeStore, NullItem, items_equal
+from overlist.heapmodel import NULL, Atom, NullItem, items_equal
 from overlist.jint import JInt
 from overlist.listcore import FAULTS, CheckMode, JavaLinkedList, SizePolicy, new_list
 from overlist.statespace import random_state
@@ -115,30 +115,18 @@ def direct(lst, op, args):
 
 
 @pytest.mark.parametrize("op,args", [("last_index_of", (Z,)), ("clear", ())])
-def test_checked_loop_reads_each_record_at_most_twice(monkeypatch, op, args):
-    """A checked miss and a checked clear at 127 nodes read each record
+def test_checked_loop_reads_each_record_at_most_twice(node_reads, op, args):
+    """A checked miss and a checked clear at 127 nodes read each node
     once in the loop and at most once in the probe: linear, where
-    re-testing the prefix read n(n+1)/2 records. A read is a ``record``
-    call, a record a ``walk`` yields or a ``clear_node`` call."""
+    re-testing the prefix read n(n+1)/2 nodes. A read is one node read
+    through the store's public reads (``node_reads``)."""
     n = 127
     lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL)
     for _ in range(n):
         lst.add(NULL)
-    reads = []
-    record, walk, clear_node = NodeStore.record, NodeStore.walk, NodeStore.clear_node
-
-    def counted_walk(self, node, link="next"):
-        for rec in walk(self, node, link):
-            reads.append(rec)
-            yield rec
-
-    monkeypatch.setattr(NodeStore, "record",
-                        lambda self, nid: reads.append(nid) or record(self, nid))
-    monkeypatch.setattr(NodeStore, "walk", counted_walk)
-    monkeypatch.setattr(NodeStore, "clear_node",
-                        lambda self, nid: reads.append(nid) or clear_node(self, nid))
+    node_reads.clear()
     getattr(lst, op)(*args)
-    assert n < len(reads) <= 2 * n  # the probe did run, once per iteration
+    assert n < len(node_reads) <= 2 * n  # the probe did run, once per iteration
 
 
 # -- same verdicts as the reference ---------------------------------------------

@@ -140,8 +140,9 @@ NODE_FIELDS = {"prev", "item", "next"}
 
 def node_field_writes(source: str) -> list[tuple[int, str]]:
     """(line, field) of every assignment to or deletion of a ``.prev``,
-    ``.item`` or ``.next`` attribute, and of every ``setattr`` that names
-    one of them or computes the name."""
+    ``.item`` or ``.next`` attribute, of every ``setattr`` that names one
+    of them or computes the name, and of every ``raw_write`` call (the
+    store's unjournaled write), with the field it names."""
     writes = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in NODE_FIELDS:
@@ -152,6 +153,10 @@ def node_field_writes(source: str) -> list[tuple[int, str]]:
             name = node.args[1]
             if not isinstance(name, ast.Constant) or name.value in NODE_FIELDS:
                 writes.append((node.lineno, ast.unparse(name)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "raw_write"):
+            name = node.args[1] if len(node.args) > 1 else None
+            writes.append((node.lineno, "?" if name is None else ast.unparse(name)))
     return sorted(writes)
 
 
@@ -166,9 +171,12 @@ def test_node_field_writes_finds_every_form():
         "self.first = rec.next\n"
         "setattr(lst, 'size', 3)\n"
         "for r.prev in xs: pass\n"
+        "store.raw_write(n, 'next', 99)\n"
+        "store.raw_write(n, field, None)\n"
     )
     assert node_field_writes(source) == [
         (1, "prev"), (2, "item"), (3, "next"), (4, "item"), (5, "'next'"), (6, "name"), (9, "prev"),
+        (10, "'next'"), (11, "field"),
     ]
 
 
@@ -177,7 +185,39 @@ def test_node_fields_change_only_through_the_store(module):
     """The derived post-state items, the scoped exit check and the frame
     check all read a call's node writes from the store's journal, so the
     list and the checks write node fields only through ``NodeStore``'s
-    journaled setters, ``alloc`` and ``clear_node``. ``statespace`` is
-    exempt: it corrupts states on purpose, outside checked calls."""
+    journaled setters, ``link``, ``alloc`` and ``clear_node``.
+    ``statespace`` is exempt: it corrupts states on purpose, outside
+    checked calls, with ``raw_write``."""
     assert node_field_writes((PACKAGE / f"{module}.py").read_text()) == []
     assert node_field_writes((PACKAGE / "statespace.py").read_text())
+
+
+#: the store's field lists, indexed by node id
+STORE_FIELDS = {"_prev", "_item", "_next"}
+
+
+def store_field_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every attribute access, read or write, to one of
+    the store's field lists."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in STORE_FIELDS)
+
+
+def test_store_field_uses_finds_reads_and_writes():
+    source = (
+        "x = store._prev[n]\n"
+        "store._next[n] = None\n"
+        "del s._item[3:]\n"
+        "store.prev(n)\n"
+        "self._previous = 1\n"
+    )
+    assert store_field_uses(source) == [(1, "_prev"), (2, "_next"), (3, "_item")]
+
+
+def test_only_heapmodel_touches_the_store_fields():
+    """``NodeStore`` keeps each field in a list indexed by node id, where a
+    negative id would read from the end; only ``heapmodel`` indexes those
+    lists, behind reads that check the id."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses = store_field_uses(path.read_text())
+        assert bool(uses) == (path.stem == "heapmodel"), (path.name, uses)

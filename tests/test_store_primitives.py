@@ -1,10 +1,12 @@
-"""``NodeStore.link`` and ``NodeStore.walk`` on the list's per-add and
+"""``NodeStore.link``, ``find`` and ``walk`` on the list's per-add and
 per-node paths.
 
 The linking methods make one ``link`` call where they used to make an
 ``alloc`` and a ``set_prev`` or ``set_next`` per neighbour; the element
-searches and ``to_array`` walk the chain where they used to make a
-``record`` call per node; ``clear_node`` looks its record up inline. The reference implementations below are the earlier code. On
+searches follow the chain with ``find`` and ``to_array`` walks it, where
+they used to make a ``record`` call per node; ``clear_node`` reads the
+node's fields inline. The reference implementations below are the
+earlier code. On
 filled lists at widths 8 and 16 (up to and past capacity), both
 policies, each injected fault and corrupted states, run outside a store
 savepoint and inside one, each call must give the same outcome (the
@@ -384,12 +386,12 @@ def test_walk_is_lazy_and_names_the_dangling_node():
     store = NodeStore()
     a = store.link(None, A, None)
     b = store.link(a, B, None)
-    assert [r.item for r in store.walk(a)] == [A, B]
-    assert [r.item for r in store.walk(b, "prev")] == [B, A]
+    assert list(store.walk(a)) == [A, B]
+    assert list(store.walk(b, "prev")) == [B, A]
     assert list(store.walk(None)) == []
     store.record(b).next = 9  # dangling: the setters refuse one
     walk = store.walk(a)
-    assert [next(walk).item, next(walk).item] == [A, B]  # nothing past b read yet
+    assert [next(walk), next(walk)] == [A, B]  # nothing past b read yet
     with pytest.raises(DanglingLink) as e:
         next(walk)
     assert e.value.node_id == 9
@@ -424,10 +426,11 @@ def python_calls(fn):
     return {name: k for name, k in counts.items() if k}
 
 
-def test_accepted_add_makes_four_calls():
+def test_accepted_add_makes_three_calls():
     """On a width-16 FailFast list an accepted add calls ``add``,
-    ``link_last``, ``NodeStore.link`` and the record's ``__init__``, and
-    nothing else; a refused add still raises through ``check_size``."""
+    ``link_last`` and ``NodeStore.link``, and nothing else (the store
+    appends to its field lists, so no record is built); a refused add
+    still raises through ``check_size``."""
     k = 1000
     lst = new_list(16, SizePolicy.FAIL_FAST)
     lst.add(A)
@@ -436,7 +439,7 @@ def test_accepted_add_makes_four_calls():
         for _ in range(k):
             lst.add(NULL)
 
-    assert python_calls(adds) == {"add": k, "link_last": k, "link": k, "__init__": k}
+    assert python_calls(adds) == {"add": k, "link_last": k, "link": k}
     lst.size = lst.max_size
 
     def refused():
