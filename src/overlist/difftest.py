@@ -296,8 +296,9 @@ def shrink(script: OpScript, predicate) -> OpScript:
 # ---------------------------------------------------------------------------
 # census
 
-#: the most add() calls one preparation may issue; the census at width 16
-#: needs 2^15 + 2^16, width 32 would need billions
+#: the most add() calls one preparation may issue; at width 16 the census
+#: issues 2^16 on its one list and build_overflow_states 2^15 + 2^16 on
+#: its two, width 32 would need billions
 MAX_PREPARATION_ADDS = 1 << 17
 
 
@@ -412,8 +413,9 @@ def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[Census
     adds are the sign flip's: the census prepares the flip state and
     probes it, then adds the rest of the wrap items to the same list and
     its oracle state and probes again. Each probe runs in a trial, so the
-    adds go on from the state the flip's preparation left."""
-    _require_feasible(f"the census at width {width}", width - 1, width)
+    adds go on from the state the flip's preparation left: 2^W adds in
+    all."""
+    _require_feasible(f"the census at width {width}", width)
     lst = new_list(width, policy)
     abs_state = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
     worst = {op: "OK" for op, spec in sorted(OP_SPECS.items()) if spec.probes}

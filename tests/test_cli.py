@@ -232,7 +232,7 @@ class TestBadInput:
         (["repro", "1", "--width", "32"], "2^31 = 2147483648"),
         (["repro", "3", "--width", "32", "--fixed"], "2^31 = 2147483648"),
         (["repro", "4", "--width", "32"], "2^32 = 4294967296"),
-        (["census", "--width", "32"], "2^31 + 2^32 = 6442450944"),
+        (["census", "--width", "32"], "census at width 32 needs 2^32 = 4294967296"),
     ])
     def test_rejected_at_once(self, argv, needs, capsys):
         assert main(argv) == 2

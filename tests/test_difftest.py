@@ -379,5 +379,6 @@ class TestValidation:
             load_script(text)
 
     def test_infeasible_census_rejected(self):
-        with pytest.raises(UsageError, match=r"2\^31 \+ 2\^32"):
+        # one list takes all 2^W adds, the flip's 2^(W-1) among them
+        with pytest.raises(UsageError, match=r"census at width 32 needs 2\^32 = 4294967296 add"):
             census(32)
