@@ -131,19 +131,8 @@ class NodeRecord:
     def next(self, value: NodeId | None) -> None:
         self._store.raw_write(self._id, "next", value)
 
-    def _fields(self) -> tuple:
-        return self.prev, self.item, self.next
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NodeRecord):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # a view of mutable fields
-
     def __repr__(self) -> str:
-        prev, item, next = self._fields()
-        return f"NodeRecord(prev={prev!r}, item={item!r}, next={next!r})"
+        return f"NodeRecord(prev={self.prev!r}, item={self.item!r}, next={self.next!r})"
 
 
 def _select(values: list, node_id: NodeId):
@@ -239,7 +228,9 @@ class NodeStore:
             nexts[prev] = node_id
         return node_id
 
-    # -- reads: DanglingLink for an id that names no node -----------------------
+    # -- reads: DanglingLink for an id that names no node ------------------------
+    # The per-field reads index inline rather than through ``_select``: the
+    # list makes one or more per get, peek, set_at and unlink.
 
     def prev(self, node_id: NodeId) -> NodeId | None:
         try:
@@ -305,17 +296,12 @@ class NodeStore:
             raise DanglingLink(node_id)
         return NodeRecord(self, node_id)
 
-    def records(self, ids) -> list[NodeRecord]:
-        """Views of ``ids``, in order; DanglingLink for the first
-        unallocated one."""
-        return list(map(self.record, ids))
-
     def _links(self, link: str) -> list:
         if link == "next":
             return self._next
         if link == "prev":
             return self._prev
-        raise UsageError(f"walk follows next or prev links, not {link!r}")
+        raise UsageError(f"a chain follows next or prev links, not {link!r}")
 
     def walk(self, node: NodeId | None, link: str = "next") -> Iterator[Item]:
         """Yield the items of the chain from ``node`` along its ``next``

@@ -259,12 +259,15 @@ class TestWalkChain:
         assert exc.value.node_id == 99
         assert str(exc.value) == "dangling link to unallocated node 99"
 
-    def test_records_in_order_and_dangling_rejected(self):
+    def test_bulk_reads_in_order_and_dangling_rejected(self):
         store, [n0, n1, n2] = three_chain()
-        assert store.records([n2, n0]) == [store.record(n2), store.record(n0)]
-        with pytest.raises(DanglingLink) as exc:
-            store.records([n1, 99, 98])
-        assert exc.value.node_id == 99
+        assert store.prevs([n2, n0]) == [n1, None]
+        assert store.items([n2, n0]) == [B, NULL]
+        assert store.nexts([n2, n0]) == [None, n1]
+        for read in (store.prevs, store.items, store.nexts):
+            with pytest.raises(DanglingLink) as exc:
+                read([n1, 99, 98])
+            assert exc.value.node_id == 99
 
     def test_two_cycle_detected(self):
         store, [n0, n1, n2] = three_chain()

@@ -286,7 +286,7 @@ def inside(lst, op, args, run):
         got = outcome(lambda: run(lst, op, args))
         entries, fresh = store.close_journal(mark)
         written = [getattr(store.record(nid), name) for nid, name in zip(entries[::3], entries[1::3])]
-        fresh_records = [(r.prev, r.item, r.next) for r in store.records(fresh)]
+        fresh_records = [(r.prev, r.item, r.next) for r in map(store.record, fresh)]
         return got, list(entries), fresh, written, fresh_records, header(lst)
     finally:
         store.rollback(outer)
