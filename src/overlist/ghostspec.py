@@ -333,8 +333,8 @@ def _post_items(state, pre: PreObservation, edit: tuple, journal: tuple) -> tupl
     A node that stayed in the ghost keeps its item unless the call wrote
     it, and every node write goes through the store's journaled setters.
     So the entry items, with the edit applied (the fresh node's item read
-    from its record, or the removed positions cut out) and each item
-    written at a node still in the ghost read from its record, are the
+    from the store, or the removed positions cut out) and each item
+    written at a node still in the ghost read from the store, are the
     whole read's items. An unchanged ghost and no item write give
     ``pre.items`` itself."""
     items, _, ghost = pre
@@ -428,8 +428,8 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     checked, and any failure raises ContractViolation. When the scoped
     check vouched, the post-state's items are derived from the entry
     items and the ghost edit it located (``_post_items``), reading only
-    the records the call created or whose item it wrote; its obligation
-    is that they equal a whole read of the chain's items. The chain's
+    the items of the nodes the call created or whose item it wrote; its
+    obligation is that they equal a whole read of the chain's items. The chain's
     items are read whole only when the scoped check did not vouch, or to
     name the items of a failed comparison. Returns
     ``(outcome, result, failures)``: the outcome as ``run_op`` gives it,

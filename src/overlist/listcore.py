@@ -107,7 +107,7 @@ class JavaLinkedList:
     @contextmanager
     def trial(self):
         """Run the ``with`` body on this list, then put the list back as
-        it was: node records, allocation counter, header and ghost. The
+        it was: node fields, allocation counter, header and ghost. The
         store's journal undoes only what the body wrote, so trials nest
         and checked calls may run inside one."""
         header, ghost = (self.first, self.last, self.size), self.ghost
@@ -373,7 +373,7 @@ class JavaLinkedList:
         return True
 
     def clear(self) -> None:
-        """Unlink every node, clearing its fields; records stay allocated."""
+        """Unlink every node, clearing its fields; the nodes stay allocated."""
         clear_node = self.store.clear_node
         probed = self.check_mode is CheckMode.FULL
         node = self.first

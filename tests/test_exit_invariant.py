@@ -21,8 +21,7 @@ located and the journal's item writes, instead of reading the chain.
 Its proof obligation: beside every such step, a whole read of the
 chain's items equals the derived ones, and a violation found through
 the derived items has the text a whole read gives. A passing step then
-looks up as many node records at 120 nodes as at 8, beyond the list's
-own work.
+reads as many nodes at 120 nodes as at 8, beyond the list's own work.
 
 Under ``invariant``, ``checked_step`` judges each step by the scoped
 exit check while the invariant holds, and runs the full check only when
