@@ -96,10 +96,10 @@ def item_test(target: Item) -> Callable[[Item], bool]:
 
 
 class NodeRecord:
-    """A live view of one node's fields: reading a field reads the store,
-    and writing one is ``NodeStore.raw_write``, unchecked and unjournaled.
-    Views serve cold paths and tests; the list and the checks read the
-    fields through the store's per-field and bulk reads."""
+    """A read-only live view of one node's fields: reading a field reads
+    the store. Views serve cold paths and tests; the list and the checks
+    read the fields through the store's per-field and bulk reads, and
+    ``NodeStore.raw_write`` is the one unchecked write."""
 
     __slots__ = ("_store", "_id")
 
@@ -109,42 +109,18 @@ class NodeRecord:
 
     @property
     def prev(self) -> NodeId | None:
-        return _select(self._store._prev, self._id)
-
-    @prev.setter
-    def prev(self, value: NodeId | None) -> None:
-        self._store.raw_write(self._id, "prev", value)
+        return self._store.prev(self._id)
 
     @property
     def item(self) -> Item:
-        return _select(self._store._item, self._id)
-
-    @item.setter
-    def item(self, value: Item) -> None:
-        self._store.raw_write(self._id, "item", value)
+        return self._store.item(self._id)
 
     @property
     def next(self) -> NodeId | None:
-        return _select(self._store._next, self._id)
-
-    @next.setter
-    def next(self, value: NodeId | None) -> None:
-        self._store.raw_write(self._id, "next", value)
+        return self._store.next(self._id)
 
     def __repr__(self) -> str:
         return f"NodeRecord(prev={self.prev!r}, item={self.item!r}, next={self.next!r})"
-
-
-def _select(values: list, node_id: NodeId):
-    """``values[node_id]`` for an allocated id; DanglingLink otherwise. A
-    negative index would read from the end of the list, so it is refused
-    before indexing."""
-    try:
-        if node_id >= 0:
-            return values[node_id]
-    except (IndexError, TypeError):  # past the end, or None
-        pass
-    raise DanglingLink(node_id)
 
 
 def _select_all(values: list, ids) -> list:
@@ -229,7 +205,7 @@ class NodeStore:
         return node_id
 
     # -- reads: DanglingLink for an id that names no node ------------------------
-    # The per-field reads index inline rather than through ``_select``: the
+    # The per-field reads index inline rather than through a helper: the
     # list makes one or more per get, peek, set_at and unlink.
 
     def prev(self, node_id: NodeId) -> NodeId | None:
@@ -303,18 +279,18 @@ class NodeStore:
             return self._prev
         raise UsageError(f"a chain follows next or prev links, not {link!r}")
 
-    def walk(self, node: NodeId | None, link: str = "next") -> Iterator[Item]:
+    def walk(self, node: NodeId | None) -> Iterator[Item]:
         """Yield the items of the chain from ``node`` along its ``next``
-        (or ``prev``) links until a None link, reading each node only when
-        the caller asks for the next item; DanglingLink for an id that
-        names no node. The walk keeps no visited set: on a cyclic chain it
-        goes on, so a caller bounds it."""
-        links, items = self._links(link), self._item
+        links until a None link, reading each node only when the caller
+        asks for the next item; DanglingLink for an id that names no node.
+        The walk keeps no visited set: on a cyclic chain it goes on, so a
+        caller bounds it."""
+        nexts, items = self._next, self._item
         while node is not None:
             if not 0 <= node < len(items):
                 raise DanglingLink(node)
             yield items[node]
-            node = links[node]
+            node = nexts[node]
 
     def find(self, node: NodeId | None, matches: Callable[[Item], bool],
              link: str = "next") -> tuple[int, NodeId | None]:

@@ -26,9 +26,9 @@ def node_reads(monkeypatch):
     """A list that grows by one entry per node read through the public
     reads of every ``NodeStore``: a per-field read or a ``record`` view
     reads one node, a bulk read one per id, ``walk`` one per item it
-    yields, ``find`` each node it visits, ``follow`` one per step and
-    ``clear_node`` the node it clears. Each entry is the reading method's
-    name."""
+    yields, ``find`` each node it visits, ``follow`` one per step,
+    ``links_agree`` the node at each position it checks and ``clear_node``
+    the node it clears. Each entry is the reading method's name."""
     reads = []
     store = heapmodel.NodeStore
 
@@ -49,10 +49,10 @@ def node_reads(monkeypatch):
             return real(self, ids)
         return counted
 
-    walk, find, follow = store.walk, store.find, store.follow
+    walk, find, follow, links_agree = store.walk, store.find, store.follow, store.links_agree
 
-    def counted_walk(self, node, link="next"):
-        for item in walk(self, node, link):
+    def counted_walk(self, node):
+        for item in walk(self, node):
             reads.append("walk")
             yield item
 
@@ -65,6 +65,20 @@ def node_reads(monkeypatch):
         reads.extend(["follow"] * steps)
         return follow(self, node, steps, link)
 
+    def counted_links_agree(self, seq, positions):
+        # one position at a time, so a check that fails early counts only
+        # the nodes it read
+        for i in positions:
+            reads.append("links_agree")
+            if not links_agree(self, seq, [i]):
+                return False
+        return True
+
+    # a view is one node read, counted at ``record``: the fields read
+    # through it are that node's, so they go to the uncounted reads
+    for name in ("prev", "item", "next"):
+        monkeypatch.setattr(heapmodel.NodeRecord, name, property(
+            lambda view, real=getattr(store, name): real(view._store, view._id)))
     for name in ("prev", "item", "next", "record", "clear_node"):
         monkeypatch.setattr(store, name, once(name))
     for name in ("prevs", "items", "nexts"):
@@ -72,4 +86,5 @@ def node_reads(monkeypatch):
     monkeypatch.setattr(store, "walk", counted_walk)
     monkeypatch.setattr(store, "find", counted_find)
     monkeypatch.setattr(store, "follow", counted_follow)
+    monkeypatch.setattr(store, "links_agree", counted_links_agree)
     return reads

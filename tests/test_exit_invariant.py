@@ -361,11 +361,10 @@ class TestEditLocation:
 
             def edit_and_break_end():
                 getattr(lst, edit)(A)
-                rec = lst.store.record(getattr(lst, end))
                 if end == "first":
-                    rec.prev = lst.last
+                    lst.store.raw_write(lst.first, "prev", lst.last)
                 else:
-                    rec.next = lst.first
+                    lst.store.raw_write(lst.last, "next", lst.first)
 
             assert verdicts(lst, edit_and_break_end) == (False, False), edit
 
@@ -503,7 +502,7 @@ class TestCarriedEntry:
         for x in (A, B, A):
             run_checked(lst, "add", (x,))
         # a link changed outside any journal, as statespace and tests do
-        lst.store.record(lst.ghost[1]).next = None
+        lst.store.raw_write(lst.ghost[1], "next", None)
         with pytest.raises(UsageError, match=r"invariant broken before get: \[\('C6'"):
             run_checked(lst, "get", (0,))
 

@@ -224,7 +224,7 @@ class TestWalkChain:
     def test_dangling_link_is_chain_corruption(self):
         # a hand-built link to a node the store never allocated
         store, [n0, n1, n2] = three_chain()
-        store.record(n2).next = 99
+        store.raw_write(n2, "next", 99)
         with pytest.raises(DanglingLink) as exc:
             walk_chain(store, n0)
         assert exc.value.node_id == 99
@@ -253,7 +253,7 @@ class TestWalkChain:
 
     def test_dangling_link_mid_chain_witness(self):
         store, [n0, n1, n2] = three_chain()
-        store.record(n0).next = 99
+        store.raw_write(n0, "next", 99)
         with pytest.raises(DanglingLink) as exc:
             walk_chain(store, n0)
         assert exc.value.node_id == 99
@@ -294,7 +294,7 @@ class TestOutOfRangeIds:
     def test_reads_raise_dangling_link(self, bad):
         store, _, bad_id = bad
         for read in (store.record, lambda i: next(store.walk(i)),
-                     lambda i: next(store.walk(i, "prev"))):
+                     lambda i: store.find(i, item_test(Atom("z")), "prev")):
             with pytest.raises(DanglingLink) as info:
                 read(bad_id)
             assert info.value.node_id == bad_id
@@ -325,7 +325,7 @@ class TestOutOfRangeIds:
     @pytest.mark.parametrize("at", [0, 2])
     def test_walk_chain_names_the_link(self, bad, at):
         store, ids, bad_id = bad
-        store.record(ids[at]).next = bad_id
+        store.raw_write(ids[at], "next", bad_id)
         with pytest.raises(DanglingLink) as info:
             walk_chain(store, ids[0])
         assert info.value.node_id == bad_id
@@ -335,9 +335,9 @@ class TestOutOfRangeIds:
 
     def test_prev_walk_names_the_link(self, bad):
         store, ids, bad_id = bad
-        store.record(ids[1]).prev = bad_id
+        store.raw_write(ids[1], "prev", bad_id)
         with pytest.raises(DanglingLink) as info:
-            list(store.walk(ids[2], "prev"))
+            store.find(ids[2], item_test(Atom("z")), "prev")
         assert info.value.node_id == bad_id
 
     @pytest.mark.parametrize("at", [0, 1, 2])
