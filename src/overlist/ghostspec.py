@@ -381,6 +381,16 @@ def _post_vs_model(
     return violations
 
 
+def _wrote_nothing(state, header: tuple, ghost: tuple[NodeId, ...], journal: tuple) -> bool:
+    """Whether a call left the state as it found it: its closed store
+    ``journal`` holds no write and no allocation, and the header and
+    ghost equal ``header`` and ``ghost`` from entry. Nodes change only
+    through the store's journaled setters, so the store is unchanged too."""
+    entries, fresh = journal
+    return (not entries and not fresh and (state.first, state.last, state.size) == header
+            and tuple(state.ghost) == ghost)
+
+
 def run_checked(state, op: str, args: tuple = ()):
     """Invoke a public operation with the full check battery.
 
@@ -417,10 +427,19 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     visible-state semantics); ``run_checked`` establishes them with its
     entry check. The pre-state ids are read from the ghost.
 
-    The exit check is scoped to what the call's journal touched. When that
-    does not vouch for the state, the full invariant is checked (under
-    ``model``, after walking the chain), so witnesses, chain corruption
-    errors and their order are those of the full check.
+    A call that wrote nothing (``_wrote_nothing``: an empty journal, no
+    allocation, and the header and ghost of entry) exits in its entry
+    state. The six invariant clauses and the frame depend only on header,
+    store and ghost, and the invariant held on entry, so such a call is
+    judged by its result alone: no exit check, no post-item derivation
+    and no frame check. Its obligation is that the general path below,
+    run on the same state and journal, vouches with the entry ghost,
+    derives the entry items and finds no frame violation.
+
+    Otherwise the exit check is scoped to what the call's journal touched.
+    When that does not vouch for the state, the full invariant is checked
+    (under ``model``, after walking the chain), so witnesses, chain
+    corruption errors and their order are those of the full check.
 
     ``model`` is ``(items, verdict, abs_post)``: the chain's items and the
     oracle's judgement of the call. With it the postcondition, the
@@ -436,6 +455,7 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     the result or the ListError raised (its traceback cleared, so keeping
     it makes no reference cycle), and the failing invariant clauses."""
     pre = tuple(state.ghost) if model is None else observe(state, model[0])
+    ghost, header = pre if model is None else pre.ghost, (state.first, state.last, state.size)
     mark = state.store.open_journal()
     try:
         result = listcore.apply_op(state, op, args)
@@ -446,7 +466,17 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     finally:
         journal = state.store.close_journal(mark)
 
-    edit = exit_invariant_holds(state, pre if model is None else pre.ghost, journal)
+    if _wrote_nothing(state, header, ghost, journal):
+        # the exit state is the entry state, where the invariant held and
+        # which every frame allows; the result and the entry items remain
+        # to be judged against the model
+        if model is not None:
+            items, verdict, abs_post = model
+            violations = _post_vs_model(state, verdict, abs_post, outcome, ghost, items)
+            if violations:
+                raise ContractViolation(contract_for(op, args), violations)
+        return outcome, result, ()
+    edit = exit_invariant_holds(state, ghost, journal)
     if model is None:
         return outcome, result, () if edit else check_invariant(state)
     _, verdict, abs_post = model

@@ -27,6 +27,14 @@ Under ``invariant``, ``checked_step`` judges each step by the scoped
 exit check while the invariant holds, and runs the full check only when
 that does not vouch for the state. Its proof obligation: beside every
 step whose scoped check passed, the full invariant holds.
+
+Under both, a step that wrote nothing (an empty journal, no allocation,
+and the header and ghost of entry) skips the scoped check, the post-item
+derivation and the frame check. Its proof obligation: beside every such
+step, that general path vouches with the entry ghost, derives the entry
+items and finds no frame violation; a call that writes and writes back,
+allocates, or changes the size or ghost behind the store takes the
+general path.
 """
 
 from collections import Counter
@@ -38,10 +46,12 @@ from hypothesis import event, given, settings, strategies as st
 from overlist import difftest, ghostspec, heapmodel, listcore
 from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, OpScript, gen_script, run_script
 from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
-from overlist.ghostspec import check_invariant, exit_invariant_holds, run_checked
+from overlist.ghostspec import (PreObservation, _post_items, check_invariant,
+                                 exit_invariant_holds, frame_check, run_checked)
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, CheckMode, SizePolicy, apply_op, new_list
-from overlist.oracle import ALPHABET, INDEX, OP_SPECS, AbstractList, normalize, oracle_apply
+from overlist.oracle import (ALPHABET, EMPTY_FOOTPRINT, INDEX, OP_SPECS, AbstractList,
+                             normalize, oracle_apply)
 from overlist.statespace import build_list
 
 A, B = Atom("a"), Atom("b")
@@ -520,22 +530,40 @@ class TestCarriedEntry:
 @contextmanager
 def derived_items():
     """Run a whole read of the chain's items beside every ``full`` step
-    whose post-state items ``checked_step`` derived from the located ghost
-    edit, asserting the two are equal; yields each such step's edit kind."""
+    whose post-state items ``checked_step`` did not read whole, asserting
+    the two are equal; yields each such step's kind. A step the scoped
+    exit check vouched for derived its items from the located ghost edit
+    (an "insert", a "remove", an "item write" or "links only"); a step
+    that wrote nothing ("unchanged") took the entry items, which
+    ``_post_vs_model`` receives with the entry ghost as the chain."""
     kinds = []
-    real = ghostspec._post_items
+    exits = [False]
+    real_items, real_exit, real_post = (
+        ghostspec._post_items, ghostspec._wrote_nothing, ghostspec._post_vs_model)
 
     def beside(lst, pre, edit, journal):
-        derived = real(lst, pre, edit, journal)
+        derived = real_items(lst, pre, edit, journal)
         assert derived == tuple(lst.items())
         entries, _ = journal
         d = len(edit[0]) - len(pre.ghost)
         kinds.append("insert" if d > 0 else "remove" if d < 0
-                     else "item write" if "item" in entries[1::3] else "unchanged")
+                     else "item write" if "item" in entries[1::3] else "links only")
         return derived
+
+    def wrote_nothing(lst, header, ghost, journal):
+        exits[0] = real_exit(lst, header, ghost, journal)
+        return exits[0]
+
+    def post_vs_model(lst, verdict, abs_post, outcome, chain, items):
+        if exits[0]:
+            assert chain == tuple(lst.chain()) and items == tuple(lst.items())
+            kinds.append("unchanged")
+        return real_post(lst, verdict, abs_post, outcome, chain, items)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ghostspec, "_post_items", beside)
+        mp.setattr(ghostspec, "_wrote_nothing", wrote_nothing)
+        mp.setattr(ghostspec, "_post_vs_model", post_vs_model)
         yield kinds
 
 
@@ -565,7 +593,8 @@ class TestDerivedItems:
         faults = frozenset() if fault is None else frozenset({fault})
         with derived_items() as seen:
             full_failfast(drawn_steps(prefix, ops, data), faults)
-        # the first step runs on an empty list, where every call vouches
+        # the first step runs on an empty list, where every call that
+        # writes vouches
         assert seen
 
     @staticmethod
@@ -725,13 +754,21 @@ class TestCarriedInvariantMode:
     def test_fallback_then_carry_resumes_after_a_passing_full_check(self, monkeypatch):
         """``unlink-skip-relink`` breaks the chain; the full check reports
         it after each step until ``clear`` leaves an empty, valid list,
-        and from the next step on the scoped check judges again."""
+        and from the next step on the scoped check judges again, or the
+        nothing-written exit for a call that wrote nothing."""
         log = []
         real_scoped, real_full = ghostspec.exit_invariant_holds, ghostspec.check_invariant
+        real_exit = ghostspec._wrote_nothing
 
         def scoped(lst, pre, journal):
             log.append("scoped")
             return real_scoped(lst, pre, journal)
+
+        def wrote_nothing(lst, header, ghost, journal):
+            took = real_exit(lst, header, ghost, journal)
+            if took:
+                log.append("unchanged")
+            return took
 
         def full(lst):
             failures = real_full(lst)
@@ -741,12 +778,177 @@ class TestCarriedInvariantMode:
         # the full check runs in the step after a failed scoped check, and
         # in the run itself while the invariant is broken
         monkeypatch.setattr(ghostspec, "exit_invariant_holds", scoped)
+        monkeypatch.setattr(ghostspec, "_wrote_nothing", wrote_nothing)
         monkeypatch.setattr(ghostspec, "check_invariant", full)
         monkeypatch.setattr(difftest, "check_invariant", full)
         steps = [("add", (A,)), ("add", (B,)), ("add", (A,)), ("remove_at", (1,)),
                  ("size", ()), ("clear", ()), ("add", (B,)), ("get", (0,))]
         result = invariant_failfast(steps, frozenset({"unlink-skip-relink"}))
-        assert log == ["scoped"] * 4 + ["full-failed", "full-failed", "full"] + ["scoped"] * 2
+        assert log == (["scoped"] * 4 + ["full-failed", "full-failed", "full"]
+                       + ["scoped", "unchanged"])
         divs = result.divergences["failfast"]
         assert [(d.step, d.kind) for d in divs] == [(3, "InvariantViolation"), (4, "InvariantViolation")]
         assert result.aborted["failfast"] is None
+
+
+def exit_kind(op, outcome):
+    """What a step that wrote nothing was: a query, a refused add, a poll
+    on an empty list, a removal that found no match, or else the
+    operation and its outcome (a clear on an empty list, an index out of
+    bounds)."""
+    spec = OP_SPECS[op]
+    if not spec.mutating:
+        return "query"
+    if outcome == ("error", "illegal_state"):
+        return "refused add"
+    if op.startswith("poll"):
+        return "poll on an empty list"
+    if spec.equality_branches:
+        return "removal with no match"
+    return f"{op} {outcome}"
+
+
+@contextmanager
+def nothing_written_exits():
+    """Beside every checked step of ``run_script`` that takes the
+    nothing-written exit, run the general path on the same state and
+    journal: the scoped exit check, the post-item derivation, the
+    operation's footprint and the frame check. The scoped check must
+    vouch with the entry ghost and position 0, the derivation must give
+    the entry items (read whole before the call, and again after it), and
+    the frame check must find nothing. Yields each exit's ``exit_kind``."""
+    kinds = []
+    taken = []
+    real_step, real_exit = ghostspec.checked_step, ghostspec._wrote_nothing
+
+    def wrote_nothing(lst, header, ghost, journal):
+        took = real_exit(lst, header, ghost, journal)
+        taken[:] = [(header, ghost, journal)] if took else []
+        return took
+
+    def step(lst, op, args, model=None):
+        items = tuple(lst.items())
+        assert model is None or model[0] == items
+        outcome, result, failures = real_step(lst, op, args, model)
+        if taken:
+            header, ghost, journal = taken.pop()
+            pre = PreObservation(items, header, ghost)
+            assert exit_invariant_holds(lst, ghost, journal) == (ghost, 0)
+            assert _post_items(lst, pre, (ghost, 0), journal) == items == tuple(lst.items())
+            fp = EMPTY_FOOTPRINT if outcome[0] == "error" else OP_SPECS[op].footprint(pre, args)
+            assert frame_check(pre, lst, journal, fp, ghost) == []
+            kinds.append(exit_kind(op, outcome))
+        return outcome, result, failures
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghostspec, "_wrote_nothing", wrote_nothing)
+        mp.setattr(difftest, "checked_step", step)
+        yield kinds
+
+
+CHECKED_RUNS = {"invariant": invariant_failfast, "full": full_failfast}
+
+
+class TestNothingWritten:
+    """A checked step whose journal is empty, which allocated nothing and
+    whose header and ghost are those of entry exits in its entry state,
+    with no exit check, post-item derivation or frame check. Its proof
+    obligation: beside every such step, the general path vouches with the
+    entry ghost, derives the entry items and finds no frame violation."""
+
+    @pytest.mark.parametrize("mode", sorted(CHECKED_RUNS))
+    def test_generated_scripts_all_faults_both_mixes(self, mode):
+        kinds = Counter()
+        for fault in (None, *FAULTS):
+            faults = frozenset() if fault is None else frozenset({fault})
+            for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
+                for seed in range(6):
+                    with nothing_written_exits() as seen:
+                        CHECKED_RUNS[mode](gen_script(seed, 8, 400, weights).steps, faults)
+                    kinds.update(seen)
+        assert all(kinds[k] for k in ("refused add", "query", "removal with no match",
+                                      "poll on an empty list")), kinds
+
+    @pytest.mark.parametrize("mode", sorted(CHECKED_RUNS))
+    @settings(max_examples=60, deadline=None)
+    @given_drawn_script
+    def test_drawn_scripts(self, mode, prefix, fault, ops, data):
+        faults = frozenset() if fault is None else frozenset({fault})
+        with nothing_written_exits() as seen:
+            CHECKED_RUNS[mode](drawn_steps(prefix, ops, data), faults)
+        for kind in seen:
+            event(kind)
+
+    @staticmethod
+    def step_after(change, mode, op="get", args=(3,)):
+        """Run ``op`` through ``checked_step`` on a list of 12 items under
+        check mode ``mode`` ("invariant" or "full"), as a call that first
+        makes ``change(lst)``. Returns whether the step took the
+        nothing-written exit, whether the scoped exit check ran, and what
+        the step reported: each failing invariant clause, and the category
+        of each other violation."""
+        full = mode == "full"
+        lst = build_list([A, B] * 6, check_mode=CheckMode.FULL if full else CheckMode.OFF)
+        real = listcore.apply_op
+
+        def change_and_call(state, op, args):
+            change(state)
+            return real(state, op, args)
+
+        items = tuple(lst.items())
+        model = (items, *oracle_apply(AbstractList(items, 8), op, args)) if full else None
+        log = []
+        real_exit, real_scoped = ghostspec._wrote_nothing, ghostspec.exit_invariant_holds
+
+        def logged(name, fn):
+            def wrapper(*a):
+                log.append(name)
+                return fn(*a)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(listcore, "apply_op", change_and_call)
+            mp.setattr(ghostspec, "_wrote_nothing", lambda *a: real_exit(*a) and not log.append("exit"))
+            mp.setattr(ghostspec, "exit_invariant_holds", logged("scoped", real_scoped))
+            try:
+                _, _, failures = ghostspec.checked_step(lst, op, args, model)
+                clauses = [cid for cid, _ in failures]
+            except ContractViolation as e:
+                clauses = [w.split(":")[0] if cat == "invariant" else cat
+                           for cat, w in e.violations]
+        return "exit" in log, "scoped" in log, clauses
+
+    @pytest.mark.parametrize("mode", sorted(CHECKED_RUNS))
+    def test_item_written_back_takes_the_general_path(self, mode):
+        def write_back(lst):
+            node = lst.ghost[5]
+            old = lst.store.item(node)
+            lst.store.set_item(node, Z)
+            lst.store.set_item(node, old)
+
+        assert self.step_after(write_back, mode) == (False, True, [])
+        assert self.step_after(lambda lst: None, mode) == (True, False, [])
+
+    @pytest.mark.parametrize("mode", sorted(CHECKED_RUNS))
+    def test_size_change_without_a_store_write_reports_c1(self, mode):
+        def grow(lst):
+            lst.size += 1
+
+        took, _, clauses = self.step_after(grow, mode)
+        assert not took and "C1" in clauses
+
+    @pytest.mark.parametrize("mode", sorted(CHECKED_RUNS))
+    def test_ghost_append_without_a_store_write_reports_c1(self, mode):
+        def append(lst):
+            lst.ghost.append(lst.ghost[0])
+
+        took, _, clauses = self.step_after(append, mode)
+        assert not took and "C1" in clauses
+
+    @pytest.mark.parametrize("mode", sorted(CHECKED_RUNS))
+    def test_allocation_without_a_write_takes_the_general_path(self, mode):
+        # a node outside the chain breaks no clause, but no query's frame
+        # allows it
+        took, scoped, reported = self.step_after(lambda lst: lst.store.alloc(None, Z, None), mode)
+        assert not took and scoped
+        assert reported == (["frame"] if mode == "full" else [])
