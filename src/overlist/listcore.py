@@ -129,10 +129,6 @@ class JavaLinkedList:
 
     # -- Java int arithmetic -------------------------------------------------
 
-    def _inc(self, n: int) -> int:
-        """``n + 1`` as a W-bit Java int: MAX + 1 wraps to MIN."""
-        return self.min_size if n == self.max_size else n + 1
-
     def _dec(self, n: int) -> int:
         """``n - 1`` as a W-bit Java int: MIN - 1 wraps to MAX."""
         return self.max_size if n == self.min_size else n - 1

@@ -242,12 +242,19 @@ class TestJavaIntSize:
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_max_plus_one_is_min(self, width):
-        # MAX + 1 == MIN and MIN - 1 == MAX, on the list's own arithmetic
+        # MAX + 1 == MIN and MIN - 1 == MAX, on the list's own arithmetic:
+        # each linking method steps the size itself, and removals use _dec
         lst = new_list(width, SizePolicy.UNCHECKED)
         hi, lo = max_value(width).value, min_value(width).value
         assert (lst.max_size, lst.min_size) == (hi, lo)
-        assert lst._inc(hi) == lo and lst._dec(lo) == hi
-        assert lst._inc(-1) == 0 and lst._dec(0) == -1
+        for add in (lst.add, lst.add_first, lambda x: lst.add_at(0, x)):
+            lst.size = hi
+            add(NULL)
+            assert lst.size == lo
+        lst.size = -1
+        lst.add(NULL)
+        assert lst.size == 0
+        assert lst._dec(lo) == hi and lst._dec(0) == -1
 
     @pytest.mark.parametrize("width", (8, 16))
     def test_remove_first_on_the_sign_flip_state_gives_max(self, width):

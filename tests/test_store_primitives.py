@@ -34,6 +34,11 @@ TARGETS = (A, NULL, Z, Y)  # Y is never in a list
 # -- reference: the earlier store calls -----------------------------------------
 
 
+def inc(lst, n):
+    """``n + 1`` as a W-bit Java int: MAX + 1 wraps to MIN."""
+    return lst.min_size if n == lst.max_size else n + 1
+
+
 def reference_link_last(lst, item):
     if lst.guards_growth:
         lst.check_size()
@@ -44,7 +49,7 @@ def reference_link_last(lst, item):
         lst.first = node
     else:
         lst.store.set_next(old_last, node)
-    lst.size = lst._inc(lst.size)
+    lst.size = inc(lst, lst.size)
     lst.ghost.append(node)
 
 
@@ -58,7 +63,7 @@ def reference_link_first(lst, item):
         lst.last = node
     else:
         lst.store.set_prev(old_first, node)
-    lst.size = lst._inc(lst.size)
+    lst.size = inc(lst, lst.size)
     lst.ghost.insert(0, node)
 
 
@@ -74,7 +79,7 @@ def reference_link_before(lst, item, succ):
         lst.first = node
     else:
         lst.store.set_next(pred, node)
-    lst.size = lst._inc(lst.size)
+    lst.size = inc(lst, lst.size)
     nl = lst.ghost
     try:
         nl.insert(nl.index(succ), node)
@@ -90,7 +95,7 @@ def reference_index_of(lst, target):
         rec = lst.store.record(node)
         if matches(rec.item):
             return JInt(index, lst.width)
-        index = lst._inc(index)
+        index = inc(lst, index)
         node = rec.next
     return JInt(-1, lst.width)
 
