@@ -506,6 +506,9 @@ def load_script(text: str) -> OpScript:
                 raise UsageError("the header needs a \"seed\" and a \"width\" field")
             else:
                 check_width(rec["width"])
+                for field in ("seed", "version"):
+                    if field in rec and type(rec[field]) is not int:
+                        raise UsageError(f"{field} must be an integer, got {rec[field]!r}")
                 header = rec
         except (ValueError, UsageError) as e:
             raise UsageError(f"line {n}: {e}") from None

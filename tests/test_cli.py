@@ -200,11 +200,15 @@ BAD_SCRIPTS = {
     '{"step": 1, "op": "get", "args": ["0"]}\n',
     "non-item": '{"step": 0, "op": "add", "args": [5]}\n',
 }
-#: headers whose width is not one of WIDTHS as an integer
+#: headers whose width is not one of WIDTHS as an integer, or whose seed
+#: or version is not an integer
 BAD_HEADERS = {
     "float-width": '{"seed": 0, "width": 8.0, "version": 1}\n',
     "odd-width": '{"seed": 0, "width": 12, "version": 1}\n',
     "string-width": '{"seed": 0, "width": "8", "version": 1}\n',
+    "string-seed": '{"seed": "abc", "width": 8, "version": 1}\n',
+    "bool-seed": '{"seed": true, "width": 8, "version": 1}\n',
+    "list-version": '{"seed": 0, "width": 8, "version": [1]}\n',
 }
 
 
