@@ -382,10 +382,9 @@ def _post_vs_model(
 
 
 def _wrote_nothing(state, header: tuple, ghost: tuple[NodeId, ...], journal: tuple) -> bool:
-    """Whether a call left the state as it found it: its closed store
-    ``journal`` holds no write and no allocation, and the header and
-    ghost equal ``header`` and ``ghost`` from entry. Nodes change only
-    through the store's journaled setters, so the store is unchanged too."""
+    """Whether a call's closed ``journal`` holds no write or allocation and
+    the header and ghost are still ``header`` and ``ghost``: the entry
+    state then, as nodes change only through the journaled setters."""
     entries, fresh = journal
     return (not entries and not fresh and (state.first, state.last, state.size) == header
             and tuple(state.ghost) == ghost)
@@ -427,19 +426,14 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     visible-state semantics); ``run_checked`` establishes them with its
     entry check. The pre-state ids are read from the ghost.
 
-    A call that wrote nothing (``_wrote_nothing``: an empty journal, no
-    allocation, and the header and ghost of entry) exits in its entry
-    state. The six invariant clauses and the frame depend only on header,
-    store and ghost, and the invariant held on entry, so such a call is
-    judged by its result alone: no exit check, no post-item derivation
-    and no frame check. Its obligation is that the general path below,
-    run on the same state and journal, vouches with the entry ghost,
-    derives the entry items and finds no frame violation.
-
-    Otherwise the exit check is scoped to what the call's journal touched.
-    When that does not vouch for the state, the full invariant is checked
-    (under ``model``, after walking the chain), so witnesses, chain
-    corruption errors and their order are those of the full check.
+    A call that wrote nothing (``_wrote_nothing``) exits in the entry
+    state, where the invariant held and no frame is broken, so only its
+    result and the entry items are judged. Its obligation: the general
+    path below, on the same state and journal, vouches with the entry
+    ghost, derives the entry items and finds no frame violation. Other
+    calls get the exit check scoped to what the journal touched, and the
+    full check (under ``model``, after walking the chain) when that does
+    not vouch, so witnesses, errors and their order are the full check's.
 
     ``model`` is ``(items, verdict, abs_post)``: the chain's items and the
     oracle's judgement of the call. With it the postcondition, the
@@ -467,9 +461,6 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
         journal = state.store.close_journal(mark)
 
     if _wrote_nothing(state, header, ghost, journal):
-        # the exit state is the entry state, where the invariant held and
-        # which every frame allows; the result and the entry items remain
-        # to be judged against the model
         if model is not None:
             items, verdict, abs_post = model
             violations = _post_vs_model(state, verdict, abs_post, outcome, ghost, items)
