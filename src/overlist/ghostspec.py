@@ -449,7 +449,7 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     the result or the ListError raised (its traceback cleared, so keeping
     it makes no reference cycle), and the failing invariant clauses."""
     pre = tuple(state.ghost) if model is None else observe(state, model[0])
-    ghost, header = pre if model is None else pre.ghost, (state.first, state.last, state.size)
+    ghost, header = (pre if model is None else pre.ghost), (state.first, state.last, state.size)
     mark = state.store.open_journal()
     try:
         result = listcore.apply_op(state, op, args)
