@@ -41,7 +41,7 @@ def main():
 
     print(f"\nstate B: {1 << w} adds, marker last")
     show("size()", lambda: s2.size)
-    show("index_of(marker)", lambda: s2.index_of(MARKER).value)
+    show("index_of(marker)", lambda: s2.index_of(MARKER))
     show("contains(marker)", lambda: s2.contains(MARKER))
     show("get_last()  [the marker is right there]", lambda: s2.get_last())
 

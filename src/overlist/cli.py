@@ -135,7 +135,7 @@ def cmd_repro(args) -> int:
         ]
         report.update({"expected": expected, "observed": observed})
     elif case == 4:
-        idx = lst.index_of(MARKER).value
+        idx = lst.index_of(MARKER)
         marker_pos = chain_len - 1 if lst.get_last() == MARKER else None
         reproduced = idx == -1 and marker_pos == (1 << width) - 1
         lines += [

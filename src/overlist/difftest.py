@@ -7,6 +7,7 @@ census over the two overflow preparation states.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
@@ -18,7 +19,7 @@ from .jint import check_width
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list, require_member
 from .oracle import (
     ALPHABET, CLEAR, INDEX, INSERT, ITEM, MARKER, OP_SPECS, REMOVE, AbstractList, Verdict,
-    check_call, first_index, normalize, observe_equal, oracle_add_all, oracle_apply, spec_of,
+    check_call, first_index, observe_equal, oracle_add_all, oracle_apply, spec_of,
 )
 
 GENERATOR_VERSION = 1
@@ -112,12 +113,20 @@ def gen_script(
     length: int,
     weights: dict[str, float] | None = None,
 ) -> OpScript:
-    """Deterministic pseudo-random script. Index arguments are drawn
-    around a running length estimate so most positional calls land
-    in-range while boundary misses stay represented."""
-    if length < 0:
-        raise UsageError("length must be >= 0")
-    weights = weights or BALANCED_WEIGHTS
+    """Deterministic pseudo-random script over the op mix ``weights``
+    (``BALANCED_WEIGHTS`` when None). Index arguments are drawn around a
+    running length estimate so most positional calls land in-range while
+    boundary misses stay represented. A UsageError names a seed, width or
+    length that ``load_script`` would not read back, or a bad mix."""
+    if type(seed) is not int:
+        raise UsageError(f"seed must be an integer, got {seed!r}")
+    check_width(width)
+    if type(length) is not int or length < 0:
+        raise UsageError(f"length must be a non-negative integer, got {length!r}")
+    weights = BALANCED_WEIGHTS if weights is None else weights
+    if not (any(weights.values())
+            and all(type(w) in (int, float) and 0 <= w < math.inf for w in weights.values())):
+        raise UsageError(f"the op mix needs finite weights >= 0, one above 0, got {weights!r}")
     rng = random.Random(seed)
     ops = sorted(weights)
     specs = {op: spec_of(op) for op in ops}
@@ -146,9 +155,9 @@ def gen_script(
 
 
 def run_op(lst: JavaLinkedList, op: str, args: tuple) -> tuple[str, object]:
-    """Outcome of one call: ("value", v) or ("error", kind)."""
+    """Outcome of one call: ("value", answer) or ("error", kind)."""
     try:
-        return ("value", normalize(apply_op(lst, op, args)))
+        return ("value", apply_op(lst, op, args))
     except ListError as e:
         return ("error", e.kind)
 
@@ -228,9 +237,7 @@ def run_script(
                     model = (abs_state.items, verdict, abs_post) if full else None
                     outcome, _, failures = checked_step(lst, op, args, model)
                 else:
-                    outcome = ("value", normalize(apply_op(lst, op, args)))
-            except ListError as e:
-                outcome = ("error", e.kind)
+                    outcome = run_op(lst, op, args)
             except (ContractViolation, ChainCorruption) as e:
                 # the ghost layer no longer trusts this state, or the chain
                 # itself is corrupted (a cycle or a dangling link); stop here
@@ -442,7 +449,7 @@ def _encode_value(v):
         return None
     if isinstance(v, Atom):
         return v.token
-    if isinstance(v, (tuple, list)):
+    if isinstance(v, tuple):
         return [_encode_value(x) for x in v]
     return v
 

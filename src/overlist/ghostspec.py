@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import listcore, oracle
 from .errors import ContractViolation, DanglingLink, ListError, UsageError
 from .heapmodel import NodeId, NullItem
-from .oracle import EMPTY_FOOTPRINT, AbstractList, Footprint, normalize, observe_equal, oracle_apply
+from .oracle import EMPTY_FOOTPRINT, AbstractList, Footprint, observe_equal, oracle_apply
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,7 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     mark = state.store.open_journal()
     try:
         result = listcore.apply_op(state, op, args)
-        outcome = ("value", normalize(result))
+        outcome = ("value", result)
     except ListError as e:
         result = e.with_traceback(None)
         outcome = ("error", e.kind)

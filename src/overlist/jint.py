@@ -5,8 +5,7 @@ The width is parametric (8, 16 or 32 bits) so that behaviors needing
 are plain Python integers normalized into the signed range by ``wrap``,
 which makes the mod-2**W formula the definition rather than an
 emulation detail. ``JInt`` tags such a value with its width; the list
-keeps its size as a plain int and builds a ``JInt`` only for the Java
-``int`` answers it returns.
+keeps its size and its Java ``int`` answers as plain ints in that range.
 """
 
 from __future__ import annotations

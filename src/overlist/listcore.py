@@ -35,7 +35,7 @@ from .errors import (
     UsageError,
 )
 from .heapmodel import Item, NodeId, NodeStore, NullItem, item_test, walk_chain
-from .jint import JInt, max_value, min_value, wrap
+from .jint import max_value, min_value, wrap
 from .oracle import OP_SPECS
 
 
@@ -67,7 +67,10 @@ FAULTS = (
 
 
 class JavaLinkedList:
-    """Doubly linked list with a W-bit cached size field."""
+    """Doubly linked list with a W-bit cached size field. Its ``check_mode``
+    checks no invariant (``run_script`` and ``run_checked`` do):
+    ``INVARIANT`` only turns on ``unlink``'s ghost-index assertion, ``FULL``
+    also the loop probes of ``last_index_of`` and ``clear``."""
 
     def __init__(
         self,
@@ -293,10 +296,10 @@ class JavaLinkedList:
         self.link_last(item)
         return True
 
-    def size_field(self) -> JInt:
+    def size_field(self) -> int:
         """The raw cached size in both policies (the documented clamp
         lives in the oracle, not here)."""
-        return JInt(self.size, self.width)
+        return self.size
 
     # The element searches follow the chain with the store's ``find``, which
     # makes no Python call per node: the element test (items_equal with its
@@ -305,18 +308,18 @@ class JavaLinkedList:
     # computed from the number of nodes passed: ``wrap(k)`` after k nodes
     # forward, ``wrap(start - k - 1)`` at the (k+1)-th node backward.
 
-    def index_of(self, target: Item) -> JInt:
+    def index_of(self, target: Item) -> int:
         steps, node = self.store.find(self.first, item_test(target))
-        return JInt(-1 if node is None else wrap(steps, self.width), self.width)
+        return -1 if node is None else wrap(steps, self.width)
 
-    def last_index_of(self, target: Item) -> JInt:
+    def last_index_of(self, target: Item) -> int:
         index = self.size
         if "lastindexof-off-by-one" in self.faults:
             index = self._dec(index)
         matches = item_test(target)
         if self.check_mode is not CheckMode.FULL:
             steps, node = self.store.find(self.last, matches, "prev")
-            return JInt(-1 if node is None else wrap(index - steps - 1, self.width), self.width)
+            return -1 if node is None else wrap(index - steps - 1, self.width)
         # checked: Java's loop, with its invariant probed at each head,
         # before the node is read, so a probe of a dangling node reports
         node = self.last
@@ -325,9 +328,9 @@ class JavaLinkedList:
             index = self._dec(index)
             rec = self.store.record(node)
             if matches(rec.item):
-                return JInt(index, self.width)
+                return index
             node = rec.prev
-        return JInt(-1, self.width)
+        return -1
 
     def _last_index_probe(self, index: int, node: NodeId, matches: Callable[[Item], bool]) -> None:
         """Loop invariant of the backward search, checked at the head of
@@ -349,7 +352,7 @@ class JavaLinkedList:
             raise ContractViolation("last_index_of.loop", violations)
 
     def contains(self, target: Item) -> bool:
-        return self.index_of(target).value != -1
+        return self.index_of(target) != -1
 
     def remove_item(self, target: Item) -> bool:
         return self.remove_first_occurrence(target)
@@ -403,11 +406,11 @@ class JavaLinkedList:
         if violations:
             raise ContractViolation("clear.loop", violations)
 
-    def to_array(self) -> list[Item]:
+    def to_array(self) -> tuple[Item, ...]:
         size = self.size
         if size < 0:
             raise NegativeArraySizeError(f"size {size}")
-        out = list(islice(self.store.walk(self.first), size))
+        out = tuple(islice(self.store.walk(self.first), size))
         if len(out) < size:
             # the cached size promised more nodes than the links reach
             raise DanglingLink(None)

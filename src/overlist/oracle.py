@@ -33,7 +33,6 @@ from typing import Callable, NamedTuple
 
 from .errors import UsageError
 from .heapmodel import NULL, Atom, Item, NodeId, item_test
-from .jint import JInt
 
 
 class Verdict(NamedTuple):
@@ -79,15 +78,6 @@ class AbstractList(NamedTuple):
     @property
     def max_size(self) -> int:
         return (1 << (self.width - 1)) - 1
-
-
-def normalize(v):
-    """Map implementation results into the oracle's answer domain."""
-    if isinstance(v, JInt):
-        return v.value
-    if isinstance(v, list):
-        return tuple(v)
-    return v
 
 
 # The searches run ``item_test(target)`` over the items at C level; the
@@ -484,9 +474,8 @@ def oracle_add_all(a: AbstractList, items) -> AbstractList:
 def observe_equal(impl: tuple[str, object], verdict: Verdict) -> str:
     """Compare an implementation outcome against an oracle verdict.
 
-    ``impl`` is ("value", v) or ("error", kind), with ``v`` already in
-    the answer domain (passed through ``normalize``), as oracle values
-    are; the values are compared as they are. Returns "agree",
+    ``impl`` is ("value", v) or ("error", kind), as ``run_op`` gives it;
+    the values are compared as they are. Returns "agree",
     "disagree" or "skipped" (the latter exactly when the verdict is
     Unspecified)."""
     if verdict.kind == "unspecified":

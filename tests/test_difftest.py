@@ -373,6 +373,31 @@ class TestValidation:
         with pytest.raises(UsageError, match="policies entry must be a SizePolicy"):
             run_script(script, policies=(SizePolicy.UNCHECKED, policy))
 
+    @pytest.mark.parametrize("seed,width", [(1, 7), ("x", 8), (True, 8), (1.5, 8)],
+                             ids=["width-7", "seed-str", "seed-bool", "seed-float"])
+    def test_gen_script_rejects_a_header_load_script_would(self, seed, width):
+        with pytest.raises(UsageError):
+            load_script(dump_script(OpScript(seed, width, ())))
+        with pytest.raises(UsageError):
+            gen_script(seed, width, 3)
+
+    @pytest.mark.parametrize("length", [2.0, True, -1, "3"])
+    def test_gen_script_rejects_a_length_that_is_not_a_count(self, length):
+        with pytest.raises(UsageError, match="length must be a non-negative integer"):
+            gen_script(0, 8, length)
+
+    @pytest.mark.parametrize("weights", [
+        {}, {"add": -1, "get": 2}, {"add": 0}, {"add": float("nan")}, {"add": float("inf")},
+        {"add": "1"}, {"add": True},
+    ], ids=["empty", "negative", "all-zero", "nan", "inf", "str", "bool"])
+    def test_gen_script_rejects_a_mix_that_draws_badly(self, weights):
+        with pytest.raises(UsageError):
+            gen_script(0, 8, 3, weights)
+
+    def test_gen_script_default_mix_is_balanced(self):
+        assert gen_script(5, 8, 40) == gen_script(5, 8, 40, BALANCED_WEIGHTS)
+        assert gen_script(5, 8, 40, {"add": 0, "get": 1.5}).steps[0][0] == "get"
+
     def test_load_names_the_line(self):
         text = '{"seed": 0, "width": 8}\n\n{"op": "get", "args": [true]}\n'
         with pytest.raises(UsageError, match="line 3: get: index must be an integer"):

@@ -132,8 +132,8 @@ class TestItemsAreTuples:
 
         def search():
             for target in targets:
-                assert lst.index_of(target).value == -1
-                assert lst.last_index_of(target).value == -1
+                found, last = lst.index_of(target), lst.last_index_of(target)
+                assert type(found) is type(last) is int and found == last == -1
                 assert not lst.contains(target)
                 assert not lst.remove_first_occurrence(target)
                 assert not lst.remove_last_occurrence(target)

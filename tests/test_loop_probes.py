@@ -15,7 +15,6 @@ import pytest
 from overlist.errors import ContractViolation
 from overlist.ghostspec import run_checked
 from overlist.heapmodel import NULL, Atom, NullItem, items_equal
-from overlist.jint import JInt
 from overlist.listcore import FAULTS, CheckMode, JavaLinkedList, SizePolicy, new_list
 from overlist.statespace import random_state
 
@@ -53,9 +52,9 @@ def reference_last_index_of(lst, target):
         index = lst._dec(index)
         rec = lst.store.record(node)
         if items_equal(target, rec.item):
-            return JInt(index, lst.width)
+            return index
         node = rec.prev
-    return JInt(-1, lst.width)
+    return -1
 
 
 def reference_clear_probe(lst, node, ghost_pos):
@@ -82,8 +81,11 @@ def use_reference(monkeypatch):
 
 
 def outcome(call):
+    """A call's value with its type, so an int answer never equals a
+    ``JInt``; or its violation or error."""
     try:
-        return ("value", call())
+        r = call()
+        return ("value", type(r), r)
     except ContractViolation as cv:
         return ("violation", cv.operation, cv.violations)
     except Exception as e:  # corrupted states may raise chain errors

@@ -10,11 +10,13 @@ from collections import Counter
 
 import pytest
 
-from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, census, dump_script, gen_script
-from overlist.errors import UsageError
+from overlist.difftest import (
+    ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, census, dump_script, gen_script, prepare_overflow,
+)
+from overlist.errors import ListError, UsageError
 from overlist.ghostspec import contract_for, observe
-from overlist.heapmodel import NULL, Atom
-from overlist.listcore import OPS, JavaLinkedList
+from overlist.heapmodel import NULL, Atom, NullItem
+from overlist.listcore import OPS, JavaLinkedList, SizePolicy, apply_op
 from overlist.oracle import (
     ALPHABET,
     EMPTY_FOOTPRINT,
@@ -247,6 +249,15 @@ def reference_script(seed: int, width: int, length: int, weights: dict) -> tuple
     return tuple(steps)
 
 
+def is_plain_answer(r) -> bool:
+    """Whether a list's answer is in the oracle's answer domain: an int, a
+    bool, None, an item or a tuple of items; never a ``JInt`` or a list."""
+    item = (Atom, NullItem)
+    if r is None or type(r) in (int, bool) or isinstance(r, item):
+        return True
+    return type(r) is tuple and all(isinstance(x, item) for x in r)
+
+
 class TestDerivedEdits:
     """Each row names its edit once; what the harness derives from it
     equals the hand-written reference."""
@@ -254,22 +265,40 @@ class TestDerivedEdits:
     def test_reference_covers_every_row(self):
         assert REFERENCE.keys() == OP_SPECS.keys()
 
-    def test_footprints_equal_the_reference(self):
+    @staticmethod
+    def sweep(lst) -> int:
+        """Every call on ``lst``: its footprint equals the reference's, and
+        the value it answers, run in a trial, is plain. Returns the number
+        of calls."""
         calls = 0
-        for lst in enumerate_lists(max_len=4):
-            pre = observe(lst)
-            n = len(pre.ghost)
-            for name, spec in OP_SPECS.items():
-                build = REFERENCE[name][1]
-                choices = [range(-2, n + 3) if kind == INDEX else ALPHABET for kind in spec.args]
-                for args in itertools.product(*choices):
-                    got, want = spec.footprint(pre, args), build(pre, args)
-                    assert got.node_fields == want.node_fields, (name, args, pre)
-                    assert got.header_fields == want.header_fields, (name, args, pre)
-                    assert got.ghost == want.ghost, (name, args, pre)
-                    assert got.fresh == want.fresh, (name, args, pre)
-                    calls += 1
+        pre = observe(lst)
+        n = len(pre.ghost)
+        for name, spec in OP_SPECS.items():
+            build = REFERENCE[name][1]
+            choices = [range(-2, n + 3) if kind == INDEX else ALPHABET for kind in spec.args]
+            for args in itertools.product(*choices):
+                got, want = spec.footprint(pre, args), build(pre, args)
+                assert got.node_fields == want.node_fields, (name, args, pre)
+                assert got.header_fields == want.header_fields, (name, args, pre)
+                assert got.ghost == want.ghost, (name, args, pre)
+                assert got.fresh == want.fresh, (name, args, pre)
+                with lst.trial():
+                    try:
+                        answer = apply_op(lst, name, args)
+                    except ListError:
+                        answer = None
+                assert is_plain_answer(answer), (name, args, answer)
+                calls += 1
+        return calls
+
+    def test_footprints_equal_the_reference(self):
+        """On every small list, and on both width-8 overflow states (the
+        sign flip and the wrap), where the size field has wrapped."""
+        calls = sum(map(self.sweep, enumerate_lists(max_len=4)))
         assert calls == 16_239
+        for wrap in (False, True):
+            lst, _ = prepare_overflow(8, SizePolicy.UNCHECKED, wrap=wrap)
+            assert self.sweep(lst) > 0
 
     def test_mutating_and_equality_branches_follow_the_size_effect(self):
         for name, spec in OP_SPECS.items():

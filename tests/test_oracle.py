@@ -23,7 +23,6 @@ from overlist.oracle import (
     error,
     first_index,
     last_index,
-    normalize,
     observe_equal,
     oracle_add_all,
     oracle_apply,
@@ -236,15 +235,6 @@ class TestObserveEqual:
     def test_unspecified_skips(self):
         assert observe_equal(("value", -1), UNSPECIFIED) == "skipped"
         assert observe_equal(("error", "anything"), UNSPECIFIED) == "skipped"
-
-    def test_normalize_bridges_jint_and_list(self):
-        from overlist.jint import JInt
-
-        # observe_equal takes outcomes whose values went through normalize
-        assert observe_equal(("value", normalize(JInt(5, 8))), value(5)) == "agree"
-        assert observe_equal(("value", normalize([A, B])), value((A, B))) == "agree"
-        assert normalize(JInt(5, 8)) == 5 and type(normalize(JInt(5, 8))) is int
-        assert normalize([A, B]) == (A, B)
 
 
 def reference_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, AbstractList]:

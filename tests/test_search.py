@@ -89,8 +89,9 @@ def test_searches_equal_the_items_equal_reference(policy, target_token, items):
     assert last_index(tuple(stored), target) == q
     assert last_index(stored, target) == q
 
-    assert lst.index_of(target).value == java_index(p)
-    assert lst.last_index_of(target).value == java_index(q)
+    found, last = lst.index_of(target), lst.last_index_of(target)
+    assert type(found) is int and found == java_index(p)
+    assert type(last) is int and last == java_index(q)
     # Java's contains is indexOf(o) != -1, so it reads the wrapped counter too
     assert lst.contains(target) is (java_index(p) != -1)
     for remove, hit in ((lst.remove_first_occurrence, p), (lst.remove_last_occurrence, q)):
@@ -108,5 +109,6 @@ def test_matches_past_the_wrap(target_token):
     lst = build(SizePolicy.UNCHECKED, items)
     assert lst.size == wrap(301, WIDTH) == 45
     target = fresh(target_token)
-    assert lst.index_of(target).value == lst.last_index_of(target).value == 44
+    found, last = lst.index_of(target), lst.last_index_of(target)
+    assert type(found) is type(last) is int and found == last == 44
     assert first_index(tuple(lst.items()), target) == last_index(lst.items(), target) == 300
