@@ -13,7 +13,7 @@ import argparse
 from overlist.difftest import MARKER, build_overflow_states, census
 from overlist.errors import ListError
 from overlist.heapmodel import walk_chain
-from overlist.jint import WIDTHS, max_value
+from overlist.jint import WIDTHS
 from overlist.listcore import SizePolicy
 
 
@@ -29,9 +29,8 @@ def main():
     parser.add_argument("--width", type=int, default=8, choices=WIDTHS)
     args = parser.parse_args()
     w = args.width
-    cap = max_value(w).value
-
     (s1, _), (s2, _) = build_overflow_states(w)
+    cap = s1.max_size
     print(f"state A: {1 << (w - 1)} adds on a {w}-bit list (capacity {cap})")
     show("size()", lambda: s1.size)
     show("actual chain length", lambda: len(walk_chain(s1.store, s1.first)))

@@ -28,7 +28,7 @@ from . import difftest
 from .difftest import MARKER, BALANCED_WEIGHTS, census, gen_script, run_script, shrink
 from .errors import IndexOutOfBoundsError, NegativeArraySizeError, UsageError
 from .ghostspec import check_acyclic, check_invariant, check_unique_endpoints
-from .jint import WIDTHS, max_value, min_value
+from .jint import WIDTHS
 from .listcore import CheckMode, SizePolicy
 from .statespace import enumerate_lists, random_state
 
@@ -70,7 +70,7 @@ def cmd_repro(args) -> int:
     policy = SizePolicy.FAIL_FAST if args.fixed else SizePolicy.UNCHECKED
     # cases 1-3 flip the size sign, cases 4-5 wrap it back to zero
     lst, first_refusal = difftest.prepare_overflow(width, policy, wrap=case >= 4)
-    cap = max_value(width).value
+    cap = lst.max_size
     lines = [f"test case {case} at width {width} ({policy.value})"]
     report: dict = {"case": case, "width": width, "policy": policy.value, "fixed": args.fixed}
 
@@ -103,7 +103,7 @@ def cmd_repro(args) -> int:
     if case == 1:
         observed = lst.size
         expected = cap
-        reproduced = observed == min_value(width).value
+        reproduced = observed == lst.min_size
         lines += [
             f"  expected (documented): size() == {expected}",
             f"  observed:              size() == {observed}",

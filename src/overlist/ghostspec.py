@@ -408,13 +408,13 @@ def run_checked(state, op: str, args: tuple = ()):
         raise UsageError(f"invariant broken before {op}: {failures}")
     items = observe(state).items
     verdict, abs_post = oracle_apply(AbstractList(items, state.width), op, args)
-    outcome, result, _ = checked_step(state, op, args, (items, verdict, abs_post))
-    if outcome[0] == "value":
-        return result
+    outcome, error, _ = checked_step(state, op, args, (items, verdict, abs_post))
+    if error is None:
+        return outcome[1]
     try:
-        raise result
+        raise error
     finally:
-        del result  # the raised error's traceback holds this frame
+        del error  # the raised error's traceback holds this frame
 
 
 def checked_step(state, op: str, args: tuple, model: tuple | None = None):
@@ -445,18 +445,16 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     obligation is that they equal a whole read of the chain's items. The chain's
     items are read whole only when the scoped check did not vouch, or to
     name the items of a failed comparison. Returns
-    ``(outcome, result, failures)``: the outcome as ``run_op`` gives it,
-    the result or the ListError raised (its traceback cleared, so keeping
-    it makes no reference cycle), and the failing invariant clauses."""
+    ``(outcome, error, failures)``: the outcome as ``run_op`` gives it,
+    the ListError raised or None (its traceback cleared, so keeping it
+    makes no reference cycle), and the failing invariant clauses."""
     pre = tuple(state.ghost) if model is None else observe(state, model[0])
     ghost, header = (pre if model is None else pre.ghost), (state.first, state.last, state.size)
     mark = state.store.open_journal()
     try:
-        result = listcore.apply_op(state, op, args)
-        outcome = ("value", result)
+        outcome, error = ("value", listcore.apply_op(state, op, args)), None
     except ListError as e:
-        result = e.with_traceback(None)
-        outcome = ("error", e.kind)
+        outcome, error = ("error", e.kind), e.with_traceback(None)
     finally:
         journal = state.store.close_journal(mark)
 
@@ -466,10 +464,10 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
             violations = _post_vs_model(state, verdict, abs_post, outcome, ghost, items)
             if violations:
                 raise ContractViolation(contract_for(op, args), violations)
-        return outcome, result, ()
+        return outcome, error, ()
     edit = exit_invariant_holds(state, ghost, journal)
     if model is None:
-        return outcome, result, () if edit else check_invariant(state)
+        return outcome, error, () if edit else check_invariant(state)
     _, verdict, abs_post = model
     if edit:
         chain = ghost = edit[0]
@@ -485,4 +483,4 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     violations.extend(frame_check(pre, state, journal, fp, ghost))
     if violations:
         raise ContractViolation(contract_for(op, args), violations)
-    return outcome, result, ()
+    return outcome, error, ()

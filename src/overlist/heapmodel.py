@@ -204,6 +204,38 @@ class NodeStore:
             nexts[prev] = node_id
         return node_id
 
+    def link_run(self, prev: NodeId | None, items) -> list[NodeId]:
+        """Allocate one node per item of the sequence ``items``, chained
+        in order after ``prev``, and point ``prev`` at the first: what
+        ``link(last, item, None)`` for each item in turn writes, ``last``
+        being ``prev`` and then each new node, in one call. Only the
+        write to ``prev``'s ``next`` is journaled, as ``set_next`` would
+        journal it; the new nodes are fresh, so a rollback drops them
+        whole. Returns the new ids, one list whose ints the ``prev`` and
+        ``next`` fields share, so a caller keeping them (the ghost) adds
+        no int object per node."""
+        prevs, nexts = self._prev, self._next
+        start = len(nexts)
+        if prev is not None and not 0 <= prev < start:
+            raise UsageError(f"prev refers to unallocated node {prev}")
+        ids = list(range(start, start + len(items)))
+        if not ids:
+            return ids
+        # islice, not a slice: a slice is one more list of len(items)
+        # entries, and the two raised the census's peak RSS at width 16
+        # by about 1.5 MB
+        prevs.append(prev)
+        prevs += islice(ids, len(ids) - 1)
+        self._item += items
+        nexts += islice(ids, 1, None)
+        nexts.append(None)
+        if prev is not None:
+            journal = self._journal
+            if journal is not None:
+                journal += (prev, "next", nexts[prev])
+            nexts[prev] = ids[0]
+        return ids
+
     # -- reads: DanglingLink for an id that names no node ------------------------
     # The per-field reads index inline rather than through a helper: the
     # list makes one or more per get, peek, set_at and unlink.

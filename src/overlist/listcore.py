@@ -123,6 +123,29 @@ class JavaLinkedList:
             self.first, self.last, self.size = header
             self.ghost = ghost
 
+    def fast_forward(self, items) -> int | None:
+        """Leave the list as ``add(x)`` for each ``x`` of the sequence
+        ``items`` in turn would, without calling ``add``: nodes, header,
+        size and ghost. Returns the 1-based number of the first add that
+        would be refused, or None. A list that guards growth takes the
+        first ``max_size - size`` items and refuses the rest, each refusal
+        changing nothing; any other list takes them all, its size
+        wrapping as Java's int does. Preparation only: the overflow's
+        reproduction runs the real adds."""
+        first_refusal = None
+        if self.guards_growth:
+            room = self.max_size - self.size
+            if len(items) > room:
+                items, first_refusal = items[:room], room + 1
+        ids = self.store.link_run(self.last, items)
+        if ids:
+            if self.last is None:
+                self.first = ids[0]
+            self.last = ids[-1]
+            self.size = wrap(self.size + len(ids), self.width)
+            self.ghost += ids
+        return first_refusal
+
     def chain(self) -> list[NodeId]:
         """Actual chain by walking next links; its length is the actual size."""
         return walk_chain(self.store, self.first)

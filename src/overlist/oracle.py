@@ -28,11 +28,11 @@ Two comparison modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from operator import indexOf
 from typing import Callable, NamedTuple
 
 from .errors import UsageError
-from .heapmodel import NULL, Atom, Item, NodeId, item_test
+from .heapmodel import NULL, Atom, Item, NodeId
 
 
 class Verdict(NamedTuple):
@@ -80,18 +80,26 @@ class AbstractList(NamedTuple):
         return (1 << (self.width - 1)) - 1
 
 
-# The searches run ``item_test(target)`` over the items at C level; the
-# last one reads the sequence backwards in place, copying nothing.
+# The searches are the sequence's own C scans, comparing with ``==``. On
+# the item domain, ``NullItem`` and ``Atom``, which are tuple subclasses
+# equal by value, ``==`` is ``items_equal``: null equals only null, since
+# it is the one empty item. The last search reads the sequence backwards
+# in place, copying nothing.
 
 def first_index(items, target):
     """Position of the first element ``items_equal`` to ``target``, or None."""
-    return next(compress(count(), map(item_test(target), items)), None)
+    try:
+        return items.index(target)
+    except ValueError:
+        return None
 
 
 def last_index(items, target):
     """Position of the last element ``items_equal`` to ``target``, or None."""
-    hits = compress(count(len(items) - 1, -1), map(item_test(target), reversed(items)))
-    return next(hits, None)
+    try:
+        return len(items) - 1 - indexOf(reversed(items), target)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

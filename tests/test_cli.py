@@ -67,6 +67,22 @@ GOLDEN_OUTPUTS = {
 }
 
 
+#: SHA-256 over the JSON list of ``[method, classification]`` rows of
+#: ``census(16, policy)``, as the census gave them when it still prepared
+#: its states with single add() calls
+GOLDEN_CENSUS_W16 = {
+    SizePolicy.UNCHECKED: "834f2386f1e27b6df62458ab7fc756915d42d9329a07ed8b1f56c7b647cce16f",
+    SizePolicy.FAIL_FAST: "4041905bd02a483cd2741ff410a66aa3d3152e38b163edf43f430fb6cce4e63a",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_CENSUS_W16, key=lambda p: p.value),
+                         ids=lambda p: p.value)
+def test_width_16_census_is_unchanged(policy):
+    rows = json.dumps([[r.method, r.classification] for r in census(16, policy)])
+    assert hashlib.sha256(rows.encode()).hexdigest() == GOLDEN_CENSUS_W16[policy]
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN_OUTPUTS),
                          ids=lambda k: f"{k[0]}{'-fixed' if k[1] else ''}-{k[2]}")
 def test_outputs_are_byte_identical(key, capsys):

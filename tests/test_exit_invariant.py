@@ -461,7 +461,7 @@ def carried_entries(plain: bool = False):
             result = run_checked(lst, op, args)
         except ListError as e:
             return ("error", e.kind), e, ()
-        return ("value", result), result, ()
+        return ("value", result), None, ()
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(difftest, "checked_step", beside)
@@ -828,7 +828,7 @@ def nothing_written_exits():
     def step(lst, op, args, model=None):
         items = tuple(lst.items())
         assert model is None or model[0] == items
-        outcome, result, failures = real_step(lst, op, args, model)
+        outcome, error, failures = real_step(lst, op, args, model)
         if taken:
             header, ghost, journal = taken.pop()
             pre = PreObservation(items, header, ghost)
@@ -837,7 +837,7 @@ def nothing_written_exits():
             fp = EMPTY_FOOTPRINT if outcome[0] == "error" else OP_SPECS[op].footprint(pre, args)
             assert frame_check(pre, lst, journal, fp, ghost) == []
             kinds.append(exit_kind(op, outcome))
-        return outcome, result, failures
+        return outcome, error, failures
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ghostspec, "_wrote_nothing", wrote_nothing)

@@ -25,6 +25,7 @@ from overlist.ghostspec import (
     check_acyclic,
     check_invariant,
     check_unique_endpoints,
+    checked_step,
     contract_for,
     cycle_propagation_witness,
     frame_check,
@@ -476,6 +477,39 @@ class TestRunChecked:
             pytest.fail(f"spurious contract violation: {cv}")
         except Exception:
             pass  # documented list errors are fine
+
+
+class TestCheckedStepReturns:
+    """``checked_step`` returns ``(outcome, error, failures)``: ``error``
+    is the ListError the call raised, with its traceback cleared, and
+    None for a value outcome, with or without a model and on either
+    exit (a call that wrote nothing, or one that wrote)."""
+
+    @pytest.mark.parametrize("with_model", [False, True], ids=["no-model", "model"])
+    @pytest.mark.parametrize("op,args,outcome", [
+        ("get", (0,), ("value", A)),
+        ("poll_first", (), ("value", A)),
+        ("add", (B,), ("value", True)),
+        ("get", (7,), ("error", "index_out_of_bounds")),
+        ("remove_at", (-1,), ("error", "index_out_of_bounds")),
+    ])
+    def test_error_is_the_raised_list_error_or_none(self, with_model, op, args, outcome):
+        lst = checked_list([A])
+        a = oracle.AbstractList((A,), 8)
+        model = (a.items, *oracle.oracle_apply(a, op, args)) if with_model else None
+        got, error, failures = checked_step(lst, op, args, model)
+        assert got == outcome and failures == ()
+        if outcome[0] == "value":
+            assert error is None
+        else:
+            assert isinstance(error, ListError) and error.kind == outcome[1]
+            assert error.__traceback__ is None
+
+    def test_a_refusal_at_capacity_is_its_error(self):
+        lst = checked_list([NULL] * max_value(8).value)
+        got, error, failures = checked_step(lst, "add", (A,))
+        assert got == ("error", "illegal_state") and failures == ()
+        assert isinstance(error, ListError) and error.kind == "illegal_state"
 
 
 class TestRefusalsLeaveNoCycles:

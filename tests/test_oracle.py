@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from overlist.errors import UsageError
-from overlist.heapmodel import NULL, Atom
+from overlist.heapmodel import NULL, Atom, NullItem, items_equal
 from overlist.oracle import (
     ALPHABET,
     INDEX,
@@ -409,3 +409,46 @@ class TestRuleTableMatchesReference:
                 for kind in OP_SPECS[op].args
             )
             a = assert_matches_reference(a, op, args)
+
+
+def fresh_copy(item):
+    """An item equal to ``item`` that is a distinct instance."""
+    return NullItem() if isinstance(item, NullItem) else Atom(item.token)
+
+
+def loop_first(items, target):
+    for i, item in enumerate(items):
+        if items_equal(target, item):
+            return i
+    return None
+
+
+def loop_last(items, target):
+    for i in reversed(range(len(items))):
+        if items_equal(target, items[i]):
+            return i
+    return None
+
+
+class TestSearchesMatchItemsEqual:
+    """``first_index`` and ``last_index`` are the sequence's own ``==``
+    scans; on the item domain they must answer what a plain loop over
+    ``heapmodel.items_equal`` answers. The reference oracle above calls
+    them, so this is their independent check: every tuple over
+    ``ALPHABET`` up to length 5, also rebuilt from fresh instances and as
+    a list, against every ``ALPHABET`` item and a fresh copy of each."""
+
+    def test_every_short_sequence(self):
+        targets = ALPHABET + tuple(map(fresh_copy, ALPHABET))
+        assert not any(a is b for a, b in zip(targets, targets[len(ALPHABET):]))
+        seen = set()
+        for n in range(6):
+            for items in product(ALPHABET, repeat=n):
+                for seq in (items, tuple(map(fresh_copy, items)), list(items)):
+                    for target in targets:
+                        p, q = loop_first(seq, target), loop_last(seq, target)
+                        assert first_index(seq, target) == p, (seq, target)
+                        assert last_index(seq, target) == q, (seq, target)
+                        seen.add((p is None, p == q))
+        # misses, single hits and repeated hits all occurred
+        assert seen == {(True, True), (False, True), (False, False)}
