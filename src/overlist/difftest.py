@@ -428,6 +428,7 @@ def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[Census
         items = tuple(stage)
         lst.fast_forward(items)
         abs_state = oracle_add_all(abs_state, items)
+        del items  # the list and the oracle state hold what they keep of it
         for method, cls in worst.items():
             for args in OP_SPECS[method].probes:
                 with lst.trial():

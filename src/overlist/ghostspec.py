@@ -85,94 +85,80 @@ def check_invariant(state) -> list[tuple[str, str]]:
     return failures
 
 
-def exit_invariant_holds(state, pre: tuple[NodeId, ...], journal: tuple) -> tuple | None:
+#: the edit ``exit_invariant_holds`` reports when the call logged no ghost
+#: edit, or left the ghost empty (the chain's items are then the empty tuple)
+NO_EDIT = (0, 0, None)
+
+
+def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     """Check the invariant after a call only where the call could have
-    broken it, and locate the call's ghost edit. ``pre`` is the ghost on
-    entry, where the invariant held; ``journal`` is the call's closed
-    store journal, which holds every node write the call made.
+    broken it, and report the call's ghost edit. The invariant held on
+    entry; ``edits`` are the ghost edits the list logged during the call
+    (``JavaLinkedList.close_savepoint``), and ``journal`` is the call's
+    closed store journal, which holds every node write the call made.
 
-    The ghost must be unchanged, or have gained exactly the call's one
-    fresh node, or have lost one node. Then a link pair that was adjacent
-    on entry and whose links nobody wrote still agrees, so C6 needs
-    checking only at the edit site, at the nodes whose links were written
-    and at both ends (which also covers C5); ghost entries from entry are
-    still allocated (C3).
+    The log must hold no edit, or one: the insertion of the call's one
+    fresh node, or the removal of one node. The ghost is then the entry
+    ghost with that edit applied, since only the list's logged methods
+    write it, so a link pair that was adjacent on entry and whose links
+    nobody wrote still agrees. C6 needs checking only at the edit site,
+    at the nodes whose links were written and at both ends (which also
+    covers C5); ghost entries from entry are still allocated (C3). An
+    empty ghost needs only C1, C2 and C4, whatever the log holds.
 
-    When the whole invariant holds, returns the edit it located as
-    ``(post, p)``: the exit ghost as a tuple and the edit's position, where
-    the fresh node now sits or where the removed node sat in ``pre`` (0
-    when the ghost is unchanged or empty). How the ghost changed follows
-    from ``len(post) - len(pre)``. None only means this argument does not
-    apply, and ``check_invariant`` decides.
+    When the whole invariant holds, returns the edit as logged,
+    ``(delta, position, node)``: 1 when ``node`` was inserted at the
+    position, -1 when it was removed from it; or ``NO_EDIT``. None only
+    means this argument does not apply (two edits, a whole-ghost one, an
+    allocation the ghost did not take), and ``check_invariant`` decides.
 
-    The edit is located with as few scans of the ghost as possible. A
-    fresh node is looked for at the ghost's two ends before anywhere
-    else. A removal at an end shows as a changed end. A removal in the
-    middle is read from the journal: unlinking a node clears it, and
-    clearing is the call's last write, so the last entry names the node
-    and one search of the entry ghost finds its position. The entry ghost
-    is duplicate-free (the invariant held), so after a matching edit the
-    exit ghost is too, and each written node sits at one position at
-    most. The nodes an ordinary call links lie at the edit site, whose
-    positions are known; only a node written elsewhere is scanned for,
-    and the removed node has left the ghost. Item writes touch no link,
-    so they are not looked up."""
+    No whole ghost is copied or compared, and no edit is searched for: the
+    log names the edit's position. The entry ghost is duplicate-free (the
+    invariant held) and the inserted node is fresh, so the exit ghost is
+    too, and each written node sits at one position at most. The nodes an
+    ordinary call links lie at the edit site, whose positions are known;
+    only a node written elsewhere is scanned for, and a removed node has
+    left the ghost. Item writes touch no link, so they are not looked
+    up."""
     nl = state.ghost
     n = len(nl)
     if state.size != n or state.size > state.max_size:  # C1, C2
         return None
     if n == 0:  # C4; C3, C5 and C6 hold vacuously
-        return ((), 0) if state.first is None and state.last is None else None
-    post = tuple(nl)
+        return NO_EDIT if state.first is None and state.last is None else None
     entries, fresh = journal
     gone = None
-    if n == len(pre):
-        if fresh or post != pre:
+    if not edits:
+        if fresh:
             return None
-        p = lo = hi = 0
-    elif n == len(pre) + 1:
-        if len(fresh) != 1:
-            return None
-        f = fresh.start
-        if post[-1] == f:
-            p = n - 1
-        elif post[0] == f:
-            p = 0
-        else:
-            try:
-                p = post.index(f)
-            except ValueError:
+        edit, lo, hi = NO_EDIT, 0, 0
+    elif len(edits) == 1:
+        edit = delta, p, node = edits[0]
+        if delta == 1:
+            if len(fresh) != 1 or fresh.start != node:
                 return None
-        if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
-            return None
-        lo, hi = p - 1, p + 2
-    elif n == len(pre) - 1 and entries and not fresh:
-        if post[0] != pre[0]:
-            p = 0
-        elif post[-1] != pre[-1]:
-            p = n
+            lo, hi = p - 1, p + 2
+        elif delta == -1 and not fresh:
+            gone = node
+            lo, hi = p - 1, p + 1
         else:
-            try:
-                p = pre.index(entries[-3])
-            except ValueError:
-                return None
-        if post[:p] != pre[:p] or post[p:] != pre[p + 1 :]:
             return None
-        gone = pre[p]
-        lo, hi = p - 1, p + 1
     else:
         return None
     lo = max(lo, 0)
     hi = min(hi, n)
     at = [0, n - 1, *range(lo, hi)]
     if entries:
-        near = post[lo:hi]
+        near = nl[lo:hi]
         for nid, name in zip(entries[::3], entries[1::3]):
-            if name != "item" and nid not in near and nid != gone and nid in post:
-                at.append(post.index(nid))
-    if not state.store.links_agree(post, at):
+            if name != "item" and nid not in near and nid != gone:
+                try:
+                    at.append(nl.index(nid))
+                except ValueError:  # a node outside the chain
+                    pass
+    if not state.store.links_agree(nl, at):
         return None
-    return (post, p) if state.first == post[0] and state.last == post[-1] else None
+    return edit if state.first == nl[0] and state.last == nl[-1] else None
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +249,15 @@ _HEADER_NAMES = ("first", "last", "size")
 
 
 def frame_check(
-    pre: PreObservation, state, journal: tuple, fp: Footprint, ghost: tuple[NodeId, ...]
+    pre: PreObservation, state, journal: tuple, fp: Footprint, ghost: list | tuple
 ) -> list[tuple[str, str]]:
     """Every change since ``pre`` must lie inside the footprint; returns
     (category, witness) violation entries. A node field changed when it
     differs from the old value of its first write in the call's closed
     store ``journal``; nodes allocated during the call are fresh.
-    ``ghost`` is the exit ghost as a tuple, so a caller that already holds
-    one spares the copy."""
+    ``ghost`` is the exit ghost, a list or a tuple; a caller whose ghost
+    log shows it unchanged passes ``pre.ghost`` itself, which is not
+    compared."""
     violations = []
     entries, fresh = journal
     first_old = {}
@@ -288,7 +275,7 @@ def frame_check(
     for name, old, new in zip(_HEADER_NAMES, pre.header, header):
         if old != new and name not in fp.header_fields:
             violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
-    if not fp.ghost and pre.ghost != ghost:
+    if not fp.ghost and ghost is not pre.ghost and pre.ghost != tuple(ghost):
         violations.append(("frame", "ghost nodeList changed"))
     return violations
 
@@ -327,38 +314,39 @@ def contract_for(op: str, args: tuple) -> str:
 
 def _post_items(state, pre: PreObservation, edit: tuple, journal: tuple) -> tuple:
     """The chain's items after a call whose scoped exit check vouched for
-    the state and located its ghost ``edit``; ``pre`` holds the chain's
+    the state and reported its ghost ``edit``; ``pre`` holds the chain's
     items and ids on entry.
 
     A node that stayed in the ghost keeps its item unless the call wrote
     it, and every node write goes through the store's journaled setters.
-    So the entry items, with the edit applied (the fresh node's item read
-    from the store, or the removed positions cut out) and each item
+    So the entry items, with the edit applied (the inserted node's item
+    read from the store, or the removed position cut out) and each item
     written at a node still in the ghost read from the store, are the
-    whole read's items. An unchanged ghost and no item write give
-    ``pre.items`` itself."""
-    items, _, ghost = pre
-    post, p = edit
-    d = len(post) - len(ghost)
-    if d > 0:
-        items = items[:p] + (state.store.item(post[p]),) + items[p:]
-    elif d < 0:
-        items = items[:p] + items[p - d :]
-    if post:
-        gone = ghost[p] if d < 0 else None
-        entries = journal[0]
-        for nid, name in zip(entries[::3], entries[1::3]):
-            if name == "item" and nid != gone:
-                try:
-                    i = post.index(nid)
-                except ValueError:  # a node outside the chain
-                    continue
-                items = items[:i] + (state.store.item(nid),) + items[i + 1 :]
+    whole read's items; an empty ghost has none. An unchanged ghost and
+    no item write give ``pre.items`` itself."""
+    nl = state.ghost
+    if not nl:
+        return ()
+    items = pre.items
+    delta, p, node = edit
+    if delta > 0:
+        items = items[:p] + (state.store.item(node),) + items[p:]
+    elif delta < 0:
+        items = items[:p] + items[p + 1 :]
+    gone = node if delta < 0 else None
+    entries = journal[0]
+    for nid, name in zip(entries[::3], entries[1::3]):
+        if name == "item" and nid != gone:
+            try:
+                i = nl.index(nid)
+            except ValueError:  # a node outside the chain
+                continue
+            items = items[:i] + (state.store.item(nid),) + items[i + 1 :]
     return items
 
 
 def _post_vs_model(
-    state, verdict, abs_post: AbstractList, outcome, chain: tuple, items: tuple | None
+    state, verdict, abs_post: AbstractList, outcome, chain: list | tuple, items: tuple | None
 ) -> list[tuple[str, str]]:
     """Check result and resulting chain contents against the documented
     verdict and post-state of the call; ``chain`` holds the post-state's
@@ -381,13 +369,15 @@ def _post_vs_model(
     return violations
 
 
-def _wrote_nothing(state, header: tuple, ghost: tuple[NodeId, ...], journal: tuple) -> bool:
-    """Whether a call's closed ``journal`` holds no write or allocation and
-    the header and ghost are still ``header`` and ``ghost``: the entry
-    state then, as nodes change only through the journaled setters."""
+def _wrote_nothing(state, header: tuple, length: int, journal: tuple, edits: list) -> bool:
+    """Whether a call's closed ``journal`` holds no write or allocation,
+    its ghost log no edit, and the header and the ghost's length are still
+    ``header`` and ``length``: the entry state then, as nodes change only
+    through the journaled setters and the ghost only through the logged
+    methods. The length catches a ghost write that was not logged."""
     entries, fresh = journal
-    return (not entries and not fresh and (state.first, state.last, state.size) == header
-            and tuple(state.ghost) == ghost)
+    return (not entries and not fresh and not edits
+            and (state.first, state.last, state.size) == header and len(state.ghost) == length)
 
 
 def run_checked(state, op: str, args: tuple = ()):
@@ -418,63 +408,65 @@ def run_checked(state, op: str, args: tuple = ()):
 
 
 def checked_step(state, op: str, args: tuple, model: tuple | None = None):
-    """Run one call inside one store savepoint and judge its exit.
+    """Run one call inside one savepoint of the list and judge its exit.
 
     Precondition: the invariant holds on entry and, when ``model`` is
     given, the chain's items are ``model[0]``. A caller that owns the list
     may carry both over from the previous step's exit checks (JML's
     visible-state semantics); ``run_checked`` establishes them with its
-    entry check. The pre-state ids are read from the ghost.
+    entry check. The savepoint's ghost log holds the call's ghost edits,
+    so without ``model`` nothing reads the entry ghost.
 
     A call that wrote nothing (``_wrote_nothing``) exits in the entry
     state, where the invariant held and no frame is broken, so only its
     result and the entry items are judged. Its obligation: the general
-    path below, on the same state and journal, vouches with the entry
-    ghost, derives the entry items and finds no frame violation. Other
-    calls get the exit check scoped to what the journal touched, and the
-    full check (under ``model``, after walking the chain) when that does
-    not vouch, so witnesses, errors and their order are the full check's.
+    path below, on the same state, journal and log, vouches with no ghost
+    edit, derives the entry items and finds no frame violation. Other
+    calls get the exit check scoped to what the journal and the log
+    touched, and the full check (under ``model``, after walking the
+    chain) when that does not vouch, so witnesses, errors and their order
+    are the full check's.
 
     ``model`` is ``(items, verdict, abs_post)``: the chain's items and the
     oracle's judgement of the call. With it the postcondition, the
     invariant and the frame (an error outcome must change nothing) are
-    checked, and any failure raises ContractViolation. When the scoped
+    checked, and any failure raises ContractViolation; the entry ghost is
+    copied (``observe``) for the footprint and the frame. When the scoped
     check vouched, the post-state's items are derived from the entry
-    items and the ghost edit it located (``_post_items``), reading only
-    the items of the nodes the call created or whose item it wrote; its
-    obligation is that they equal a whole read of the chain's items. The chain's
-    items are read whole only when the scoped check did not vouch, or to
-    name the items of a failed comparison. Returns
+    items and the logged ghost edit (``_post_items``), reading only the
+    items of the nodes the call created or whose item it wrote; its
+    obligation is that they equal a whole read of the chain's items. The
+    chain's items are read whole only when the scoped check did not
+    vouch, or to name the items of a failed comparison. Returns
     ``(outcome, error, failures)``: the outcome as ``run_op`` gives it,
     the ListError raised or None (its traceback cleared, so keeping it
     makes no reference cycle), and the failing invariant clauses."""
-    pre = tuple(state.ghost) if model is None else observe(state, model[0])
-    ghost, header = (pre if model is None else pre.ghost), (state.first, state.last, state.size)
-    mark = state.store.open_journal()
+    pre = None if model is None else observe(state, model[0])
+    length = len(state.ghost)
+    mark = state.open_savepoint()
     try:
         outcome, error = ("value", listcore.apply_op(state, op, args)), None
     except ListError as e:
         outcome, error = ("error", e.kind), e.with_traceback(None)
     finally:
-        journal = state.store.close_journal(mark)
+        journal, edits = state.close_savepoint(mark)
 
-    if _wrote_nothing(state, header, ghost, journal):
+    if _wrote_nothing(state, mark[2], length, journal, edits):
         if model is not None:
             items, verdict, abs_post = model
-            violations = _post_vs_model(state, verdict, abs_post, outcome, ghost, items)
+            violations = _post_vs_model(state, verdict, abs_post, outcome, state.ghost, items)
             if violations:
                 raise ContractViolation(contract_for(op, args), violations)
         return outcome, error, ()
-    edit = exit_invariant_holds(state, ghost, journal)
+    edit = exit_invariant_holds(state, edits, journal)
     if model is None:
         return outcome, error, () if edit else check_invariant(state)
     _, verdict, abs_post = model
     if edit:
-        chain = ghost = edit[0]
+        chain, ghost = state.ghost, (state.ghost if edits else pre.ghost)
         items = _post_items(state, pre, edit, journal)
     else:
-        chain = tuple(state.chain())
-        ghost = tuple(state.ghost)
+        chain, ghost = tuple(state.chain()), state.ghost
         items = None
     violations = _post_vs_model(state, verdict, abs_post, outcome, chain, items)
     if not edit:

@@ -9,7 +9,11 @@ capacity check on the size-increasing entry points.
 A ghost sequence of node ids (the list ``ghost``) shadows the chain for
 the specification layer. Ghost bookkeeping locates nodes by identity, so it
 stays equal to the actual chain even when the cached size has wrapped.
-Production logic never reads it.
+Production logic never reads it. As JML's ghost ``set`` statements sit in
+the methods that link and unlink, the methods that write the ghost record
+each edit in a ghost log while a savepoint is open (``open_savepoint``):
+a trial undoes the logged edits, and the exit check reads a call's edit
+from the log instead of comparing whole ghosts.
 
 ``OPS`` maps each operation name to its method; it is derived from the
 rows of ``oracle.OP_SPECS``, so an operation is named in one place.
@@ -104,6 +108,70 @@ class JavaLinkedList:
         self.last: NodeId | None = None
         self.size = 0  # a Java int: kept in [min_size, max_size]
         self.ghost: list[NodeId] = []  # specification-only: the chain's node ids
+        # the ghost's logged edits while a savepoint is open, else None
+        self._ghost_log: list | None = None
+        self._savepoints = 0  # open savepoints
+
+    # -- savepoints ---------------------------------------------------------
+    # A savepoint is the store's, with the ghost log beside it. Each ghost
+    # write is logged by the method that makes it: ``link_last``,
+    # ``link_first``, ``link_before``, ``unlink``, ``clear``,
+    # ``fast_forward`` and the door ``replace_ghost``. The header is not
+    # logged; the mark keeps it for a rollback.
+
+    def open_savepoint(self) -> tuple:
+        """Open a store savepoint and the ghost log beside it; return its
+        mark: the store's mark, the log's length and the header
+        ``(first, last, size)`` at this point. Savepoints nest; only the
+        innermost open one can be closed or rolled back."""
+        if self._ghost_log is None:
+            self._ghost_log = []
+        mark = (self.store.open_journal(), len(self._ghost_log), (self.first, self.last, self.size))
+        self._savepoints += 1
+        return mark
+
+    def close_savepoint(self, mark) -> tuple[tuple, list]:
+        """Close the savepoint ``mark``, keeping its writes. Returns the
+        store's closed journal and the ghost edits logged since it opened,
+        oldest first; an enclosing savepoint still holds both."""
+        journal = self.store.close_journal(mark[0])
+        edits = self._ghost_log
+        self._savepoints -= 1
+        if self._savepoints:
+            edits = edits[mark[1]:]
+        else:  # the outermost savepoint's log is all its own
+            self._ghost_log = None
+        return journal, edits
+
+    def rollback(self, mark) -> None:
+        """Close the savepoint ``mark`` and put the list back as it was
+        when it opened: node fields, allocation counter, header and
+        ghost, at a cost proportional to what was written since."""
+        store_mark, start, header = mark
+        self.store.rollback(store_mark)
+        log = self._ghost_log
+        for delta, position, node in reversed(log[start:]):
+            if delta is None:  # a whole-ghost entry holds the ghost it replaced
+                self.ghost = node
+            elif delta < 0:
+                self.ghost.insert(position, node)
+            else:
+                del self.ghost[position : position + delta]
+        del log[start:]
+        self.first, self.last, self.size = header
+        self._savepoints -= 1
+        if not self._savepoints:
+            self._ghost_log = None
+
+    def replace_ghost(self, ids) -> None:
+        """Make the ghost a copy of the sequence ``ids``, logged as a
+        whole-ghost replace: the one door through which code outside the
+        list's own methods (``statespace``'s corruptions, tests) writes
+        the ghost. A trial undoes it; a checked call that went through it
+        is judged by the full invariant check."""
+        if self._ghost_log is not None:
+            self._ghost_log.append((None, 0, self.ghost))
+        self.ghost = list(ids)
 
     # -- harness helpers ----------------------------------------------------
 
@@ -111,17 +179,13 @@ class JavaLinkedList:
     def trial(self):
         """Run the ``with`` body on this list, then put the list back as
         it was: node fields, allocation counter, header and ghost. The
-        store's journal undoes only what the body wrote, so trials nest
-        and checked calls may run inside one."""
-        header, ghost = (self.first, self.last, self.size), self.ghost
-        self.ghost = list(ghost)
-        mark = self.store.open_journal()
+        savepoint undoes only what the body wrote and copies nothing, so
+        trials nest and checked calls may run inside one."""
+        mark = self.open_savepoint()
         try:
             yield
         finally:
-            self.store.rollback(mark)
-            self.first, self.last, self.size = header
-            self.ghost = ghost
+            self.rollback(mark)
 
     def fast_forward(self, items) -> int | None:
         """Leave the list as ``add(x)`` for each ``x`` of the sequence
@@ -143,6 +207,8 @@ class JavaLinkedList:
                 self.first = ids[0]
             self.last = ids[-1]
             self.size = wrap(self.size + len(ids), self.width)
+            if self._ghost_log is not None:
+                self._ghost_log.append((len(ids), len(self.ghost), ids[0]))
             self.ghost += ids
         return first_refusal
 
@@ -173,7 +239,9 @@ class JavaLinkedList:
     # inline, and links its node with one store call (link_before first
     # reads its successor's prev), so an accepted add makes no call beyond
     # link_last and NodeStore.link. check_size runs only at capacity, where
-    # it raises the refusal (FailFast).
+    # it raises the refusal (FailFast). Each ghost write is logged, while a
+    # savepoint is open, as (delta, position, node): 1 for the node
+    # inserted at the position, -1 for the node removed from it.
 
     def link_last(self, item: Item) -> None:
         size = self.size
@@ -185,7 +253,10 @@ class JavaLinkedList:
         if old_last is None:
             self.first = node
         self.size = self.min_size if size == self.max_size else size + 1
-        self.ghost.append(node)
+        ghost = self.ghost
+        if self._ghost_log is not None:
+            self._ghost_log.append((1, len(ghost), node))
+        ghost.append(node)
 
     def link_first(self, item: Item) -> None:
         size = self.size
@@ -197,10 +268,13 @@ class JavaLinkedList:
         if old_first is None:
             self.last = node
         self.size = self.min_size if size == self.max_size else size + 1
+        if self._ghost_log is not None:
+            self._ghost_log.append((1, 0, node))
         self.ghost.insert(0, node)
 
-    def link_before(self, item: Item, succ: NodeId) -> None:
-        """Splice a new node in front of ``succ``."""
+    def link_before(self, item: Item, succ: NodeId, succ_index: int | None = None) -> None:
+        """Splice a new node in front of ``succ``. ``succ_index`` is the
+        ghost position of ``succ``, when the caller knows it."""
         try:
             pred = self.store.prev(succ)
         except DanglingLink:
@@ -213,12 +287,16 @@ class JavaLinkedList:
             self.first = node
         self.size = self.min_size if size == self.max_size else size + 1
         nl = self.ghost
-        try:
-            nl.insert(nl.index(succ), node)
-        except ValueError:
-            # identity miss: as in unlink, the ghost already lost track of
-            # succ, which only happens under injected faults
-            pass
+        if succ_index is None or not (0 <= succ_index < len(nl) and nl[succ_index] == succ):
+            try:
+                succ_index = nl.index(succ)
+            except ValueError:
+                # identity miss: as in unlink, the ghost already lost track
+                # of succ, which only happens under injected faults
+                return
+        if self._ghost_log is not None:
+            self._ghost_log.append((1, succ_index, node))
+        nl.insert(succ_index, node)
 
     def unlink(self, x: NodeId, x_index: int | None = None) -> Item:
         """Remove node ``x`` from the chain, clearing its fields; returns
@@ -245,15 +323,16 @@ class JavaLinkedList:
 
         store.clear_node(x)
         self.size = self._dec(self.size)
-        if at_index:
-            del nl[x_index]
-        else:
+        if not at_index:
             # identity fallback; a miss means the ghost already lost track
             # of this node, which only happens under injected faults
             try:
-                nl.remove(x)
+                x_index = nl.index(x)
             except ValueError:
-                pass
+                return item
+        if self._ghost_log is not None:
+            self._ghost_log.append((-1, x_index, x))
+        del nl[x_index]
         return item
 
     def unlink_first(self) -> Item:
@@ -307,7 +386,7 @@ class JavaLinkedList:
         if index == self.size:
             self.link_last(item)
         else:
-            self.link_before(item, self.node_at(index))
+            self.link_before(item, self.node_at(index), index)
 
     def remove_at(self, index: int) -> Item:
         self._check_element_index(index)
@@ -408,7 +487,10 @@ class JavaLinkedList:
         self.first = None
         self.last = None
         self.size = 0
-        self.ghost.clear()
+        # a new ghost, so the log keeps the old one whole without a copy
+        if self._ghost_log is not None:
+            self._ghost_log.append((None, 0, self.ghost))
+        self.ghost = []
 
     def _clear_probe(self, node: NodeId, ghost_pos: int) -> None:
         """Loop invariant of clear(): everything before the ghost index is

@@ -41,7 +41,8 @@ def random_state(rng: random.Random, width: int = 8, max_nodes: int = 8) -> Java
     corruption (a wrong header, link or ghost entry, or one naming an
     unallocated node), and fully random header/store/ghost combinations.
     The mix keeps the invariant-implies-derived-properties check
-    non-vacuous while still exploring garbage."""
+    non-vacuous while still exploring garbage. The ghost is written
+    through the list's door, ``replace_ghost``."""
     regime = rng.random()
     n = rng.randint(0, max_nodes)
     if regime < 0.4:
@@ -69,18 +70,22 @@ def _corrupt_one(rng: random.Random, lst: JavaLinkedList) -> None:
     elif choice == 4 and nl:
         lst.store.set_prev(some_id, rng.choice(nl + [None]))
     elif choice == 5 and nl:
-        i, j = rng.randrange(len(nl)), rng.randrange(len(nl))
-        nl[i], nl[j] = nl[j], nl[i]
-        if rng.random() < 0.5 and nl:
-            nl[rng.randrange(len(nl))] = rng.choice(nl)
+        ghost = list(nl)
+        i, j = rng.randrange(len(ghost)), rng.randrange(len(ghost))
+        ghost[i], ghost[j] = ghost[j], ghost[i]
+        if rng.random() < 0.5 and ghost:
+            ghost[rng.randrange(len(ghost))] = rng.choice(ghost)
+        lst.replace_ghost(ghost)
     elif choice == 6 and nl:
         # a dangling link: the setters refuse one
         lst.store.raw_write(some_id, "next", unallocated)
     elif choice == 7:
         lst.first = unallocated
     elif choice == 8 and nl:
+        ghost = list(nl)
         for _ in range(rng.randint(1, 2)):
-            nl[rng.randrange(len(nl))] = unallocated
+            ghost[rng.randrange(len(ghost))] = unallocated
+        lst.replace_ghost(ghost)
 
 
 def _scramble(rng: random.Random, width: int, n: int) -> JavaLinkedList:
@@ -96,5 +101,5 @@ def _scramble(rng: random.Random, width: int, n: int) -> JavaLinkedList:
     lst.last = rng.choice(pool)
     lst.size = wrap(rng.randint(-2, n + 2), width)
     ghost_len = rng.randint(0, n + 1)
-    lst.ghost = [rng.choice(ids) for _ in range(ghost_len)] if ids else []
+    lst.replace_ghost([rng.choice(ids) for _ in range(ghost_len)] if ids else [])
     return lst

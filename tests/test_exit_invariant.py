@@ -2,12 +2,16 @@
 state ``run_script`` carries from one checked step to the next.
 
 ``exit_invariant_holds`` re-checks the class invariant only where a
-call's journal says the call could have broken it. Its proof obligation:
-on every state reached from one where the invariant held, its verdict
-equals the full ``check_invariant`` verdict. Hand-built calls outside
-the three ghost changes it understands must make it fall back (answer
-None), and a passing scoped check must spare ``run_checked`` every walk
-and the second full check.
+call's journal and ghost log say the call could have broken it. Its
+proof obligation: on every state reached from one where the invariant
+held, its verdict equals the full ``check_invariant`` verdict, and the
+whole comparison it replaced (``compared_exit``: an entry copy of the
+ghost, an exit copy and slice compares) gives the same verdict and
+locates the same edit. Hand-built calls outside the three ghost changes
+it understands, or that write the ghost through the door
+(``replace_ghost``), must make it fall back (answer None), and a passing
+scoped check must spare ``run_checked`` every walk and the second full
+check.
 
 Under ``full``, ``run_script`` sends each step to ``checked_step`` with
 no entry check, judged against the oracle verdict and items it carries.
@@ -29,12 +33,12 @@ that does not vouch for the state. Its proof obligation: beside every
 step whose scoped check passed, the full invariant holds.
 
 Under both, a step that wrote nothing (an empty journal, no allocation,
-and the header and ghost of entry) skips the scoped check, the post-item
-derivation and the frame check. Its proof obligation: beside every such
-step, that general path vouches with the entry ghost, derives the entry
-items and finds no frame violation; a call that writes and writes back,
-allocates, or changes the size or ghost behind the store takes the
-general path.
+no logged ghost edit, and the header and ghost length of entry) skips the
+scoped check, the post-item derivation and the frame check. Its proof
+obligation: beside every such step, that general path vouches with no
+ghost edit, derives the entry items and finds no frame violation; a call
+that writes and writes back, allocates, or changes the size or ghost
+behind the store takes the general path.
 """
 
 from collections import Counter
@@ -46,7 +50,7 @@ from hypothesis import event, given, settings, strategies as st
 from overlist import difftest, ghostspec, heapmodel, listcore
 from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, OpScript, gen_script, run_script
 from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
-from overlist.ghostspec import (PreObservation, _post_items, check_invariant,
+from overlist.ghostspec import (NO_EDIT, PreObservation, _post_items, check_invariant,
                                  exit_invariant_holds, frame_check, run_checked)
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, CheckMode, SizePolicy, apply_op, new_list
@@ -56,18 +60,95 @@ from overlist.statespace import build_list
 A, B = Atom("a"), Atom("b")
 
 
+def compared_exit(state, pre, journal):
+    """The scoped exit check as it was before the ghost log: it copies the
+    exit ghost, and locates the edit by comparing it with ``pre``, the
+    entry ghost, in slices. Returns ``(post, p)``, the exit ghost and the
+    edit's position, or None. The reference the log-based check is
+    compared with."""
+    nl = state.ghost
+    n = len(nl)
+    if state.size != n or state.size > state.max_size:  # C1, C2
+        return None
+    if n == 0:  # C4; C3, C5 and C6 hold vacuously
+        return ((), 0) if state.first is None and state.last is None else None
+    post = tuple(nl)
+    entries, fresh = journal
+    gone = None
+    if n == len(pre):
+        if fresh or post != pre:
+            return None
+        p = lo = hi = 0
+    elif n == len(pre) + 1:
+        if len(fresh) != 1:
+            return None
+        f = fresh.start
+        if post[-1] == f:
+            p = n - 1
+        elif post[0] == f:
+            p = 0
+        else:
+            try:
+                p = post.index(f)
+            except ValueError:
+                return None
+        if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
+            return None
+        lo, hi = p - 1, p + 2
+    elif n == len(pre) - 1 and entries and not fresh:
+        if post[0] != pre[0]:
+            p = 0
+        elif post[-1] != pre[-1]:
+            p = n
+        else:
+            try:
+                p = pre.index(entries[-3])
+            except ValueError:
+                return None
+        if post[:p] != pre[:p] or post[p:] != pre[p + 1 :]:
+            return None
+        gone = pre[p]
+        lo, hi = p - 1, p + 1
+    else:
+        return None
+    lo = max(lo, 0)
+    hi = min(hi, n)
+    at = [0, n - 1, *range(lo, hi)]
+    if entries:
+        near = post[lo:hi]
+        for nid, name in zip(entries[::3], entries[1::3]):
+            if name != "item" and nid not in near and nid != gone and nid in post:
+                at.append(post.index(nid))
+    if not state.store.links_agree(post, at):
+        return None
+    return (post, p) if state.first == post[0] and state.last == post[-1] else None
+
+
+def assert_same_edit(edit, compared, pre):
+    """The log-based verdict ``edit`` and the compared one agree: both
+    vouch or neither does, and when both do, on the edit."""
+    assert bool(edit) == bool(compared), (edit, compared)
+    if edit and compared[0]:
+        post, p = compared
+        delta = len(post) - len(pre)
+        assert edit[:2] == ((delta, p) if delta else (0, 0)), (edit, compared)
+
+
 def verdicts(lst, change):
-    """Run ``change()`` on ``lst`` under a journal; return the scoped and
-    the full exit verdicts, the scoped one as whether it located an edit.
-    The invariant must hold on entry."""
+    """Run ``change()`` on ``lst`` inside a savepoint of the list; return
+    the scoped and the full exit verdicts, the scoped one as whether it
+    vouched. Beside it, the whole comparison (``compared_exit``) must
+    give the same verdict. The invariant must hold on entry."""
     assert check_invariant(lst) == []
     pre = tuple(lst.ghost)
-    mark = lst.store.open_journal()
+    mark = lst.open_savepoint()
     try:
         change()
     finally:
-        journal = lst.store.close_journal(mark)
-    return bool(exit_invariant_holds(lst, pre, journal)), not check_invariant(lst)
+        journal, edits = lst.close_savepoint(mark)
+    edit = exit_invariant_holds(lst, edits, journal)
+    assert_same_edit(edit, compared_exit(lst, pre, journal), pre)
+    return bool(edit), not check_invariant(lst)
 
 
 def outcome_of(lst, op, args):
@@ -137,6 +218,20 @@ class TestProofObligation:
         assert seen[None, False] == 0
         assert seen["unlink-skip-relink", False] and seen["add-skip-checksize", False]
 
+    def test_short_width_16_scripts_all_faults_both_mixes(self):
+        seen = Counter()
+        for fault in (None, *FAULTS):
+            faults = frozenset() if fault is None else frozenset({fault})
+            for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
+                for seed in range(2):
+                    lst = new_list(16, SizePolicy.FAIL_FAST, faults=faults)
+                    steps = gen_script(seed, 16, 200, weights).steps
+                    for op, outcome, scoped, full in replay_verdicts(lst, steps):
+                        assert scoped == full, (fault, seed, op)
+                        seen[fault, scoped] += 1
+        assert seen[None, True] > 500 and seen[None, False] == 0
+        assert seen["unlink-skip-relink", False]
+
     @settings(max_examples=150, deadline=None)
     @given_drawn_script
     def test_drawn_calls_from_any_length(self, prefix, fault, ops, data):
@@ -159,15 +254,15 @@ class TestFallback:
         assert verdicts(lst, lambda: (lst.add(A), lst.remove_first())) == (False, True)
 
     def test_removal_or_insert_with_a_far_ghost_swap(self):
-        def swap_far(nl):
+        def swap_far(lst):
+            nl = list(lst.ghost)
             nl[4], nl[5] = nl[5], nl[4]
+            lst.replace_ghost(nl)
 
         lst = build_list([A, B] * 6)
-        nl = lst.ghost
-        assert verdicts(lst, lambda: (lst.remove_at(1), swap_far(nl))) == (False, False)
+        assert verdicts(lst, lambda: (lst.remove_at(1), swap_far(lst))) == (False, False)
         lst = build_list([A, B] * 6)
-        nl = lst.ghost
-        assert verdicts(lst, lambda: (lst.add_at(1, A), swap_far(nl))) == (False, False)
+        assert verdicts(lst, lambda: (lst.add_at(1, A), swap_far(lst))) == (False, False)
 
     def test_ghost_change_without_matching_writes(self):
         lst = new_list(8, SizePolicy.FAIL_FAST, faults=frozenset({"unlink-skip-relink"}))
@@ -177,14 +272,16 @@ class TestFallback:
         lst = build_list([A, B, A])
 
         def drop_middle():
-            del lst.ghost[1]
+            lst.replace_ghost(lst.ghost[:1] + lst.ghost[2:])
             lst.size -= 1
 
         assert verdicts(lst, drop_middle) == (False, False)
         lst = build_list([A, B, A, B, A])
 
         def splice_unlinked():
-            lst.ghost.insert(2, lst.store.alloc(None, B, None))
+            nl = list(lst.ghost)
+            nl.insert(2, lst.store.alloc(None, B, None))
+            lst.replace_ghost(nl)
             lst.size += 1
 
         assert verdicts(lst, splice_unlinked) == (False, False)
@@ -209,7 +306,7 @@ class TestFallback:
         lst = build_list([A, B])
 
         def append_unallocated():
-            lst.ghost.append(999)
+            lst.replace_ghost([*lst.ghost, 999])
             lst.size += 1
 
         assert verdicts(lst, append_unallocated) == (False, False)
@@ -220,7 +317,7 @@ class TestFallback:
         def link_then_forget():
             with lst.trial():
                 node = lst.store.alloc(lst.last, A, None)
-            lst.ghost.append(node)
+            lst.replace_ghost([*lst.ghost, node])
             lst.size += 1
 
         assert verdicts(lst, link_then_forget) == (False, False)
@@ -235,7 +332,8 @@ class TestFallback:
         pre = tuple(lst.ghost)
         lst.store.rollback(mark)
         nothing = ([], range(len(lst.store), len(lst.store)))
-        assert exit_invariant_holds(lst, pre, nothing) is None
+        assert exit_invariant_holds(lst, [], nothing) is None
+        assert compared_exit(lst, pre, nothing) is None
         assert check_invariant(lst) != []
 
     def test_tampered_header(self):
@@ -278,7 +376,7 @@ class TestEditLocation:
 
         def append_unlinked():
             node = lst.store.alloc(lst.last, A, None)
-            lst.ghost.append(node)
+            lst.replace_ghost([*lst.ghost, node])
             lst.last = node
             lst.size += 1
 
@@ -292,7 +390,7 @@ class TestEditLocation:
 
         def prepend_unlinked():
             node = lst.store.alloc(None, B, lst.first)
-            lst.ghost.insert(0, node)
+            lst.replace_ghost([node, *lst.ghost])
             lst.first = node
             lst.size += 1
 
@@ -310,7 +408,7 @@ class TestEditLocation:
                 else:
                     lst.store.set_next(pred, succ)
                 lst.store.clear_node(x)
-                del nl[5]
+                lst.replace_ghost(nl[:5] + nl[6:])
                 lst.size -= 1
 
             assert verdicts(lst, remove_fifth) == (False, False), relinked
@@ -351,15 +449,17 @@ class TestEditLocation:
     def test_fresh_id_in_the_ghost_twice(self):
         for at_end in (True, False):
             lst = build_list([A, B] * 6)
-            nl = lst.ghost
 
             def add_and_alias():
                 if at_end:
                     lst.add(A)
+                    nl = list(lst.ghost)
                     nl[3] = nl[-1]
                 else:
                     lst.add_first(A)
+                    nl = list(lst.ghost)
                     nl[-3] = nl[0]
+                lst.replace_ghost(nl)
 
             assert verdicts(lst, add_and_alias) == (False, False), at_end
 
@@ -544,18 +644,18 @@ def derived_items():
         derived = real_items(lst, pre, edit, journal)
         assert derived == tuple(lst.items())
         entries, _ = journal
-        d = len(edit[0]) - len(pre.ghost)
+        d = len(lst.ghost) - len(pre.ghost)
         kinds.append("insert" if d > 0 else "remove" if d < 0
                      else "item write" if "item" in entries[1::3] else "links only")
         return derived
 
-    def wrote_nothing(lst, header, ghost, journal):
-        exits[0] = real_exit(lst, header, ghost, journal)
+    def wrote_nothing(*a):
+        exits[0] = real_exit(*a)
         return exits[0]
 
     def post_vs_model(lst, verdict, abs_post, outcome, chain, items):
         if exits[0]:
-            assert chain == tuple(lst.chain()) and items == tuple(lst.items())
+            assert tuple(chain) == tuple(lst.chain()) and items == tuple(lst.items())
             kinds.append("unchanged")
         return real_post(lst, verdict, abs_post, outcome, chain, items)
 
@@ -697,15 +797,23 @@ class TestFlatRecordReads:
 @contextmanager
 def scoped_steps(plain: bool = False):
     """Route ``run_script``'s scoped exit checks through a wrapper that
-    runs the full ``check_invariant`` beside every one that passed;
-    yields the verdicts of the scoped checks, in order, as whether each
-    located an edit. With ``plain``, every scoped check answers None, so
-    the full check runs after every step, as it does without the carry."""
+    runs the full ``check_invariant`` beside every one that passed, and
+    the whole comparison (``compared_exit``, on an entry ghost copied
+    before the step) beside every one; yields the verdicts of the scoped
+    checks, in order, as whether each vouched. With ``plain``, every
+    scoped check answers None, so the full check runs after every step,
+    as it does without the carry."""
     seen = []
-    real = ghostspec.exit_invariant_holds
+    entry = []
+    real, real_step = ghostspec.exit_invariant_holds, ghostspec.checked_step
 
-    def beside(lst, pre, journal):
-        edit = real(lst, pre, journal)
+    def step(lst, op, args, model=None):
+        entry[:] = [tuple(lst.ghost)]
+        return real_step(lst, op, args, model)
+
+    def beside(lst, edits, journal):
+        edit = real(lst, edits, journal)
+        assert_same_edit(edit, compared_exit(lst, entry[0], journal), entry[0])
         if edit:
             failures = check_invariant(lst)
             assert not failures, failures
@@ -714,6 +822,7 @@ def scoped_steps(plain: bool = False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ghostspec, "exit_invariant_holds", beside)
+        mp.setattr(difftest, "checked_step", step)
         yield seen
 
 
@@ -759,12 +868,12 @@ class TestCarriedInvariantMode:
         real_scoped, real_full = ghostspec.exit_invariant_holds, ghostspec.check_invariant
         real_exit = ghostspec._wrote_nothing
 
-        def scoped(lst, pre, journal):
+        def scoped(lst, edits, journal):
             log.append("scoped")
-            return real_scoped(lst, pre, journal)
+            return real_scoped(lst, edits, journal)
 
-        def wrote_nothing(lst, header, ghost, journal):
-            took = real_exit(lst, header, ghost, journal)
+        def wrote_nothing(*a):
+            took = real_exit(*a)
             if took:
                 log.append("unchanged")
             return took
@@ -810,32 +919,35 @@ def exit_kind(op, outcome):
 @contextmanager
 def nothing_written_exits():
     """Beside every checked step of ``run_script`` that takes the
-    nothing-written exit, run the general path on the same state and
-    journal: the scoped exit check, the post-item derivation, the
+    nothing-written exit, run the general path on the same state, journal
+    and log: the scoped exit check, the post-item derivation, the
     operation's footprint and the frame check. The scoped check must
-    vouch with the entry ghost and position 0, the derivation must give
-    the entry items (read whole before the call, and again after it), and
-    the frame check must find nothing. Yields each exit's ``exit_kind``."""
+    vouch with no ghost edit, as must the whole comparison with the entry
+    ghost (copied before the call) at position 0; the derivation must
+    give the entry items (read whole before the call, and again after
+    it), and the frame check, given the exit ghost, must find nothing.
+    Yields each exit's ``exit_kind``."""
     kinds = []
     taken = []
     real_step, real_exit = ghostspec.checked_step, ghostspec._wrote_nothing
 
-    def wrote_nothing(lst, header, ghost, journal):
-        took = real_exit(lst, header, ghost, journal)
-        taken[:] = [(header, ghost, journal)] if took else []
+    def wrote_nothing(lst, header, length, journal, edits):
+        took = real_exit(lst, header, length, journal, edits)
+        taken[:] = [(header, journal, edits)] if took else []
         return took
 
     def step(lst, op, args, model=None):
-        items = tuple(lst.items())
+        items, ghost = tuple(lst.items()), tuple(lst.ghost)
         assert model is None or model[0] == items
         outcome, error, failures = real_step(lst, op, args, model)
         if taken:
-            header, ghost, journal = taken.pop()
+            header, journal, edits = taken.pop()
             pre = PreObservation(items, header, ghost)
-            assert exit_invariant_holds(lst, ghost, journal) == (ghost, 0)
-            assert _post_items(lst, pre, (ghost, 0), journal) == items == tuple(lst.items())
+            assert exit_invariant_holds(lst, edits, journal) == NO_EDIT
+            assert compared_exit(lst, ghost, journal) == (ghost, 0)
+            assert _post_items(lst, pre, NO_EDIT, journal) == items == tuple(lst.items())
             fp = EMPTY_FOOTPRINT if outcome[0] == "error" else OP_SPECS[op].footprint(pre, args)
-            assert frame_check(pre, lst, journal, fp, ghost) == []
+            assert frame_check(pre, lst, journal, fp, lst.ghost) == []
             kinds.append(exit_kind(op, outcome))
         return outcome, error, failures
 

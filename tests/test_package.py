@@ -221,3 +221,150 @@ def test_only_heapmodel_touches_the_store_fields():
     for path in sorted(PACKAGE.glob("*.py")):
         uses = store_field_uses(path.read_text())
         assert bool(uses) == (path.stem == "heapmodel"), (path.name, uses)
+
+
+#: the list methods that write the ghost, each logging its edit (``rollback``
+#: undoes logged edits; ``replace_ghost`` is the door for everything else)
+GHOST_WRITERS = {
+    f"JavaLinkedList.{name}" for name in (
+        "__init__", "link_last", "link_first", "link_before", "unlink", "clear",
+        "fast_forward", "rollback", "replace_ghost",
+    )
+}
+
+#: the list methods that change a list in place
+LIST_MUTATORS = {
+    "append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse",
+    "__setitem__", "__delitem__", "__iadd__", "__imul__",
+}
+
+
+class _GhostWrites(ast.NodeVisitor):
+    """Collects (line, enclosing function) of every write to a ``.ghost``
+    attribute or to a local name bound to one (``nl = self.ghost``)."""
+
+    def __init__(self):
+        self.found = []
+        self.scope = []
+        self.aliases = set()
+
+    def _function(self, node):
+        outer = self.aliases
+        self.scope.append(node.name)
+        self.aliases = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                for target in targets:
+                    pairs = ([(target, sub.value)] if not isinstance(target, ast.Tuple)
+                             else zip(target.elts, sub.value.elts)
+                             if isinstance(sub.value, ast.Tuple) else [])
+                    for name, value in pairs:
+                        if isinstance(name, ast.Name) and self._is_ghost(value):
+                            self.aliases.add(name.id)
+        self.generic_visit(node)
+        self.scope.pop()
+        self.aliases = outer
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _function
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def _is_ghost(self, node) -> bool:
+        return ((isinstance(node, ast.Attribute) and node.attr == "ghost")
+                or (isinstance(node, ast.Name) and node.id in self.aliases))
+
+    def _write(self, node):
+        self.found.append((node.lineno, ".".join(self.scope) or "<module>"))
+
+    def visit_Attribute(self, node):
+        # ``x.ghost = ...``, ``del x.ghost``, ``x.ghost += ...``
+        if node.attr == "ghost" and not isinstance(node.ctx, ast.Load):
+            self._write(node)
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node):
+        # item or slice assignment and deletion, ``+=`` on an entry
+        if not isinstance(node.ctx, ast.Load) and self._is_ghost(node.value):
+            self._write(node)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        # ``nl += ids`` through an alias; an attribute target is visited
+        if isinstance(node.target, ast.Name) and node.target.id in self.aliases:
+            self._write(node)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in LIST_MUTATORS
+                and self._is_ghost(func.value)):
+            self._write(node)
+        elif (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
+              and len(node.args) > 1
+              and (not isinstance(node.args[1], ast.Constant) or node.args[1].value == "ghost")):
+            self._write(node)
+        self.generic_visit(node)
+
+
+def ghost_writes(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every write to a ghost: assignment or
+    deletion of a ``.ghost`` attribute (``+=`` included), item or slice
+    assignment or deletion on one, an in-place list method called on one,
+    and each of these through a local name bound to one; also every
+    ``setattr`` or ``delattr`` that names ``ghost`` or computes the name."""
+    visitor = _GhostWrites()
+    visitor.visit(ast.parse(source))
+    return sorted(visitor.found)
+
+
+def test_ghost_writes_finds_every_form():
+    source = (
+        "class L:\n"
+        "    def f(self, ids):\n"
+        "        self.ghost = []\n"
+        "        self.ghost.append(1)\n"
+        "        self.ghost[0] = 2\n"
+        "        self.ghost[1:3] = []\n"
+        "        del self.ghost[0]\n"
+        "        self.ghost += ids\n"
+        "        x = self.ghost[0] + len(self.ghost) + self.ghost.index(3)\n"
+        "def g(lst, ids):\n"
+        "    nl = lst.ghost\n"
+        "    nl.insert(0, 4)\n"
+        "    nl[2] = 5\n"
+        "    del nl[1:]\n"
+        "    nl += ids\n"
+        "    nl[0] += 1\n"
+        "    first, other = nl[0], list(nl)\n"
+        "    other.append(1)\n"
+        "    setattr(lst, 'ghost', [])\n"
+        "    setattr(lst, name, [])\n"
+        "    setattr(lst, 'size', 3)\n"
+        "    del lst.ghost\n"
+        "    a, g = 1, lst.ghost\n"
+        "    g.sort()\n"
+        "lst.ghost.clear()\n"
+    )
+    assert ghost_writes(source) == [
+        (3, "L.f"), (4, "L.f"), (5, "L.f"), (6, "L.f"), (7, "L.f"), (8, "L.f"),
+        (12, "g"), (13, "g"), (14, "g"), (15, "g"), (16, "g"), (19, "g"), (20, "g"),
+        (22, "g"), (24, "g"), (25, "<module>"),
+    ]
+
+
+def test_the_ghost_changes_only_through_logged_methods():
+    """The trial's undo and the scoped exit check read the ghost's edits
+    from the list's ghost log, so only the list's logged methods write
+    the ghost; ``statespace`` and every other module go through the door,
+    ``replace_ghost``, which logs a whole-ghost replace."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        writes = ghost_writes(path.read_text())
+        allowed = GHOST_WRITERS if path.stem == "listcore" else set()
+        assert {where for _, where in writes} <= allowed, (path.name, writes)
+    # each logged method is still there and still writes
+    listcore_writes = {where for _, where in ghost_writes((PACKAGE / "listcore.py").read_text())}
+    assert listcore_writes == GHOST_WRITERS
