@@ -184,17 +184,6 @@ class TestTrialBodies:
         assert fingerprint(lst) == levels.pop()
         assert lst._ghost_log is None
 
-    def test_a_trial_rolls_back_when_its_body_raises(self):
-        lst = build_list([A, B, A])
-        before = fingerprint(lst)
-        with pytest.raises(RuntimeError):
-            with lst.trial():
-                lst.clear()
-                lst.add(B)
-                raise RuntimeError("probe failed")
-        assert fingerprint(lst) == before
-        assert lst._ghost_log is None
-
     @pytest.mark.parametrize("mode", ["invariant", "full"])
     def test_a_checked_call_inside_a_trial(self, mode):
         """The call's edit and journal are the ones it has with no trial

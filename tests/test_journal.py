@@ -163,7 +163,7 @@ class TestTrial:
                 lst.remove_first()
                 raise RuntimeError("probe failed")
         assert fingerprint(lst) == before
-        assert lst.store._journal is None
+        assert lst.store._journal is None and lst._ghost_log is None
 
     @settings(max_examples=150, deadline=None)
     @given(
