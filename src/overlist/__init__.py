@@ -22,7 +22,7 @@ from .ghostspec import (
     frame_check,
     run_checked,
 )
-from .oracle import AbstractList, Verdict, observe_equal, oracle_apply
+from .oracle import AbstractList, ModelList, Verdict, observe_equal, oracle_apply
 from .difftest import (
     Divergence,
     OpScript,
@@ -66,6 +66,7 @@ __all__ = [
     "frame_check",
     "run_checked",
     "AbstractList",
+    "ModelList",
     "Verdict",
     "observe_equal",
     "oracle_apply",

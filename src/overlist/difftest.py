@@ -18,8 +18,8 @@ from .heapmodel import NULL, Atom, NullItem
 from .jint import check_width
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list, require_member
 from .oracle import (
-    ALPHABET, CLEAR, INDEX, INSERT, ITEM, MARKER, OP_SPECS, REMOVE, AbstractList, Verdict,
-    check_call, observe_equal, oracle_add_all, oracle_apply, spec_of,
+    ALPHABET, CLEAR, INDEX, INSERT, ITEM, MARKER, OP_SPECS, REMOVE, AbstractList, ModelList,
+    Verdict, check_call, observe_equal, oracle_apply, spec_of,
 )
 
 GENERATOR_VERSION = 1
@@ -205,12 +205,14 @@ def run_script(
     ``ghostspec.checked_step``, inside one store savepoint, and is judged
     by the exit check scoped to that savepoint's journal, falling back to
     the full ``check_invariant`` with the same divergence and witnesses.
-    Under FULL the step's oracle verdict, computed once before the call,
-    also judges its result, its items and its frame; the FailFast oracle
-    starts empty and is bounded, so no verdict is Unspecified and every
-    step's items are compared. Under INVARIANT, after a failed full check
-    every step runs the full check until one passes; from there the run
-    carries again."""
+    Each policy's oracle state is one ``ModelList``, edited in place; the
+    result holds its snapshot. Under FULL the oracle steps first, in a
+    savepoint, and its verdict and logged edit also judge the call's
+    result, items and frame (the bounded FailFast oracle starts empty, so
+    no verdict is Unspecified); an aborted step undoes the oracle's edit.
+    Otherwise the oracle steps after the call. Under INVARIANT, after a
+    failed full check every step runs the full check until one passes;
+    from there the run carries again."""
     require_member(CheckMode, check_mode, "check_mode")
     for policy in policies:
         require_member(SizePolicy, policy, "policies entry")
@@ -225,40 +227,37 @@ def run_script(
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
         full = checked and check_mode is CheckMode.FULL
         lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
-        abs_state = AbstractList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
+        model = ModelList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
         aborted[pname] = None
         # the new list is empty: the invariant holds and its items are the oracle's
         holds = checked
         for step, (op, args) in enumerate(script.steps):
-            verdict, abs_post = oracle_apply(abs_state, op, args)
             try:
-                if holds:
-                    model = (abs_state.items, verdict, abs_post) if full else None
-                    outcome, _, failures = checked_step(lst, op, args, model)
+                if full:
+                    model.open_savepoint()
+                    verdict, _ = oracle_apply(model, op, args)
+                    edits = model.close_savepoint()
+                    outcome, _, failures = checked_step(lst, op, args, (verdict, model, edits))
+                elif holds:
+                    outcome, _, failures = checked_step(lst, op, args)
                 else:
                     outcome = run_op(lst, op, args)
             except (ContractViolation, ChainCorruption) as e:
                 # the ghost layer no longer trusts this state, or the chain
                 # itself is corrupted (a cycle or a dangling link); stop here
+                if full:
+                    model.undo(edits)
                 frame = isinstance(e, ContractViolation) and "frame" in e.categories()
                 kind = "FrameViolation" if frame else "InvariantViolation"
                 divs.append(Divergence(step, op, args, pname, str(e), None, kind))
                 aborted[pname] = step
                 break
-            abs_state = abs_post
+            if not full:
+                verdict, _ = oracle_apply(model, op, args)
             if observe_equal(outcome, verdict) == "disagree":
-                divs.append(
-                    Divergence(
-                        step,
-                        op,
-                        args,
-                        pname,
-                        _encode_outcome(outcome),
-                        _encode_verdict(verdict),
-                        classify(outcome, verdict),
-                    )
-                )
+                divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
+                                       _encode_verdict(verdict), classify(outcome, verdict)))
             if checked:
                 if not holds:
                     failures = check_invariant(lst)
@@ -269,7 +268,7 @@ def run_script(
                     )
         divergences[pname] = divs
         lists[pname] = lst
-        oracles[pname] = abs_state
+        oracles[pname] = model.snapshot()
     return ScriptResult(divergences, lists, oracles, aborted)
 
 
@@ -365,21 +364,21 @@ def build_overflow_states(width: int, policy: SizePolicy = SizePolicy.UNCHECKED)
     states = []
     for wrap in (False, True):
         lst, _ = prepare_overflow(width, policy, wrap)
-        empty = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
-        states.append((lst, oracle_add_all(empty, _preparation_items(width, wrap))))
+        model = ModelList((), width, bounded=policy is SizePolicy.FAIL_FAST)
+        model.add_all(_preparation_items(width, wrap))
+        states.append((lst, model.snapshot()))
     return tuple(states)
 
 
 _SEVERITY = {"OK": 0, "Unspecified-skip": 1, "WrongValue": 2, "Crash": 3}
+_EFFECT_QUERIES = {"List": ("size",), "Deque": ("peek_first", "peek_last")}
 
 
-def _probe_classification(
-    impl: JavaLinkedList, abs_state: AbstractList, method: str, args: tuple
-) -> str:
-    """Classify one probe call; it runs on ``impl`` itself, so callers
-    wrap it in ``impl.trial()``."""
+def _probe_classification(impl: JavaLinkedList, model: ModelList, method: str, args: tuple) -> str:
+    """Classify one probe call; it edits ``impl`` and ``model``
+    themselves, so callers undo it (``impl.trial()``, ``model.undo``)."""
     outcome = run_op(impl, method, args)
-    verdict, abs_post = oracle_apply(abs_state, method, args)
+    verdict, _ = oracle_apply(model, method, args)
 
     cmp = observe_equal(outcome, verdict)
     if cmp == "disagree":
@@ -394,17 +393,11 @@ def _probe_classification(
 
     spec = OP_SPECS[method]
     if outcome[0] == "value" and verdict.kind == "value" and spec.mutating:
-        if spec.interface == "List":
-            post = run_op(impl, "size", ())
-            size_verdict, _ = oracle_apply(abs_post, "size", ())
-            if observe_equal(post, size_verdict) == "disagree":
+        # a mutation is judged by its effect too: the size, or both ends
+        for query in _EFFECT_QUERIES.get(spec.interface, ()):
+            answer, (documented, _) = run_op(impl, query, ()), oracle_apply(model, query, ())
+            if observe_equal(answer, documented) == "disagree":
                 return "WrongValue"
-        elif spec.interface == "Deque":
-            for end in ("peek_first", "peek_last"):
-                post = run_op(impl, end, ())
-                end_verdict, _ = oracle_apply(abs_post, end, ())
-                if observe_equal(post, end_verdict) == "disagree":
-                    return "WrongValue"
     return "OK"
 
 
@@ -415,24 +408,26 @@ def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[Census
     One list serves both states, since the wrap state's first 2^(W-1)
     adds are the sign flip's: the census prepares the flip state and
     probes it, then adds the rest of the wrap items to the same list and
-    its oracle state and probes again. Each probe runs in a trial, so the
-    adds go on from the state the flip's preparation left: 2^W adds in
-    all. The census prepares, it does not reproduce, so the list takes
-    each stage's adds in one ``fast_forward``, which leaves it as the
-    single adds would."""
+    its oracle state and probes again. Each probe's edits of the list and
+    of the oracle state are undone, so the adds go on from the state the
+    flip's preparation left: 2^W adds in all. The census prepares, it does
+    not reproduce, so the list takes each stage's adds in one
+    ``fast_forward``, which leaves it as the single adds would."""
     _require_feasible(f"the census at width {width}", width)
     lst = new_list(width, policy)
-    abs_state = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
+    model = ModelList((), width, bounded=policy is SizePolicy.FAIL_FAST)
     worst = {op: "OK" for op, spec in sorted(OP_SPECS.items()) if spec.probes}
     for stage in _stage_items(width):
         items = tuple(stage)
         lst.fast_forward(items)
-        abs_state = oracle_add_all(abs_state, items)
+        model.add_all(items)
         del items  # the list and the oracle state hold what they keep of it
         for method, cls in worst.items():
             for args in OP_SPECS[method].probes:
                 with lst.trial():
-                    probed = _probe_classification(lst, abs_state, method, args)
+                    model.open_savepoint()
+                    probed = _probe_classification(lst, model, method, args)
+                    model.undo(model.close_savepoint())
                 if _SEVERITY[probed] > _SEVERITY[cls]:
                     cls = worst[method] = probed
     return [CensusRow(method, cls) for method, cls in worst.items()]

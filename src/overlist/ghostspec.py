@@ -3,7 +3,8 @@ the list's ghost state, derived acyclicity / unique-endpoint properties,
 heap frame checking, and a contract harness that wraps list operations
 with pre/post/invariant/frame checks. The contracts come from the rows
 of ``oracle.OP_SPECS``: a row's rule gives the documented verdict and
-post-state, and its edit the frame (``OpSpec.footprint``).
+edits the oracle's state, and its edit gives the frame
+(``OpSpec.footprint``).
 
 The list's ghost (``JavaLinkedList.ghost``, JML's ``nodeList``) mirrors
 the chain as a sequence of node ids. It is bookkeeping only: production
@@ -19,7 +20,7 @@ from typing import NamedTuple
 from . import listcore, oracle
 from .errors import ContractViolation, DanglingLink, ListError, UsageError
 from .heapmodel import NodeId, NullItem
-from .oracle import EMPTY_FOOTPRINT, AbstractList, Footprint, observe_equal, oracle_apply
+from .oracle import EMPTY_FOOTPRINT, Footprint, ModelList, observe_equal, oracle_apply
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +105,16 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     nobody wrote still agrees. C6 needs checking only at the edit site,
     at the nodes whose links were written and at both ends (which also
     covers C5); ghost entries from entry are still allocated (C3). An
-    empty ghost needs only C1, C2 and C4, whatever the log holds.
+    empty ghost needs only C1, C2 and C4, whatever the log holds. The
+    entry ghost is duplicate-free and the inserted node fresh, so each
+    written node sits at one position at most; only a node whose links
+    were written away from the edit site is searched for.
 
     When the whole invariant holds, returns the edit as logged,
     ``(delta, position, node)``: 1 when ``node`` was inserted at the
     position, -1 when it was removed from it; or ``NO_EDIT``. None only
     means this argument does not apply (two edits, a whole-ghost one, an
-    allocation the ghost did not take), and ``check_invariant`` decides.
-
-    No whole ghost is copied or compared, and no edit is searched for: the
-    log names the edit's position. The entry ghost is duplicate-free (the
-    invariant held) and the inserted node is fresh, so the exit ghost is
-    too, and each written node sits at one position at most. The nodes an
-    ordinary call links lie at the edit site, whose positions are known;
-    only a node written elsewhere is scanned for, and a removed node has
-    left the ghost. Item writes touch no link, so they are not looked
-    up."""
+    allocation the ghost did not take), and ``check_invariant`` decides."""
     nl = state.ghost
     n = len(nl)
     if state.size != n or state.size > state.max_size:  # C1, C2
@@ -249,15 +244,14 @@ _HEADER_NAMES = ("first", "last", "size")
 
 
 def frame_check(
-    pre: PreObservation, state, journal: tuple, fp: Footprint, ghost: list | tuple
+    pre: PreObservation, state, journal: tuple, fp: Footprint, entry
 ) -> list[tuple[str, str]]:
     """Every change since ``pre`` must lie inside the footprint; returns
     (category, witness) violation entries. A node field changed when it
     differs from the old value of its first write in the call's closed
     store ``journal``; nodes allocated during the call are fresh.
-    ``ghost`` is the exit ghost, a list or a tuple; a caller whose ghost
-    log shows it unchanged passes ``pre.ghost`` itself, which is not
-    compared."""
+    ``entry`` is the entry ghost (``entry_ghost``), the exit ghost itself
+    when the call logged no ghost edit, and then only lengths compare."""
     violations = []
     entries, fresh = journal
     first_old = {}
@@ -275,9 +269,39 @@ def frame_check(
     for name, old, new in zip(_HEADER_NAMES, pre.header, header):
         if old != new and name not in fp.header_fields:
             violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
-    if not fp.ghost and ghost is not pre.ghost and pre.ghost != tuple(ghost):
+    ghost = state.ghost
+    if not fp.ghost and (len(ghost) != pre.length
+                         or entry is not ghost and tuple(entry) != tuple(ghost)):
         violations.append(("frame", "ghost nodeList changed"))
     return violations
+
+
+class _Before:
+    """The ghost before the logged edit ``(delta, p, node)``, read through
+    the ghost after it."""
+
+    __slots__ = ("after", "delta", "p", "node")
+
+    def __init__(self, after, edit):
+        self.after = after
+        self.delta, self.p, self.node = edit
+
+    def __len__(self) -> int:
+        return len(self.after) - self.delta
+
+    def __getitem__(self, i: int) -> NodeId:
+        if i < self.p:
+            return self.after[i]
+        return self.node if i == self.p and self.delta < 0 else self.after[i + self.delta]
+
+
+def entry_ghost(ghost, edits: list):
+    """The ghost before a call that logged ``edits`` and left ``ghost``,
+    copying nothing: a whole-ghost edit kept the ghost it replaced, and
+    the others are read backwards through the ghost after them."""
+    for edit in reversed(edits):
+        ghost = edit[2] if edit[0] is None else _Before(ghost, edit)
+    return ghost
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +309,14 @@ def frame_check(
 
 
 class PreObservation(NamedTuple):
-    items: tuple
     header: tuple  # (first, last, size)
-    ghost: tuple[NodeId, ...]
+    length: int  # the ghost's
 
 
-def observe(state, items: tuple | None = None) -> PreObservation:
-    """The pre-state a contract is judged against. The chain's ids are
-    read from the ghost, which a passing invariant check has shown to be
-    the chain. The items are read from the store unless the caller
-    already holds them."""
-    ghost = tuple(state.ghost)
-    if items is None:
-        items = tuple(state.store.items(ghost))
-    header = (state.first, state.last, state.size)
-    return PreObservation(items, header, ghost)
+def observe(state) -> PreObservation:
+    """The pre-state a contract is judged against, copying nothing: the
+    call's edits are read from the ghost log and the store journal."""
+    return PreObservation((state.first, state.last, state.size), len(state.ghost))
 
 
 def contract_for(op: str, args: tuple) -> str:
@@ -312,60 +329,54 @@ def contract_for(op: str, args: tuple) -> str:
     return f"{op}[null]" if isinstance(args[0], NullItem) else f"{op}[non-null]"
 
 
-def _post_items(state, pre: PreObservation, edit: tuple, journal: tuple) -> tuple:
-    """The chain's items after a call whose scoped exit check vouched for
-    the state and reported its ghost ``edit``; ``pre`` holds the chain's
-    items and ids on entry.
-
-    A node that stayed in the ghost keeps its item unless the call wrote
-    it, and every node write goes through the store's journaled setters.
-    So the entry items, with the edit applied (the inserted node's item
-    read from the store, or the removed position cut out) and each item
-    written at a node still in the ghost read from the store, are the
-    whole read's items; an empty ghost has none. An unchanged ghost and
-    no item write give ``pre.items`` itself."""
+def _same_items(state, edit: tuple, journal: tuple, model: tuple) -> bool:
+    """Whether the chain holds the oracle's items after a call the scoped
+    exit check vouched for with the ghost ``edit``, shown by edits alone:
+    it held them on entry (visible-state semantics), so the ghost edit
+    and the item writes in ``journal`` must match the oracle's logged
+    edit (``model``). Inserts and removals match in position and inserted
+    item, a replace leaves its item in an unchanged ghost, a clear leaves
+    an empty one, and any other item write restores its item or lies
+    outside the chain. False: a whole read decides."""
+    _, a, edits = model
     nl = state.ghost
     if not nl:
-        return ()
-    items = pre.items
+        return not a.items
     delta, p, node = edit
-    if delta > 0:
-        items = items[:p] + (state.store.item(node),) + items[p:]
-    elif delta < 0:
-        items = items[:p] + items[p + 1 :]
-    gone = node if delta < 0 else None
+    if edits:
+        kind, q, _ = edits[0]
+        if kind == 0:  # a replace
+            if delta or state.store.item(nl[q]) != a.items[q]:
+                return False
+            node = nl[q]
+        elif kind != delta or q != p or delta == 1 and state.store.item(node) != a.items[q]:
+            return False
+    elif delta:
+        return False
     entries = journal[0]
-    for nid, name in zip(entries[::3], entries[1::3]):
-        if name == "item" and nid != gone:
-            try:
-                i = nl.index(nid)
-            except ValueError:  # a node outside the chain
-                continue
-            items = items[:i] + (state.store.item(nid),) + items[i + 1 :]
-    return items
+    first_old = {}
+    for nid, name, old in zip(entries[::3], entries[1::3], entries[2::3]):
+        if name == "item" and nid != node:
+            first_old.setdefault(nid, old)
+    return all(state.store.item(nid) == old or nid not in nl for nid, old in first_old.items())
 
 
-def _post_vs_model(
-    state, verdict, abs_post: AbstractList, outcome, chain: list | tuple, items: tuple | None
-) -> list[tuple[str, str]]:
-    """Check result and resulting chain contents against the documented
-    verdict and post-state of the call; ``chain`` holds the post-state's
-    node ids, and ``items`` their items as ``_post_items`` derived them,
-    or None. Only when derived items are missing or differ from the
-    documented ones are the chain's items read from the store, so a
-    violation names what that whole read finds."""
+def _post_vs_model(state, model: tuple, outcome, chain, edit: tuple | None, journal: tuple):
+    """The result and the chain's items (``chain`` its ids) against the
+    oracle's verdict and state after the call. Unless the scoped exit
+    check reported the ghost ``edit`` and ``_same_items`` holds, the
+    items are read whole, and a violation names that read."""
+    verdict, a, _ = model
     if verdict.kind == "unspecified":
         return []
     violations = []
     if observe_equal(outcome, verdict) != "agree":
         violations.append(("post", f"result {outcome!r} != documented {verdict!r}"))
-    if items is abs_post.items or items == abs_post.items:
+    if edit is not None and _same_items(state, edit, journal, model):
         return violations
-    post_items = tuple(state.store.items(chain))
-    if post_items != abs_post.items:
-        violations.append(
-            ("post", f"chain items {post_items!r} != documented {abs_post.items!r}")
-        )
+    post_items, documented = tuple(state.store.items(chain)), tuple(a.items)
+    if post_items != documented:
+        violations.append(("post", f"chain items {post_items!r} != documented {documented!r}"))
     return violations
 
 
@@ -396,9 +407,10 @@ def run_checked(state, op: str, args: tuple = ()):
     failures = check_invariant(state)
     if failures:
         raise UsageError(f"invariant broken before {op}: {failures}")
-    items = observe(state).items
-    verdict, abs_post = oracle_apply(AbstractList(items, state.width), op, args)
-    outcome, error, _ = checked_step(state, op, args, (items, verdict, abs_post))
+    a = ModelList(state.store.items(state.ghost), state.width)
+    a.open_savepoint()
+    verdict, _ = oracle_apply(a, op, args)
+    outcome, error, _ = checked_step(state, op, args, (verdict, a, a.close_savepoint()))
     if error is None:
         return outcome[1]
     try:
@@ -411,37 +423,31 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     """Run one call inside one savepoint of the list and judge its exit.
 
     Precondition: the invariant holds on entry and, when ``model`` is
-    given, the chain's items are ``model[0]``. A caller that owns the list
-    may carry both over from the previous step's exit checks (JML's
+    given, the chain holds the oracle's items. A caller that owns the
+    list may carry both over from the previous step's exit checks (JML's
     visible-state semantics); ``run_checked`` establishes them with its
     entry check. The savepoint's ghost log holds the call's ghost edits,
-    so without ``model`` nothing reads the entry ghost.
+    so nothing reads or copies the entry ghost.
 
     A call that wrote nothing (``_wrote_nothing``) exits in the entry
-    state, where the invariant held and no frame is broken, so only its
-    result and the entry items are judged. Its obligation: the general
-    path below, on the same state, journal and log, vouches with no ghost
-    edit, derives the entry items and finds no frame violation. Other
-    calls get the exit check scoped to what the journal and the log
-    touched, and the full check (under ``model``, after walking the
-    chain) when that does not vouch, so witnesses, errors and their order
-    are the full check's.
+    state, so only its result and items are judged. Its obligation: the
+    exit and frame checks, on the same state, journal and log, vouch with
+    no ghost edit and find no frame violation. Other calls get the exit
+    check scoped to what the journal and the log touched, and the full
+    check (under ``model``, after walking the chain) when that does not
+    vouch, so witnesses, errors and their order are the full check's.
 
-    ``model`` is ``(items, verdict, abs_post)``: the chain's items and the
-    oracle's judgement of the call. With it the postcondition, the
-    invariant and the frame (an error outcome must change nothing) are
-    checked, and any failure raises ContractViolation; the entry ghost is
-    copied (``observe``) for the footprint and the frame. When the scoped
-    check vouched, the post-state's items are derived from the entry
-    items and the logged ghost edit (``_post_items``), reading only the
-    items of the nodes the call created or whose item it wrote; its
-    obligation is that they equal a whole read of the chain's items. The
-    chain's items are read whole only when the scoped check did not
-    vouch, or to name the items of a failed comparison. Returns
-    ``(outcome, error, failures)``: the outcome as ``run_op`` gives it,
-    the ListError raised or None (its traceback cleared, so keeping it
-    makes no reference cycle), and the failing invariant clauses."""
-    pre = None if model is None else observe(state, model[0])
+    ``model`` is ``(verdict, a, edits)``: the oracle's verdict, its
+    ``ModelList`` after the call and the edit its rule logged. With it
+    the postcondition (``_post_vs_model``), the invariant and the frame
+    (an error outcome must change nothing) are checked, and any failure
+    raises ContractViolation; the footprint takes its position from the
+    oracle's edit, and its ids from the entry ghost (``entry_ghost``).
+    Returns ``(outcome, error, failures)``: the outcome as ``run_op``
+    gives it, the ListError raised or None (its traceback cleared, so
+    keeping it makes no reference cycle), and the failing invariant
+    clauses."""
+    pre = None if model is None else observe(state)
     length = len(state.ghost)
     mark = state.open_savepoint()
     try:
@@ -451,28 +457,19 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     finally:
         journal, edits = state.close_savepoint(mark)
 
-    if _wrote_nothing(state, mark[2], length, journal, edits):
-        if model is not None:
-            items, verdict, abs_post = model
-            violations = _post_vs_model(state, verdict, abs_post, outcome, state.ghost, items)
-            if violations:
-                raise ContractViolation(contract_for(op, args), violations)
-        return outcome, error, ()
-    edit = exit_invariant_holds(state, edits, journal)
+    wrote = not _wrote_nothing(state, mark[2], length, journal, edits)
+    edit = exit_invariant_holds(state, edits, journal) if wrote else NO_EDIT
     if model is None:
         return outcome, error, () if edit else check_invariant(state)
-    _, verdict, abs_post = model
-    if edit:
-        chain, ghost = state.ghost, (state.ghost if edits else pre.ghost)
-        items = _post_items(state, pre, edit, journal)
-    else:
-        chain, ghost = tuple(state.chain()), state.ghost
-        items = None
-    violations = _post_vs_model(state, verdict, abs_post, outcome, chain, items)
+    chain = state.ghost if edit else tuple(state.chain())
+    violations = _post_vs_model(state, model, outcome, chain, edit, journal)
     if not edit:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
-    fp = EMPTY_FOOTPRINT if outcome[0] == "error" else oracle.OP_SPECS[op].footprint(pre, args)
-    violations.extend(frame_check(pre, state, journal, fp, ghost))
+    if wrote:
+        entry = entry_ghost(state.ghost, edits)
+        fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
+              else oracle.OP_SPECS[op].footprint(entry, model[1], args, model[2]))
+        violations.extend(frame_check(pre, state, journal, fp, entry))
     if violations:
         raise ContractViolation(contract_for(op, args), violations)
     return outcome, error, ()

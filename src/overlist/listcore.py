@@ -298,15 +298,18 @@ class JavaLinkedList:
             self._ghost_log.append((1, succ_index, node))
         nl.insert(succ_index, node)
 
-    def unlink(self, x: NodeId, x_index: int | None = None) -> Item:
+    def unlink(self, x: NodeId, x_index: int | None = None, walked: bool = False) -> Item:
         """Remove node ``x`` from the chain, clearing its fields; returns
-        the removed item. ``x_index`` is the ghost position of ``x``; when
-        checks are on, it must hold ``x``."""
+        the removed item. ``x_index`` is the ghost position of ``x``; with
+        checks on it must hold ``x`` unless it was ``walked`` (found along
+        links a fault may have parted from the ghost). The ghost is scanned
+        for ``x`` only when no position holding it is given."""
         if x not in self.store:
             raise UsageError(f"node {x} not allocated")
         nl = self.ghost
         at_index = x_index is not None and 0 <= x_index < len(nl) and nl[x_index] == x
-        if x_index is not None and not at_index and self.check_mode is not CheckMode.OFF:
+        if (x_index is not None and not (at_index or walked)
+                and self.check_mode is not CheckMode.OFF):
             raise UsageError(f"ghost index {x_index} does not hold node {x}")
         store = self.store
         pred, item, succ = store.prev(x), store.item(x), store.next(x)
@@ -390,7 +393,7 @@ class JavaLinkedList:
 
     def remove_at(self, index: int) -> Item:
         self._check_element_index(index)
-        return self.unlink(self.node_at(index))
+        return self.unlink(self.node_at(index), index, walked=True)
 
     # -- collection surface -------------------------------------------------
 
@@ -460,17 +463,17 @@ class JavaLinkedList:
         return self.remove_first_occurrence(target)
 
     def remove_first_occurrence(self, target: Item) -> bool:
-        _, node = self.store.find(self.first, item_test(target))
+        steps, node = self.store.find(self.first, item_test(target))
         if node is None:
             return False
-        self.unlink(node)
+        self.unlink(node, steps, walked=True)
         return True
 
     def remove_last_occurrence(self, target: Item) -> bool:
-        _, node = self.store.find(self.last, item_test(target), "prev")
+        steps, node = self.store.find(self.last, item_test(target), "prev")
         if node is None:
             return False
-        self.unlink(node)
+        self.unlink(node, len(self.ghost) - 1 - steps, walked=True)
         return True
 
     def clear(self) -> None:

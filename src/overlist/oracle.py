@@ -8,8 +8,9 @@ and the edit its ``assignable`` clause permits, from which
 interface, census probes and implementing method. ``listcore.OPS`` is
 derived from the rows.
 
-The abstract state is a plain item sequence of true (unbounded) length,
-standing in for the actual chain contents; a width is carried only to
+The oracle state (``ModelList``) is the item list of true (unbounded)
+length, standing in for the actual chain contents, which the rules edit
+in place and log while a savepoint is open; a width is carried only to
 decide what the documented answers look like in a W-bit answer domain
 (``size()`` clamps to the maximum, search indices past it are not
 specifiable). Where the documentation genuinely assigns no meaning, the
@@ -69,15 +70,96 @@ _NO_SUCH_ELEMENT = error("no_such_element")
 
 
 class AbstractList(NamedTuple):
-    """Documented-semantics list state: the true item sequence."""
+    """Documented-semantics list state as a snapshot: the true item
+    sequence as a tuple, as a run hands it out (``ModelList.snapshot``)."""
 
     items: tuple[Item, ...]
     width: int
     bounded: bool = True
 
-    @property
-    def max_size(self) -> int:
-        return (1 << (self.width - 1)) - 1
+
+class ModelList:
+    """The oracle's state, the list's model value: the true item list,
+    which the rules edit in place through ``insert``, ``remove``,
+    ``replace`` and ``clear``, and a preparation through ``add_all``.
+    While a savepoint is open, each edit is logged as the list logs its
+    ghost's: ``(1, p, x)`` for ``x`` inserted at ``p``, ``(-1, p, x)`` for
+    ``x`` removed from ``p``, ``(0, p, old)`` for ``old`` replaced,
+    ``(k, p, None)`` for ``k`` items appended and ``(None, 0, old)`` for a
+    clear, which leaves the old list to the log. ``undo`` reverts them."""
+
+    __slots__ = ("items", "width", "bounded", "max_size", "_log")
+
+    def __init__(self, items=(), width: int = 8, bounded: bool = True):
+        self.items: list[Item] = list(items)
+        self.width = width
+        self.bounded = bounded
+        self.max_size = (1 << (width - 1)) - 1
+        self._log: list | None = None
+
+    def snapshot(self) -> AbstractList:
+        return AbstractList(tuple(self.items), self.width, self.bounded)
+
+    def insert(self, p: int, x: Item) -> None:
+        if self._log is not None:
+            self._log.append((1, p, x))
+        self.items.insert(p, x)
+
+    def remove(self, p: int) -> Item:
+        x = self.items.pop(p)
+        if self._log is not None:
+            self._log.append((-1, p, x))
+        return x
+
+    def replace(self, p: int, x: Item) -> Item:
+        old = self.items[p]
+        if self._log is not None:
+            self._log.append((0, p, old))
+        self.items[p] = x
+        return old
+
+    def add_all(self, items) -> None:
+        """Leave the list as ``add(x)`` for each ``x`` of ``items`` in turn
+        would, in one edit: unbounded, every add appends; bounded, the adds
+        stop at ``max_size`` and each further one is refused."""
+        new = tuple(items)
+        if self.bounded:
+            new = new[: max(0, self.max_size - len(self.items))]
+        if new:
+            if self._log is not None:
+                self._log.append((len(new), len(self.items), None))
+            self.items += new
+
+    def clear(self) -> None:
+        if self._log is not None:
+            self._log.append((None, 0, self.items))
+        self.items = []
+
+    def open_savepoint(self) -> None:
+        """Log the edits from here on; savepoints do not nest."""
+        if self._log is not None:
+            raise UsageError("an oracle savepoint is already open")
+        self._log = []
+
+    def close_savepoint(self) -> list:
+        """Stop logging; return the edits logged since the savepoint
+        opened, oldest first."""
+        edits, self._log = self._log, None
+        return edits
+
+    def undo(self, edits: list) -> None:
+        """Revert the logged ``edits``, newest first."""
+        items = self.items
+        for delta, p, x in reversed(edits):
+            if delta is None:
+                items = x
+            elif delta < 0:
+                items.insert(p, x)
+            elif delta:
+                del items[p : p + delta]
+            else:
+                items[p] = x
+        self.items = items
 
 
 # The searches are the sequence's own C scans, comparing with ``==``. On
@@ -104,80 +186,58 @@ def last_index(items, target):
 
 # ---------------------------------------------------------------------------
 # The rules, one per operation: ``rule(a, args)`` returns the verdict and
-# the resulting state. A query or an error outcome returns ``a`` itself,
-# so a caller can tell that nothing was copied.
-
-
-def _at_capacity(a: AbstractList) -> bool:
-    """Whether the bounded contract refuses a size-increasing call."""
-    return a.bounded and len(a.items) >= a.max_size
+# edits the ``ModelList`` ``a`` in place. A query or an error outcome
+# edits nothing.
 
 
 def _size(a, args):
-    return value(min(len(a.items), a.max_size)), a
+    return value(min(len(a.items), a.max_size))
 
 
 def _is_max_size(a, args):
-    return (_TRUE if len(a.items) >= a.max_size else _FALSE), a
+    return _TRUE if len(a.items) >= a.max_size else _FALSE
 
 
 def _check_size(a, args):
-    return (_ILLEGAL_STATE if len(a.items) >= a.max_size else _NONE), a
+    return _ILLEGAL_STATE if len(a.items) >= a.max_size else _NONE
 
 
 def _get(a, args):
     (i,) = args
-    items = a.items
-    if not 0 <= i < len(items):
-        return _OUT_OF_BOUNDS, a
-    return value(items[i]), a
+    if not 0 <= i < len(a.items):
+        return _OUT_OF_BOUNDS
+    return value(a.items[i])
 
 
 def _set_at(a, args):
     i, x = args
-    items = a.items
-    if not 0 <= i < len(items):
-        return _OUT_OF_BOUNDS, a
-    return value(items[i]), AbstractList(items[:i] + (x,) + items[i + 1 :], a.width, a.bounded)
+    if not 0 <= i < len(a.items):
+        return _OUT_OF_BOUNDS
+    return value(a.replace(i, x))
 
 
-def _add_at(a, args):
-    i, x = args
-    items = a.items
-    if not 0 <= i <= len(items):
-        return _OUT_OF_BOUNDS, a
-    if _at_capacity(a):
-        return _ILLEGAL_STATE, a
-    return _NONE, AbstractList(items[:i] + (x,) + items[i:], a.width, a.bounded)
+def _insert(at, answer: Verdict):
+    """The rule that inserts its last argument where ``at(a, args)``
+    names, answering ``answer``: an index out of range where it names
+    None, and a refusal where the bounded contract is at capacity."""
+
+    def rule(a, args):
+        p = at(a, args)
+        if p is None:
+            return _OUT_OF_BOUNDS
+        if a.bounded and len(a.items) >= a.max_size:
+            return _ILLEGAL_STATE
+        a.insert(p, args[-1])
+        return answer
+
+    return rule
 
 
 def _remove_at(a, args):
     (i,) = args
-    items = a.items
-    if not 0 <= i < len(items):
-        return _OUT_OF_BOUNDS, a
-    return value(items[i]), AbstractList(items[:i] + items[i + 1 :], a.width, a.bounded)
-
-
-def _add(a, args):
-    (x,) = args
-    if _at_capacity(a):
-        return _ILLEGAL_STATE, a
-    return _TRUE, AbstractList(a.items + (x,), a.width, a.bounded)
-
-
-def _add_last(a, args):
-    (x,) = args
-    if _at_capacity(a):
-        return _ILLEGAL_STATE, a
-    return _NONE, AbstractList(a.items + (x,), a.width, a.bounded)
-
-
-def _add_first(a, args):
-    (x,) = args
-    if _at_capacity(a):
-        return _ILLEGAL_STATE, a
-    return _NONE, AbstractList((x,) + a.items, a.width, a.bounded)
+    if not 0 <= i < len(a.items):
+        return _OUT_OF_BOUNDS
+    return value(a.remove(i))
 
 
 def _search(find):
@@ -188,15 +248,15 @@ def _search(find):
         (x,) = args
         p = find(a.items, x)
         if p is None:
-            return _MINUS_ONE, a
-        return (value(p) if p <= a.max_size else UNSPECIFIED), a
+            return _MINUS_ONE
+        return value(p) if p <= a.max_size else UNSPECIFIED
 
     return rule
 
 
 def _contains(a, args):
     (x,) = args
-    return (_FALSE if first_index(a.items, x) is None else _TRUE), a
+    return _FALSE if first_index(a.items, x) is None else _TRUE
 
 
 def _remove_occurrence(find):
@@ -204,44 +264,41 @@ def _remove_occurrence(find):
 
     def rule(a, args):
         (x,) = args
-        items = a.items
-        p = find(items, x)
+        p = find(a.items, x)
         if p is None:
-            return _FALSE, a
-        return _TRUE, AbstractList(items[:p] + items[p + 1 :], a.width, a.bounded)
+            return _FALSE
+        a.remove(p)
+        return _TRUE
 
     return rule
 
 
 def _clear(a, args):
-    return _NONE, AbstractList((), a.width, a.bounded)
+    a.clear()
+    return _NONE
 
 
 def _to_array(a, args):
     if len(a.items) > a.max_size:
-        return UNSPECIFIED, a
-    return value(a.items), a
+        return UNSPECIFIED
+    return value(tuple(a.items))
 
 
 def _read_end(end: int, empty: Verdict):
     """The rule answering the item at ``end``, or ``empty`` on an empty list."""
 
     def rule(a, args):
-        items = a.items
-        return (value(items[end]) if items else empty), a
+        return value(a.items[end]) if a.items else empty
 
     return rule
 
 
-def _take_end(end: int, rest: slice, empty: Verdict):
-    """The rule that removes and answers the item at ``end``, leaving
-    ``items[rest]``; ``empty`` on an empty list."""
+def _take_end(last: bool, empty: Verdict):
+    """The rule that removes and answers the first or ``last`` item;
+    ``empty`` on an empty list."""
 
     def rule(a, args):
-        items = a.items
-        if not items:
-            return empty, a
-        return value(items[end]), AbstractList(items[rest], a.width, a.bounded)
+        return value(a.remove(len(a.items) - 1 if last else 0)) if a.items else empty
 
     return rule
 
@@ -264,35 +321,21 @@ class Footprint:
 EMPTY_FOOTPRINT = Footprint()
 
 
-def _insertion_footprint(ids, p: int) -> Footprint:
-    """A fresh node linked in at position ``p`` of the chain ``ids``."""
-    nodes = set()
+def _splice_footprint(ids, p: int, removed: bool) -> Footprint:
+    """A fresh node linked in at position ``p`` of the chain ``ids``, or
+    the node there unlinked and cleared (``removed``)."""
+    nodes = {(ids[p], f) for f in ("prev", "item", "next")} if removed else set()
     header = {"size"}
     if p > 0:
         nodes.add((ids[p - 1], "next"))
     else:
         header.add("first")
-    if p < len(ids):
-        nodes.add((ids[p], "prev"))
+    succ = p + 1 if removed else p
+    if succ < len(ids):
+        nodes.add((ids[succ], "prev"))
     else:
         header.add("last")
-    return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=True)
-
-
-def _removal_footprint(ids, p: int) -> Footprint:
-    """The node at position ``p`` of the chain ``ids`` unlinked and cleared."""
-    x = ids[p]
-    nodes = {(x, "prev"), (x, "item"), (x, "next")}
-    header = {"size"}
-    if p > 0:
-        nodes.add((ids[p - 1], "next"))
-    else:
-        header.add("first")
-    if p < len(ids) - 1:
-        nodes.add((ids[p + 1], "prev"))
-    else:
-        header.add("last")
-    return Footprint(frozenset(nodes), frozenset(header), ghost=True)
+    return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=not removed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +345,8 @@ def _removal_footprint(ids, p: int) -> Footprint:
 INDEX = "index"
 ITEM = "item"
 
-#: edit kinds: what a mutating call does to the chain, at the position
-#: its row's ``at(pre, args)`` names (None: the call edits nothing)
+#: edit kinds: what a mutating call does to the chain, at the position of
+#: the edit its row's rule logs (None: the call edits nothing)
 INSERT, REMOVE, REPLACE, CLEAR = "insert", "remove", "replace", "clear"
 
 #: argument alphabet: small enough to enumerate, rich enough to exercise
@@ -312,57 +355,37 @@ MARKER = Atom("marker")
 ALPHABET: tuple[Item, ...] = (NULL, Atom("a"), Atom("b"), MARKER)
 
 
-# Positions ``at(pre, args)``: where in the chain the call edits, or None
-# where it edits nothing (an index out of range, no match, an empty list).
+# Insert positions ``at(a, args)``: where in the list ``a`` an insert goes,
+# or None for an index out of range. The rule inserts there, and a
+# refused insert's footprint still names it.
 
 
-def _front(pre, args):
+def _front(a, args):
     return 0
 
 
-def _back(pre, args):
-    return len(pre.ghost)
+def _back(a, args):
+    return len(a.items)
 
 
-def _slot(pre, args):
+def _slot(a, args):
     i = args[0]
-    return i if 0 <= i <= len(pre.ghost) else None
-
-
-def _index(pre, args):
-    i = args[0]
-    return i if 0 <= i < len(pre.ghost) else None
-
-
-def _first_node(pre, args):
-    return 0 if pre.ghost else None
-
-
-def _last_node(pre, args):
-    return len(pre.ghost) - 1 if pre.ghost else None
-
-
-def _first_match(pre, args):
-    return first_index(pre.items, args[0])
-
-
-def _last_match(pre, args):
-    return last_index(pre.items, args[0])
+    return i if 0 <= i <= len(a.items) else None
 
 
 @dataclass(frozen=True, slots=True)
 class OpSpec:
     """An operation's contract: its documented ``rule(a, args)``, and the
-    edit its ``assignable`` clause permits, as a kind and a position
-    function ``at(pre, args)`` (None where the call edits nothing)."""
+    edit its ``assignable`` clause permits, as a kind; an insert also
+    names its position function ``at(a, args)``."""
 
     name: str
     args: tuple[str, ...]  # argument kinds: INDEX / ITEM
     interface: str | None  # "List", "Deque", or None for the capacity helpers
     probes: tuple[tuple, ...]  # census argument tuples; empty = not censused
-    rule: Callable  # (a, args) -> (verdict, state)
+    rule: Callable  # (a, args) -> verdict, editing the ModelList a in place
     edit: str | None = None  # INSERT | REMOVE | REPLACE | CLEAR; None for a query
-    at: Callable | None = None  # (pre, args) -> position or None
+    at: Callable | None = None  # INSERT: (a, args) -> position or None
     method: str | None = None  # the JavaLinkedList method, when not ``name``
 
     @property
@@ -375,23 +398,22 @@ class OpSpec:
         argument (identity test) and one for a non-null one (equals)."""
         return self.args == (ITEM,) and self.edit != INSERT
 
-    def footprint(self, pre, args) -> Footprint:
-        """The locations the call may modify."""
+    def footprint(self, ids, a: ModelList, args: tuple, edits: list) -> Footprint:
+        """The locations the call may modify: ``ids`` are the chain's ids
+        on entry, and the position is that of the edit the rule logged on
+        ``a`` (``edits``), or for a refused insert where ``at`` names."""
         edit = self.edit
         if edit is None:
             return EMPTY_FOOTPRINT
-        ids = pre.ghost
         if edit == CLEAR:
             nodes = {(nid, f) for nid in ids for f in ("prev", "item", "next")}
             return Footprint(frozenset(nodes), frozenset({"first", "last", "size"}), ghost=True)
-        p = self.at(pre, args)
+        p = edits[0][1] if edits else self.at(a, args) if self.at else None
         if p is None:
             return EMPTY_FOOTPRINT
-        if edit == INSERT:
-            return _insertion_footprint(ids, p)
-        if edit == REMOVE:
-            return _removal_footprint(ids, p)
-        return Footprint(frozenset({(ids[p], "item")}))
+        if edit == REPLACE:
+            return Footprint(frozenset({(ids[p], "item")}))
+        return _splice_footprint(ids, p, edit == REMOVE)
 
 
 _A = (Atom("a"),)
@@ -402,23 +424,22 @@ _CALL = ((),)
 OP_SPECS: dict[str, OpSpec] = {
     row.name: row
     for row in (
-        OpSpec("add", (ITEM,), "List", (_A,), _add, INSERT, _back),
-        OpSpec("add_first", (ITEM,), "Deque", (_A,), _add_first, INSERT, _front),
-        OpSpec("add_last", (ITEM,), "Deque", (_A,), _add_last, INSERT, _back),
+        OpSpec("add", (ITEM,), "List", (_A,), _insert(_back, _TRUE), INSERT, _back),
+        OpSpec("add_first", (ITEM,), "Deque", (_A,), _insert(_front, _NONE), INSERT, _front),
+        OpSpec("add_last", (ITEM,), "Deque", (_A,), _insert(_back, _NONE), INSERT, _back),
         OpSpec("get", (INDEX,), "List", ((0,),), _get),
-        OpSpec("set_at", (INDEX, ITEM), "List", _AT_0, _set_at, REPLACE, _index),
-        OpSpec("add_at", (INDEX, ITEM), "List", _AT_0, _add_at, INSERT, _slot),
-        OpSpec("remove_at", (INDEX,), "List", ((0,),), _remove_at, REMOVE, _index),
+        OpSpec("set_at", (INDEX, ITEM), "List", _AT_0, _set_at, REPLACE),
+        OpSpec("add_at", (INDEX, ITEM), "List", _AT_0, _insert(_slot, _NONE), INSERT, _slot),
+        OpSpec("remove_at", (INDEX,), "List", ((0,),), _remove_at, REMOVE),
         OpSpec("index_of", (ITEM,), "List", _SEARCH, _search(first_index)),
         OpSpec("last_index_of", (ITEM,), "List", _SEARCH, _search(last_index)),
         OpSpec("contains", (ITEM,), "List", _SEARCH, _contains),
         # Java's List.remove(Object)
-        OpSpec("remove_item", (ITEM,), "List", _SEARCH,
-               _remove_occurrence(first_index), REMOVE, _first_match),
+        OpSpec("remove_item", (ITEM,), "List", _SEARCH, _remove_occurrence(first_index), REMOVE),
         OpSpec("remove_first_occurrence", (ITEM,), "List", ((NULL,),),
-               _remove_occurrence(first_index), REMOVE, _first_match),
+               _remove_occurrence(first_index), REMOVE),
         OpSpec("remove_last_occurrence", (ITEM,), "List", ((NULL,),),
-               _remove_occurrence(last_index), REMOVE, _last_match),
+               _remove_occurrence(last_index), REMOVE),
         OpSpec("clear", (), "List", _CALL, _clear, CLEAR),
         OpSpec("to_array", (), "List", _CALL, _to_array),
         OpSpec("size", (), "List", _CALL, _size, method="size_field"),
@@ -428,14 +449,10 @@ OP_SPECS: dict[str, OpSpec] = {
         OpSpec("get_last", (), "Deque", _CALL, _read_end(-1, _NO_SUCH_ELEMENT)),
         OpSpec("peek_first", (), "Deque", _CALL, _read_end(0, _NONE)),
         OpSpec("peek_last", (), "Deque", _CALL, _read_end(-1, _NONE)),
-        OpSpec("poll_first", (), "Deque", _CALL,
-               _take_end(0, slice(1, None), _NONE), REMOVE, _first_node),
-        OpSpec("poll_last", (), "Deque", _CALL,
-               _take_end(-1, slice(None, -1), _NONE), REMOVE, _last_node),
-        OpSpec("remove_first", (), "Deque", _CALL,
-               _take_end(0, slice(1, None), _NO_SUCH_ELEMENT), REMOVE, _first_node),
-        OpSpec("remove_last", (), "Deque", _CALL,
-               _take_end(-1, slice(None, -1), _NO_SUCH_ELEMENT), REMOVE, _last_node),
+        OpSpec("poll_first", (), "Deque", _CALL, _take_end(False, _NONE), REMOVE),
+        OpSpec("poll_last", (), "Deque", _CALL, _take_end(True, _NONE), REMOVE),
+        OpSpec("remove_first", (), "Deque", _CALL, _take_end(False, _NO_SUCH_ELEMENT), REMOVE),
+        OpSpec("remove_last", (), "Deque", _CALL, _take_end(True, _NO_SUCH_ELEMENT), REMOVE),
     )
 }
 
@@ -456,27 +473,14 @@ def check_call(op: str, args: tuple) -> OpSpec:
     return spec
 
 
-def oracle_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, AbstractList]:
-    """Documented behavior of ``op`` on the abstract state.
-
-    Returns the verdict and the resulting abstract state (``a`` itself
-    for queries and for error outcomes)."""
+def oracle_apply(a: ModelList, op: str, args: tuple) -> tuple[Verdict, ModelList]:
+    """Documented behavior of ``op`` on the oracle state ``a``, which the
+    call edits in place: returns the verdict and ``a`` itself."""
     try:
         rule = OP_SPECS[op].rule
     except (KeyError, TypeError):
         raise UsageError(f"unknown operation {op!r}") from None
-    return rule(a, args)
-
-
-def oracle_add_all(a: AbstractList, items) -> AbstractList:
-    """The state that ``add(x)`` for each ``x`` of ``items`` in turn leads
-    to, built in one step: unbounded, every add appends; bounded, the
-    adds stop at ``max_size`` and each further one is refused, changing
-    nothing."""
-    new = tuple(items)
-    if a.bounded:
-        new = new[: max(0, a.max_size - len(a.items))]
-    return AbstractList(a.items + new, a.width, a.bounded)
+    return rule(a, args), a
 
 
 def observe_equal(impl: tuple[str, object], verdict: Verdict) -> str:

@@ -44,7 +44,7 @@ from overlist.ghostspec import (
 )
 from overlist.heapmodel import NULL, Atom, walk_chain
 from overlist.listcore import CheckMode, FAULTS, SizePolicy, new_list
-from overlist.oracle import OP_SPECS, AbstractList, observe_equal, oracle_apply
+from overlist.oracle import OP_SPECS, ModelList, observe_equal, oracle_apply
 from overlist.difftest import run_op
 from overlist.statespace import SMALL_ALPHABET, build_list, enumerate_lists, random_state
 
@@ -79,7 +79,7 @@ def test_criterion_01_size_flips_sign():
     lst = nulls(128)
     assert lst.size == -128
     assert len(walk_chain(lst.store, lst.first)) == 128
-    oracle = AbstractList((NULL,) * 128, 8, bounded=False)
+    oracle = ModelList((NULL,) * 128, 8, bounded=False)
     verdict, _ = oracle_apply(oracle, "size", ())
     assert verdict.value == 127  # the documented (clamped) answer
 
@@ -131,11 +131,11 @@ def test_criterion_05_deque_survives_overflow():
         ("remove_first", ()), ("remove_last", ()),
         ("add_first", (A,)), ("add_last", (A,)),
     ]
-    for lst, abs_state in build_overflow_states(8):
+    for lst, snapshot in build_overflow_states(8):
         for op, args in probes:
             with lst.trial():
                 outcome = run_op(lst, op, args)
-            verdict, _ = oracle_apply(abs_state, op, args)
+            verdict, _ = oracle_apply(ModelList(*snapshot), op, args)
             assert observe_equal(outcome, verdict) == "agree", (op, outcome, verdict)
 
 
@@ -198,17 +198,20 @@ def test_criterion_09_oracle_equivalence_below_bound():
         ("index_of", (A,)), ("size", ()),
     ]
 
-    def explore(lst, abs_state, depth):
+    def explore(lst, model, depth):
         for op, args in alphabet:
             with lst.trial():  # nested once per level of the tree
                 outcome = run_op(lst, op, args)
-                verdict, abs_next = oracle_apply(abs_state, op, args)
+                model.open_savepoint()
+                verdict, _ = oracle_apply(model, op, args)
+                edits = model.close_savepoint()
                 assert verdict.kind != "unspecified"
                 assert observe_equal(outcome, verdict) == "agree", (op, outcome, verdict)
                 if depth > 1:
-                    explore(lst, abs_next, depth - 1)
+                    explore(lst, model, depth - 1)
+                model.undo(edits)
 
-    explore(new_list(8, SizePolicy.FAIL_FAST), AbstractList((), 8), 5)
+    explore(new_list(8, SizePolicy.FAIL_FAST), ModelList((), 8), 5)
 
     # randomized: longer scripts at width 16, far below capacity
     for seed in range(1000):

@@ -19,13 +19,14 @@ Its proof obligation: at every step's entry the full invariant holds and
 the chain's items are the carried oracle items, and the outputs equal
 those of sending every step through the public ``run_checked``.
 
-Under ``full``, a step whose scoped check vouched derives its post-state
-items from the carried entry items, the ghost edit the scoped check
-located and the journal's item writes, instead of reading the chain.
-Its proof obligation: beside every such step, a whole read of the
-chain's items equals the derived ones, and a violation found through
-the derived items has the text a whole read gives. A passing step then
-reads as many nodes at 120 nodes as at 8, beyond the list's own work.
+Under ``full``, a step whose scoped exit check vouched compares edits
+instead of item sequences: the ghost edit the scoped check located and
+the journal's item writes against the edit the oracle's rule logged
+(``_same_items``). Its proof obligation: beside every step whose edits
+it judged equal, a whole read of the chain's items equals the oracle's
+items, and a violation found after the comparison has the text a whole
+read gives. A passing step then reads as many nodes at 120 nodes as at
+8, beyond the list's own work.
 
 Under ``invariant``, ``checked_step`` judges each step by the scoped
 exit check while the invariant holds, and runs the full check only when
@@ -34,11 +35,11 @@ step whose scoped check passed, the full invariant holds.
 
 Under both, a step that wrote nothing (an empty journal, no allocation,
 no logged ghost edit, and the header and ghost length of entry) skips the
-scoped check, the post-item derivation and the frame check. Its proof
-obligation: beside every such step, that general path vouches with no
-ghost edit, derives the entry items and finds no frame violation; a call
-that writes and writes back, allocates, or changes the size or ghost
-behind the store takes the general path.
+scoped check and the frame check. Its proof obligation: beside every such
+step, that general path vouches with no ghost edit, keeps the entry
+items and finds no frame violation; a call that writes and writes back,
+allocates, or changes the size or ghost behind the store takes the
+general path.
 """
 
 from collections import Counter
@@ -46,15 +47,16 @@ from contextlib import contextmanager
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
+from oracle_model import model_for
 
 from overlist import difftest, ghostspec, heapmodel, listcore
 from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, OpScript, gen_script, run_script
 from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
-from overlist.ghostspec import (NO_EDIT, PreObservation, _post_items, check_invariant,
+from overlist.ghostspec import (NO_EDIT, PreObservation, _same_items, check_invariant,
                                  exit_invariant_holds, frame_check, run_checked)
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, CheckMode, SizePolicy, apply_op, new_list
-from overlist.oracle import ALPHABET, EMPTY_FOOTPRINT, INDEX, OP_SPECS, AbstractList, oracle_apply
+from overlist.oracle import ALPHABET, EMPTY_FOOTPRINT, INDEX, OP_SPECS, ModelList
 from overlist.statespace import build_list
 
 A, B = Atom("a"), Atom("b")
@@ -553,7 +555,7 @@ def carried_entries(plain: bool = False):
     def beside(lst, op, args, model=None):
         failures = check_invariant(lst)
         assert not failures, (op, failures)
-        assert tuple(lst.items()) == model[0], op
+        assert tuple(lst.items()) == entry_items(model), op
         entered.append(op)
         if not plain:
             return real(lst, op, args, model)
@@ -566,6 +568,15 @@ def carried_entries(plain: bool = False):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(difftest, "checked_step", beside)
         yield entered
+
+
+def entry_items(model):
+    """The oracle's items before the call ``model`` judges: its state
+    after the call with the logged edit undone, on a copy."""
+    _, a, edits = model
+    before = ModelList(a.items, a.width, a.bounded)
+    before.undo(edits)
+    return tuple(before.items)
 
 
 def full_failfast(steps, faults):
@@ -626,54 +637,43 @@ class TestCarriedEntry:
                 new_list(8, SizePolicy.UNCHECKED, mode)
 
 
+#: the oracle's logged edit kinds
+EDIT_KINDS = {1: "insert", -1: "remove", 0: "replace", None: "clear"}
+
+
 @contextmanager
-def derived_items():
-    """Run a whole read of the chain's items beside every ``full`` step
-    whose post-state items ``checked_step`` did not read whole, asserting
-    the two are equal; yields each such step's kind. A step the scoped
-    exit check vouched for derived its items from the located ghost edit
-    (an "insert", a "remove", an "item write" or "links only"); a step
-    that wrote nothing ("unchanged") took the entry items, which
-    ``_post_vs_model`` receives with the entry ghost as the chain."""
+def edit_verdicts():
+    """Run a whole read of the chain's items beside every ``full`` step's
+    edit comparison (``_same_items``), asserting that edits judged equal
+    leave the chain holding the oracle's items; yields each comparison's
+    kind: the oracle's edit ("insert", "remove", "replace", "clear", or
+    "none") where the edits matched, "whole read" where they did not."""
     kinds = []
-    exits = [False]
-    real_items, real_exit, real_post = (
-        ghostspec._post_items, ghostspec._wrote_nothing, ghostspec._post_vs_model)
+    real = ghostspec._same_items
 
-    def beside(lst, pre, edit, journal):
-        derived = real_items(lst, pre, edit, journal)
-        assert derived == tuple(lst.items())
-        entries, _ = journal
-        d = len(lst.ghost) - len(pre.ghost)
-        kinds.append("insert" if d > 0 else "remove" if d < 0
-                     else "item write" if "item" in entries[1::3] else "links only")
-        return derived
-
-    def wrote_nothing(*a):
-        exits[0] = real_exit(*a)
-        return exits[0]
-
-    def post_vs_model(lst, verdict, abs_post, outcome, chain, items):
-        if exits[0]:
-            assert tuple(chain) == tuple(lst.chain()) and items == tuple(lst.items())
-            kinds.append("unchanged")
-        return real_post(lst, verdict, abs_post, outcome, chain, items)
+    def beside(lst, edit, journal, model):
+        same = real(lst, edit, journal, model)
+        _, a, edits = model
+        if same:
+            assert tuple(lst.items()) == tuple(a.items)
+            kinds.append(EDIT_KINDS[edits[0][0]] if edits else "none")
+        else:
+            kinds.append("whole read")
+        return same
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ghostspec, "_post_items", beside)
-        mp.setattr(ghostspec, "_wrote_nothing", wrote_nothing)
-        mp.setattr(ghostspec, "_post_vs_model", post_vs_model)
+        mp.setattr(ghostspec, "_same_items", beside)
         yield kinds
 
 
 Z = Atom("z")  # in no generated script
 
 
-class TestDerivedItems:
-    """Under ``full``, a step the scoped exit check vouched for derives
-    its post-state items from the entry items, the ghost edit and the
-    journal's item writes. Its proof obligation: beside every such step,
-    a whole read of the chain's items equals the derived ones."""
+class TestEditComparison:
+    """Under ``full``, a step the scoped exit check vouched for compares
+    the list's ghost edit and item writes with the oracle's logged edit.
+    Its proof obligation: beside every step whose edits it judged equal,
+    a whole read of the chain's items equals the oracle's items."""
 
     def test_generated_scripts_all_faults_both_mixes(self):
         kinds = Counter()
@@ -681,29 +681,29 @@ class TestDerivedItems:
             faults = frozenset() if fault is None else frozenset({fault})
             for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
                 for seed in range(6):
-                    with derived_items() as seen:
+                    with edit_verdicts() as seen:
                         full_failfast(gen_script(seed, 8, 400, weights).steps, faults)
                     kinds.update(seen)
-        assert all(kinds[k] > 100 for k in ("insert", "remove", "item write", "unchanged")), kinds
+        assert all(kinds[k] > 100 for k in ("insert", "remove", "replace", "none")), kinds
+        assert kinds["clear"], kinds
 
     @settings(max_examples=60, deadline=None)
     @given_drawn_script
     def test_drawn_scripts(self, prefix, fault, ops, data):
         faults = frozenset() if fault is None else frozenset({fault})
-        with derived_items() as seen:
+        with edit_verdicts() as seen:
             full_failfast(drawn_steps(prefix, ops, data), faults)
-        # the first step runs on an empty list, where every call that
-        # writes vouches
+        # the first step runs on an empty list, where every call vouches
         assert seen
 
     @staticmethod
-    def step_and_write(op, args, node_at, derive=True):
+    def step_and_write(op, args, node_at, compare=True):
         """Run ``op`` through ``checked_step`` on a checked list of 12
         items, as a call that first writes ``Z`` into the item of the node
         ``node_at(lst)`` picks, through the journaled setter (a removal's
-        clearing stays the call's last write). Without ``derive``, the
+        clearing stays the call's last write). Without ``compare``, the
         scoped exit check never vouches, so the chain's items are read
-        whole. Returns the kinds of the derived steps and the
+        whole. Returns the kinds of the edit comparisons and the
         ContractViolation raised, or None."""
         lst = build_list([A, B] * 6, check_mode=CheckMode.FULL)
         node = node_at(lst)
@@ -713,11 +713,10 @@ class TestDerivedItems:
             state.store.set_item(node, Z)
             return real(state, op, args)
 
-        items = tuple(lst.items())
-        model = (items, *oracle_apply(AbstractList(items, 8), op, args))
-        with pytest.MonkeyPatch.context() as mp, derived_items() as seen:
+        model = model_for(tuple(lst.items()), 8, op, args)
+        with pytest.MonkeyPatch.context() as mp, edit_verdicts() as seen:
             mp.setattr(listcore, "apply_op", write_and_call)
-            if not derive:
+            if not compare:
                 mp.setattr(ghostspec, "exit_invariant_holds", lambda *a: None)
             try:
                 ghostspec.checked_step(lst, op, args, model)
@@ -730,11 +729,46 @@ class TestDerivedItems:
         ("set_at", (3, B)), ("get", (1,)), ("remove_at", (12,)),
     ])
     def test_item_write_away_from_the_edit(self, op, args):
-        seen, derived = self.step_and_write(op, args, lambda lst: lst.ghost[9])
-        assert seen and "post" in derived.categories()
-        unseen, whole = self.step_and_write(op, args, lambda lst: lst.ghost[9], derive=False)
+        seen, compared = self.step_and_write(op, args, lambda lst: lst.ghost[9])
+        assert seen == ["whole read"] and "post" in compared.categories()
+        unseen, whole = self.step_and_write(op, args, lambda lst: lst.ghost[9], compare=False)
         assert not unseen
-        assert str(derived) == str(whole)
+        assert str(compared) == str(whole)
+
+    @pytest.mark.parametrize("op, args, at, kind", [
+        ("set_at", (3, B), 3, "replace"), ("remove_at", (5,), 5, "remove"),
+        ("add_at", (6, A), 6, "whole read"), ("remove_at", (5,), 6, "whole read"),
+        ("set_at", (3, B), 4, "whole read"),
+    ])
+    def test_item_write_at_the_edit_site(self, op, args, at, kind):
+        """A write the call itself overwrites, or to the node it removes,
+        leaves the edits equal (only the answer, the written item, is
+        wrong); a write to the edit's neighbour does not, and a whole
+        read names the items."""
+        seen, compared = self.step_and_write(op, args, lambda lst: lst.ghost[at])
+        assert seen == [kind] and "post" in compared.categories()
+        named = [w for _, w in compared.violations if w.startswith("chain items")]
+        assert bool(named) == (kind == "whole read"), compared
+
+    @pytest.mark.parametrize("op, args, instead", [
+        ("add_first", (B,), lambda lst: lst.add(B)),
+        ("add", (A,), lambda lst: lst.add(B)),
+        ("remove_at", (2,), lambda lst: lst.remove_at(3)),
+        ("set_at", (3, B), lambda lst: lst.set_at(3, Z)),
+        ("set_at", (3, B), lambda lst: lst.set_at(4, B)),
+    ])
+    def test_an_edit_other_than_the_oracles(self, op, args, instead):
+        """The list makes one edit of the kind the oracle logged, at
+        another position or with another item: the edits differ, and a
+        whole read names the items."""
+        lst = build_list([A, B] * 6, check_mode=CheckMode.FULL)
+        model = model_for(tuple(lst.items()), 8, op, args)
+        with pytest.MonkeyPatch.context() as mp, edit_verdicts() as seen:
+            mp.setattr(listcore, "apply_op", lambda state, op, args: instead(state))
+            with pytest.raises(ContractViolation) as e:
+                ghostspec.checked_step(lst, op, args, model)
+        assert seen == ["whole read"]
+        assert any(w.startswith("chain items") for _, w in e.value.violations)
 
     def test_item_write_outside_the_chain(self):
         def garbage(lst):
@@ -742,7 +776,7 @@ class TestDerivedItems:
             lst.poll_first()
             return node
 
-        # the frame check names the write; the derived items are the chain's
+        # the frame check names the write; the chain's items are the oracle's
         seen, violation = self.step_and_write("add", (A,), garbage)
         assert seen == ["insert"] and violation.categories() == {"frame"}
 
@@ -774,8 +808,7 @@ class TestFlatRecordReads:
 
     def harness_reads(self, reads, n, width, op, args):
         checked, plain = filled(n, width, CheckMode.FULL), filled(n, width)
-        items = tuple(checked.items())
-        model = (items, *oracle_apply(AbstractList(items, width), op, args))
+        model = model_for(tuple(checked.items()), width, op, args)
         return (reads(ghostspec.checked_step, checked, op, args, model)
                 - reads(apply_op, plain, op, args))
 
@@ -920,13 +953,15 @@ def exit_kind(op, outcome):
 def nothing_written_exits():
     """Beside every checked step of ``run_script`` that takes the
     nothing-written exit, run the general path on the same state, journal
-    and log: the scoped exit check, the post-item derivation, the
-    operation's footprint and the frame check. The scoped check must
-    vouch with no ghost edit, as must the whole comparison with the entry
-    ghost (copied before the call) at position 0; the derivation must
-    give the entry items (read whole before the call, and again after
-    it), and the frame check, given the exit ghost, must find nothing.
-    Yields each exit's ``exit_kind``."""
+    and log: the scoped exit check, the edit comparison, the operation's
+    footprint and the frame check. The scoped check must vouch with no
+    ghost edit, as must the whole comparison with the entry ghost (copied
+    before the call) at position 0; the chain's items must be the entry
+    items (read whole before the call, and again after it), an edit
+    comparison that finds them the oracle's must be right, and the frame
+    check, given the exit ghost, must find nothing. Under ``invariant``,
+    where the run has no oracle model, the footprint is positioned by one
+    built before the call. Yields each exit's ``exit_kind``."""
     kinds = []
     taken = []
     real_step, real_exit = ghostspec.checked_step, ghostspec._wrote_nothing
@@ -938,15 +973,19 @@ def nothing_written_exits():
 
     def step(lst, op, args, model=None):
         items, ghost = tuple(lst.items()), tuple(lst.ghost)
-        assert model is None or model[0] == items
+        assert model is None or entry_items(model) == items
+        oracle = model or model_for(items, lst.width, op, args)
         outcome, error, failures = real_step(lst, op, args, model)
         if taken:
             header, journal, edits = taken.pop()
-            pre = PreObservation(items, header, ghost)
+            pre = PreObservation(header, len(ghost))
             assert exit_invariant_holds(lst, edits, journal) == NO_EDIT
             assert compared_exit(lst, ghost, journal) == (ghost, 0)
-            assert _post_items(lst, pre, NO_EDIT, journal) == items == tuple(lst.items())
-            fp = EMPTY_FOOTPRINT if outcome[0] == "error" else OP_SPECS[op].footprint(pre, args)
+            assert items == tuple(lst.items())
+            if _same_items(lst, NO_EDIT, journal, oracle):
+                assert items == tuple(oracle[1].items)
+            fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
+                  else OP_SPECS[op].footprint(ghost, oracle[1], args, oracle[2]))
             assert frame_check(pre, lst, journal, fp, lst.ghost) == []
             kinds.append(exit_kind(op, outcome))
         return outcome, error, failures
@@ -1006,8 +1045,7 @@ class TestNothingWritten:
             change(state)
             return real(state, op, args)
 
-        items = tuple(lst.items())
-        model = (items, *oracle_apply(AbstractList(items, 8), op, args)) if full else None
+        model = model_for(tuple(lst.items()), 8, op, args) if full else None
         log = []
         real_exit, real_scoped = ghostspec._wrote_nothing, ghostspec.exit_invariant_holds
 

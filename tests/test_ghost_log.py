@@ -14,22 +14,25 @@ puts back the whole fingerprint of the list (header, ghost, the store's
 length and every node's three fields); and the harness's ghost reads do
 not grow with the list: a passing checked step reads as many ghost
 entries at 8 nodes as at 1,000, and a query probe's trial on the
-65,536-node wrap state reads none.
+65,536-node wrap state reads none. A removal that walked to its node
+logs the walked position without scanning the ghost, and on a chain a
+fault parted from its ghost removes as the scan did.
 """
 
 from contextlib import contextmanager
 from itertools import chain
 
 import pytest
+from oracle_model import model_for
 from test_fast_forward import fingerprint
 
 from overlist import ghostspec
 from overlist.difftest import _probe_classification, _stage_items, census, run_op
 from overlist.errors import ListError, UsageError
 from overlist.ghostspec import checked_step
-from overlist.heapmodel import NULL, Atom
-from overlist.listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
-from overlist.oracle import OP_SPECS, AbstractList, oracle_add_all, oracle_apply
+from overlist.heapmodel import NULL, Atom, item_test
+from overlist.listcore import FAULTS, CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
+from overlist.oracle import OP_SPECS, ModelList
 from overlist.statespace import build_list
 
 A, B, Z = Atom("a"), Atom("b"), Atom("z")
@@ -110,6 +113,72 @@ class Unsearchable(list):
         raise AssertionError("the ghost was searched")
 
 
+def walked_then_scanned(lst, op, args):
+    """``op`` as it removed before ``unlink`` was handed the walked
+    position: the same walk, then ``unlink(node)``, which scans the ghost."""
+    if op == "remove_at":
+        lst._check_element_index(args[0])
+        return lst.unlink(lst.node_at(args[0]))
+    forward = op == "remove_first_occurrence"
+    _, node = lst.store.find(lst.first if forward else lst.last, item_test(args[0]),
+                             "next" if forward else "prev")
+    return node is not None and lst.unlink(node) is not None
+
+
+def outcome_and_state(call, lst):
+    try:
+        got = ("value", call())
+    except Exception as e:  # a parted chain can dangle; a harness error is a difference
+        got = ("error", type(e).__name__, str(e))
+    return got, fingerprint(lst)
+
+
+class TestWalkedPositions:
+    """``remove_at`` and the occurrence removals hand ``unlink`` the
+    position their walk reached it at, so a removal far from the first
+    node makes no ghost scan."""
+
+    @pytest.mark.parametrize("op, args, p", [
+        ("remove_at", (0,), 0), ("remove_at", (37,), 37), ("remove_at", (99,), 99),
+        ("remove_first_occurrence", (Z,), 60), ("remove_last_occurrence", (Z,), 70),
+        ("remove_item", (Z,), 60),
+    ])
+    def test_a_removal_is_logged_at_the_walked_position(self, op, args, p):
+        items = [A, B] * 50
+        items[60] = items[70] = Z
+        for mode in (CheckMode.OFF, CheckMode.FULL):
+            lst = build_list(items, check_mode=mode)
+            node = lst.ghost[p]
+            lst.ghost = Unsearchable(lst.ghost)
+            assert logged(lst, lambda: apply_op(lst, op, args)) == [(-1, p, node)]
+            assert lst.chain() == lst.ghost
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    def test_a_chain_parted_from_its_ghost_removes_as_the_scan_did(self, fault):
+        """``unlink-skip-relink`` leaves a cleared node linked, so a walk
+        past it finds positions the ghost no longer holds: each removal,
+        on a list under FULL checks and on an unchecked one, gives the
+        outcome and the list the scan gave, and no harness error."""
+        faults = frozenset() if fault is None else frozenset({fault})
+        calls = [("remove_at", (i,)) for i in range(-1, 12)]
+        calls += [(op, (x,)) for op in ("remove_first_occurrence", "remove_last_occurrence")
+                  for x in (A, B, NULL, Z)]
+        for mode in (CheckMode.OFF, CheckMode.FULL):
+            def parted():
+                lst = new_list(8, SizePolicy.FAIL_FAST, mode, faults)
+                for x in [A, B, NULL] * 4:
+                    lst.add(x)
+                lst.remove_at(4)
+                lst.remove_first_occurrence(B)
+                return lst
+
+            for op, args in calls:
+                new, old = parted(), parted()
+                got = outcome_and_state(lambda: apply_op(new, op, args), new)
+                assert got == outcome_and_state(lambda: walked_then_scanned(old, op, args), old)
+                assert "UsageError" not in got[0], (fault, mode, op, args)
+
+
 # -- trials restore the whole fingerprint ----------------------------------------
 
 
@@ -143,8 +212,9 @@ def wrap_state(width, policy=SizePolicy.UNCHECKED):
     items = tuple(chain(*_stage_items(width)))
     lst = new_list(width, policy)
     lst.fast_forward(items)
-    empty = AbstractList((), width, bounded=policy is SizePolicy.FAIL_FAST)
-    return lst, oracle_add_all(empty, items)
+    model = ModelList((), width, bounded=policy is SizePolicy.FAIL_FAST)
+    model.add_all(items)
+    return lst, model
 
 
 class TestTrialBodies:
@@ -201,7 +271,7 @@ class TestTrialBodies:
 
             def call(lst):
                 items = tuple(lst.items())
-                model = (items, *oracle_apply(AbstractList(items, 8), op, args)) if full else None
+                model = model_for(items, 8, op, args) if full else None
                 return checked_step(lst, op, args, model)
 
             with pytest.MonkeyPatch.context() as mp:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle_model import model_for
 
 from overlist.difftest import OpScript, run_script
 from overlist.errors import ContractViolation, CycleDetected, ListError, UsageError
@@ -327,7 +328,7 @@ def framed(lst, write, fp=EMPTY_FOOTPRINT):
     pre = observe(lst)
     mark = lst.store.open_journal()
     write()
-    return frame_check(pre, lst, lst.store.close_journal(mark), fp, tuple(lst.ghost))
+    return frame_check(pre, lst, lst.store.close_journal(mark), fp, lst.ghost)
 
 
 class TestFrameCheck:
@@ -495,8 +496,7 @@ class TestCheckedStepReturns:
     ])
     def test_error_is_the_raised_list_error_or_none(self, with_model, op, args, outcome):
         lst = checked_list([A])
-        a = oracle.AbstractList((A,), 8)
-        model = (a.items, *oracle.oracle_apply(a, op, args)) if with_model else None
+        model = model_for((A,), 8, op, args) if with_model else None
         got, error, failures = checked_step(lst, op, args, model)
         assert got == outcome and failures == ()
         if outcome[0] == "value":

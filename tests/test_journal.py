@@ -16,6 +16,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle_model import model_for
 
 from overlist import difftest
 from overlist.difftest import ADD_HEAVY_WEIGHTS, gen_script, prepare_overflow, run_op
@@ -23,7 +24,7 @@ from overlist.errors import ChainCorruption, ContractViolation, ListError, Usage
 from overlist.ghostspec import Footprint, checked_step, frame_check, observe, run_checked
 from overlist.heapmodel import NULL, Atom, NodeStore, diff, snapshot
 from overlist.listcore import CheckMode, SizePolicy, apply_op, new_list
-from overlist.oracle import ALPHABET, INDEX, OP_SPECS, AbstractList, oracle_apply
+from overlist.oracle import ALPHABET, INDEX, OP_SPECS
 
 A, B = Atom("a"), Atom("b")
 
@@ -276,24 +277,26 @@ def test_census_leaves_the_prepared_states_unchanged(monkeypatch, policy):
     ghost), and the oracle state must hold that list's items, so a write
     that any probe leaked shows at the next stage or at the end."""
     probe = difftest._probe_classification
+    # each stage probes the methods in name order, from the same first call
+    first = min(name for name, spec in OP_SPECS.items() if spec.probes)
     for width in (8, 16):
-        stages = []  # (oracle state, list, fingerprint) at each stage's first probe
+        stages = []  # (oracle state, its items, list, fingerprint) at each stage's first probe
 
-        def recording_probe(impl, abs_state, method, args):
-            if not stages or stages[-1][0] is not abs_state:
-                stages.append((abs_state, impl, fingerprint(impl)))
-            return probe(impl, abs_state, method, args)
+        def recording_probe(impl, model, method, args):
+            if method == first and args == OP_SPECS[first].probes[0]:
+                stages.append((model, tuple(model.items), impl, fingerprint(impl)))
+            return probe(impl, model, method, args)
 
         monkeypatch.setattr(difftest, "_probe_classification", recording_probe)
         difftest.census(width, policy)
-        (flip_state, lst, flip_print), (wrap_state, wrap_lst, wrap_print) = stages
-        assert wrap_lst is lst
+        (model, flip_items, lst, flip_print), (wrap_model, wrap_items, wrap_lst, wrap_print) = stages
+        assert wrap_lst is lst and wrap_model is model
         flip, _ = prepare_overflow(width, policy, wrap=False)
         assert flip_print == fingerprint(flip), width
-        assert flip_state.items == tuple(flip.items()), width
+        assert flip_items == tuple(flip.items()), width
         wrap, _ = prepare_overflow(width, policy, wrap=True)
         assert wrap_print == fingerprint(wrap) == fingerprint(lst), width
-        assert wrap_state.items == tuple(wrap.items()), width
+        assert wrap_items == tuple(wrap.items()) == tuple(model.items), width
 
 
 def raw_writes(store, data, count):
@@ -378,11 +381,10 @@ class TestRunCheckedClosesTheJournal:
         apply_op(lst, "remove_at", (7,))
         # a checked step assumes the invariant whose entry check would
         # refuse this state
-        abs_pre = AbstractList((A,) * 9, 8)
         with pytest.raises(ChainCorruption):
-            checked_step(lst, "get", (5,), (abs_pre.items, *oracle_apply(abs_pre, "get", (5,))))
+            checked_step(lst, "get", (5,), model_for((A,) * 9, 8, "get", (5,)))
         assert lst.store._journal is None
-        model = (abs_pre.items, *oracle_apply(abs_pre, "add_first", (B,)))
+        model = model_for((A,) * 9, 8, "add_first", (B,))
         assert checked_step(lst, "add_first", (B,), model)[0] == ("value", None)
         assert lst.items()[0] == B
 

@@ -6,7 +6,7 @@ harness generates or checks.
 import hashlib
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -14,7 +14,7 @@ from overlist.difftest import (
     ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, census, dump_script, gen_script, prepare_overflow,
 )
 from overlist.errors import ListError, UsageError
-from overlist.ghostspec import contract_for, observe
+from overlist.ghostspec import contract_for
 from overlist.heapmodel import NULL, Atom, NullItem
 from overlist.listcore import OPS, JavaLinkedList, SizePolicy, apply_op
 from overlist.oracle import (
@@ -23,8 +23,8 @@ from overlist.oracle import (
     INDEX,
     ITEM,
     OP_SPECS,
-    AbstractList,
     Footprint,
+    ModelList,
     first_index,
     last_index,
     oracle_apply,
@@ -51,11 +51,10 @@ class TestConsistency:
 
     @pytest.mark.parametrize("bounded", [True, False])
     def test_oracle_has_a_rule_for_every_row(self, bounded):
-        empty = AbstractList((), 8, bounded=bounded)
         for name, spec in OP_SPECS.items():
             args = tuple(0 if kind == INDEX else Atom("a") for kind in spec.args)
             try:
-                oracle_apply(empty, name, args)
+                oracle_apply(ModelList((), 8, bounded=bounded), name, args)
             except UsageError:
                 pytest.fail(f"oracle has no rule for {name}")
 
@@ -249,6 +248,10 @@ def reference_script(seed: int, width: int, length: int, weights: dict) -> tuple
     return tuple(steps)
 
 
+#: the entry state the reference footprint builders read
+Pre = namedtuple("Pre", "items ghost")
+
+
 def is_plain_answer(r) -> bool:
     """Whether a list's answer is in the oracle's answer domain: an int, a
     bool, None, an item or a tuple of items; never a ``JInt`` or a list."""
@@ -267,17 +270,23 @@ class TestDerivedEdits:
 
     @staticmethod
     def sweep(lst) -> int:
-        """Every call on ``lst``: its footprint equals the reference's, and
-        the value it answers, run in a trial, is plain. Returns the number
-        of calls."""
+        """Every call on ``lst``: its footprint, positioned by the edit the
+        bounded oracle logs (by ``at`` for an insert refused at capacity),
+        equals the reference's, and the value it answers, run in a trial,
+        is plain. Returns the number of calls."""
         calls = 0
-        pre = observe(lst)
+        pre = Pre(tuple(lst.store.items(lst.ghost)), tuple(lst.ghost))
+        model = ModelList(pre.items, lst.width)
         n = len(pre.ghost)
         for name, spec in OP_SPECS.items():
             build = REFERENCE[name][1]
             choices = [range(-2, n + 3) if kind == INDEX else ALPHABET for kind in spec.args]
             for args in itertools.product(*choices):
-                got, want = spec.footprint(pre, args), build(pre, args)
+                model.open_savepoint()
+                oracle_apply(model, name, args)
+                edits = model.close_savepoint()
+                got, want = spec.footprint(pre.ghost, model, args, edits), build(pre, args)
+                model.undo(edits)
                 assert got.node_fields == want.node_fields, (name, args, pre)
                 assert got.header_fields == want.header_fields, (name, args, pre)
                 assert got.ghost == want.ghost, (name, args, pre)

@@ -18,13 +18,13 @@ from overlist.oracle import (
     MARKER,
     OP_SPECS,
     AbstractList,
+    ModelList,
     UNSPECIFIED,
     Verdict,
     error,
     first_index,
     last_index,
     observe_equal,
-    oracle_add_all,
     oracle_apply,
     value,
 )
@@ -36,14 +36,20 @@ def state(*items, width=8, bounded=True):
     return AbstractList(tuple(items), width, bounded)
 
 
+def applied(a, op, args):
+    """The verdict of ``op`` on an oracle state built from the snapshot
+    ``a``, and the snapshot of that state after it."""
+    m = ModelList(*a)
+    v, _ = oracle_apply(m, op, args)
+    return v, m.snapshot()
+
+
 def verdict_of(a, op, *args):
-    v, _ = oracle_apply(a, op, args)
-    return v
+    return applied(a, op, args)[0]
 
 
 def next_state(a, op, *args):
-    _, a2 = oracle_apply(a, op, args)
-    return a2
+    return applied(a, op, args)[1]
 
 
 class TestQueries:
@@ -150,7 +156,7 @@ class TestCapacityBound:
                        for kind in OP_SPECS[op].args))
             for op in ops
         ]
-        a = state()
+        a = ModelList()
         for op, args in steps:
             v, a = oracle_apply(a, op, args)
             assert v.kind != "unspecified", (op, args, len(a.items))
@@ -164,11 +170,18 @@ class TestCapacityBound:
 
 
 def add_fold(a, items):
-    """``add`` applied one item at a time: the rule ``oracle_add_all``
-    must equal."""
+    """``add`` applied one item at a time to the snapshot ``a``: the rule
+    ``ModelList.add_all`` must equal."""
+    m = ModelList(*a)
     for x in items:
-        _, a = oracle_apply(a, "add", (x,))
-    return a
+        oracle_apply(m, "add", (x,))
+    return m.snapshot()
+
+
+def add_all(a, items):
+    m = ModelList(*a)
+    m.add_all(items)
+    return m.snapshot()
 
 
 class TestBulkAdd:
@@ -179,7 +192,7 @@ class TestBulkAdd:
         # 255 nulls and the marker wrap it to zero
         items = [NULL] * 255 + [MARKER] if wrap else [NULL] * 128
         empty = state(bounded=bounded)
-        bulk = oracle_add_all(empty, items)
+        bulk = add_all(empty, items)
         assert bulk == add_fold(empty, items)
         assert len(bulk.items) == (127 if bounded else 256 if wrap else 128)
 
@@ -192,7 +205,7 @@ class TestBulkAdd:
         # width 8 puts the bound at 127, inside the drawn lengths; a
         # bounded start may already sit past it
         a = state(*start, bounded=bounded)
-        assert oracle_add_all(a, items) == add_fold(a, items)
+        assert add_all(a, items) == add_fold(a, items)
 
 
 class TestDequeEnds:
@@ -216,8 +229,7 @@ class TestDequeEnds:
         a = AbstractList(tuple(items), 8, bounded=False)
         for op in [name for name, spec in OP_SPECS.items() if spec.interface == "Deque"]:
             args = (A,) if op.startswith("add") else ()
-            v, _ = oracle_apply(a, op, args)
-            assert v.kind != "unspecified"
+            assert verdict_of(a, op, *args).kind != "unspecified"
 
 
 class TestObserveEqual:
@@ -242,7 +254,7 @@ def reference_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, Abs
     the reference the rule table must equal."""
     items = a.items
     n = len(items)
-    cap = a.max_size
+    cap = (1 << (a.width - 1)) - 1
 
     def updated(new_items) -> AbstractList:
         return AbstractList(tuple(new_items), a.width, a.bounded)
@@ -346,16 +358,26 @@ def reference_apply(a: AbstractList, op: str, args: tuple) -> tuple[Verdict, Abs
 
 
 def assert_matches_reference(a, op, args):
-    """Same verdict fields and repr, same post-state, and the state
-    itself returned exactly where the reference returns it."""
+    """The in-place oracle on a ``ModelList`` built from the snapshot
+    ``a``, in a savepoint: the reference's verdict fields and repr and its
+    post-state, the state itself handed back, one edit logged exactly
+    where the reference returns a new state, and ``undo`` of the logged
+    edit restoring ``a``. Returns the post-state's snapshot."""
     want, want_post = reference_apply(a, op, args)
-    got, post = oracle_apply(a, op, args)
+    m = ModelList(*a)
+    m.open_savepoint()
+    got, post = oracle_apply(m, op, args)
+    edits = m.close_savepoint()
+    assert post is m
     assert (got.kind, got.value, got.error) == (want.kind, want.value, want.error), (op, args)
     assert repr(got) == repr(want), (op, args)
-    assert repr(post.items) == repr(want_post.items), (op, args)
-    assert (post.width, post.bounded) == (want_post.width, want_post.bounded)
-    assert (post is a) is (want_post is a), (op, args)
-    return post
+    assert repr(tuple(m.items)) == repr(want_post.items), (op, args)
+    assert (m.width, m.bounded) == (want_post.width, want_post.bounded)
+    assert len(edits) == (want_post is not a), (op, args)
+    snapshot = m.snapshot()
+    m.undo(edits)
+    assert repr(tuple(m.items)) == repr(a.items), (op, args)
+    return snapshot
 
 
 def all_calls(n):

@@ -239,11 +239,22 @@ LIST_MUTATORS = {
 }
 
 
-class _GhostWrites(ast.NodeVisitor):
-    """Collects (line, enclosing function) of every write to a ``.ghost``
-    attribute or to a local name bound to one (``nl = self.ghost``)."""
+#: the oracle state's methods that write its items, each logging its edit
+#: (``undo`` reverts logged edits)
+ITEM_WRITERS = {
+    f"ModelList.{name}" for name in (
+        "__init__", "insert", "remove", "replace", "add_all", "clear", "undo",
+    )
+}
 
-    def __init__(self):
+
+class _Writes(ast.NodeVisitor):
+    """Collects (line, enclosing function) of every write to an ``attr``
+    attribute (``ghost``, say) or to a local name bound to one
+    (``nl = self.ghost``)."""
+
+    def __init__(self, attr: str):
+        self.attr = attr
         self.found = []
         self.scope = []
         self.aliases = set()
@@ -274,7 +285,7 @@ class _GhostWrites(ast.NodeVisitor):
         self.scope.pop()
 
     def _is_ghost(self, node) -> bool:
-        return ((isinstance(node, ast.Attribute) and node.attr == "ghost")
+        return ((isinstance(node, ast.Attribute) and node.attr == self.attr)
                 or (isinstance(node, ast.Name) and node.id in self.aliases))
 
     def _write(self, node):
@@ -282,7 +293,7 @@ class _GhostWrites(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         # ``x.ghost = ...``, ``del x.ghost``, ``x.ghost += ...``
-        if node.attr == "ghost" and not isinstance(node.ctx, ast.Load):
+        if node.attr == self.attr and not isinstance(node.ctx, ast.Load):
             self._write(node)
         self.generic_visit(node)
 
@@ -305,18 +316,19 @@ class _GhostWrites(ast.NodeVisitor):
             self._write(node)
         elif (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
               and len(node.args) > 1
-              and (not isinstance(node.args[1], ast.Constant) or node.args[1].value == "ghost")):
+              and (not isinstance(node.args[1], ast.Constant) or node.args[1].value == self.attr)):
             self._write(node)
         self.generic_visit(node)
 
 
-def ghost_writes(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing function) of every write to a ghost: assignment or
-    deletion of a ``.ghost`` attribute (``+=`` included), item or slice
-    assignment or deletion on one, an in-place list method called on one,
-    and each of these through a local name bound to one; also every
-    ``setattr`` or ``delattr`` that names ``ghost`` or computes the name."""
-    visitor = _GhostWrites()
+def ghost_writes(source: str, attr: str = "ghost") -> list[tuple[int, str]]:
+    """(line, enclosing function) of every write to a ghost (or to what
+    another ``attr`` names): assignment or deletion of a ``.ghost``
+    attribute (``+=`` included), item or slice assignment or deletion on
+    one, an in-place list method called on one, and each of these through
+    a local name bound to one; also every ``setattr`` or ``delattr`` that
+    names ``ghost`` or computes the name."""
+    visitor = _Writes(attr)
     visitor.visit(ast.parse(source))
     return sorted(visitor.found)
 
@@ -368,3 +380,18 @@ def test_the_ghost_changes_only_through_logged_methods():
     # each logged method is still there and still writes
     listcore_writes = {where for _, where in ghost_writes((PACKAGE / "listcore.py").read_text())}
     assert listcore_writes == GHOST_WRITERS
+
+
+def test_the_oracle_items_change_only_through_logged_methods():
+    """A census probe and an aborted ``full`` step undo the oracle's
+    edits from its log, and a checked step compares the logged edit, so
+    only ``ModelList``'s logging methods write its items; every other
+    module, the rules included, goes through them."""
+    source = "def f(a, xs):\n    items = a.items\n    items.append(1)\n    a.items[0] = 2\n"
+    assert ghost_writes(source, "items") == [(3, "f"), (4, "f")]
+    for path in sorted(PACKAGE.glob("*.py")):
+        writes = ghost_writes(path.read_text(), "items")
+        allowed = ITEM_WRITERS if path.stem == "oracle" else set()
+        assert {where for _, where in writes} <= allowed, (path.name, writes)
+    oracle_writes = {where for _, where in ghost_writes((PACKAGE / "oracle.py").read_text(), "items")}
+    assert oracle_writes == ITEM_WRITERS
