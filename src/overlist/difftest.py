@@ -277,8 +277,11 @@ def run_script(
 
 
 def shrink(script: OpScript, predicate) -> OpScript:
-    """Greedy, predicate-preserving minimization: remove chunks, then
-    single steps, until no single removal keeps the predicate true."""
+    """Greedy, predicate-preserving minimization: one pass per chunk
+    size, from half the script down to single steps, removing each chunk
+    whose removal keeps the predicate true. A pass does not go back to a
+    step it kept, though later removals may have made it removable, so
+    the result need not be 1-minimal."""
     if not predicate(script):
         raise UsageError("predicate does not hold on the input script")
     steps = list(script.steps)

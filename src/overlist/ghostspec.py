@@ -145,7 +145,7 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     at = [0, n - 1, *range(lo, hi)]
     if entries:
         near = nl[lo:hi]
-        for nid, name in zip(entries[::3], entries[1::3]):
+        for nid, name, _ in state.store.writes(entries):
             if name != "item" and nid not in near and nid != gone:
                 try:
                     at.append(nl.index(nid))
@@ -255,13 +255,14 @@ def frame_check(
     violations = []
     entries, fresh = journal
     first_old = {}
-    it = iter(entries)
-    for nid, fname, old in zip(it, it, it):
+    # a clear of exactly the footprint's whole nodes wrote only inside it
+    for nid, fname, old in state.store.writes(entries, fp.nodes):
         if nid < fresh.start:
             first_old.setdefault((nid, fname), old)
+    whole = set(fp.nodes) if first_old and fp.nodes else ()
     for (nid, fname), old in sorted(first_old.items()):
         new = getattr(state.store, fname)(nid)  # the store's read of that field
-        if new != old and (nid, fname) not in fp.node_fields:
+        if new != old and (nid, fname) not in fp.node_fields and nid not in whole:
             violations.append(("frame", f"node {nid}.{fname}: {old!r} -> {new!r}"))
     if fresh and not fp.fresh:
         violations.append(("frame", f"unexpected allocation of nodes {list(fresh)}"))
@@ -353,9 +354,8 @@ def _same_items(state, edit: tuple, journal: tuple, model: tuple) -> bool:
             return False
     elif delta:
         return False
-    entries = journal[0]
     first_old = {}
-    for nid, name, old in zip(entries[::3], entries[1::3], entries[2::3]):
+    for nid, name, old in state.store.writes(journal[0]):
         if name == "item" and nid != node:
             first_old.setdefault(nid, old)
     return all(state.store.item(nid) == old or nid not in nl for nid, old in first_old.items())

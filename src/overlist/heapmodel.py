@@ -21,13 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import eq
 from typing import Callable, Iterator
 
 from .errors import CycleDetected, DanglingLink, UsageError
 
 NodeId = int
+
+#: the field slot of the journal entry ``NodeStore.clear_chain`` makes
+_CLEARED = "cleared"
 
 
 # Items are immutable tuples, so ``==`` and ``hash`` run in C: a search
@@ -146,13 +149,18 @@ class NodeStore:
     value in the journal, so ``rollback`` can put the store back as it
     was when the savepoint opened, at a cost proportional to the writes
     made since rather than to the size of the heap. Savepoints nest; only
-    the innermost open one can be closed or rolled back."""
+    the innermost open one can be closed or rolled back. The journal is a
+    flat list of three-slot entries: a write's node id, field and old
+    value, or a ``clear_chain`` call's ids in walk order, ``_CLEARED``, and
+    their old ``prev`` and ``item`` columns with the last one's old
+    ``next`` (each other's is the id after it). ``rollback`` undoes them
+    and ``writes`` reads them; no other code knows their format."""
 
     def __init__(self):
         self._prev: list[NodeId | None] = []
         self._item: list[Item] = []
         self._next: list[NodeId | None] = []
-        self._journal: list | None = None  # flat: node id, field, old value per write
+        self._journal: list | None = None  # three-slot entries, oldest first
         self._marks: list[tuple[int, NodeId]] = []  # open savepoints, innermost last
 
     def __contains__(self, node_id: NodeId) -> bool:
@@ -397,16 +405,13 @@ class NodeStore:
     def clear_node(self, node_id: NodeId) -> NodeId | None:
         """Null all three fields of ``node_id``, journaled as ``set_prev``,
         ``set_item`` and ``set_next`` in that order would journal them;
-        return the old ``next``, so a caller walking the chain can go on."""
+        return the old ``next``."""
         prevs, items, nexts = self._prev, self._item, self._next
         if node_id is None or not 0 <= node_id < len(items):
             raise DanglingLink(node_id)
         old_next = nexts[node_id]
         journal = self._journal
         if journal is not None:
-            # three extends, as the setters make them: one 9-slot extend
-            # grows the list differently and raised the census's peak RSS
-            # on the width-16 wrap state by about 0.3 MB
             journal += (node_id, "prev", prevs[node_id])
             journal += (node_id, "item", items[node_id])
             journal += (node_id, "next", old_next)
@@ -414,6 +419,33 @@ class NodeStore:
         items[node_id] = NULL
         nexts[node_id] = None
         return old_next
+
+    def clear_chain(self, first: NodeId | None, probe: Callable | None = None) -> None:
+        """``clear_node`` on each node of the chain from ``first`` in turn,
+        following the old ``next`` links, in one call and one journal
+        entry. ``probe(node, position)``, if given, runs before each node
+        is cleared or found dangling. A node met again on a cycle has a
+        None ``next`` by then, so it is cleared again and the walk stops."""
+        prevs, items, nexts = self._prev, self._item, self._next
+        n = len(items)
+        ids, old_prevs, old_items = [], [], []
+        node = first
+        try:
+            while node is not None:
+                if probe is not None:
+                    probe(node, len(ids))
+                if not 0 <= node < n:
+                    raise DanglingLink(node)
+                ids.append(node)
+                old_prevs.append(prevs[node])
+                old_items.append(items[node])
+                prevs[node] = None
+                items[node] = NULL
+                nexts[node], node = None, nexts[node]  # nulls, then steps to the old next
+        finally:
+            # ``node`` is where the walk stopped: the last cleared node's old next
+            if ids and self._journal is not None:
+                self._journal += (ids, _CLEARED, (old_prevs, old_items, node))
 
     def raw_write(self, node_id: NodeId, field: str, value) -> None:
         """Write ``value`` into a field of an allocated node, checking
@@ -460,16 +492,47 @@ class NodeStore:
 
     def rollback(self, mark) -> None:
         """Close the savepoint ``mark``, then undo every write and
-        allocation made since it opened."""
+        allocation made since it opened, newest first, so a field written
+        twice gets back its first old value."""
         journal, start, fresh = self._pop(mark)
-        fields = {"prev": self._prev, "item": self._item, "next": self._next}
+        prevs, items, nexts = self._prev, self._item, self._next
+        fields = {"prev": prevs, "item": items, "next": nexts}
         backwards = reversed(journal)
         for old, name, node_id in islice(zip(backwards, backwards, backwards),
                                          (len(journal) - start) // 3):
-            fields[name][node_id] = old
+            if name is not _CLEARED:
+                fields[name][node_id] = old
+                continue
+            old_prevs, old_items, end = old
+            old_nexts = chain((end,), islice(reversed(node_id), len(node_id) - 1))
+            for node, p, x, nx in zip(reversed(node_id), reversed(old_prevs),
+                                      reversed(old_items), old_nexts):
+                prevs[node], items[node], nexts[node] = p, x, nx
         del journal[start:]
         for values in fields.values():
             del values[fresh.start:]
+
+    @staticmethod
+    def writes(entries, skip=None) -> Iterator[tuple[NodeId, str, object]]:
+        """The writes a closed journal's ``entries`` record, oldest first,
+        as (node id, field, old value). A ``clear_chain`` entry reads as
+        ``clear_node``'s entries, or is left out if its ids equal the list
+        ``skip`` (compared at C speed)."""
+        it = iter(entries)
+        if _CLEARED not in entries:  # setters' entries alone: read at C speed
+            return zip(it, it, it)
+        return NodeStore._unfold(zip(it, it, it), skip)
+
+    @staticmethod
+    def _unfold(entries, skip) -> Iterator[tuple[NodeId, str, object]]:
+        for node_id, name, old in entries:
+            if name is not _CLEARED:
+                yield node_id, name, old
+            elif node_id != skip:
+                old_prevs, old_items, end = old
+                old_nexts = chain(islice(node_id, 1, None), (end,))
+                for node, p, x, nx in zip(node_id, old_prevs, old_items, old_nexts):
+                    yield from ((node, "prev", p), (node, "item", x), (node, "next", nx))
 
     def copy(self) -> "NodeStore":
         dup = NodeStore()

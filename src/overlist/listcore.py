@@ -478,15 +478,8 @@ class JavaLinkedList:
 
     def clear(self) -> None:
         """Unlink every node, clearing its fields; the nodes stay allocated."""
-        clear_node = self.store.clear_node
-        probed = self.check_mode is CheckMode.FULL
-        node = self.first
-        ghost_pos = 0
-        while node is not None:
-            if probed:
-                self._clear_probe(node, ghost_pos)
-            node = clear_node(node)
-            ghost_pos += 1
+        self.store.clear_chain(self.first,
+                               self._clear_probe if self.check_mode is CheckMode.FULL else None)
         self.first = None
         self.last = None
         self.size = 0

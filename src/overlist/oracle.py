@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import indexOf
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import UsageError
 from .heapmodel import NULL, Atom, Item, NodeId
@@ -316,6 +316,7 @@ class Footprint:
     header_fields: frozenset[str] = frozenset()
     ghost: bool = False
     fresh: bool = False
+    nodes: Sequence[NodeId] = ()  # every field of these nodes
 
 
 EMPTY_FOOTPRINT = Footprint()
@@ -406,8 +407,8 @@ class OpSpec:
         if edit is None:
             return EMPTY_FOOTPRINT
         if edit == CLEAR:
-            nodes = {(nid, f) for nid in ids for f in ("prev", "item", "next")}
-            return Footprint(frozenset(nodes), frozenset({"first", "last", "size"}), ghost=True)
+            return Footprint(header_fields=frozenset({"first", "last", "size"}), ghost=True,
+                             nodes=ids)
         p = edits[0][1] if edits else self.at(a, args) if self.at else None
         if p is None:
             return EMPTY_FOOTPRINT

@@ -27,8 +27,9 @@ def node_reads(monkeypatch):
     reads of every ``NodeStore``: a per-field read or a ``record`` view
     reads one node, a bulk read one per id, ``walk`` one per item it
     yields, ``find`` each node it visits, ``follow`` one per step,
-    ``links_agree`` the node at each position it checks and ``clear_node``
-    the node it clears. Each entry is the reading method's name."""
+    ``links_agree`` the node at each position it checks, ``clear_node``
+    the node it clears and ``clear_chain`` each node it clears or finds
+    dangling. Each entry is the reading method's name."""
     reads = []
     store = heapmodel.NodeStore
 
@@ -50,6 +51,7 @@ def node_reads(monkeypatch):
         return counted
 
     walk, find, follow, links_agree = store.walk, store.find, store.follow, store.links_agree
+    clear_chain = store.clear_chain
 
     def counted_walk(self, node):
         for item in walk(self, node):
@@ -64,6 +66,15 @@ def node_reads(monkeypatch):
     def counted_follow(self, node, steps, link="next"):
         reads.extend(["follow"] * steps)
         return follow(self, node, steps, link)
+
+    def counted_clear_chain(self, first, probe=None):
+        # counted where the walk calls its probe: once per node, before
+        # the node is read
+        def counting(node, position):
+            reads.append("clear_chain")
+            if probe is not None:
+                probe(node, position)
+        return clear_chain(self, first, counting)
 
     def counted_links_agree(self, seq, positions):
         # one position at a time, so a check that fails early counts only
@@ -87,4 +98,5 @@ def node_reads(monkeypatch):
     monkeypatch.setattr(store, "find", counted_find)
     monkeypatch.setattr(store, "follow", counted_follow)
     monkeypatch.setattr(store, "links_agree", counted_links_agree)
+    monkeypatch.setattr(store, "clear_chain", counted_clear_chain)
     return reads

@@ -2,7 +2,8 @@
 moved to three field lists: a dict from node id to a slotted record.
 It is the reference that ``test_store_differential.py`` runs beside the
 array-backed store; its code, journal and error texts are the earlier
-ones, unchanged.
+ones, unchanged, and ``clear_chain`` is the per-node loop that the list's
+``clear`` ran before the array store cleared a chain in one call.
 """
 
 from __future__ import annotations
@@ -189,6 +190,14 @@ class NodeStore:
         rec.item = NULL
         rec.next = None
         return old_next
+
+    def clear_chain(self, first: NodeId | None, probe=None) -> None:
+        node, position = first, 0
+        while node is not None:
+            if probe is not None:
+                probe(node, position)
+            node = self.clear_node(node)
+            position += 1
 
     def open_journal(self) -> tuple[int, NodeId]:
         """Open a savepoint and return its mark: the journal length and

@@ -221,6 +221,22 @@ class TestShrink:
         assert grows - shrinks == 128
         assert len(small.steps) == grows + shrinks + 1
 
+    def test_a_kept_step_is_not_tried_again(self):
+        """One pass per chunk size: under ``lastindexof-off-by-one`` this
+        script shrinks to three steps, and dropping either add still
+        diverges, since the single-step pass kept the first add before it
+        dropped what made it needed."""
+        def fails(s):
+            result = run_script(s, CheckMode.INVARIANT, policies=(SizePolicy.FAIL_FAST,),
+                                faults=frozenset({"lastindexof-off-by-one"}))
+            return result.total("failfast") > 0
+
+        small = shrink(gen_script(7, 8, 400, ADD_HEAVY_WEIGHTS), fails)
+        b = Atom("b")
+        assert small.steps == (("add", (b,)), ("add", (b,)), ("last_index_of", (b,)))
+        assert [fails(OpScript(small.seed, 8, small.steps[:i] + small.steps[i + 1:]))
+                for i in range(3)] == [True, True, False]
+
     def test_result_is_one_minimal(self):
         script = OpScript(0, 8, tuple(
             [("add", (NULL,))] * 130 + [("size", ()), ("get", (1,))]))

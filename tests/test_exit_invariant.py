@@ -76,6 +76,7 @@ def compared_exit(state, pre, journal):
         return ((), 0) if state.first is None and state.last is None else None
     post = tuple(nl)
     entries, fresh = journal
+    writes = list(state.store.writes(entries))
     gone = None
     if n == len(pre):
         if fresh or post != pre:
@@ -104,7 +105,7 @@ def compared_exit(state, pre, journal):
             p = n
         else:
             try:
-                p = pre.index(entries[-3])
+                p = pre.index(writes[-1][0])
             except ValueError:
                 return None
         if post[:p] != pre[:p] or post[p:] != pre[p + 1 :]:
@@ -118,7 +119,7 @@ def compared_exit(state, pre, journal):
     at = [0, n - 1, *range(lo, hi)]
     if entries:
         near = post[lo:hi]
-        for nid, name in zip(entries[::3], entries[1::3]):
+        for nid, name, _ in writes:
             if name != "item" and nid not in near and nid != gone and nid in post:
                 at.append(post.index(nid))
     if not state.store.links_agree(post, at):

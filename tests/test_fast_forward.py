@@ -104,7 +104,8 @@ class TestLinkRun:
         head = store.link(None, A, None)
         mark = store.open_journal()
         assert store.link_run(head, (B, NULL)) == [1, 2]
-        assert store.close_journal(mark) == ([head, "next", None], range(1, 3))
+        entries, fresh = store.close_journal(mark)
+        assert (list(store.writes(entries)), fresh) == ([(head, "next", None)], range(1, 3))
         assert store.nexts(store.ids()) == [1, 2, None]
         assert store.prevs(store.ids()) == [None, 0, 1]
 

@@ -91,7 +91,7 @@ class TestNodeStoreJournal:
         n1 = store.alloc(n0, B, None)
         store.set_next(n0, n1)
         entries, fresh = store.close_journal(mark)
-        assert (entries, fresh) == ([n0, "next", None], range(n1, n1 + 1))
+        assert (list(store.writes(entries)), fresh) == ([(n0, "next", None)], range(n1, n1 + 1))
         assert store.record(n0).next == n1 and n1 in store
         assert store._journal is None
 
@@ -132,13 +132,14 @@ class TestNodeStoreJournal:
         inner = store.open_journal()
         n1 = store.alloc(n0, NULL, None)
         store.set_next(n0, n1)
-        assert store.close_journal(inner) == ([n0, "next", None], range(n1, n1 + 1))
+        entries, fresh = store.close_journal(inner)
+        assert (list(store.writes(entries)), fresh) == ([(n0, "next", None)], range(n1, n1 + 1))
         undone = store.open_journal()
         store.set_prev(n0, n1)
         store.alloc(n1, A, None)
         store.rollback(undone)
         entries, fresh = store.close_journal(outer)
-        assert entries == [n0, "item", A, n0, "next", None]
+        assert list(store.writes(entries)) == [(n0, "item", A), (n0, "next", None)]
         assert fresh == range(n1, n1 + 1)
 
 
@@ -405,8 +406,9 @@ def setter_unlink(lst, x, relink=True):
 
 
 class TestClearingJournalsLikeTheSetters:
-    """``unlink`` and ``clear`` null a node's fields in one store call; the
-    journal reads as if the three setters had run in prev, item, next
+    """``unlink`` nulls a node's fields in one store call, and ``clear``
+    the whole chain's in one; the journal's writes (``NodeStore.writes``)
+    read as if the three setters had run on each node in prev, item, next
     order, and a rollback restores the list."""
 
     ITEMS = (A, B, NULL, A, B)
@@ -415,7 +417,7 @@ class TestClearingJournalsLikeTheSetters:
         mark = lst.store.open_journal()
         body()
         entries, fresh = lst.store.close_journal(mark)
-        return entries, fresh
+        return list(lst.store.writes(entries)), fresh
 
     @pytest.mark.parametrize("faults", [frozenset(), frozenset({"unlink-skip-relink"})])
     @pytest.mark.parametrize("position", range(len(ITEMS)))

@@ -77,6 +77,20 @@ def peak(n, mode, op):
     return top
 
 
+#: an ``off`` ``clear`` step's peak at 10,000 nodes: its one journal entry,
+#: the ids and two columns of old values, is about 0.26 MB
+CLEAR_PEAK = 400_000
+
+
+def test_a_clear_step_costs_its_journal_entry():
+    """``clear`` grows, but only by its compact journal entry; the checks
+    of ``full`` add at most as much again, as its footprint names the
+    entry ghost's nodes without listing their fields."""
+    off = peak(SIZES[1], CheckMode.OFF, "clear")
+    assert off < CLEAR_PEAK
+    assert peak(SIZES[1], CheckMode.FULL, "clear") <= 2 * off
+
+
 @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
 def test_a_step_allocates_no_more_on_a_longer_list(mode):
     grew = {}

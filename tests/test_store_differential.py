@@ -2,12 +2,13 @@
 replaced (``dict_store``), step by step.
 
 Hypothesis draws sequences of allocations, links, setter writes, node
-clears, raw field writes and nested savepoints, with ids drawn from the
+and chain clears, raw field writes and nested savepoints, with ids drawn from the
 allocated ones, None and ids that name no node: negative ones, the next
 id and ids past it. Both stores run each step; after it they must agree
 on its outcome (the value, or the error's type, text and node id), on
 every node's fields, ``len``, ``ids()`` and membership, and on what a
-savepoint's close hands back: its journal entries and fresh-id range.
+savepoint's close hands back: the writes its journal entries record
+(``NodeStore.writes``) and its fresh-id range.
 The reads the array store adds (per-field and bulk reads, ``find``,
 ``follow``, ``links_agree``, item walks) must answer what the same reads
 made through the reference's records answer.
@@ -100,8 +101,8 @@ def step(data, new, ref, marks):
     both outcomes."""
     n = len(ref)
     kind = data.draw(st.sampled_from(
-        ("alloc", "link", "link", "set_prev", "set_next", "set_item", "clear_node", "raw",
-         "open", "open", "close", "rollback")))
+        ("alloc", "link", "link", "set_prev", "set_next", "set_item", "clear_node",
+         "clear_chain", "raw", "open", "open", "close", "rollback")))
     if kind in ("alloc", "link"):
         prev, item, next_ = node_ids(data, n), data.draw(st.sampled_from(ITEMS)), node_ids(data, n)
         return [outcome(lambda s=s: getattr(s, kind)(prev, item, next_)) for s in (new, ref)]
@@ -111,9 +112,9 @@ def step(data, new, ref, marks):
     if kind == "set_item":
         node, item = node_ids(data, n), data.draw(st.sampled_from(ITEMS))
         return [outcome(lambda s=s: s.set_item(node, item)) for s in (new, ref)]
-    if kind == "clear_node":
+    if kind in ("clear_node", "clear_chain"):
         node = node_ids(data, n)
-        return [outcome(lambda s=s: s.clear_node(node)) for s in (new, ref)]
+        return [outcome(lambda s=s: getattr(s, kind)(node)) for s in (new, ref)]
     if kind == "raw":
         # a write the setters would refuse: how negative tests corrupt a chain
         node, name = node_ids(data, n), data.draw(st.sampled_from(("prev", "next")))
@@ -122,7 +123,9 @@ def step(data, new, ref, marks):
                 outcome(lambda: setattr(ref.record(node), name, value))]
     if kind == "open":
         marks.append((new.open_journal(), ref.open_journal()))
-        return marks[-1]  # the journal length and next id at the mark
+        # the next id at each mark; the journal lengths differ, as the
+        # dict store journals a chain clear per node
+        return [mark[1] for mark in marks[-1]]
     if not marks:
         return None
     # mostly the innermost savepoint, else the outermost (refused while it
@@ -133,15 +136,17 @@ def step(data, new, ref, marks):
 
 def end_savepoint(new, ref, marks, at, call):
     """Close or roll back the savepoint ``marks[at]`` on both stores;
-    return both outcomes, each close's journal entries as a copy (the
-    outermost close hands back the journal itself)."""
+    return both outcomes, each close's journal entries as the writes they
+    record, read by ``NodeStore.writes`` (the dict store's are the
+    setters' entries alone)."""
     new_mark, ref_mark = marks[at]
     got = outcome(lambda: getattr(new, call)(new_mark))
     expected = outcome(lambda: getattr(ref, call)(ref_mark))
     if got[0] == "value":
         del marks[at]
-        got = ("value", None if got[1] is None else (list(got[1][0]), got[1][1]))
-        expected = ("value", None if expected[1] is None else (list(expected[1][0]), expected[1][1]))
+        got, expected = (("value", None if closed is None else
+                          (list(NodeStore.writes(closed[0])), closed[1]))
+                         for _, closed in (got, expected))
     return [got, expected]
 
 
@@ -215,8 +220,9 @@ def test_array_store_matches_the_dict_store(data):
 
 def test_the_draws_reach_every_outcome():
     """The differential run is not vacuous: the fixed draws below make
-    allocations, refusals of each kind, dangling reads, and a rollback
-    that forgets nodes, on both stores alike."""
+    allocations, refusals of each kind, dangling reads, a chain clear
+    that meets a node twice, and a rollback that forgets nodes, on both
+    stores alike."""
     new, ref = NodeStore(), dict_store.NodeStore()
     outer = (new.open_journal(), ref.open_journal())
     for s in (new, ref):
@@ -224,9 +230,16 @@ def test_the_draws_reach_every_outcome():
         s.link(a, ITEMS[2], None)
     for call in (lambda s: s.link(-1, NULL, None), lambda s: s.set_next(0, 5),
                  lambda s: s.set_prev(-1, None), lambda s: s.record(2),
-                 lambda s: s.close_journal(("stale",))):
+                 lambda s: s.clear_chain(5), lambda s: s.close_journal(("stale",))):
         got, expected = outcome(lambda: call(new)), outcome(lambda: call(ref))
         assert got == expected and got[0] == "error"
+    marks = [(new.open_journal(), ref.open_journal())]
+    for s in (new, ref):
+        s.set_next(1, 0)
+        s.clear_chain(0)
+    got, expected = end_savepoint(new, ref, marks, 0, "close_journal")
+    # the set_next, then nodes 0, 1 and 0 again, three fields each
+    assert got == expected and [w[0] for w in got[1][0]] == [1] + [0] * 3 + [1] * 3 + [0] * 3
     new.rollback(outer[0])
     ref.rollback(outer[1])
     assert len(new) == len(ref) == 0 and list(new.ids()) == []

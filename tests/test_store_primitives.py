@@ -4,14 +4,17 @@ per-node paths.
 The linking methods make one ``link`` call where they used to make an
 ``alloc`` and a ``set_prev`` or ``set_next`` per neighbour; the element
 searches follow the chain with ``find`` and ``to_array`` walks it, where
-they used to make a ``record`` call per node; ``clear_node`` reads the
-node's fields inline. The reference implementations below are the
-earlier code, answering in the list's types (plain ints, a tuple). On
-filled lists at widths 8 and 16 (up to and past capacity), both
-policies, each injected fault and corrupted states, run outside a store
-savepoint and inside one, each call must give the same outcome (the
-value, or the error's type and message and a ``DanglingLink``'s node
-id) and leave the same records, journal entries, header and ghost.
+they used to make a ``record`` call per node; ``clear`` clears the
+chain in one ``clear_chain`` call, journaled as one entry, where it used
+to make three setter calls per node. The reference implementations
+below are the earlier code, answering in the list's types (plain ints,
+a tuple). On filled lists at widths 8 and 16 (up to and past capacity),
+both policies, each injected fault and corrupted states, run outside a
+store savepoint and inside one, each call must give the same outcome
+(the value, or the error's type and message, a ``DanglingLink``'s node
+id and a probe's witnesses) and leave the same records, journaled writes
+(as ``NodeStore.writes`` reads them), header and ghost; a rollback of
+``clear`` must restore the state it started from.
 """
 
 import gc
@@ -281,10 +284,11 @@ def outside(lst, op, args, run):
 
 
 def inside(lst, op, args, run):
-    """A call on ``lst`` inside a savepoint: its outcome, journal entries
-    and fresh ids, the current value of each field it wrote, the fresh
-    records, header and ghost. An enclosing savepoint then rolls ``lst``
-    back for the next call."""
+    """A call on ``lst`` inside a savepoint: its outcome, the writes its
+    journal entries record (``NodeStore.writes``), its fresh ids, the
+    current value of each field it wrote, the fresh records, header and
+    ghost. An enclosing savepoint then rolls ``lst`` back for the next
+    call."""
     store = lst.store
     saved = header(lst)
     outer = store.open_journal()
@@ -292,9 +296,10 @@ def inside(lst, op, args, run):
     try:
         got = outcome(lambda: run(lst, op, args))
         entries, fresh = store.close_journal(mark)
-        written = [getattr(store.record(nid), name) for nid, name in zip(entries[::3], entries[1::3])]
+        writes = list(store.writes(entries))
+        written = [getattr(store.record(nid), name) for nid, name, _ in writes]
         fresh_records = [(r.prev, r.item, r.next) for r in map(store.record, fresh)]
-        return got, list(entries), fresh, written, fresh_records, header(lst)
+        return got, writes, fresh, written, fresh_records, header(lst)
     finally:
         store.rollback(outer)
         lst.first, lst.last, lst.size, lst.ghost = saved
@@ -347,6 +352,68 @@ def test_same_on_corrupted_states(width):
                 assert_same(lst, calls(lst))
 
 
+@pytest.mark.parametrize("mode", [CheckMode.OFF, CheckMode.FULL], ids=lambda m: m.value)
+def test_clear_rolls_back_exactly(mode):
+    """``clear`` in a savepoint of the list, then a rollback, on the
+    corrupted states above and on filled lists of both policies: the
+    store, header and ghost are as before, also where the call raised
+    and where a cyclic chain had a node cleared twice. The states reach
+    each; under FULL the probe meets a dangling node first."""
+    states = [random_state(random.Random(seed), 8, 8) for seed in range(300)]
+    for lst in states:
+        lst.check_mode = mode
+    states += [filled(8, policy, None, n, cut) for policy in SizePolicy
+               for n in (0, 3, 129) for cut in ((False, True) if n else (False,))]
+    seen = set()
+    for lst in states:
+        before = snapshot(lst.store), header(lst)
+        mark = lst.open_savepoint()
+        inner = lst.store.open_journal()
+        got = outcome(lst.clear)
+        cleared = [nid for nid, name, _ in lst.store.writes(lst.store.close_journal(inner)[0])
+                   if name == "prev"]
+        lst.rollback(mark)
+        assert (snapshot(lst.store), header(lst)) == before
+        seen.add(got[1] if got[0] == "error" else "value")
+        if len(set(cleared)) < len(cleared):
+            seen.add("cleared twice")
+    raised = "ContractViolation" if mode is CheckMode.FULL else "DanglingLink"
+    assert {"value", "cleared twice", raised} <= seen
+
+
+def test_clear_chain_on_a_cycle_and_at_a_dangling_link():
+    """On a cycle the node met again is cleared a second time, its next
+    then None; at an unallocated id the nodes before it are cleared. The
+    journal reads as ``clear_node`` per node, and a rollback restores the
+    first old values of a node cleared twice."""
+    store = NodeStore()
+    a = store.link(None, A, None)
+    b = store.link(a, B, None)
+    store.set_next(b, a)
+    before = snapshot(store)
+    outer = store.open_journal()
+    mark = store.open_journal()
+    probed = []
+    store.clear_chain(a, lambda node, position: probed.append((node, position)))
+    assert probed == [(a, 0), (b, 1), (a, 2)]
+    assert list(store.writes(store.close_journal(mark)[0])) == [
+        (a, "prev", None), (a, "item", A), (a, "next", b),
+        (b, "prev", a), (b, "item", B), (b, "next", a),
+        (a, "prev", None), (a, "item", NULL), (a, "next", None)]
+    store.rollback(outer)
+    assert snapshot(store) == before
+    store = NodeStore()
+    a = store.link(None, A, None)
+    store.raw_write(a, "next", 7)
+    mark = store.open_journal()
+    with pytest.raises(DanglingLink) as e:
+        store.clear_chain(a)
+    assert e.value.node_id == 7
+    assert list(store.writes(store.close_journal(mark)[0])) == [
+        (a, "prev", None), (a, "item", A), (a, "next", 7)]
+    assert (store.prev(a), store.item(a), store.next(a)) == (None, NULL, None)
+
+
 def test_corrupted_states_reach_the_error_paths():
     """The corrupted states above are not vacuous: the calls raise a
     DanglingLink on an allocated-id walk and at the end of a short chain,
@@ -376,7 +443,8 @@ def test_link_journals_as_alloc_and_setters():
     mark = store.open_journal()
     c = store.link(a, Z, b)
     entries, fresh = store.close_journal(mark)
-    assert entries == [b, "prev", a, a, "next", b] and fresh == range(c, c + 1)
+    assert list(store.writes(entries)) == [(b, "prev", a), (a, "next", b)]
+    assert fresh == range(c, c + 1)
     assert (store.record(a).next, store.record(b).prev) == (c, c)
     rec = store.record(c)
     assert (rec.prev, rec.item, rec.next) == (a, Z, b)
