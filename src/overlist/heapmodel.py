@@ -429,23 +429,25 @@ class NodeStore:
         prevs, items, nexts = self._prev, self._item, self._next
         n = len(items)
         ids, old_prevs, old_items = [], [], []
-        node = first
+        journal = self._journal
+        node, position = first, 0
         try:
             while node is not None:
                 if probe is not None:
-                    probe(node, len(ids))
+                    probe(node, position)
                 if not 0 <= node < n:
                     raise DanglingLink(node)
-                ids.append(node)
-                old_prevs.append(prevs[node])
-                old_items.append(items[node])
+                if journal is not None:
+                    ids.append(node)
+                    old_prevs.append(prevs[node])
+                    old_items.append(items[node])
                 prevs[node] = None
                 items[node] = NULL
                 nexts[node], node = None, nexts[node]  # nulls, then steps to the old next
+                position += 1
         finally:
-            # ``node`` is where the walk stopped: the last cleared node's old next
-            if ids and self._journal is not None:
-                self._journal += (ids, _CLEARED, (old_prevs, old_items, node))
+            if ids:  # ``node`` is where the walk stopped: the last cleared node's old next
+                journal += (ids, _CLEARED, (old_prevs, old_items, node))
 
     def raw_write(self, node_id: NodeId, field: str, value) -> None:
         """Write ``value`` into a field of an allocated node, checking
