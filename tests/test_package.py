@@ -185,7 +185,7 @@ def test_node_fields_change_only_through_the_store(module):
     """The derived post-state items, the scoped exit check and the frame
     check all read a call's node writes from the store's journal, so the
     list and the checks write node fields only through ``NodeStore``'s
-    journaled setters, ``link``, ``alloc`` and ``clear_node``.
+    journaled setters, ``link``, ``alloc``, ``clear_node`` and ``clear_chain``.
     ``statespace`` is exempt: it corrupts states on purpose, outside
     checked calls, with ``raw_write``."""
     assert node_field_writes((PACKAGE / f"{module}.py").read_text()) == []
