@@ -44,15 +44,7 @@ class Divergence:
     kind: str
 
     def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "op": self.op,
-            "args": [_encode_value(a) for a in self.args],
-            "policy": self.policy,
-            "impl": self.impl,
-            "oracle": self.oracle,
-            "kind": self.kind,
-        }
+        return {**vars(self), "args": [_encode_value(a) for a in self.args]}
 
 
 @dataclass(frozen=True)
@@ -277,11 +269,10 @@ def run_script(
 
 
 def shrink(script: OpScript, predicate) -> OpScript:
-    """Greedy, predicate-preserving minimization: one pass per chunk
-    size, from half the script down to single steps, removing each chunk
-    whose removal keeps the predicate true. A pass does not go back to a
-    step it kept, though later removals may have made it removable, so
-    the result need not be 1-minimal."""
+    """Greedy, predicate-preserving minimization: one pass per chunk size,
+    halving down to single steps, removing each chunk whose removal keeps
+    the predicate true. A kept step is not tried again, so the result need
+    not be 1-minimal."""
     if not predicate(script):
         raise UsageError("predicate does not hold on the input script")
     steps = list(script.steps)

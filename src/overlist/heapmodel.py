@@ -29,8 +29,7 @@ from .errors import CycleDetected, DanglingLink, UsageError
 
 NodeId = int
 
-#: the field slot of the journal entry ``NodeStore.clear_chain`` makes
-_CLEARED = "cleared"
+_CLEARED = "cleared"  # the field slot of a ``NodeStore.clear_chain`` entry
 
 
 # Items are immutable tuples, so ``==`` and ``hash`` run in C: a search
@@ -149,12 +148,10 @@ class NodeStore:
     value in the journal, so ``rollback`` can put the store back as it
     was when the savepoint opened, at a cost proportional to the writes
     made since rather than to the size of the heap. Savepoints nest; only
-    the innermost open one can be closed or rolled back. The journal is a
-    flat list of three-slot entries: a write's node id, field and old
-    value, or a ``clear_chain`` call's ids in walk order, ``_CLEARED``, and
-    their old ``prev`` and ``item`` columns with the last one's old
-    ``next`` (each other's is the id after it). ``rollback`` undoes them
-    and ``writes`` reads them; no other code knows their format."""
+    the innermost open one can be closed or rolled back. A journal entry
+    is three slots: a write's node id, field and old value, or a
+    ``clear_chain`` call's (see there); only ``rollback`` and ``writes``
+    read them."""
 
     def __init__(self):
         self._prev: list[NodeId | None] = []
@@ -313,11 +310,9 @@ class NodeStore:
         return NodeRecord(self, node_id)
 
     def _links(self, link: str) -> list:
-        if link == "next":
-            return self._next
-        if link == "prev":
-            return self._prev
-        raise UsageError(f"a chain follows next or prev links, not {link!r}")
+        if link not in ("next", "prev"):
+            raise UsageError(f"a chain follows next or prev links, not {link!r}")
+        return getattr(self, "_" + link)
 
     def walk(self, node: NodeId | None) -> Iterator[Item]:
         """Yield the items of the chain from ``node`` along its ``next``
@@ -422,10 +417,11 @@ class NodeStore:
 
     def clear_chain(self, first: NodeId | None, probe: Callable | None = None) -> None:
         """``clear_node`` on each node of the chain from ``first`` in turn,
-        following the old ``next`` links, in one call and one journal
-        entry. ``probe(node, position)``, if given, runs before each node
-        is cleared or found dangling. A node met again on a cycle has a
-        None ``next`` by then, so it is cleared again and the walk stops."""
+        following the old ``next`` links, in one call and one journal entry:
+        the ids in walk order, ``_CLEARED``, their old ``prev`` and ``item``
+        columns and the last one's old ``next``. ``probe(node, position)``,
+        if given, runs first at each node, dangling or not. A node met again
+        on a cycle is cleared again, and the walk ends at its nulled ``next``."""
         prevs, items, nexts = self._prev, self._item, self._next
         n = len(items)
         ids, old_prevs, old_items = [], [], []
@@ -456,14 +452,9 @@ class NodeStore:
         tests. The setters are the checked, journaled writes."""
         if node_id not in self:
             raise DanglingLink(node_id)
-        if field == "prev":
-            self._prev[node_id] = value
-        elif field == "item":
-            self._item[node_id] = value
-        elif field == "next":
-            self._next[node_id] = value
-        else:
+        if field not in _FIELDS:
             raise UsageError(f"a node has prev, item and next fields, not {field!r}")
+        getattr(self, "_" + field)[node_id] = value
 
     # -- savepoints ----------------------------------------------------------
 
@@ -502,14 +493,13 @@ class NodeStore:
         backwards = reversed(journal)
         for old, name, node_id in islice(zip(backwards, backwards, backwards),
                                          (len(journal) - start) // 3):
-            if name is not _CLEARED:
+            if name is _CLEARED:  # its nodes newest first too
+                old_prevs, old_items, end = old
+                for node, p, x, nx in zip(reversed(node_id), reversed(old_prevs),
+                                          reversed(old_items), chain((end,), reversed(node_id))):
+                    prevs[node], items[node], nexts[node] = p, x, nx
+            else:
                 fields[name][node_id] = old
-                continue
-            old_prevs, old_items, end = old
-            old_nexts = chain((end,), islice(reversed(node_id), len(node_id) - 1))
-            for node, p, x, nx in zip(reversed(node_id), reversed(old_prevs),
-                                      reversed(old_items), old_nexts):
-                prevs[node], items[node], nexts[node] = p, x, nx
         del journal[start:]
         for values in fields.values():
             del values[fresh.start:]
@@ -517,17 +507,10 @@ class NodeStore:
     @staticmethod
     def writes(entries, skip=None) -> Iterator[tuple[NodeId, str, object]]:
         """The writes a closed journal's ``entries`` record, oldest first,
-        as (node id, field, old value). A ``clear_chain`` entry reads as
-        ``clear_node``'s entries, or is left out if its ids equal the list
-        ``skip`` (compared at C speed)."""
+        as (node id, field, old value): a ``clear_chain`` entry reads as
+        ``clear_node``'s would, or not at all if its ids equal ``skip``."""
         it = iter(entries)
-        if _CLEARED not in entries:  # setters' entries alone: read at C speed
-            return zip(it, it, it)
-        return NodeStore._unfold(zip(it, it, it), skip)
-
-    @staticmethod
-    def _unfold(entries, skip) -> Iterator[tuple[NodeId, str, object]]:
-        for node_id, name, old in entries:
+        for node_id, name, old in zip(it, it, it):
             if name is not _CLEARED:
                 yield node_id, name, old
             elif node_id != skip:

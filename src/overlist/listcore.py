@@ -480,8 +480,7 @@ class JavaLinkedList:
         """Unlink every node, clearing its fields; the nodes stay allocated."""
         self.store.clear_chain(self.first,
                                self._clear_probe if self.check_mode is CheckMode.FULL else None)
-        self.first = None
-        self.last = None
+        self.first = self.last = None
         self.size = 0
         # a new ghost, so the log keeps the old one whole without a copy
         if self._ghost_log is not None:
@@ -554,13 +553,7 @@ class JavaLinkedList:
         return self.unlink_last()
 
 
-def new_list(
-    width: int = 8,
-    policy: SizePolicy = SizePolicy.FAIL_FAST,
-    check_mode: CheckMode = CheckMode.OFF,
-    faults: frozenset[str] = frozenset(),
-) -> JavaLinkedList:
-    return JavaLinkedList(width, policy, check_mode, faults)
+new_list = JavaLinkedList  # the constructor under its older name
 
 
 #: public operations addressable by name in scripts, contracts and reports

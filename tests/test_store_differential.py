@@ -123,9 +123,11 @@ def step(data, new, ref, marks):
                 outcome(lambda: setattr(ref.record(node), name, value))]
     if kind == "open":
         marks.append((new.open_journal(), ref.open_journal()))
-        # the next id at each mark; the journal lengths differ, as the
-        # dict store journals a chain clear per node
-        return [mark[1] for mark in marks[-1]]
+        # at each mark, the writes journaled before it and the next id: the
+        # journal lengths differ, as the dict store journals a chain clear
+        # per node
+        return [(sum(1 for _ in NodeStore.writes(s._journal[:mark[0]])), mark[1])
+                for s, mark in zip((new, ref), marks[-1])]
     if not marks:
         return None
     # mostly the innermost savepoint, else the outermost (refused while it
