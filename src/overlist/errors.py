@@ -80,9 +80,3 @@ class ContractViolation(Exception):
 
     def categories(self) -> set[str]:
         return {cat for cat, _ in self.violations}
-
-    def to_json(self) -> dict:
-        return {
-            "operation": self.operation,
-            "violations": [{"clause": cat, "witness": msg} for cat, msg in self.violations],
-        }

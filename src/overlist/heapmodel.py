@@ -29,7 +29,8 @@ from .errors import CycleDetected, DanglingLink, UsageError
 
 NodeId = int
 
-_CLEARED = "cleared"  # the field slot of a ``NodeStore.clear_chain`` entry
+#: the field slot of the journal entry ``NodeStore.clear_chain`` makes
+_CLEARED = "cleared"
 
 
 # Items are immutable tuples, so ``==`` and ``hash`` run in C: a search

@@ -480,7 +480,8 @@ class JavaLinkedList:
         """Unlink every node, clearing its fields; the nodes stay allocated."""
         self.store.clear_chain(self.first,
                                self._clear_probe if self.check_mode is CheckMode.FULL else None)
-        self.first = self.last = None
+        self.first = None
+        self.last = None
         self.size = 0
         # a new ghost, so the log keeps the old one whole without a copy
         if self._ghost_log is not None:
