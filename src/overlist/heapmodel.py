@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import eq
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CycleDetected, DanglingLink, UsageError
 
@@ -149,16 +149,14 @@ class NodeStore:
     value in the journal, so ``rollback`` can put the store back as it
     was when the savepoint opened, at a cost proportional to the writes
     made since rather than to the size of the heap. Savepoints nest; only
-    the innermost open one can be closed or rolled back. A journal entry
-    is three slots: a write's node id, field and old value, or a
-    ``clear_chain`` call's (see there); only ``rollback`` and ``writes``
-    read them."""
+    the innermost open one can be closed or rolled back. ``rollback`` and
+    ``writes`` alone read the journal's entries."""
 
     def __init__(self):
         self._prev: list[NodeId | None] = []
         self._item: list[Item] = []
         self._next: list[NodeId | None] = []
-        self._journal: list | None = None  # three-slot entries, oldest first
+        self._journal: list | None = None  # per write: id, field, old value; see clear_chain
         self._marks: list[tuple[int, NodeId]] = []  # open savepoints, innermost last
 
     def __contains__(self, node_id: NodeId) -> bool:
@@ -311,9 +309,11 @@ class NodeStore:
         return NodeRecord(self, node_id)
 
     def _links(self, link: str) -> list:
-        if link not in ("next", "prev"):
-            raise UsageError(f"a chain follows next or prev links, not {link!r}")
-        return getattr(self, "_" + link)
+        if link == "next":
+            return self._next
+        if link == "prev":
+            return self._prev
+        raise UsageError(f"a chain follows next or prev links, not {link!r}")
 
     def walk(self, node: NodeId | None) -> Iterator[Item]:
         """Yield the items of the chain from ``node`` along its ``next``
@@ -506,19 +506,23 @@ class NodeStore:
             del values[fresh.start:]
 
     @staticmethod
-    def writes(entries, skip=None) -> Iterator[tuple[NodeId, str, object]]:
+    def writes(entries, skip=None) -> Iterable[tuple[NodeId, str, object]]:
         """The writes a closed journal's ``entries`` record, oldest first,
         as (node id, field, old value): a ``clear_chain`` entry reads as
         ``clear_node``'s would, or not at all if its ids equal ``skip``."""
         it = iter(entries)
+        if _CLEARED not in entries:  # setters' entries alone: read at C speed
+            return zip(it, it, it)
+        out = []
         for node_id, name, old in zip(it, it, it):
             if name is not _CLEARED:
-                yield node_id, name, old
+                out.append((node_id, name, old))
             elif node_id != skip:
                 old_prevs, old_items, end = old
                 old_nexts = chain(islice(node_id, 1, None), (end,))
                 for node, p, x, nx in zip(node_id, old_prevs, old_items, old_nexts):
-                    yield from ((node, "prev", p), (node, "item", x), (node, "next", nx))
+                    out += (node, "prev", p), (node, "item", x), (node, "next", nx)
+        return out
 
     def copy(self) -> "NodeStore":
         dup = NodeStore()
