@@ -13,8 +13,7 @@ import argparse
 import collections
 import time
 
-from overlist.difftest import ADD_HEAVY_WEIGHTS, dump_script, gen_script, run_script, shrink
-from overlist.listcore import CheckMode, SizePolicy
+from overlist import ADD_HEAVY_WEIGHTS, CheckMode, SizePolicy, dump_script, gen_script, run_script, shrink
 
 
 def main():

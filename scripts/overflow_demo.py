@@ -10,11 +10,15 @@ fail-fast variant side by side.
 
 import argparse
 
-from overlist.difftest import MARKER, build_overflow_states, census
-from overlist.errors import ListError
-from overlist.heapmodel import walk_chain
-from overlist.jint import WIDTHS
-from overlist.listcore import SizePolicy
+from overlist import MARKER, NULL, WIDTHS, ListError, SizePolicy, census, new_list
+
+
+def added(width, items):
+    """An unchecked list after add() of each of ``items`` in turn."""
+    lst = new_list(width, SizePolicy.UNCHECKED)
+    for item in items:
+        lst.add(item)
+    return lst
 
 
 def show(label, thunk):
@@ -29,11 +33,15 @@ def main():
     parser.add_argument("--width", type=int, default=8, choices=WIDTHS)
     args = parser.parse_args()
     w = args.width
-    (s1, _), (s2, _) = build_overflow_states(w)
-    cap = s1.max_size
-    print(f"state A: {1 << (w - 1)} adds on a {w}-bit list (capacity {cap})")
+    # the census first: it refuses a width whose preparation is infeasible
+    broken = {r.method: r.classification for r in census(w, SizePolicy.UNCHECKED)}
+    fixed = {r.method: r.classification for r in census(w, SizePolicy.FAIL_FAST)}
+    half = 1 << (w - 1)
+    s1 = added(w, [NULL] * half)
+    s2 = added(w, [NULL] * (2 * half - 1) + [MARKER])
+    print(f"state A: {half} adds on a {w}-bit list (capacity {s1.max_size})")
     show("size()", lambda: s1.size)
-    show("actual chain length", lambda: len(walk_chain(s1.store, s1.first)))
+    show("actual chain length", lambda: len(s1.chain()))
     show("get(0)", lambda: s1.get(0))
     show("to_array()", lambda: s1.to_array())
     show("get_first()  [endpoint, still fine]", lambda: s1.get_first())
@@ -45,8 +53,6 @@ def main():
     show("get_last()  [the marker is right there]", lambda: s2.get_last())
 
     print("\nmethod census (worst outcome over both states):")
-    broken = {r.method: r.classification for r in census(w, SizePolicy.UNCHECKED)}
-    fixed = {r.method: r.classification for r in census(w, SizePolicy.FAIL_FAST)}
     widest = max(map(len, broken))
     print(f"  {'method'.ljust(widest)}  {'unchecked'.ljust(16)}  fail-fast")
     for method in sorted(broken):

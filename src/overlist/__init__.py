@@ -1,5 +1,9 @@
 """Desk-scale doubly linked list with Java int semantics, a runtime
-checkable specification layer, and a differential testing harness."""
+checkable specification layer, and a differential testing harness.
+
+The names below are the public API, the one ``tests/test_package.py``
+pins. Everything else lives in the modules, which change without notice;
+CHANGES.md records each change."""
 
 from .errors import (
     ContractViolation,
@@ -11,19 +15,14 @@ from .errors import (
     NoSuchElementError,
     UsageError,
 )
-from .jint import WIDTHS, JInt, max_value, min_value, wrap
-from .heapmodel import NULL, Atom, Item, NodeRecord, NodeStore, walk_chain
-from .listcore import CheckMode, FAULTS, JavaLinkedList, SizePolicy, new_list
-from .ghostspec import (
-    check_acyclic,
-    check_invariant,
-    check_unique_endpoints,
-    cycle_propagation_witness,
-    frame_check,
-    run_checked,
-)
-from .oracle import AbstractList, ModelList, Verdict, observe_equal, oracle_apply
+from .jint import WIDTHS
+from .heapmodel import NULL, Atom, Item
+from .oracle import MARKER
+from .listcore import CheckMode, JavaLinkedList, SizePolicy, new_list
+from .ghostspec import check_acyclic, check_invariant, check_unique_endpoints, run_checked
 from .difftest import (
+    ADD_HEAVY_WEIGHTS,
+    BALANCED_WEIGHTS,
     Divergence,
     OpScript,
     census,
@@ -44,32 +43,20 @@ __all__ = [
     "NoSuchElementError",
     "UsageError",
     "WIDTHS",
-    "JInt",
-    "max_value",
-    "min_value",
-    "wrap",
     "NULL",
     "Atom",
     "Item",
-    "NodeRecord",
-    "NodeStore",
-    "walk_chain",
+    "MARKER",
     "CheckMode",
-    "FAULTS",
     "JavaLinkedList",
     "SizePolicy",
     "new_list",
     "check_acyclic",
     "check_invariant",
     "check_unique_endpoints",
-    "cycle_propagation_witness",
-    "frame_check",
     "run_checked",
-    "AbstractList",
-    "ModelList",
-    "Verdict",
-    "observe_equal",
-    "oracle_apply",
+    "ADD_HEAVY_WEIGHTS",
+    "BALANCED_WEIGHTS",
     "Divergence",
     "OpScript",
     "census",

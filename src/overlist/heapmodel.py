@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import eq
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CycleDetected, DanglingLink, UsageError
 
@@ -98,32 +98,16 @@ def item_test(target: Item) -> Callable[[Item], bool]:
     return partial(eq, target)  # target == item
 
 
-class NodeRecord:
-    """A read-only live view of one node's fields: reading a field reads
-    the store. Views serve cold paths and tests; the list and the checks
-    read the fields through the store's per-field and bulk reads, and
-    ``NodeStore.raw_write`` is the one unchecked write."""
+class NodeRecord(NamedTuple):
+    """One node's fields as ``NodeStore.record`` read them: a later write
+    to the node does not show in the record. Records serve cold paths and
+    tests; the list and the checks read the fields through the store's
+    per-field and bulk reads, and ``NodeStore.raw_write`` is the one
+    unchecked write."""
 
-    __slots__ = ("_store", "_id")
-
-    def __init__(self, store: "NodeStore", node_id: NodeId):
-        self._store = store
-        self._id = node_id
-
-    @property
-    def prev(self) -> NodeId | None:
-        return self._store.prev(self._id)
-
-    @property
-    def item(self) -> Item:
-        return self._store.item(self._id)
-
-    @property
-    def next(self) -> NodeId | None:
-        return self._store.next(self._id)
-
-    def __repr__(self) -> str:
-        return f"NodeRecord(prev={self.prev!r}, item={self.item!r}, next={self.next!r})"
+    prev: NodeId | None
+    item: Item
+    next: NodeId | None
 
 
 def _select_all(values: list, ids) -> list:
@@ -302,11 +286,14 @@ class NodeStore:
         return True
 
     def record(self, node_id: NodeId) -> NodeRecord:
-        """A live view of the node's fields; DanglingLink for an id that
-        names no node."""
-        if node_id not in self:
-            raise DanglingLink(node_id)
-        return NodeRecord(self, node_id)
+        """The node's three fields as they are now, read at once;
+        DanglingLink for an id that names no node."""
+        try:
+            if node_id >= 0:
+                return NodeRecord(self._prev[node_id], self._item[node_id], self._next[node_id])
+        except (IndexError, TypeError):
+            pass
+        raise DanglingLink(node_id)
 
     def _links(self, link: str) -> list:
         if link == "next":

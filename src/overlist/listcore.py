@@ -40,7 +40,7 @@ from .errors import (
 )
 from .heapmodel import Item, NodeId, NodeStore, NullItem, item_test, walk_chain
 from .jint import max_value, min_value, wrap
-from .oracle import OP_SPECS
+from .oracle import OP_SPECS, undo_edits
 
 
 class SizePolicy(Enum):
@@ -150,13 +150,7 @@ class JavaLinkedList:
         store_mark, start, header = mark
         self.store.rollback(store_mark)
         log = self._ghost_log
-        for delta, position, node in reversed(log[start:]):
-            if delta is None:  # a whole-ghost entry holds the ghost it replaced
-                self.ghost = node
-            elif delta < 0:
-                self.ghost.insert(position, node)
-            else:
-                del self.ghost[position : position + delta]
+        self.ghost = undo_edits(self.ghost, log[start:])
         del log[start:]
         self.first, self.last, self.size = header
         self._savepoints -= 1

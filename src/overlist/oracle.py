@@ -149,17 +149,24 @@ class ModelList:
 
     def undo(self, edits: list) -> None:
         """Revert the logged ``edits``, newest first."""
-        items = self.items
-        for delta, p, x in reversed(edits):
-            if delta is None:
-                items = x
-            elif delta < 0:
-                items.insert(p, x)
-            elif delta:
-                del items[p : p + delta]
-            else:
-                items[p] = x
-        self.items = items
+        self.items = undo_edits(self.items, edits)
+
+
+def undo_edits(seq: list, edits) -> list:
+    """Revert the logged ``edits`` of the list ``seq``, newest first, in
+    place, and return the result: the list itself, or the old list that
+    the oldest whole-sequence entry kept. The format is ``ModelList``'s
+    log, which the list under test's ghost log shares."""
+    for delta, p, x in reversed(edits):
+        if delta is None:
+            seq = x
+        elif delta < 0:
+            seq.insert(p, x)
+        elif delta:
+            del seq[p : p + delta]
+        else:
+            seq[p] = x
+    return seq
 
 
 # The searches are the sequence's own C scans, comparing with ``==``. On

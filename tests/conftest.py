@@ -24,8 +24,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def node_reads(monkeypatch):
     """A list that grows by one entry per node read through the public
-    reads of every ``NodeStore``: a per-field read or a ``record`` view
-    reads one node, a bulk read one per id, ``walk`` one per item it
+    reads of every ``NodeStore``: a per-field read or a ``record`` reads
+    one node, a bulk read one per id, ``walk`` one per item it
     yields, ``find`` each node it visits, ``follow`` one per step,
     ``links_agree`` the node at each position it checks, ``clear_node``
     the node it clears and ``clear_chain`` each node it clears or finds
@@ -85,11 +85,6 @@ def node_reads(monkeypatch):
                 return False
         return True
 
-    # a view is one node read, counted at ``record``: the fields read
-    # through it are that node's, so they go to the uncounted reads
-    for name in ("prev", "item", "next"):
-        monkeypatch.setattr(heapmodel.NodeRecord, name, property(
-            lambda view, real=getattr(store, name): real(view._store, view._id)))
     for name in ("prev", "item", "next", "record", "clear_node"):
         monkeypatch.setattr(store, name, once(name))
     for name in ("prevs", "items", "nexts"):

@@ -1,7 +1,10 @@
 """The package's shape: its modules import each other without a cycle,
-and the public names survive moves between modules."""
+its public API is pinned, and the public names survive moves between
+modules."""
 
 import ast
+import importlib
+import types
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -76,6 +79,83 @@ def test_every_public_name_resolves():
     for gone in ("GhostState", "InvariantReport"):
         assert not hasattr(overlist, gone), gone
     assert type(listcore.JavaLinkedList().ghost) is list
+
+
+#: the public API: what the README and ``scripts/`` name. A change to it
+#: is deliberate, and CHANGES.md records it.
+PUBLIC_API = {
+    "ContractViolation", "CycleDetected", "IllegalStateError", "IndexOutOfBoundsError",
+    "ListError", "NegativeArraySizeError", "NoSuchElementError", "UsageError",
+    "WIDTHS", "NULL", "Atom", "Item", "MARKER",
+    "JavaLinkedList", "new_list", "SizePolicy", "CheckMode",
+    "run_checked", "check_invariant", "check_acyclic", "check_unique_endpoints",
+    "run_script", "census", "gen_script", "shrink", "dump_script", "load_script",
+    "OpScript", "Divergence", "ADD_HEAVY_WEIGHTS", "BALANCED_WEIGHTS",
+}
+
+#: names the package no longer exports, by the module they import from
+INTERNAL = {
+    "jint": ("JInt", "max_value", "min_value", "wrap"),
+    "heapmodel": ("NodeStore", "NodeRecord", "walk_chain"),
+    "listcore": ("FAULTS",),
+    "ghostspec": ("frame_check", "cycle_propagation_witness"),
+    "oracle": ("AbstractList", "ModelList", "Verdict", "observe_equal", "oracle_apply"),
+}
+
+
+def test_the_public_api_is_pinned():
+    assert len(overlist.__all__) == len(PUBLIC_API) == 31
+    assert set(overlist.__all__) == PUBLIC_API
+    # the package imports its API and its modules, nothing else
+    exported = {name for name, value in vars(overlist).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_API
+    for module, names in INTERNAL.items():
+        for name in names:
+            assert hasattr(importlib.import_module(f"overlist.{module}"), name), (module, name)
+            assert name not in exported, name
+
+
+SCRIPTS = PACKAGE.parents[1] / "scripts"
+
+
+def package_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every name imported from the package or one of
+    its modules, and of every package module imported by path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "overlist":
+                found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.startswith("overlist."))
+    return sorted(found)
+
+
+def test_package_imports_finds_every_form():
+    source = (
+        "import os, overlist\n"
+        "from overlist import census, new_list\n"
+        "from overlist.heapmodel import walk_chain\n"
+        "import overlist.difftest as d\n"
+        "from overlistx import y\n"
+        "def f():\n"
+        "    from overlist.jint import JInt\n"
+    )
+    assert package_imports(source) == [
+        (2, "census"), (2, "new_list"), (3, "walk_chain"), (4, "overlist.difftest"), (7, "JInt"),
+    ]
+
+
+def test_scripts_use_only_the_public_api():
+    paths = sorted(SCRIPTS.glob("*.py"))
+    assert paths
+    for path in paths:
+        names = package_imports(path.read_text())
+        assert names, path.name
+        internal = [(line, name) for line, name in names if name not in overlist.__all__]
+        assert internal == [], (path.name, internal)
 
 
 def test_moved_names_still_import_from_ghostspec():
