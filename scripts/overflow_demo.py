@@ -10,7 +10,7 @@ fail-fast variant side by side.
 
 import argparse
 
-from overlist import MARKER, NULL, WIDTHS, ListError, SizePolicy, census, new_list
+from overlist import MARKER, NULL, WIDTHS, ListError, SizePolicy, UsageError, census, new_list
 
 
 def added(width, items):
@@ -34,7 +34,10 @@ def main():
     args = parser.parse_args()
     w = args.width
     # the census first: it refuses a width whose preparation is infeasible
-    broken = {r.method: r.classification for r in census(w, SizePolicy.UNCHECKED)}
+    try:
+        broken = {r.method: r.classification for r in census(w, SizePolicy.UNCHECKED)}
+    except UsageError as e:
+        parser.error(str(e))
     fixed = {r.method: r.classification for r in census(w, SizePolicy.FAIL_FAST)}
     half = 1 << (w - 1)
     s1 = added(w, [NULL] * half)

@@ -165,7 +165,6 @@ def classify(outcome: tuple[str, object], verdict: Verdict) -> str:
 @dataclass
 class ScriptResult:
     divergences: dict[str, list[Divergence]]
-    lists: dict[str, JavaLinkedList]
     oracles: dict[str, AbstractList]
     aborted: dict[str, int | None]
 
@@ -204,18 +203,36 @@ def run_script(
     no verdict is Unspecified); an aborted step undoes the oracle's edit.
     Otherwise the oracle steps after the call. Under INVARIANT, after a
     failed full check every step runs the full check until one passes;
-    from there the run carries again."""
+    from there the run carries again.
+
+    FailFast runs first. Below capacity both policies make the same calls
+    on the same states: the list's capacity check and the bounded oracle
+    act only on an insert at capacity, and outside FULL the FailFast list
+    is an OFF list whose model-free checks raise nothing an Unchecked run
+    would not. So unless a FailFast step left the list's size or the
+    oracle's length (a fault can part them) at the maximum, the Unchecked
+    result is FailFast's outcome and abort divergences, aborted step and
+    oracle, unbounded. Under FULL the loop probes and chain walks can
+    abort FailFast alone, so both policies run."""
     require_member(CheckMode, check_mode, "check_mode")
     for policy in policies:
         require_member(SizePolicy, policy, "policies entry")
     for op, args in script.steps:
         check_call(op, args)
     divergences: dict[str, list[Divergence]] = {}
-    lists: dict[str, JavaLinkedList] = {}
     oracles: dict[str, AbstractList] = {}
     aborted: dict[str, int | None] = {}
-    for policy in policies:
+    derive = check_mode is not CheckMode.FULL and set(policies) == set(SizePolicy)
+    below = True  # no FailFast step so far left its list or oracle at the maximum
+    for policy in sorted(policies, key=lambda p: p is SizePolicy.UNCHECKED):  # FailFast first
         pname = policy.value
+        if derive and below and policy is SizePolicy.UNCHECKED:
+            last = aborted[pname] = aborted["failfast"]
+            divergences[pname] = [replace(d, policy=pname) for d in divergences["failfast"]
+                                  if d.kind != "InvariantViolation" or d.step == last]
+            oracles[pname] = oracles["failfast"]._replace(bounded=False)
+            continue
+        watch = derive and policy is SizePolicy.FAIL_FAST
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
         full = checked and check_mode is CheckMode.FULL
         lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
@@ -247,6 +264,8 @@ def run_script(
                 break
             if not full:
                 verdict, _ = oracle_apply(model, op, args)
+                if watch and (lst.size == lst.max_size or len(model.items) >= model.max_size):
+                    below = watch = False
             if observe_equal(outcome, verdict) == "disagree":
                 divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
                                        _encode_verdict(verdict), classify(outcome, verdict)))
@@ -259,9 +278,9 @@ def run_script(
                         Divergence(step, op, args, pname, str(failures), None, "InvariantViolation")
                     )
         divergences[pname] = divs
-        lists[pname] = lst
         oracles[pname] = model.snapshot()
-    return ScriptResult(divergences, lists, oracles, aborted)
+    names = [p.value for p in policies]  # the result keeps the order of ``policies``
+    return ScriptResult(*({p: d[p] for p in names} for d in (divergences, oracles, aborted)))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,73 @@ class TestRunScript:
         assert "MissingError" in kinds
 
 
+BOTH = (SizePolicy.UNCHECKED, SizePolicy.FAIL_FAST)
+
+
+def assert_as_single_runs(script, mode, faults, policies=BOTH):
+    """A run of both policies, whose Unchecked result may be derived from
+    the FailFast run, equals each policy run alone, field by field, with
+    its keys in the order of ``policies``."""
+    result = run_script(script, mode, policies, faults)
+    alone = {p.value: run_script(script, mode, (p,), faults) for p in policies}
+    for field in ("divergences", "oracles", "aborted"):
+        got = getattr(result, field)
+        assert list(got) == list(alone)
+        for name, single in alone.items():
+            assert got[name] == getattr(single, field)[name], (field, name)
+    return result
+
+
+class TestDerivedUnchecked:
+    """Outside FULL, FailFast runs first, and the Unchecked result is
+    derived from it unless some FailFast step left the list's size or
+    the oracle's length at the maximum."""
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+    def test_equals_the_single_policy_runs(self, mode, fault):
+        faults = frozenset() if fault is None else frozenset({fault})
+        # below capacity, then past it: width 8's capacity is 127
+        for weights, length in ((BALANCED_WEIGHTS, 100), (ADD_HEAVY_WEIGHTS, 60),
+                                (ADD_HEAVY_WEIGHTS, 250)):
+            for seed in range(4):
+                assert_as_single_runs(gen_script(seed, 8, length, weights), mode, faults)
+        reverse = (SizePolicy.FAIL_FAST, SizePolicy.UNCHECKED)
+        assert_as_single_runs(gen_script(0, 8, 250, ADD_HEAVY_WEIGHTS), mode, faults, reverse)
+
+    # Under ``unlink-skip-relink`` a removal leaves its cleared node, whose
+    # item is null, reachable from its neighbour, so the list's searches
+    # part from the oracle's. Two such steps leave one side two short of the
+    # other. The adds take the side ahead to the maximum; the last add is at
+    # capacity there only, and the side behind stays short of the maximum.
+    B, C = Atom("b"), Atom("c")
+    #: the list's forward search stops at the cleared ``b``, missing both ``c``
+    SIZE_AHEAD = ((("add", (A,)), ("add", (B,)), ("add", (C,)), ("add", (C,)),
+                   ("remove_at", (1,)), ("remove_item", (C,)), ("remove_item", (C,)))
+                  + (("add", (NULL,)),) * 125)
+    #: the list's backward search removes a cleared node twice; the oracle has no null
+    LENGTH_AHEAD = ((("add", (A,)), ("add", (A,)), ("remove_last", ()), ("remove_item", (A,)),
+                     ("add", (B,)), ("remove_last_occurrence", (NULL,)),
+                     ("remove_last_occurrence", (NULL,)))
+                    + (("add", (NULL,)),) * 127)
+
+    @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("steps, last", [(SIZE_AHEAD, "WrongError"),
+                                             (LENGTH_AHEAD, "MissingError")],
+                             ids=["size-ahead", "length-ahead"])
+    def test_an_insert_at_capacity_on_one_side_runs_unchecked(self, mode, steps, last):
+        faults = frozenset({"unlink-skip-relink"})
+        result = assert_as_single_runs(OpScript(0, 8, steps), mode, faults)
+        unchecked = [(d.step, d.kind) for d in result.divergences["unchecked"]]
+        assert unchecked == [(5, "WrongValue"), (6, "WrongValue")]
+        if mode is not CheckMode.FULL:
+            # the next to last add brought one side to the maximum: FailFast
+            # refused the last against the oracle, or took it where it refused
+            failfast = result.divergences["failfast"]
+            *_, final = (d for d in failfast if d.kind != "InvariantViolation")
+            assert (final.step, final.kind) == (len(steps) - 1, last)
+
+
 #: SHA-256 over ``run_script``'s divergences, aborted steps and final
 #: oracle items for seeds 0-9 of both mixes, with no fault and with each
 #: fault, under every check mode. At 250 steps the add-heavy scripts cross

@@ -26,6 +26,13 @@ def test_overflow_demo(tmp_path):
     assert "  index_of(marker): -1" in lines
 
 
+def test_overflow_demo_refuses_an_infeasible_width(tmp_path):
+    done = run_script(tmp_path, "overflow_demo.py", "--width", "32")
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "error: the census at width 32" in done.stderr
+
+
 def test_fuzz_sweep(tmp_path):
     done = run_script(tmp_path, "fuzz_sweep.py", "--scripts", "3", "--length", "100")
     assert done.returncode == 0, done.stderr

@@ -33,23 +33,47 @@ def test_every_traced_target_installs_and_uninstalls():
     assert spans.installed_wrappers() == []
 
 
-@pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
-def test_one_oracle_step_per_script_step_under_run_script(mode):
-    """The run's coverage counts come from ``oracle_apply`` calls made
-    directly under ``run_script``, one per step and policy, each handing
-    back the state it edited: the longest unbounded length is the final
-    one of an add-then-query script, and a step at capacity is one whose
-    unbounded state holds at least the maximum size after it."""
+def traced_run(steps, mode):
+    """The tracer's counts over one ``run_script``, and the number of
+    ``oracle_apply`` calls made directly under it."""
     spans = load_spans()
-    steps = ((("add", (NULL,)),) * 150 + (("size", ()), ("get", (3,)), ("index_of", (NULL,))))
     tracer = spans.Tracer()
     with tracer.installed():
         result = difftest.run_script(OpScript(0, 8, steps), mode)
     oracle, script = tracer.names.index("oracle.oracle_apply"), tracer.names.index("difftest.run_script")
     direct = [i for i, name in enumerate(tracer.name_of)
               if name == oracle and tracer.name_of[tracer.parent[i]] == script]
-    assert len(direct) == tracer.counts["oracle.oracle_apply.calls"] == 2 * len(steps)
-    assert tracer.counts["oracle.oracle_apply.items_copied"] == 0
+    return result, tracer.counts, len(direct)
+
+
+@pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+def test_one_oracle_step_per_script_step_under_run_script(mode):
+    """The run's coverage counts come from ``oracle_apply`` calls made
+    directly under ``run_script``, one per step and policy that runs,
+    each handing back the state it edited: the longest unbounded length
+    is the final one of an add-then-query script, and a step at capacity
+    is one whose unbounded state holds at least the maximum size after
+    it. Below capacity, outside ``full``, only FailFast runs: its oracle
+    holds the true length there. A script that ends at the maximum length
+    runs both, so its steps at capacity still count."""
+    steps = ((("add", (NULL,)),) * 150 + (("size", ()), ("get", (3,)), ("index_of", (NULL,))))
+    result, counts, direct = traced_run(steps, mode)
+    assert direct == counts["oracle.oracle_apply.calls"] == 2 * len(steps)
+    assert counts["oracle.oracle_apply.items_copied"] == 0
     final = len(result.oracles["unchecked"].items)
-    assert tracer.counts["difftest.max_true_length"] == final == 150
-    assert tracer.counts["difftest.steps_at_capacity"] == (150 - 127 + 1) + 3
+    assert counts["difftest.max_true_length"] == final == 150
+    assert counts["difftest.steps_at_capacity"] == (150 - 127 + 1) + 3
+
+    below = (("add", (NULL,)),) * 10 + (("size", ()), ("remove_first", ()), ("get", (3,)))
+    result, counts, direct = traced_run(below, mode)
+    runs = 2 if mode is CheckMode.FULL else 1
+    assert direct == counts["oracle.oracle_apply.calls"] == runs * len(below)
+    assert counts["difftest.max_true_length"] == 10
+    assert counts["difftest.steps_at_capacity"] == 0
+    assert len(result.oracles["unchecked"].items) == 9
+
+    exact = (("add", (NULL,)),) * 127 + (("size", ()), ("get_last", ()))
+    _, counts, direct = traced_run(exact, mode)
+    assert direct == 2 * len(exact)
+    assert counts["difftest.max_true_length"] == 127
+    assert counts["difftest.steps_at_capacity"] == 3
