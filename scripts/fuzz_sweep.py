@@ -13,14 +13,24 @@ import argparse
 import collections
 import time
 
-from overlist import ADD_HEAVY_WEIGHTS, CheckMode, SizePolicy, dump_script, gen_script, run_script, shrink
+from overlist import (
+    ADD_HEAVY_WEIGHTS, WIDTHS, CheckMode, SizePolicy, dump_script, gen_script, run_script, shrink,
+)
+
+
+def count(text):
+    """A count argument: a non-negative integer, else a usage error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scripts", type=int, default=100)
-    parser.add_argument("--length", type=int, default=400)
-    parser.add_argument("--widths", type=int, nargs="+", default=[8])
+    parser.add_argument("--scripts", type=count, default=100)
+    parser.add_argument("--length", type=count, default=400)
+    parser.add_argument("--widths", type=int, nargs="+", default=[8], choices=WIDTHS)
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument("--check-mode", choices=[m.value for m in CheckMode],
                         default="invariant")
@@ -49,8 +59,8 @@ def main():
         dt = time.perf_counter() - t0
         print(f"width {width}: {args.scripts} scripts x {args.length} ops in {dt:.1f}s")
         print(f"  scripts with unchecked divergences: {diverging_scripts}")
-        for kind, count in tally.most_common():
-            print(f"    {kind}: {count}")
+        for kind, n in tally.most_common():
+            print(f"    {kind}: {n}")
 
 
 if __name__ == "__main__":

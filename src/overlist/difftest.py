@@ -193,17 +193,18 @@ def run_script(
     step assumes what the previous step's exit checks established (JML's
     visible-state semantics): the invariant holds, and the chain's items
     are the oracle's. While the invariant holds, a step runs through
-    ``ghostspec.checked_step``, inside one store savepoint, and is judged
-    by the exit check scoped to that savepoint's journal, falling back to
-    the full ``check_invariant`` with the same divergence and witnesses.
+    ``ghostspec.checked_step``, which takes its writes out of the one
+    savepoint the stretch keeps open (``JavaLinkedList.carry``) and judges
+    it by the exit check scoped to them, falling back to the full
+    ``check_invariant`` with the same divergence and witnesses.
     Each policy's oracle state is one ``ModelList``, edited in place; the
     result holds its snapshot. Under FULL the oracle steps first, in a
     savepoint, and its verdict and logged edit also judge the call's
     result, items and frame (the bounded FailFast oracle starts empty, so
     no verdict is Unspecified); an aborted step undoes the oracle's edit.
-    Otherwise the oracle steps after the call. Under INVARIANT, after a
-    failed full check every step runs the full check until one passes;
-    from there the run carries again.
+    Otherwise the oracle steps after the call. Under INVARIANT, a failed
+    full check closes the savepoint, and every step runs the full check
+    until one passes; from there the run carries again.
 
     FailFast runs first. Below capacity both policies make the same calls
     on the same states: the list's capacity check and the bounded oracle
@@ -242,6 +243,8 @@ def run_script(
         # the new list is empty: the invariant holds and its items are the oracle's
         holds = checked
         for step, (op, args) in enumerate(script.steps):
+            if holds and lst.carried is None:
+                lst.carry()
             try:
                 if full:
                     model.open_savepoint()
@@ -272,6 +275,8 @@ def run_script(
             if checked:
                 if not holds:
                     failures = check_invariant(lst)
+                elif failures:  # the carried stretch ends
+                    lst.close_savepoint(lst.carried)
                 holds = not failures
                 if failures:
                     divs.append(

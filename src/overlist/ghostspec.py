@@ -420,14 +420,16 @@ def run_checked(state, op: str, args: tuple = ()):
 
 
 def checked_step(state, op: str, args: tuple, model: tuple | None = None):
-    """Run one call inside one savepoint of the list and judge its exit.
+    """Run one call and judge its exit from what it wrote.
 
     Precondition: the invariant holds on entry and, when ``model`` is
     given, the chain holds the oracle's items. A caller that owns the
     list may carry both over from the previous step's exit checks (JML's
-    visible-state semantics); ``run_checked`` establishes them with its
-    entry check. The savepoint's ghost log holds the call's ghost edits,
-    so nothing reads or copies the entry ghost.
+    visible-state semantics) in one savepoint (``JavaLinkedList.carry``),
+    and the call takes its writes out of it; otherwise, as after
+    ``run_checked``'s entry check, it runs in a savepoint of its own. The
+    ghost log holds the call's ghost edits, so nothing reads or copies
+    the entry ghost.
 
     A call that wrote nothing (``_wrote_nothing``) exits in the entry
     state, so only its result and items are judged. Its obligation: the
@@ -448,16 +450,16 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     keeping it makes no reference cycle), and the failing invariant
     clauses."""
     pre = None if model is None else observe(state)
-    length = len(state.ghost)
-    mark = state.open_savepoint()
+    header, length = (state.first, state.last, state.size), len(state.ghost)
+    own = None if state.carried else state.open_savepoint()
     try:
         outcome, error = ("value", listcore.apply_op(state, op, args)), None
     except ListError as e:
         outcome, error = ("error", e.kind), e.with_traceback(None)
     finally:
-        journal, edits = state.close_savepoint(mark)
+        journal, edits = state.take() if own is None else state.close_savepoint(own)
 
-    wrote = not _wrote_nothing(state, mark[2], length, journal, edits)
+    wrote = not _wrote_nothing(state, header, length, journal, edits)
     edit = exit_invariant_holds(state, edits, journal) if wrote else NO_EDIT
     if model is None:
         return outcome, error, () if edit else check_invariant(state)

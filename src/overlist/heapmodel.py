@@ -141,7 +141,7 @@ class NodeStore:
         self._item: list[Item] = []
         self._next: list[NodeId | None] = []
         self._journal: list | None = None  # per write: id, field, old value; see clear_chain
-        self._marks: list[tuple[int, NodeId]] = []  # open savepoints, innermost last
+        self._marks: list[list[int]] = []  # open savepoints, innermost last
 
     def __contains__(self, node_id: NodeId) -> bool:
         return isinstance(node_id, int) and 0 <= node_id < len(self._item)
@@ -446,12 +446,12 @@ class NodeStore:
 
     # -- savepoints ----------------------------------------------------------
 
-    def open_journal(self) -> tuple[int, NodeId]:
-        """Open a savepoint and return its mark: the journal length and
-        the next id at this point. Marks are told apart by identity."""
+    def open_journal(self) -> list[int]:
+        """Open a savepoint and return its mark, ``[journal length, next
+        id]`` at this point, which ``take`` moves; told apart by identity."""
         if self._journal is None:
             self._journal = []
-        mark = (len(self._journal), len(self._item))
+        mark = [len(self._journal), len(self._item)]
         self._marks.append(mark)
         return mark
 
@@ -470,6 +470,15 @@ class NodeStore:
         opened. An enclosing savepoint still holds those entries."""
         journal, start, fresh = self._pop(mark)
         return (journal if self._journal is None else journal[start:]), fresh
+
+    def take(self, mark: list[int]) -> tuple[list, range]:
+        """``close_journal`` of the one open savepoint, ``mark``, which
+        opens again at this point with the same mark and a new journal."""
+        if len(self._marks) != 1 or self._marks[0] is not mark:
+            raise UsageError("only the one open savepoint can be taken from")
+        fresh = range(mark[1], len(self._item))
+        entries, self._journal, mark[1] = self._journal, [], fresh.stop
+        return entries, fresh
 
     def rollback(self, mark) -> None:
         """Close the savepoint ``mark``, then undo every write and

@@ -111,6 +111,7 @@ class JavaLinkedList:
         # the ghost's logged edits while a savepoint is open, else None
         self._ghost_log: list | None = None
         self._savepoints = 0  # open savepoints
+        self.carried: list | None = None  # the open savepoint's mark, if ``carry`` opened it
 
     # -- savepoints ---------------------------------------------------------
     # A savepoint is the store's, with the ghost log beside it. Each ghost
@@ -119,16 +120,29 @@ class JavaLinkedList:
     # ``fast_forward`` and the door ``replace_ghost``. The header is not
     # logged; the mark keeps it for a rollback.
 
-    def open_savepoint(self) -> tuple:
+    def open_savepoint(self) -> list:
         """Open a store savepoint and the ghost log beside it; return its
         mark: the store's mark, the log's length and the header
         ``(first, last, size)`` at this point. Savepoints nest; only the
         innermost open one can be closed or rolled back."""
         if self._ghost_log is None:
             self._ghost_log = []
-        mark = (self.store.open_journal(), len(self._ghost_log), (self.first, self.last, self.size))
+        mark = [self.store.open_journal(), len(self._ghost_log), (self.first, self.last, self.size)]
         self._savepoints += 1
         return mark
+
+    def carry(self) -> None:
+        """Open the savepoint of a stretch of calls that carries the
+        invariant (JML's visible-state semantics), as the only one open:
+        its mark is ``carried``, and each checked call takes its writes out."""
+        self.carried = self.open_savepoint()
+
+    def take(self) -> tuple[tuple, list]:
+        """``close_savepoint`` of the carried stretch's savepoint, which
+        opens again at this point with the same mark."""
+        journal, edits = self.store.take(self.carried[0]), self._ghost_log
+        self._ghost_log, self.carried[2] = [], (self.first, self.last, self.size)
+        return journal, edits
 
     def close_savepoint(self, mark) -> tuple[tuple, list]:
         """Close the savepoint ``mark``, keeping its writes. Returns the
@@ -140,7 +154,7 @@ class JavaLinkedList:
         if self._savepoints:
             edits = edits[mark[1]:]
         else:  # the outermost savepoint's log is all its own
-            self._ghost_log = None
+            self._ghost_log = self.carried = None
         return journal, edits
 
     def rollback(self, mark) -> None:
@@ -155,7 +169,7 @@ class JavaLinkedList:
         self.first, self.last, self.size = header
         self._savepoints -= 1
         if not self._savepoints:
-            self._ghost_log = None
+            self._ghost_log = self.carried = None
 
     def replace_ghost(self, ids) -> None:
         """Make the ghost a copy of the sequence ``ids``, logged as a

@@ -33,13 +33,13 @@ def test_every_traced_target_installs_and_uninstalls():
     assert spans.installed_wrappers() == []
 
 
-def traced_run(steps, mode):
+def traced_run(steps, mode, faults=frozenset()):
     """The tracer's counts over one ``run_script``, and the number of
     ``oracle_apply`` calls made directly under it."""
     spans = load_spans()
     tracer = spans.Tracer()
     with tracer.installed():
-        result = difftest.run_script(OpScript(0, 8, steps), mode)
+        result = difftest.run_script(OpScript(0, 8, steps), mode, faults=faults)
     oracle, script = tracer.names.index("oracle.oracle_apply"), tracer.names.index("difftest.run_script")
     direct = [i for i, name in enumerate(tracer.name_of)
               if name == oracle and tracer.name_of[tracer.parent[i]] == script]
@@ -77,3 +77,26 @@ def test_one_oracle_step_per_script_step_under_run_script(mode):
     assert direct == 2 * len(exact)
     assert counts["difftest.max_true_length"] == 127
     assert counts["difftest.steps_at_capacity"] == 3
+
+
+def test_a_carried_step_makes_one_list_call_and_checks_only_on_fallback():
+    """Under ``invariant`` each FailFast step makes one ``apply_op``
+    call (the tracer counts the calls that returned; none here raises),
+    whether it is carried or not, and ``check_invariant`` runs only where
+    the scoped exit check does not vouch: never on a valid chain. Under
+    ``unlink-skip-relink`` the removal breaks the chain: the failed
+    scoped check falls back in its step, the run checks the next two
+    steps itself, and the clear's passing check starts a new stretch."""
+    steps = ((("add", (NULL,)),) * 10
+             + (("get", (3,)), ("remove_first", ()), ("index_of", (NULL,)), ("clear", ()),
+                ("size", ()), ("add", (NULL,)), ("set_at", (0, NULL))))
+    _, counts, _ = traced_run(steps, CheckMode.INVARIANT)
+    assert counts["listcore.apply_op.calls"] == len(steps)
+    assert counts["ghostspec.check_invariant.calls"] == 0
+
+    broken = (("add", (NULL,)),) * 3 + (("remove_at", (1,)), ("size", ()), ("clear", ()),
+                                        ("add", (NULL,)), ("get", (0,)))
+    result, counts, _ = traced_run(broken, CheckMode.INVARIANT, frozenset({"unlink-skip-relink"}))
+    assert [d.step for d in result.divergences["failfast"]] == [3, 4]
+    assert counts["listcore.apply_op.calls"] == len(broken)
+    assert counts["ghostspec.check_invariant.calls"] == 3
