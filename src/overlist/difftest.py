@@ -10,7 +10,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, checked_step
@@ -210,11 +210,17 @@ def run_script(
     on the same states: the list's capacity check and the bounded oracle
     act only on an insert at capacity, and outside FULL the FailFast list
     is an OFF list whose model-free checks raise nothing an Unchecked run
-    would not. So unless a FailFast step left the list's size or the
-    oracle's length (a fault can part them) at the maximum, the Unchecked
-    result is FailFast's outcome and abort divergences, aborted step and
-    oracle, unbounded. Under FULL the loop probes and chain walks can
-    abort FailFast alone, so both policies run."""
+    would not. So outside FULL the Unchecked run starts at step s, the
+    first FailFast step that left the list's size or the oracle's length
+    (a fault can part them) at the maximum, from FailFast's state before
+    it: a copy of its store, so node ids are a full run's, its header,
+    ghost and oracle items, and its outcome divergences so far. No step
+    grows a side by more than one, so step s starts with a side one short
+    of the maximum: the run copies the state after each step that leaves
+    a side there, and no other. With no step s, the Unchecked result is
+    FailFast's outcome and abort divergences, aborted step and oracle,
+    unbounded. Under FULL the loop probes and chain walks can abort
+    FailFast alone, so both policies run in full."""
     require_member(CheckMode, check_mode, "check_mode")
     for policy in policies:
         require_member(SizePolicy, policy, "policies entry")
@@ -224,10 +230,10 @@ def run_script(
     oracles: dict[str, AbstractList] = {}
     aborted: dict[str, int | None] = {}
     derive = check_mode is not CheckMode.FULL and set(policies) == set(SizePolicy)
-    below = True  # no FailFast step so far left its list or oracle at the maximum
+    fork = None  # FailFast's state before its first step that left a side at the maximum
     for policy in sorted(policies, key=lambda p: p is SizePolicy.UNCHECKED):  # FailFast first
         pname = policy.value
-        if derive and below and policy is SizePolicy.UNCHECKED:
+        if derive and fork is None and policy is SizePolicy.UNCHECKED:
             last = aborted[pname] = aborted["failfast"]
             divergences[pname] = [replace(d, policy=pname) for d in divergences["failfast"]
                                   if d.kind != "InvariantViolation" or d.step == last]
@@ -239,10 +245,19 @@ def run_script(
         lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
         model = ModelList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
+        start = 0
+        if derive and policy is SizePolicy.UNCHECKED:  # resume FailFast's run at its fork
+            start, lst.store, header, ghost, items = fork
+            lst.first, lst.last, lst.size = header
+            lst.replace_ghost(ghost)
+            model = ModelList(items, script.width, bounded=False)
+            divs = [replace(d, policy=pname) for d in divergences["failfast"]
+                    if d.step < start and d.kind != "InvariantViolation"]
+        edge = lst.max_size - 1
         aborted[pname] = None
-        # the new list is empty: the invariant holds and its items are the oracle's
+        # a checked list is new and empty: the invariant holds and its items are the oracle's
         holds = checked
-        for step, (op, args) in enumerate(script.steps):
+        for step, (op, args) in islice(enumerate(script.steps), start, None):
             if holds and lst.carried is None:
                 lst.carry()
             try:
@@ -267,8 +282,12 @@ def run_script(
                 break
             if not full:
                 verdict, _ = oracle_apply(model, op, args)
-                if watch and (lst.size == lst.max_size or len(model.items) >= model.max_size):
-                    below = watch = False
+                if watch and (lst.size >= edge or len(model.items) >= edge):
+                    if lst.size == lst.max_size or len(model.items) >= model.max_size:
+                        fork, watch = capture, False
+                    else:  # one short of the maximum: the state the next step starts from
+                        capture = (step + 1, lst.store.copy(), (lst.first, lst.last, lst.size),
+                                   tuple(lst.ghost), tuple(model.items))
             if observe_equal(outcome, verdict) == "disagree":
                 divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
                                        _encode_verdict(verdict), classify(outcome, verdict)))

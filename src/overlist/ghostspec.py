@@ -126,7 +126,7 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     if not edits:
         if fresh:
             return None
-        edit, lo, hi = NO_EDIT, 0, 0
+        edit, lo, hi = NO_EDIT, 0, 1  # the window holds position 0: one end
     elif len(edits) == 1:
         edit = delta, p, node = edits[0]
         if delta == 1:
@@ -142,7 +142,11 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
         return None
     lo = max(lo, 0)
     hi = min(hi, n)
-    at = [0, n - 1, *range(lo, hi)]
+    at = [*range(lo, hi)]  # and both ends, each once
+    if lo:
+        at.append(0)
+    if hi < n:
+        at.append(n - 1)
     if entries:
         near = nl[lo:hi]
         for nid, name, _ in state.store.writes(entries):

@@ -10,6 +10,7 @@ nonsense, and endpoint operations never look at size at all.
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -25,12 +26,14 @@ from overlist.difftest import (
     dump_script,
     gen_script,
     load_script,
+    run_op,
     run_script,
     shrink,
 )
-from overlist.errors import CycleDetected, DanglingLink, UsageError
-from overlist.heapmodel import NULL, Atom
-from overlist.listcore import CheckMode, FAULTS, SizePolicy
+from overlist.errors import ChainCorruption, CycleDetected, DanglingLink, UsageError
+from overlist.heapmodel import NULL, Atom, NodeStore
+from overlist.listcore import CheckMode, FAULTS, SizePolicy, new_list
+from overlist.oracle import INDEX, OP_SPECS, ModelList, oracle_apply
 
 A = Atom("a")
 
@@ -165,6 +168,43 @@ def assert_as_single_runs(script, mode, faults, policies=BOTH):
     return result
 
 
+#: the modes whose two-policy runs fork; under FULL both policies run in full
+FORKING = [CheckMode.OFF, CheckMode.INVARIANT]
+ADD = (("add", (A,)),)
+
+
+def run_keeping_lists(monkeypatch, script, mode, policies, faults=frozenset()):
+    """``run_script``'s result and the lists it made, in order."""
+    made = []
+
+    def keep(*args, **kwargs):
+        made.append(new_list(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(difftest, "new_list", keep)
+    return run_script(script, mode, policies, faults), made
+
+
+def assert_forked_as_single_runs(monkeypatch, script, mode, faults) -> bool:
+    """``assert_as_single_runs``; and when the Unchecked run forked from
+    FailFast's rather than being derived whole, its list ends as the
+    Unchecked list run alone does: header, ghost and every node's fields,
+    so its node ids are a full run's. Returns whether it forked."""
+    assert_as_single_runs(script, mode, faults)
+    _, made = run_keeping_lists(monkeypatch, script, mode, BOTH, faults)
+    if len(made) == 1:
+        return False
+    _, (alone,) = run_keeping_lists(monkeypatch, script, mode, (SizePolicy.UNCHECKED,), faults)
+    for lst in made[1], alone:
+        assert lst.policy is SizePolicy.UNCHECKED
+    forked = made[1]
+    assert (forked.first, forked.last, forked.size) == (alone.first, alone.last, alone.size)
+    assert forked.ghost == alone.ghost
+    assert ([forked.store.record(i) for i in forked.store.ids()]
+            == [alone.store.record(i) for i in alone.store.ids()])
+    return True
+
+
 class TestDerivedUnchecked:
     """Outside FULL, FailFast runs first, and the Unchecked result is
     derived from it unless some FailFast step left the list's size or
@@ -213,6 +253,114 @@ class TestDerivedUnchecked:
             failfast = result.divergences["failfast"]
             *_, final = (d for d in failfast if d.kind != "InvariantViolation")
             assert (final.step, final.kind) == (len(steps) - 1, last)
+
+
+    # The fork: past the first step s that leaves a side at the maximum, the
+    # Unchecked run resumes at s from FailFast's state before it.
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
+    def test_a_forked_run_equals_the_single_policy_runs(self, monkeypatch, mode, fault):
+        """``shrink-faults``' shape: 400 add-heavy steps reach capacity near
+        the middle. Under ``unlink-skip-relink`` most FailFast runs abort
+        before it, and their Unchecked result is derived whole; seeds 21
+        and 29 reach the maximum first, then abort."""
+        faults = frozenset() if fault is None else frozenset({fault})
+        forked = [assert_forked_as_single_runs(monkeypatch, gen_script(seed, 8, 400, ADD_HEAVY_WEIGHTS),
+                                               mode, faults)
+                  for seed in (0, 1, 2, 3, 21, 29)]
+        assert all(forked) if fault is None else any(forked)
+
+    #: one short of the maximum three times: the fork is the last visit's state
+    LAST_VISIT = (ADD * 126
+                  + (("remove_last", ()), ("add", (B,)), ("set_at", (0, C)), ("add", (B,)),
+                     ("add", (C,)), ("get_first", ()), ("peek_last", ()), ("index_of", (B,))))
+
+    @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
+    def test_the_fork_is_the_state_before_the_step_that_reached_the_maximum(self, monkeypatch,
+                                                                             mode):
+        copies = []
+        copy = NodeStore.copy
+        monkeypatch.setattr(NodeStore, "copy", lambda store: copies.append(len(store)) or copy(store))
+        result, made = run_keeping_lists(monkeypatch, OpScript(0, 8, self.LAST_VISIT), mode, BOTH)
+        # steps 126, 128 and 129 start at 126; step 129 reaches 127
+        assert copies == [126, 127, 127] and len(made) == 2
+        B, C = self.B, self.C
+        assert result.oracles["unchecked"].items == (C, *(A,) * 124, B, B, C)
+        assert assert_forked_as_single_runs(monkeypatch, OpScript(0, 8, self.LAST_VISIT), mode,
+                                            frozenset())
+
+    #: the oracle two ahead of the list: the insert at step 132 takes the
+    #: oracle to the maximum and is out of the list's range, so both
+    #: policies diverge at the fork step itself
+    DIVERGES_AT_FORK = LENGTH_AHEAD[:-2] + (("add_at", (125, NULL)), ("size", ()))
+
+    @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
+    def test_a_divergence_at_the_fork_step_counts_once(self, monkeypatch, mode):
+        faults = frozenset({"unlink-skip-relink"})
+        script = OpScript(0, 8, self.DIVERGES_AT_FORK)
+        assert assert_forked_as_single_runs(monkeypatch, script, mode, faults)
+        result = run_script(script, mode, faults=faults)
+        for policy in ("failfast", "unchecked"):
+            at_fork = [d.kind for d in result.divergences[policy] if d.step == 132]
+            assert at_fork[:1] == ["WrongError"] and "WrongError" not in at_fork[1:]
+
+    #: the relink skipped, ``to_array`` runs off the chain at step 5 (FailFast
+    #: alone would reach the maximum at step 128)
+    ABORT_BEFORE = ADD * 4 + (("remove_at", (1,)), ("to_array", ())) + ADD * 130
+    #: ``remove_last`` leaves node 2 off the ghost, and the add after it links
+    #: past it, so the ghost skips an id; the maximum comes at step 128, past
+    #: it Unchecked takes an add FailFast refuses, and both abort at step 132
+    ABORT_AFTER = (ADD * 3 + (("remove_last", ()),) + ADD * 125
+                   + (("add", (B,)), ("remove_first", ()), ("remove_at", (1,)), ("to_array", ())))
+
+    @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
+    def test_an_abort_before_the_fork_derives_the_whole_result(self, monkeypatch, mode):
+        faults = frozenset({"unlink-skip-relink"})
+        script = OpScript(0, 8, self.ABORT_BEFORE)
+        assert not assert_forked_as_single_runs(monkeypatch, script, mode, faults)
+        assert run_script(script, mode, faults=faults).aborted == {"unchecked": 5, "failfast": 5}
+
+    @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
+    def test_an_abort_after_the_fork_runs_on_the_copied_store(self, monkeypatch, mode):
+        """The Unchecked run's abort, and its list's node ids, are a full
+        run's: its ghost starts at node 1 and skips nodes 2 and 3."""
+        faults = frozenset({"unlink-skip-relink"})
+        script = OpScript(0, 8, self.ABORT_AFTER)
+        assert assert_forked_as_single_runs(monkeypatch, script, mode, faults)
+        result, (_, forked) = run_keeping_lists(monkeypatch, script, mode, BOTH, faults)
+        assert result.aborted == {"unchecked": 132, "failfast": 132}
+        *_, abort = result.divergences["unchecked"]
+        assert (abort.kind, abort.impl) == ("InvariantViolation", str(DanglingLink(None)))
+        assert forked.ghost[:3] == [1, 4, 5] and len(forked.store) == 129
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    def test_no_call_grows_a_side_by_more_than_one(self, fault):
+        """The fork's premise: from states one and two short of the
+        maximum, parted by a fault or not, no call takes the list's size or
+        the oracle's length up by more than one. So the first step that
+        leaves a side at the maximum starts one short of it, where the run
+        copies its state."""
+        faults = frozenset() if fault is None else frozenset({fault})
+        for prefix in (ADD * 125, ADD * 126, self.SIZE_AHEAD[:-1], self.LENGTH_AHEAD[:-1]):
+            lst = new_list(8, SizePolicy.FAIL_FAST, faults=faults)
+            model = ModelList((), 8)
+            for op, args in prefix:
+                run_op(lst, op, args)
+                oracle_apply(model, op, args)
+            for op, spec in OP_SPECS.items():
+                kinds = [(-1, 0, 1, 125, 126, 127) if k == INDEX else ALPHABET for k in spec.args]
+                for args in product(*kinds):
+                    size, length = lst.size, len(model.items)
+                    with lst.trial():
+                        model.open_savepoint()
+                        try:
+                            run_op(lst, op, args)
+                        except ChainCorruption:
+                            pass
+                        oracle_apply(model, op, args)
+                        assert lst.size <= size + 1 and len(model.items) <= length + 1, (op, args)
+                        model.undo(model.close_savepoint())
 
 
 #: SHA-256 over ``run_script``'s divergences, aborted steps and final

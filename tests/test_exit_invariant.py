@@ -480,6 +480,41 @@ class TestEditLocation:
 
             assert verdicts(lst, edit_and_break_end) == (False, False), edit
 
+    def test_unjournaled_break_at_either_end_of_a_call_that_edits_nothing(self):
+        # with no edit to locate, the check still reads both ends
+        for end in ("first", "last"):
+            lst = build_list([A, B] * 6)
+
+            def read_and_break_end():
+                lst.get(3)
+                if end == "first":
+                    lst.store.raw_write(lst.first, "prev", lst.last)
+                else:
+                    lst.store.raw_write(lst.last, "next", lst.first)
+
+            assert verdicts(lst, read_and_break_end) == (False, False), end
+
+    def test_each_position_is_read_once(self, monkeypatch):
+        # an end inside the edit's window is not read again as an end
+        reads = []
+        links_agree = heapmodel.NodeStore.links_agree
+
+        def recorded(store, seq, positions):
+            reads.append(list(positions))
+            return links_agree(store, seq, positions)
+
+        monkeypatch.setattr(heapmodel.NodeStore, "links_agree", recorded)
+        for op, args in (("add", (A,)), ("add_first", (A,)), ("add_at", (6, A)), ("get", (3,)),
+                         ("remove_first", ()), ("remove_last", ()), ("remove_at", (6,))):
+            lst = build_list([A, B] * 6)
+            mark = lst.open_savepoint()
+            apply_op(lst, op, args)
+            journal, edits = lst.close_savepoint(mark)
+            reads.clear()
+            assert exit_invariant_holds(lst, edits, journal), op
+            [at] = reads
+            assert len(set(at)) == len(at), (op, at)
+
 
 class TestRunCheckedCost:
     @pytest.fixture

@@ -204,6 +204,34 @@ class TestNodeStore:
         clone.set_item(n1, B)
         assert store.record(n1).item == A
 
+    def test_a_copy_inside_a_carried_savepoint_is_its_own_store(self):
+        """A copy taken inside the list's carried savepoint has no
+        savepoint open, keeps its nodes whatever the source takes or rolls
+        back, and allocates the id the source would have allocated next."""
+        lst = new_list(8)
+        for item in (A, B, NULL):
+            lst.add(item)
+        lst.carry()
+        lst.add(A)
+        lst.remove_first()
+        store, clone = lst.store, lst.store.copy()
+        records = [clone.record(i) for i in clone.ids()]
+        assert records == [store.record(i) for i in store.ids()]
+        # the source's savepoint is not the copy's, and the copy opens a new journal
+        for undo in (clone.take, clone.rollback):
+            with pytest.raises(UsageError):
+                undo(lst.carried[0])
+        mark = clone.open_journal()
+        assert mark == [0, 4]
+        clone.close_journal(mark)
+        lst.take()
+        lst.add(B)
+        lst.set_at(0, A)
+        lst.rollback(lst.carried)
+        assert [clone.record(i) for i in clone.ids()] == records
+        lst.add(NULL)
+        assert clone.alloc(None, A, None) == lst.last == 4
+
 
 class TestWalkChain:
     def test_empty(self):

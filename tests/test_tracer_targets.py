@@ -1,8 +1,9 @@
 """The traced benchmark wraps named functions and methods of the package
 (``perfbench/spans.py``, ``TARGETS``). Renaming or deleting one of them
 breaks ``perfbench/run.py --trace 1``; this test fails first. Its hooks
-also read the package's calls: ``oracle_apply`` must stay one call per
-script step under ``run_script``, returning ``(verdict, state)``."""
+also read the package's calls: under ``run_script``, ``oracle_apply``
+must stay one call per step that each policy runs, returning
+``(verdict, state)``."""
 
 import importlib.util
 from pathlib import Path
@@ -54,11 +55,12 @@ def test_one_oracle_step_per_script_step_under_run_script(mode):
     is the final one of an add-then-query script, and a step at capacity
     is one whose unbounded state holds at least the maximum size after
     it. Below capacity, outside ``full``, only FailFast runs: its oracle
-    holds the true length there. A script that ends at the maximum length
-    runs both, so its steps at capacity still count."""
+    holds the true length there. Past it, Unchecked resumes at the step
+    that reached the maximum, so its steps at capacity still count."""
+    fork = 126 if mode is not CheckMode.FULL else 0  # where Unchecked starts
     steps = ((("add", (NULL,)),) * 150 + (("size", ()), ("get", (3,)), ("index_of", (NULL,))))
     result, counts, direct = traced_run(steps, mode)
-    assert direct == counts["oracle.oracle_apply.calls"] == 2 * len(steps)
+    assert direct == counts["oracle.oracle_apply.calls"] == len(steps) + len(steps) - fork
     assert counts["oracle.oracle_apply.items_copied"] == 0
     final = len(result.oracles["unchecked"].items)
     assert counts["difftest.max_true_length"] == final == 150
@@ -74,7 +76,7 @@ def test_one_oracle_step_per_script_step_under_run_script(mode):
 
     exact = (("add", (NULL,)),) * 127 + (("size", ()), ("get_last", ()))
     _, counts, direct = traced_run(exact, mode)
-    assert direct == 2 * len(exact)
+    assert direct == len(exact) + len(exact) - fork
     assert counts["difftest.max_true_length"] == 127
     assert counts["difftest.steps_at_capacity"] == 3
 
