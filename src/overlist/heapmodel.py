@@ -521,6 +521,7 @@ class NodeStore:
         return out
 
     def copy(self) -> "NodeStore":
+        """A store with this one's nodes and ids, and no savepoint open."""
         dup = NodeStore()
         dup._prev, dup._item, dup._next = self._prev.copy(), self._item.copy(), self._next.copy()
         return dup

@@ -254,7 +254,6 @@ class TestDerivedUnchecked:
             *_, final = (d for d in failfast if d.kind != "InvariantViolation")
             assert (final.step, final.kind) == (len(steps) - 1, last)
 
-
     # The fork: past the first step s that leaves a side at the maximum, the
     # Unchecked run resumes at s from FailFast's state before it.
 
@@ -282,13 +281,13 @@ class TestDerivedUnchecked:
         copies = []
         copy = NodeStore.copy
         monkeypatch.setattr(NodeStore, "copy", lambda store: copies.append(len(store)) or copy(store))
-        result, made = run_keeping_lists(monkeypatch, OpScript(0, 8, self.LAST_VISIT), mode, BOTH)
+        script = OpScript(0, 8, self.LAST_VISIT)
+        result, made = run_keeping_lists(monkeypatch, script, mode, BOTH)
         # steps 126, 128 and 129 start at 126; step 129 reaches 127
         assert copies == [126, 127, 127] and len(made) == 2
         B, C = self.B, self.C
         assert result.oracles["unchecked"].items == (C, *(A,) * 124, B, B, C)
-        assert assert_forked_as_single_runs(monkeypatch, OpScript(0, 8, self.LAST_VISIT), mode,
-                                            frozenset())
+        assert assert_forked_as_single_runs(monkeypatch, script, mode, frozenset())
 
     #: the oracle two ahead of the list: the insert at step 132 takes the
     #: oracle to the maximum and is out of the list's range, so both
