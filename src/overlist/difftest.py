@@ -14,7 +14,7 @@ from itertools import chain, islice, repeat
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, checked_step
-from .heapmodel import NULL, Atom, NullItem
+from .heapmodel import NULL, Atom, NodeStore, NullItem
 from .jint import check_width
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list, require_member
 from .oracle import (
@@ -210,14 +210,15 @@ def run_script(
     on the same states: the list's capacity check and the bounded oracle
     act only on an insert at capacity, and outside FULL the FailFast list
     is an OFF list whose model-free checks raise nothing an Unchecked run
-    would not. So outside FULL the Unchecked run starts at step s, the
-    first FailFast step that left the list's size or the oracle's length
-    (a fault can part them) at the maximum, from FailFast's state before
-    it: a copy of its store, so node ids are a full run's, its header,
-    ghost and oracle items, and its outcome divergences so far. No step
-    grows a side by more than one, so step s starts with a side one short
-    of the maximum: the run copies the state after each step that leaves
-    a side there, and no other. With no step s, the Unchecked result is
+    would not. So outside FULL the Unchecked run resumes FailFast's from
+    a state before step s, the first FailFast step that left the list's
+    size or the oracle's length (a fault can part them) at the maximum:
+    a copy of its store, so node ids are a full run's, its header, ghost
+    and oracle items, and its outcome divergences so far. The run copies
+    that state after each step that brings a side one short of the
+    maximum, and resumes from the last copy, or from the empty list if
+    none: a step grows a side by at most one, but a size can wrap from
+    its minimum to the maximum. With no step s, the Unchecked result is
     FailFast's outcome and abort divergences, aborted step and oracle,
     unbounded. Under FULL the loop probes and chain walks can abort
     FailFast alone, so both policies run in full."""
@@ -230,7 +231,9 @@ def run_script(
     oracles: dict[str, AbstractList] = {}
     aborted: dict[str, int | None] = {}
     derive = check_mode is not CheckMode.FULL and set(policies) == set(SizePolicy)
-    fork = None  # FailFast's state before its first step that left a side at the maximum
+    fork = None  # a FailFast state before its first step that left a side at the maximum
+    capture = (0, NodeStore(), (None, None, 0), (), ())  # the empty list's state
+    near = None  # the step after the last FailFast step that left a side one short
     for policy in sorted(policies, key=lambda p: p is SizePolicy.UNCHECKED):  # FailFast first
         pname = policy.value
         if derive and fork is None and policy is SizePolicy.UNCHECKED:
@@ -285,9 +288,10 @@ def run_script(
                 if watch and (lst.size >= edge or len(model.items) >= edge):
                     if lst.size == lst.max_size or len(model.items) >= model.max_size:
                         fork, watch = capture, False
-                    else:  # one short of the maximum: the state the next step starts from
+                    elif near != step:  # a side arrives one short of the maximum
                         capture = (step + 1, lst.store.copy(), (lst.first, lst.last, lst.size),
                                    tuple(lst.ghost), tuple(model.items))
+                    near = step + 1
             if observe_equal(outcome, verdict) == "disagree":
                 divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
                                        _encode_verdict(verdict), classify(outcome, verdict)))

@@ -126,7 +126,7 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     if not edits:
         if fresh:
             return None
-        edit, lo, hi = NO_EDIT, 0, 1  # the window holds position 0: one end
+        edit, lo, hi = NO_EDIT, 0, 0
     elif len(edits) == 1:
         edit = delta, p, node = edits[0]
         if delta == 1:
@@ -142,17 +142,13 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
         return None
     lo = max(lo, 0)
     hi = min(hi, n)
-    at = [*range(lo, hi)]  # and both ends, each once
-    if lo:
-        at.append(0)
-    if hi < n:
-        at.append(n - 1)
+    at = {0, n - 1, *range(lo, hi)}
     if entries:
         near = nl[lo:hi]
         for nid, name, _ in state.store.writes(entries):
             if name != "item" and nid not in near and nid != gone:
                 try:
-                    at.append(nl.index(nid))
+                    at.add(nl.index(nid))
                 except ValueError:  # a node outside the chain
                     pass
     if not state.store.links_agree(nl, at):

@@ -283,8 +283,9 @@ class TestDerivedUnchecked:
         monkeypatch.setattr(NodeStore, "copy", lambda store: copies.append(len(store)) or copy(store))
         script = OpScript(0, 8, self.LAST_VISIT)
         result, made = run_keeping_lists(monkeypatch, script, mode, BOTH)
-        # steps 126, 128 and 129 start at 126; step 129 reaches 127
-        assert copies == [126, 127, 127] and len(made) == 2
+        # steps 125 and 127 bring the size to 126, step 128 keeps it there,
+        # and step 129 reaches 127: the Unchecked run replays step 128
+        assert copies == [126, 127] and len(made) == 2
         B, C = self.B, self.C
         assert result.oracles["unchecked"].items == (C, *(A,) * 124, B, B, C)
         assert assert_forked_as_single_runs(monkeypatch, script, mode, frozenset())
@@ -333,13 +334,27 @@ class TestDerivedUnchecked:
         assert (abort.kind, abort.impl) == ("InvariantViolation", str(DanglingLink(None)))
         assert forked.ghost[:3] == [1, 4, 5] and len(forked.store) == 129
 
+    #: under ``unlink-skip-relink`` each cycle unlinks its first node
+    #: twice, and the size falls by one: it wraps from -128 to 127 at the
+    #: last step, never having been 126, and the oracle stays short
+    WRAP = (ADD * 2 + (("remove_first", ()), ("remove_last", ()), ("remove_first", ()))) * 129
+
+    @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
+    def test_a_size_that_wraps_to_the_maximum_forks_from_the_empty_list(self, monkeypatch, mode):
+        faults = frozenset({"unlink-skip-relink"})
+        script = OpScript(0, 8, self.WRAP)
+        assert assert_forked_as_single_runs(monkeypatch, script, mode, faults)
+        _, (failfast, _) = run_keeping_lists(monkeypatch, script, mode, BOTH, faults)
+        assert failfast.size == 127 and failfast.ghost == []
+
     @pytest.mark.parametrize("fault", [None, *FAULTS])
     def test_no_call_grows_a_side_by_more_than_one(self, fault):
         """The fork's premise: from states one and two short of the
         maximum, parted by a fault or not, no call takes the list's size or
         the oracle's length up by more than one. So the first step that
         leaves a side at the maximum starts one short of it, where the run
-        copies its state."""
+        copies its state, unless the size wrapped there from its minimum
+        (``test_a_size_that_wraps_to_the_maximum_forks_from_the_empty_list``)."""
         faults = frozenset() if fault is None else frozenset({fault})
         for prefix in (ADD * 125, ADD * 126, self.SIZE_AHEAD[:-1], self.LENGTH_AHEAD[:-1]):
             lst = new_list(8, SizePolicy.FAIL_FAST, faults=faults)

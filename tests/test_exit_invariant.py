@@ -495,7 +495,8 @@ class TestEditLocation:
             assert verdicts(lst, read_and_break_end) == (False, False), end
 
     def test_each_position_is_read_once(self, monkeypatch):
-        # an end inside the edit's window is not read again as an end
+        # an end inside the edit's window is not read again as an end, nor
+        # is a node written away from it: an end, or one written twice
         reads = []
         links_agree = heapmodel.NodeStore.links_agree
 
@@ -503,17 +504,28 @@ class TestEditLocation:
             reads.append(list(positions))
             return links_agree(store, seq, positions)
 
+        def rewrite(lst):  # both ends' outer links and both of position 2's, unchanged
+            nl, store = lst.ghost, lst.store
+            store.set_prev(nl[0], None)
+            store.set_next(nl[-1], None)
+            store.set_next(nl[2], nl[3])
+            store.set_prev(nl[2], nl[1])
+
         monkeypatch.setattr(heapmodel.NodeStore, "links_agree", recorded)
         for op, args in (("add", (A,)), ("add_first", (A,)), ("add_at", (6, A)), ("get", (3,)),
                          ("remove_first", ()), ("remove_last", ()), ("remove_at", (6,))):
-            lst = build_list([A, B] * 6)
-            mark = lst.open_savepoint()
-            apply_op(lst, op, args)
-            journal, edits = lst.close_savepoint(mark)
-            reads.clear()
-            assert exit_invariant_holds(lst, edits, journal), op
-            [at] = reads
-            assert len(set(at)) == len(at), (op, at)
+            for rewritten in (False, True):
+                lst = build_list([A, B] * 6)
+                mark = lst.open_savepoint()
+                apply_op(lst, op, args)
+                if rewritten:
+                    rewrite(lst)
+                journal, edits = lst.close_savepoint(mark)
+                reads.clear()
+                assert exit_invariant_holds(lst, edits, journal), op
+                [at] = reads
+                assert len(set(at)) == len(at), (op, at)
+                assert not rewritten or {0, 2, len(lst.ghost) - 1} <= set(at), (op, at)
 
 
 class TestRunCheckedCost:
