@@ -209,7 +209,7 @@ def run_script(
     FailFast runs first. Below capacity both policies make the same calls
     on the same states: the list's capacity check and the bounded oracle
     act only on an insert at capacity, and outside FULL the FailFast list
-    is an OFF list whose model-free checks raise nothing an Unchecked run
+    has no probes, so its model-free checks raise nothing an Unchecked run
     would not. So outside FULL the Unchecked run resumes FailFast's from
     a state before step s, the first FailFast step that left the list's
     size or the oracle's length (a fault can part them) at the maximum:
@@ -245,7 +245,7 @@ def run_script(
         watch = derive and policy is SizePolicy.FAIL_FAST
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
         full = checked and check_mode is CheckMode.FULL
-        lst = new_list(script.width, policy, CheckMode.FULL if full else CheckMode.OFF, faults=faults)
+        lst = new_list(script.width, policy, full, faults=faults)
         model = ModelList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
         start = 0

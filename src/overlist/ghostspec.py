@@ -394,15 +394,15 @@ def _wrote_nothing(state, header: tuple, length: int, journal: tuple, edits: lis
 def run_checked(state, op: str, args: tuple = ()):
     """Invoke a public operation with the full check battery.
 
-    The list is FailFast: ``JavaLinkedList`` refuses to check an
-    Unchecked one. Precondition failures (broken invariant on entry,
-    unknown operation, wrong argument count) are harness errors. Once the
-    full entry check passes, ``checked_step`` judges the call against the
-    oracle's verdict on the chain's items.
+    The list is FailFast with ``probes``: ``JavaLinkedList`` refuses
+    probes to an Unchecked one. Precondition failures (broken
+    invariant on entry, unknown operation, wrong argument count) are
+    harness errors. Once the full entry check passes, ``checked_step``
+    judges the call against the oracle's verdict on the chain's items.
     Raises ContractViolation on any failed check; otherwise the wrapped
     operation's result (or ListError) passes through unchanged."""
-    if state.check_mode is not listcore.CheckMode.FULL:
-        raise UsageError("run_checked requires check_mode=FULL")
+    if not state.probes:
+        raise UsageError("run_checked requires a list with probes")
     oracle.check_call(op, args)
     failures = check_invariant(state)
     if failures:

@@ -43,43 +43,6 @@ class JInt:
         if not -half <= self.value <= half - 1:
             raise UsageError(f"{self.value} out of range for {self.bits}-bit int")
 
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"JInt({self.value}, w{self.bits})"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, JInt):
-            return self.value == other.value and self.bits == other.bits
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def _other_value(self, other) -> int:
-        if isinstance(other, JInt):
-            if other.bits != self.bits:
-                raise UsageError(f"width mismatch: {self.bits} vs {other.bits}")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self.value < self._other_value(other)
-
-    def __le__(self, other):
-        return self.value <= self._other_value(other)
-
-    def __gt__(self, other):
-        return self.value > self._other_value(other)
-
-    def __ge__(self, other):
-        return self.value >= self._other_value(other)
-
 
 def max_value(bits: int) -> JInt:
     check_width(bits)

@@ -49,6 +49,8 @@ class SizePolicy(Enum):
 
 
 class CheckMode(Enum):
+    """A run's checks (``run_script``, the CLI); ``FULL`` gives its list ``probes``."""
+
     OFF = "off"
     INVARIANT = "invariant"
     FULL = "full"
@@ -71,24 +73,26 @@ FAULTS = (
 
 
 class JavaLinkedList:
-    """Doubly linked list with a W-bit cached size field. Its ``check_mode``
-    checks no invariant (``run_script`` and ``run_checked`` do):
-    ``INVARIANT`` only turns on ``unlink``'s ghost-index assertion, ``FULL``
-    also the loop probes of ``last_index_of`` and ``clear``."""
+    """Doubly linked list with a W-bit cached size field. It checks no
+    invariant itself (``run_script`` and ``run_checked`` do); with
+    ``probes`` it checks the loop invariants of ``last_index_of`` and
+    ``clear``, the only specification inside Java's code."""
 
     def __init__(
         self,
         width: int = 8,
         policy: SizePolicy = SizePolicy.FAIL_FAST,
-        check_mode: CheckMode = CheckMode.OFF,
+        probes: bool = False,
         faults: frozenset[str] = frozenset(),
     ):
         require_member(SizePolicy, policy, "policy")
-        require_member(CheckMode, check_mode, "check_mode")
+        # a CheckMode member is truthy whichever it is, so only a bool will do
+        if type(probes) is not bool:
+            raise UsageError(f"probes must be a bool, got {probes!r}")
         unknown = set(faults) - set(FAULTS)
         if unknown:
             raise UsageError(f"unknown faults {sorted(unknown)}")
-        if policy is SizePolicy.UNCHECKED and check_mode is not CheckMode.OFF:
+        if policy is SizePolicy.UNCHECKED and probes:
             raise UsageError(
                 "an Unchecked list cannot be checked: its size wraps at capacity, "
                 "which breaks the class invariant"
@@ -99,7 +103,7 @@ class JavaLinkedList:
         # the refusal's text: the size always equals the maximum when it is raised
         self._at_capacity = f"size {self.max_size} is at the {width}-bit maximum"
         self.policy = policy
-        self.check_mode = check_mode
+        self.probes = probes
         self.faults = frozenset(faults)
         # whether the size-increasing entry points refuse growth at capacity
         self.guards_growth = policy is SizePolicy.FAIL_FAST and "add-skip-checksize" not in faults
@@ -296,29 +300,25 @@ class JavaLinkedList:
         self.size = self.min_size if size == self.max_size else size + 1
         nl = self.ghost
         if succ_index is None or not (0 <= succ_index < len(nl) and nl[succ_index] == succ):
+            # identity scan, as in unlink; only a miss needs a fault or a
+            # state written from outside the list's methods
             try:
                 succ_index = nl.index(succ)
             except ValueError:
-                # identity miss: as in unlink, the ghost already lost track
-                # of succ, which only happens under injected faults
                 return
         if self._ghost_log is not None:
             self._ghost_log.append((1, succ_index, node))
         nl.insert(succ_index, node)
 
-    def unlink(self, x: NodeId, x_index: int | None = None, walked: bool = False) -> Item:
+    def unlink(self, x: NodeId, x_index: int | None = None) -> Item:
         """Remove node ``x`` from the chain, clearing its fields; returns
-        the removed item. ``x_index`` is the ghost position of ``x``; with
-        checks on it must hold ``x`` unless it was ``walked`` (found along
-        links a fault may have parted from the ghost). The ghost is scanned
-        for ``x`` only when no position holding it is given."""
+        the removed item. ``x_index`` is the ghost position of ``x``, when
+        the caller knows it. The ghost is scanned for ``x`` only when no
+        position holding it is given."""
         if x not in self.store:
             raise UsageError(f"node {x} not allocated")
         nl = self.ghost
         at_index = x_index is not None and 0 <= x_index < len(nl) and nl[x_index] == x
-        if (x_index is not None and not (at_index or walked)
-                and self.check_mode is not CheckMode.OFF):
-            raise UsageError(f"ghost index {x_index} does not hold node {x}")
         store = self.store
         pred, item, succ = store.prev(x), store.item(x), store.next(x)
         relink = "unlink-skip-relink" not in self.faults
@@ -335,8 +335,10 @@ class JavaLinkedList:
         store.clear_node(x)
         self.size = self._dec(self.size)
         if not at_index:
-            # identity fallback; a miss means the ghost already lost track
-            # of this node, which only happens under injected faults
+            # identity scan, which runs with no fault: a wrapped size walks to
+            # other ghost positions (at width 8, 258 adds leave size 2, and
+            # remove_at(1) unlinks position 257); only a miss needs a fault
+            # or a state written from outside the list's methods
             try:
                 x_index = nl.index(x)
             except ValueError:
@@ -401,7 +403,7 @@ class JavaLinkedList:
 
     def remove_at(self, index: int) -> Item:
         self._check_element_index(index)
-        return self.unlink(self.node_at(index), index, walked=True)
+        return self.unlink(self.node_at(index), index)
 
     # -- collection surface -------------------------------------------------
 
@@ -430,7 +432,7 @@ class JavaLinkedList:
         if "lastindexof-off-by-one" in self.faults:
             index = self._dec(index)
         matches = item_test(target)
-        if self.check_mode is not CheckMode.FULL:
+        if not self.probes:
             steps, node = self.store.find(self.last, matches, "prev")
             return -1 if node is None else wrap(index - steps - 1, self.width)
         # checked: Java's loop, with its invariant probed at each head,
@@ -474,20 +476,19 @@ class JavaLinkedList:
         steps, node = self.store.find(self.first, item_test(target))
         if node is None:
             return False
-        self.unlink(node, steps, walked=True)
+        self.unlink(node, steps)
         return True
 
     def remove_last_occurrence(self, target: Item) -> bool:
         steps, node = self.store.find(self.last, item_test(target), "prev")
         if node is None:
             return False
-        self.unlink(node, len(self.ghost) - 1 - steps, walked=True)
+        self.unlink(node, len(self.ghost) - 1 - steps)
         return True
 
     def clear(self) -> None:
         """Unlink every node, clearing its fields; the nodes stay allocated."""
-        self.store.clear_chain(self.first,
-                               self._clear_probe if self.check_mode is CheckMode.FULL else None)
+        self.store.clear_chain(self.first, self._clear_probe if self.probes else None)
         self.first = None
         self.last = None
         self.size = 0

@@ -9,7 +9,7 @@ import random
 
 from .heapmodel import NULL, Atom, Item
 from .jint import wrap
-from .listcore import CheckMode, JavaLinkedList, SizePolicy, new_list
+from .listcore import JavaLinkedList, SizePolicy, new_list
 
 SMALL_ALPHABET: tuple[Item, ...] = (NULL, Atom("a"), Atom("b"))
 
@@ -18,20 +18,20 @@ def build_list(
     items,
     width: int = 8,
     policy: SizePolicy = SizePolicy.FAIL_FAST,
-    check_mode: CheckMode = CheckMode.OFF,
+    probes: bool = False,
 ) -> JavaLinkedList:
-    lst = new_list(width, policy, check_mode)
+    lst = new_list(width, policy, probes)
     for item in items:
         lst.add(item)
     return lst
 
 
-def enumerate_lists(max_len: int = 6, width: int = 8, check_mode: CheckMode = CheckMode.OFF):
+def enumerate_lists(max_len: int = 6, width: int = 8, probes: bool = False):
     """All well-formed FailFast lists up to ``max_len`` over
     ``SMALL_ALPHABET``."""
     for n in range(max_len + 1):
         for combo in itertools.product(SMALL_ALPHABET, repeat=n):
-            yield build_list(combo, width, check_mode=check_mode)
+            yield build_list(combo, width, probes=probes)
 
 
 def random_state(rng: random.Random, width: int = 8, max_nodes: int = 8) -> JavaLinkedList:

@@ -225,7 +225,7 @@ def test_criterion_09_oracle_equivalence_below_bound():
 
 @criterion(10, "method contracts hold against brute-force semantics on all small lists")
 def test_criterion_10_contract_brute_force():
-    for lst in enumerate_lists(max_len=6, check_mode=CheckMode.FULL):
+    for lst in enumerate_lists(max_len=6, probes=True):
         n = lst.size
         items = lst.items()
         indices = range(-1, n + 2)

@@ -17,7 +17,7 @@ from overlist.difftest import (
     run_script,
     shrink,
 )
-from overlist.listcore import CheckMode, SizePolicy
+from overlist.listcore import CheckMode, JavaLinkedList, SizePolicy
 
 
 class TestRepro:
@@ -51,6 +51,20 @@ class TestRepro:
 
     def test_bad_case_is_usage_error(self):
         assert main(["repro", "9"]) == 2
+
+    @pytest.mark.parametrize("case, method, observed", [
+        (2, "get", "returned ()"), (3, "to_array", "array of length 0"),
+    ], ids=["get", "to_array"])
+    def test_a_call_that_does_not_raise_is_not_reproduced(self, case, method, observed,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(JavaLinkedList, method, lambda self, *args: ())
+        assert main(["repro", str(case)]) == 1
+        out = capsys.readouterr().out
+        assert f"observed:              {observed}\n" in out
+        assert out.endswith("  verdict: NOT reproduced\n")
+        assert main(["repro", str(case), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["reproduced"] is False and report["observed"] == observed
 
 
 #: SHA-256 over the standard output of ``repro 1`` ... ``repro 5`` in turn,
@@ -197,6 +211,49 @@ class TestCheckCommand:
                 assert main(["check", "--ops", "500", "--width", width, "--seed", seed]) == 0
                 h.update(capsys.readouterr().out.encode())
         assert h.hexdigest() == GOLDEN_CHECK
+
+
+#: a check that fails on every state it is given, with the line ``check``
+#: prints for an enumerated list and for a random state it fails on; a
+#: random state that fails C2 alone is the invariant's failure there
+FAILING_CHECKS = {
+    "check_invariant": (lambda lst: [("C2", "broken")],
+                        "enumerated list violates invariant: [('C2', 'broken')]",
+                        "C1 held but C2 failed (redundancy broken)"),
+    "check_acyclic": (lambda lst: (False, 7), "invariant held but acyclicity failed at 7",
+                      "invariant held but a derived property failed"),
+    "check_unique_endpoints": (lambda lst: (False, 7),
+                               "invariant held but unique endpoints failed at 7",
+                               "invariant held but a derived property failed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CHECKS))
+class TestCheckFailures:
+    """``check`` exits 1 on any failed property and prints a ``FAIL:``
+    line for each of the first 20 failures."""
+
+    def run(self, capsys, ops, enumerated):
+        """Run ``check``; return how many random states held the
+        invariant, and the ``FAIL:`` lines."""
+        assert main(["check", "--ops", str(ops), "--seed", "0"]) == 1
+        summary, *fails = capsys.readouterr().out.splitlines()
+        assert summary.startswith(f"enumerated {enumerated} small lists, {ops} random states (")
+        return int(summary.split("(")[1].split()[0]), fails
+
+    def test_enumerated_failures_are_reported_up_to_20(self, name, monkeypatch, capsys):
+        fake, line, _ = FAILING_CHECKS[name]
+        monkeypatch.setattr(cli, name, fake)
+        assert self.run(capsys, 10, 364)[1] == [f"FAIL: {line}"] * 20
+
+    @pytest.mark.parametrize("ops", [5, 60])
+    def test_random_state_failures_are_reported_up_to_20(self, name, ops, monkeypatch, capsys):
+        fake, _, line = FAILING_CHECKS[name]
+        monkeypatch.setattr(cli, "enumerate_lists", lambda **kwargs: iter(()))
+        monkeypatch.setattr(cli, name, fake)
+        held, fails = self.run(capsys, ops, 0)
+        failed = ops if name == "check_invariant" else held
+        assert 0 < failed and fails == [f"FAIL: {line}"] * min(failed, 20)
 
 
 class TestUsage:

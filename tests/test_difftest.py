@@ -611,6 +611,14 @@ class TestValidation:
         with pytest.raises(UsageError, match="check_mode must be a CheckMode"):
             run_script(script, check_mode=mode)
 
+    @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+    def test_unknown_fault_rejected_before_running(self, monkeypatch, mode):
+        monkeypatch.setattr(difftest, "apply_op", lambda *a: pytest.fail("a step ran"))
+        monkeypatch.setattr(difftest, "checked_step", lambda *a, **k: pytest.fail("a step ran"))
+        script = OpScript(0, 8, (("add", (NULL,)),))
+        with pytest.raises(UsageError, match=r"unknown faults \['bogus'\]"):
+            run_script(script, mode, faults=frozenset({"bogus"}))
+
     @pytest.mark.parametrize("policy", [p.value for p in SizePolicy])
     def test_policy_string_rejected_before_running(self, monkeypatch, policy):
         monkeypatch.setattr(difftest, "apply_op", lambda *a: pytest.fail("a step ran"))

@@ -549,7 +549,7 @@ class TestRunCheckedCost:
         return counts
 
     def test_passing_scoped_check_walks_nothing(self, calls):
-        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL)
+        lst = new_list(8, SizePolicy.FAIL_FAST, probes=True)
         for i in range(127):
             lst.add(ALPHABET[i % len(ALPHABET)])
         steps = [
@@ -566,7 +566,7 @@ class TestRunCheckedCost:
         assert calls == {"check_invariant": len(steps)}
 
     def test_fallback_walks_and_checks_in_full(self, calls):
-        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL,
+        lst = new_list(8, SizePolicy.FAIL_FAST, probes=True,
                        faults=frozenset({"unlink-skip-relink"}))
         for x in (A, B, A):
             lst.add(x)
@@ -666,7 +666,7 @@ class TestCarriedEntry:
         assert outputs(carried) == outputs(plain)
 
     def test_plain_call_still_checks_the_entry_state(self):
-        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL)
+        lst = new_list(8, SizePolicy.FAIL_FAST, probes=True)
         for x in (A, B, A):
             run_checked(lst, "add", (x,))
         # a link changed outside any journal, as statespace and tests do
@@ -674,15 +674,15 @@ class TestCarriedEntry:
         with pytest.raises(UsageError, match=r"invariant broken before get: \[\('C6'"):
             run_checked(lst, "get", (0,))
 
-    @pytest.mark.parametrize("mode", list(CheckMode))
-    def test_checks_require_failfast(self, mode):
+    @pytest.mark.parametrize("probes", [False, True])
+    def test_checks_require_failfast(self, probes):
         # an Unchecked list breaks the invariant once its size wraps, so
-        # it is refused any check mode but OFF when it is built
-        if mode is CheckMode.OFF:
-            assert new_list(8, SizePolicy.UNCHECKED, mode).check_mode is CheckMode.OFF
+        # it is refused the loop probes when it is built
+        if not probes:
+            assert new_list(8, SizePolicy.UNCHECKED, probes=probes).probes is False
         else:
             with pytest.raises(UsageError, match="Unchecked list cannot be checked"):
-                new_list(8, SizePolicy.UNCHECKED, mode)
+                new_list(8, SizePolicy.UNCHECKED, probes=probes)
 
 
 #: the oracle's logged edit kinds
@@ -753,7 +753,7 @@ class TestEditComparison:
         scoped exit check never vouches, so the chain's items are read
         whole. Returns the kinds of the edit comparisons and the
         ContractViolation raised, or None."""
-        lst = build_list([A, B] * 6, check_mode=CheckMode.FULL)
+        lst = build_list([A, B] * 6, probes=True)
         node = node_at(lst)
         real = listcore.apply_op
 
@@ -809,7 +809,7 @@ class TestEditComparison:
         """The list makes one edit of the kind the oracle logged, at
         another position or with another item: the edits differ, and a
         whole read names the items."""
-        lst = build_list([A, B] * 6, check_mode=CheckMode.FULL)
+        lst = build_list([A, B] * 6, probes=True)
         model = model_for(tuple(lst.items()), 8, op, args)
         with pytest.MonkeyPatch.context() as mp, edit_verdicts() as seen:
             mp.setattr(listcore, "apply_op", lambda state, op, args: instead(state))
@@ -829,14 +829,14 @@ class TestEditComparison:
         assert seen == ["insert"] and violation.categories() == {"frame"}
 
 
-def filled(n, width=8, check_mode=CheckMode.OFF):
-    return build_list([ALPHABET[i % len(ALPHABET)] for i in range(n)], width, check_mode=check_mode)
+def filled(n, width=8, probes=False):
+    return build_list([ALPHABET[i % len(ALPHABET)] for i in range(n)], width, probes=probes)
 
 
 class TestFlatRecordReads:
     """A passing ``full`` step reads nodes only where the call acted.
-    Beyond the list's own work, counted by the same call on an ``OFF``
-    list, the number of nodes read does not grow with the list's length.
+    Beyond the list's own work, counted by the same call on a list
+    without probes, the number of nodes read does not grow with the list's length.
     This counts node reads, not time, so it is exact."""
 
     @pytest.fixture
@@ -855,7 +855,7 @@ class TestFlatRecordReads:
         return reads
 
     def harness_reads(self, reads, n, width, op, args):
-        checked, plain = filled(n, width, CheckMode.FULL), filled(n, width)
+        checked, plain = filled(n, width, probes=True), filled(n, width)
         model = model_for(tuple(checked.items()), width, op, args)
         return (reads(ghostspec.checked_step, checked, op, args, model)
                 - reads(apply_op, plain, op, args))
@@ -1086,7 +1086,7 @@ class TestNothingWritten:
         the step reported: each failing invariant clause, and the category
         of each other violation."""
         full = mode == "full"
-        lst = build_list([A, B] * 6, check_mode=CheckMode.FULL if full else CheckMode.OFF)
+        lst = build_list([A, B] * 6, probes=full)
         real = listcore.apply_op
 
         def change_and_call(state, op, args):

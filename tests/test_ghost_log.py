@@ -16,10 +16,12 @@ not grow with the list: a passing checked step reads as many ghost
 entries at 8 nodes as at 1,000, and a query probe's trial on the
 65,536-node wrap state reads none. A removal that walked to its node
 logs the walked position without scanning the ghost, and on a chain a
-fault parted from its ghost removes as the scan did.
+fault parted from its ghost, or under a wrapped size, removes as the
+scan did.
 """
 
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain
 
 import pytest
@@ -31,7 +33,7 @@ from overlist.difftest import _probe_classification, _stage_items, census, run_o
 from overlist.errors import ListError, UsageError
 from overlist.ghostspec import checked_step
 from overlist.heapmodel import NULL, Atom, item_test
-from overlist.listcore import FAULTS, CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list
+from overlist.listcore import FAULTS, JavaLinkedList, SizePolicy, apply_op, new_list
 from overlist.oracle import OP_SPECS, ModelList
 from overlist.statespace import build_list
 
@@ -146,8 +148,8 @@ class TestWalkedPositions:
     def test_a_removal_is_logged_at_the_walked_position(self, op, args, p):
         items = [A, B] * 50
         items[60] = items[70] = Z
-        for mode in (CheckMode.OFF, CheckMode.FULL):
-            lst = build_list(items, check_mode=mode)
+        for probes in (False, True):
+            lst = build_list(items, probes=probes)
             node = lst.ghost[p]
             lst.ghost = Unsearchable(lst.ghost)
             assert logged(lst, lambda: apply_op(lst, op, args)) == [(-1, p, node)]
@@ -156,27 +158,40 @@ class TestWalkedPositions:
     @pytest.mark.parametrize("fault", [None, *FAULTS])
     def test_a_chain_parted_from_its_ghost_removes_as_the_scan_did(self, fault):
         """``unlink-skip-relink`` leaves a cleared node linked, so a walk
-        past it finds positions the ghost no longer holds: each removal,
-        on a list under FULL checks and on an unchecked one, gives the
+        past it finds positions the ghost no longer holds; with no fault,
+        so does a walk from ``last`` on a wrapped size (258 adds at width
+        8 leave the size at 2, and ``remove_at(1)`` reaches position 257).
+        Each removal, on a list with probes and on one without, gives the
         outcome and the list the scan gave, and no harness error."""
         faults = frozenset() if fault is None else frozenset({fault})
         calls = [("remove_at", (i,)) for i in range(-1, 12)]
         calls += [(op, (x,)) for op in ("remove_first_occurrence", "remove_last_occurrence")
                   for x in (A, B, NULL, Z)]
-        for mode in (CheckMode.OFF, CheckMode.FULL):
-            def parted():
-                lst = new_list(8, SizePolicy.FAIL_FAST, mode, faults)
-                for x in [A, B, NULL] * 4:
-                    lst.add(x)
-                lst.remove_at(4)
-                lst.remove_first_occurrence(B)
-                return lst
 
+        def parted(probes):
+            lst = new_list(8, SizePolicy.FAIL_FAST, probes, faults)
+            for x in [A, B, NULL] * 4:
+                lst.add(x)
+            lst.remove_at(4)
+            lst.remove_first_occurrence(B)
+            return lst
+
+        def wrapped():
+            lst = new_list(8, SizePolicy.UNCHECKED, faults=faults)
+            for x in [A, B, NULL] * 86:
+                lst.add(x)
+            return lst
+
+        lst = wrapped()
+        assert lst.size == 2
+        last = lst.last
+        assert logged(lst, lambda: lst.remove_at(1)) == [(-1, 257, last)]
+        for build in (partial(parted, False), partial(parted, True), wrapped):
             for op, args in calls:
-                new, old = parted(), parted()
+                new, old = build(), build()
                 got = outcome_and_state(lambda: apply_op(new, op, args), new)
                 assert got == outcome_and_state(lambda: walked_then_scanned(old, op, args), old)
-                assert "UsageError" not in got[0], (fault, mode, op, args)
+                assert "UsageError" not in got[0], (fault, build, op, args)
 
 
 # -- trials restore the whole fingerprint ----------------------------------------
@@ -276,7 +291,7 @@ class TestTrialBodies:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ghostspec, "exit_invariant_holds", spy)
-                lst = build_list([A, B] * 5, check_mode=CheckMode.FULL if full else CheckMode.OFF)
+                lst = build_list([A, B] * 5, probes=full)
                 before = fingerprint(lst)
                 with lst.trial():
                     in_trial = call(lst)

@@ -67,7 +67,7 @@ for first in modules:
         from overlist import ghostspec, heapmodel, listcore, oracle
         assert sys.modules["overlist"] is pkg and not hasattr(pkg, "__file__")
         assert ghostspec.listcore is listcore and ghostspec.oracle is oracle
-        lst = listcore.new_list(8, listcore.SizePolicy.FAIL_FAST, listcore.CheckMode.FULL)
+        lst = listcore.new_list(8, listcore.SizePolicy.FAIL_FAST, probes=True)
         assert ghostspec.run_checked(lst, "add", (heapmodel.NULL,)) is True
         found = ghostspec.run_checked(lst, "index_of", (heapmodel.NULL,))
         assert type(found) is int and found == 0
@@ -87,7 +87,7 @@ def import_first_failures():
 
 
 def checked_list(items):
-    return build_list(items, check_mode=CheckMode.FULL)
+    return build_list(items, probes=True)
 
 
 class TestInvariantClauses:
@@ -412,7 +412,7 @@ class TestModuleBindings:
 
 class TestRunChecked:
     def test_requires_full_mode(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="requires a list with probes"):
             run_checked(build_list([A]), "size")
 
     def test_value_passthrough(self):
@@ -444,7 +444,7 @@ class TestRunChecked:
             run_checked(lst, "size")
 
     def test_fault_caught_as_contract_violation(self):
-        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL,
+        lst = new_list(8, SizePolicy.FAIL_FAST, probes=True,
                        faults=frozenset({"unlink-skip-relink"}))
         for x in (A, B, A):
             run_checked(lst, "add", (x,))
@@ -453,7 +453,7 @@ class TestRunChecked:
         assert "invariant" in exc.value.categories()
 
     def test_last_index_probe_catches_off_by_one(self):
-        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL,
+        lst = new_list(8, SizePolicy.FAIL_FAST, probes=True,
                        faults=frozenset({"lastindexof-off-by-one"}))
         for x in (A, B):
             run_checked(lst, "add", (x,))

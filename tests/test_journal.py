@@ -23,7 +23,7 @@ from overlist.difftest import ADD_HEAVY_WEIGHTS, gen_script, prepare_overflow, r
 from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
 from overlist.ghostspec import Footprint, checked_step, frame_check, observe, run_checked
 from overlist.heapmodel import NULL, Atom, NodeStore, diff, snapshot
-from overlist.listcore import CheckMode, SizePolicy, apply_op, new_list
+from overlist.listcore import SizePolicy, apply_op, new_list
 from overlist.oracle import ALPHABET, INDEX, OP_SPECS
 
 A, B = Atom("a"), Atom("b")
@@ -35,8 +35,8 @@ FIELD_POSITION = {"prev": 0, "item": 1, "next": 2}  # in a snapshot record
 NODES_ONLY = Footprint(header_fields=frozenset({"first", "last", "size"}), ghost=True)
 
 
-def add_heavy_state(policy, prefix_seed, prefix_len, check_mode=CheckMode.OFF):
-    lst = new_list(8, policy, check_mode)
+def add_heavy_state(policy, prefix_seed, prefix_len, probes=False):
+    lst = new_list(8, policy, probes)
     for name, args in gen_script(prefix_seed, 8, prefix_len, ADD_HEAVY_WEIGHTS).steps:
         run_op(lst, name, args)
     return lst
@@ -260,7 +260,7 @@ class TestNesting:
     def test_a_checked_call_in_a_trial(self, prefix_seed, prefix_len, op, data):
         """FailFast at and below capacity: the trial undoes the checked
         call, and the call's journal is the one it has with no trial open."""
-        lst = add_heavy_state(SizePolicy.FAIL_FAST, prefix_seed, prefix_len, CheckMode.FULL)
+        lst = add_heavy_state(SizePolicy.FAIL_FAST, prefix_seed, prefix_len, probes=True)
         args = draw_args(lst, op, data)
         before = fingerprint(lst)
         with lst.trial():
@@ -362,7 +362,7 @@ class TestRunCheckedClosesTheJournal:
     the next checked call on the same list runs."""
 
     def test_after_a_loop_probe_violation(self):
-        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL,
+        lst = new_list(8, SizePolicy.FAIL_FAST, probes=True,
                        faults=frozenset({"lastindexof-off-by-one"}))
         for x in (A, B):
             run_checked(lst, "add", (x,))
@@ -373,7 +373,7 @@ class TestRunCheckedClosesTheJournal:
         assert lst.items() == [A, B, B]
 
     def test_after_chain_corruption(self):
-        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL,
+        lst = new_list(8, SizePolicy.FAIL_FAST, probes=True,
                        faults=frozenset({"unlink-skip-relink"}))
         for _ in range(10):
             lst.add(A)
@@ -435,9 +435,9 @@ class TestClearingJournalsLikeTheSetters:
         relink = "unlink-skip-relink" not in faults
         assert entries == self.journaled(twin, lambda: setter_unlink(twin, x, relink))
 
-    @pytest.mark.parametrize("check_mode", [CheckMode.OFF, CheckMode.FULL])
-    def test_clear(self, check_mode):
-        lst, twin = (new_list(8, SizePolicy.FAIL_FAST, check_mode) for _ in range(2))
+    @pytest.mark.parametrize("probes", [False, True])
+    def test_clear(self, probes):
+        lst, twin = (new_list(8, SizePolicy.FAIL_FAST, probes) for _ in range(2))
         for x in self.ITEMS:
             lst.add(x)
             twin.add(x)

@@ -133,7 +133,7 @@ class TestErrorsAndAtomicity:
         assert lst.items() == [A, B, C]
 
     def test_failed_ops_leave_state_unchanged(self):
-        lst = build_list([A, B], check_mode=CheckMode.FULL)
+        lst = build_list([A, B], probes=True)
         before = (lst.items(), lst.size, list(lst.ghost))
         for call in (lambda: lst.get(5), lambda: lst.remove_at(-1)):
             with pytest.raises(IndexOutOfBoundsError):
@@ -366,19 +366,26 @@ class TestFailFastGuard:
 
 
 class TestEnumArguments:
-    """A policy or check mode given as its string value is refused, not
-    read as some other member: "failfast" used to build a list that
-    guards nothing, whose size wraps after 127 adds."""
+    """A policy given as its string value is refused, not read as some
+    other member: "failfast" used to build a list that guards nothing,
+    whose size wraps after 127 adds. So is ``probes`` given as anything
+    but a bool: every check mode is truthy, ``OFF`` too."""
 
     @pytest.mark.parametrize("policy", [p.value for p in SizePolicy] + [None])
     def test_policy_must_be_a_member(self, policy):
         with pytest.raises(UsageError, match="policy must be a SizePolicy"):
             new_list(8, policy)
 
-    @pytest.mark.parametrize("mode", [m.value for m in CheckMode] + [None])
-    def test_check_mode_must_be_a_member(self, mode):
-        with pytest.raises(UsageError, match="check_mode must be a CheckMode"):
-            new_list(8, SizePolicy.FAIL_FAST, mode)
+    @pytest.mark.parametrize("probes", [*CheckMode, "full", 1, None], ids=repr)
+    def test_probes_must_be_a_bool(self, probes):
+        with pytest.raises(UsageError, match="probes must be a bool"):
+            new_list(8, SizePolicy.FAIL_FAST, probes)
+
+    def test_unknown_fault_is_named(self):
+        with pytest.raises(UsageError, match=r"unknown faults \['bogus'\]"):
+            new_list(8, faults={"bogus"})
+        with pytest.raises(UsageError, match=r"unknown faults \['bogus'\]"):
+            new_list(8, faults={"bogus", "unlink-skip-relink"})
 
 
 class TestNodeWalk:

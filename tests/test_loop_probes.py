@@ -1,4 +1,4 @@
-"""The FULL-mode loop probes of ``last_index_of`` and ``clear``.
+"""The loop probes of ``last_index_of`` and ``clear`` (a list with ``probes``).
 
 Each iteration tests only the position it newly exposes, so a checked
 call reads O(n) records. Their verdicts must equal those of the
@@ -15,7 +15,7 @@ import pytest
 from overlist.errors import ContractViolation
 from overlist.ghostspec import run_checked
 from overlist.heapmodel import NULL, Atom, NullItem, items_equal
-from overlist.listcore import FAULTS, CheckMode, JavaLinkedList, SizePolicy, new_list
+from overlist.listcore import FAULTS, JavaLinkedList, SizePolicy, new_list
 from overlist.statespace import random_state
 
 A, B, Z = Atom("a"), Atom("b"), Atom("z")
@@ -47,7 +47,7 @@ def reference_last_index_of(lst, target):
         index = lst._dec(index)
     node = lst.last
     while node is not None:
-        if lst.check_mode is CheckMode.FULL:
+        if lst.probes:
             reference_last_index_probe(lst, index, node, target)
         index = lst._dec(index)
         rec = lst.store.record(node)
@@ -102,8 +102,7 @@ def outcomes(make_state, run):
 def filled(n, policy, faults):
     # an Unchecked list cannot be checked: on it the searches run unprobed,
     # and their answers must still equal the reference's
-    mode = CheckMode.FULL if policy is SizePolicy.FAIL_FAST else CheckMode.OFF
-    lst = new_list(8, policy, mode, faults)
+    lst = new_list(8, policy, policy is SizePolicy.FAIL_FAST, faults)
     for i in range(n):
         lst.add((A, NULL, B)[i % 3])
     return lst
@@ -123,7 +122,7 @@ def test_checked_loop_reads_each_record_at_most_twice(node_reads, op, args):
     re-testing the prefix read n(n+1)/2 nodes. A read is one node read
     through the store's public reads (``node_reads``)."""
     n = 127
-    lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL)
+    lst = new_list(8, SizePolicy.FAIL_FAST, probes=True)
     for _ in range(n):
         lst.add(NULL)
     node_reads.clear()
@@ -153,7 +152,7 @@ def test_same_verdicts_on_faults(use_reference, fault, policy):
 def test_same_verdicts_on_corrupted_states(use_reference):
     def make(seed):
         lst = random_state(random.Random(seed), 8, 8)
-        lst.check_mode = CheckMode.FULL
+        lst.probes = True
         return lst
 
     seeds = range(1500)
@@ -172,8 +171,8 @@ def test_unreported_match_witness(use_reference):
     """The off-by-one search starts at the last node's index; with a ghost
     that names the last node twice, the probe sees the match above it."""
     def make():
-        lst = new_list(8, SizePolicy.FAIL_FAST, CheckMode.FULL,
-                       frozenset({"lastindexof-off-by-one"}))
+        lst = new_list(8, SizePolicy.FAIL_FAST, probes=True,
+                       faults=frozenset({"lastindexof-off-by-one"}))
         lst.add(B)
         lst.add(A)
         lst.ghost[0] = lst.last

@@ -37,7 +37,7 @@ def prepared(n, mode):
     oracle state."""
     items = [NULL] * n
     items[n // 2] = Z
-    lst = new_list(16, SizePolicy.FAIL_FAST, CheckMode.FULL if mode is CheckMode.FULL else CheckMode.OFF)
+    lst = new_list(16, SizePolicy.FAIL_FAST, probes=mode is CheckMode.FULL)
     lst.fast_forward(tuple(items))
     model = ModelList((), 16)
     model.add_all(items)

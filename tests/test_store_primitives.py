@@ -25,7 +25,7 @@ import pytest
 
 from overlist.errors import DanglingLink, IllegalStateError, UsageError
 from overlist.heapmodel import NULL, Atom, NodeStore, item_test, snapshot
-from overlist.listcore import FAULTS, CheckMode, SizePolicy, new_list
+from overlist.listcore import FAULTS, SizePolicy, new_list
 from overlist.statespace import random_state
 
 A, B, Y, Z = Atom("a"), Atom("b"), Atom("y"), Atom("z")
@@ -109,7 +109,7 @@ def reference_last_index_of(lst, target):
     matches = item_test(target)
     node = lst.last
     while node is not None:
-        if lst.check_mode is CheckMode.FULL:
+        if lst.probes:
             lst._last_index_probe(index, node, matches)
         index = lst._dec(index)
         rec = lst.store.record(node)
@@ -159,7 +159,7 @@ def reference_clear(lst):
     node = lst.first
     ghost_pos = 0
     while node is not None:
-        if lst.check_mode is CheckMode.FULL:
+        if lst.probes:
             lst._clear_probe(node, ghost_pos)
         node = reference_clear_node(lst.store, node)
         ghost_pos += 1
@@ -190,8 +190,7 @@ def filled(width, policy, fault, n, cut=False):
     ``cut``, then one removal from the middle, which under
     ``unlink-skip-relink`` leaves the cleared node linked."""
     faults = frozenset() if fault is None else frozenset({fault})
-    mode = CheckMode.FULL if policy is SizePolicy.FAIL_FAST else CheckMode.OFF
-    lst = new_list(width, policy, mode, faults)
+    lst = new_list(width, policy, policy is SizePolicy.FAIL_FAST, faults)
     for i in range(n):
         try:
             lst.add(Z if i == n - 1 else FILL[i % 3])
@@ -215,7 +214,7 @@ def dangling(lst, where):
 
 
 def clone(lst):
-    dup = new_list(lst.width, lst.policy, lst.check_mode, lst.faults)
+    dup = new_list(lst.width, lst.policy, lst.probes, lst.faults)
     dup.store = lst.store.copy()
     dup.first, dup.last, dup.size = lst.first, lst.last, lst.size
     dup.ghost = list(lst.ghost)
@@ -338,12 +337,12 @@ def test_same_on_filled_lists(width, policy, fault):
 @pytest.mark.parametrize("width", [8, 16])
 def test_same_on_corrupted_states(width):
     """``random_state``'s wrong headers, links and ghosts, half of them
-    under FULL checks, and filled lists with a dangling header or link,
+    with probes, and filled lists with a dangling header or link,
     so a probe meets a dangling node."""
     for seed in range(300):
         lst = random_state(random.Random(seed), width, 8)
         if seed % 2:
-            lst.check_mode = CheckMode.FULL
+            lst.probes = True
         assert_same(lst, calls(lst))
     for policy in SizePolicy:
         for n in (1, 3, 7):
@@ -352,16 +351,16 @@ def test_same_on_corrupted_states(width):
                 assert_same(lst, calls(lst))
 
 
-@pytest.mark.parametrize("mode", [CheckMode.OFF, CheckMode.FULL], ids=lambda m: m.value)
-def test_clear_rolls_back_exactly(mode):
+@pytest.mark.parametrize("probes", [False, True], ids=["off", "full"])
+def test_clear_rolls_back_exactly(probes):
     """``clear`` in a savepoint of the list, then a rollback, on the
     corrupted states above and on filled lists of both policies: the
     store, header and ghost are as before, also where the call raised
     and where a cyclic chain had a node cleared twice. The states reach
-    each; under FULL the probe meets a dangling node first."""
+    each; with probes the probe meets a dangling node first."""
     states = [random_state(random.Random(seed), 8, 8) for seed in range(300)]
     for lst in states:
-        lst.check_mode = mode
+        lst.probes = probes
     states += [filled(8, policy, None, n, cut) for policy in SizePolicy
                for n in (0, 3, 129) for cut in ((False, True) if n else (False,))]
     seen = set()
@@ -377,7 +376,7 @@ def test_clear_rolls_back_exactly(mode):
         seen.add(got[1] if got[0] == "error" else "value")
         if len(set(cleared)) < len(cleared):
             seen.add("cleared twice")
-    raised = "ContractViolation" if mode is CheckMode.FULL else "DanglingLink"
+    raised = "ContractViolation" if probes else "DanglingLink"
     assert {"value", "cleared twice", raised} <= seen
 
 
@@ -422,7 +421,7 @@ def test_corrupted_states_reach_the_error_paths():
     for seed in range(300):
         lst = random_state(random.Random(seed), 8, 8)
         if seed % 2:
-            lst.check_mode = CheckMode.FULL
+            lst.probes = True
         for op, args in calls(lst):
             got = inside(lst, op, args, run_new)[0]
             if got[0] == "error":
