@@ -10,7 +10,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, checked_step
@@ -122,11 +122,12 @@ def gen_script(
     rng = random.Random(seed)
     ops = sorted(weights)
     specs = {op: spec_of(op) for op in ops}
-    cum = [weights[o] for o in ops]
+    # what ``choices(ops, weights=...)`` accumulates on every call
+    cum = list(accumulate(weights[o] for o in ops))
     est = 0
     steps = []
     for _ in range(length):
-        op = rng.choices(ops, weights=cum)[0]
+        op = rng.choices(ops, cum_weights=cum)[0]
         spec = specs[op]
         args: tuple = ()
         for kind in spec.args:
@@ -196,15 +197,16 @@ def run_script(
     ``ghostspec.checked_step``, which takes its writes out of the one
     savepoint the stretch keeps open (``JavaLinkedList.carry``) and judges
     it by the exit check scoped to them, falling back to the full
-    ``check_invariant`` with the same divergence and witnesses.
-    Each policy's oracle state is one ``ModelList``, edited in place; the
-    result holds its snapshot. Under FULL the oracle steps first, in a
-    savepoint, and its verdict and logged edit also judge the call's
-    result, items and frame (the bounded FailFast oracle starts empty, so
-    no verdict is Unspecified); an aborted step undoes the oracle's edit.
-    Otherwise the oracle steps after the call. Under INVARIANT, a failed
-    full check closes the savepoint, and every step runs the full check
-    until one passes; from there the run carries again.
+    ``check_invariant`` with the same divergence and witnesses. Under
+    INVARIANT a failed check closes the savepoint, and every step runs the
+    full check until one passes, which opens the next. Each policy's
+    oracle state is one ``ModelList``, edited in place; the result holds
+    its snapshot. Under FULL the oracle steps first, in a savepoint, and
+    ``checked_step`` judges the call's result (the step's one comparison
+    with the verdict), items and frame by its verdict and logged edit (the
+    bounded FailFast oracle starts empty, so no verdict is Unspecified);
+    an aborted step undoes the oracle's edit. Otherwise the oracle steps
+    after the call.
 
     FailFast runs first. Below capacity both policies make the same calls
     on the same states: the list's capacity check and the bounded oracle
@@ -226,7 +228,9 @@ def run_script(
     for policy in policies:
         require_member(SizePolicy, policy, "policies entry")
     for op, args in script.steps:
-        check_call(op, args)
+        spec = OP_SPECS.get(op) if type(op) is str else None
+        if spec is None or len(spec.args) != len(args):
+            check_call(op, args)  # raises the call's UsageError
     divergences: dict[str, list[Divergence]] = {}
     oracles: dict[str, AbstractList] = {}
     aborted: dict[str, int | None] = {}
@@ -260,9 +264,9 @@ def run_script(
         aborted[pname] = None
         # a checked list is new and empty: the invariant holds and its items are the oracle's
         holds = checked
+        if holds:
+            lst.carry()
         for step, (op, args) in islice(enumerate(script.steps), start, None):
-            if holds and lst.carried is None:
-                lst.carry()
             try:
                 if full:
                     model.open_savepoint()
@@ -292,14 +296,16 @@ def run_script(
                         capture = (step + 1, lst.store.copy(), (lst.first, lst.last, lst.size),
                                    tuple(lst.ghost), tuple(model.items))
                     near = step + 1
-            if observe_equal(outcome, verdict) == "disagree":
-                divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
-                                       _encode_verdict(verdict), classify(outcome, verdict)))
-            if checked:
-                if not holds:
-                    failures = check_invariant(lst)
-                elif failures:  # the carried stretch ends
+                if observe_equal(outcome, verdict) == "disagree":
+                    divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
+                                           _encode_verdict(verdict), classify(outcome, verdict)))
+            if checked and (failures or not holds):
+                if holds:  # the carried stretch ends
                     lst.close_savepoint(lst.carried)
+                else:
+                    failures = check_invariant(lst)
+                    if not failures:  # a new stretch starts
+                        lst.carry()
                 holds = not failures
                 if failures:
                     divs.append(

@@ -95,8 +95,8 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     """Check the invariant after a call only where the call could have
     broken it, and report the call's ghost edit. The invariant held on
     entry; ``edits`` are the ghost edits the list logged during the call
-    (``JavaLinkedList.close_savepoint``), and ``journal`` is the call's
-    closed store journal, which holds every node write the call made.
+    (``JavaLinkedList.close_savepoint``), and ``journal`` holds every node
+    write the call made, as ``NodeStore.writes`` reads them, and its fresh ids.
 
     The log must hold no edit, or one: the insertion of the call's one
     fresh node, or the removal of one node. The ghost is then the entry
@@ -108,7 +108,8 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     empty ghost needs only C1, C2 and C4, whatever the log holds. The
     entry ghost is duplicate-free and the inserted node fresh, so each
     written node sits at one position at most; only a node whose links
-    were written away from the edit site is searched for.
+    were written away from the edit site is searched for, and no
+    position is read twice.
 
     When the whole invariant holds, returns the edit as logged,
     ``(delta, position, node)``: 1 when ``node`` was inserted at the
@@ -117,40 +118,40 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     allocation the ghost did not take), and ``check_invariant`` decides."""
     nl = state.ghost
     n = len(nl)
-    if state.size != n or state.size > state.max_size:  # C1, C2
+    if state.size != n or n > state.max_size:  # C1, C2
         return None
-    if n == 0:  # C4; C3, C5 and C6 hold vacuously
+    if not n:  # C4; C3, C5 and C6 hold vacuously
         return NO_EDIT if state.first is None and state.last is None else None
-    entries, fresh = journal
-    gone = None
-    if not edits:
-        if fresh:
+    writes, fresh = journal
+    edit, node, lo, hi = NO_EDIT, None, 0, 1
+    if edits:
+        if len(edits) > 1:
             return None
-        edit, lo, hi = NO_EDIT, 0, 0
-    elif len(edits) == 1:
         edit = delta, p, node = edits[0]
-        if delta == 1:
-            if len(fresh) != 1 or fresh.start != node:
-                return None
-            lo, hi = p - 1, p + 2
+        if delta == 1 and len(fresh) == 1 and fresh.start == node:
+            hi = p + 2
         elif delta == -1 and not fresh:
-            gone = node
-            lo, hi = p - 1, p + 1
+            hi = p + 1
         else:
             return None
-    else:
+        lo = p - 1 if p else 0
+        if hi > n:
+            hi = n
+    elif fresh:
         return None
-    lo = max(lo, 0)
-    hi = min(hi, n)
-    at = {0, n - 1, *range(lo, hi)}
-    if entries:
-        near = nl[lo:hi]
-        for nid, name, _ in state.store.writes(entries):
-            if name != "item" and nid not in near and nid != gone:
-                try:
-                    at.add(nl.index(nid))
-                except ValueError:  # a node outside the chain
-                    pass
+    # 0, the edit site [lo, hi) of three positions at most, and n - 1, each once
+    at = [0, lo, lo + 1, lo + 2][not lo : hi - lo + 1]
+    if hi < n:
+        at.append(n - 1)
+    near = [*nl[lo:hi], node]  # the site, and the node the edit removed
+    for nid, name, _ in writes:
+        if nid not in near and name != "item":
+            try:
+                i = nl.index(nid)
+            except ValueError:  # a node outside the chain
+                continue
+            if i not in at:
+                at.append(i)
     if not state.store.links_agree(nl, at):
         return None
     return edit if state.first == nl[0] and state.last == nl[-1] else None
@@ -248,15 +249,14 @@ def frame_check(
 ) -> list[tuple[str, str]]:
     """Every change since ``pre`` must lie inside the footprint; returns
     (category, witness) violation entries. A node field changed when it
-    differs from the old value of its first write in the call's closed
-    store ``journal``; nodes allocated during the call are fresh.
-    ``entry`` is the entry ghost (``entry_ghost``), the exit ghost itself
-    when the call logged no ghost edit, and then only lengths compare."""
+    differs from the old value of its first write in ``journal``, as
+    ``exit_invariant_holds`` takes it; nodes allocated during the call are
+    fresh. ``entry`` is the entry ghost (``entry_ghost``), the exit ghost
+    itself when the call logged no ghost edit, and then only lengths compare."""
     violations = []
-    entries, fresh = journal
+    writes, fresh = journal
     first_old = {}
-    # a clear of exactly the footprint's whole nodes wrote only inside it
-    for nid, fname, old in state.store.writes(entries, fp.nodes):
+    for nid, fname, old in writes:
         if nid < fresh.start:
             first_old.setdefault((nid, fname), old)
     whole = set(fp.nodes) if first_old and fp.nodes else ()
@@ -355,7 +355,7 @@ def _same_items(state, edit: tuple, journal: tuple, model: tuple) -> bool:
     elif delta:
         return False
     first_old = {}
-    for nid, name, old in state.store.writes(journal[0]):
+    for nid, name, old in journal[0]:
         if name == "item" and nid != node:
             first_old.setdefault(nid, old)
     return all(state.store.item(nid) == old or nid not in nl for nid, old in first_old.items())
@@ -378,17 +378,6 @@ def _post_vs_model(state, model: tuple, outcome, chain, edit: tuple | None, jour
     if post_items != documented:
         violations.append(("post", f"chain items {post_items!r} != documented {documented!r}"))
     return violations
-
-
-def _wrote_nothing(state, header: tuple, length: int, journal: tuple, edits: list) -> bool:
-    """Whether a call's closed ``journal`` holds no write or allocation,
-    its ghost log no edit, and the header and the ghost's length are still
-    ``header`` and ``length``: the entry state then, as nodes change only
-    through the journaled setters and the ghost only through the logged
-    methods. The length catches a ghost write that was not logged."""
-    entries, fresh = journal
-    return (not entries and not fresh and not edits
-            and (state.first, state.last, state.size) == header and len(state.ghost) == length)
 
 
 def run_checked(state, op: str, args: tuple = ()):
@@ -431,13 +420,16 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     ghost log holds the call's ghost edits, so nothing reads or copies
     the entry ghost.
 
-    A call that wrote nothing (``_wrote_nothing``) exits in the entry
-    state, so only its result and items are judged. Its obligation: the
-    exit and frame checks, on the same state, journal and log, vouch with
-    no ghost edit and find no frame violation. Other calls get the exit
-    check scoped to what the journal and the log touched, and the full
-    check (under ``model``, after walking the chain) when that does not
-    vouch, so witnesses, errors and their order are the full check's.
+    A call with no journal entry, allocation or logged ghost edit, and
+    the entry header and ghost length (which catches an unlogged ghost
+    write), exits in the entry state, so only its result and items are
+    judged. Its obligation: the exit and frame checks, on the same state,
+    journal and log, vouch with no ghost edit and find no frame violation.
+    Other calls read their journal once (``NodeStore.writes``) for all
+    the checks, and get the exit check scoped to what the journal and the
+    log touched, and the full check (under ``model``, after walking the
+    chain) when that does not vouch, so witnesses, errors and their order
+    are the full check's.
 
     ``model`` is ``(verdict, a, edits)``: the oracle's verdict, its
     ``ModelList`` after the call and the edit its rule logged. With it
@@ -457,20 +449,29 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     except ListError as e:
         outcome, error = ("error", e.kind), e.with_traceback(None)
     finally:
-        journal, edits = state.take() if own is None else state.close_savepoint(own)
+        (entries, fresh), edits = state.take() if own is None else state.close_savepoint(own)
 
-    wrote = not _wrote_nothing(state, header, length, journal, edits)
-    edit = exit_invariant_holds(state, edits, journal) if wrote else NO_EDIT
-    if model is None:
+    wrote = (entries or fresh or edits or len(state.ghost) != length
+             or (state.first, state.last, state.size) != header)
+    if model is None:  # an emptied ghost needs no writes (C4 alone)
+        if not wrote:
+            return outcome, error, ()
+        writes = state.store.writes(entries) if entries and state.ghost else ()
+        edit = exit_invariant_holds(state, edits, (writes, fresh))
         return outcome, error, () if edit else check_invariant(state)
+    journal, edit = ((), fresh), NO_EDIT
+    if wrote:
+        entry = entry_ghost(state.ghost, edits)
+        fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
+              else oracle.OP_SPECS[op].footprint(entry, model[1], args, model[2]))
+        # a clear of exactly the footprint's whole nodes wrote only inside it
+        journal = list(state.store.writes(entries, fp.nodes)), fresh
+        edit = exit_invariant_holds(state, edits, journal)
     chain = state.ghost if edit else tuple(state.chain())
     violations = _post_vs_model(state, model, outcome, chain, edit, journal)
     if not edit:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
     if wrote:
-        entry = entry_ghost(state.ghost, edits)
-        fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
-              else oracle.OP_SPECS[op].footprint(entry, model[1], args, model[2]))
         violations.extend(frame_check(pre, state, journal, fp, entry))
     if violations:
         raise ContractViolation(contract_for(op, args), violations)

@@ -270,18 +270,15 @@ class NodeStore:
         the entries before and after it in ``seq`` (None past either
         end): the chain's links, read only where a caller names."""
         prevs, nexts = self._prev, self._next
-        n = len(prevs)
         last = len(seq) - 1
         try:
             for i in positions:
                 node = seq[i]
-                if not 0 <= node < n:
-                    return False
-                if prevs[node] != (seq[i - 1] if i else None):
+                if node < 0 or prevs[node] != (seq[i - 1] if i else None):
                     return False
                 if nexts[node] != (seq[i + 1] if i < last else None):
                     return False
-        except TypeError:  # None
+        except (IndexError, TypeError):  # past the last id, or None
             return False
         return True
 
@@ -320,11 +317,11 @@ class NodeStore:
         """Follow ``link`` from ``node`` to the first node whose item
         ``matches``. Returns how many nodes it passed and that node, or
         how many nodes it walked and None when the chain ends first;
-        DanglingLink for an id that names no node. No visited set: on a
-        cyclic chain without a match it does not return."""
+        DanglingLink for an id that names no node. A walk past
+        ``len(store)`` nodes has met one again: CycleDetected names it."""
         links, items = self._links(link), self._item
         n = len(items)
-        steps = 0
+        start, steps = node, 0
         while node is not None:
             if not 0 <= node < n:
                 raise DanglingLink(node)
@@ -332,6 +329,8 @@ class NodeStore:
                 return steps, node
             node = links[node]
             steps += 1
+            if steps > n:
+                raise _first_repeat(links, start)
         return steps, None
 
     def follow(self, node: NodeId | None, steps: int, link: str = "next") -> NodeId | None:
@@ -579,7 +578,7 @@ def walk_chain(store: NodeStore, first: NodeId | None) -> list[NodeId]:
     A walk that ends visits only distinct allocated nodes, so it takes at
     most ``len(store)`` steps; the loop keeps no visited set. A walk that
     is still going after that many steps has repeated a node or reached an
-    unallocated one, and one pass over the walked prefix tells which."""
+    unallocated one, and a second walk names the repeated node."""
     nexts = store._next
     n = len(nexts)
     seq: list[NodeId] = []
@@ -596,13 +595,18 @@ def walk_chain(store: NodeStore, first: NodeId | None) -> list[NodeId]:
         else:
             if node is None:
                 return seq
-            append(node)
-            seen: set[NodeId] = set()
-            for steps, nid in enumerate(seq):
-                if nid in seen:
-                    raise CycleDetected(nid, steps)
-                seen.add(nid)
+            if 0 <= node < n:  # one of n + 1 allocated nodes repeats
+                raise _first_repeat(nexts, first)
     except (IndexError, TypeError):  # past the end, or not an id
         pass
     # every node walked was allocated and the next one is none of them
     raise DanglingLink(node)
+
+
+def _first_repeat(links: list, node: NodeId) -> CycleDetected:
+    """The error naming the first node a walk along ``links`` from ``node`` meets again."""
+    seen: set[NodeId] = set()
+    while node not in seen:
+        seen.add(node)
+        node = links[node]
+    return CycleDetected(node, len(seen))

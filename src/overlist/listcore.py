@@ -78,6 +78,11 @@ class JavaLinkedList:
     ``probes`` it checks the loop invariants of ``last_index_of`` and
     ``clear``, the only specification inside Java's code."""
 
+    # so that writing a misspelt or retired attribute raises AttributeError
+    __slots__ = ("width", "max_size", "min_size", "_at_capacity", "policy", "probes", "faults",
+                 "guards_growth", "store", "first", "last", "size", "ghost", "_ghost_log",
+                 "_savepoints", "carried")
+
     def __init__(
         self,
         width: int = 8,

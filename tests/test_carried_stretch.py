@@ -20,8 +20,8 @@ from overlist import difftest, ghostspec, heapmodel, listcore, oracle
 from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, OpScript, gen_script, run_script
 from overlist.errors import ContractViolation, ListError, UsageError
 from overlist.ghostspec import (
-    EMPTY_FOOTPRINT, NO_EDIT, _post_vs_model, _wrote_nothing, check_invariant, contract_for,
-    entry_ghost, frame_check, observe,
+    EMPTY_FOOTPRINT, NO_EDIT, _post_vs_model, check_invariant, contract_for, entry_ghost,
+    frame_check, observe,
 )
 from overlist.heapmodel import NULL, Atom, NodeStore
 from overlist.listcore import FAULTS, CheckMode, SizePolicy
@@ -43,10 +43,17 @@ def reference_step(state, op, args, model=None):
     except ListError as e:
         outcome, error = ("error", e.kind), e.with_traceback(None)
     finally:
-        journal, edits = state.close_savepoint(mark)
+        (entries, fresh), edits = state.close_savepoint(mark)
 
-    wrote = not ghostspec._wrote_nothing(state, mark[2], length, journal, edits)
-    edit = ghostspec.exit_invariant_holds(state, edits, journal) if wrote else NO_EDIT
+    wrote = (entries or fresh or edits or len(state.ghost) != length
+             or (state.first, state.last, state.size) != mark[2])
+    journal, edit = ((), fresh), NO_EDIT
+    if wrote:
+        entry = entry_ghost(state.ghost, edits)
+        fp = (EMPTY_FOOTPRINT if model is None or outcome[0] == "error"
+              else oracle.OP_SPECS[op].footprint(entry, model[1], args, model[2]))
+        journal = (list(NodeStore.writes(entries, fp.nodes)), fresh)
+        edit = ghostspec.exit_invariant_holds(state, edits, journal)
     if model is None:
         return outcome, error, () if edit else check_invariant(state)
     chain = state.ghost if edit else tuple(state.chain())
@@ -54,9 +61,6 @@ def reference_step(state, op, args, model=None):
     if not edit:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
     if wrote:
-        entry = entry_ghost(state.ghost, edits)
-        fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
-              else oracle.OP_SPECS[op].footprint(entry, model[1], args, model[2]))
         violations.extend(frame_check(pre, state, journal, fp, entry))
     if violations:
         raise ContractViolation(contract_for(op, args), violations)
@@ -125,31 +129,55 @@ def test_drawn_scripts_match_the_per_step_reference(script, faults, mode):
 
 
 @contextmanager
-def judged_steps():
-    """Record, for each checked step of ``run_script``, what it is judged
-    on: the entry header and ghost length, its writes (through
-    ``NodeStore.writes``), fresh ids and ghost edits, and what the list's
-    savepoint itself still holds at that point (None when none is
-    open)."""
-    seen = []
+def taken_by_steps():
+    """Record, for each checked step of ``run_script``, what it takes out
+    of its savepoint to be judged on, through the list's ``take`` (the
+    carried stretch) or ``close_savepoint`` (a savepoint of its own):
+    the entry header and ghost length, the raw journal entries, fresh
+    ids and ghost edits, and what the list's savepoint itself still
+    holds once they are taken (None when none is open). Wraps whichever
+    ``checked_step`` ``run_script`` calls when the block is entered."""
+    seen, taken = [], []
+    step = difftest.checked_step
+    real_take, real_close = listcore.JavaLinkedList.take, listcore.JavaLinkedList.close_savepoint
 
-    def spy(state, header, length, journal, edits):
-        held = state.store._journal
-        seen.append({
-            "judged": (header, length, list(NodeStore.writes(journal[0])), journal[1], list(edits)),
-            "held": None if held is None else (len(held), len(state._ghost_log)),
-        })
-        return _wrote_nothing(state, header, length, journal, edits)
+    def spy(real):
+        def closing(lst, *mark):
+            journal, edits = real(lst, *mark)
+            held = lst.store._journal
+            taken.append((journal, list(edits),
+                          None if held is None else (len(held), len(lst._ghost_log))))
+            return journal, edits
+        return closing
+
+    def judged(state, op, args, model=None):
+        header, length = (state.first, state.last, state.size), len(state.ghost)
+        taken.clear()
+        try:
+            return step(state, op, args, model)
+        finally:
+            [((entries, fresh), edits, held)] = taken  # one per step
+            seen.append({"header": header, "length": length, "entries": entries,
+                         "fresh": fresh, "edits": edits, "held": held})
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ghostspec, "_wrote_nothing", spy)
+        mp.setattr(listcore.JavaLinkedList, "take", spy(real_take))
+        mp.setattr(listcore.JavaLinkedList, "close_savepoint", spy(real_close))
+        mp.setattr(difftest, "checked_step", judged)
         yield seen
 
 
+def judged(records):
+    """Each step's entry header and ghost length, its writes (through
+    ``NodeStore.writes``), fresh ids and ghost edits."""
+    return [(s["header"], s["length"], list(NodeStore.writes(s["entries"])), s["fresh"], s["edits"])
+            for s in records]
+
+
 def step_records(script, mode, faults):
-    with judged_steps() as carried:
+    with taken_by_steps() as carried:
         run_script(script, mode, policies=(SizePolicy.FAIL_FAST,), faults=faults)
-    with judged_steps() as reference, per_step_savepoints():
+    with per_step_savepoints(), taken_by_steps() as reference:
         run_script(script, mode, policies=(SizePolicy.FAIL_FAST,), faults=faults)
     return carried, reference
 
@@ -163,10 +191,46 @@ def test_each_step_is_judged_on_exactly_its_own_writes(mode):
     for faults in FAULT_SETS:
         for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
             carried, reference = step_records(gen_script(7, 8, 300, weights), mode, faults)
-            assert [s["judged"] for s in carried] == [s["judged"] for s in reference]
+            assert judged(carried) == judged(reference)
             assert {s["held"] for s in carried} == {(0, 0)}
             steps += len(carried)
     assert steps > 1000
+
+
+@pytest.mark.parametrize("mode", CHECKED, ids=lambda m: m.value)
+def test_each_checked_step_reads_its_journal_at_most_once(mode):
+    """A checked step reads its journal (``NodeStore.writes``) once at
+    most, for every check that needs its writes, and a step that wrote
+    nothing does not read it: generated scripts of both mixes, with no
+    fault and each fault."""
+    reads, wrote = [], []
+    real_writes = heapmodel.NodeStore.writes
+
+    def counted(entries, skip=None):
+        reads[-1] += 1
+        return real_writes(entries, skip)
+
+    def checked(lst, *a):
+        reads.append(0)
+        try:
+            return judged_step(lst, *a)
+        finally:
+            s = seen[-1]
+            wrote.append(bool(s["entries"] or s["fresh"] or s["edits"] or s["length"] != len(lst.ghost)
+                              or s["header"] != (lst.first, lst.last, lst.size)))
+
+    with taken_by_steps() as seen, pytest.MonkeyPatch.context() as mp:
+        judged_step = difftest.checked_step
+        mp.setattr(difftest, "checked_step", checked)
+        mp.setattr(heapmodel.NodeStore, "writes", staticmethod(counted))
+        for faults in FAULT_SETS:
+            for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
+                for seed in range(2):
+                    run_script(gen_script(seed, 8, 300, weights), mode, faults=faults)
+    assert len(reads) == len(wrote) == len(seen) > 2000
+    assert max(reads) == 1
+    assert not any(n for n, w in zip(reads, wrote) if not w)
+    assert sum(reads) > sum(wrote) / 2
 
 
 def test_a_long_carried_run_keeps_no_clear_entry_after_its_step():
@@ -176,15 +240,9 @@ def test_a_long_carried_run_keeps_no_clear_entry_after_its_step():
     filled = (("add", (NULL,)),) * 32767
     script = OpScript(0, 16, filled + (("clear", ()), ("size", ()), ("add", (Atom("a"),)),
                                        ("get", (0,))))
-    entries = []
-
-    def spy(state, header, length, journal, edits):
-        entries.append((journal[0], len(state.store._journal), len(state._ghost_log)))
-        return _wrote_nothing(state, header, length, journal, edits)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ghostspec, "_wrote_nothing", spy)
+    with taken_by_steps() as seen:
         result = run_script(script, CheckMode.INVARIANT, policies=(SizePolicy.FAIL_FAST,))
+    entries = [(s["entries"], *s["held"]) for s in seen]
     assert result.total("failfast") == 0 and len(result.oracles["failfast"].items) == 1
     clear = len(filled)
     judged, held, logged = entries[clear]
@@ -214,7 +272,7 @@ def test_a_failed_check_ends_the_stretch_and_a_passing_one_opens_the_next():
         plain.append((op, lst.store._journal, lst._ghost_log, lst.carried))
         return real_run_op(lst, op, args)
 
-    with judged_steps() as seen, pytest.MonkeyPatch.context() as mp:
+    with taken_by_steps() as seen, pytest.MonkeyPatch.context() as mp:
         mp.setattr(listcore.JavaLinkedList, "carry", carry)
         mp.setattr(difftest, "run_op", run_op)
         result = run_script(script, CheckMode.INVARIANT, policies=(SizePolicy.FAIL_FAST,),

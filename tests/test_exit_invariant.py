@@ -53,7 +53,7 @@ from overlist import difftest, ghostspec, heapmodel, listcore
 from overlist.difftest import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, OpScript, gen_script, run_script
 from overlist.errors import ChainCorruption, ContractViolation, ListError, UsageError
 from overlist.ghostspec import (NO_EDIT, PreObservation, _same_items, check_invariant,
-                                 exit_invariant_holds, frame_check, run_checked)
+                                 exit_invariant_holds, run_checked)
 from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, CheckMode, SizePolicy, apply_op, new_list
 from overlist.oracle import ALPHABET, EMPTY_FOOTPRINT, INDEX, OP_SPECS, ModelList
@@ -66,7 +66,8 @@ def compared_exit(state, pre, journal):
     """The scoped exit check as it was before the ghost log: it copies the
     exit ghost, and locates the edit by comparing it with ``pre``, the
     entry ghost, in slices. Returns ``(post, p)``, the exit ghost and the
-    edit's position, or None. The reference the log-based check is
+    edit's position, or None. ``journal`` is ``(writes, fresh)``, as the
+    log-based check takes it. The reference the log-based check is
     compared with."""
     nl = state.ghost
     n = len(nl)
@@ -75,8 +76,7 @@ def compared_exit(state, pre, journal):
     if n == 0:  # C4; C3, C5 and C6 hold vacuously
         return ((), 0) if state.first is None and state.last is None else None
     post = tuple(nl)
-    entries, fresh = journal
-    writes = list(state.store.writes(entries))
+    writes, fresh = journal
     gone = None
     if n == len(pre):
         if fresh or post != pre:
@@ -98,7 +98,7 @@ def compared_exit(state, pre, journal):
         if post[:p] != pre[:p] or post[p + 1 :] != pre[p:]:
             return None
         lo, hi = p - 1, p + 2
-    elif n == len(pre) - 1 and entries and not fresh:
+    elif n == len(pre) - 1 and writes and not fresh:
         if post[0] != pre[0]:
             p = 0
         elif post[-1] != pre[-1]:
@@ -117,7 +117,7 @@ def compared_exit(state, pre, journal):
     lo = max(lo, 0)
     hi = min(hi, n)
     at = [0, n - 1, *range(lo, hi)]
-    if entries:
+    if writes:
         near = post[lo:hi]
         for nid, name, _ in writes:
             if name != "item" and nid not in near and nid != gone and nid in post:
@@ -149,9 +149,17 @@ def verdicts(lst, change):
         change()
     finally:
         journal, edits = lst.close_savepoint(mark)
+    journal = read(lst, journal)
     edit = exit_invariant_holds(lst, edits, journal)
     assert_same_edit(edit, compared_exit(lst, pre, journal), pre)
     return bool(edit), not check_invariant(lst)
+
+
+def read(lst, journal):
+    """A closed journal as the checks take it, ``(writes, fresh)``, with
+    the writes in a list that each check can iterate."""
+    entries, fresh = journal
+    return list(lst.store.writes(entries)), fresh
 
 
 def outcome_of(lst, op, args):
@@ -522,7 +530,7 @@ class TestEditLocation:
                     rewrite(lst)
                 journal, edits = lst.close_savepoint(mark)
                 reads.clear()
-                assert exit_invariant_holds(lst, edits, journal), op
+                assert exit_invariant_holds(lst, edits, read(lst, journal)), op
                 [at] = reads
                 assert len(set(at)) == len(at), (op, at)
                 assert not rewritten or {0, 2, len(lst.ghost) - 1} <= set(at), (op, at)
@@ -893,6 +901,7 @@ def scoped_steps(plain: bool = False):
         return real_step(lst, op, args, model)
 
     def beside(lst, edits, journal):
+        journal = (list(journal[0]), journal[1])  # the writes, read once
         edit = real(lst, edits, journal)
         assert_same_edit(edit, compared_exit(lst, entry[0], journal), entry[0])
         if edit:
@@ -946,18 +955,24 @@ class TestCarriedInvariantMode:
         and from the next step on the scoped check judges again, or the
         nothing-written exit for a call that wrote nothing."""
         log = []
-        real_scoped, real_full = ghostspec.exit_invariant_holds, ghostspec.check_invariant
-        real_exit = ghostspec._wrote_nothing
+        real_full, real_step = ghostspec.check_invariant, difftest.checked_step
+        seen = spy_exit(monkeypatch)
+        real_scoped = ghostspec.exit_invariant_holds
 
         def scoped(lst, edits, journal):
             log.append("scoped")
             return real_scoped(lst, edits, journal)
 
-        def wrote_nothing(*a):
-            took = real_exit(*a)
-            if took:
+        def step(*a):
+            # a checked step that ran neither check took the nothing-written
+            # exit, with nothing taken out of the stretch
+            seen.clear()
+            got = real_step(*a)
+            if "scoped" not in seen and not got[2]:
+                (entries, fresh), edits = seen["taken"]
+                assert not (entries or fresh or edits)
                 log.append("unchanged")
-            return took
+            return got
 
         def full(lst):
             failures = real_full(lst)
@@ -967,7 +982,7 @@ class TestCarriedInvariantMode:
         # the full check runs in the step after a failed scoped check, and
         # in the run itself while the invariant is broken
         monkeypatch.setattr(ghostspec, "exit_invariant_holds", scoped)
-        monkeypatch.setattr(ghostspec, "_wrote_nothing", wrote_nothing)
+        monkeypatch.setattr(difftest, "checked_step", step)
         monkeypatch.setattr(ghostspec, "check_invariant", full)
         monkeypatch.setattr(difftest, "check_invariant", full)
         steps = [("add", (A,)), ("add", (B,)), ("add", (A,)), ("remove_at", (1,)),
@@ -997,6 +1012,35 @@ def exit_kind(op, outcome):
     return f"{op} {outcome}"
 
 
+def spy_exit(mp):
+    """Patch, through ``mp``, the list's ``take`` and ``close_savepoint``,
+    the scoped exit check and the frame check, and return a dict that
+    records, until it is cleared: what the last savepoint closed or taken
+    held (``"taken"``: the raw journal and the ghost edits), and whether
+    the scoped exit check (``"scoped"``) or the frame check (``"frame"``)
+    ran. A checked step that ran neither took the nothing-written exit."""
+    seen = {}
+    real_scoped, real_frame = ghostspec.exit_invariant_holds, ghostspec.frame_check
+
+    def closing(real):
+        def spy(lst, *mark):
+            seen["taken"] = real(lst, *mark)
+            return seen["taken"]
+        return spy
+
+    def ran(name, real):
+        def spy(*a):
+            seen[name] = True
+            return real(*a)
+        return spy
+
+    for name in ("take", "close_savepoint"):
+        mp.setattr(listcore.JavaLinkedList, name, closing(getattr(listcore.JavaLinkedList, name)))
+    mp.setattr(ghostspec, "exit_invariant_holds", ran("scoped", real_scoped))
+    mp.setattr(ghostspec, "frame_check", ran("frame", real_frame))
+    return seen
+
+
 @contextmanager
 def nothing_written_exits():
     """Beside every checked step of ``run_script`` that takes the
@@ -1011,35 +1055,34 @@ def nothing_written_exits():
     where the run has no oracle model, the footprint is positioned by one
     built before the call. Yields each exit's ``exit_kind``."""
     kinds = []
-    taken = []
-    real_step, real_exit = ghostspec.checked_step, ghostspec._wrote_nothing
-
-    def wrote_nothing(lst, header, length, journal, edits):
-        took = real_exit(lst, header, length, journal, edits)
-        taken[:] = [(header, journal, edits)] if took else []
-        return took
-
-    def step(lst, op, args, model=None):
-        items, ghost = tuple(lst.items()), tuple(lst.ghost)
-        assert model is None or entry_items(model) == items
-        oracle = model or model_for(items, lst.width, op, args)
-        outcome, error, failures = real_step(lst, op, args, model)
-        if taken:
-            header, journal, edits = taken.pop()
-            pre = PreObservation(header, len(ghost))
-            assert exit_invariant_holds(lst, edits, journal) == NO_EDIT
-            assert compared_exit(lst, ghost, journal) == (ghost, 0)
-            assert items == tuple(lst.items())
-            if _same_items(lst, NO_EDIT, journal, oracle):
-                assert items == tuple(oracle[1].items)
-            fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
-                  else OP_SPECS[op].footprint(ghost, oracle[1], args, oracle[2]))
-            assert frame_check(pre, lst, journal, fp, lst.ghost) == []
-            kinds.append(exit_kind(op, outcome))
-        return outcome, error, failures
+    real_step = ghostspec.checked_step
+    real_scoped, real_frame = ghostspec.exit_invariant_holds, ghostspec.frame_check
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ghostspec, "_wrote_nothing", wrote_nothing)
+        seen = spy_exit(mp)
+
+        def step(lst, op, args, model=None):
+            header = (lst.first, lst.last, lst.size)
+            items, ghost = tuple(lst.items()), tuple(lst.ghost)
+            assert model is None or entry_items(model) == items
+            oracle = model or model_for(items, lst.width, op, args)
+            seen.clear()
+            outcome, error, failures = real_step(lst, op, args, model)
+            if "scoped" not in seen and "frame" not in seen:
+                raw, edits = seen["taken"]
+                journal = read(lst, raw)
+                pre = PreObservation(header, len(ghost))
+                assert real_scoped(lst, edits, journal) == NO_EDIT
+                assert compared_exit(lst, ghost, journal) == (ghost, 0)
+                assert items == tuple(lst.items())
+                if _same_items(lst, NO_EDIT, journal, oracle):
+                    assert items == tuple(oracle[1].items)
+                fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
+                      else OP_SPECS[op].footprint(ghost, oracle[1], args, oracle[2]))
+                assert real_frame(pre, lst, journal, fp, lst.ghost) == []
+                kinds.append(exit_kind(op, outcome))
+            return outcome, error, failures
+
         mp.setattr(difftest, "checked_step", step)
         yield kinds
 
@@ -1094,30 +1137,17 @@ class TestNothingWritten:
             return real(state, op, args)
 
         model = model_for(tuple(lst.items()), 8, op, args) if full else None
-        log = []
-        real_exit, real_scoped = ghostspec._wrote_nothing, ghostspec.exit_invariant_holds
-
-        def wrote_nothing(*a):
-            took = real_exit(*a)
-            if took:
-                log.append("exit")
-            return took
-
-        def scoped(*a):
-            log.append("scoped")
-            return real_scoped(*a)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(listcore, "apply_op", change_and_call)
-            mp.setattr(ghostspec, "_wrote_nothing", wrote_nothing)
-            mp.setattr(ghostspec, "exit_invariant_holds", scoped)
+            seen = spy_exit(mp)
             try:
                 _, _, failures = ghostspec.checked_step(lst, op, args, model)
                 reported = [cid for cid, _ in failures]
             except ContractViolation as e:
                 reported = [w.split(":")[0] if cat == "invariant" else cat
                             for cat, w in e.violations]
-        return "exit" in log, "scoped" in log, reported
+        took = "scoped" not in seen and "frame" not in seen
+        return took, "scoped" in seen, reported
 
     @pytest.mark.parametrize("mode", sorted(CHECKED_RUNS))
     def test_item_written_back_takes_the_general_path(self, mode):

@@ -281,6 +281,7 @@ class TestTrialBodies:
             real = ghostspec.exit_invariant_holds
 
             def spy(lst, edits, journal):
+                journal = (list(journal[0]), journal[1])  # the writes, read once
                 seen.append((list(edits), journal))
                 return real(lst, edits, journal)
 

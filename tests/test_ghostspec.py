@@ -328,7 +328,8 @@ def framed(lst, write, fp=EMPTY_FOOTPRINT):
     pre = observe(lst)
     mark = lst.store.open_journal()
     write()
-    return frame_check(pre, lst, lst.store.close_journal(mark), fp, lst.ghost)
+    entries, fresh = lst.store.close_journal(mark)
+    return frame_check(pre, lst, (list(lst.store.writes(entries, fp.nodes)), fresh), fp, lst.ghost)
 
 
 class TestFrameCheck:

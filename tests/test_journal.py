@@ -333,9 +333,9 @@ def raw_writes(store, data, count):
 def test_journal_changes_equal_the_snapshot_diff(policy, prefix_seed, prefix_len, op, data):
     """On the states of ``test_trial_equals_a_pre_op_copy``, one mutating
     call (value, ListError or refusal alike) or a raw setter sequence:
-    read from the journal, the frame check names the same changed
-    fields, with the same old and new values, and the same fresh ids as
-    ``diff`` of snapshots."""
+    read from the journal (``NodeStore.writes``), the frame check names
+    the same changed fields, with the same old and new values, and the
+    same fresh ids as ``diff`` of snapshots."""
     lst = add_heavy_state(policy, prefix_seed, prefix_len)
     store = lst.store
     pre, before = observe(lst), snapshot(store)
@@ -344,7 +344,8 @@ def test_journal_changes_equal_the_snapshot_diff(policy, prefix_seed, prefix_len
         raw_writes(store, data, data.draw(st.integers(0, 12)))
     else:
         run_op(lst, op, draw_args(lst, op, data))
-    journal = store.close_journal(mark)
+    entries, fresh = store.close_journal(mark)
+    journal = (list(store.writes(entries, NODES_ONLY.nodes)), fresh)
     after = snapshot(store)
     reference = diff(before, after)
     expected = [

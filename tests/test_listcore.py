@@ -387,6 +387,17 @@ class TestEnumArguments:
         with pytest.raises(UsageError, match=r"unknown faults \['bogus'\]"):
             new_list(8, faults={"bogus", "unlink-skip-relink"})
 
+    @pytest.mark.parametrize("name, value", [("check_mode", CheckMode.FULL), ("probe", True)])
+    def test_a_retired_or_misspelt_switch_is_refused(self, name, value):
+        # the retired ``check_mode``, written as a switch, once left the
+        # probes off without a word
+        lst = new_list(8, SizePolicy.FAIL_FAST)
+        with pytest.raises(AttributeError):
+            setattr(lst, name, value)
+        assert lst.probes is False
+        lst.probes = True
+        assert lst.probes is True
+
 
 class TestNodeWalk:
     def test_bidirectional_walk_agrees(self):

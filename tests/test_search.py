@@ -12,10 +12,12 @@ field and the search counters wrap around.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from overlist.errors import IllegalStateError
+from overlist import difftest, listcore
+from overlist.difftest import OpScript, run_script
+from overlist.errors import ChainCorruption, CycleDetected, IllegalStateError
 from overlist.heapmodel import Atom, NullItem, items_equal
 from overlist.jint import wrap
-from overlist.listcore import SizePolicy, new_list
+from overlist.listcore import CheckMode, SizePolicy, apply_op, new_list
 from overlist.oracle import first_index, last_index
 
 WIDTH = 8
@@ -112,3 +114,52 @@ def test_matches_past_the_wrap(target_token):
     found, last = lst.index_of(target), lst.last_index_of(target)
     assert type(found) is type(last) is int and found == last == 44
     assert first_index(tuple(lst.items()), target) == last_index(lst.items(), target) == 300
+
+
+SEARCHES = ("index_of", "contains", "last_index_of", "remove_item", "remove_first_occurrence",
+            "remove_last_occurrence")
+
+
+def close_the_circle(lst):
+    """Link the last node forward to the first and the first back to the
+    last: a cycle both ways, with no node added."""
+    lst.store.raw_write(lst.last, "next", lst.first)
+    lst.store.raw_write(lst.first, "prev", lst.last)
+
+
+@pytest.mark.parametrize("op", SEARCHES)
+def test_a_search_on_a_cycle_without_a_match_stops(op):
+    """The searches walk at most one node past the store's size, as
+    ``walk_chain`` does, and then name the node met again; an unbounded
+    search ran forever here."""
+    lst = build(SizePolicy.FAIL_FAST, [fresh(t) for t in "abab"])
+    lst.store.alloc(None, fresh("a"), None)  # a node outside the chain raises the bound
+    close_the_circle(lst)
+    with pytest.raises(ChainCorruption) as caught:
+        apply_op(lst, op, (fresh("c"),))
+    assert isinstance(caught.value, CycleDetected)
+    backward = op in ("last_index_of", "remove_last_occurrence")
+    assert (caught.value.node_id, caught.value.steps) == (lst.last if backward else lst.first, 4)
+
+
+@pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+def test_a_run_step_that_meets_a_cycle_aborts(mode, monkeypatch):
+    """A search step that meets the cycle ends both policies' runs with
+    an InvariantViolation divergence at that step; under ``full`` the
+    FailFast list's loop probe sees the cycle first."""
+    script = OpScript(0, WIDTH, (("add", (fresh("a"),)), ("add", (fresh("b"),)),
+                                 ("last_index_of", (fresh("c"),)), ("size", ())))
+
+    def corrupting(lst, op, args):
+        if op == "last_index_of":
+            close_the_circle(lst)
+        return apply_op(lst, op, args)
+
+    monkeypatch.setattr(listcore, "apply_op", corrupting)
+    monkeypatch.setattr(difftest, "apply_op", corrupting)
+    result = run_script(script, mode)
+    for policy in ("failfast", "unchecked"):
+        [abort] = result.divergences[policy]
+        assert (abort.step, abort.kind, result.aborted[policy]) == (2, "InvariantViolation", 2)
+        probed = mode is CheckMode.FULL and policy == "failfast"
+        assert ("last_index_of.loop" if probed else "cycle detected") in abort.impl
