@@ -6,8 +6,10 @@ Subcommands:
   report expected-vs-observed; ``--fixed`` runs the fail-fast variant
   instead and reports that the bug is unreachable.
 * ``census``: classify every public method in the two overflow states.
-* ``fuzz``: random differential scripts; fail-fast divergences are
-  shrunk and saved.
+* ``fuzz``: random differential scripts of ``--length`` steps from the
+  ``--mix`` of operations (``balanced``, or ``add-heavy``, which drives
+  the list past its capacity); the first fail-fast divergence is shrunk
+  and saved, and a clean run tallies the Unchecked divergences by kind.
 * ``replay``: re-run a saved JSON Lines script.
 * ``check``: invariant / derived-property battery over enumerated and
   randomized states.
@@ -19,13 +21,14 @@ divergence failure, 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import random
 import sys
 
 from . import difftest
-from .difftest import MARKER, BALANCED_WEIGHTS, census, gen_script, run_script, shrink
+from .difftest import MARKER, census, gen_script, run_script, shrink
 from .errors import IndexOutOfBoundsError, NegativeArraySizeError, UsageError
 from .ghostspec import check_acyclic, check_invariant, check_unique_endpoints
 from .jint import WIDTHS
@@ -42,11 +45,15 @@ def _emit(report: dict, text: str, fmt: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def non_negative_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def at_least(least: int):
+    """An argparse type: an integer of at least ``least``, named ``count``
+    in argparse's messages."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+    return count
 
 
 def _default_seed(args) -> int:
@@ -186,19 +193,20 @@ def cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 # fuzz / replay
 
+MIXES = {"balanced": difftest.BALANCED_WEIGHTS, "add-heavy": difftest.ADD_HEAVY_WEIGHTS}
+
 
 def cmd_fuzz(args) -> int:
     seed = _default_seed(args)
     check_mode = CheckMode(args.check_mode)
-    script_len = 100
     remaining = args.ops
-    unchecked_divergences = 0
+    tally = collections.Counter()
     script_index = 0
     while remaining > 0:
-        length = min(script_len, remaining)
-        script = gen_script(seed + script_index, args.width, length, BALANCED_WEIGHTS)
+        length = min(args.length, remaining)
+        script = gen_script(seed + script_index, args.width, length, MIXES[args.mix])
         result = run_script(script, check_mode=check_mode)
-        unchecked_divergences += result.total("unchecked")
+        tally.update(d.kind for d in result.divergences["unchecked"])
         if result.total("failfast"):
             def run_failfast(s):
                 # only the FailFast divergences are read, so only FailFast runs
@@ -215,7 +223,9 @@ def cmd_fuzz(args) -> int:
         remaining -= length
         script_index += 1
     print(f"FailFast: 0 divergences over {args.ops} operations (width {args.width})")
-    print(f"Unchecked: {unchecked_divergences} divergences (informational)")
+    print(f"Unchecked: {tally.total()} divergences (informational)")
+    for kind, n in tally.most_common():
+        print(f"  {kind}: {n}")
     return 0
 
 
@@ -260,6 +270,8 @@ def cmd_check(args) -> int:
     for _ in range(args.ops):
         state = random_state(rng, width=args.width)
         failed = dict(check_invariant(state))
+        # never fires: every write keeps size a W-bit int, so C2 (size <= max_size)
+        # always holds; the test stays until some state can break C2
         if "C1" not in failed and "C2" in failed:
             failures.append("C1 held but C2 failed (redundancy broken)")
         if not failed:
@@ -303,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="random differential scripts")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ops", type=non_negative_int, default=10000)
+    p.add_argument("--ops", type=at_least(0), default=10000)
+    p.add_argument("--length", type=at_least(1), default=100, help="steps per script")
+    p.add_argument("--mix", choices=MIXES, default="balanced")
     p.add_argument("--check-mode", choices=[m.value for m in CheckMode], default="invariant")
     p.add_argument("--out", default=None)
     common(p)
@@ -316,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="invariant and implication property battery")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ops", type=non_negative_int, default=2000, help="number of random states")
+    p.add_argument("--ops", type=at_least(0), default=2000, help="number of random states")
     common(p)
     p.set_defaults(func=cmd_check)
 

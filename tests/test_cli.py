@@ -3,12 +3,14 @@
 import functools
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from overlist import cli
 from overlist.cli import main
 from overlist.difftest import (
+    ADD_HEAVY_WEIGHTS,
     BALANCED_WEIGHTS,
     census,
     dump_script,
@@ -128,6 +130,25 @@ class TestFuzzCommand:
     def test_clean_fuzz_exits_zero(self, capsys):
         assert main(["fuzz", "--ops", "300", "--seed", "5"]) == 0
         assert "0 divergences" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mix, weights", [
+        ("balanced", BALANCED_WEIGHTS), ("add-heavy", ADD_HEAVY_WEIGHTS),
+    ], ids=["balanced", "add-heavy"])
+    def test_tally_counts_what_run_script_finds(self, mix, weights, capsys):
+        """One line per Unchecked divergence kind, most common first, over
+        every script the run made, its short last one too; balanced scripts
+        never reach capacity, so a balanced run prints no such line."""
+        seed, length, ops = 4, 400, 1050
+        argv = ["fuzz", "--mix", mix, "--length", str(length), "--ops", str(ops)]
+        assert main(argv + ["--seed", str(seed)]) == 0
+        expected = Counter()
+        for k, n in enumerate([length] * (ops // length) + [ops % length]):
+            result = run_script(gen_script(seed + k, 8, n, weights), CheckMode.INVARIANT)
+            expected.update(d.kind for d in result.divergences["unchecked"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"Unchecked: {expected.total()} divergences (informational)"
+        assert lines[2:] == [f"  {kind}: {n}" for kind, n in expected.most_common()]
+        assert bool(expected) == (mix == "add-heavy")
 
     def test_env_seed_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("OVERLIST_SEED", "9")
@@ -315,6 +336,25 @@ class TestBadInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert (needs or "must be >= 0") in err
+
+    @pytest.mark.parametrize("args, message", [
+        (("--length", "-1"), "argument --length: must be >= 1, got -1"),
+        (("--length", "0"), "argument --length: must be >= 1, got 0"),
+        (("--length", "many"), "argument --length: invalid count value: 'many'"),
+        (("--ops", "abc"), "argument --ops: invalid count value: 'abc'"),
+        (("--mix", "bogus"), "argument --mix: invalid choice: 'bogus'"),
+        (("--width", "12"), "argument --width: invalid choice: 12"),
+    ], ids=["negative-length", "zero-length", "length-not-a-number", "ops-not-a-number",
+            "unknown-mix", "bad-width"])
+    def test_bad_fuzz_argument_runs_no_script(self, args, message, monkeypatch, capsys):
+        """A bad count, mix or width is a usage error, exit code 2, before
+        any script runs: no traceback, and nothing printed to stdout."""
+        runs = []
+        monkeypatch.setattr(cli, "run_script", lambda *a, **k: runs.append(a))
+        assert main(["fuzz", "--ops", "10", *args]) == 2
+        out, err = capsys.readouterr()
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert out == "" and runs == []
 
     @pytest.mark.parametrize("command", ["fuzz", "check"])
     def test_non_integer_env_seed_is_usage_error(self, command, monkeypatch, capsys):
