@@ -14,7 +14,7 @@ from itertools import accumulate, chain, islice, repeat
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, checked_step
-from .heapmodel import NULL, Atom, NodeStore, NullItem
+from .heapmodel import NULL, Atom, NullItem
 from .jint import check_width
 from .listcore import CheckMode, JavaLinkedList, SizePolicy, apply_op, new_list, require_member
 from .oracle import (
@@ -185,48 +185,53 @@ def run_script(
     only: under FULL every step goes through the contract harness, under
     INVARIANT the class invariant is re-checked after each step.
     Divergences are data; execution only aborts on a corrupted chain.
-    An unknown operation, a wrong argument count, or a check mode or
-    policy that is not a member of its enum is a UsageError, raised
-    before anything runs; any other UsageError is a harness bug and
-    propagates.
+    An unknown operation, a wrong argument count, a check mode or policy
+    that is not a member of its enum, or an empty or repeated
+    ``policies`` is a UsageError, raised before anything runs; any other
+    UsageError is a harness bug and propagates.
 
     The run owns the FailFast list, so under both checked modes each
     step assumes what the previous step's exit checks established (JML's
     visible-state semantics): the invariant holds, and the chain's items
-    are the oracle's. While the invariant holds, a step runs through
-    ``ghostspec.checked_step``, which takes its writes out of the one
-    savepoint the stretch keeps open (``JavaLinkedList.carry``) and judges
-    it by the exit check scoped to them, falling back to the full
-    ``check_invariant`` with the same divergence and witnesses. Under
-    INVARIANT a failed check closes the savepoint, and every step runs the
-    full check until one passes, which opens the next. Each policy's
-    oracle state is one ``ModelList``, edited in place; the result holds
-    its snapshot. Under FULL the oracle steps first, in a savepoint, and
-    ``checked_step`` judges the call's result (the step's one comparison
-    with the verdict), items and frame by its verdict and logged edit (the
-    bounded FailFast oracle starts empty, so no verdict is Unspecified);
-    an aborted step undoes the oracle's edit. Otherwise the oracle steps
-    after the call.
+    are the oracle's. The run opens one savepoint on the list
+    (``JavaLinkedList.carry``) and never closes it. While the invariant
+    holds, a step runs through ``ghostspec.checked_step``, which takes
+    its writes out of that savepoint and judges it by the exit check
+    scoped to them, falling back to the full ``check_invariant`` with the
+    same divergence and witnesses. Under INVARIANT a step that starts
+    with the invariant broken runs ``run_op``, drops its writes
+    (``JavaLinkedList.take``) and is judged by the full check; once that
+    check passes, the next step goes through ``checked_step`` again.
+    Each policy's oracle state is one ``ModelList``, edited in place; the
+    result holds its snapshot. Under FULL the oracle steps first, in a
+    savepoint, and ``checked_step`` judges the call's result (the step's
+    one comparison with the verdict), items and frame by its verdict and
+    logged edit (the bounded FailFast oracle starts empty, so no verdict
+    is Unspecified); an aborted step undoes the oracle's edit. Otherwise
+    the oracle steps after the call.
 
     FailFast runs first. Below capacity both policies make the same calls
     on the same states: the list's capacity check and the bounded oracle
     act only on an insert at capacity, and outside FULL the FailFast list
     has no probes, so its model-free checks raise nothing an Unchecked run
-    would not. So outside FULL the Unchecked run resumes FailFast's from
-    a state before step s, the first FailFast step that left the list's
-    size or the oracle's length (a fault can part them) at the maximum:
-    a copy of its store, so node ids are a full run's, its header, ghost
-    and oracle items, and its outcome divergences so far. The run copies
-    that state after each step that brings a side one short of the
-    maximum, and resumes from the last copy, or from the empty list if
-    none: a step grows a side by at most one, but a size can wrap from
-    its minimum to the maximum. With no step s, the Unchecked result is
-    FailFast's outcome and abort divergences, aborted step and oracle,
-    unbounded. Under FULL the loop probes and chain walks can abort
-    FailFast alone, so both policies run in full."""
+    would not. A call changes the size by one (wrapping between the
+    ends), sets it to 0 or leaves it, and grows the oracle's length by
+    one at most, so only a step that starts with the size at one short
+    of the maximum or more, or at the minimum, or the length at one short
+    or more, can leave a side (a fault can part them) at the maximum. So
+    outside FULL the run copies FailFast's state once, after its first
+    step that leaves a side there: its store, so node ids are a full
+    run's, its header, ghost and oracle items, and its outcome
+    divergences so far. The Unchecked run resumes from that copy at the
+    next step. With no copy, the Unchecked result is FailFast's outcome
+    and abort divergences, aborted step and oracle, unbounded. Under FULL
+    the loop probes and chain walks can abort FailFast alone, so both
+    policies run in full."""
     require_member(CheckMode, check_mode, "check_mode")
     for policy in policies:
         require_member(SizePolicy, policy, "policies entry")
+    if not policies or len(set(policies)) != len(policies):
+        raise UsageError(f"policies must name one policy or more, each once, got {policies!r}")
     for op, args in script.steps:
         spec = OP_SPECS.get(op) if type(op) is str else None
         if spec is None or len(spec.args) != len(args):
@@ -235,9 +240,7 @@ def run_script(
     oracles: dict[str, AbstractList] = {}
     aborted: dict[str, int | None] = {}
     derive = check_mode is not CheckMode.FULL and set(policies) == set(SizePolicy)
-    fork = None  # a FailFast state before its first step that left a side at the maximum
-    capture = (0, NodeStore(), (None, None, 0), (), ())  # the empty list's state
-    near = None  # the step after the last FailFast step that left a side one short
+    fork = None  # FailFast's state where a side could first reach the maximum
     for policy in sorted(policies, key=lambda p: p is SizePolicy.UNCHECKED):  # FailFast first
         pname = policy.value
         if derive and fork is None and policy is SizePolicy.UNCHECKED:
@@ -264,7 +267,7 @@ def run_script(
         aborted[pname] = None
         # a checked list is new and empty: the invariant holds and its items are the oracle's
         holds = checked
-        if holds:
+        if checked:
             lst.carry()
         for step, (op, args) in islice(enumerate(script.steps), start, None):
             try:
@@ -277,6 +280,8 @@ def run_script(
                     outcome, _, failures = checked_step(lst, op, args)
                 else:
                     outcome = run_op(lst, op, args)
+                    if checked:  # the full check below judges it; its writes are dropped
+                        lst.take()
             except (ContractViolation, ChainCorruption) as e:
                 # the ghost layer no longer trusts this state, or the chain
                 # itself is corrupted (a cycle or a dangling link); stop here
@@ -289,23 +294,17 @@ def run_script(
                 break
             if not full:
                 verdict, _ = oracle_apply(model, op, args)
-                if watch and (lst.size >= edge or len(model.items) >= edge):
-                    if lst.size == lst.max_size or len(model.items) >= model.max_size:
-                        fork, watch = capture, False
-                    elif near != step:  # a side arrives one short of the maximum
-                        capture = (step + 1, lst.store.copy(), (lst.first, lst.last, lst.size),
-                                   tuple(lst.ghost), tuple(model.items))
-                    near = step + 1
+                if watch and (lst.size >= edge or lst.size == lst.min_size
+                              or len(model.items) >= edge):
+                    fork = (step + 1, lst.store.copy(), (lst.first, lst.last, lst.size),
+                            tuple(lst.ghost), tuple(model.items))
+                    watch = False
                 if observe_equal(outcome, verdict) == "disagree":
                     divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
                                            _encode_verdict(verdict), classify(outcome, verdict)))
-            if checked and (failures or not holds):
-                if holds:  # the carried stretch ends
-                    lst.close_savepoint(lst.carried)
-                else:
+            if checked:
+                if not holds:
                     failures = check_invariant(lst)
-                    if not failures:  # a new stretch starts
-                        lst.carry()
                 holds = not failures
                 if failures:
                     divs.append(
@@ -511,9 +510,7 @@ def _encode_outcome(outcome):
 def _encode_verdict(verdict: Verdict):
     if verdict.kind == "value":
         return {"value": _encode_value(verdict.value)}
-    if verdict.kind == "error":
-        return {"error": verdict.error}
-    return {"unspecified": True}
+    return {"error": verdict.error}  # an Unspecified verdict never disagrees
 
 
 def dump_script(script: OpScript) -> str:

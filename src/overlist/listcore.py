@@ -141,14 +141,14 @@ class JavaLinkedList:
         return mark
 
     def carry(self) -> None:
-        """Open the savepoint of a stretch of calls that carries the
+        """Open the savepoint of a run of calls that carries the
         invariant (JML's visible-state semantics), as the only one open:
-        its mark is ``carried``, and each checked call takes its writes out."""
+        its mark is ``carried``, and each call takes its writes out."""
         self.carried = self.open_savepoint()
 
     def take(self) -> tuple[tuple, list]:
-        """``close_savepoint`` of the carried stretch's savepoint, which
-        opens again at this point with the same mark."""
+        """``close_savepoint`` of the carried savepoint, which opens
+        again at this point with the same mark."""
         journal, edits = self.store.take(self.carried[0]), self._ghost_log
         self._ghost_log, self.carried[2] = [], (self.first, self.last, self.size)
         return journal, edits

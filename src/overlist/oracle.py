@@ -226,7 +226,8 @@ def _set_at(a, args):
 def _insert(at, answer: Verdict):
     """The rule that inserts its last argument where ``at(a, args)``
     names, answering ``answer``: an index out of range where it names
-    None, and a refusal where the bounded contract is at capacity."""
+    None, and a refusal where the bounded contract is at capacity. The
+    rule keeps ``at`` as its attribute ``at``."""
 
     def rule(a, args):
         p = at(a, args)
@@ -237,6 +238,7 @@ def _insert(at, answer: Verdict):
         a.insert(p, args[-1])
         return answer
 
+    rule.at = at
     return rule
 
 
@@ -384,8 +386,8 @@ def _slot(a, args):
 @dataclass(frozen=True, slots=True)
 class OpSpec:
     """An operation's contract: its documented ``rule(a, args)``, and the
-    edit its ``assignable`` clause permits, as a kind; an insert also
-    names its position function ``at(a, args)``."""
+    edit its ``assignable`` clause permits, as a kind; an insert's rule
+    also names its position function, ``rule.at(a, args)``."""
 
     name: str
     args: tuple[str, ...]  # argument kinds: INDEX / ITEM
@@ -393,7 +395,6 @@ class OpSpec:
     probes: tuple[tuple, ...]  # census argument tuples; empty = not censused
     rule: Callable  # (a, args) -> verdict, editing the ModelList a in place
     edit: str | None = None  # INSERT | REMOVE | REPLACE | CLEAR; None for a query
-    at: Callable | None = None  # INSERT: (a, args) -> position or None
     method: str | None = None  # the JavaLinkedList method, when not ``name``
 
     @property
@@ -409,14 +410,14 @@ class OpSpec:
     def footprint(self, ids, a: ModelList, args: tuple, edits: list) -> Footprint:
         """The locations the call may modify: ``ids`` are the chain's ids
         on entry, and the position is that of the edit the rule logged on
-        ``a`` (``edits``), or for a refused insert where ``at`` names."""
+        ``a`` (``edits``), or for a refused insert where ``rule.at`` names."""
         edit = self.edit
         if edit is None:
             return EMPTY_FOOTPRINT
         if edit == CLEAR:
             return Footprint(header_fields=frozenset({"first", "last", "size"}), ghost=True,
                              nodes=ids)
-        p = edits[0][1] if edits else self.at(a, args) if self.at else None
+        p = edits[0][1] if edits else self.rule.at(a, args) if edit == INSERT else None
         if p is None:
             return EMPTY_FOOTPRINT
         if edit == REPLACE:
@@ -432,12 +433,12 @@ _CALL = ((),)
 OP_SPECS: dict[str, OpSpec] = {
     row.name: row
     for row in (
-        OpSpec("add", (ITEM,), "List", (_A,), _insert(_back, _TRUE), INSERT, _back),
-        OpSpec("add_first", (ITEM,), "Deque", (_A,), _insert(_front, _NONE), INSERT, _front),
-        OpSpec("add_last", (ITEM,), "Deque", (_A,), _insert(_back, _NONE), INSERT, _back),
+        OpSpec("add", (ITEM,), "List", (_A,), _insert(_back, _TRUE), INSERT),
+        OpSpec("add_first", (ITEM,), "Deque", (_A,), _insert(_front, _NONE), INSERT),
+        OpSpec("add_last", (ITEM,), "Deque", (_A,), _insert(_back, _NONE), INSERT),
         OpSpec("get", (INDEX,), "List", ((0,),), _get),
         OpSpec("set_at", (INDEX, ITEM), "List", _AT_0, _set_at, REPLACE),
-        OpSpec("add_at", (INDEX, ITEM), "List", _AT_0, _insert(_slot, _NONE), INSERT, _slot),
+        OpSpec("add_at", (INDEX, ITEM), "List", _AT_0, _insert(_slot, _NONE), INSERT),
         OpSpec("remove_at", (INDEX,), "List", ((0,),), _remove_at, REMOVE),
         OpSpec("index_of", (ITEM,), "List", _SEARCH, _search(first_index)),
         OpSpec("last_index_of", (ITEM,), "List", _SEARCH, _search(last_index)),

@@ -1,9 +1,10 @@
-"""One savepoint per carried stretch, against one savepoint per step.
+"""One savepoint per checked run, against one savepoint per step.
 
-While the invariant is carried, ``run_script`` keeps one savepoint open
-on the FailFast list (``JavaLinkedList.carry``), and each checked step
-takes its own writes out of it (``JavaLinkedList.take``) instead of
-opening and closing a savepoint of its own. ``per_step_savepoints``
+``run_script`` keeps one savepoint open on a checked FailFast list for
+the whole run (``JavaLinkedList.carry``). While the invariant is
+carried, each checked step takes its own writes out of it
+(``JavaLinkedList.take``) instead of opening and closing a savepoint of
+its own. ``per_step_savepoints``
 keeps the older path, one savepoint per step, as the reference: every
 run must give the same divergences, oracle states and aborted steps on
 both paths, and every step must be judged on the same journal, fresh ids
@@ -253,11 +254,11 @@ def test_a_long_carried_run_keeps_no_clear_entry_after_its_step():
     assert {(held, logged) for _, held, logged in entries} == {(0, 0)}
 
 
-def test_a_failed_check_ends_the_stretch_and_a_passing_one_opens_the_next():
-    """``unlink-skip-relink`` breaks the chain: the stretch closes with
-    the failed check, the steps that follow run with no savepoint open,
-    and after ``clear`` leaves a valid list the run carries again in a
-    new stretch."""
+def test_a_failed_check_runs_plain_steps_in_the_runs_one_savepoint():
+    """``unlink-skip-relink`` breaks the chain: the steps that follow the
+    failed check run ``run_op`` with the run's one savepoint open and
+    empty, and after ``clear`` leaves a valid list the run carries again
+    in that savepoint."""
     script = OpScript(0, 8, (("add", (NULL,)), ("add", (NULL,)), ("add", (NULL,)),
                              ("remove_at", (1,)), ("size", ()), ("clear", ()),
                              ("add", (NULL,)), ("get", (0,))))
@@ -265,11 +266,11 @@ def test_a_failed_check_ends_the_stretch_and_a_passing_one_opens_the_next():
     real_carry, real_run_op = listcore.JavaLinkedList.carry, difftest.run_op
 
     def carry(lst):
-        opened.append(len(opened))
         real_carry(lst)
+        opened.append(lst.carried)
 
     def run_op(lst, op, args):
-        plain.append((op, lst.store._journal, lst._ghost_log, lst.carried))
+        plain.append((op, len(lst.store._journal), len(lst._ghost_log), lst.carried))
         return real_run_op(lst, op, args)
 
     with taken_by_steps() as seen, pytest.MonkeyPatch.context() as mp:
@@ -279,10 +280,10 @@ def test_a_failed_check_ends_the_stretch_and_a_passing_one_opens_the_next():
                             faults=frozenset({"unlink-skip-relink"}))
     assert [(d.step, d.kind) for d in result.divergences["failfast"]] == [
         (3, "InvariantViolation"), (4, "InvariantViolation")]
-    # steps 0-3 in the first stretch, 4 and 5 with none open, 6 and 7 in the second
-    assert len(opened) == 2 and len(seen) == 6
-    assert all(s["held"] == (0, 0) for s in seen)
-    assert plain == [("size", None, None, None), ("clear", None, None, None)]
+    # steps 0-3, 6 and 7 through ``checked_step``, 4 and 5 through ``run_op``
+    [mark] = opened
+    assert len(seen) == 6 and all(s["held"] == (0, 0) for s in seen)
+    assert plain == [("size", 0, 0, mark), ("clear", 0, 0, mark)]
 
 
 def test_take_moves_the_savepoint_and_refuses_inside_another():

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -205,6 +206,37 @@ class TestReplayCommand:
         out = capsys.readouterr().out
         assert "unchecked: 0 divergences" in out
         assert "failfast: 0 divergences" in out
+
+    def test_replay_prints_each_unchecked_divergence(self, tmp_path, capsys):
+        """A 400-step add-heavy script crosses capacity: Unchecked diverges
+        and FailFast does not, so the replay exits 0 and prints one line
+        per Unchecked divergence."""
+        path = tmp_path / "script.jsonl"
+        path.write_text(dump_script(gen_script(0, 8, 400, ADD_HEAVY_WEIGHTS)))
+        assert main(["replay", str(path)]) == 0
+        header, *lines, last = capsys.readouterr().out.splitlines()
+        assert last == "failfast: 0 divergences"
+        assert header == f"unchecked: {len(lines)} divergences" and lines
+        line = re.compile(r"  step \d+: \w+ -> (WrongValue|WrongError|MissingError) "
+                          r"\(impl \{.*\}, oracle \{.*\}\)")
+        assert all(line.fullmatch(text) for text in lines), lines
+
+    def test_replay_of_a_fuzz_reproducer_prints_its_failfast_divergence(self, monkeypatch,
+                                                                       tmp_path, capsys):
+        """The reproducer ``fuzz`` writes under ``lastindexof-off-by-one``
+        replays with exit 1, naming the FailFast divergence fuzz found."""
+        faults = frozenset({"lastindexof-off-by-one"})
+        monkeypatch.setattr(cli, "run_script", functools.partial(run_script, faults=faults))
+        path = tmp_path / "shrunk.jsonl"
+        assert main(["fuzz", "--ops", "100", "--seed", "3", "--out", str(path)]) == 1
+        found = capsys.readouterr().out.splitlines()[0]
+        assert main(["replay", str(path), "--check-mode", "invariant"]) == 1
+        out = capsys.readouterr().out
+        failfast = out[out.index("failfast: "):].splitlines()
+        assert failfast[0] != "failfast: 0 divergences"
+        first = re.fullmatch(r"  step \d+: (\w+) -> (\w+) \(impl \{.*\}, oracle \{.*\}\)",
+                             failfast[1])
+        assert found.endswith(f": {first[2]} on {first[1]}")
 
     def test_missing_file_is_io_error(self):
         assert main(["replay", "/nonexistent/script.jsonl"]) == 2

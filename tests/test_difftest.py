@@ -32,7 +32,8 @@ from overlist.difftest import (
 )
 from overlist.errors import ChainCorruption, CycleDetected, DanglingLink, UsageError
 from overlist.heapmodel import NULL, Atom, NodeStore
-from overlist.listcore import CheckMode, FAULTS, SizePolicy, new_list
+from overlist.jint import wrap
+from overlist.listcore import CheckMode, FAULTS, JavaLinkedList, SizePolicy, new_list
 from overlist.oracle import INDEX, OP_SPECS, ModelList, oracle_apply
 
 A = Atom("a")
@@ -208,7 +209,8 @@ def assert_forked_as_single_runs(monkeypatch, script, mode, faults) -> bool:
 class TestDerivedUnchecked:
     """Outside FULL, FailFast runs first, and the Unchecked result is
     derived from it unless some FailFast step left the list's size or
-    the oracle's length at the maximum."""
+    the oracle's length one short of the maximum or more, or the size at
+    its minimum."""
 
     @pytest.mark.parametrize("fault", [None, *FAULTS])
     @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
@@ -254,8 +256,9 @@ class TestDerivedUnchecked:
             *_, final = (d for d in failfast if d.kind != "InvariantViolation")
             assert (final.step, final.kind) == (len(steps) - 1, last)
 
-    # The fork: past the first step s that leaves a side at the maximum, the
-    # Unchecked run resumes at s from FailFast's state before it.
+    # The fork: the run copies FailFast's state once, after the first step
+    # that leaves a side where the next step could reach the maximum, and
+    # the Unchecked run resumes from it at that next step.
 
     @pytest.mark.parametrize("fault", [None, *FAULTS])
     @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
@@ -270,7 +273,7 @@ class TestDerivedUnchecked:
                   for seed in (0, 1, 2, 3, 21, 29)]
         assert all(forked) if fault is None else any(forked)
 
-    #: one short of the maximum three times: the fork is the last visit's state
+    #: one short of the maximum three times: the fork is the first visit's state
     LAST_VISIT = (ADD * 126
                   + (("remove_last", ()), ("add", (B,)), ("set_at", (0, C)), ("add", (B,)),
                      ("add", (C,)), ("get_first", ()), ("peek_last", ()), ("index_of", (B,))))
@@ -283,12 +286,41 @@ class TestDerivedUnchecked:
         monkeypatch.setattr(NodeStore, "copy", lambda store: copies.append(len(store)) or copy(store))
         script = OpScript(0, 8, self.LAST_VISIT)
         result, made = run_keeping_lists(monkeypatch, script, mode, BOTH)
-        # steps 125 and 127 bring the size to 126, step 128 keeps it there,
-        # and step 129 reaches 127: the Unchecked run replays step 128
-        assert copies == [126, 127] and len(made) == 2
+        # step 125 brings the size to 126, where the run copies its state;
+        # step 126 takes it down, step 127 back to 126 and step 129 to 127:
+        # the Unchecked run replays steps 126-128
+        assert copies == [126] and len(made) == 2
         B, C = self.B, self.C
         assert result.oracles["unchecked"].items == (C, *(A,) * 124, B, B, C)
         assert assert_forked_as_single_runs(monkeypatch, script, mode, frozenset())
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
+    def test_a_run_copies_the_store_once_at_most_and_opens_one_savepoint(self, monkeypatch,
+                                                                         mode, fault):
+        """Per two-policy run, ``NodeStore.copy`` runs once at most, and a
+        checked FailFast list opens its one savepoint (``carry``) once and
+        never closes it; add-heavy scripts cross capacity, balanced ones
+        stay short of it. Under ``unlink-skip-relink`` most runs abort
+        before capacity; seeds 21 and 29 reach it."""
+        faults = frozenset() if fault is None else frozenset({fault})
+        calls = []
+        for cls, name in ((NodeStore, "copy"), (JavaLinkedList, "carry"),
+                          (JavaLinkedList, "close_savepoint")):
+            real = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        copied = 0
+        for weights, length in ((BALANCED_WEIGHTS, 100), (ADD_HEAVY_WEIGHTS, 250),
+                                (ADD_HEAVY_WEIGHTS, 400)):
+            for seed in (0, 1, 2, 21, 29):
+                calls.clear()
+                run_script(gen_script(seed, 8, length, weights), mode, BOTH, faults)
+                assert calls.count("copy") <= 1
+                assert calls.count("carry") == (mode is CheckMode.INVARIANT)
+                assert "close_savepoint" not in calls
+                copied += calls.count("copy")
+        assert copied
 
     #: the oracle two ahead of the list: the insert at step 132 takes the
     #: oracle to the maximum and is out of the list's range, so both
@@ -335,33 +367,64 @@ class TestDerivedUnchecked:
         assert forked.ghost[:3] == [1, 4, 5] and len(forked.store) == 129
 
     #: under ``unlink-skip-relink`` each cycle unlinks its first node
-    #: twice, and the size falls by one: it wraps from -128 to 127 at the
-    #: last step, never having been 126, and the oracle stays short
+    #: twice, and the size falls by one: it first reaches -128 at the end
+    #: of cycle 128 (step 639), wraps from -128 to 127 at the last step,
+    #: never having been 126, and the oracle stays short
     WRAP = (ADD * 2 + (("remove_first", ()), ("remove_last", ()), ("remove_first", ()))) * 129
 
     @pytest.mark.parametrize("mode", FORKING, ids=lambda m: m.value)
-    def test_a_size_that_wraps_to_the_maximum_forks_from_the_empty_list(self, monkeypatch, mode):
+    def test_a_size_that_wraps_to_the_maximum_forks_where_it_starts_at_the_minimum(
+            self, monkeypatch, mode):
         faults = frozenset({"unlink-skip-relink"})
         script = OpScript(0, 8, self.WRAP)
         assert assert_forked_as_single_runs(monkeypatch, script, mode, faults)
-        _, (failfast, _) = run_keeping_lists(monkeypatch, script, mode, BOTH, faults)
+        made, at_copy, unchecked_steps = [], [], []
+        copy, step = NodeStore.copy, difftest.run_op
+
+        def keep(*args, **kwargs):
+            made.append(new_list(*args, **kwargs))
+            return made[-1]
+
+        def copied(store):
+            at_copy.append(made[0].size)
+            return copy(store)
+
+        def unchecked_step(lst, op, args):
+            if lst.policy is SizePolicy.UNCHECKED:
+                unchecked_steps.append(op)
+            return step(lst, op, args)
+
+        monkeypatch.setattr(difftest, "new_list", keep)
+        monkeypatch.setattr(NodeStore, "copy", copied)
+        monkeypatch.setattr(difftest, "run_op", unchecked_step)
+        run_script(script, mode, BOTH, faults)
+        failfast, _ = made
         assert failfast.size == 127 and failfast.ghost == []
+        # one copy, of the state the first step that starts at the minimum
+        # starts from: the Unchecked run replays steps 640-644
+        assert at_copy == [failfast.min_size]
+        assert unchecked_steps == [op for op, _ in self.WRAP[640:]]
 
     @pytest.mark.parametrize("fault", [None, *FAULTS])
     def test_no_call_grows_a_side_by_more_than_one(self, fault):
         """The fork's premise: from states one and two short of the
-        maximum, parted by a fault or not, no call takes the list's size or
-        the oracle's length up by more than one. So the first step that
-        leaves a side at the maximum starts one short of it, where the run
-        copies its state, unless the size wrapped there from its minimum
-        (``test_a_size_that_wraps_to_the_maximum_forks_from_the_empty_list``)."""
+        maximum, and at the size's minimum, parted by a fault or not, a
+        call changes the list's size by one (wrapping between the ends),
+        sets it to 0 or leaves it, and takes the oracle's length up by one
+        at most. So the first step that leaves a side at the maximum starts
+        with a side one short of it or more, or with the size at its
+        minimum, where the run copies its state
+        (``test_a_size_that_wraps_to_the_maximum_forks_where_it_starts_at_the_minimum``)."""
         faults = frozenset() if fault is None else frozenset({fault})
-        for prefix in (ADD * 125, ADD * 126, self.SIZE_AHEAD[:-1], self.LENGTH_AHEAD[:-1]):
+        minimum = False
+        for prefix in (ADD * 125, ADD * 126, self.SIZE_AHEAD[:-1], self.LENGTH_AHEAD[:-1],
+                       self.WRAP[:640]):
             lst = new_list(8, SizePolicy.FAIL_FAST, faults=faults)
             model = ModelList((), 8)
             for op, args in prefix:
                 run_op(lst, op, args)
                 oracle_apply(model, op, args)
+            minimum |= lst.size == lst.min_size
             for op, spec in OP_SPECS.items():
                 kinds = [(-1, 0, 1, 125, 126, 127) if k == INDEX else ALPHABET for k in spec.args]
                 for args in product(*kinds):
@@ -373,8 +436,12 @@ class TestDerivedUnchecked:
                         except ChainCorruption:
                             pass
                         oracle_apply(model, op, args)
-                        assert lst.size <= size + 1 and len(model.items) <= length + 1, (op, args)
+                        moves = {size, 0, wrap(size + 1, 8), wrap(size - 1, 8)}
+                        assert lst.size in moves, (op, args)
+                        assert len(model.items) <= length + 1, (op, args)
                         model.undo(model.close_savepoint())
+        # only the skipped relink takes the size down to its minimum
+        assert minimum == (fault == "unlink-skip-relink")
 
 
 #: SHA-256 over ``run_script``'s divergences, aborted steps and final
@@ -625,6 +692,16 @@ class TestValidation:
         script = OpScript(0, 8, (("add", (NULL,)),))
         with pytest.raises(UsageError, match="policies entry must be a SizePolicy"):
             run_script(script, policies=(SizePolicy.UNCHECKED, policy))
+
+    @pytest.mark.parametrize("policies", [
+        (), (SizePolicy.FAIL_FAST, SizePolicy.FAIL_FAST, SizePolicy.UNCHECKED),
+    ], ids=["empty", "repeated"])
+    def test_empty_or_repeated_policies_rejected_before_running(self, monkeypatch, policies):
+        monkeypatch.setattr(difftest, "apply_op", lambda *a: pytest.fail("a step ran"))
+        monkeypatch.setattr(difftest, "checked_step", lambda *a, **k: pytest.fail("a step ran"))
+        script = OpScript(0, 8, (("add", (NULL,)),))
+        with pytest.raises(UsageError, match="policies must name one policy or more, each once"):
+            run_script(script, CheckMode.INVARIANT, policies)
 
     @pytest.mark.parametrize("seed,width", [(1, 7), ("x", 8), (True, 8), (1.5, 8)],
                              ids=["width-7", "seed-str", "seed-bool", "seed-float"])
