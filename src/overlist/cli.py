@@ -15,7 +15,8 @@ Subcommands:
   randomized states.
 
 Exit codes: 0 success (or bug reproduced as predicted), 1 property or
-divergence failure, 2 usage or IO error.
+divergence failure, 2 usage or IO error, 141 (``CLOSED_PIPE``) when the
+reader of standard output closed it early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import collections
 import json
 import os
 import random
+import shlex
 import sys
 
 from . import difftest
@@ -34,6 +36,10 @@ from .ghostspec import check_acyclic, check_invariant, check_unique_endpoints
 from .jint import WIDTHS
 from .listcore import CheckMode, SizePolicy
 from .statespace import enumerate_lists, random_state
+
+#: the exit status when standard output's reader closed it early: the
+#: shell's status for a process that SIGPIPE ended
+CLOSED_PIPE = 141
 
 
 def _emit(report: dict, text: str, fmt: str, out: str | None) -> None:
@@ -219,6 +225,8 @@ def cmd_fuzz(args) -> int:
             first = run_failfast(small).divergences["failfast"][0]
             print(f"FailFast divergence at seed {script.seed}: {first.kind} on {first.op}")
             print(f"shrunk script ({len(small.steps)} steps) written to {path}")
+            replay = f"overlist replay {shlex.quote(path)} --check-mode {check_mode.value}"
+            print(f"replay it with: {replay}")
             return 1
         remaining -= length
         script_index += 1
@@ -325,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a saved JSON Lines script")
     p.add_argument("path")
-    p.add_argument("--check-mode", choices=[m.value for m in CheckMode], default="off")
+    # fuzz's default, so a reproducer replays as fuzz found it
+    p.add_argument("--check-mode", choices=[m.value for m in CheckMode], default="invariant")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("check", help="invariant and implication property battery")
@@ -344,7 +353,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a piped stdout is block-buffered: a closed pipe may show only here
+        return status
+    except BrokenPipeError:
+        # the reader closed standard output early; point it at the null
+        # device, so the flush at exit fails no more (the ``signal``
+        # module's note on SIGPIPE), and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
     except (OSError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -14,13 +14,16 @@ it directly against the header and the node store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import compress
+from operator import countOf, itemgetter, ne
 from typing import NamedTuple
 
 from . import listcore, oracle
 from .errors import ContractViolation, DanglingLink, ListError, UsageError
 from .heapmodel import NodeId, NullItem
-from .oracle import EMPTY_FOOTPRINT, Footprint, ModelList, observe_equal, oracle_apply
+from .oracle import (
+    CLEAR, EMPTY_FOOTPRINT, Footprint, ModelList, observe_equal, oracle_apply, undo_edits,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +89,9 @@ def check_invariant(state) -> list[tuple[str, str]]:
     return failures
 
 
+# a write's node, field, and (node, field)
+_NODE, _FIELD, _LOCATION = itemgetter(0), itemgetter(1), itemgetter(0, 1)
+
 #: the edit ``exit_invariant_holds`` reports when the call logged no ghost
 #: edit, or left the ghost empty (the chain's items are then the empty tuple)
 NO_EDIT = (0, 0, None)
@@ -123,10 +129,7 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     if not n:  # C4; C3, C5 and C6 hold vacuously
         return NO_EDIT if state.first is None and state.last is None else None
     writes, fresh = journal
-    edit, node, lo, hi = NO_EDIT, None, 0, 1
-    if edits:
-        if len(edits) > 1:
-            return None
+    if len(edits) == 1:
         edit = delta, p, node = edits[0]
         if delta == 1 and len(fresh) == 1 and fresh.start == node:
             hi = p + 2
@@ -137,21 +140,24 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
         lo = p - 1 if p else 0
         if hi > n:
             hi = n
-    elif fresh:
+    elif edits or fresh:
         return None
+    else:
+        edit, node, lo, hi = NO_EDIT, None, 0, 1
     # 0, the edit site [lo, hi) of three positions at most, and n - 1, each once
-    at = [0, lo, lo + 1, lo + 2][not lo : hi - lo + 1]
+    at = [0, *range(lo, hi)] if lo else [*range(hi)]
     if hi < n:
         at.append(n - 1)
-    near = [*nl[lo:hi], node]  # the site, and the node the edit removed
-    for nid, name, _ in writes:
-        if nid not in near and name != "item":
-            try:
-                i = nl.index(nid)
-            except ValueError:  # a node outside the chain
-                continue
-            if i not in at:
-                at.append(i)
+    near = {*nl[lo:hi], node}  # the site, and the node the edit removed
+    if not near.issuperset(map(_NODE, writes)):  # read in C when all lie at the site
+        for nid, name, _ in writes:
+            if nid not in near and name != "item":
+                try:
+                    i = nl.index(nid)
+                except ValueError:  # a node outside the chain
+                    continue
+                if i not in at:
+                    at.append(i)
     if not state.store.links_agree(nl, at):
         return None
     return edit if state.first == nl[0] and state.last == nl[-1] else None
@@ -185,58 +191,6 @@ def check_unique_endpoints(state) -> tuple[bool, int | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class CyclePropagation:
-    """Outcome of stepping the cycle-propagation induction for (i, j).
-
-    ``kind`` is "refutation" when the two positions hold distinct nodes.
-    Otherwise the induction chain of node equalities (k, k - (j - i)) is
-    verified step by step against the store's next links, ending at the
-    last position where the unique-endpoint contradiction shows up."""
-
-    kind: str  # "refutation" | "chain"
-    i: int
-    j: int
-    equalities: tuple[tuple[int, int], ...] = ()
-    steps_hold: bool = True
-    contradiction_next_present: bool | None = None
-
-
-def cycle_propagation_witness(state, i: int, j: int) -> CyclePropagation:
-    nl = state.ghost
-    n = len(nl)
-    if not 0 <= i < j < n:
-        raise UsageError(f"need 0 <= i < j < {n}, got i={i} j={j}")
-    if nl[i] != nl[j]:
-        return CyclePropagation("refutation", i, j)
-    d = j - i
-    store = state.store
-    equalities = []
-    steps_hold = True
-    for k in range(j, n):
-        # base case k == j holds by assumption; each further step follows
-        # because both sides are the next of the previous (equal) pair
-        if k > j:
-            same_source = nl[k - 1] == nl[k - 1 - d]
-            propagated = (
-                store.next(nl[k - 1]) == nl[k]
-                and store.next(nl[k - 1 - d]) == nl[k - d]
-            )
-            if not (same_source and propagated and nl[k] == nl[k - d]):
-                steps_hold = False
-                break
-        equalities.append((k, k - d))
-    contradiction = store.next(nl[n - 1]) is not None if steps_hold else None
-    return CyclePropagation(
-        "chain",
-        i,
-        j,
-        equalities=tuple(equalities),
-        steps_hold=steps_hold,
-        contradiction_next_present=contradiction,
-    )
-
-
 # ---------------------------------------------------------------------------
 # frames
 
@@ -252,57 +206,42 @@ def frame_check(
     differs from the old value of its first write in ``journal``, as
     ``exit_invariant_holds`` takes it; nodes allocated during the call are
     fresh. ``entry`` is the entry ghost (``entry_ghost``), the exit ghost
-    itself when the call logged no ghost edit, and then only lengths compare."""
+    itself when the call logged no ghost edit, and then only lengths
+    compare; it is read only when ``fp`` does not let the ghost change."""
     violations = []
     writes, fresh = journal
-    first_old = {}
-    for nid, fname, old in writes:
-        if nid < fresh.start:
-            first_old.setdefault((nid, fname), old)
-    whole = set(fp.nodes) if first_old and fp.nodes else ()
-    for (nid, fname), old in sorted(first_old.items()):
-        new = getattr(state.store, fname)(nid)  # the store's read of that field
-        if new != old and (nid, fname) not in fp.node_fields and nid not in whole:
-            violations.append(("frame", f"node {nid}.{fname}: {old!r} -> {new!r}"))
+    if not fp.node_fields.issuperset(map(_LOCATION, writes)):  # read in C when all lie inside
+        permitted, first_old = fp.node_fields, {}
+        for nid, fname, old in writes:
+            if nid < fresh.start and (nid, fname) not in permitted:
+                first_old.setdefault((nid, fname), old)
+        whole = set(fp.nodes)
+        for (nid, fname), old in sorted(first_old.items()):
+            new = getattr(state.store, fname)(nid)  # the store's read of that field
+            if new != old and nid not in whole:
+                violations.append(("frame", f"node {nid}.{fname}: {old!r} -> {new!r}"))
     if fresh and not fp.fresh:
         violations.append(("frame", f"unexpected allocation of nodes {list(fresh)}"))
     header = (state.first, state.last, state.size)
-    for name, old, new in zip(_HEADER_NAMES, pre.header, header):
-        if old != new and name not in fp.header_fields:
-            violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
-    ghost = state.ghost
-    if not fp.ghost and (len(ghost) != pre.length
-                         or entry is not ghost and tuple(entry) != tuple(ghost)):
-        violations.append(("frame", "ghost nodeList changed"))
+    if not fp.header_fields.issuperset(compress(_HEADER_NAMES, map(ne, pre.header, header))):
+        for name, old, new in zip(_HEADER_NAMES, pre.header, header):
+            if old != new and name not in fp.header_fields:
+                violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
+    if not fp.ghost:
+        ghost = state.ghost
+        if len(ghost) != pre.length or entry is not ghost and tuple(entry) != tuple(ghost):
+            violations.append(("frame", "ghost nodeList changed"))
     return violations
 
 
-class _Before:
-    """The ghost before the logged edit ``(delta, p, node)``, read through
-    the ghost after it."""
-
-    __slots__ = ("after", "delta", "p", "node")
-
-    def __init__(self, after, edit):
-        self.after = after
-        self.delta, self.p, self.node = edit
-
-    def __len__(self) -> int:
-        return len(self.after) - self.delta
-
-    def __getitem__(self, i: int) -> NodeId:
-        if i < self.p:
-            return self.after[i]
-        return self.node if i == self.p and self.delta < 0 else self.after[i + self.delta]
-
-
 def entry_ghost(ghost, edits: list):
-    """The ghost before a call that logged ``edits`` and left ``ghost``,
-    copying nothing: a whole-ghost edit kept the ghost it replaced, and
-    the others are read backwards through the ghost after them."""
-    for edit in reversed(edits):
-        ghost = edit[2] if edit[0] is None else _Before(ghost, edit)
-    return ghost
+    """The ghost before a call that logged ``edits`` and left ``ghost``:
+    ``ghost`` itself when the call logged none, else a copy with the
+    edits undone (a clear's undo hands back the ghost its log kept).
+    ``checked_step`` reads the site of a splice that matches the
+    oracle's edit from the exit ghost, so it copies a ghost only for a
+    call whose edits differ from the oracle's, and a clear's empty one."""
+    return undo_edits(list(ghost), edits) if edits else ghost
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +253,10 @@ class PreObservation(NamedTuple):
     length: int  # the ghost's
 
 
-def observe(state) -> PreObservation:
+def observe(header: tuple, length: int) -> PreObservation:
     """The pre-state a contract is judged against, copying nothing: the
-    call's edits are read from the ghost log and the store journal."""
-    return PreObservation((state.first, state.last, state.size), len(state.ghost))
+    header ``(first, last, size)`` and ghost length read on entry."""
+    return tuple.__new__(PreObservation, (header, length))  # in C, unlike PreObservation()
 
 
 def contract_for(op: str, args: tuple) -> str:
@@ -344,40 +283,45 @@ def _same_items(state, edit: tuple, journal: tuple, model: tuple) -> bool:
     if not nl:
         return not a.items
     delta, p, node = edit
+    item = state.store.item
     if edits:
-        kind, q, _ = edits[0]
-        if kind == 0:  # a replace
-            if delta or state.store.item(nl[q]) != a.items[q]:
+        kind, q, x = edits[0]
+        if kind == 0:  # a replace, which logged the item it replaced
+            if delta or item(nl[q]) != a.items[q]:
                 return False
             node = nl[q]
-        elif kind != delta or q != p or delta == 1 and state.store.item(node) != a.items[q]:
+        elif kind != delta or q != p or delta == 1 and item(node) != x:
             return False
     elif delta:
         return False
+    writes = journal[0]
+    if countOf(map(_FIELD, writes), "item") == countOf(map(_LOCATION, writes), (node, "item")):
+        return True  # counted in C: every item write is to ``node``
     first_old = {}
-    for nid, name, old in journal[0]:
+    for nid, name, old in writes:
         if name == "item" and nid != node:
             first_old.setdefault(nid, old)
-    return all(state.store.item(nid) == old or nid not in nl for nid, old in first_old.items())
+    return all(item(nid) == old or nid not in nl for nid, old in first_old.items())
 
 
 def _post_vs_model(state, model: tuple, outcome, chain, edit: tuple | None, journal: tuple):
     """The result and the chain's items (``chain`` its ids) against the
     oracle's verdict and state after the call. Unless the scoped exit
     check reported the ghost ``edit`` and ``_same_items`` holds, the
-    items are read whole, and a violation names that read."""
+    items are read whole, and a violation names that read. Returns the
+    violations and whether ``_same_items`` held."""
     verdict, a, _ = model
     if verdict.kind == "unspecified":
-        return []
+        return [], False
     violations = []
     if observe_equal(outcome, verdict) != "agree":
         violations.append(("post", f"result {outcome!r} != documented {verdict!r}"))
     if edit is not None and _same_items(state, edit, journal, model):
-        return violations
+        return violations, True
     post_items, documented = tuple(state.store.items(chain)), tuple(a.items)
     if post_items != documented:
         violations.append(("post", f"chain items {post_items!r} != documented {documented!r}"))
-    return violations
+    return violations, False
 
 
 def run_checked(state, op: str, args: tuple = ()):
@@ -420,28 +364,32 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     ghost log holds the call's ghost edits, so nothing reads or copies
     the entry ghost.
 
-    A call with no journal entry, allocation or logged ghost edit, and
-    the entry header and ghost length (which catches an unlogged ghost
-    write), exits in the entry state, so only its result and items are
-    judged. Its obligation: the exit and frame checks, on the same state,
-    journal and log, vouch with no ghost edit and find no frame violation.
-    Other calls read their journal once (``NodeStore.writes``) for all
-    the checks, and get the exit check scoped to what the journal and the
-    log touched, and the full check (under ``model``, after walking the
-    chain) when that does not vouch, so witnesses, errors and their order
-    are the full check's.
+    A call with no journal entry, allocation or logged ghost edit
+    (``take`` then returns ``UNWRITTEN``), and the entry header and ghost
+    length (which catches an unlogged ghost write), exits in the entry
+    state. Under ``model``, when the oracle's rule logged no edit either,
+    the chain still holds the oracle's items, so only the result is
+    compared with the verdict; a disagreement, or an oracle edit, takes
+    the general path. Its obligation: the exit, item and frame checks, on
+    the same state, journal and log, vouch with no ghost edit and find no
+    violation. Other calls read their journal once (``NodeStore.writes``)
+    for all the checks, and get the exit check scoped to what the journal
+    and the log touched, and the full check (under ``model``, after
+    walking the chain) when that does not vouch, so witnesses, errors and
+    their order are the full check's.
 
     ``model`` is ``(verdict, a, edits)``: the oracle's verdict, its
     ``ModelList`` after the call and the edit its rule logged. With it
     the postcondition (``_post_vs_model``), the invariant and the frame
     (an error outcome must change nothing) are checked, and any failure
-    raises ContractViolation; the footprint takes its position from the
-    oracle's edit, and its ids from the entry ghost (``entry_ghost``).
-    Returns ``(outcome, error, failures)``: the outcome as ``run_op``
+    raises ContractViolation. The frame is the row's edit kind at the
+    oracle's position (``oracle.edit_footprint``): a splice whose one
+    ghost edit ``_same_items`` found the oracle's names its site from
+    the exit ghost and that edit; any other call, from the entry ghost
+    (``entry_ghost``). Returns ``(outcome, error, failures)``: the outcome as ``run_op``
     gives it, the ListError raised or None (its traceback cleared, so
     keeping it makes no reference cycle), and the failing invariant
     clauses."""
-    pre = None if model is None else observe(state)
     header, length = (state.first, state.last, state.size), len(state.ghost)
     own = None if state.carried else state.open_savepoint()
     try:
@@ -459,20 +407,35 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
         writes = state.store.writes(entries) if entries and state.ghost else ()
         edit = exit_invariant_holds(state, edits, (writes, fresh))
         return outcome, error, () if edit else check_invariant(state)
-    journal, edit = ((), fresh), NO_EDIT
     if wrote:
-        entry = entry_ghost(state.ghost, edits)
-        fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
-              else oracle.OP_SPECS[op].footprint(entry, model[1], args, model[2]))
-        # a clear of exactly the footprint's whole nodes wrote only inside it
-        journal = list(state.store.writes(entries, fp.nodes)), fresh
+        spec = oracle.OP_SPECS[op]
+        # a clear of exactly the entry ghost's nodes wrote only inside its footprint
+        cleared = entry_ghost(state.ghost, edits) if spec.edit == CLEAR else None
+        journal = list(state.store.writes(entries, cleared)), fresh
         edit = exit_invariant_holds(state, edits, journal)
+    elif not model[2] and observe_equal(outcome, model[0]) != "disagree":
+        return outcome, error, ()  # neither side wrote: only the result could disagree
+    else:
+        journal, edit = ((), fresh), NO_EDIT
     chain = state.ghost if edit else tuple(state.chain())
-    violations = _post_vs_model(state, model, outcome, chain, edit, journal)
+    violations, same = _post_vs_model(state, model, outcome, chain, edit, journal)
     if not edit:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
     if wrote:
-        violations.extend(frame_check(pre, state, journal, fp, entry))
+        if same and edit[0] and outcome[0] != "error":
+            # a splice as the oracle logged it: its site, read from the exit ghost
+            delta, p, node = edit
+            nl = state.ghost
+            succ = p + 1 if delta == 1 else p
+            fp = oracle.edit_footprint(spec.edit, nl[p - 1] if p else None,
+                                       node if delta == -1 else None,
+                                       nl[succ] if succ < len(nl) else None)
+            violations += frame_check(observe(header, length), state, journal, fp, None)
+        else:
+            entry = entry_ghost(state.ghost, edits)
+            fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
+                  else spec.footprint(entry, model[1], args, model[2]))
+            violations += frame_check(observe(header, length), state, journal, fp, entry)
     if violations:
         raise ContractViolation(contract_for(op, args), violations)
     return outcome, error, ()

@@ -470,13 +470,18 @@ class NodeStore:
         journal, start, fresh = self._pop(mark)
         return (journal if self._journal is None else journal[start:]), fresh
 
-    def take(self, mark: list[int]) -> tuple[list, range]:
+    def take(self, mark: list[int]) -> tuple[list, range] | None:
         """``close_journal`` of the one open savepoint, ``mark``, which
-        opens again at this point with the same mark and a new journal."""
+        opens again at this point with the same mark and a new journal;
+        None, moving nothing, when nothing was journaled or allocated
+        since it opened."""
         if len(self._marks) != 1 or self._marks[0] is not mark:
             raise UsageError("only the one open savepoint can be taken from")
-        fresh = range(mark[1], len(self._item))
-        entries, self._journal, mark[1] = self._journal, [], fresh.stop
+        n = len(self._item)
+        if not self._journal and n == mark[1]:
+            return None
+        fresh = range(mark[1], n)
+        entries, self._journal, mark[1] = self._journal, [], n
         return entries, fresh
 
     def rollback(self, mark) -> None:

@@ -64,6 +64,9 @@ def require_member(enum: type[Enum], value, name: str) -> None:
         raise UsageError(f"{name} must be a {enum.__name__}, got {value!r}")
 
 
+#: ``JavaLinkedList.take`` of a call that wrote nothing: no journal entry, fresh id or ghost edit
+UNWRITTEN = (((), range(0)), ())
+
 #: injectable faults for mutation-sensitivity experiments
 FAULTS = (
     "unlink-skip-relink",  # drop the neighbor pointer updates in unlink
@@ -148,8 +151,15 @@ class JavaLinkedList:
 
     def take(self) -> tuple[tuple, list]:
         """``close_savepoint`` of the carried savepoint, which opens
-        again at this point with the same mark."""
+        again at this point with the same mark. When nothing was
+        journaled, allocated or logged since the mark, the savepoint
+        stays where it is and the result is ``UNWRITTEN``, allocating
+        nothing."""
         journal, edits = self.store.take(self.carried[0]), self._ghost_log
+        if journal is None:
+            if not edits:
+                return UNWRITTEN
+            journal = UNWRITTEN[0]
         self._ghost_log, self.carried[2] = [], (self.first, self.last, self.size)
         return journal, edits
 

@@ -317,8 +317,7 @@ def _take_end(last: bool, empty: Verdict):
 # ``assignable`` clause
 
 
-@dataclass(frozen=True)
-class Footprint:
+class Footprint(NamedTuple):
     """Locations an operation is allowed to modify."""
 
     node_fields: frozenset[tuple[NodeId, str]] = frozenset()
@@ -330,22 +329,30 @@ class Footprint:
 
 EMPTY_FOOTPRINT = Footprint()
 
+#: the header fields a splice may write, by whether it is at the front and the back
+_HEADER = {(False, False): frozenset({"size"}), (True, False): frozenset({"first", "size"}),
+           (False, True): frozenset({"last", "size"}),
+           (True, True): frozenset({"first", "last", "size"})}
 
-def _splice_footprint(ids, p: int, removed: bool) -> Footprint:
-    """A fresh node linked in at position ``p`` of the chain ``ids``, or
-    the node there unlinked and cleared (``removed``)."""
-    nodes = {(ids[p], f) for f in ("prev", "item", "next")} if removed else set()
-    header = {"size"}
-    if p > 0:
-        nodes.add((ids[p - 1], "next"))
-    else:
-        header.add("first")
-    succ = p + 1 if removed else p
-    if succ < len(ids):
-        nodes.add((ids[succ], "prev"))
-    else:
-        header.add("last")
-    return Footprint(frozenset(nodes), frozenset(header), ghost=True, fresh=not removed)
+
+def edit_footprint(kind: str, pred: NodeId | None, node: NodeId | None,
+                   succ: NodeId | None) -> Footprint:
+    """What an edit of ``kind`` (``INSERT``, ``REMOVE`` or ``REPLACE``)
+    may modify, named by its site in the entry chain: ``node``, whose
+    item a replace writes and whose fields a removal clears, and ``pred``
+    and ``succ``, the nodes around the edit (None past either end). A
+    splice relinks them, or the first or last link in their place, and
+    writes the size and the ghost; an insert allocates its node."""
+    if kind == REPLACE:
+        return Footprint(frozenset(((node, "item"),)))
+    fields = ((node, "prev"), (node, "item"), (node, "next")) if kind == REMOVE else ()
+    if pred is not None:
+        fields += ((pred, "next"),)
+    if succ is not None:
+        fields += ((succ, "prev"),)
+    # built in C: a NamedTuple's own constructor runs in Python
+    return tuple.__new__(Footprint, (frozenset(fields), _HEADER[pred is None, succ is None],
+                                     True, kind == INSERT, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +422,15 @@ class OpSpec:
         if edit is None:
             return EMPTY_FOOTPRINT
         if edit == CLEAR:
-            return Footprint(header_fields=frozenset({"first", "last", "size"}), ghost=True,
-                             nodes=ids)
+            return Footprint(header_fields=_HEADER[True, True], ghost=True, nodes=ids)
         p = edits[0][1] if edits else self.rule.at(a, args) if edit == INSERT else None
         if p is None:
             return EMPTY_FOOTPRINT
         if edit == REPLACE:
-            return Footprint(frozenset({(ids[p], "item")}))
-        return _splice_footprint(ids, p, edit == REMOVE)
+            return edit_footprint(edit, None, ids[p], None)
+        succ = p + (edit == REMOVE)
+        return edit_footprint(edit, ids[p - 1] if p else None, ids[p] if edit == REMOVE else None,
+                              ids[succ] if succ < len(ids) else None)
 
 
 _A = (Atom("a"),)
@@ -499,11 +507,8 @@ def observe_equal(impl: tuple[str, object], verdict: Verdict) -> str:
     the values are compared as they are. Returns "agree",
     "disagree" or "skipped" (the latter exactly when the verdict is
     Unspecified)."""
-    if verdict.kind == "unspecified":
+    kind = verdict.kind
+    if kind == "unspecified":
         return "skipped"
-    tag, payload = impl
-    if tag == "value" and verdict.kind == "value":
-        return "agree" if payload == verdict.value else "disagree"
-    if tag == "error" and verdict.kind == "error":
-        return "agree" if payload == verdict.error else "disagree"
-    return "disagree"
+    expected = (kind, verdict.value if kind == "value" else verdict.error)
+    return "agree" if impl == expected else "disagree"

@@ -36,7 +36,7 @@ def reference_step(state, op, args, model=None):
     the call runs in a savepoint of its own, whose closed journal and
     ghost log are judged. Inside ``run_script`` that savepoint nests in
     the stretch's, which it leaves unused."""
-    pre = None if model is None else observe(state)
+    pre = observe((state.first, state.last, state.size), len(state.ghost))
     length = len(state.ghost)
     mark = state.open_savepoint()
     try:
@@ -58,7 +58,7 @@ def reference_step(state, op, args, model=None):
     if model is None:
         return outcome, error, () if edit else check_invariant(state)
     chain = state.ghost if edit else tuple(state.chain())
-    violations = _post_vs_model(state, model, outcome, chain, edit, journal)
+    violations, _ = _post_vs_model(state, model, outcome, chain, edit, journal)
     if not edit:
         violations.extend(("invariant", f"{cid}: {w}") for cid, w in check_invariant(state))
     if wrote:
@@ -284,6 +284,26 @@ def test_a_failed_check_runs_plain_steps_in_the_runs_one_savepoint():
     [mark] = opened
     assert len(seen) == 6 and all(s["held"] == (0, 0) for s in seen)
     assert plain == [("size", 0, 0, mark), ("clear", 0, 0, mark)]
+
+
+def test_take_reports_a_call_that_wrote_nothing():
+    """After a call that journaled, allocated and logged nothing, ``take``
+    returns the shared ``UNWRITTEN``, allocating nothing and leaving the
+    savepoint where it was; a write that puts back the value it found is
+    journaled, and taken."""
+    lst = listcore.JavaLinkedList(8)
+    for x in (NULL, Atom("a")):
+        lst.add(x)
+    lst.carry()
+    mark = list(lst.carried[0]), lst.carried[2]
+    lst.get(1)
+    assert lst.take() is listcore.UNWRITTEN and lst.store.take(lst.carried[0]) is None
+    assert (list(lst.carried[0]), lst.carried[2]) == mark
+    node = lst.ghost[1]
+    lst.store.set_item(node, lst.store.item(node))
+    (entries, fresh), edits = lst.take()
+    assert list(NodeStore.writes(entries)) == [(node, "item", Atom("a"))]
+    assert not fresh and edits == []
 
 
 def test_take_moves_the_savepoint_and_refuses_inside_another():

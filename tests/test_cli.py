@@ -3,8 +3,13 @@
 import functools
 import hashlib
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +200,7 @@ class TestFuzzCommand:
         assert capsys.readouterr().out == (
             f"FailFast divergence at seed 3: {first.kind} on {first.op}\n"
             f"shrunk script ({len(small.steps)} steps) written to {path}\n"
+            f"replay it with: overlist replay {shlex.quote(str(path))} --check-mode invariant\n"
         )
 
 
@@ -238,6 +244,29 @@ class TestReplayCommand:
                              failfast[1])
         assert found.endswith(f": {first[2]} on {first[1]}")
 
+    @pytest.mark.parametrize("mode", ["invariant", "full"])
+    def test_a_reproducer_replays_as_fuzz_found_it(self, mode, monkeypatch, tmp_path, capsys):
+        """``replay`` checks as ``fuzz`` does by default, and ``fuzz``
+        prints the replay command with the mode it found under: the
+        3-step reproducer ``fuzz`` writes under ``unlink-skip-relink``
+        shows its invariant violation only when checked."""
+        faults = frozenset({"unlink-skip-relink"})
+        monkeypatch.setattr(cli, "run_script", functools.partial(run_script, faults=faults))
+        path = tmp_path / "shrunk.jsonl"
+        argv = ["fuzz", "--mix", "add-heavy", "--length", "400", "--ops", "400", "--seed", "0",
+                "--out", str(path), "--check-mode", mode]
+        assert main(argv) == 1
+        found, written, command = capsys.readouterr().out.splitlines()
+        assert found.endswith(": InvariantViolation on poll_first")
+        assert written.startswith("shrunk script (3 steps) written to ")
+        replay = f"overlist replay {shlex.quote(str(path))} --check-mode {mode}"
+        assert command == f"replay it with: {replay}"
+        assert main(["replay", str(path)] + (["--check-mode", mode] if mode == "full" else [])) == 1
+        out = capsys.readouterr().out
+        assert "failfast: 1 divergences\n  step 2: poll_first -> InvariantViolation" in out
+        assert main(["replay", str(path), "--check-mode", "off"]) == 0
+        assert "failfast: 0 divergences" in capsys.readouterr().out
+
     def test_missing_file_is_io_error(self):
         assert main(["replay", "/nonexistent/script.jsonl"]) == 2
 
@@ -245,6 +274,40 @@ class TestReplayCommand:
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
         assert main(["replay", str(path)]) == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestClosedPipe:
+    """A reader that closes standard output early, as ``| head`` does,
+    ends the command quietly: exit status ``CLOSED_PIPE`` (141), nothing
+    on standard error. A file ``--out`` names that cannot be written is
+    still an I/O error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["census"],  # short: the pipe fails only when standard output is flushed at the end
+        ["fuzz", "--mix", "add-heavy", "--length", "400", "--ops", "400"],
+        ["replay", "LONG"],  # long: a print fails on the way
+    ], ids=["census", "fuzz", "replay"])
+    def test_reader_that_closes_early(self, argv, tmp_path):
+        if argv[-1] == "LONG":
+            path = tmp_path / "long.jsonl"
+            path.write_text(dump_script(gen_script(0, 8, 4000, ADD_HEAVY_WEIGHTS)))
+            argv = ["replay", str(path), "--check-mode", "off"]
+        # block-buffered, as a pipe's standard output is by default
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen([sys.executable, "-m", "overlist.cli", *argv], cwd=tmp_path,
+                                env=dict(env, PYTHONPATH=str(SRC)),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the command writes anything
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.CLOSED_PIPE == 141
+        assert stderr == b""
+
+    def test_unwritable_out_file_is_still_an_io_error(self, tmp_path, capsys):
+        assert main(["census", "--out", str(tmp_path / "missing" / "census.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 #: SHA-256 over the standard output of ``check --ops 500`` at widths 8 and

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,6 @@ from overlist.ghostspec import (
     check_unique_endpoints,
     checked_step,
     contract_for,
-    cycle_propagation_witness,
     frame_check,
     observe,
     run_checked,
@@ -292,6 +292,60 @@ class TestDerivedProperties:
         assert not ok and witness == 1
 
 
+@dataclass(frozen=True)
+class CyclePropagation:
+    """Outcome of stepping the cycle-propagation induction for (i, j).
+
+    ``kind`` is "refutation" when the two positions hold distinct nodes.
+    Otherwise the induction chain of node equalities (k, k - (j - i)) is
+    verified step by step against the store's next links, ending at the
+    last position where the unique-endpoint contradiction shows up."""
+
+    kind: str  # "refutation" | "chain"
+    i: int
+    j: int
+    equalities: tuple[tuple[int, int], ...] = ()
+    steps_hold: bool = True
+    contradiction_next_present: bool | None = None
+
+
+def cycle_propagation_witness(state, i: int, j: int) -> CyclePropagation:
+    """Step the paper's acyclicity induction for the ghost positions
+    ``i < j`` of ``state``; a test-side witness, as no product path needs it."""
+    nl = state.ghost
+    n = len(nl)
+    if not 0 <= i < j < n:
+        raise UsageError(f"need 0 <= i < j < {n}, got i={i} j={j}")
+    if nl[i] != nl[j]:
+        return CyclePropagation("refutation", i, j)
+    d = j - i
+    store = state.store
+    equalities = []
+    steps_hold = True
+    for k in range(j, n):
+        # base case k == j holds by assumption; each further step follows
+        # because both sides are the next of the previous (equal) pair
+        if k > j:
+            same_source = nl[k - 1] == nl[k - 1 - d]
+            propagated = (
+                store.next(nl[k - 1]) == nl[k]
+                and store.next(nl[k - 1 - d]) == nl[k - d]
+            )
+            if not (same_source and propagated and nl[k] == nl[k - d]):
+                steps_hold = False
+                break
+        equalities.append((k, k - d))
+    contradiction = store.next(nl[n - 1]) is not None if steps_hold else None
+    return CyclePropagation(
+        "chain",
+        i,
+        j,
+        equalities=tuple(equalities),
+        steps_hold=steps_hold,
+        contradiction_next_present=contradiction,
+    )
+
+
 class TestCyclePropagation:
     def test_refutation_when_nodes_distinct(self):
         w = cycle_propagation_witness(build_list([A, B, A]), 0, 2)
@@ -325,7 +379,7 @@ class TestCyclePropagation:
 
 def framed(lst, write, fp=EMPTY_FOOTPRINT):
     """Frame violations of ``write()`` run on ``lst`` under a journal."""
-    pre = observe(lst)
+    pre = observe((lst.first, lst.last, lst.size), len(lst.ghost))
     mark = lst.store.open_journal()
     write()
     entries, fresh = lst.store.close_journal(mark)

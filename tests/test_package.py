@@ -98,7 +98,7 @@ INTERNAL = {
     "jint": ("JInt", "max_value", "min_value", "wrap"),
     "heapmodel": ("NodeStore", "NodeRecord", "walk_chain"),
     "listcore": ("FAULTS",),
-    "ghostspec": ("frame_check", "cycle_propagation_witness"),
+    "ghostspec": ("frame_check",),
     "oracle": ("AbstractList", "ModelList", "Verdict", "observe_equal", "oracle_apply"),
 }
 

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/: each runs in a fresh
 interpreter against the package source, from an empty directory."""
 
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,21 @@ def test_overflow_demo_refuses_an_infeasible_width(tmp_path):
     assert "Traceback" not in done.stderr
     assert "error: the census at width 32" in done.stderr
 
+
+
+def test_opcount_counts_and_digests_the_same_twice(tmp_path):
+    """Two runs on a 10-step script of each input give the same counts and
+    digests; every FailFast step of a checked mode goes through
+    ``checked_step``, and the checks change no result of fault-free code."""
+    argv = ("--json", "--scripts", "1", "--length", "10", "--long", "10")
+    runs = [run_script(tmp_path, "opcount.py", *argv) for _ in range(2)]
+    assert all(done.returncode == 0 for done in runs), runs[0].stderr
+    first, second = (json.loads(done.stdout) for done in runs)
+    assert first == second
+    assert [(r["input"], r["mode"]) for r in first] == [
+        (name, mode) for name in ("balanced", "add-heavy") for mode in ("off", "invariant", "full")]
+    for row in first:
+        calls = row["nothing_written"][0] + row["written"][0]
+        assert row["bytecodes"] > 0 and calls == (0 if row["mode"] == "off" else 10), row
+    for name in ("balanced", "add-heavy"):
+        assert len({r["digest"] for r in first if r["input"] == name}) == 1
