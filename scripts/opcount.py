@@ -4,24 +4,22 @@ digest what it returns, for one source tree.
 
     python scripts/opcount.py                      # the tree beside this script
     python scripts/opcount.py --src OTHER/src      # another checkout's tree
-    python scripts/opcount.py --json --scripts 1 --length 10 --long 10
 
 The tree is imported in a fresh interpreter (``PYTHONPATH`` set to it,
 ``PYTHONHASHSEED=0``), so two trees can be compared run against run.
 Two inputs, both policies, each check mode:
 
-* ``balanced``: ``--scripts`` BALANCED width-8 scripts of ``--length``
-  steps, seeds 0 on (20 of 100 by default: the shape of what a plain
-  ``overlist fuzz`` runs);
-* ``add-heavy``: one ADD_HEAVY width-8 script of ``--long`` steps, seed 0
-  (1,600 by default: it crosses capacity and stays there).
+* ``balanced``: 20 BALANCED width-8 scripts of 100 steps, seeds 0-19
+  (the shape of what a plain ``overlist fuzz`` runs);
+* ``add-heavy``: one ADD_HEAVY width-8 script of 1,600 steps, seed 0 (it
+  crosses capacity and stays there).
 
 For each, it prints the bytecodes executed (``sys.settrace`` opcode
 events) in total and per script step; the FailFast steps that went
 through ``checked_step``, split into those whose call wrote nothing and
 those that wrote (the call reached a store write or allocation), with
-the mean bytecodes per call, the operation included; the functions that
-executed the most bytecodes, by module and ``co_qualname``; and the
+the mean bytecodes per call, the operation included; the ``TOP``
+functions that executed the most bytecodes, by module and ``co_qualname``; and the
 SHA-256 of ``repr((divergences, oracles, aborted))`` over the input's
 scripts, which two trees with the same behaviour share.
 
@@ -48,6 +46,7 @@ WRITERS = frozenset({
     "NodeStore.set_next", "NodeStore.set_item", "NodeStore.clear_node", "NodeStore.clear_chain",
 })
 STEP = "checked_step"
+TOP = 8  # functions listed per input and mode
 
 
 class OpCounter:
@@ -61,11 +60,12 @@ class OpCounter:
         self.steps = {False: [0, 0], True: [0, 0]}  # wrote -> [calls, opcodes]
 
     def __enter__(self):
+        self.outer = sys.gettrace()
         sys.settrace(self.call)
         return self
 
     def __exit__(self, *exc):
-        sys.settrace(None)
+        sys.settrace(self.outer)
 
     def call(self, frame, event, arg):
         code = frame.f_code
@@ -104,24 +104,25 @@ class OpCounter:
 
         return step
 
-    def top(self, n: int) -> list:
+    def top(self) -> list:
         by_name: dict[str, int] = {}
         for code, (count,) in self.cells.items():
             key = f"{Path(code.co_filename).stem}.{code.co_qualname}"
             by_name[key] = by_name.get(key, 0) + count
-        return sorted(by_name.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+        return sorted(by_name.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP]
 
 
 _EXIT = OpCounter.__exit__.__code__
 
 
-def measure(scripts: int, length: int, long: int, top: int) -> list[dict]:
-    """Run in the child: every input in every check mode."""
+def measure(length: int | None = None) -> list[dict]:
+    """Every input in every check mode, in this interpreter; with
+    ``length``, each script has that many steps (a smoke run)."""
     from overlist import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, CheckMode, gen_script, run_script
 
     inputs = {
-        "balanced": [gen_script(seed, 8, length, BALANCED_WEIGHTS) for seed in range(scripts)],
-        "add-heavy": [gen_script(0, 8, long, ADD_HEAVY_WEIGHTS)],
+        "balanced": [gen_script(seed, 8, length or 100, BALANCED_WEIGHTS) for seed in range(20)],
+        "add-heavy": [gen_script(0, 8, length or 1600, ADD_HEAVY_WEIGHTS)],
     }
     rows = []
     for name, batch in inputs.items():
@@ -136,7 +137,7 @@ def measure(scripts: int, length: int, long: int, top: int) -> list[dict]:
                 "input": name, "mode": mode.value, "steps": steps,
                 "bytecodes": counter.total[0],
                 "nothing_written": counter.steps[False], "written": counter.steps[True],
-                "top": counter.top(top),
+                "top": counter.top(),
                 "digest": hashlib.sha256(out.encode()).hexdigest(),
             })
     return rows
@@ -175,30 +176,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="the source tree holding the overlist package")
-    parser.add_argument("--scripts", type=int, default=20, help="balanced scripts")
-    parser.add_argument("--length", type=int, default=100, help="steps per balanced script")
-    parser.add_argument("--long", type=int, default=1600, help="steps of the add-heavy script")
-    parser.add_argument("--top", type=int, default=8, help="functions listed per mode")
-    parser.add_argument("--json", action="store_true", help="print the rows as JSON")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.scripts, args.length, args.long, args.top)))
+        print(json.dumps(measure()))
         return 0
     src = Path(args.src).resolve()
     if not (src / "overlist" / "__init__.py").is_file():
         parser.error(f"no overlist package under {src}")
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
-    child = subprocess.run(
-        [sys.executable, __file__, "--child", "--scripts", str(args.scripts),
-         "--length", str(args.length), "--long", str(args.long), "--top", str(args.top)],
-        env=env, capture_output=True, text=True,
-    )
+    child = subprocess.run([sys.executable, __file__, "--child"],
+                           env=env, capture_output=True, text=True)
     if child.returncode:
         sys.stderr.write(child.stderr)
         return 1
-    rows = json.loads(child.stdout)
-    print(json.dumps(rows, indent=1) if args.json else report(rows, str(src)))
+    print(report(json.loads(child.stdout), str(src)))
     return 0
 
 

@@ -14,8 +14,7 @@ it directly against the header and the node store.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import countOf, itemgetter, ne
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import listcore, oracle
@@ -89,8 +88,8 @@ def check_invariant(state) -> list[tuple[str, str]]:
     return failures
 
 
-# a write's node, field, and (node, field)
-_NODE, _FIELD, _LOCATION = itemgetter(0), itemgetter(1), itemgetter(0, 1)
+# a write's (node, field)
+_LOCATION = itemgetter(0, 1)
 
 #: the edit ``exit_invariant_holds`` reports when the call logged no ghost
 #: edit, or left the ghost empty (the chain's items are then the empty tuple)
@@ -129,7 +128,10 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
     if not n:  # C4; C3, C5 and C6 hold vacuously
         return NO_EDIT if state.first is None and state.last is None else None
     writes, fresh = journal
-    if len(edits) == 1:
+    edit, node, lo, hi = NO_EDIT, None, 0, 1
+    if edits:
+        if len(edits) > 1:
+            return None
         edit = delta, p, node = edits[0]
         if delta == 1 and len(fresh) == 1 and fresh.start == node:
             hi = p + 2
@@ -140,24 +142,21 @@ def exit_invariant_holds(state, edits: list, journal: tuple) -> tuple | None:
         lo = p - 1 if p else 0
         if hi > n:
             hi = n
-    elif edits or fresh:
+    elif fresh:
         return None
-    else:
-        edit, node, lo, hi = NO_EDIT, None, 0, 1
     # 0, the edit site [lo, hi) of three positions at most, and n - 1, each once
-    at = [0, *range(lo, hi)] if lo else [*range(hi)]
+    at = [0, lo, lo + 1, lo + 2][not lo : hi - lo + 1]
     if hi < n:
         at.append(n - 1)
-    near = {*nl[lo:hi], node}  # the site, and the node the edit removed
-    if not near.issuperset(map(_NODE, writes)):  # read in C when all lie at the site
-        for nid, name, _ in writes:
-            if nid not in near and name != "item":
-                try:
-                    i = nl.index(nid)
-                except ValueError:  # a node outside the chain
-                    continue
-                if i not in at:
-                    at.append(i)
+    near = [*nl[lo:hi], node]  # the site, and the node the edit removed
+    for nid, name, _ in writes:
+        if nid not in near and name != "item":
+            try:
+                i = nl.index(nid)
+            except ValueError:  # a node outside the chain
+                continue
+            if i not in at:
+                at.append(i)
     if not state.store.links_agree(nl, at):
         return None
     return edit if state.first == nl[0] and state.last == nl[-1] else None
@@ -223,14 +222,13 @@ def frame_check(
     if fresh and not fp.fresh:
         violations.append(("frame", f"unexpected allocation of nodes {list(fresh)}"))
     header = (state.first, state.last, state.size)
-    if not fp.header_fields.issuperset(compress(_HEADER_NAMES, map(ne, pre.header, header))):
-        for name, old, new in zip(_HEADER_NAMES, pre.header, header):
-            if old != new and name not in fp.header_fields:
-                violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
-    if not fp.ghost:
-        ghost = state.ghost
-        if len(ghost) != pre.length or entry is not ghost and tuple(entry) != tuple(ghost):
-            violations.append(("frame", "ghost nodeList changed"))
+    for name, old, new in zip(_HEADER_NAMES, pre.header, header):
+        if old != new and name not in fp.header_fields:
+            violations.append(("frame", f"header {name}: {old!r} -> {new!r}"))
+    ghost = state.ghost
+    if not fp.ghost and (len(ghost) != pre.length
+                         or entry is not ghost and tuple(entry) != tuple(ghost)):
+        violations.append(("frame", "ghost nodeList changed"))
     return violations
 
 
@@ -294,11 +292,8 @@ def _same_items(state, edit: tuple, journal: tuple, model: tuple) -> bool:
             return False
     elif delta:
         return False
-    writes = journal[0]
-    if countOf(map(_FIELD, writes), "item") == countOf(map(_LOCATION, writes), (node, "item")):
-        return True  # counted in C: every item write is to ``node``
     first_old = {}
-    for nid, name, old in writes:
+    for nid, name, old in journal[0]:
         if name == "item" and nid != node:
             first_old.setdefault(nid, old)
     return all(item(nid) == old or nid not in nl for nid, old in first_old.items())
@@ -383,13 +378,13 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
     the postcondition (``_post_vs_model``), the invariant and the frame
     (an error outcome must change nothing) are checked, and any failure
     raises ContractViolation. The frame is the row's edit kind at the
-    oracle's position (``oracle.edit_footprint``): a splice whose one
-    ghost edit ``_same_items`` found the oracle's names its site from
-    the exit ghost and that edit; any other call, from the entry ghost
-    (``entry_ghost``). Returns ``(outcome, error, failures)``: the outcome as ``run_op``
-    gives it, the ListError raised or None (its traceback cleared, so
-    keeping it makes no reference cycle), and the failing invariant
-    clauses."""
+    oracle's position: a splice whose one ghost edit ``_same_items``
+    found the oracle's names its site from the exit ghost and that edit
+    (``oracle.splice_footprint``); any other call, from the entry ghost
+    (``entry_ghost``, ``OpSpec.footprint``). Returns ``(outcome, error,
+    failures)``: the outcome as ``run_op`` gives it, the ListError
+    raised or None (its traceback cleared, so keeping it makes no
+    reference cycle), and the failing invariant clauses."""
     header, length = (state.first, state.last, state.size), len(state.ghost)
     own = None if state.carried else state.open_savepoint()
     try:
@@ -425,17 +420,13 @@ def checked_step(state, op: str, args: tuple, model: tuple | None = None):
         if same and edit[0] and outcome[0] != "error":
             # a splice as the oracle logged it: its site, read from the exit ghost
             delta, p, node = edit
-            nl = state.ghost
-            succ = p + 1 if delta == 1 else p
-            fp = oracle.edit_footprint(spec.edit, nl[p - 1] if p else None,
-                                       node if delta == -1 else None,
-                                       nl[succ] if succ < len(nl) else None)
-            violations += frame_check(observe(header, length), state, journal, fp, None)
+            entry = None
+            fp = oracle.splice_footprint(state.ghost, p, node if delta < 0 else None, after=True)
         else:
             entry = entry_ghost(state.ghost, edits)
             fp = (EMPTY_FOOTPRINT if outcome[0] == "error"
                   else spec.footprint(entry, model[1], args, model[2]))
-            violations += frame_check(observe(header, length), state, journal, fp, entry)
+        violations += frame_check(observe(header, length), state, journal, fp, entry)
     if violations:
         raise ContractViolation(contract_for(op, args), violations)
     return outcome, error, ()

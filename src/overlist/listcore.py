@@ -152,12 +152,12 @@ class JavaLinkedList:
     def take(self) -> tuple[tuple, list]:
         """``close_savepoint`` of the carried savepoint, which opens
         again at this point with the same mark. When nothing was
-        journaled, allocated or logged since the mark, the savepoint
-        stays where it is and the result is ``UNWRITTEN``, allocating
-        nothing."""
+        journaled, allocated or logged since the mark and the header is
+        the one the mark keeps, the savepoint stays where it is and the
+        result is ``UNWRITTEN``, allocating nothing."""
         journal, edits = self.store.take(self.carried[0]), self._ghost_log
         if journal is None:
-            if not edits:
+            if not edits and (self.first, self.last, self.size) == self.carried[2]:
                 return UNWRITTEN
             journal = UNWRITTEN[0]
         self._ghost_log, self.carried[2] = [], (self.first, self.last, self.size)

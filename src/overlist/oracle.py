@@ -335,24 +335,21 @@ _HEADER = {(False, False): frozenset({"size"}), (True, False): frozenset({"first
            (True, True): frozenset({"first", "last", "size"})}
 
 
-def edit_footprint(kind: str, pred: NodeId | None, node: NodeId | None,
-                   succ: NodeId | None) -> Footprint:
-    """What an edit of ``kind`` (``INSERT``, ``REMOVE`` or ``REPLACE``)
-    may modify, named by its site in the entry chain: ``node``, whose
-    item a replace writes and whose fields a removal clears, and ``pred``
-    and ``succ``, the nodes around the edit (None past either end). A
-    splice relinks them, or the first or last link in their place, and
-    writes the size and the ghost; an insert allocates its node."""
-    if kind == REPLACE:
-        return Footprint(frozenset(((node, "item"),)))
-    fields = ((node, "prev"), (node, "item"), (node, "next")) if kind == REMOVE else ()
-    if pred is not None:
-        fields += ((pred, "next"),)
-    if succ is not None:
-        fields += ((succ, "prev"),)
-    # built in C: a NamedTuple's own constructor runs in Python
-    return tuple.__new__(Footprint, (frozenset(fields), _HEADER[pred is None, succ is None],
-                                     True, kind == INSERT, ()))
+def splice_footprint(ids, p: int, removed: NodeId | None, after: bool = False) -> Footprint:
+    """A fresh node linked in at position ``p`` of the chain ``ids``, or
+    the node there unlinked and cleared (``removed``, its id). ``ids`` is
+    the chain before the splice, or after it (``after``): the node past
+    the site is at ``p`` before an insert or after a removal, and at
+    ``p + 1`` otherwise."""
+    fields = () if removed is None else ((removed, "prev"), (removed, "item"), (removed, "next"))
+    succ = p + ((removed is None) == after)
+    if p:
+        fields += ((ids[p - 1], "next"),)
+    if succ < len(ids):
+        fields += ((ids[succ], "prev"),)
+    # built in C: a NamedTuple's own __new__ runs in Python
+    return tuple.__new__(Footprint, (frozenset(fields), _HEADER[not p, succ >= len(ids)], True,
+                                     removed is None, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +424,8 @@ class OpSpec:
         if p is None:
             return EMPTY_FOOTPRINT
         if edit == REPLACE:
-            return edit_footprint(edit, None, ids[p], None)
-        succ = p + (edit == REMOVE)
-        return edit_footprint(edit, ids[p - 1] if p else None, ids[p] if edit == REMOVE else None,
-                              ids[succ] if succ < len(ids) else None)
+            return Footprint(frozenset({(ids[p], "item")}))
+        return splice_footprint(ids, p, ids[p] if edit == REMOVE else None)
 
 
 _A = (Atom("a"),)

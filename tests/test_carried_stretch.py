@@ -306,6 +306,22 @@ def test_take_reports_a_call_that_wrote_nothing():
     assert not fresh and edits == []
 
 
+def test_take_after_a_header_only_change_moves_the_savepoint():
+    """A header written directly, with no journal entry, allocation or
+    ghost edit, is not ``UNWRITTEN``: ``take`` keeps the new header, so a
+    later rollback restores it and not the one before the take."""
+    lst = listcore.JavaLinkedList(8)
+    lst.add(Atom("a"))
+    lst.carry()
+    lst.size = 5
+    journal, edits = lst.take()
+    assert journal == listcore.UNWRITTEN[0] and edits == []
+    assert lst.carried[2] == (lst.first, lst.last, 5)
+    lst.size = 7
+    lst.rollback(lst.carried)
+    assert lst.size == 5 and lst.carried is None
+
+
 def test_take_moves_the_savepoint_and_refuses_inside_another():
     """``take`` closes the carried savepoint and opens it again where the
     call ended, so a rollback undoes only what came after the last take

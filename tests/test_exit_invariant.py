@@ -831,36 +831,6 @@ class TestEditComparison:
         assert seen == ["whole read"]
         assert any(w.startswith("chain items") for _, w in e.value.violations)
 
-    def test_a_matched_splice_names_its_entry_ghosts_footprint(self):
-        """A splice whose ghost edit is the oracle's reads its site from the
-        exit ghost; beside every one, the footprint ``OpSpec.footprint``
-        derives from the entry ghost, copied before the call, is the same."""
-        matched = Counter()
-        real_step, real_frame = ghostspec.checked_step, ghostspec.frame_check
-
-        def step(lst, op, args, model):
-            entry = tuple(lst.ghost)
-
-            def frame(pre, state, journal, fp, ghost):
-                if ghost is None:  # the site was read from the exit ghost
-                    want = OP_SPECS[op].footprint(entry, model[1], args, model[2])
-                    assert fp == want, (op, args, fp, want)
-                    matched[OP_SPECS[op].edit] += 1
-                return real_frame(pre, state, journal, fp, ghost)
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ghostspec, "frame_check", frame)
-                return real_step(lst, op, args, model)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(difftest, "checked_step", step)
-            for fault in (None, *FAULTS):
-                faults = frozenset() if fault is None else frozenset({fault})
-                for weights in (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS):
-                    for seed in range(3):
-                        full_failfast(gen_script(seed, 8, 400, weights).steps, faults)
-        assert matched["insert"] > 100 and matched["remove"] > 100, matched
-
     def test_item_write_outside_the_chain(self):
         def garbage(lst):
             node = lst.first

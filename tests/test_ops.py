@@ -29,6 +29,7 @@ from overlist.oracle import (
     last_index,
     oracle_apply,
     spec_of,
+    splice_footprint,
 )
 from overlist.statespace import enumerate_lists
 
@@ -314,6 +315,18 @@ class TestDerivedEdits:
         for wrap in (False, True):
             lst, _ = prepare_overflow(8, SizePolicy.UNCHECKED, wrap=wrap)
             assert self.sweep(lst) > 0
+
+    def test_a_splice_names_the_same_site_before_and_after(self):
+        """``splice_footprint`` reads an insert's or a removal's site from
+        the chain before it, or (``after``) from the chain after it."""
+        ids = (10, 11, 12, 13)
+        for p in range(len(ids) + 1):
+            grown = ids[:p] + (99,) + ids[p:]
+            assert splice_footprint(grown, p, None, after=True) == splice_footprint(ids, p, None)
+        for p in range(len(ids)):
+            shrunk = ids[:p] + ids[p + 1:]
+            assert (splice_footprint(shrunk, p, ids[p], after=True)
+                    == splice_footprint(ids, p, ids[p]))
 
     def test_mutating_and_equality_branches_follow_the_size_effect(self):
         for name, spec in OP_SPECS.items():
