@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, checked_step
@@ -163,6 +164,20 @@ def classify(outcome: tuple[str, object], verdict: Verdict) -> str:
     return "WrongValue"
 
 
+#: every well-formed call, as (op, argument count)
+_CALLS = frozenset((name, len(spec.args)) for name, spec in OP_SPECS.items())
+
+
+def _well_named(steps) -> bool:
+    """Whether every step is an (op, args) pair whose op takes
+    ``len(args)`` arguments: C loops, no bytecode per step."""
+    try:
+        return (set(map(len, steps)) <= {2} and _CALLS.issuperset(
+            zip(map(itemgetter(0), steps), map(len, map(itemgetter(1), steps)))))
+    except (TypeError, IndexError):  # a step or its args with no length, an unhashable op
+        return False
+
+
 @dataclass
 class ScriptResult:
     divergences: dict[str, list[Divergence]]
@@ -185,7 +200,8 @@ def run_script(
     only: under FULL every step goes through the contract harness, under
     INVARIANT the class invariant is re-checked after each step.
     Divergences are data; execution only aborts on a corrupted chain.
-    An unknown operation, a wrong argument count, a check mode or policy
+    A step that is no ``(op, args)`` pair or whose args have no length,
+    an unknown operation, a wrong argument count, a check mode or policy
     that is not a member of its enum, or an empty or repeated
     ``policies`` is a UsageError, raised before anything runs; any other
     UsageError is a harness bug and propagates.
@@ -232,10 +248,14 @@ def run_script(
         require_member(SizePolicy, policy, "policies entry")
     if not policies or len(set(policies)) != len(policies):
         raise UsageError(f"policies must name one policy or more, each once, got {policies!r}")
-    for op, args in script.steps:
-        spec = OP_SPECS.get(op) if type(op) is str else None
-        if spec is None or len(spec.args) != len(args):
-            check_call(op, args)  # raises the call's UsageError
+    if not _well_named(script.steps):
+        for step in script.steps:  # raise the first bad step's UsageError
+            try:
+                op, args = step
+                check_call(op, args)  # an unknown op or a wrong count raises its UsageError
+            except (TypeError, ValueError):  # no pair, or args with no length
+                raise UsageError(
+                    f"a step is an (op, args) pair with sized args, got {step!r}") from None
     divergences: dict[str, list[Divergence]] = {}
     oracles: dict[str, AbstractList] = {}
     aborted: dict[str, int | None] = {}
@@ -324,13 +344,20 @@ def shrink(script: OpScript, predicate) -> OpScript:
     """Greedy, predicate-preserving minimization: one pass per chunk size,
     halving down to single steps, removing each chunk whose removal keeps
     the predicate true. A kept step is not tried again, so the result need
-    not be 1-minimal."""
+    not be 1-minimal. The predicate must be deterministic: it is asked
+    once per distinct candidate, as a repeat of one it rejected is
+    answered from the rejections (every later candidate is shorter than
+    an accepted one, so none repeats it)."""
     if not predicate(script):
         raise UsageError("predicate does not hold on the input script")
-    steps = list(script.steps)
+    steps = tuple(script.steps)
+    rejected: set[tuple] = set()
 
-    def holds(candidate: list) -> bool:
-        return predicate(replace(script, steps=tuple(candidate)))
+    def holds(candidate: tuple) -> bool:
+        if candidate in rejected or not predicate(replace(script, steps=candidate)):
+            rejected.add(candidate)
+            return False
+        return True
 
     chunk = max(1, len(steps) // 2)
     while chunk >= 1:
@@ -342,7 +369,7 @@ def shrink(script: OpScript, predicate) -> OpScript:
             else:
                 i += chunk
         chunk //= 2
-    return replace(script, steps=tuple(steps))
+    return replace(script, steps=steps)
 
 
 # ---------------------------------------------------------------------------

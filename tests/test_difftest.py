@@ -469,31 +469,33 @@ def test_run_script_outputs_unchanged():
     assert h.hexdigest() == RUN_SCRIPT_GOLDEN
 
 
-#: SHA-256 over each fault's shrunk reproducer and the number of predicate
-#: calls its shrinking made: the first of seeds 0-3 whose 200-step
-#: add-heavy script diverges under invariant checking, shrunk with the
-#: predicate ``overlist fuzz`` uses, "FailFast still diverges".
-SHRINK_GOLDEN = "45ebb29339019fb277a1cd9940f538f5d2f5b576da2bf69fe9491c26db5b2f8d"
+#: SHA-256 over each fault's shrunk reproducer: the first of seeds 0-3
+#: whose 200-step add-heavy script diverges under invariant checking,
+#: shrunk with the predicate ``overlist fuzz`` uses, "FailFast still
+#: diverges". Saved reproducers depend on it.
+SHRINK_GOLDEN = "9c38d87080f09bef1a0dcbbf3eeb3ec5acee7d164006f6cc408eec8f25723552"
+#: the predicate calls each of those shrinks makes, each distinct
+#: candidate asked once
+SHRINK_CALLS = {"unlink-skip-relink": 22, "add-skip-checksize": 282, "lastindexof-off-by-one": 19}
 
 
 def test_shrunk_reproducers_unchanged():
     h = hashlib.sha256()
+    calls = dict.fromkeys(FAULTS, 0)
     for fault in FAULTS:
-        calls = 0
-
         def still_fails(s):
-            nonlocal calls
-            calls += 1
+            calls[fault] += 1
             result = run_script(s, CheckMode.INVARIANT, policies=(SizePolicy.FAIL_FAST,),
                                 faults=frozenset({fault}))
             return result.total("failfast") > 0
 
         scripts = (gen_script(seed, 8, 200, ADD_HEAVY_WEIGHTS) for seed in range(4))
         found = next(s for s in scripts if still_fails(s))
-        calls = 0
+        calls[fault] = 0
         small = shrink(found, still_fails)
-        h.update(json.dumps([fault, found.seed, dump_script(small), calls]).encode())
+        h.update(json.dumps([fault, found.seed, dump_script(small)]).encode())
     assert h.hexdigest() == SHRINK_GOLDEN
+    assert calls == SHRINK_CALLS
 
 
 class TestShrink:
@@ -544,6 +546,22 @@ class TestShrink:
         for i in range(len(small.steps)):
             candidate = OpScript(0, 8, small.steps[:i] + small.steps[i + 1:])
             assert not fails(candidate), f"step {i} was removable"
+
+    def test_each_distinct_candidate_is_asked_once(self):
+        """A run of equal steps offers the same candidate at many
+        positions; the predicate sees each once (262 calls become 12),
+        and the result is the same."""
+        script = OpScript(0, 8, tuple(
+            [("add", (NULL,))] * 130 + [("size", ()), ("get", (1,))]))
+        asked = []
+
+        def fails(s):
+            asked.append(s.steps)
+            return run_script(s, policies=(SizePolicy.UNCHECKED,)).total("unchecked") > 0
+
+        small = shrink(script, fails)
+        assert len(asked) == len(set(asked)) == 12
+        assert small.steps == (("add", (NULL,)),) * 128 + (("get", (1,)),)
 
 
 EXPECTED_CENSUS = {
@@ -669,6 +687,39 @@ class TestValidation:
         script = OpScript(0, 8, (("add", (NULL,)), bad))
         with pytest.raises(UsageError, match=rf"{bad[0]} takes 1 argument\(s\)"):
             run_script(script, mode)
+
+    @pytest.mark.parametrize("bad,message", [
+        (("sort", ()), "unknown operation 'sort'"),
+        (("get", ()), "get takes 1 argument(s), got ()"),
+        ((5, ()), "unknown operation 5"),
+        ((["add"], (NULL,)), "unknown operation ['add']"),
+        (("add",), None),
+        (("add", (NULL,), 1), None),
+        (5, None),
+        (("add", 5), None),
+    ], ids=["unknown-op", "wrong-count", "non-str-op", "unhashable-op", "short", "long",
+            "no-pair", "unsized-args"])
+    @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+    def test_malformed_step_rejected_before_running(self, monkeypatch, bad, message, mode):
+        """The one-pass test fails on each malformed shape, and the walk
+        then raises the UsageError the per-step check gave for the shapes
+        it named; a step that is no pair, or has args with no length, is
+        a UsageError too."""
+        monkeypatch.setattr(difftest, "apply_op", lambda *a: pytest.fail("a step ran"))
+        monkeypatch.setattr(difftest, "checked_step", lambda *a, **k: pytest.fail("a step ran"))
+        steps = (("add", (NULL,)), bad, ("size", ()))
+        assert not difftest._well_named(steps)
+        with pytest.raises(UsageError) as raised:
+            run_script(OpScript(0, 8, steps), mode)
+        pair = f"a step is an (op, args) pair with sized args, got {bad!r}"
+        assert str(raised.value) == (message or pair)
+
+    @pytest.mark.parametrize("length", [100, 400])
+    def test_fast_check_passes_generated_scripts(self, length):
+        for weights in (BALANCED_WEIGHTS, ADD_HEAVY_WEIGHTS):
+            for seed in range(20):
+                assert difftest._well_named(gen_script(seed, 8, length, weights).steps)
+        assert difftest._well_named(())
 
     @pytest.mark.parametrize("mode", [m.value for m in CheckMode])
     def test_check_mode_string_rejected_before_running(self, monkeypatch, mode):

@@ -37,14 +37,14 @@ def test_overflow_demo_refuses_an_infeasible_width(tmp_path):
 
 def test_opcount_counts_and_digests_the_same_twice(tmp_path):
     """Two runs with 10-step scripts for both inputs, each in a fresh
-    interpreter, give the same counts and digests; every FailFast step of
-    a checked mode goes through ``checked_step``, and the checks change
-    no result of fault-free code."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "scripts"))),
-               PYTHONHASHSEED="0")
+    interpreter with its own hash seed, give the same counts and digests;
+    every FailFast step of a checked mode goes through ``checked_step``,
+    and the checks change no result of fault-free code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "scripts"))))
     code = "import json, opcount; print(json.dumps(opcount.measure(10)))"
-    runs = [subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                           capture_output=True, text=True, timeout=120) for _ in range(2)]
+    runs = [subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                           env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True,
+                           timeout=120) for seed in ("0", "1")]
     assert all(done.returncode == 0 for done in runs), runs[0].stderr
     first, second = (json.loads(done.stdout) for done in runs)
     assert first == second
