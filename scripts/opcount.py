@@ -7,12 +7,17 @@ digest what it returns, for one source tree.
 
 The tree is imported in a fresh interpreter (``PYTHONPATH`` set to it,
 ``PYTHONHASHSEED=0``), so two trees can be compared run against run.
-Two inputs, both policies, each check mode:
+Three inputs, each check mode:
 
 * ``balanced``: 20 BALANCED width-8 scripts of 100 steps, seeds 0-19
-  (the shape of what a plain ``overlist fuzz`` runs);
+  (the shape of what a plain ``overlist fuzz`` runs), both policies;
 * ``add-heavy``: one ADD_HEAVY width-8 script of 1,600 steps, seed 0 (it
-  crosses capacity and stays there).
+  crosses capacity and stays there), both policies;
+* ``shrink``: one ``shrink`` under ``add-skip-checksize``, of the first of
+  seeds 0-3 whose 200-step ADD_HEAVY width-8 script FailFast diverges on,
+  with the predicate ``overlist fuzz`` uses (a FailFast-only run still
+  diverges). Its steps are those handed to the predicate, and it also
+  prints the predicate calls.
 
 For each, it prints the bytecodes executed (``sys.settrace`` opcode
 events) in total and per script step; the FailFast steps that went
@@ -21,7 +26,8 @@ those that wrote (the call reached a store write or allocation), with
 the mean bytecodes per call, the operation included; the ``TOP``
 functions that executed the most bytecodes, by module and ``co_qualname``; and the
 SHA-256 of ``repr((divergences, oracles, aborted))`` over the input's
-scripts, which two trees with the same behaviour share.
+scripts (of the reproducer's steps, for ``shrink``), which two trees with
+the same behaviour share.
 
 Counts are not time. A call into C (``list.index``, a slice, a tuple
 built from a list) counts once, whatever its length, so work moved into
@@ -47,6 +53,10 @@ WRITERS = frozenset({
 })
 STEP = "checked_step"
 TOP = 8  # functions listed per input and mode
+SHRINK_FAULT = "add-skip-checksize"
+#: the shrink input's script length; a smoke run takes the shortest at
+#: which one of seeds 0-3 diverges (128 adds), under ``off`` alone
+SHRINK_LENGTH, SMOKE_SHRINK_LENGTH = 200, 180
 
 
 class OpCounter:
@@ -115,10 +125,23 @@ class OpCounter:
 _EXIT = OpCounter.__exit__.__code__
 
 
+def row(name: str, mode, steps: int, counter: OpCounter, out: str) -> dict:
+    """One input's counts in one mode, with the SHA-256 of ``out``."""
+    return {
+        "input": name, "mode": mode.value, "steps": steps,
+        "bytecodes": counter.total[0],
+        "nothing_written": counter.steps[False], "written": counter.steps[True],
+        "top": counter.top(),
+        "digest": hashlib.sha256(out.encode()).hexdigest(),
+    }
+
+
 def measure(length: int | None = None) -> list[dict]:
     """Every input in every check mode, in this interpreter; with
-    ``length``, each script has that many steps (a smoke run)."""
-    from overlist import ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, CheckMode, gen_script, run_script
+    ``length``, a smoke run: each ``run_script`` input's scripts have that
+    many steps, and the shrink input is its smoke shape."""
+    from overlist import (ADD_HEAVY_WEIGHTS, BALANCED_WEIGHTS, CheckMode, SizePolicy, gen_script,
+                          run_script, shrink)
 
     inputs = {
         "balanced": [gen_script(seed, 8, length or 100, BALANCED_WEIGHTS) for seed in range(20)],
@@ -133,13 +156,28 @@ def measure(length: int | None = None) -> list[dict]:
                 for script in batch:
                     results.append(run_script(script, check_mode=mode))
             out = repr([(r.divergences, r.oracles, r.aborted) for r in results])
-            rows.append({
-                "input": name, "mode": mode.value, "steps": steps,
-                "bytecodes": counter.total[0],
-                "nothing_written": counter.steps[False], "written": counter.steps[True],
-                "top": counter.top(),
-                "digest": hashlib.sha256(out.encode()).hexdigest(),
-            })
+            rows.append(row(name, mode, steps, counter, out))
+
+    shrink_length, modes = ((SHRINK_LENGTH, tuple(CheckMode)) if length is None
+                            else (SMOKE_SHRINK_LENGTH, (CheckMode.OFF,)))
+    for mode in modes:
+        def fails(s):
+            result = run_script(s, check_mode=mode, policies=(SizePolicy.FAIL_FAST,),
+                                faults=frozenset({SHRINK_FAULT}))
+            return result.total("failfast") > 0
+
+        scripts = (gen_script(seed, 8, shrink_length, ADD_HEAVY_WEIGHTS) for seed in range(4))
+        found = next(s for s in scripts if fails(s))
+        asked = []
+
+        def counted(s):
+            asked.append(len(s.steps))
+            return fails(s)
+
+        with OpCounter() as counter:
+            small = shrink(found, counted)
+        rows.append(dict(row("shrink", mode, sum(asked), counter, repr(small.steps)),
+                         calls=len(asked), seed=found.seed))
     return rows
 
 
@@ -150,11 +188,12 @@ def per_call(tally) -> str:
 
 
 def report(rows: list[dict], src: str) -> str:
-    lines = [f"bytecodes run_script executes, both policies (tree: {src})",
+    lines = [f"bytecodes executed in run_script, and in shrink for its input (tree: {src})",
              "counts are not time: a C call counts once, whatever its length", ""]
     for name in dict.fromkeys(r["input"] for r in rows):
         group = [r for r in rows if r["input"] == name]
-        lines.append(f"{name}: {group[0]['steps']:,} script steps")
+        what = "steps handed to the predicate" if "calls" in group[0] else "script steps"
+        lines.append(f"{name}: {group[0]['steps']:,} {what}")
         lines.append(f"  {'':32}{'checked_step calls x bytecodes each':>38}")
         lines.append(f"  {'mode':<10}{'bytecodes':>12}{'per step':>10}"
                      f"{'wrote nothing':>19}{'wrote':>19}")
@@ -162,6 +201,10 @@ def report(rows: list[dict], src: str) -> str:
             per_step = r["bytecodes"] / r["steps"]
             lines.append(f"  {r['mode']:<10}{r['bytecodes']:>12,}{per_step:>10.1f}"
                          f"{per_call(r['nothing_written'])}{per_call(r['written'])}")
+        for r in group:
+            if "calls" in r:
+                lines.append(f"  {r['mode']:<10}{r['calls']:,} predicate calls on the script of "
+                             f"seed {r['seed']}")
         for r in group:
             lines.append(f"  {r['mode']:<10}sha256 {r['digest']}")
         for r in group:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import is_not, itemgetter
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
 from .ghostspec import check_invariant, checked_step
@@ -188,6 +189,47 @@ class ScriptResult:
         return len(self.divergences[policy])
 
 
+#: steps between two checkpoints of a FailFast run inside ``shrink``
+CHECKPOINT_EVERY = 16
+
+
+class _Resumption:
+    """The checkpoints of the last FailFast run ``run_script`` made inside
+    one ``shrink`` call: the state before every ``CHECKPOINT_EVERY``-th
+    step it reached, with its steps and its key (width, check mode,
+    policies, faults)."""
+
+    __slots__ = ("key", "steps", "checkpoints")
+
+    def __init__(self):
+        self.key, self.steps, self.checkpoints = None, (), []
+
+    def kept(self, steps: tuple, key: tuple) -> list:
+        """Make ``steps`` the last run's and return its checkpoints so far:
+        the previous run's at or before the prefix the two share, for the
+        run to resume from the last and append its own. Steps are shared
+        by identity, never by ``==``: ``NULL == ()`` and ``Atom("a") ==
+        ("a",)``, yet those steps run differently."""
+        shared = 0
+        if key == self.key:
+            old = self.steps
+            shared = next(compress(count(), map(is_not, steps, old)), min(len(steps), len(old)))
+        self.key, self.steps = key, steps
+        self.checkpoints = self.checkpoints[:shared // CHECKPOINT_EVERY]
+        return self.checkpoints
+
+
+#: the scope ``shrink`` opens for its call, else None
+_resumption: ContextVar[_Resumption | None] = ContextVar("overlist_resumption", default=None)
+
+
+def _state(step: int, lst: JavaLinkedList, model: ModelList) -> tuple:
+    """A copy of the run's state before ``step``, which is never mutated:
+    the step, the store, the header, the ghost and the oracle's items."""
+    return (step, lst.store.copy(), (lst.first, lst.last, lst.size), tuple(lst.ghost),
+            tuple(model.items))
+
+
 def run_script(
     script: OpScript,
     check_mode: CheckMode = CheckMode.OFF,
@@ -242,7 +284,24 @@ def run_script(
     next step. With no copy, the Unchecked result is FailFast's outcome
     and abort divergences, aborted step and oracle, unbounded. Under FULL
     the loop probes and chain walks can abort FailFast alone, so both
-    policies run in full."""
+    policies run in full. The loop runs in stretches and makes that fork
+    test only at a stretch's end: from a state where it fails, no side
+    can reach the maximum in fewer steps than the size's distance to one
+    short of it or to its minimum, or the length's to one short.
+
+    Inside ``shrink`` the FailFast run also records a checkpoint before
+    every ``CHECKPOINT_EVERY``-th step: a copy of its store, header,
+    ghost and oracle items, its divergences so far, whether the invariant
+    holds, and the fork state. A FailFast run with the same width, check
+    mode, policies and faults as the previous one in the same ``shrink``
+    resumes from the last of its checkpoints at or before the steps the
+    two share, counted from the start by identity, so it runs only the
+    rest. Shrink candidates are slices of one steps tuple, so a candidate
+    shares the prefix it kept. The state a checkpoint holds is the state
+    the same steps lead to, a checkpoint is never run on (a run resumes
+    on copies), and the run after it is the run a fresh run makes from
+    there, so the result is a fresh run's. The Unchecked runs record no
+    checkpoint."""
     require_member(CheckMode, check_mode, "check_mode")
     for policy in policies:
         require_member(SizePolicy, policy, "policies entry")
@@ -260,6 +319,8 @@ def run_script(
     oracles: dict[str, AbstractList] = {}
     aborted: dict[str, int | None] = {}
     derive = check_mode is not CheckMode.FULL and set(policies) == set(SizePolicy)
+    scope = _resumption.get()
+    steps, end = script.steps, len(script.steps)
     fork = None  # FailFast's state where a side could first reach the maximum
     for policy in sorted(policies, key=lambda p: p is SizePolicy.UNCHECKED):  # FailFast first
         pname = policy.value
@@ -275,61 +336,87 @@ def run_script(
         lst = new_list(script.width, policy, full, faults=faults)
         model = ModelList((), script.width, bounded=policy is SizePolicy.FAIL_FAST)
         divs: list[Divergence] = []
-        start = 0
-        if derive and policy is SizePolicy.UNCHECKED:  # resume FailFast's run at its fork
-            start, lst.store, header, ghost, items = fork
-            lst.first, lst.last, lst.size = header
-            lst.replace_ghost(ghost)
-            model = ModelList(items, script.width, bounded=False)
-            divs = [replace(d, policy=pname) for d in divergences["failfast"]
-                    if d.step < start and d.kind != "InvariantViolation"]
-        edge = lst.max_size - 1
-        aborted[pname] = None
         # a checked list is new and empty: the invariant holds and its items are the oracle's
         holds = checked
+        checkpoints = resume = None
+        if policy is SizePolicy.FAIL_FAST and scope is not None:
+            checkpoints = scope.kept(steps, (script.width, check_mode, policies, frozenset(faults)))
+            if checkpoints:  # resume the previous run at its last checkpoint in the shared prefix
+                *resume, kept, holds, watch, fork = checkpoints[-1]
+                divs = list(kept)
+        elif derive and policy is SizePolicy.UNCHECKED:  # resume FailFast's run at its fork
+            resume = fork
+            divs = [replace(d, policy=pname) for d in divergences["failfast"]
+                    if d.step < fork[0] and d.kind != "InvariantViolation"]
+        start = 0
+        if resume:
+            start, store, header, ghost, items = resume
+            # inside ``shrink`` a later run may resume from the same state: run on a copy
+            lst.store = store if scope is None else store.copy()
+            lst.first, lst.last, lst.size = header
+            lst.replace_ghost(ghost)
+            model = ModelList(items, script.width, bounded=model.bounded)
+        edge = lst.max_size - 1
+        aborted[pname] = None
         if checked:
             lst.carry()
-        for step, (op, args) in islice(enumerate(script.steps), start, None):
-            try:
-                if full:
-                    model.open_savepoint()
+        todo = enumerate(islice(steps, start, None), start)
+        pos = start
+        # the loop runs in stretches and does the run's bookkeeping between
+        # them: the fork test, where no earlier step could have left a side
+        # at the maximum, and inside ``shrink`` the checkpoints
+        while pos < end:
+            stop = end
+            if watch:
+                stop = min(stop, pos + min(edge - lst.size, lst.size - lst.min_size,
+                                           edge - len(model.items)))
+            if checkpoints is not None:
+                stop = min(stop, pos - pos % CHECKPOINT_EVERY + CHECKPOINT_EVERY)
+            for step, (op, args) in islice(todo, stop - pos):
+                try:
+                    if full:
+                        model.open_savepoint()
+                        verdict, _ = oracle_apply(model, op, args)
+                        edits = model.close_savepoint()
+                        outcome, _, failures = checked_step(lst, op, args, (verdict, model, edits))
+                    elif holds:
+                        outcome, _, failures = checked_step(lst, op, args)
+                    else:
+                        outcome = run_op(lst, op, args)
+                        if checked:  # the full check below judges it; its writes are dropped
+                            lst.take()
+                except (ContractViolation, ChainCorruption) as e:
+                    # the ghost layer no longer trusts this state, or the chain
+                    # itself is corrupted (a cycle or a dangling link); stop here
+                    if full:
+                        model.undo(edits)
+                    frame = isinstance(e, ContractViolation) and "frame" in e.categories()
+                    kind = "FrameViolation" if frame else "InvariantViolation"
+                    divs.append(Divergence(step, op, args, pname, str(e), None, kind))
+                    aborted[pname] = step
+                    break
+                if not full:
                     verdict, _ = oracle_apply(model, op, args)
-                    edits = model.close_savepoint()
-                    outcome, _, failures = checked_step(lst, op, args, (verdict, model, edits))
-                elif holds:
-                    outcome, _, failures = checked_step(lst, op, args)
-                else:
-                    outcome = run_op(lst, op, args)
-                    if checked:  # the full check below judges it; its writes are dropped
-                        lst.take()
-            except (ContractViolation, ChainCorruption) as e:
-                # the ghost layer no longer trusts this state, or the chain
-                # itself is corrupted (a cycle or a dangling link); stop here
-                if full:
-                    model.undo(edits)
-                frame = isinstance(e, ContractViolation) and "frame" in e.categories()
-                kind = "FrameViolation" if frame else "InvariantViolation"
-                divs.append(Divergence(step, op, args, pname, str(e), None, kind))
-                aborted[pname] = step
-                break
-            if not full:
-                verdict, _ = oracle_apply(model, op, args)
+                    if observe_equal(outcome, verdict) == "disagree":
+                        divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
+                                               _encode_verdict(verdict), classify(outcome, verdict)))
+                if checked:
+                    if not holds:
+                        failures = check_invariant(lst)
+                    holds = not failures
+                    if failures:
+                        divs.append(Divergence(step, op, args, pname, str(failures), None,
+                                               "InvariantViolation"))
+            else:
+                pos = stop
                 if watch and (lst.size >= edge or lst.size == lst.min_size
                               or len(model.items) >= edge):
-                    fork = (step + 1, lst.store.copy(), (lst.first, lst.last, lst.size),
-                            tuple(lst.ghost), tuple(model.items))
+                    fork = _state(pos, lst, model)
                     watch = False
-                if observe_equal(outcome, verdict) == "disagree":
-                    divs.append(Divergence(step, op, args, pname, _encode_outcome(outcome),
-                                           _encode_verdict(verdict), classify(outcome, verdict)))
-            if checked:
-                if not holds:
-                    failures = check_invariant(lst)
-                holds = not failures
-                if failures:
-                    divs.append(
-                        Divergence(step, op, args, pname, str(failures), None, "InvariantViolation")
-                    )
+                if checkpoints is not None and pos % CHECKPOINT_EVERY == 0 and pos < end:
+                    checkpoints.append((*_state(pos, lst, model), tuple(divs), holds, watch, fork))
+                continue
+            break
         divergences[pname] = divs
         oracles[pname] = model.snapshot()
     names = [p.value for p in policies]  # the result keeps the order of ``policies``
@@ -347,29 +434,42 @@ def shrink(script: OpScript, predicate) -> OpScript:
     not be 1-minimal. The predicate must be deterministic: it is asked
     once per distinct candidate, as a repeat of one it rejected is
     answered from the rejections (every later candidate is shorter than
-    an accepted one, so none repeats it)."""
-    if not predicate(script):
-        raise UsageError("predicate does not hold on the input script")
-    steps = tuple(script.steps)
-    rejected: set[tuple] = set()
+    an accepted one, so none repeats it).
 
-    def holds(candidate: tuple) -> bool:
-        if candidate in rejected or not predicate(replace(script, steps=candidate)):
-            rejected.add(candidate)
-            return False
-        return True
+    For the length of the call, the ``run_script`` calls the predicate
+    makes resume from checkpoints of the previous such call (see
+    ``run_script``): a candidate that keeps ``steps[:i]`` shares them
+    with the candidate before it, so it replays at most
+    ``CHECKPOINT_EVERY - 1`` of them when that run got that far. Results are
+    a fresh run's, so the predicate's answers, and the reproducer, are
+    what they would be without it. The scope is a context variable, so
+    nested shrinks and other threads keep their own."""
+    token = _resumption.set(_Resumption())
+    try:
+        if not predicate(script):
+            raise UsageError("predicate does not hold on the input script")
+        steps = tuple(script.steps)
+        rejected: set[tuple] = set()
 
-    chunk = max(1, len(steps) // 2)
-    while chunk >= 1:
-        i = 0
-        while i < len(steps):
-            candidate = steps[:i] + steps[i + chunk :]
-            if holds(candidate):
-                steps = candidate
-            else:
-                i += chunk
-        chunk //= 2
-    return replace(script, steps=steps)
+        def holds(candidate: tuple) -> bool:
+            if candidate in rejected or not predicate(replace(script, steps=candidate)):
+                rejected.add(candidate)
+                return False
+            return True
+
+        chunk = max(1, len(steps) // 2)
+        while chunk >= 1:
+            i = 0
+            while i < len(steps):
+                candidate = steps[:i] + steps[i + chunk :]
+                if holds(candidate):
+                    steps = candidate
+                else:
+                    i += chunk
+            chunk //= 2
+        return replace(script, steps=steps)
+    finally:
+        _resumption.reset(token)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ every signed range check of the form 0 <= i < size rejects all indices
 nonsense, and endpoint operations never look at size at all.
 """
 
+import contextvars
 import hashlib
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -562,6 +564,164 @@ class TestShrink:
         small = shrink(script, fails)
         assert len(asked) == len(set(asked)) == 12
         assert small.steps == (("add", (NULL,)),) * 128 + (("get", (1,)),)
+
+
+def fresh_run(*args):
+    """``run_script`` outside any ``shrink``: in a new, empty context."""
+    return contextvars.Context().run(run_script, *args)
+
+
+def spy_resumptions(monkeypatch) -> list:
+    """How many checkpoints each FailFast run inside a ``shrink`` kept."""
+    resumed = []
+    kept = difftest._Resumption.kept
+
+    def spy(scope, *args):
+        checkpoints = kept(scope, *args)
+        resumed.append(len(checkpoints))
+        return checkpoints
+
+    monkeypatch.setattr(difftest._Resumption, "kept", spy)
+    return resumed
+
+
+class TestResumption:
+    """Inside ``shrink``, a FailFast run resumes from the last checkpoint
+    of the previous run (same width, mode, policies and faults) at or
+    before the prefix the two share by identity, and its result is a
+    fresh run's."""
+
+    @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+    def test_every_run_inside_a_shrink_equals_a_fresh_run(self, monkeypatch, mode):
+        """With a fault the predicate is "FailFast diverges"; with none, "the
+        FailFast oracle holds 40 items or more"."""
+        resumed = spy_resumptions(monkeypatch)
+        for fault, policies in product([None, *FAULTS], [(SizePolicy.FAIL_FAST,), BOTH]):
+            faults = frozenset() if fault is None else frozenset({fault})
+
+            def holds(s):
+                result = run_script(s, mode, policies, faults)
+                assert repr(result) == repr(fresh_run(s, mode, policies, faults))
+                if faults:
+                    return result.total("failfast") > 0
+                return len(result.oracles["failfast"].items) >= 40
+
+            scripts = (gen_script(seed, 8, 200, ADD_HEAVY_WEIGHTS) for seed in range(4))
+            shrink(next(s for s in scripts if holds(s)), holds)
+        assert sum(map(bool, resumed)) > len(resumed) // 2
+
+    B = Atom("b")
+    #: past capacity, where the Unchecked run forks before step 126
+    PAST = ADD * 130 + (("size", ()), ("get", (1,)))
+
+    def test_a_resumed_run_runs_only_its_suffix(self, monkeypatch):
+        """A run that shares 40 steps with the previous one resumes at its
+        checkpoint before step 32, keeping the two divergences before it;
+        the next shares 45 with it, and the checkpoint before step 48 lies
+        past that, so it resumes at 32 too. Past capacity, a run that
+        shares 128 steps resumes at 128 and its Unchecked run at the fork."""
+        ran = []
+        run_op = difftest.run_op
+
+        def spy(lst, op, args):
+            if lst.policy is SizePolicy.FAIL_FAST:
+                ran.append(op)
+            return run_op(lst, op, args)
+
+        monkeypatch.setattr(difftest, "run_op", spy)
+        faults = frozenset({"lastindexof-off-by-one"})
+        script, other = gen_script(3, 8, 100), gen_script(1, 8, 60)
+        runs = (script.steps, script.steps[:40] + other.steps, script.steps[:40] + other.steps[:5],
+                self.PAST, self.PAST[:128] + (("get", (0,)), ("add", (self.B,)), ("size", ())))
+        counts = []
+
+        def holds(s):
+            if len(s.steps) < len(script.steps):
+                return False
+            for steps in runs:
+                ran.clear()
+                run = (replace(s, steps=steps), CheckMode.OFF, BOTH, faults)
+                result = run_script(*run)
+                counts.append(len(ran))
+                assert ran == [op for op, _ in steps[len(steps) - len(ran):]]
+                assert repr(result) == repr(fresh_run(*run))
+            return True
+
+        shrink(script, holds)
+        assert counts == [100, 100 - 32, 45 - 32, 132, 131 - 128]
+        diverged = run_script(script, CheckMode.OFF, BOTH, faults).divergences["failfast"]
+        assert [d.step for d in diverged] == [5, 28]
+
+    def test_a_run_resumed_with_the_invariant_broken_checks_it_in_full(self):
+        """Under ``add-skip-checksize`` step 127's add wraps the size, and
+        the invariant stays broken: the checkpoint before step 128 records
+        that, and a run resumed there checks every step in full."""
+        faults = frozenset({"add-skip-checksize"})
+        longer = self.PAST[:128] + (("add_first", (self.B,)),) + self.PAST[128:]
+        results = []
+
+        def holds(s):
+            if len(s.steps) < len(self.PAST):
+                return False
+            for steps in (self.PAST, longer):
+                run = (replace(s, steps=steps), CheckMode.INVARIANT, (SizePolicy.FAIL_FAST,), faults)
+                result = run_script(*run)
+                assert repr(result) == repr(fresh_run(*run))
+                results.append([(d.step, d.kind) for d in result.divergences["failfast"]])
+            return True
+
+        shrink(OpScript(0, 8, self.PAST), holds)
+        broken = [step for step, kind in results[1] if kind == "InvariantViolation"]
+        assert broken == list(range(127, len(longer)))
+
+    #: equal by ``==`` step for step, yet no step object is shared, and
+    #: the items differ by type: ``NULL == ()`` and ``A == ("a",)``
+    TYPED = ((("add", (NULL,)),) * 20 + (("add", (A,)),) * 30
+             + (("index_of", (NULL,)), ("last_index_of", (A,)), ("to_array", ())))
+    UNTYPED = ((("add", ((),)),) * 20 + (("add", (("a",),)),) * 30
+               + (("index_of", ((),)), ("last_index_of", (("a",),)), ("to_array", ())))
+
+    @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+    def test_steps_equal_by_value_are_not_shared(self, monkeypatch, mode):
+        assert self.TYPED == self.UNTYPED
+        resumed = spy_resumptions(monkeypatch)
+        results = []
+
+        def holds(s):
+            if len(s.steps) < len(self.TYPED):
+                return False
+            for steps in (self.TYPED, self.UNTYPED, self.TYPED):
+                script = replace(s, steps=steps)
+                result = run_script(script, mode, (SizePolicy.FAIL_FAST,))
+                assert repr(result) == repr(fresh_run(script, mode, (SizePolicy.FAIL_FAST,)))
+                results.append(repr(result))
+            return True
+
+        shrink(OpScript(0, 8, self.TYPED), holds)
+        assert resumed[:3] == [0, 0, 0]
+        assert results[0] != results[1] and results[0] == results[2]
+
+    def test_no_scope_is_left_behind(self):
+        script = gen_script(0, 8, 40)
+        assert difftest._resumption.get() is None
+        with pytest.raises(ZeroDivisionError):
+            shrink(script, lambda s: 1 / 0)
+        assert difftest._resumption.get() is None
+        with pytest.raises(UsageError):
+            shrink(script, lambda s: False)
+        assert difftest._resumption.get() is None
+        scopes = []
+
+        def holds(s):  # shrinks another script inside each call
+            outer = difftest._resumption.get()
+            shrink(gen_script(1, 8, 20), lambda t: scopes.append(difftest._resumption.get()) or True)
+            assert difftest._resumption.get() is outer is not None
+            scopes.append(outer)
+            return len(s.steps) > 30
+
+        shrink(script, holds)
+        assert difftest._resumption.get() is None
+        assert len(set(map(id, scopes))) > 2
 
 
 EXPECTED_CENSUS = {
