@@ -10,15 +10,9 @@ fail-fast variant side by side.
 
 import argparse
 
-from overlist import MARKER, NULL, WIDTHS, ListError, SizePolicy, UsageError, census, new_list
-
-
-def added(width, items):
-    """An unchecked list after add() of each of ``items`` in turn."""
-    lst = new_list(width, SizePolicy.UNCHECKED)
-    for item in items:
-        lst.add(item)
-    return lst
+from overlist import (
+    MARKER, WIDTHS, ListError, SizePolicy, UsageError, census, prepare_overflow,
+)
 
 
 def show(label, thunk):
@@ -40,8 +34,8 @@ def main():
         parser.error(str(e))
     fixed = {r.method: r.classification for r in census(w, SizePolicy.FAIL_FAST)}
     half = 1 << (w - 1)
-    s1 = added(w, [NULL] * half)
-    s2 = added(w, [NULL] * (2 * half - 1) + [MARKER])
+    s1, _ = prepare_overflow(w, SizePolicy.UNCHECKED, False)
+    s2, _ = prepare_overflow(w, SizePolicy.UNCHECKED, True)
     print(f"state A: {half} adds on a {w}-bit list (capacity {s1.max_size})")
     show("size()", lambda: s1.size)
     show("actual chain length", lambda: len(s1.chain()))

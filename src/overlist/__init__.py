@@ -29,6 +29,7 @@ from .difftest import (
     dump_script,
     gen_script,
     load_script,
+    prepare_overflow,
     run_script,
     shrink,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "dump_script",
     "gen_script",
     "load_script",
+    "prepare_overflow",
     "run_script",
     "shrink",
 ]

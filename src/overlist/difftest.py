@@ -11,7 +11,7 @@ import math
 import random
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import is_not, itemgetter
 
 from .errors import ChainCorruption, ContractViolation, IllegalStateError, ListError, UsageError
@@ -189,34 +189,30 @@ class ScriptResult:
         return len(self.divergences[policy])
 
 
-#: steps between two checkpoints of a FailFast run inside ``shrink``
-CHECKPOINT_EVERY = 16
-
-
 class _Resumption:
-    """The checkpoints of the last FailFast run ``run_script`` made inside
-    one ``shrink`` call: the state before every ``CHECKPOINT_EVERY``-th
-    step it reached, with its steps and its key (width, check mode,
-    policies, faults)."""
+    """The scope of one ``shrink`` call: ``site``, the step at which
+    ``shrink`` says the next candidate parts from the one it asks about;
+    ``saved``, the state a FailFast ``run_script`` saved before its site,
+    or None; and the steps and key (width, check mode, policies, faults)
+    of the last such run."""
 
-    __slots__ = ("key", "steps", "checkpoints")
+    __slots__ = ("key", "steps", "site", "saved")
 
     def __init__(self):
-        self.key, self.steps, self.checkpoints = None, (), []
+        self.key, self.steps, self.site, self.saved = None, (), 0, None
 
-    def kept(self, steps: tuple, key: tuple) -> list:
-        """Make ``steps`` the last run's and return its checkpoints so far:
-        the previous run's at or before the prefix the two share, for the
-        run to resume from the last and append its own. Steps are shared
-        by identity, never by ``==``: ``NULL == ()`` and ``Atom("a") ==
+    def resume(self, steps: tuple, key: tuple) -> tuple | None:
+        """Make ``steps`` the last run's and return the saved state, for
+        the run to resume from, if it lies in the prefix ``steps`` shares
+        with the previous run's; else drop it. Steps are shared by
+        identity, never by ``==``: ``NULL == ()`` and ``Atom("a") ==
         ("a",)``, yet those steps run differently."""
-        shared = 0
-        if key == self.key:
-            old = self.steps
-            shared = next(compress(count(), map(is_not, steps, old)), min(len(steps), len(old)))
+        if self.saved is not None:
+            at = self.saved[0]
+            if key != self.key or len(steps) < at or any(map(is_not, steps, self.steps[:at])):
+                self.saved = None
         self.key, self.steps = key, steps
-        self.checkpoints = self.checkpoints[:shared // CHECKPOINT_EVERY]
-        return self.checkpoints
+        return self.saved
 
 
 #: the scope ``shrink`` opens for its call, else None
@@ -289,19 +285,15 @@ def run_script(
     can reach the maximum in fewer steps than the size's distance to one
     short of it or to its minimum, or the length's to one short.
 
-    Inside ``shrink`` the FailFast run also records a checkpoint before
-    every ``CHECKPOINT_EVERY``-th step: a copy of its store, header,
-    ghost and oracle items, its divergences so far, whether the invariant
-    holds, and the fork state. A FailFast run with the same width, check
-    mode, policies and faults as the previous one in the same ``shrink``
-    resumes from the last of its checkpoints at or before the steps the
-    two share, counted from the start by identity, so it runs only the
-    rest. Shrink candidates are slices of one steps tuple, so a candidate
-    shares the prefix it kept. The state a checkpoint holds is the state
-    the same steps lead to, a checkpoint is never run on (a run resumes
-    on copies), and the run after it is the run a fresh run makes from
-    there, so the result is a fresh run's. The Unchecked runs record no
-    checkpoint."""
+    Inside ``shrink`` the FailFast run also saves its state (a copy of
+    its store, header, ghost and oracle items, its divergences so far,
+    whether the invariant holds, the fork) before the step at which
+    ``shrink`` says the next candidate parts from this one. The next
+    FailFast run with the same width, check mode, policies and faults
+    resumes from it if the steps before it are this run's, by identity.
+    That state is the one those steps lead to and is never run on (a run
+    resumes on copies), so the result is a fresh run's. The Unchecked
+    runs save nothing."""
     require_member(CheckMode, check_mode, "check_mode")
     for policy in policies:
         require_member(SizePolicy, policy, "policies entry")
@@ -330,7 +322,6 @@ def run_script(
                                   if d.kind != "InvariantViolation" or d.step == last]
             oracles[pname] = oracles["failfast"]._replace(bounded=False)
             continue
-        watch = derive and policy is SizePolicy.FAIL_FAST
         checked = policy is SizePolicy.FAIL_FAST and check_mode is not CheckMode.OFF
         full = checked and check_mode is CheckMode.FULL
         lst = new_list(script.width, policy, full, faults=faults)
@@ -338,11 +329,12 @@ def run_script(
         divs: list[Divergence] = []
         # a checked list is new and empty: the invariant holds and its items are the oracle's
         holds = checked
-        checkpoints = resume = None
+        resume = site = None
         if policy is SizePolicy.FAIL_FAST and scope is not None:
-            checkpoints = scope.kept(steps, (script.width, check_mode, policies, frozenset(faults)))
-            if checkpoints:  # resume the previous run at its last checkpoint in the shared prefix
-                *resume, kept, holds, watch, fork = checkpoints[-1]
+            site = scope.site
+            resume = scope.resume(steps, (script.width, check_mode, policies, frozenset(faults)))
+            if resume:  # resume the previous run where it saved its state
+                *resume, kept, holds, fork = resume
                 divs = list(kept)
         elif derive and policy is SizePolicy.UNCHECKED:  # resume FailFast's run at its fork
             resume = fork
@@ -356,6 +348,7 @@ def run_script(
             lst.first, lst.last, lst.size = header
             lst.replace_ghost(ghost)
             model = ModelList(items, script.width, bounded=model.bounded)
+        watch = derive and fork is None
         edge = lst.max_size - 1
         aborted[pname] = None
         if checked:
@@ -364,14 +357,14 @@ def run_script(
         pos = start
         # the loop runs in stretches and does the run's bookkeeping between
         # them: the fork test, where no earlier step could have left a side
-        # at the maximum, and inside ``shrink`` the checkpoints
+        # at the maximum, and inside ``shrink`` the save at ``site``
         while pos < end:
             stop = end
             if watch:
                 stop = min(stop, pos + min(edge - lst.size, lst.size - lst.min_size,
                                            edge - len(model.items)))
-            if checkpoints is not None:
-                stop = min(stop, pos - pos % CHECKPOINT_EVERY + CHECKPOINT_EVERY)
+            if site is not None and pos < site:
+                stop = min(stop, site)
             for step, (op, args) in islice(todo, stop - pos):
                 try:
                     if full:
@@ -413,8 +406,8 @@ def run_script(
                               or len(model.items) >= edge):
                     fork = _state(pos, lst, model)
                     watch = False
-                if checkpoints is not None and pos % CHECKPOINT_EVERY == 0 and pos < end:
-                    checkpoints.append((*_state(pos, lst, model), tuple(divs), holds, watch, fork))
+                if site is not None and pos == site and pos < end:
+                    scope.saved = (*_state(pos, lst, model), tuple(divs), holds, fork)
                 continue
             break
         divergences[pname] = divs
@@ -436,15 +429,15 @@ def shrink(script: OpScript, predicate) -> OpScript:
     answered from the rejections (every later candidate is shorter than
     an accepted one, so none repeats it).
 
-    For the length of the call, the ``run_script`` calls the predicate
-    makes resume from checkpoints of the previous such call (see
-    ``run_script``): a candidate that keeps ``steps[:i]`` shares them
-    with the candidate before it, so it replays at most
-    ``CHECKPOINT_EVERY - 1`` of them when that run got that far. Results are
-    a fresh run's, so the predicate's answers, and the reproducer, are
-    what they would be without it. The scope is a context variable, so
-    nested shrinks and other threads keep their own."""
-    token = _resumption.set(_Resumption())
+    For the length of the call, a FailFast ``run_script`` the predicate
+    makes on the candidate ``steps[:i] + steps[i + chunk:]`` saves its
+    state before step ``i``, and the run on the next candidate, which
+    keeps ``steps[:i]`` too, resumes there (see ``run_script``). Results
+    are a fresh run's, so the predicate's answers and the reproducer are
+    unchanged. The scope is a context variable, so nested shrinks and
+    other threads keep their own."""
+    scope = _Resumption()
+    token = _resumption.set(scope)
     try:
         if not predicate(script):
             raise UsageError("predicate does not hold on the input script")
@@ -462,6 +455,7 @@ def shrink(script: OpScript, predicate) -> OpScript:
             i = 0
             while i < len(steps):
                 candidate = steps[:i] + steps[i + chunk :]
+                scope.site = i  # the next candidate shares steps[:i] with this one
                 if holds(candidate):
                     steps = candidate
                 else:

@@ -572,24 +572,61 @@ def fresh_run(*args):
 
 
 def spy_resumptions(monkeypatch) -> list:
-    """How many checkpoints each FailFast run inside a ``shrink`` kept."""
+    """The step each FailFast run inside a ``shrink`` resumed at, 0 when
+    it ran from the start."""
     resumed = []
-    kept = difftest._Resumption.kept
+    resume = difftest._Resumption.resume
 
     def spy(scope, *args):
-        checkpoints = kept(scope, *args)
-        resumed.append(len(checkpoints))
-        return checkpoints
+        saved = resume(scope, *args)
+        resumed.append(0 if saved is None else saved[0])
+        return saved
 
-    monkeypatch.setattr(difftest._Resumption, "kept", spy)
+    monkeypatch.setattr(difftest._Resumption, "resume", spy)
     return resumed
 
 
+#: the step on which ``spy_failfast_ops``' ``run_op`` raises, as on a
+#: corrupted chain, so a run aborts there
+ABORT = ("contains", (Atom("z"),))
+
+
+def spy_failfast_ops(monkeypatch) -> list:
+    """The ops the FailFast list runs through ``run_op``, in order: under
+    OFF, every step it runs. ``ABORT`` raises a dangling link."""
+    ran = []
+    run_op = difftest.run_op
+
+    def spy(lst, op, args):
+        if lst.policy is SizePolicy.FAIL_FAST:
+            ran.append(op)
+            if (op, args) == ABORT:
+                raise DanglingLink(99)
+        return run_op(lst, op, args)
+
+    monkeypatch.setattr(difftest, "run_op", spy)
+    return ran
+
+
+def scoped_runs():
+    """A resumption scope as ``shrink`` opens one, and ``run_script`` in
+    it with the scope's ``site`` set first, as ``shrink`` sets it before
+    it asks its predicate."""
+    scope, context = difftest._Resumption(), contextvars.Context()
+    context.run(difftest._resumption.set, scope)
+
+    def run(site, *args):
+        scope.site = site
+        return context.run(run_script, *args)
+
+    return scope, run
+
+
 class TestResumption:
-    """Inside ``shrink``, a FailFast run resumes from the last checkpoint
-    of the previous run (same width, mode, policies and faults) at or
-    before the prefix the two share by identity, and its result is a
-    fresh run's."""
+    """Inside ``shrink``, a FailFast run saves its state at the step where
+    the next candidate parts from it, and the next run (same width, mode,
+    policies and faults) resumes there if the prefix before it is the
+    previous run's by identity; its result is a fresh run's."""
 
     @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
     def test_every_run_inside_a_shrink_equals_a_fresh_run(self, monkeypatch, mode):
@@ -610,69 +647,156 @@ class TestResumption:
             shrink(next(s for s in scripts if holds(s)), holds)
         assert sum(map(bool, resumed)) > len(resumed) // 2
 
+    def test_a_candidate_resumes_at_the_previous_candidates_site(self, monkeypatch):
+        """The candidate that drops ``steps[i:i + chunk]`` saves its state
+        before step ``i``, which the next candidate keeps too; that one
+        resumes there and runs only the steps from there. A pass starts
+        again at ``i = 0``, and its first candidate shares no step."""
+        resumed = spy_resumptions(monkeypatch)
+        ran = spy_failfast_ops(monkeypatch)
+        calls = []
+
+        def holds(s):
+            ran.clear()
+            result = run_script(s, CheckMode.OFF, BOTH)
+            calls.append((difftest._resumption.get().site, len(s.steps), len(ran)))
+            assert ran == [op for op, _ in s.steps[len(s.steps) - len(ran):]]
+            assert repr(result) == repr(fresh_run(s, CheckMode.OFF, BOTH))
+            return len(result.oracles["failfast"].items) >= 40
+
+        shrink(gen_script(0, 8, 200, ADD_HEAVY_WEIGHTS), holds)
+        saved = 0
+        for (site, length, count), at in zip(calls, resumed, strict=True):
+            if saved > site:
+                saved = 0
+            assert (at, count) == (saved, length - saved)
+            if site < length:  # a run saves nothing at its end
+                saved = site
+        assert sum(map(bool, resumed)) > len(resumed) // 2
+
+    @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+    def test_a_run_keeps_one_state(self, monkeypatch, mode):
+        """Inside ``shrink`` a FailFast run copies the store twice at most:
+        once to run on the state it resumed from, once to save its own."""
+        copies = []
+        copy = NodeStore.copy
+        monkeypatch.setattr(NodeStore, "copy", lambda store: copies.append(1) or copy(store))
+        per_run = []
+        for fault in FAULTS:
+            faults = frozenset({fault})
+
+            def diverges(s):
+                copies.clear()
+                result = run_script(s, mode, (SizePolicy.FAIL_FAST,), faults)
+                per_run.append(len(copies))
+                return result.total("failfast") > 0
+
+            scripts = (gen_script(seed, 8, 200, ADD_HEAVY_WEIGHTS) for seed in range(4))
+            shrink(next(s for s in scripts if diverges(s)), diverges)
+        assert max(per_run) == 2
+
+    def test_a_run_stopped_before_its_site_keeps_the_older_state(self, monkeypatch):
+        """A run that aborts before its site saves nothing, and the next
+        run resumes from the state the run before saved; the divergences
+        before it are kept."""
+        ran = spy_failfast_ops(monkeypatch)
+        scope, run = scoped_runs()
+        script = gen_script(3, 8, 100)
+        steps = script.steps
+        aborts = steps[:50] + (ABORT,) + steps[50:]
+        resumes = aborts[:45] + steps[80:]
+        faults = frozenset({"lastindexof-off-by-one"})
+        for site, s, count, saved in ((30, steps, 100, 30), (60, aborts, 21, 30),
+                                      (60, resumes, 65 - 30, 60)):
+            args = (replace(script, steps=s), CheckMode.OFF, BOTH, faults)
+            fresh = repr(fresh_run(*args))
+            ran.clear()
+            assert repr(run(site, *args)) == fresh
+            assert (len(ran), scope.saved[0]) == (count, saved)
+        diverged = fresh_run(script, CheckMode.OFF, BOTH, faults).divergences["failfast"]
+        assert [d.step for d in diverged] == [5, 28]
+
+    def test_a_run_that_parts_before_the_saved_state_drops_it(self, monkeypatch):
+        """A run that does not share the steps before the saved state, or
+        ends before it, runs from the start and drops that state, so a later
+        run that shares them with it does not resume there either; a run
+        with another key drops it too."""
+        resumed = spy_resumptions(monkeypatch)
+        ran = spy_failfast_ops(monkeypatch)
+        scope, run = scoped_runs()
+        script, other = gen_script(3, 8, 100), gen_script(1, 8, 60)
+        steps = script.steps
+        runs = ((30, steps, CheckMode.OFF), (0, steps[:20], CheckMode.OFF),
+                (30, steps, CheckMode.OFF), (0, other.steps, CheckMode.OFF),
+                (50, other.steps[:40] + steps[40:], CheckMode.OFF), (30, steps, CheckMode.OFF),
+                (0, steps, CheckMode.INVARIANT))
+        for site, s, mode in runs:
+            args = (replace(script, steps=s), mode, BOTH)
+            fresh = repr(fresh_run(*args))
+            ran.clear()
+            assert repr(run(site, *args)) == fresh
+            if mode is CheckMode.OFF:
+                assert len(ran) == len(s) - resumed[-1]
+        assert resumed == [0] * len(runs) and scope.saved is None
+
     B = Atom("b")
     #: past capacity, where the Unchecked run forks before step 126
     PAST = ADD * 130 + (("size", ()), ("get", (1,)))
 
-    def test_a_resumed_run_runs_only_its_suffix(self, monkeypatch):
-        """A run that shares 40 steps with the previous one resumes at its
-        checkpoint before step 32, keeping the two divergences before it;
-        the next shares 45 with it, and the checkpoint before step 48 lies
-        past that, so it resumes at 32 too. Past capacity, a run that
-        shares 128 steps resumes at 128 and its Unchecked run at the fork."""
-        ran = []
-        run_op = difftest.run_op
+    def test_a_state_saved_past_the_fork_keeps_it(self, monkeypatch):
+        """A run that shares 128 steps with the previous one resumes at
+        its state before step 128 and runs 3 FailFast steps; its Unchecked
+        run resumes at the fork that state holds."""
+        ran = spy_failfast_ops(monkeypatch)
+        _, run = scoped_runs()
+        for steps, count in ((self.PAST, 132),
+                             (self.PAST[:128] + (("get", (0,)), ("add", (self.B,)), ("size", ())), 3)):
+            args = (OpScript(0, 8, steps), CheckMode.OFF, BOTH)
+            fresh = repr(fresh_run(*args))
+            ran.clear()
+            assert repr(run(128, *args)) == fresh
+            assert len(ran) == count
 
-        def spy(lst, op, args):
-            if lst.policy is SizePolicy.FAIL_FAST:
-                ran.append(op)
-            return run_op(lst, op, args)
-
-        monkeypatch.setattr(difftest, "run_op", spy)
-        faults = frozenset({"lastindexof-off-by-one"})
-        script, other = gen_script(3, 8, 100), gen_script(1, 8, 60)
-        runs = (script.steps, script.steps[:40] + other.steps, script.steps[:40] + other.steps[:5],
-                self.PAST, self.PAST[:128] + (("get", (0,)), ("add", (self.B,)), ("size", ())))
-        counts = []
-
-        def holds(s):
-            if len(s.steps) < len(script.steps):
-                return False
-            for steps in runs:
-                ran.clear()
-                run = (replace(s, steps=steps), CheckMode.OFF, BOTH, faults)
-                result = run_script(*run)
-                counts.append(len(ran))
-                assert ran == [op for op, _ in steps[len(steps) - len(ran):]]
-                assert repr(result) == repr(fresh_run(*run))
-            return True
-
-        shrink(script, holds)
-        assert counts == [100, 100 - 32, 45 - 32, 132, 131 - 128]
-        diverged = run_script(script, CheckMode.OFF, BOTH, faults).divergences["failfast"]
-        assert [d.step for d in diverged] == [5, 28]
-
-    def test_a_run_resumed_with_the_invariant_broken_checks_it_in_full(self):
+    def test_a_run_resumed_with_the_invariant_broken_checks_it_in_full(self, monkeypatch):
         """Under ``add-skip-checksize`` step 127's add wraps the size, and
-        the invariant stays broken: the checkpoint before step 128 records
+        the invariant stays broken: the state saved before step 128 records
         that, and a run resumed there checks every step in full."""
         faults = frozenset({"add-skip-checksize"})
         longer = self.PAST[:128] + (("add_first", (self.B,)),) + self.PAST[128:]
+        resumed = spy_resumptions(monkeypatch)
+        _, run = scoped_runs()
         results = []
-
-        def holds(s):
-            if len(s.steps) < len(self.PAST):
-                return False
-            for steps in (self.PAST, longer):
-                run = (replace(s, steps=steps), CheckMode.INVARIANT, (SizePolicy.FAIL_FAST,), faults)
-                result = run_script(*run)
-                assert repr(result) == repr(fresh_run(*run))
-                results.append([(d.step, d.kind) for d in result.divergences["failfast"]])
-            return True
-
-        shrink(OpScript(0, 8, self.PAST), holds)
+        for steps in (self.PAST, longer):
+            args = (OpScript(0, 8, steps), CheckMode.INVARIANT, (SizePolicy.FAIL_FAST,), faults)
+            result = run(128, *args)
+            assert repr(result) == repr(fresh_run(*args))
+            results.append([(d.step, d.kind) for d in result.divergences["failfast"]])
+        assert resumed == [0, 128]
         broken = [step for step, kind in results[1] if kind == "InvariantViolation"]
         assert broken == list(range(127, len(longer)))
+
+    #: under ``unlink-skip-relink`` the removal breaks the invariant
+    #: through the links alone, not the cached size, and the adds after it
+    #: leave it broken; every item differs, so no two candidates are equal
+    UNLINKED = (tuple(("add", (Atom(t),)) for t in "abcdefghij") + (("remove_at", (4,)),)
+                + tuple(("add_last", (Atom(t),)) for t in "klmnopqrs"))
+
+    @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
+    def test_a_resumed_run_keeps_whether_the_invariant_holds(self, monkeypatch, mode):
+        """A run resumed after the removal starts with the invariant broken,
+        as a fresh run reaches that step, and checks each step in full."""
+        faults = frozenset({"unlink-skip-relink"})
+        resumed = spy_resumptions(monkeypatch)
+        for policies in ((SizePolicy.FAIL_FAST,), BOTH):
+            def holds(s):
+                result = run_script(s, mode, policies, faults)
+                assert repr(result) == repr(fresh_run(s, mode, policies, faults))
+                return ("remove_at", (4,)) in s.steps and len(s.steps) >= 16
+
+            shrink(OpScript(0, 8, self.UNLINKED), holds)
+        # under FULL the removal's contract check aborts the run there
+        removal = self.UNLINKED.index(("remove_at", (4,)))
+        assert (max(resumed) > removal) == (mode is not CheckMode.FULL)
 
     #: equal by ``==`` step for step, yet no step object is shared, and
     #: the items differ by type: ``NULL == ()`` and ``A == ("a",)``
@@ -683,21 +807,17 @@ class TestResumption:
 
     @pytest.mark.parametrize("mode", list(CheckMode), ids=lambda m: m.value)
     def test_steps_equal_by_value_are_not_shared(self, monkeypatch, mode):
+        """Each run saves its state before step 50; none resumes from the
+        other's."""
         assert self.TYPED == self.UNTYPED
         resumed = spy_resumptions(monkeypatch)
+        _, run = scoped_runs()
         results = []
-
-        def holds(s):
-            if len(s.steps) < len(self.TYPED):
-                return False
-            for steps in (self.TYPED, self.UNTYPED, self.TYPED):
-                script = replace(s, steps=steps)
-                result = run_script(script, mode, (SizePolicy.FAIL_FAST,))
-                assert repr(result) == repr(fresh_run(script, mode, (SizePolicy.FAIL_FAST,)))
-                results.append(repr(result))
-            return True
-
-        shrink(OpScript(0, 8, self.TYPED), holds)
+        for steps in (self.TYPED, self.UNTYPED, self.TYPED):
+            script = OpScript(0, 8, steps)
+            result = run(50, script, mode, (SizePolicy.FAIL_FAST,))
+            assert repr(result) == repr(fresh_run(script, mode, (SizePolicy.FAIL_FAST,)))
+            results.append(repr(result))
         assert resumed[:3] == [0, 0, 0]
         assert results[0] != results[1] and results[0] == results[2]
 
