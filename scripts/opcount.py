@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Count the bytecodes ``run_script`` executes in each check mode, and
-digest what it returns, for one source tree.
+those of the overflow preparations and censuses, and digest what they
+return, for one source tree.
 
     python scripts/opcount.py                      # the tree beside this script
     python scripts/opcount.py --src OTHER/src      # another checkout's tree
 
 The tree is imported in a fresh interpreter (``PYTHONPATH`` set to it,
 ``PYTHONHASHSEED=0``), so two trees can be compared run against run.
-Three inputs, each check mode:
+Four inputs, the first three in each check mode:
 
 * ``balanced``: 20 BALANCED width-8 scripts of 100 steps, seeds 0-19
   (the shape of what a plain ``overlist fuzz`` runs), both policies;
@@ -17,17 +18,25 @@ Three inputs, each check mode:
   seeds 0-3 whose 200-step ADD_HEAVY width-8 script FailFast diverges on,
   with the predicate ``overlist fuzz`` uses (a FailFast-only run still
   diverges). Its steps are those handed to the predicate, and it also
-  prints the predicate calls.
+  prints the predicate calls;
+* ``overflow``, at width 16 (8 in a smoke run), no check mode: each
+  ``prepare_overflow``, flip and wrap under both policies, and ``census``
+  under both policies, counted apart. For each census it prints its
+  probe calls and its ``NodeStore.find`` calls with the nodes they
+  passed or matched and the bytecodes per node, and the SHA-256 of
+  ``repr`` of every first refusal, list fingerprint (header, ghost and
+  every node's fields) and census row. Its bytecodes are those of the
+  call alone, not of the fingerprints.
 
-For each, it prints the bytecodes executed (``sys.settrace`` opcode
-events) in total and per script step; the FailFast steps that went
-through ``checked_step``, split into those whose call wrote nothing and
-those that wrote (the call reached a store write or allocation), with
-the mean bytecodes per call, the operation included; the ``TOP``
-functions that executed the most bytecodes, by module and ``co_qualname``; and the
-SHA-256 of ``repr((divergences, oracles, aborted))`` over the input's
-scripts (of the reproducer's steps, for ``shrink``), which two trees with
-the same behaviour share.
+For each of the first three, it prints the bytecodes executed
+(``sys.settrace`` opcode events) in total and per script step; the
+FailFast steps that went through ``checked_step``, split into those
+whose call wrote nothing and those that wrote (the call reached a store
+write or allocation), with the mean bytecodes per call, the operation
+included; the ``TOP`` functions that executed the most bytecodes, by
+module and ``co_qualname``; and the SHA-256 of ``repr((divergences,
+oracles, aborted))`` over the input's scripts (of the reproducer's
+steps, for ``shrink``), which two trees with the same behaviour share.
 
 Counts are not time. A call into C (``list.index``, a slice, a tuple
 built from a list) counts once, whatever its length, so work moved into
@@ -52,6 +61,10 @@ WRITERS = frozenset({
     "NodeStore.set_next", "NodeStore.set_item", "NodeStore.clear_node", "NodeStore.clear_chain",
 })
 STEP = "checked_step"
+#: the census's probe of one method call, and the store's element search
+PROBE, FIND = "_probe_classification", "NodeStore.find"
+#: the overflow input's width, and its width in a smoke run
+OVERFLOW_WIDTH, SMOKE_OVERFLOW_WIDTH = 16, 8
 TOP = 8  # functions listed per input and mode
 SHRINK_FAULT = "add-skip-checksize"
 #: the shrink input's script length; a smoke run takes the shortest at
@@ -68,6 +81,8 @@ class OpCounter:
         self.total = [0]
         self.open: list = []  # [opcodes at entry, wrote] per active checked_step
         self.steps = {False: [0, 0], True: [0, 0]}  # wrote -> [calls, opcodes]
+        self.calls: dict[str, int] = {}  # co_qualname -> calls
+        self.found = 0  # nodes FIND calls passed or matched
 
     def __enter__(self):
         self.outer = sys.gettrace()
@@ -82,6 +97,7 @@ class OpCounter:
         if code is _EXIT:  # the counter's own exit
             return None
         name = code.co_qualname
+        self.calls[name] = self.calls.get(name, 0) + 1
         if self.open and name in WRITERS:
             self.open[-1][1] = True
         cell = self.cells.get(code)
@@ -97,6 +113,17 @@ class OpCounter:
                 total[0] += 1
             return local
 
+        if name == FIND:
+            def find(frame, event, arg):
+                if event == "opcode":
+                    cell[0] += 1
+                    total[0] += 1
+                elif event == "return" and arg is not None:  # None: it raised
+                    steps, node = arg
+                    self.found += steps + (node is not None)
+                return find
+
+            return find
         if name != STEP:
             return local
         self.open.append([total[0], False])
@@ -114,12 +141,16 @@ class OpCounter:
 
         return step
 
-    def top(self) -> list:
-        by_name: dict[str, int] = {}
+    def by_name(self) -> dict[str, int]:
+        """Bytecodes per function, by module and ``co_qualname``."""
+        counts: dict[str, int] = {}
         for code, (count,) in self.cells.items():
             key = f"{Path(code.co_filename).stem}.{code.co_qualname}"
-            by_name[key] = by_name.get(key, 0) + count
-        return sorted(by_name.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP]
+            counts[key] = counts.get(key, 0) + count
+        return counts
+
+    def top(self) -> list:
+        return sorted(self.by_name().items(), key=lambda kv: (-kv[1], kv[0]))[:TOP]
 
 
 _EXIT = OpCounter.__exit__.__code__
@@ -178,7 +209,41 @@ def measure(length: int | None = None) -> list[dict]:
             small = shrink(found, counted)
         rows.append(dict(row("shrink", mode, sum(asked), counter, repr(small.steps)),
                          calls=len(asked), seed=found.seed))
+    rows.append(overflow(OVERFLOW_WIDTH if length is None else SMOKE_OVERFLOW_WIDTH))
     return rows
+
+
+def fingerprint(lst) -> tuple:
+    """The list's header, ghost and every node's three fields."""
+    store = lst.store
+    ids = store.ids()
+    return (lst.first, lst.last, lst.size, lst.ghost,
+            store.prevs(ids), store.items(ids), store.nexts(ids))
+
+
+def overflow(width: int) -> dict:
+    """The overflow input at ``width``: each preparation and each census
+    counted apart, in this interpreter."""
+    from overlist import SizePolicy, census, prepare_overflow
+
+    kinds, out = [], []
+    for policy in SizePolicy:
+        for wrap in (False, True):
+            with OpCounter() as counter:
+                lst, first_refusal = prepare_overflow(width, policy, wrap)
+            kinds.append({"kind": f"prepare {'wrap' if wrap else 'flip'} {policy.value}",
+                          "bytecodes": counter.total[0]})
+            out.append((first_refusal, fingerprint(lst)))
+            del lst
+        with OpCounter() as counter:
+            rows = census(width, policy)
+        kinds.append({"kind": f"census {policy.value}", "bytecodes": counter.total[0],
+                      "probes": counter.calls.get(PROBE, 0),
+                      "find": [counter.calls.get(FIND, 0), counter.found,
+                               counter.by_name().get(f"heapmodel.{FIND}", 0)]})
+        out.append([(r.method, r.classification) for r in rows])
+    return {"input": "overflow", "width": width, "kinds": kinds,
+            "digest": hashlib.sha256(repr(out).encode()).hexdigest()}
 
 
 def per_call(tally) -> str:
@@ -188,10 +253,14 @@ def per_call(tally) -> str:
 
 
 def report(rows: list[dict], src: str) -> str:
-    lines = [f"bytecodes executed in run_script, and in shrink for its input (tree: {src})",
+    lines = [f"bytecodes executed in run_script, in shrink for its input, and in the overflow "
+             f"calls (tree: {src})",
              "counts are not time: a C call counts once, whatever its length", ""]
     for name in dict.fromkeys(r["input"] for r in rows):
         group = [r for r in rows if r["input"] == name]
+        if name == "overflow":
+            lines += overflow_report(group[0])
+            continue
         what = "steps handed to the predicate" if "calls" in group[0] else "script steps"
         lines.append(f"{name}: {group[0]['steps']:,} {what}")
         lines.append(f"  {'':32}{'checked_step calls x bytecodes each':>38}")
@@ -213,6 +282,22 @@ def report(rows: list[dict], src: str) -> str:
                 lines += [f"    {count:>12,}  {fn}" for fn, count in r["top"]]
         lines.append("")
     return "\n".join(lines)
+
+
+def overflow_report(r: dict) -> list[str]:
+    """The overflow row's lines: bytecodes per call, the censuses' probes
+    and ``find`` calls, and the digest."""
+    lines = [f"overflow: width {r['width']}, one call each, no check mode",
+             f"  {'call':<24}{'bytecodes':>12}{'probes':>8}{'find calls':>12}"
+             f"{'nodes':>10}{'per node':>10}"]
+    for k in r["kinds"]:
+        line = f"  {k['kind']:<24}{k['bytecodes']:>12,}"
+        if "probes" in k:
+            calls, nodes, opcodes = k["find"]
+            per_node = f"{opcodes / nodes:>10.1f}" if nodes else f"{'-':>10}"
+            line += f"{k['probes']:>8,}{calls:>12,}{nodes:>10,}{per_node}"
+        lines.append(line)
+    return lines + [f"  sha256 {r['digest']}", ""]
 
 
 def main(argv=None) -> int:

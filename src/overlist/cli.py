@@ -112,7 +112,7 @@ def cmd_repro(args) -> int:
         _emit(report, "\n".join(lines) + "\n", args.format, args.out)
         return 0 if as_predicted else 1
 
-    chain_len = len(lst.chain())
+    chain_len = None if case == 2 else len(lst.chain())  # case 2 reports no length
     if case == 1:
         observed = lst.size
         expected = cap

@@ -527,7 +527,7 @@ def build_overflow_states(width: int, policy: SizePolicy = SizePolicy.UNCHECKED)
     """The two preparation states of the reproduction procedure, each
     with the oracle state the same adds lead to: the sign flip and the
     wrap to zero."""
-    _require_feasible(f"the census at width {width}", width - 1, width)
+    _require_feasible(f"build_overflow_states at width {width}", width - 1, width)
     states = []
     for wrap in (False, True):
         lst, _ = prepare_overflow(width, policy, wrap)
@@ -579,16 +579,20 @@ def census(width: int, policy: SizePolicy = SizePolicy.UNCHECKED) -> list[Census
     of the oracle state are undone, so the adds go on from the state the
     flip's preparation left: 2^W adds in all. The census prepares, it does
     not reproduce, so the list takes each stage's adds in one
-    ``fast_forward``, which leaves it as the single adds would."""
+    ``fast_forward``, which leaves it as the single adds would. A stage
+    that changed neither state (the list refused its first add, the
+    oracle kept its length) is not probed again: FailFast probes once."""
     _require_feasible(f"the census at width {width}", width)
     lst = new_list(width, policy)
     model = ModelList((), width, bounded=policy is SizePolicy.FAIL_FAST)
     worst = {op: "OK" for op, spec in sorted(OP_SPECS.items()) if spec.probes}
     for stage in _stage_items(width):
-        items = tuple(stage)
-        lst.fast_forward(items)
+        items, length = tuple(stage), len(model.items)
+        refused_at = lst.fast_forward(items)
         model.add_all(items)
         del items  # the list and the oracle state hold what they keep of it
+        if refused_at == 1 and len(model.items) == length:
+            continue  # a guarded list refused every add: the states probed last
         for method, cls in worst.items():
             for args in OP_SPECS[method].probes:
                 with lst.trial():

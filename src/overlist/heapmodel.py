@@ -312,26 +312,31 @@ class NodeStore:
             yield items[node]
             node = nexts[node]
 
-    def find(self, node: NodeId | None, matches: Callable[[Item], bool],
+    def find(self, node: NodeId | None, target: Item,
              link: str = "next") -> tuple[int, NodeId | None]:
         """Follow ``link`` from ``node`` to the first node whose item
-        ``matches``. Returns how many nodes it passed and that node, or
-        how many nodes it walked and None when the chain ends first;
+        equals ``target``. Returns how many nodes it passed and that node,
+        or how many nodes it walked and None when the chain ends first;
         DanglingLink for an id that names no node. A walk past
-        ``len(store)`` nodes has met one again: CycleDetected names it."""
+        ``len(store)`` nodes has met one again: CycleDetected names it.
+        On items ``==`` is ``items_equal``, and it runs in C."""
         links, items = self._links(link), self._item
         n = len(items)
-        start, steps = node, 0
-        while node is not None:
-            if not 0 <= node < n:
-                raise DanglingLink(node)
-            if matches(items[node]):
-                return steps, node
-            node = links[node]
-            steps += 1
-            if steps > n:
+        start = node
+        try:
+            for steps in range(n + 1):
+                if node is None:
+                    return steps, None
+                if node < 0:  # would read from the end of the list
+                    break
+                if items[node] == target:
+                    return steps, node
+                node = links[node]
+            else:  # n + 1 allocated nodes walked: one repeats
                 raise _first_repeat(links, start)
-        return steps, None
+        except (IndexError, TypeError):  # past the end, or not an id
+            pass
+        raise DanglingLink(node)
 
     def follow(self, node: NodeId | None, steps: int, link: str = "next") -> NodeId | None:
         """The id ``steps`` links from ``node`` along ``link``;

@@ -432,26 +432,26 @@ class JavaLinkedList:
         return self.size
 
     # The element searches follow the chain with the store's ``find``, which
-    # makes no Python call per node: the element test (items_equal with its
-    # null split made once) runs in C. Java steps an int counter once per
+    # makes no Python call per node: it compares items with ``==``, which is
+    # items_equal on items, in C. Java steps an int counter once per
     # node, wrapping at the ends of the int range, so the counter is
     # computed from the number of nodes passed: ``wrap(k)`` after k nodes
     # forward, ``wrap(start - k - 1)`` at the (k+1)-th node backward.
 
     def index_of(self, target: Item) -> int:
-        steps, node = self.store.find(self.first, item_test(target))
+        steps, node = self.store.find(self.first, target)
         return -1 if node is None else wrap(steps, self.width)
 
     def last_index_of(self, target: Item) -> int:
         index = self.size
         if "lastindexof-off-by-one" in self.faults:
             index = self._dec(index)
-        matches = item_test(target)
         if not self.probes:
-            steps, node = self.store.find(self.last, matches, "prev")
+            steps, node = self.store.find(self.last, target, "prev")
             return -1 if node is None else wrap(index - steps - 1, self.width)
         # checked: Java's loop, with its invariant probed at each head,
         # before the node is read, so a probe of a dangling node reports
+        matches = item_test(target)
         node = self.last
         while node is not None:
             self._last_index_probe(index, node, matches)
@@ -488,14 +488,14 @@ class JavaLinkedList:
         return self.remove_first_occurrence(target)
 
     def remove_first_occurrence(self, target: Item) -> bool:
-        steps, node = self.store.find(self.first, item_test(target))
+        steps, node = self.store.find(self.first, target)
         if node is None:
             return False
         self.unlink(node, steps)
         return True
 
     def remove_last_occurrence(self, target: Item) -> bool:
-        steps, node = self.store.find(self.last, item_test(target), "prev")
+        steps, node = self.store.find(self.last, target, "prev")
         if node is None:
             return False
         self.unlink(node, len(self.ghost) - 1 - steps)

@@ -896,6 +896,36 @@ class TestCensus:
         (s1, _), (s2, _) = build_overflow_states(8, SizePolicy.FAIL_FAST)
         assert s1.size == 127 and s2.size == 127
 
+    @pytest.mark.parametrize("policy", list(SizePolicy), ids=lambda p: p.value)
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_census_probes_each_distinct_state_once(self, monkeypatch, width, policy):
+        """FailFast refuses the second stage's adds, so its census probes
+        each method's arguments once, Unchecked twice; the rows equal a
+        census that probes both of ``build_overflow_states``'s states."""
+        severity = ("OK", "Unspecified-skip", "WrongValue", "Crash")
+        probes = [(method, args) for method, spec in sorted(OP_SPECS.items())
+                  for args in spec.probes]
+        worst = dict.fromkeys((method for method, _ in probes), "OK")
+        for lst, snapshot in build_overflow_states(width, policy):
+            model = ModelList(snapshot.items, width, bounded=snapshot.bounded)
+            for method, args in probes:
+                with lst.trial():
+                    model.open_savepoint()
+                    probed = difftest._probe_classification(lst, model, method, args)
+                    model.undo(model.close_savepoint())
+                worst[method] = max(worst[method], probed, key=severity.index)
+
+        real, made = difftest._probe_classification, []
+
+        def spy(impl, model, method, args):
+            made.append((method, args))
+            return real(impl, model, method, args)
+
+        monkeypatch.setattr(difftest, "_probe_classification", spy)
+        rows = census(width, policy)
+        assert made == probes * (1 if policy is SizePolicy.FAIL_FAST else 2)
+        assert [(r.method, r.classification) for r in rows] == list(worst.items())
+
 
 class TestFaultVisibility:
     @pytest.mark.parametrize("fault", FAULTS)
@@ -1068,3 +1098,5 @@ class TestValidation:
         # one list takes all 2^W adds, the flip's 2^(W-1) among them
         with pytest.raises(UsageError, match=r"census at width 32 needs 2\^32 = 4294967296 add"):
             census(32)
+        with pytest.raises(UsageError, match=r"^build_overflow_states at width 32 needs 2\^31 \+ 2\^32"):
+            build_overflow_states(32)

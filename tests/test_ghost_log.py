@@ -32,7 +32,7 @@ from overlist import ghostspec
 from overlist.difftest import _probe_classification, _stage_items, census, run_op
 from overlist.errors import ListError, UsageError
 from overlist.ghostspec import checked_step
-from overlist.heapmodel import NULL, Atom, item_test
+from overlist.heapmodel import NULL, Atom
 from overlist.listcore import FAULTS, JavaLinkedList, SizePolicy, apply_op, new_list
 from overlist.oracle import OP_SPECS, ModelList
 from overlist.statespace import build_list
@@ -122,7 +122,7 @@ def walked_then_scanned(lst, op, args):
         lst._check_element_index(args[0])
         return lst.unlink(lst.node_at(args[0]))
     forward = op == "remove_first_occurrence"
-    _, node = lst.store.find(lst.first if forward else lst.last, item_test(args[0]),
+    _, node = lst.store.find(lst.first if forward else lst.last, args[0],
                              "next" if forward else "prev")
     return node is not None and lst.unlink(node) is not None
 
@@ -218,7 +218,8 @@ def test_every_census_trial_restores_the_fingerprint(monkeypatch, width, policy)
 
     monkeypatch.setattr(JavaLinkedList, "trial", checked_trial)
     census(width, policy)
-    assert len(trials) == 2 * sum(len(spec.probes) for spec in OP_SPECS.values())
+    stages = 1 if policy is SizePolicy.FAIL_FAST else 2  # FailFast refuses the second stage's adds
+    assert len(trials) == stages * sum(len(spec.probes) for spec in OP_SPECS.values())
 
 
 def wrap_state(width, policy=SizePolicy.UNCHECKED):

@@ -17,7 +17,6 @@ from overlist.heapmodel import (
     NodeStore,
     NullItem,
     diff,
-    item_test,
     items_equal,
     snapshot,
     walk_chain,
@@ -78,14 +77,12 @@ class TestItems:
 
 def python_calls_in_heapmodel(fn) -> list[str]:
     """The names of the Python functions of ``heapmodel`` that ``fn()``
-    calls, one per call. ``item_test`` (called once per search) is left
-    out: it compares no element."""
-    exempt = {item_test.__code__}
+    calls, one per call."""
     calls = []
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_filename == heapmodel.__file__ and code not in exempt:
+        if event == "call" and code.co_filename == heapmodel.__file__:
             calls.append(code.co_name)
 
     sys.setprofile(profile)
@@ -322,7 +319,7 @@ class TestOutOfRangeIds:
     def test_reads_raise_dangling_link(self, bad):
         store, _, bad_id = bad
         for read in (store.record, lambda i: next(store.walk(i)),
-                     lambda i: store.find(i, item_test(Atom("z")), "prev")):
+                     lambda i: store.find(i, Atom("z"), "prev")):
             with pytest.raises(DanglingLink) as info:
                 read(bad_id)
             assert info.value.node_id == bad_id
@@ -365,7 +362,7 @@ class TestOutOfRangeIds:
         store, ids, bad_id = bad
         store.raw_write(ids[1], "prev", bad_id)
         with pytest.raises(DanglingLink) as info:
-            store.find(ids[2], item_test(Atom("z")), "prev")
+            store.find(ids[2], Atom("z"), "prev")
         assert info.value.node_id == bad_id
 
     @pytest.mark.parametrize("at", [0, 1, 2])

@@ -37,11 +37,13 @@ def test_overflow_demo_refuses_an_infeasible_width(tmp_path):
 
 def test_opcount_counts_and_digests_the_same_twice(tmp_path):
     """Two smoke runs (10-step scripts for the ``run_script`` inputs, the
-    shrink input's smoke shape), each in a fresh interpreter with its own
-    hash seed, give the same counts and digests; every FailFast step of a
-    checked mode goes through ``checked_step``, the checks change no
-    result of fault-free code, and the shrink's seed, predicate calls and
-    reproducer are pinned."""
+    shrink input's smoke shape, the overflow input at width 8), each in a
+    fresh interpreter with its own hash seed, give the same counts and
+    digests; every FailFast step of a checked mode goes through
+    ``checked_step``, the checks change no result of fault-free code, the
+    shrink's seed, predicate calls and reproducer are pinned, and so are
+    the overflow input's digest and its censuses' probe counts: FailFast
+    probes its one state once, Unchecked its two."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "scripts"))))
     code = "import json, opcount; print(json.dumps(opcount.measure(10)))"
     # the two interpreters run side by side
@@ -56,11 +58,11 @@ def test_opcount_counts_and_digests_the_same_twice(tmp_path):
     assert all(proc.returncode == 0 for proc in procs), outs[0][1]
     first, second = (json.loads(out) for out, _ in outs)
     assert first == second
-    *runs, shrunk = first
+    *runs, shrunk, overflow = first
     assert [r["steps"] for r in runs[::3]] == [200, 10]
-    assert [(r["input"], r["mode"]) for r in first] == [
+    assert [(r["input"], r.get("mode")) for r in first] == [
         (name, mode) for name in ("balanced", "add-heavy") for mode in ("off", "invariant", "full")
-    ] + [("shrink", "off")]
+    ] + [("shrink", "off"), ("overflow", None)]
     for row in runs:
         calls = row["nothing_written"][0] + row["written"][0]
         assert row["bytecodes"] > 0 and calls == (0 if row["mode"] == "off" else row["steps"]), row
@@ -68,3 +70,9 @@ def test_opcount_counts_and_digests_the_same_twice(tmp_path):
         assert len({r["digest"] for r in first if r["input"] == name}) == 1
     assert (shrunk["seed"], shrunk["calls"], shrunk["digest"]) == (
         2, 272, "282b1b5d3b45c5d363babe1cc7e8dcfd11b20b2a085e4892af0b92bff64b652f")
+    censuses = {k["kind"]: k for k in overflow["kinds"] if "probes" in k}
+    assert (overflow["width"], len(overflow["kinds"])) == (8, 6)
+    assert [censuses[f"census {p}"]["probes"] for p in ("failfast", "unchecked")] == [28, 56]
+    assert all(k["bytecodes"] > 0 for k in overflow["kinds"])
+    assert all(k["find"][1] > 0 for k in censuses.values())
+    assert overflow["digest"] == "8a7a6ef498d0e8fdcd80e29af78986cfa60a36ba38e37d140e4f2994f9a33ac7"

@@ -17,11 +17,13 @@ made through the reference's records answer.
 from functools import lru_cache
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dict_store
 from overlist.errors import DanglingLink
-from overlist.heapmodel import NULL, Atom, NodeStore, item_test, walk_chain
+from overlist.heapmodel import NULL, Atom, NodeStore, NullItem, item_test, items_equal, walk_chain
+from overlist.oracle import ALPHABET, MARKER
 
 ITEMS = (NULL, Atom("a"), Atom("b"))
 LINKS = ("next", "prev")
@@ -52,6 +54,8 @@ def ends(ref, node, link):
 
 
 def reference_find(ref, node, target, link):
+    """The search with Java's null split (``item_test``), one call per
+    node; ``NodeStore.find`` compares with ``==`` instead."""
     matches = item_test(target)
     steps = 0
     while node is not None:
@@ -192,7 +196,7 @@ def assert_same_state(new, ref):
                     lambda: reference_follow(ref, start, steps, link))
             if ends(ref, start, link):
                 for target in ITEMS:
-                    assert outcome(lambda: new.find(start, item_test(target), link)) == outcome(
+                    assert outcome(lambda: new.find(start, target, link)) == outcome(
                         lambda: reference_find(ref, start, target, link))
 
 
@@ -245,3 +249,32 @@ def test_the_draws_reach_every_outcome():
     new.rollback(outer[0])
     ref.rollback(outer[1])
     assert len(new) == len(ref) == 0 and list(new.ids()) == []
+
+
+def test_equality_on_items_is_items_equal():
+    """``find`` tests ``item == target``: on the item domain that is
+    ``items_equal``, so null equals only null and an ``Atom`` only an
+    ``Atom`` of its token, fresh instances included."""
+    fresh = (NullItem(), *(Atom(item.token) for item in ALPHABET if item is not NULL))
+    domain = (NULL, *ALPHABET, MARKER, *fresh)
+    for target in domain:
+        for item in domain:
+            assert (item == target) is (target == item) is items_equal(target, item), (target, item)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 99, "x", 1.5])
+@pytest.mark.parametrize("link", LINKS)
+def test_a_link_that_is_no_id_is_a_dangling_link(bad, link):
+    """A link that names no node, an int out of range or no int at all,
+    gives ``DanglingLink`` naming it from ``find`` as from ``walk_chain``,
+    whether the search starts there or meets it on the way."""
+    store = NodeStore()
+    ids = store.link_run(None, [Atom("a"), Atom("b"), Atom("c")])
+    start = ids[0] if link == "next" else ids[-1]
+    searches = [lambda: store.find(bad, MARKER, link), lambda: store.find(start, MARKER, link)]
+    walks = [lambda: walk_chain(store, bad), lambda: walk_chain(store, ids[0])]
+    store.raw_write(ids[1], link, bad)
+    for call in searches + (walks if link == "next" else []):
+        with pytest.raises(DanglingLink) as e:
+            call()
+        assert e.value.node_id == bad

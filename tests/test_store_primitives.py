@@ -469,7 +469,7 @@ def test_walk_is_lazy_and_names_the_dangling_node():
         next(walk)
     assert e.value.node_id == 9
     with pytest.raises(UsageError):
-        store.find(a, item_test(A), "item")
+        store.find(a, A, "item")
 
 
 # -- call counts ------------------------------------------------------------------
