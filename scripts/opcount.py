@@ -26,7 +26,12 @@ Four inputs, the first three in each check mode:
   passed or matched and the bytecodes per node, and the SHA-256 of
   ``repr`` of every first refusal, list fingerprint (header, ghost and
   every node's fields) and census row. Its bytecodes are those of the
-  call alone, not of the fingerprints.
+  call alone, not of the fingerprints. Under each policy, the wrap
+  preparation's bytecodes less the flip's, over the 2^(W-1) adds the
+  wrap makes beyond the flip, give the bytecodes per accepted add
+  (Unchecked, which accepts them all) or per refusal (FailFast, which
+  refuses them all), as the first refusal each preparation returns
+  tells.
 
 For each of the first three, it prints the bytecodes executed
 (``sys.settrace`` opcode events) in total and per script step; the
@@ -221,20 +226,45 @@ def fingerprint(lst) -> tuple:
             store.prevs(ids), store.items(ids), store.nexts(ids))
 
 
+def preparations(width: int, policy) -> tuple[list[dict], list]:
+    """The flip and the wrap ``prepare_overflow`` at ``width`` under
+    ``policy``, counted apart, in this interpreter, and each one's first
+    refusal and list fingerprint. A count holds the bytecodes and the
+    accepted and refused adds, read from the first refusal (once a
+    preparation refuses an add, it refuses every later one). The wrap's
+    also holds ``per_add``: ``[kind, adds, bytecodes each]`` for the adds
+    it makes beyond the flip, when those were all ``accepted`` or all
+    ``refused``, else None."""
+    from overlist import prepare_overflow
+
+    kinds, out = [], []
+    for wrap in (False, True):
+        with OpCounter() as counter:
+            lst, first_refusal = prepare_overflow(width, policy, wrap)
+        adds = 1 << (width if wrap else width - 1)
+        accepted = adds if first_refusal is None else first_refusal - 1
+        kinds.append({"kind": f"prepare {'wrap' if wrap else 'flip'} {policy.value}",
+                      "bytecodes": counter.total[0], "adds": [accepted, adds - accepted]})
+        out.append((first_refusal, fingerprint(lst)))
+        del lst
+    flip, wrap = kinds
+    more = [w - f for w, f in zip(wrap["adds"], flip["adds"])]
+    extra = wrap["bytecodes"] - flip["bytecodes"]
+    wrap["per_add"] = (["accepted", more[0], extra / more[0]] if not more[1]
+                       else ["refused", more[1], extra / more[1]] if not more[0] else None)
+    return kinds, out
+
+
 def overflow(width: int) -> dict:
     """The overflow input at ``width``: each preparation and each census
     counted apart, in this interpreter."""
-    from overlist import SizePolicy, census, prepare_overflow
+    from overlist import SizePolicy, census
 
     kinds, out = [], []
     for policy in SizePolicy:
-        for wrap in (False, True):
-            with OpCounter() as counter:
-                lst, first_refusal = prepare_overflow(width, policy, wrap)
-            kinds.append({"kind": f"prepare {'wrap' if wrap else 'flip'} {policy.value}",
-                          "bytecodes": counter.total[0]})
-            out.append((first_refusal, fingerprint(lst)))
-            del lst
+        counts, results = preparations(width, policy)
+        kinds += counts
+        out += results
         with OpCounter() as counter:
             rows = census(width, policy)
         kinds.append({"kind": f"census {policy.value}", "bytecodes": counter.total[0],
@@ -285,8 +315,8 @@ def report(rows: list[dict], src: str) -> str:
 
 
 def overflow_report(r: dict) -> list[str]:
-    """The overflow row's lines: bytecodes per call, the censuses' probes
-    and ``find`` calls, and the digest."""
+    """The overflow row's lines: bytecodes per call, per accepted add and
+    per refusal, the censuses' probes and ``find`` calls, and the digest."""
     lines = [f"overflow: width {r['width']}, one call each, no check mode",
              f"  {'call':<24}{'bytecodes':>12}{'probes':>8}{'find calls':>12}"
              f"{'nodes':>10}{'per node':>10}"]
@@ -297,6 +327,9 @@ def overflow_report(r: dict) -> list[str]:
             per_node = f"{opcodes / nodes:>10.1f}" if nodes else f"{'-':>10}"
             line += f"{k['probes']:>8,}{calls:>12,}{nodes:>10,}{per_node}"
         lines.append(line)
+        if k.get("per_add"):
+            kind, adds, opcodes = k["per_add"]
+            lines.append(f"    wrap - flip: {adds:,} more {kind} adds, {opcodes:.1f} bytecodes each")
     return lines + [f"  sha256 {r['digest']}", ""]
 
 

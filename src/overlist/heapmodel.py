@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from operator import eq
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CycleDetected, DanglingLink, UsageError
@@ -111,11 +111,11 @@ class NodeRecord(NamedTuple):
 
 
 def _select_all(values: list, ids) -> list:
-    """``values`` at each id of the sequence ``ids``, in order;
-    DanglingLink for the first unallocated one."""
+    """``values`` at each id of the sequence ``ids``, in order, gathered
+    in one C call; DanglingLink for the first unallocated one."""
     try:
-        if not ids or min(ids) >= 0:
-            return list(map(values.__getitem__, ids))
+        if not ids or min(ids) >= 0:  # itemgetter of one id returns no tuple
+            return list(itemgetter(*ids)(values)) if len(ids) > 1 else [values[i] for i in ids]
     except (IndexError, TypeError):  # past the end, or None
         pass
     n = len(values)

@@ -246,12 +246,6 @@ class JavaLinkedList:
     def items(self) -> list[Item]:
         return self.store.items(self.chain())
 
-    # -- Java int arithmetic -------------------------------------------------
-
-    def _dec(self, n: int) -> int:
-        """``n - 1`` as a W-bit Java int: MIN - 1 wraps to MAX."""
-        return self.max_size if n == self.min_size else n - 1
-
     # -- capacity -----------------------------------------------------------
 
     def is_max_size(self) -> bool:
@@ -261,16 +255,21 @@ class JavaLinkedList:
         if self.size == self.max_size:
             raise IllegalStateError(self._at_capacity)
 
+    def _dec(self, n: int) -> int:
+        """``n - 1`` as a W-bit Java int: MIN - 1 wraps to MAX."""
+        return self.max_size if n == self.min_size else n - 1
+
     # -- linking ------------------------------------------------------------
     # Each size-increasing entry point guards growth and steps the size
     # inline, and links its node with one store call (link_before first
-    # reads its successor's prev), so an accepted add makes no call beyond
-    # link_last and NodeStore.link. check_size runs only at capacity, where
-    # it raises the refusal (FailFast). Each ghost write is logged, while a
-    # savepoint is open, as (delta, position, node): 1 for the node
-    # inserted at the position, -1 for the node removed from it.
+    # reads its successor's prev). add is link_last, as the JDK's add(e) is
+    # linkLast(e); return true: an accepted add makes two Python calls,
+    # link_last and NodeStore.link, and a refusal two frames, link_last and
+    # check_size, which runs only at capacity and raises it (FailFast). Each
+    # ghost write is logged, while a savepoint is open, as (delta, position,
+    # node): 1 for the node inserted at the position, -1 for the one removed.
 
-    def link_last(self, item: Item) -> None:
+    def link_last(self, item: Item) -> bool:
         size = self.size
         if size == self.max_size and self.guards_growth:
             self.check_size()
@@ -284,6 +283,7 @@ class JavaLinkedList:
         if self._ghost_log is not None:
             self._ghost_log.append((1, len(ghost), node))
         ghost.append(node)
+        return True
 
     def link_first(self, item: Item) -> None:
         size = self.size
@@ -422,13 +422,10 @@ class JavaLinkedList:
 
     # -- collection surface -------------------------------------------------
 
-    def add(self, item: Item) -> bool:
-        self.link_last(item)
-        return True
+    add = link_last
 
     def size_field(self) -> int:
-        """The raw cached size in both policies (the documented clamp
-        lives in the oracle, not here)."""
+        """The raw cached size in both policies; the oracle clamps it."""
         return self.size
 
     # The element searches follow the chain with the store's ``find``, which
@@ -484,15 +481,14 @@ class JavaLinkedList:
     def contains(self, target: Item) -> bool:
         return self.index_of(target) != -1
 
-    def remove_item(self, target: Item) -> bool:
-        return self.remove_first_occurrence(target)
-
     def remove_first_occurrence(self, target: Item) -> bool:
         steps, node = self.store.find(self.first, target)
         if node is None:
             return False
         self.unlink(node, steps)
         return True
+
+    remove_item = remove_first_occurrence
 
     def remove_last_occurrence(self, target: Item) -> bool:
         steps, node = self.store.find(self.last, target, "prev")
@@ -543,8 +539,7 @@ class JavaLinkedList:
 
     # -- deque surface (chain-based, no index arithmetic) ---------------------
 
-    def add_first(self, item: Item) -> None:
-        self.link_first(item)
+    add_first = link_first
 
     def add_last(self, item: Item) -> None:
         self.link_last(item)
@@ -571,11 +566,8 @@ class JavaLinkedList:
     def poll_last(self) -> Item | None:
         return None if self.last is None else self.unlink_last()
 
-    def remove_first(self) -> Item:
-        return self.unlink_first()
-
-    def remove_last(self) -> Item:
-        return self.unlink_last()
+    remove_first = unlink_first
+    remove_last = unlink_last
 
 
 new_list = JavaLinkedList  # the constructor under its older name

@@ -310,6 +310,27 @@ class TestClosedPipe:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestRunAsModule:
+    """``python -m overlist`` runs the command from the source tree,
+    uninstalled, with its exit statuses; importing ``overlist.__main__``
+    runs nothing."""
+
+    @pytest.mark.parametrize("argv, status", [(["repro", "1", "--width", "8"], 0),
+                                              (["census", "--width", "32"], 2)],
+                             ids=["repro", "infeasible-census"])
+    def test_exit_status(self, argv, status, tmp_path):
+        done = subprocess.run([sys.executable, "-m", "overlist", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == status, done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_import_runs_nothing(self, capsys):
+        import overlist.__main__  # noqa: F401
+
+        assert capsys.readouterr() == ("", "")
+
+
 #: SHA-256 over the standard output of ``check --ops 500`` at widths 8 and
 #: 16, seeds 0 and 1 in turn; it pins the counts ``check`` reports
 GOLDEN_CHECK = "1d4f5df4019a8041753fe17c5e4a98a29a0b61b35c5f020c6bddb7eb5a2248e2"

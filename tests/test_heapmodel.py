@@ -7,6 +7,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overlist import heapmodel
 from overlist.errors import ChainCorruption, CycleDetected, DanglingLink, UsageError
@@ -293,6 +294,25 @@ class TestWalkChain:
             with pytest.raises(DanglingLink) as exc:
                 read([n1, 99, 98])
             assert exc.value.node_id == 99
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.none() | st.integers(-3, 6), max_size=6))
+    def test_bulk_reads_equal_per_id_reads(self, ids):
+        """Over empty and single ids, negative, None and past-the-end
+        ones, each bulk read answers as reading ``record`` id by id:
+        every field in order, or DanglingLink naming the first id that
+        names no node."""
+        store, _ = three_chain()
+        for field, read in (("prev", store.prevs), ("item", store.items), ("next", store.nexts)):
+            try:
+                expected = ("value", [getattr(store.record(i), field) for i in ids])
+            except DanglingLink as e:
+                expected = ("dangling", e.node_id)
+            try:
+                got = ("value", read(ids))
+            except DanglingLink as e:
+                got = ("dangling", e.node_id)
+            assert got == expected
 
     def test_two_cycle_detected(self):
         store, [n0, n1, n2] = three_chain()

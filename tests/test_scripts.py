@@ -43,7 +43,10 @@ def test_opcount_counts_and_digests_the_same_twice(tmp_path):
     ``checked_step``, the checks change no result of fault-free code, the
     shrink's seed, predicate calls and reproducer are pinned, and so are
     the overflow input's digest and its censuses' probe counts: FailFast
-    probes its one state once, Unchecked its two."""
+    probes its one state once, Unchecked its two. Each preparation reports
+    its accepted and refused adds, and each wrap the bytecodes of its 128
+    adds beyond the flip, all accepted under Unchecked and all refused
+    under FailFast."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "scripts"))))
     code = "import json, opcount; print(json.dumps(opcount.measure(10)))"
     # the two interpreters run side by side
@@ -75,4 +78,13 @@ def test_opcount_counts_and_digests_the_same_twice(tmp_path):
     assert [censuses[f"census {p}"]["probes"] for p in ("failfast", "unchecked")] == [28, 56]
     assert all(k["bytecodes"] > 0 for k in overflow["kinds"])
     assert all(k["find"][1] > 0 for k in censuses.values())
+    # accepted and refused adds per preparation, and what the wrap's extra 128 adds cost each
+    preparations = {k["kind"]: k for k in overflow["kinds"] if "adds" in k}
+    assert {kind: k["adds"] for kind, k in preparations.items()} == {
+        "prepare flip unchecked": [128, 0], "prepare wrap unchecked": [256, 0],
+        "prepare flip failfast": [127, 1], "prepare wrap failfast": [127, 129]}
+    per_add = [preparations[f"prepare wrap {p}"]["per_add"] for p in ("unchecked", "failfast")]
+    assert [p[:2] for p in per_add] == [["accepted", 128], ["refused", 128]]
+    assert all(p[2] > 0 for p in per_add)
+    assert all(k.get("per_add") is None for kind, k in preparations.items() if "flip" in kind)
     assert overflow["digest"] == "8a7a6ef498d0e8fdcd80e29af78986cfa60a36ba38e37d140e4f2994f9a33ac7"

@@ -53,6 +53,7 @@ def reference_link_last(lst, item):
         lst.store.set_next(old_last, node)
     lst.size = inc(lst, lst.size)
     lst.ghost.append(node)
+    return True
 
 
 def reference_link_first(lst, item):
@@ -499,11 +500,11 @@ def python_calls(fn):
     return {name: k for name, k in counts.items() if k}
 
 
-def test_accepted_add_makes_three_calls():
-    """On a width-16 FailFast list an accepted add calls ``add``,
-    ``link_last`` and ``NodeStore.link``, and nothing else (the store
-    appends to its field lists, so no record is built); a refused add
-    still raises through ``check_size``."""
+def test_accepted_add_makes_two_calls():
+    """On a width-16 FailFast list an accepted add, which is ``link_last``
+    itself, calls ``link_last`` and ``NodeStore.link``, and nothing else
+    (the store appends to its field lists, so no record is built); a
+    refused add still raises through ``check_size``."""
     k = 1000
     lst = new_list(16, SizePolicy.FAIL_FAST)
     lst.add(A)
@@ -512,7 +513,7 @@ def test_accepted_add_makes_three_calls():
         for _ in range(k):
             lst.add(NULL)
 
-    assert python_calls(adds) == {"add": k, "link_last": k, "link": k}
+    assert python_calls(adds) == {"link_last": k, "link": k}
     lst.size = lst.max_size
 
     def refused():
